@@ -7,11 +7,18 @@
 // shared-machine simulations drained by a growing pool.  Both are
 // scoreboard entries behind the DESIGN.md scaling tables: on an M-core
 // machine the /T rate should approach T-fold the /1 rate until T exceeds M
-// (on a single-core CI container the curves are flat).
+// (on a single-core CI container the curves are flat).  BM_MergeUserLogs,
+// BM_WriteLogText and BM_ParseLogText time the serial log tail in isolation.
 
 #include <benchmark/benchmark.h>
 
+#include <ostream>
+#include <random>
+#include <streambuf>
+#include <string>
+
 #include "bench_main.h"
+#include "core/log_sink.h"
 #include "runner/contended_runner.h"
 #include "runner/sharded_runner.h"
 #include "scenario/run.h"
@@ -121,6 +128,83 @@ void BM_MergeUserLogs(benchmark::State& state) {
                           static_cast<std::int64_t>(users * ops_per_user));
 }
 BENCHMARK(BM_MergeUserLogs)->Arg(1000);
+
+// Usage-log text codec, the serial tail of every `[output] log` run.
+// Records have the magnitudes a real log carries (microsecond clocks,
+// block-sized transfers); the writer drains into a discarding stream so
+// only formatting and buffering are timed, and the parser feeds a counting
+// sink so only scanning and number conversion are.
+core::UsageLog codec_log(std::size_t records) {
+  std::mt19937_64 rng(1991);
+  std::exponential_distribution<double> gap(1.0 / 250.0);
+  std::uniform_real_distribution<double> response(20.0, 40000.0);
+  core::UsageLog log;
+  double now = 0.0;
+  for (std::size_t i = 0; i < records; ++i) {
+    core::OpRecord r;
+    now += gap(rng);
+    r.issue_time_us = now;
+    r.response_us = response(rng);
+    r.user = static_cast<std::uint32_t>(rng() % 200);
+    r.session = static_cast<std::uint32_t>(rng() % 20);
+    r.op = static_cast<fsmodel::FsOpType>(rng() % 10);
+    r.requested_bytes = rng() % 65536;
+    r.actual_bytes = r.requested_bytes - rng() % (r.requested_bytes + 1);
+    r.file_id = rng() % 1000000;
+    r.file_size = rng() % 1000000;
+    r.category = {static_cast<core::FileType>(rng() % 2),
+                  static_cast<core::FileOwner>(rng() % 3),
+                  static_cast<core::UseMode>(rng() % 4)};
+    log.append(r);
+  }
+  return log;
+}
+
+class DiscardBuffer final : public std::streambuf {
+ protected:
+  std::streamsize xsputn(const char* /*data*/, std::streamsize size) override { return size; }
+  int_type overflow(int_type c) override { return traits_type::not_eof(c); }
+};
+
+class CountingSink final : public core::LogSink {
+ public:
+  void append(const core::OpRecord& /*record*/) override { ++records; }
+  void close() override {}
+  std::uint64_t records = 0;
+};
+
+void set_records_rate(benchmark::State& state, std::size_t per_iteration) {
+  const auto records = static_cast<std::int64_t>(state.iterations()) *
+                       static_cast<std::int64_t>(per_iteration);
+  state.SetItemsProcessed(records);
+  state.counters["records/s"] =
+      benchmark::Counter(static_cast<double>(records), benchmark::Counter::kIsRate);
+}
+
+void BM_WriteLogText(benchmark::State& state) {
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const core::UsageLog log = codec_log(records);
+  DiscardBuffer discard;
+  std::ostream out(&discard);
+  for (auto _ : state) {
+    core::MemoryLogReader reader(log);
+    benchmark::DoNotOptimize(core::write_log_text(reader, out));
+  }
+  set_records_rate(state, records);
+}
+BENCHMARK(BM_WriteLogText)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+void BM_ParseLogText(benchmark::State& state) {
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const std::string text = codec_log(records).serialize();
+  for (auto _ : state) {
+    CountingSink sink;
+    core::parse_log_text(text, sink);
+    benchmark::DoNotOptimize(sink.records);
+  }
+  set_records_rate(state, records);
+}
+BENCHMARK(BM_ParseLogText)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // Scenario-level parallelism: one three-backend sharded scenario, run with a
 // growing --threads budget.  run_scenario fans the independent backends over

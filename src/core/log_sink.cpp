@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/strings.h"
+#include "util/svg.h"
 
 namespace wlgen::core {
 
@@ -284,26 +284,90 @@ std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs) {
 // Streaming adapters
 // ---------------------------------------------------------------------------
 
-std::uint64_t write_log_text(LogReader& reader, std::ostream& out) {
-  const auto saved_precision = out.precision(17);
-  out << usage_log_header_line();
+namespace {
+
+constexpr std::size_t kLogTextBufferBytes = 64 * 1024;
+
+// Formats the header and every record into one fixed buffer, handing each
+// filled stretch to `flush(data, size)`.
+template <typename Flush>
+std::uint64_t stream_log_text(LogReader& reader, Flush&& flush) {
+  std::vector<char> buffer(kLogTextBufferBytes);
+  char* const begin = buffer.data();
+  char* const limit = begin + buffer.size() - kMaxRecordTextBytes;
+  char* out = begin;
+  for (const char* header = usage_log_header_line(); *header != '\0'; ++header) *out++ = *header;
   std::uint64_t written = 0;
   OpRecord record;
   while (reader.next(record)) {
-    append_record_text(out, record);
+    if (out > limit) {
+      flush(begin, static_cast<std::size_t>(out - begin));
+      out = begin;
+    }
+    out = format_record_text(record, out);
     ++written;
   }
-  out.precision(saved_precision);
+  flush(begin, static_cast<std::size_t>(out - begin));
   return written;
 }
 
-void parse_log_text(const std::string& text, LogSink& sink) {
-  for (const auto& line : util::split(text, '\n')) {
-    const std::string trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    sink.append(parse_record_line(trimmed));
+}  // namespace
+
+std::uint64_t write_log_text(LogReader& reader, std::ostream& out) {
+  return stream_log_text(reader, [&out](const char* data, std::size_t size) {
+    out.write(data, static_cast<std::streamsize>(size));
+  });
+}
+
+std::uint64_t write_log_file(LogReader& reader, const std::string& path) {
+  const std::filesystem::path p(path);
+  if (p.has_parent_path()) {
+    std::error_code ec;
+    std::filesystem::create_directories(p.parent_path(), ec);
+  }
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) throw std::runtime_error("write_log_file: cannot open " + path);
+  std::uint64_t written = 0;
+  try {
+    written = stream_log_text(reader, [&](const char* data, std::size_t size) {
+      if (std::fwrite(data, 1, size, file) != size) {
+        throw std::runtime_error("write_log_file: write failed for " + path);
+      }
+    });
+  } catch (...) {
+    std::fclose(file);
+    throw;
+  }
+  if (std::fclose(file) != 0) throw std::runtime_error("write_log_file: close failed for " + path);
+  return written;
+}
+
+void parse_log_text(std::string_view text, LogSink& sink, const std::string& source) {
+  std::size_t line_number = 0;
+  for (std::size_t start = 0; start <= text.size();) {
+    const std::size_t end = std::min(text.find('\n', start), text.size());
+    const std::string_view line = util::trim_view(text.substr(start, end - start));
+    start = end + 1;
+    ++line_number;
+    if (line.empty() || line.front() == '#') continue;
+    OpRecord record;
+    try {
+      record = parse_record_line(line);
+    } catch (const std::invalid_argument& e) {
+      const std::string where = source.empty()
+                                    ? "UsageLog::parse: line " + std::to_string(line_number)
+                                    : source + ":" + std::to_string(line_number);
+      throw std::invalid_argument(where + ": " + e.what());
+    }
+    sink.append(record);
   }
   sink.close();
+}
+
+UsageLog read_log_file(const std::string& path) {
+  MemorySink sink;
+  parse_log_text(util::read_text_file(path), sink, path);
+  return sink.take_log();
 }
 
 UsageLog materialize(LogReader& reader) {

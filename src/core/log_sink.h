@@ -5,6 +5,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/usage_log.h"
@@ -195,13 +196,26 @@ std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs);
 // ---------------------------------------------------------------------------
 
 /// Streams the reader to `out` in UsageLog::serialize's exact text format
-/// (header line + one tab-separated record per line, %.17g doubles).
-/// Returns the number of records written.
+/// (header line + one tab-separated record per line, %.17g doubles),
+/// formatted into a 64 KiB buffer that goes out with one out.write each
+/// time it fills.  Returns the number of records written.
 std::uint64_t write_log_text(LogReader& reader, std::ostream& out);
 
-/// Parses UsageLog text (serialize() output) record by record into `sink`.
-/// Throws std::invalid_argument on malformed input.
-void parse_log_text(const std::string& text, LogSink& sink);
+/// write_log_text straight to a file: the buffer goes out with fwrite, so
+/// the text never exists in RAM beyond one buffer.  Creates parent
+/// directories; throws std::runtime_error when the file cannot be opened,
+/// written or closed.  Returns the number of records written.
+std::uint64_t write_log_file(LogReader& reader, const std::string& path);
+
+/// Parses UsageLog text (serialize() output) record by record into `sink`,
+/// scanning lines and fields in place.  Throws std::invalid_argument on
+/// malformed input, naming the 1-based line: "<source>:<line>: <detail>",
+/// or "UsageLog::parse: line <line>: <detail>" when `source` is empty.
+void parse_log_text(std::string_view text, LogSink& sink, const std::string& source = {});
+
+/// Reads and parses a usage-log text file; parse errors read
+/// "<path>:<line>: <detail>".
+UsageLog read_log_file(const std::string& path);
 
 /// Drains a reader into a materialized UsageLog (tests and small runs).
 UsageLog materialize(LogReader& reader);

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/workload.h"
@@ -39,8 +39,8 @@ class UsageLog {
   void clear() { records_.clear(); }
 
   /// Tab-separated text serialisation (one record per line, with a header).
-  /// Streams via log_sink.h's write_log_text — identical text to streaming a
-  /// LogReader directly.
+  /// Uses the same format_record_text as log_sink.h's write_log_text and
+  /// write_log_file — identical text to streaming a LogReader directly.
   std::string serialize() const;
 
   /// Parses serialize() output.  Throws std::invalid_argument on bad input.
@@ -52,13 +52,22 @@ class UsageLog {
 };
 
 /// Shared text codec behind UsageLog::serialize/parse and the streaming
-/// writer (log_sink.h write_log_text) — one definition of the line format.
+/// adapters in log_sink.h — one definition of the line format.
 const char* usage_log_header_line();
 
-/// Writes one record line (caller sets stream precision to 17).
-void append_record_text(std::ostream& out, const OpRecord& record);
+/// Upper bound on the bytes format_record_text writes for one record.
+inline constexpr std::size_t kMaxRecordTextBytes = 256;
 
-/// Parses one non-comment record line; throws std::invalid_argument.
-OpRecord parse_record_line(const std::string& line);
+/// Writes one record line, '\n' included, at `out` (which must have room for
+/// kMaxRecordTextBytes) and returns one past its last byte.  Doubles are
+/// std::to_chars general/17 — by definition printf's %.17g, the bytes an
+/// ostream at precision(17) prints.
+char* format_record_text(const OpRecord& record, char* out);
+
+/// Parses one non-comment record line; throws std::invalid_argument naming
+/// the offending field.  Numbers take a std::from_chars fast path and fall
+/// back to util::parse_double/parse_int, so the accepted inputs and their
+/// values are exactly those of the historical strtod-based parser.
+OpRecord parse_record_line(std::string_view line);
 
 }  // namespace wlgen::core

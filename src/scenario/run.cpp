@@ -356,7 +356,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
       trace_users = spec.user_points.front();
       trace = generate_shared(spec, spec.models.front(), trace_users, trace_sessions);
     } else {
-      trace = core::UsageLog::parse(util::read_text_file(spec.trace_file));
+      trace = core::read_log_file(spec.trace_file);
       // Recover the recorded population/session shape from the trace itself.
       std::set<std::pair<std::uint32_t, std::uint32_t>> sessions;
       for (const auto& record : trace.records()) {
@@ -406,16 +406,16 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
   outcome.report = render_report(spec, outcome.models);
 
   if (!spec.log_file.empty()) {
-    // Stream through a reader so a spilled run writes the identical text
-    // without ever materializing the merged log in RAM.
+    // Stream through a reader straight into the file, so neither branch
+    // ever holds the log text in RAM (and a spilled run never materializes
+    // the merged log either).
     const ModelOutcome& first = outcome.models.front();
     if (!first.spilled_runs.empty()) {
-      std::ostringstream text;
       auto reader = core::open_spilled_log(first.spilled_runs);
-      core::write_log_text(*reader, text);
-      util::write_text_file(spec.log_file, text.str());
+      core::write_log_file(*reader, spec.log_file);
     } else {
-      util::write_text_file(spec.log_file, first.log.serialize());
+      core::MemoryLogReader reader(first.log);
+      core::write_log_file(reader, spec.log_file);
     }
   }
   if (!spec.stats_file.empty()) {

@@ -239,10 +239,8 @@ int cmd_run_sharded(const Args& args, std::size_t users, std::size_t sessions,
               << " records in (time, user) order\n";
   }
   if (args.flags.count("log")) {
-    std::ostringstream text;
     auto reader = result.open_log_reader();
-    core::write_log_text(*reader, text);
-    util::write_text_file(args.get("log", ""), text.str());
+    core::write_log_file(*reader, args.get("log", ""));
     std::cout << "\nusage log written to " << args.get("log", "") << "\n";
   }
   if (run.config().obs.collect()) {
@@ -423,7 +421,8 @@ int cmd_run(const Args& args) {
   std::cout << "\n" << model->stats_summary();
 
   if (args.flags.count("log")) {
-    util::write_text_file(args.get("log", ""), usim.log().serialize());
+    core::MemoryLogReader reader(usim.log());
+    core::write_log_file(reader, args.get("log", ""));
     std::cout << "\nusage log written to " << args.get("log", "") << "\n";
   }
   if (obs_cfg.collect()) {
@@ -489,14 +488,14 @@ int cmd_experiments(const Args& args) {
 
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) return usage();
-  const core::UsageLog log = core::UsageLog::parse(util::read_text_file(args.positional[0]));
+  const core::UsageLog log = core::read_log_file(args.positional[0]);
   print_analysis(log);
   return 0;
 }
 
 int cmd_replay(const Args& args) {
   if (args.positional.empty()) return usage();
-  const core::UsageLog trace = core::UsageLog::parse(util::read_text_file(args.positional[0]));
+  const core::UsageLog trace = core::read_log_file(args.positional[0]);
 
   sim::Simulation simulation;
   auto model = make_model(args.get("model", "nfs"), simulation);

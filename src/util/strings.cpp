@@ -34,12 +34,14 @@ std::vector<std::string> split_whitespace(std::string_view text) {
   return out;
 }
 
-std::string trim(std::string_view text) {
+std::string trim(std::string_view text) { return std::string(trim_view(text)); }
+
+std::string_view trim_view(std::string_view text) {
   std::size_t b = 0;
   std::size_t e = text.size();
   while (b < e && std::isspace(static_cast<unsigned char>(text[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1]))) --e;
-  return std::string(text.substr(b, e - b));
+  return text.substr(b, e - b);
 }
 
 std::optional<double> parse_double(std::string_view text) {

@@ -17,6 +17,9 @@ std::vector<std::string> split_whitespace(std::string_view text);
 /// Removes leading and trailing whitespace.
 std::string trim(std::string_view text);
 
+/// trim() without the copy: a view of `text` minus its outer whitespace.
+std::string_view trim_view(std::string_view text);
+
 /// Parses a double; returns nullopt for malformed input.
 std::optional<double> parse_double(std::string_view text);
 

@@ -90,9 +90,20 @@ std::string svg_plot(const std::vector<SvgSeries>& series, const SvgOptions& opt
 std::string read_text_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("read_text_file: cannot open " + path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
+  // One allocation sized from the file and one read into it.  The loop
+  // picks up whatever the size did not cover: a file that grew meanwhile,
+  // or a pipe or special file that reports size 0.
+  std::string text;
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  if (!ec) text.resize(static_cast<std::size_t>(size));
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  char chunk[4096];
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return text;
 }
 
 void write_text_file(const std::string& path, const std::string& content) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -16,6 +17,8 @@
 
 #include "core/analysis.h"
 #include "core/usage_log.h"
+#include "util/strings.h"
+#include "util/svg.h"
 
 namespace wlgen::core {
 namespace {
@@ -293,6 +296,374 @@ TEST(TextAdapters, ParseLogTextRoundTrips) {
     EXPECT_EQ(parsed.records()[i].user, log.records()[i].user);
     EXPECT_EQ(parsed.records()[i].actual_bytes, log.records()[i].actual_bytes);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Text codec: the to_chars writer against the historical iostream formatter,
+// and the in-place parser against the historical strtod/parse_int path.
+// ---------------------------------------------------------------------------
+
+// The record formatter the text log was defined by: an ostream at
+// precision(17), i.e. printf %.17g doubles.  Kept here as the reference the
+// to_chars writer must match byte for byte.
+std::string reference_text(const std::vector<OpRecord>& records) {
+  std::ostringstream out;
+  out.precision(17);
+  out << usage_log_header_line();
+  for (const OpRecord& r : records) {
+    out << r.issue_time_us << '\t' << r.response_us << '\t' << r.user << '\t' << r.session
+        << '\t' << fsmodel::to_string(r.op) << '\t' << r.requested_bytes << '\t'
+        << r.actual_bytes << '\t' << r.file_id << '\t' << r.file_size << '\t'
+        << static_cast<int>(r.category.file_type) << '\t'
+        << static_cast<int>(r.category.owner) << '\t' << static_cast<int>(r.category.use)
+        << '\n';
+  }
+  return out.str();
+}
+
+double from_bits(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// Empty when the texts are equal, else the first differing line of each:
+// a full EXPECT_EQ diff of two multi-megabyte texts would be unreadable.
+std::string first_difference(const std::string& got, const std::string& want) {
+  if (got == want) return "";
+  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+  const auto line_of = [](const std::string& text, std::string::const_iterator at) {
+    const std::size_t pos = static_cast<std::size_t>(at - text.begin());
+    const std::size_t begin = pos == 0 ? 0 : text.rfind('\n', pos - 1) + 1;
+    return text.substr(begin, text.find('\n', pos) - begin);
+  };
+  return "got  '" + line_of(got, g) + "'\nwant '" + line_of(want, w) + "'";
+}
+
+// Asserts that all three writers reproduce the reference formatter.
+void expect_writers_match_reference(const std::vector<OpRecord>& records, const char* tag) {
+  UsageLog log;
+  for (const auto& r : records) log.append(r);
+  const std::string expected = reference_text(records);
+
+  EXPECT_EQ(first_difference(log.serialize(), expected), "") << "serialize()";
+
+  std::ostringstream stream;
+  MemoryLogReader stream_reader(log);
+  EXPECT_EQ(write_log_text(stream_reader, stream), records.size());
+  EXPECT_EQ(first_difference(stream.str(), expected), "") << "write_log_text";
+
+  const std::string dir = temp_dir(tag);
+  const std::string path = dir + "/sub/usage.log";  // parent created on demand
+  MemoryLogReader file_reader(log);
+  EXPECT_EQ(write_log_file(file_reader, path), records.size());
+  EXPECT_EQ(first_difference(util::read_text_file(path), expected), "") << "write_log_file";
+  std::filesystem::remove_all(dir);
+}
+
+// Edge values a record can carry: signed zeros, infinities, NaNs of both
+// signs, the extreme finite doubles, integers past 2^53 and the unsigned
+// maxima.
+std::vector<OpRecord> edge_records() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double doubles[] = {0.0,
+                            -0.0,
+                            inf,
+                            -inf,
+                            nan,
+                            -nan,
+                            std::numeric_limits<double>::denorm_min(),
+                            -std::numeric_limits<double>::denorm_min(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::max(),
+                            -std::numeric_limits<double>::max(),
+                            9007199254740992.0,  // 2^53
+                            18446744073709551616.0,
+                            0.1,
+                            1e21,
+                            1e-7,
+                            123456789012345678.0};
+  const std::uint64_t integers[] = {0,
+                                    1,
+                                    (1ull << 53) + 1,
+                                    std::numeric_limits<std::int64_t>::max(),
+                                    std::numeric_limits<std::uint64_t>::max()};
+  std::vector<OpRecord> records;
+  for (double d : doubles) {
+    for (std::uint64_t n : integers) {
+      OpRecord r = make_record(std::numeric_limits<std::uint32_t>::max(), d, -d, n);
+      r.session = std::numeric_limits<std::uint32_t>::max();
+      r.file_id = n;
+      r.file_size = n;
+      records.push_back(r);
+    }
+  }
+  return records;
+}
+
+TEST(TextWriter, MatchesIostreamReferenceOnRandomRecords) {
+  std::mt19937_64 rng(20240613);
+  std::uniform_real_distribution<double> time(0.0, 1e9);
+  std::vector<OpRecord> records;
+  constexpr std::size_t kRecords = 120000;
+  records.reserve(kRecords);
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    OpRecord r;
+    // Alternate realistic magnitudes with raw bit patterns, which reach
+    // denormals, infinities and NaN payloads.
+    if (i % 2 == 0) {
+      r.issue_time_us = time(rng);
+      r.response_us = time(rng) * 1e-6;
+    } else {
+      r.issue_time_us = from_bits(rng());
+      r.response_us = from_bits(rng());
+    }
+    r.user = static_cast<std::uint32_t>(rng());
+    r.session = static_cast<std::uint32_t>(rng() >> (rng() % 32));
+    r.op = static_cast<fsmodel::FsOpType>(rng() % 10);
+    r.requested_bytes = rng() >> (rng() % 64);
+    r.actual_bytes = rng() >> (rng() % 64);
+    r.file_id = rng();
+    r.file_size = rng() >> (rng() % 64);
+    r.category = {static_cast<FileType>(rng() % 2), static_cast<FileOwner>(rng() % 3),
+                  static_cast<UseMode>(rng() % 4)};
+    records.push_back(r);
+  }
+  expect_writers_match_reference(records, "writer_random");
+}
+
+TEST(TextWriter, MatchesIostreamReferenceOnEdgeValues) {
+  expect_writers_match_reference(edge_records(), "writer_edges");
+  expect_writers_match_reference({}, "writer_empty");
+}
+
+TEST(TextWriter, WriteLogFileThrowsOnUnwritablePath) {
+  const std::string dir = temp_dir("writer_unwritable");
+  // A regular file where a parent directory should be: no directory can be
+  // created under it, whatever the process's privileges.
+  const std::string blocker = dir + "/plain_file";
+  std::FILE* f = std::fopen(blocker.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+  UsageLog log;
+  log.append(make_record(1, 2.0, 3.0));
+  MemoryLogReader reader(log);
+  EXPECT_THROW(write_log_file(reader, blocker + "/usage.log"), std::runtime_error);
+  std::filesystem::remove_all(dir);
+
+  // A device that accepts the open but fails every write (Linux).
+  if (std::filesystem::exists("/dev/full")) {
+    MemoryLogReader again(log);
+    EXPECT_THROW(write_log_file(again, "/dev/full"), std::runtime_error);
+  }
+}
+
+// A record line whose field `index` is `field` and every other field valid.
+std::string line_with(std::size_t index, const std::string& field) {
+  std::vector<std::string> fields = {"1.5", "2.5", "3", "4", "read", "5",
+                                     "6",   "7",   "8", "1", "0",    "2"};
+  fields[index] = field;
+  std::string line;
+  for (std::size_t i = 0; i < fields.size(); ++i) line += (i == 0 ? "" : "\t") + fields[i];
+  return line;
+}
+
+TEST(TextParser, AcceptsHistoricalNonCanonicalDoubles) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* field;
+    double value;
+  } cases[] = {
+      {" 1.25 ", 1.25},           // whitespace-padded
+      {"\v1.25\f", 1.25},         // other isspace padding
+      {"+1.25", 1.25},            // leading '+'
+      {"0x1.8p1", 3.0},           // hex float
+      {"0X10", 16.0},             // hex integer
+      {"inf", inf},               //
+      {"-Infinity", -inf},        //
+      {"1e400", inf},             // overflow saturates
+      {"-1e400", -inf},           //
+      {"1e-400", 0.0},            // underflow to zero
+      {"4e-320", 4e-320},         // denormal
+      {"4.9406564584124654e-324", std::numeric_limits<double>::denorm_min()},
+      {".5", 0.5},                // no leading digit
+      {"1.", 1.0},                // no trailing digit
+      {"-0", -0.0},               //
+      {"00012.5e+01", 125.0},     // leading zeros, explicit exponent sign
+      // 1 + 2^-53 exactly, halfway between two doubles: ties to even.
+      {"1.00000000000000011102230246251565404236316680908203125", 1.0},
+      {"1.00000000000000011102230246251565404236316680908203126", 1.0000000000000002},
+  };
+  for (const auto& c : cases) {
+    for (std::size_t index : {0u, 1u}) {
+      SCOPED_TRACE(std::string(c.field) + " in field " + std::to_string(index));
+      const OpRecord r = parse_record_line(line_with(index, c.field));
+      const double got = index == 0 ? r.issue_time_us : r.response_us;
+      EXPECT_TRUE(same_bits(got, c.value)) << got;
+      EXPECT_TRUE(same_bits(got, *util::parse_double(c.field)));
+    }
+  }
+  for (const char* field : {"nan", "-nan", "NAN", "nan(123)"}) {
+    const OpRecord r = parse_record_line(line_with(0, field));
+    EXPECT_TRUE(std::isnan(r.issue_time_us)) << field;
+    EXPECT_TRUE(same_bits(r.issue_time_us, *util::parse_double(field))) << field;
+  }
+}
+
+TEST(TextParser, IntegerFieldsKeepHistoricalAcceptance) {
+  EXPECT_EQ(parse_record_line(line_with(2, " 17 ")).user, 17u);  // padded
+  EXPECT_EQ(parse_record_line(line_with(2, "-1")).user, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(parse_record_line(line_with(2, "4294967296")).user, 0u);  // narrowed by cast
+  EXPECT_EQ(parse_record_line(line_with(7, "-1")).file_id,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_record_line(line_with(7, "9223372036854775807")).file_id,
+            9223372036854775807ull);
+  // Rejected today, so rejected still: '+', fractions, hex, and u64 values
+  // past INT64_MAX (the fields were always read as long long).
+  for (const char* field : {"+5", "5.0", "0x5", "", " ", "9223372036854775808",
+                            "18446744073709551615"}) {
+    EXPECT_THROW(parse_record_line(line_with(7, field)), std::invalid_argument) << field;
+  }
+}
+
+TEST(TextParser, FastPathAgreesWithStrtodOnRandomTokens) {
+  // Random tokens over the characters numbers are made of: every token the
+  // parser accepts must be one util::parse_double (strtod) accepts, with the
+  // same bits, and vice versa; likewise for integer fields and parse_int.
+  const std::string alphabet = "0123456789012345678901234567890123456789..eE+--x pin";
+  std::mt19937 rng(77);
+  for (int trial = 0; trial < 40000; ++trial) {
+    std::string token;
+    const std::size_t length = 1 + rng() % 24;
+    for (std::size_t i = 0; i < length; ++i) token += alphabet[rng() % alphabet.size()];
+    SCOPED_TRACE(token);
+
+    const auto expected_double = util::parse_double(token);
+    bool accepted = true;
+    double got = 0.0;
+    try {
+      got = parse_record_line(line_with(1, token)).response_us;
+    } catch (const std::invalid_argument&) {
+      accepted = false;
+    }
+    ASSERT_EQ(accepted, expected_double.has_value());
+    if (accepted) {
+      ASSERT_TRUE(same_bits(got, *expected_double));
+    }
+
+    const auto expected_int = util::parse_int(token);
+    accepted = true;
+    std::uint64_t got_int = 0;
+    try {
+      got_int = parse_record_line(line_with(8, token)).file_size;
+    } catch (const std::invalid_argument&) {
+      accepted = false;
+    }
+    ASSERT_EQ(accepted, expected_int.has_value());
+    if (accepted) {
+      ASSERT_EQ(got_int, static_cast<std::uint64_t>(*expected_int));
+    }
+  }
+}
+
+TEST(TextParser, RoundTripIsBitExactForEdgeValues) {
+  // UINT64_MAX is written fine but was never readable (long long fields),
+  // so the round trip covers the integers up to INT64_MAX.
+  std::vector<OpRecord> records;
+  for (const OpRecord& r : edge_records()) {
+    if (r.file_id <= static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
+      records.push_back(r);
+    }
+  }
+  UsageLog log;
+  for (const auto& r : records) log.append(r);
+  const UsageLog parsed = UsageLog::parse(log.serialize());
+  ASSERT_EQ(parsed.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const OpRecord& a = records[i];
+    const OpRecord& b = parsed.records()[i];
+    if (std::isnan(a.issue_time_us)) {
+      EXPECT_TRUE(std::isnan(b.issue_time_us));
+      EXPECT_EQ(std::signbit(a.issue_time_us), std::signbit(b.issue_time_us));
+    } else {
+      EXPECT_TRUE(same_bits(a.issue_time_us, b.issue_time_us)) << a.issue_time_us;
+      EXPECT_TRUE(same_bits(a.response_us, b.response_us)) << a.response_us;
+    }
+    EXPECT_EQ(a.user, b.user);
+    EXPECT_EQ(a.session, b.session);
+    EXPECT_EQ(a.op, b.op);
+    EXPECT_EQ(a.requested_bytes, b.requested_bytes);
+    EXPECT_EQ(a.actual_bytes, b.actual_bytes);
+    EXPECT_EQ(a.file_id, b.file_id);
+    EXPECT_EQ(a.file_size, b.file_size);
+    EXPECT_EQ(a.category, b.category);
+  }
+}
+
+// The message parse_log_text throws for `text`, or "" when it parses.
+std::string parse_error(const std::string& text, const std::string& source = {}) {
+  MemorySink sink;
+  try {
+    parse_log_text(text, sink, source);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TextParser, ErrorsNameTheLine) {
+  const std::string good = line_with(0, "1.5") + "\n";
+  const std::string header = usage_log_header_line();
+  // Comments, blank and CRLF lines count toward the line number.
+  const std::string prefix = header + good + "\n  \r\n# note\n" + good;  // lines 1-6
+  const struct {
+    std::string bad;
+    const char* detail;
+  } cases[] = {
+      {"1\t2\t3", "expected 12 fields, got 3"},
+      {line_with(0, "1.5x"), "field 1 (issue_us): malformed number '1.5x'"},
+      {line_with(3, "four"), "field 4 (session): malformed number 'four'"},
+      {line_with(4, "fsync"), "unknown op 'fsync'"},
+      {line_with(9, "7"), "bad file type 7"},
+      {line_with(10, "3"), "bad owner 3"},
+      {line_with(11, "-1"), "bad use mode -1"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.bad);
+    const std::string text = prefix + c.bad + "\r\n" + good;
+    EXPECT_EQ(parse_error(text), std::string("UsageLog::parse: line 7: ") + c.detail);
+    EXPECT_EQ(parse_error(text, "trace.log"), std::string("trace.log:7: ") + c.detail);
+  }
+  EXPECT_EQ(parse_error(prefix), "");
+  EXPECT_EQ(parse_error("\n\n" + line_with(2, "")), "UsageLog::parse: line 3: field 3 (user): "
+                                                    "malformed number ''");
+}
+
+TEST(TextParser, ReadLogFilePrefixesThePath) {
+  const std::string dir = temp_dir("read_log_file");
+  const std::string path = dir + "/trace.log";
+  UsageLog log;
+  log.append(make_record(1, 2.0, 3.0));
+  log.append(make_record(2, 4.0, 5.0));
+  MemoryLogReader reader(log);
+  write_log_file(reader, path);
+  EXPECT_EQ(read_log_file(path).serialize(), log.serialize());
+
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  std::fputs("1\t2\n", f);
+  std::fclose(f);
+  try {
+    read_log_file(path);
+    ADD_FAILURE() << "malformed trace parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), path + ":4: expected 12 fields, got 2");
+  }
+  EXPECT_THROW(read_log_file(dir + "/missing.log"), std::runtime_error);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Analyzer, ReaderAndLogConstructionAgree) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <functional>
 #include <set>
 
@@ -248,6 +249,23 @@ TEST(Svg, PlotProducesDocument) {
   EXPECT_NE(svg.find("test"), std::string::npos);
 }
 
+TEST(TextFile, ReadReturnsExactBytes) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "wlgen_util_text_file").string();
+  std::filesystem::remove_all(dir);
+  // write_text_file creates the missing directory.
+  const std::string path = dir + "/nested/blob.bin";
+  std::string content = "line\r\nwith NUL ";
+  content.push_back('\0');
+  for (int i = 0; i < 70000; ++i) content.push_back(static_cast<char>(i * 31));
+  write_text_file(path, content);
+  EXPECT_EQ(read_text_file(path), content);
+  write_text_file(path, "");
+  EXPECT_EQ(read_text_file(path), "");
+  EXPECT_THROW(read_text_file(dir + "/missing.txt"), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Table, RendersAlignedRows) {
   TextTable t({"a", "long_header"});
   t.add_row({"1", "2"});
@@ -267,6 +285,10 @@ TEST(Strings, SplitAndTrim) {
   EXPECT_EQ(pieces[2], "");
   EXPECT_EQ(trim("  hi \t"), "hi");
   EXPECT_EQ(trim(""), "");
+  const std::string_view padded = " \r\tmid dle\v\f\n";
+  EXPECT_EQ(trim_view(padded), "mid dle");
+  EXPECT_EQ(trim_view(padded).data(), padded.data() + 3);  // a view, not a copy
+  EXPECT_TRUE(trim_view(" \t ").empty());
 }
 
 TEST(Strings, SplitWhitespaceDiscardsEmpty) {
