@@ -175,147 +175,6 @@ void BM_SimulationEventChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulationEventChurn)->Arg(1024)->Arg(65536);
 
-// --- AoS vs SoA heap layout, isolated ----------------------------------
-// Two minimal 4-ary min-heaps with the Simulation's exact sift logic: the
-// former 24-byte {when, seq, slot} AoS entry versus the current split into
-// a 16-byte key array plus a parallel 4-byte slot array (DESIGN.md "SoA
-// event heap").  Same keys, same comparisons — only the bytes moved per
-// sift level differ, so the pair isolates the pure layout effect.  The AoS
-// variant is the reference path kept on the scoreboard.
-struct HeapAos {
-  struct Entry {
-    double when;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  std::vector<Entry> entries;
-
-  static bool before(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-  void push(double when, std::uint64_t seq, std::uint32_t slot) {
-    entries.push_back({when, seq, slot});
-    std::size_t i = entries.size() - 1;
-    const Entry e = entries[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!before(e, entries[parent])) break;
-      entries[i] = entries[parent];
-      i = parent;
-    }
-    entries[i] = e;
-  }
-  std::uint32_t pop() {
-    const std::uint32_t top = entries.front().slot;
-    entries.front() = entries.back();
-    entries.pop_back();
-    const std::size_t n = entries.size();
-    if (n == 0) return top;
-    std::size_t i = 0;
-    const Entry e = entries[0];
-    while (true) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (before(entries[c], entries[best])) best = c;
-      }
-      if (!before(entries[best], e)) break;
-      entries[i] = entries[best];
-      i = best;
-    }
-    entries[i] = e;
-    return top;
-  }
-  bool empty() const { return entries.empty(); }
-};
-
-struct HeapSoa {
-  struct Key {
-    double when;
-    std::uint64_t seq;
-  };
-  std::vector<Key> keys;
-  std::vector<std::uint32_t> slots;
-
-  static bool before(const Key& a, const Key& b) {
-    if (a.when != b.when) return a.when < b.when;
-    return a.seq < b.seq;
-  }
-  void push(double when, std::uint64_t seq, std::uint32_t slot) {
-    keys.push_back({when, seq});
-    slots.push_back(slot);
-    std::size_t i = keys.size() - 1;
-    const Key key = keys[i];
-    const std::uint32_t s = slots[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!before(key, keys[parent])) break;
-      keys[i] = keys[parent];
-      slots[i] = slots[parent];
-      i = parent;
-    }
-    keys[i] = key;
-    slots[i] = s;
-  }
-  std::uint32_t pop() {
-    const std::uint32_t top = slots.front();
-    keys.front() = keys.back();
-    slots.front() = slots.back();
-    keys.pop_back();
-    slots.pop_back();
-    const std::size_t n = keys.size();
-    if (n == 0) return top;
-    std::size_t i = 0;
-    const Key key = keys[0];
-    const std::uint32_t s = slots[0];
-    while (true) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) break;
-      std::size_t best = first;
-      const std::size_t end = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < end; ++c) {
-        if (before(keys[c], keys[best])) best = c;
-      }
-      if (!before(keys[best], key)) break;
-      keys[i] = keys[best];
-      slots[i] = slots[best];
-      i = best;
-    }
-    keys[i] = key;
-    slots[i] = s;
-    return top;
-  }
-  bool empty() const { return keys.empty(); }
-};
-
-template <typename Heap>
-void heap_fill_drain(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  util::RngStream rng(1, "bm");
-  std::vector<double> whens(n);
-  for (auto& w : whens) w = rng.uniform01() * 1e6;
-  Heap heap;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) {
-      heap.push(whens[i], i, static_cast<std::uint32_t>(i));
-    }
-    std::uint64_t sum = 0;
-    while (!heap.empty()) sum += heap.pop();
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-
-void BM_EventHeapAos(benchmark::State& state) { heap_fill_drain<HeapAos>(state); }
-BENCHMARK(BM_EventHeapAos)->Arg(100000);
-
-void BM_EventHeapSoa(benchmark::State& state) { heap_fill_drain<HeapSoa>(state); }
-BENCHMARK(BM_EventHeapSoa)->Arg(100000);
-
 void BM_ResourceQueueing(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace wlgen::core {
@@ -67,22 +66,6 @@ std::string MarkovOpStream::name() const {
 
 std::unique_ptr<OpStreamPolicy> MarkovOpStream::clone() const {
   return std::make_unique<MarkovOpStream>(*this);
-}
-
-DiurnalModulator::DiurnalModulator(double period_us, double busy_multiplier,
-                                   double idle_multiplier)
-    : period_us_(period_us), busy_(busy_multiplier), idle_(idle_multiplier) {
-  if (period_us <= 0.0) throw std::invalid_argument("DiurnalModulator: period must be > 0");
-  if (busy_multiplier <= 0.0 || idle_multiplier <= 0.0) {
-    throw std::invalid_argument("DiurnalModulator: multipliers must be > 0");
-  }
-}
-
-double DiurnalModulator::multiplier(double now_us) const {
-  const double phase = 2.0 * std::numbers::pi * (now_us / period_us_);
-  const double mid = 0.5 * (busy_ + idle_);
-  const double amplitude = 0.5 * (idle_ - busy_);
-  return mid + amplitude * std::cos(phase);
 }
 
 }  // namespace wlgen::core

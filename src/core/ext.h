@@ -72,39 +72,4 @@ class MarkovOpStream final : public OpStreamPolicy {
   double persistence_;
 };
 
-/// Scales think times by simulated time of day — the section 6.2 proposal
-/// built on Calzarossa & Serazzi's observation that "the distribution of
-/// inter-login times varies depending on time of day".
-class ThinkTimeModulator {
- public:
-  virtual ~ThinkTimeModulator() = default;
-
-  /// Multiplier applied to a sampled think time at simulated time `now_us`.
-  virtual double multiplier(double now_us) const = 0;
-
-  virtual std::string name() const = 0;
-};
-
-/// The paper's (time-independent) behaviour: multiplier 1 everywhere.
-class ConstantModulator final : public ThinkTimeModulator {
- public:
-  double multiplier(double) const override { return 1.0; }
-  std::string name() const override { return "constant"; }
-};
-
-/// Sinusoidal day profile: multiplier swings between `busy_multiplier` (fast
-/// thinking, busy hours) and `idle_multiplier` over `period_us`.
-class DiurnalModulator final : public ThinkTimeModulator {
- public:
-  DiurnalModulator(double period_us, double busy_multiplier, double idle_multiplier);
-
-  double multiplier(double now_us) const override;
-  std::string name() const override { return "diurnal"; }
-
- private:
-  double period_us_;
-  double busy_;
-  double idle_;
-};
-
 }  // namespace wlgen::core

@@ -156,9 +156,6 @@ UserSimulator::UserSimulator(sim::Simulation& sim, fs::SimulatedFileSystem& fsys
   } else {
     policy_ = std::make_unique<IndependentOpStream>();
   }
-  if (!config_.think_modulator) {
-    config_.think_modulator = std::make_shared<const ConstantModulator>();
-  }
   if (config_.arrival_times_us) {
     if (config_.windows_per_user != 1) {
       throw std::invalid_argument(
@@ -185,9 +182,8 @@ UserSimulator::UserSimulator(sim::Simulation& sim, fs::SimulatedFileSystem& fsys
 UserSimulator::~UserSimulator() = default;
 
 double UserSimulator::sample_think(UserState& user) {
-  const double base = user.think_time.next(user.rng);
-  const double scaled = base * config_.think_modulator->multiplier(sim_.now());
-  return scaled < 0.0 ? 0.0 : scaled;
+  const double think = user.think_time.next(user.rng);
+  return think < 0.0 ? 0.0 : think;
 }
 
 std::string UserSimulator::new_file_path(UserState& user, UseMode use) {

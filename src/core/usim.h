@@ -77,10 +77,6 @@ struct UsimConfig {
   /// NfsParams::num_clients when running a multi-workstation topology.
   std::size_t client_machines = 1;
 
-  /// Think-time modulation (section 6.2 time-of-day extension); null = the
-  /// paper's time-independent behaviour.
-  std::shared_ptr<const ThinkTimeModulator> think_modulator;
-
   /// Draws prefetched per characteristic through Distribution::sample_n
   /// (must be >= 1).  1 — the default — consumes each user's stream
   /// draw-for-draw in the historical order, so results are bit-identical

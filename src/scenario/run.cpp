@@ -35,56 +35,19 @@ std::string exact(double value) {
   return buffer;
 }
 
+/// The post-run obs tally of a kept log: per-op counts and service-time
+/// sums into `sample`, op spans into `ops` when tracing.
+void tally_log(const core::UsageLog& log, obs::SimSample& sample, obs::TraceRing* ops) {
+  for (const auto& record : log.records()) {
+    sample.ops.add(record);
+    if (ops != nullptr) obs::record_op(*ops, record);
+  }
+}
+
 runner::RunnerStats stats_of_log(const core::UsageLog& log) {
   runner::RunnerStats stats;
   for (const auto& record : log.records()) stats.add(record);
   return stats;
-}
-
-/// Effective obs switches of one invocation: the spec's [obs] keys with the
-/// CLI overrides applied on top.
-obs::ObsConfig resolve_obs(const ScenarioSpec& spec, const RunOptions& options) {
-  obs::ObsConfig obs;
-  obs.metrics_file = options.metrics_file.empty() ? spec.obs_metrics : options.metrics_file;
-  obs.trace_file = options.trace_file.empty() ? spec.obs_trace : options.trace_file;
-  obs.trace_events = options.trace_events.value_or(spec.obs_trace_events);
-  obs.progress = options.progress.value_or(spec.obs_progress);
-  obs.label = spec.name;
-  return obs;
-}
-
-/// One serial shared-machine USIM run — the classic single-Simulation path,
-/// used by replay mode both to record the trace and to generate the
-/// synthetic comparison leg.  `sample`, when non-null, receives the run's
-/// sim/RNG observability counters (op tallies are the caller's job — it
-/// owns the returned log).
-core::UsageLog generate_shared(const ScenarioSpec& spec, const ModelChoice& model,
-                               std::size_t users, std::uint64_t& sessions_out,
-                               obs::SimSample* sample = nullptr) {
-  sim::Simulation simulation;
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&simulation] { return simulation.now(); });
-  auto fsmodel = model.factory()(simulation);
-
-  core::FscConfig fsc_config;
-  fsc_config.num_users = users;
-  fsc_config.seed = spec.seed;
-  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-
-  core::UsimConfig config = spec.usim_config();
-  config.num_users = users;
-  config.seed = spec.seed;
-  core::UserSimulator usim(simulation, fsys, *fsmodel, manifest, spec.population(), config);
-  usim.run();
-  sessions_out = usim.sessions_completed();
-  if (sample != nullptr) {
-    sample->sim_events = simulation.events_processed();
-    sample->heap_high_water = simulation.arena_high_water();
-    sample->rng_draws = usim.rng_draws();
-    sample->sessions = sessions_out;
-  }
-  return usim.take_log();
 }
 
 /// Scenario-level identity folded into checkpoint fingerprints: everything
@@ -191,12 +154,17 @@ ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
 
   const bool collect = obs.collect();
   const bool trace_on = obs.trace();
+  // The replay and synthetic legs split the trace budget; the synthetic
+  // leg's rings are appended after the replay leg's, so the shares sum
+  // back to the budget.
+  obs::ObsConfig leg_obs = obs;
+  leg_obs.trace_events = obs::ring_share(obs.trace_events, spec.synthetic_users > 0 ? 2 : 1);
   if (trace_on) {
-    const std::size_t share = obs::ring_share(obs.trace_events / 2, 1);
+    const std::size_t share = obs::ring_share(leg_obs.trace_events / 2, 1);
     outcome.trace.ops = obs::TraceRing(share);
     outcome.trace.stages = obs::TraceRing(share);
   }
-  // Replay is serial: the model-stage ring can stay installed for both legs.
+  // Replay is serial: the model-stage ring stays installed for the replay leg.
   obs::ScopedStageTrace stage_trace(trace_on ? &outcome.trace.stages : nullptr);
 
   sim::Simulation simulation;
@@ -209,15 +177,10 @@ ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
 
   obs::SimSample merged;
   if (collect) {
-    obs::SimSample sample;
-    sample.sim_events = simulation.events_processed();
-    sample.heap_high_water = simulation.arena_high_water();
-    sample.sessions = trace_sessions;
-    for (const auto& record : replayed.records()) {
-      sample.ops.add(record);
-      if (trace_on) obs::record_op(outcome.trace.ops, record);
-    }
-    merged.merge(sample);
+    merged.sim_events = simulation.events_processed();
+    merged.heap_high_water = simulation.arena_high_water();
+    merged.sessions = trace_sessions;
+    tally_log(replayed, merged, trace_on ? &outcome.trace.ops : nullptr);
   }
 
   PointOutcome replay_point;
@@ -234,24 +197,19 @@ ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
   if (spec.synthetic_users > 0) {
     // The paper's section 2.1 contrast: the generator can answer the
     // "what about N users?" question the trace cannot.
-    std::uint64_t sessions = 0;
-    obs::SimSample synthetic_sample;
-    const core::UsageLog synthetic = generate_shared(
-        spec, model, spec.synthetic_users, sessions, collect ? &synthetic_sample : nullptr);
-    if (collect) {
-      for (const auto& record : synthetic.records()) {
-        synthetic_sample.ops.add(record);
-        if (trace_on) obs::record_op(outcome.trace.ops, record);
-      }
-      merged.merge(synthetic_sample);
+    SharedRun synthetic = generate_shared(spec, model, spec.synthetic_users, leg_obs);
+    if (collect) merged.merge(synthetic.sample);
+    if (trace_on) {
+      outcome.trace.ops.append(synthetic.trace.ops);
+      outcome.trace.stages.append(synthetic.trace.stages);
     }
     PointOutcome point;
     point.label = "synthetic";
     point.users = spec.synthetic_users;
-    point.stats = stats_of_log(synthetic);
+    point.stats = stats_of_log(synthetic.log);
     point.response_per_byte = {point.stats.response_per_byte_us(), 0.0, 1};
-    point.ops = synthetic.size();
-    point.sessions = sessions;
+    point.ops = synthetic.log.size();
+    point.sessions = synthetic.sessions;
     outcome.points.push_back(std::move(point));
   }
   if (collect) merged.export_into(outcome.registry);
@@ -354,7 +312,9 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
   if (spec.mode == RunMode::replay) {
     if (spec.trace_file.empty()) {
       trace_users = spec.user_points.front();
-      trace = generate_shared(spec, spec.models.front(), trace_users, trace_sessions);
+      SharedRun recorded = generate_shared(spec, spec.models.front(), trace_users);
+      trace = std::move(recorded.log);
+      trace_sessions = recorded.sessions;
     } else {
       trace = core::read_log_file(spec.trace_file);
       // Recover the recorded population/session shape from the trace itself.
@@ -409,14 +369,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
     // Stream through a reader straight into the file, so neither branch
     // ever holds the log text in RAM (and a spilled run never materializes
     // the merged log either).
-    const ModelOutcome& first = outcome.models.front();
-    if (!first.spilled_runs.empty()) {
-      auto reader = core::open_spilled_log(first.spilled_runs);
-      core::write_log_file(*reader, spec.log_file);
-    } else {
-      core::MemoryLogReader reader(first.log);
-      core::write_log_file(reader, spec.log_file);
-    }
+    core::write_log_file(*outcome.models.front().open_log_reader(), spec.log_file);
   }
   if (!spec.stats_file.empty()) {
     util::write_text_file(spec.stats_file, outcome.stats_digest);
@@ -426,24 +379,98 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
                         std::chrono::steady_clock::now() - start)  // wlgen-lint: allow(wall-clock): reported wall_ms only; never enters the sim
                         .count();
 
-  // Observability artifacts, assembled in spec model order so the documents
-  // — like the digest — never depend on completion order.
-  if (effective_obs.collect()) {
+  write_obs_artifacts(effective_obs, outcome);
+  return outcome;
+}
+
+std::unique_ptr<core::LogReader> ModelOutcome::open_log_reader() const {
+  if (!spilled_runs.empty()) return core::open_spilled_log(spilled_runs);
+  return std::make_unique<core::MemoryLogReader>(log);
+}
+
+SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, std::size_t users,
+                          const obs::ObsConfig& obs) {
+  SharedRun run;
+  if (obs.trace()) {
+    const std::size_t share = obs::ring_share(obs.trace_events / 2, 1);
+    run.trace.ops = obs::TraceRing(share);
+    run.trace.stages = obs::TraceRing(share);
+  }
+  // One serial Simulation: the model-stage ring stays installed throughout.
+  obs::ScopedStageTrace stage_trace(obs.trace() ? &run.trace.stages : nullptr);
+
+  sim::Simulation simulation;
+  fs::SimulatedFileSystem fsys;
+  fsys.set_clock([&simulation] { return simulation.now(); });
+  auto fsmodel = model.factory()(simulation);
+
+  core::FscConfig fsc_config;
+  fsc_config.num_users = users;
+  fsc_config.seed = spec.seed;
+  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
+  const core::CreatedFileSystem manifest = fsc.create();
+
+  core::UsimConfig config = spec.usim_config();
+  config.num_users = users;
+  config.seed = spec.seed;
+  std::unique_ptr<obs::ProgressReporter> progress;
+  if (obs.progress) {
+    obs::ProgressReporter::Options options;
+    options.label = obs.label;
+    options.unit = "ops";
+    progress = std::make_unique<obs::ProgressReporter>(std::move(options));
+    config.on_record = [&progress](const core::OpRecord& record) {
+      progress->advance(1, 0, 0.0);
+      progress->note_sim_time(record.issue_time_us + record.response_us);
+    };
+  }
+  core::UserSimulator usim(simulation, fsys, *fsmodel, manifest, spec.population(), config);
+  usim.run();
+  if (progress) progress->stop();
+
+  run.log = usim.take_log();
+  run.sessions = usim.sessions_completed();
+  run.simulated_us = simulation.now();
+  run.model_stats = fsmodel->stats_summary();
+  if (obs.collect()) {
+    run.sample.sim_events = simulation.events_processed();
+    run.sample.heap_high_water = simulation.arena_high_water();
+    run.sample.rng_draws = usim.rng_draws();
+    run.sample.sessions = run.sessions;
+    tally_log(run.log, run.sample, obs.trace() ? &run.trace.ops : nullptr);
+  }
+  return run;
+}
+
+obs::ObsConfig resolve_obs(const ScenarioSpec& spec, const RunOptions& options) {
+  obs::ObsConfig obs;
+  obs.metrics_file = options.metrics_file.empty() ? spec.obs_metrics : options.metrics_file;
+  obs.trace_file = options.trace_file.empty() ? spec.obs_trace : options.trace_file;
+  obs.trace_events = options.trace_events.value_or(spec.obs_trace_events);
+  obs.progress = options.progress.value_or(spec.obs_progress);
+  obs.label = spec.name;
+  return obs;
+}
+
+void write_obs_artifacts(const obs::ObsConfig& obs, ScenarioOutcome& outcome) {
+  // Assembled in model order so the documents — like the digest — never
+  // depend on completion order.
+  if (obs.collect()) {
     std::ostringstream obs_text;
     for (const auto& model : outcome.models) {
       obs_text << "model " << model.model << "\n" << model.registry.stable_text();
     }
     outcome.obs_text = obs_text.str();
   }
-  if (effective_obs.metrics()) {
-    util::JsonValue doc = obs::metrics_document(spec.name, outcome.wall_ms);
+  if (obs.metrics()) {
+    util::JsonValue doc = obs::metrics_document(obs.label, outcome.wall_ms);
     for (const auto& model : outcome.models) {
       obs::add_metrics_group(doc, model.model, model.registry);
     }
     outcome.metrics_json = doc.dump();
-    util::write_text_file(effective_obs.metrics_file, outcome.metrics_json);
+    util::write_text_file(obs.metrics_file, outcome.metrics_json);
   }
-  if (effective_obs.trace()) {
+  if (obs.trace()) {
     std::vector<obs::TraceGroup> groups;
     for (const auto& model : outcome.models) {
       for (auto& group : obs::run_trace_groups(model.model, model.trace)) {
@@ -451,9 +478,8 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
       }
     }
     outcome.trace_json = obs::chrome_trace_json(groups);
-    util::write_text_file(effective_obs.trace_file, outcome.trace_json);
+    util::write_text_file(obs.trace_file, outcome.trace_json);
   }
-  return outcome;
 }
 
 }  // namespace wlgen::scenario

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -66,6 +67,10 @@ struct ModelOutcome {
   /// registry metrics follow the owning runner's merge contract.
   obs::Registry registry;
   obs::RunTrace trace;
+
+  /// The kept log as one stream: a merge cursor over spilled_runs, or a
+  /// cursor over `log` — the same records either way.
+  std::unique_ptr<core::LogReader> open_log_reader() const;
 };
 
 /// Result of compiling and executing one scenario.
@@ -95,5 +100,37 @@ struct ScenarioOutcome {
 /// spec names them.  Throws std::invalid_argument / std::runtime_error on
 /// unreadable trace/GDS inputs or unwritable outputs.
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options = {});
+
+/// What generate_shared produced.
+struct SharedRun {
+  core::UsageLog log;
+  std::uint64_t sessions = 0;
+  double simulated_us = 0.0;  ///< simulation clock when the last user finished
+  std::string model_stats;    ///< the backend's stats_summary()
+
+  /// The run's one obs tally, filled per `obs`: sim/RNG counters plus the
+  /// per-op tally when it collects, op and model-stage spans when it
+  /// traces (ring budget obs.trace_events, split between the two).
+  obs::SimSample sample;
+  obs::RunTrace trace;
+};
+
+/// One shared-machine run: `users` users on one Simulation, one simulated
+/// file system and one `model` backend, FSC and USIM seeded from the
+/// spec's root seed.  The single shared-universe path: the classic `wlgen
+/// run` (no --shards/--contended) and replay mode's trace recording and
+/// synthetic leg all call it.  `obs.progress` adds a heartbeat on stderr;
+/// like every obs switch, none of them changes the log.
+SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, std::size_t users,
+                          const obs::ObsConfig& obs = {});
+
+/// Effective obs switches of one invocation: the spec's [obs] keys with the
+/// RunOptions overrides applied on top, labelled with the scenario name.
+obs::ObsConfig resolve_obs(const ScenarioSpec& spec, const RunOptions& options);
+
+/// Fills outcome.obs_text / metrics_json / trace_json from the models'
+/// registries and traces (in model order) and writes the metrics report
+/// and Chrome trace files `obs` names.
+void write_obs_artifacts(const obs::ObsConfig& obs, ScenarioOutcome& outcome);
 
 }  // namespace wlgen::scenario

@@ -22,6 +22,33 @@ namespace {
                               ": key '" + key + "' " + message);
 }
 
+/// "N", "A:B" (step 1) or "A:B:STEP" → the sweep points; throws
+/// std::invalid_argument on malformed or empty sweeps.
+std::vector<std::size_t> parse_user_sweep(const std::string& spec) {
+  const std::vector<std::string> parts = util::split(spec, ':');
+  auto part = [&](std::size_t i) -> std::size_t {
+    const auto v = util::parse_int(parts[i]);
+    if (!v || *v < 0) {
+      throw std::invalid_argument("user sweep expects A:B:STEP of non-negative integers, "
+                                  "got '" + spec + "'");
+    }
+    return static_cast<std::size_t>(*v);
+  };
+  if (parts.empty() || parts.size() > 3) {
+    throw std::invalid_argument("user sweep expects N, A:B or A:B:STEP, got '" + spec + "'");
+  }
+  const std::size_t lo = part(0);
+  const std::size_t hi = parts.size() >= 2 ? part(1) : lo;
+  const std::size_t step = parts.size() == 3 ? part(2) : 1;
+  if (lo == 0 || hi < lo || step == 0) {
+    throw std::invalid_argument("user sweep needs 1 <= A <= B and STEP >= 1, got '" + spec +
+                                "'");
+  }
+  std::vector<std::size_t> points;
+  for (std::size_t users = lo; users <= hi; users += step) points.push_back(users);
+  return points;
+}
+
 RunMode parse_mode(const util::Config& config) {
   const std::string mode = config.get_string("scenario.mode", "contended");
   if (mode == "sharded") return RunMode::sharded;
@@ -512,31 +539,6 @@ std::string ScenarioSpec::summary() const {
   if (!log_file.empty()) out << "  output log: " << log_file << "\n";
   if (!stats_file.empty()) out << "  output stats: " << stats_file << "\n";
   return out.str();
-}
-
-std::vector<std::size_t> parse_user_sweep(const std::string& spec) {
-  const std::vector<std::string> parts = util::split(spec, ':');
-  auto part = [&](std::size_t i) -> std::size_t {
-    const auto v = util::parse_int(parts[i]);
-    if (!v || *v < 0) {
-      throw std::invalid_argument("user sweep expects A:B:STEP of non-negative integers, "
-                                  "got '" + spec + "'");
-    }
-    return static_cast<std::size_t>(*v);
-  };
-  if (parts.empty() || parts.size() > 3) {
-    throw std::invalid_argument("user sweep expects N, A:B or A:B:STEP, got '" + spec + "'");
-  }
-  const std::size_t lo = part(0);
-  const std::size_t hi = parts.size() >= 2 ? part(1) : lo;
-  const std::size_t step = parts.size() == 3 ? part(2) : 1;
-  if (lo == 0 || hi < lo || step == 0) {
-    throw std::invalid_argument("user sweep needs 1 <= A <= B and STEP >= 1, got '" + spec +
-                                "'");
-  }
-  std::vector<std::size_t> points;
-  for (std::size_t users = lo; users <= hi; users += step) points.push_back(users);
-  return points;
 }
 
 std::vector<std::string> scenario_files(const std::string& dir) {

@@ -123,11 +123,6 @@ struct ScenarioSpec {
   std::string summary() const;
 };
 
-/// "N", "A:B" (step 1) or "A:B:STEP" → the sweep points; throws
-/// std::invalid_argument on malformed or empty sweeps.  Shared by the
-/// scenario parser and `wlgen run --users-sweep`.
-std::vector<std::size_t> parse_user_sweep(const std::string& spec);
-
 /// Sorted paths of the `*.scn` files directly under `dir`; throws
 /// std::invalid_argument when `dir` is not a directory.
 std::vector<std::string> scenario_files(const std::string& dir);

@@ -16,7 +16,7 @@ const std::vector<util::CommandSpec>& command_specs() {
        }},
       {"run",
        "",
-       "generate a synthetic workload and measure it on a file-system model",
+       "generate a synthetic workload and measure it (the flags build a scenario)",
        {
            {"users", "N", "simultaneous users (default 1)"},
            {"sessions", "M", "login sessions per user (default 50)"},
@@ -27,15 +27,15 @@ const std::vector<util::CommandSpec>& command_specs() {
            {"pattern", "seq|random|zipf", "block access pattern (default seq)"},
            {"windows", "W", "concurrent login sessions per user (default 1)"},
            {"spec", "FILE", "GDS file overriding think_time / access_size"},
-           {"log", "OUT.tsv", "write the usage log (classic and sharded paths)"},
-           {"shards", "K", "run through the sharded runner with K shards"},
-           {"threads", "T", "worker threads (sharded/contended; 0 = hardware)"},
-           {"verify-merge", "", "check the sharded merge-ordering contract"},
-           {"spill", "", "stream the sharded log to sorted disk runs (bounded RSS)"},
+           {"log", "OUT.tsv", "write the usage log (classic and --shards runs)"},
+           {"shards", "K", "sharded scenario: K shards of independent user universes"},
+           {"threads", "T", "worker threads (--shards/--contended; 0 = hardware)"},
+           {"verify-merge", "", "check the kept log is (time, user) ordered (--shards)"},
+           {"spill", "", "stream the log to sorted disk runs, bounded RSS (--shards)"},
            {"spool-dir", "DIR", "spill run/checkpoint directory (default .wlgen-spool/cli-run)"},
            {"checkpoint", "", "persist per-shard checkpoints (implies --spill)"},
            {"resume", "", "skip shards with valid checkpoints (implies --checkpoint)"},
-           {"contended", "", "run the shared-machine sweep through the contended runner"},
+           {"contended", "", "contended scenario: shared-machine load sweep"},
            {"users-sweep", "A:B:STEP", "contended load points (default 1:6:1)"},
            {"replications", "R", "contended replications per load point (default 3)"},
            {"metrics", "OUT.json", "write an observability metrics report"},

@@ -7,13 +7,12 @@
 // the help can never drift from what the parser accepts (run `wlgen --help`
 // or `wlgen <command> --help`; coverage pinned by tests/scenario_test.cpp).
 //
-// `run --shards` routes through runner::ShardedRunner (independent user
-// universes, merged deterministically — DESIGN.md "Sharded runner");
-// `run --contended` routes through runner::ContendedRunner (shared-machine
-// sweep — DESIGN.md "Contended runner"); without either the classic
-// shared-machine single-Simulation path runs.  `scenario run` compiles
-// declarative `.scn` files onto the same paths (DESIGN.md "Scenario
-// subsystem", reference in docs/SCENARIOS.md).
+// `run` is a front end over the scenario subsystem: tools/run_flags turns
+// its flags into an in-memory ScenarioSpec.  `run --shards` and `run
+// --contended` execute through scenario::run_scenario exactly as a
+// `mode = sharded` / `mode = contended` `.scn` file would; without either,
+// the classic path is scenario::generate_shared, the one shared-machine
+// run (DESIGN.md "Scenario subsystem", flag table in docs/SCENARIOS.md).
 //
 // Exit status: 0 on success, 1 on bad usage or I/O failure; `experiments
 // --check` also exits 1 when any experiment's verdict is FAIL.
@@ -22,35 +21,26 @@
 #include <chrono>
 #include <iostream>
 #include <limits>
-#include <map>
-#include <memory>
-#include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/fsc.h"
 #include "core/log_sink.h"
-#include "core/presets.h"
 #include "core/replay.h"
 #include "core/spec.h"
-#include "core/usim.h"
 #include "exp/harness.h"
 #include "experiments.h"
 #include "obs/obs.h"
-#include "obs/progress.h"
-#include "runner/contended_runner.h"
+#include "runner/merge.h"
+#include "runner/model_factory.h"
 #include "runner/pool.h"
-#include "runner/sharded_runner.h"
 #include "scenario/run.h"
 #include "scenario/spec.h"
 #include "tools/cli_spec.h"
 #include "tools/lint/lint_rules.h"
+#include "tools/run_flags.h"
 #include "util/args.h"
-#include "util/ascii_plot.h"
-#include "util/json.h"
 #include "util/strings.h"
 #include "util/svg.h"
 #include "util/table.h"
@@ -66,48 +56,17 @@ int usage() {
   return 1;
 }
 
-std::unique_ptr<fsmodel::FileSystemModel> make_model(const std::string& name,
-                                                     sim::Simulation& simulation) {
-  // One nfs|local|wholefile dispatch table for both CLI paths.
-  return runner::model_factory_by_name(name)(simulation);
-}
-
-/// The `run` command's --metrics/--trace/--trace-events/--progress flags as
-/// an ObsConfig (everything off when none are given).
-obs::ObsConfig obs_from_args(const Args& args, const std::string& label) {
-  obs::ObsConfig obs;
-  obs.metrics_file = args.get("metrics", "");
-  obs.trace_file = args.get("trace", "");
-  obs.trace_events = args.count("trace-events", 65536);
-  obs.progress = args.boolean("progress");
-  obs.label = label;
-  return obs;
-}
-
-/// Writes the --metrics / --trace artifacts of one labelled run.
-void write_obs_artifacts(const obs::ObsConfig& obs, const obs::Registry& registry,
-                         const obs::RunTrace& trace, double wall_ms) {
-  if (obs.metrics()) {
-    util::JsonValue doc = obs::metrics_document(obs.label, wall_ms);
-    obs::add_metrics_group(doc, obs.label, registry);
-    util::write_text_file(obs.metrics_file, doc.dump());
-    std::cout << "metrics report written to " << obs.metrics_file << "\n";
-  }
-  if (obs.trace()) {
-    util::write_text_file(obs.trace_file,
-                          obs::chrome_trace_json(obs::run_trace_groups(obs.label, trace)));
-    std::cout << "trace written to " << obs.trace_file << "\n";
-  }
-}
-
-/// One-line pool utilization summary (collected only when obs is on).
-void print_pool_utilization(const runner::PoolObs& pool) {
-  if (pool.workers.empty()) return;
-  const double busy = static_cast<double>(pool.busy_ns());
-  const double total = busy + static_cast<double>(pool.idle_ns());
-  std::cout << "pool: " << pool.workers.size() << " workers, " << pool.jobs() << " jobs, "
-            << util::TextTable::num(total > 0.0 ? 100.0 * busy / total : 0.0, 1)
-            << "% busy\n";
+/// The lines `run` and `scenario run` print after a report: wall time and
+/// every artifact the run wrote.
+std::string artifact_lines(const scenario::ScenarioSpec& spec, const obs::ObsConfig& obs,
+                           const scenario::ScenarioOutcome& outcome) {
+  std::ostringstream out;
+  out << "\nwall: " << util::TextTable::num(outcome.wall_ms, 1) << " ms\n";
+  if (!spec.log_file.empty()) out << "usage log written to " << spec.log_file << "\n";
+  if (!spec.stats_file.empty()) out << "stats digest written to " << spec.stats_file << "\n";
+  if (!outcome.metrics_json.empty()) out << "metrics report written to " << obs.metrics_file << "\n";
+  if (!outcome.trace_json.empty()) out << "trace written to " << obs.trace_file << "\n";
+  return out.str();
 }
 
 int cmd_gds(const Args& args) {
@@ -161,287 +120,56 @@ void print_analysis(const core::UsageLog& log) {
   print_analysis(reader);
 }
 
-/// Sharded path: K independent Simulation shards on a worker pool, merged
-/// deterministically (bit-identical for any --shards/--threads choice).
-int cmd_run_sharded(const Args& args, std::size_t users, std::size_t sessions,
-                    std::uint64_t seed, core::Population population,
-                    core::UsimConfig usim_config) {
-  runner::RunnerConfig config;
-  config.num_users = users;
-  config.shards = args.count("shards", 1);
-  config.threads = args.count("threads", 0);
-  config.seed = seed;
-  config.usim = std::move(usim_config);
-  config.usim.sessions_per_user = sessions;
-  config.population = std::move(population);
-  config.model_factory = runner::model_factory_by_name(args.get("model", "nfs"));
-  config.obs = obs_from_args(args, "run --shards");
+/// Classic path: one shared-machine run at the root seed that keeps its
+/// log, reported with the backend's own counters.
+int run_classic(const cli::RunPlan& plan) {
+  const auto start = std::chrono::steady_clock::now();
+  const scenario::ScenarioSpec& spec = plan.spec;
+  const obs::ObsConfig obs = scenario::resolve_obs(spec, plan.options);
+  scenario::SharedRun run =
+      scenario::generate_shared(spec, spec.models.front(), spec.user_points.front(), obs);
 
-  // Spill flags imply each other upward: --resume needs checkpoints, and
-  // --checkpoint/--spool-dir only mean anything with spilling on.
-  const bool checkpoint = args.boolean("checkpoint") || args.boolean("resume");
-  if (args.boolean("spill") || args.flags.count("spool-dir") || checkpoint) {
-    config.spill.enabled = true;
-    config.spill.spool_dir = args.get("spool-dir", ".wlgen-spool/cli-run");
-    config.spill.checkpoint = checkpoint;
-    config.spill.resume = args.boolean("resume");
-    config.spill.config_tag = "cli model=" + args.get("model", "nfs") + " heavy=" +
-                              args.get("heavy", "1") + " markov=" + args.get("markov", "-1") +
-                              " pattern=" + args.get("pattern", "seq");
+  std::cout << "model: " << spec.models.front().name << "  users: " << spec.user_points.front()
+            << "  sessions: " << run.sessions << "  simulated: " << run.simulated_us / 1e6
+            << " s\n\n";
+  print_analysis(run.log);
+  std::cout << "\n" << run.model_stats;
+  if (!spec.log_file.empty()) {
+    core::MemoryLogReader reader(run.log);
+    core::write_log_file(reader, spec.log_file);
   }
 
-  runner::ShardedRunner run(std::move(config));
-  const runner::RunnerResult result = run.run();
-
-  std::cout << "model: " << args.get("model", "nfs") << "  users: " << users << "  shards: "
-            << result.shards.size() << "  sessions: " << result.sessions_completed
-            << "  longest user timeline: " << result.max_simulated_us / 1e6 << " s  wall: "
-            << result.wall_ms << " ms\n\n";
-
-  util::TextTable shards({"shard", "users", "syscalls", "events", "wall ms"});
-  for (const auto& s : result.shards) {
-    shards.add_row({std::to_string(s.shard),
-                    std::to_string(s.range.begin) + ".." + std::to_string(s.range.end),
-                    std::to_string(s.ops), std::to_string(s.events),
-                    util::TextTable::num(s.wall_ms, 1)});
-  }
-  std::cout << shards.render() << "\n";
-  if (!result.spilled_runs.empty()) {
-    std::uint64_t spilled_bytes = 0;
-    std::uint64_t spilled_records = 0;
-    for (const auto& r : result.spilled_runs) {
-      spilled_bytes += r.bytes;
-      spilled_records += r.records;
-    }
-    std::cout << "spill: " << spilled_records << " records in " << result.spilled_runs.size()
-              << " sorted runs (" << util::TextTable::num(spilled_bytes / (1024.0 * 1024.0), 1)
-              << " MiB) under " << run.config().spill.spool_dir << "\n";
-    if (run.config().spill.checkpoint) {
-      std::cout << "checkpoints: " << result.checkpoints_written << " written, "
-                << result.shards_resumed << " shard(s) resumed\n";
-    }
-    std::cout << "\n";
-  }
-  {
-    // Uniform analysis path: a k-way merge cursor over the spilled runs, or
-    // a cursor over the in-RAM log — identical streams either way.
-    auto reader = result.open_log_reader();
-    print_analysis(*reader);
-  }
-
-  if (args.boolean("verify-merge")) {
-    auto reader = result.open_log_reader();
-    if (!runner::is_merge_ordered(*reader)) {
-      std::cerr << "merge contract violated: log is not (time, user) ordered\n";
-      return 1;
-    }
-    std::cout << "\nmerge contract verified: " << result.total_ops
-              << " records in (time, user) order\n";
-  }
-  if (args.flags.count("log")) {
-    auto reader = result.open_log_reader();
-    core::write_log_file(*reader, args.get("log", ""));
-    std::cout << "\nusage log written to " << args.get("log", "") << "\n";
-  }
-  if (run.config().obs.collect()) {
-    std::cout << "\n";
-    print_pool_utilization(result.pool);
-    write_obs_artifacts(run.config().obs, result.registry, result.trace, result.wall_ms);
-  }
-  return 0;
-}
-
-/// Contended path: one shared-machine Simulation per (load point x
-/// replication) job, fanned out over the worker pool and merged
-/// deterministically (bit-identical for any --threads choice).
-int cmd_run_contended(const Args& args, std::size_t sessions, std::uint64_t seed,
-                      core::Population population, core::UsimConfig usim_config) {
-  if (args.flags.count("log")) {
-    throw std::invalid_argument(
-        "--contended collects cross-replication aggregates only (no merged usage log); "
-        "drop --log or use the classic/sharded paths");
-  }
-  if (args.boolean("verify-merge")) {
-    throw std::invalid_argument(
-        "--verify-merge checks the sharded runner's merged log; contended runs have no "
-        "merged log (thread-invariance is pinned by runner_test instead)");
-  }
-  if (args.flags.count("users") && args.flags.count("users-sweep")) {
-    throw std::invalid_argument("--users and --users-sweep are both load-point selectors; "
-                                "pick one");
-  }
-  if (args.boolean("spill") || args.boolean("checkpoint") || args.boolean("resume") ||
-      args.flags.count("spool-dir")) {
-    throw std::invalid_argument(
-        "--spill/--spool-dir/--checkpoint/--resume belong to the sharded runner's "
-        "streamed log; contended runs keep no log (use --shards)");
-  }
-  runner::ContendedConfig config;
-  // Explicit --users N without a sweep runs that single load point.
-  const std::string default_sweep =
-      args.flags.count("users") && !args.flags.count("users-sweep")
-          ? args.get("users", "1")
-          : "1:6:1";
-  config.user_points = scenario::parse_user_sweep(args.get("users-sweep", default_sweep));
-  config.replications = args.count("replications", 3);
-  config.threads = args.count("threads", 0);
-  config.seed = seed;
-  config.usim = std::move(usim_config);
-  config.usim.sessions_per_user = sessions;
-  config.population = std::move(population);
-  config.model_factory = runner::model_factory_by_name(args.get("model", "nfs"));
-  config.obs = obs_from_args(args, "run --contended");
-
-  runner::ContendedRunner run(std::move(config));
-  const runner::ContendedResult result = run.run();
-
-  std::cout << "model: " << args.get("model", "nfs") << "  contended sweep: "
-            << result.points.size() << " load points x " << run.config().replications
-            << " replications  syscalls: " << result.total_ops << "  wall: " << result.wall_ms
-            << " ms\n\n";
-
-  util::TextTable points({"users", "us/byte (pooled)", "mean +/- ci95", "response us mean(std)",
-                          "syscalls", "sessions"});
-  for (const auto& p : result.points) {
-    points.add_row({std::to_string(p.users),
-                    util::TextTable::num(p.stats.response_per_byte_us(), 4),
-                    util::TextTable::num(p.response_per_byte.mean, 4) + " +/- " +
-                        util::TextTable::num(p.response_per_byte.half_width, 4),
-                    p.stats.response_us().mean_std_string(),
-                    std::to_string(p.total_ops), std::to_string(p.sessions_completed)});
-  }
-  std::cout << points.render();
-  if (run.config().obs.collect()) {
-    std::cout << "\n";
-    print_pool_utilization(result.pool);
-    write_obs_artifacts(run.config().obs, result.registry, result.trace, result.wall_ms);
-  }
+  scenario::ScenarioOutcome outcome;
+  scenario::ModelOutcome& model = outcome.models.emplace_back();
+  model.model = spec.models.front().name;
+  run.sample.export_into(model.registry);
+  model.trace = std::move(run.trace);
+  outcome.wall_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start).count();
+  scenario::write_obs_artifacts(obs, outcome);
+  std::cout << artifact_lines(spec, obs, outcome);
   return 0;
 }
 
 int cmd_run(const Args& args) {
-  if (!args.positional.empty()) {
-    throw std::invalid_argument("unexpected argument '" + args.positional.front() +
-                                "' (run takes only --flags)");
-  }
-  const std::size_t users = args.count("users", 1);
-  const std::size_t sessions = args.count("sessions", 50);
-  const auto seed = static_cast<std::uint64_t>(args.count("seed", 1991));
-  const double heavy = args.number("heavy", 1.0);
+  const cli::RunPlan plan = cli::run_plan(args);
+  if (plan.classic) return run_classic(plan);
 
-  core::Population population = core::mixed_population(heavy);
-  if (args.flags.count("spec")) {
-    // Override think time / access size from a GDS spec file when present.
-    core::DistributionSpecifier gds;
-    gds.load_spec_text(util::read_text_file(args.get("spec", "")));
-    core::apply_gds_overrides(population, gds);
-  }
+  const scenario::ScenarioOutcome outcome = scenario::run_scenario(plan.spec, plan.options);
+  std::cout << outcome.report
+            << artifact_lines(plan.spec, scenario::resolve_obs(plan.spec, plan.options), outcome);
+  if (plan.spec.mode != scenario::RunMode::sharded) return 0;  // contended keeps no log
 
-  core::UsimConfig config;
-  config.num_users = users;
-  config.sessions_per_user = sessions;
-  config.seed = seed;
-  config.markov_persistence = args.number("markov", -1.0);
-  config.windows_per_user = args.count("windows", 1);
-  const std::string pattern = args.get("pattern", "seq");
-  if (pattern == "random") {
-    config.pattern = core::AccessPattern::uniform_random;
-  } else if (pattern == "zipf") {
-    config.pattern = core::AccessPattern::zipf_block;
-  } else if (pattern != "seq") {
-    throw std::invalid_argument("unknown pattern '" + pattern + "' (seq|random|zipf)");
-  }
-
-  if (args.boolean("contended")) {
-    if (args.flags.count("shards")) {
-      throw std::invalid_argument("--contended and --shards are different run modes "
-                                  "(see DESIGN.md); pick one");
+  const scenario::ModelOutcome& model = outcome.models.front();
+  std::cout << "\n";
+  print_analysis(*model.open_log_reader());
+  if (plan.verify_merge) {
+    if (!runner::is_merge_ordered(*model.open_log_reader())) {
+      std::cerr << "merge contract violated: log is not (time, user) ordered\n";
+      return 1;
     }
-    return cmd_run_contended(args, sessions, seed, std::move(population), std::move(config));
-  }
-  if (args.flags.count("shards")) {
-    return cmd_run_sharded(args, users, sessions, seed, std::move(population),
-                           std::move(config));
-  }
-  if (args.flags.count("threads") || args.boolean("verify-merge") ||
-      args.flags.count("replications") || args.flags.count("users-sweep") ||
-      args.boolean("spill") || args.flags.count("spool-dir") ||
-      args.boolean("checkpoint") || args.boolean("resume")) {
-    // Guard against silently switching semantics: the classic path is one
-    // shared-machine Simulation; parallel execution exists only under the
-    // sharded or contended runner models.
-    throw std::invalid_argument(
-        "--threads/--verify-merge/--spill/--spool-dir/--checkpoint/--resume require "
-        "--shards, and --replications/--users-sweep require --contended (see DESIGN.md)");
-  }
-
-  // Classic-path observability: the merged log survives the run, so metrics
-  // and op spans are tallied post-hoc from it; only model-stage spans (the
-  // thread-local trace slot) and the heartbeat hook in live.
-  const auto wall_start = std::chrono::steady_clock::now();
-  const obs::ObsConfig obs_cfg = obs_from_args(args, "run");
-  obs::RunTrace run_trace;
-  if (obs_cfg.trace()) {
-    const std::size_t share = obs::ring_share(obs_cfg.trace_events / 2, 1);
-    run_trace.ops = obs::TraceRing(share);
-    run_trace.stages = obs::TraceRing(share);
-  }
-  obs::ScopedStageTrace stage_trace(obs_cfg.trace() ? &run_trace.stages : nullptr);
-  std::unique_ptr<obs::ProgressReporter> progress;
-  if (obs_cfg.progress) {
-    obs::ProgressReporter::Options popt;
-    popt.label = "run";
-    popt.unit = "ops";
-    progress = std::make_unique<obs::ProgressReporter>(std::move(popt));
-    config.on_record = [&progress](const core::OpRecord& record) {
-      progress->advance(1, 0, 0.0);
-      progress->note_sim_time(record.issue_time_us + record.response_us);
-    };
-  }
-
-  sim::Simulation simulation;
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&simulation] { return simulation.now(); });
-  auto model = make_model(args.get("model", "nfs"), simulation);
-
-  core::FscConfig fsc_config;
-  fsc_config.num_users = users;
-  fsc_config.seed = seed;
-  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-
-  core::UserSimulator usim(simulation, fsys, *model, manifest, population, config);
-  usim.run();
-  if (progress) progress->stop();
-
-  std::cout << "model: " << model->name() << "  users: " << users << "  sessions: "
-            << usim.sessions_completed() << "  simulated: " << simulation.now() / 1e6
-            << " s\n\n";
-  print_analysis(usim.log());
-  std::cout << "\n" << model->stats_summary();
-
-  if (args.flags.count("log")) {
-    core::MemoryLogReader reader(usim.log());
-    core::write_log_file(reader, args.get("log", ""));
-    std::cout << "\nusage log written to " << args.get("log", "") << "\n";
-  }
-  if (obs_cfg.collect()) {
-    obs::SimSample sample;
-    sample.sim_events = simulation.events_processed();
-    sample.heap_high_water = simulation.arena_high_water();
-    sample.rng_draws = usim.rng_draws();
-    sample.sessions = usim.sessions_completed();
-    for (const auto& record : usim.log().records()) {
-      sample.ops.add(record);
-      if (obs_cfg.trace()) obs::record_op(run_trace.ops, record);
-    }
-    obs::Registry registry;
-    sample.export_into(registry);
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - wall_start)
-                               .count();
-    std::cout << "\n";
-    write_obs_artifacts(obs_cfg, registry, run_trace, wall_ms);
+    std::cout << "\nmerge contract verified: " << model.points.front().ops
+              << " records in (time, user) order\n";
   }
   return 0;
 }
@@ -498,7 +226,7 @@ int cmd_replay(const Args& args) {
   const core::UsageLog trace = core::read_log_file(args.positional[0]);
 
   sim::Simulation simulation;
-  auto model = make_model(args.get("model", "nfs"), simulation);
+  auto model = runner::model_factory_by_name(args.get("model", "nfs"))(simulation);
   core::TraceReplayer replayer(simulation, *model, trace);
   core::TraceReplayer::Options options;
   options.preserve_timing = !args.boolean("closed-loop");
@@ -583,23 +311,8 @@ int cmd_scenario(const Args& args) {
     return [&](std::size_t index, const std::atomic<bool>& /*cancelled*/) {
       const scenario::ScenarioSpec& spec = specs[index];
       const scenario::ScenarioOutcome outcome = scenario::run_scenario(spec, per_file);
-      std::ostringstream out;
-      out << outcome.report << "\nwall: " << util::TextTable::num(outcome.wall_ms, 1)
-          << " ms\n";
-      if (!spec.log_file.empty()) out << "usage log written to " << spec.log_file << "\n";
-      if (!spec.stats_file.empty()) {
-        out << "stats digest written to " << spec.stats_file << "\n";
-      }
-      if (!outcome.metrics_json.empty()) {
-        out << "metrics report written to "
-            << (options.metrics_file.empty() ? spec.obs_metrics : options.metrics_file)
-            << "\n";
-      }
-      if (!outcome.trace_json.empty()) {
-        out << "trace written to "
-            << (options.trace_file.empty() ? spec.obs_trace : options.trace_file) << "\n";
-      }
-      reports[index] = out.str();
+      reports[index] = outcome.report + artifact_lines(spec, scenario::resolve_obs(spec, options),
+                                                       outcome);
     };
   });
   for (std::size_t i = 0; i < reports.size(); ++i) {

@@ -23,8 +23,8 @@ struct SvgOptions {
 };
 
 /// Renders one or more series as a self-contained SVG document string.
-/// Used by examples and benches to export paper-figure lookalikes; the role
-/// played by the X11 display in the original GDS.
+/// Used by the GDS and the experiment harness to export paper-figure
+/// lookalikes; the role played by the X11 display in the original GDS.
 std::string svg_plot(const std::vector<SvgSeries>& series, const SvgOptions& options = {});
 
 /// Writes text to a file, creating parent directories when needed.

@@ -14,6 +14,7 @@
 #include "core/usage_log.h"
 #include "core/workload.h"
 #include "dist/basic.h"
+#include "stats/tests.h"
 
 namespace wlgen::core {
 namespace {
@@ -181,6 +182,24 @@ TEST(Spec, SpecifierFitsFamilies) {
   EXPECT_TRUE(gds.contains("fitted"));
   EXPECT_NO_THROW(gds.fit("p", data, DistributionSpecifier::Family::phase_exponential, 2));
   EXPECT_NO_THROW(gds.fit("g", data, DistributionSpecifier::Family::multistage_gamma, 2));
+}
+
+TEST(Spec, MixtureFamiliesFitABimodalSampleBetterThanOneExponential) {
+  // The GDS's reason to carry the paper's mixture families: small config
+  // files plus occasional big documents, the bimodal shape real file-size
+  // traces show.  One exponential cannot express the two modes.
+  util::RngStream rng(2026, "fit-example");
+  std::vector<double> sizes;
+  for (int i = 0; i < 3000; ++i) sizes.push_back(rng.exponential(900.0));
+  for (int i = 0; i < 1200; ++i) sizes.push_back(15000.0 + rng.gamma(2.0, 6000.0));
+
+  DistributionSpecifier gds;
+  const auto ks_p = [&](DistributionSpecifier::Family family) {
+    return stats::ks_test(sizes, *gds.fit("fit", sizes, family, 2)).p_value;
+  };
+  const double exp_p = ks_p(DistributionSpecifier::Family::exponential);
+  EXPECT_LT(exp_p, ks_p(DistributionSpecifier::Family::phase_exponential));
+  EXPECT_LT(exp_p, ks_p(DistributionSpecifier::Family::multistage_gamma));
 }
 
 TEST(Spec, SpecifierSerializeReloads) {
@@ -413,16 +432,6 @@ TEST(Ext, ZipfFavoursHead) {
   }
   // Log-uniform: P(off < 10%) = log(10^4)/log(10^5) ~ 0.8.
   EXPECT_GT(static_cast<double>(head) / n, 0.6);
-}
-
-TEST(Ext, DiurnalModulatorOscillates) {
-  DiurnalModulator m(1000.0, 0.5, 2.0);
-  EXPECT_NEAR(m.multiplier(0.0), 2.0, 1e-9);      // idle peak at phase 0
-  EXPECT_NEAR(m.multiplier(500.0), 0.5, 1e-9);    // busy trough mid-period
-  EXPECT_NEAR(m.multiplier(1000.0), 2.0, 1e-9);   // periodic
-  EXPECT_THROW(DiurnalModulator(0.0, 1.0, 1.0), std::invalid_argument);
-  ConstantModulator c;
-  EXPECT_DOUBLE_EQ(c.multiplier(123.0), 1.0);
 }
 
 }  // namespace

@@ -10,13 +10,18 @@
 // * the end-to-end determinism pin: the same .scn yields a byte-identical
 //   merged-stats digest at 1 and 8 threads, for every run mode;
 // * CLI help drift-proofing: every flag a command accepts appears in its
-//   generated help and in the global usage block.
+//   generated help and in the global usage block;
+// * the `wlgen run` flag -> ScenarioSpec table (tools/run_flags): every flag
+//   lands in its spec field, every rejected combination names its flag,
+//   and the accept set per run path is pinned.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <filesystem>
 #include <set>
+#include <sstream>
 
 #include "fsmodel/local_model.h"
 #include "fsmodel/nfs_model.h"
@@ -25,6 +30,9 @@
 #include "scenario/spec.h"
 #include "sim/simulation.h"
 #include "tools/cli_spec.h"
+#include "tools/run_flags.h"
+#include "util/args.h"
+#include "util/strings.h"
 
 namespace wlgen::scenario {
 namespace {
@@ -427,15 +435,6 @@ TEST(ScenarioLibrary, EveryCommittedScenarioParsesAndCoversTheMatrix) {
   EXPECT_TRUE(overridden_models.count("wholefile"));
 }
 
-TEST(ScenarioLibrary, QuickstartRunsEndToEnd) {
-  const ScenarioSpec spec =
-      ScenarioSpec::parse_file(std::string(WLGEN_SOURCE_DIR) + "/scenarios/quickstart.scn");
-  const ScenarioOutcome outcome = run_scenario(spec);
-  ASSERT_EQ(outcome.models.size(), 1u);
-  EXPECT_GT(outcome.models[0].points[0].ops, 0u);
-  EXPECT_GT(outcome.models[0].points[0].sessions, 0u);
-}
-
 #endif  // WLGEN_SOURCE_DIR
 
 // --- drift-proof CLI help ---------------------------------------------------
@@ -479,6 +478,162 @@ TEST(CliSpec, BooleanFlagsAreDeclaredBoolean) {
   // And value-taking flags must not be in the boolean set.
   for (const char* name : {"users", "model", "threads", "print", "out"}) {
     EXPECT_FALSE(booleans.count(name)) << name;
+  }
+}
+
+// --- `wlgen run` flags -> ScenarioSpec ---------------------------------------
+
+cli::RunPlan plan_of(const std::vector<std::string>& tokens) {
+  return cli::run_plan(util::Args::parse(tokens, cli::boolean_flags()));
+}
+
+/// Every RunPlan field a `run` flag can reach, as text.
+std::map<std::string, std::string> fields_of(const cli::RunPlan& p) {
+  const ScenarioSpec& s = p.spec;
+  std::vector<std::string> users;
+  for (const std::size_t u : s.user_points) users.push_back(std::to_string(u));
+  const auto flag = [](bool on) { return std::string(on ? "1" : "0"); };
+  const auto num = [](double v) { return (std::ostringstream() << v).str(); };
+  return {{"classic", flag(p.classic)}, {"mode", to_string(s.mode)},
+          {"users", util::join(users, ",")}, {"sessions", std::to_string(s.sessions)},
+          {"model", s.models.at(0).name}, {"heavy", num(s.heavy_fraction)},
+          {"seed", std::to_string(s.seed)}, {"markov", num(s.markov)},
+          {"pattern", core::to_string(s.pattern)}, {"windows", std::to_string(s.windows)},
+          {"gds", s.gds_file}, {"log", s.log_file}, {"shards", std::to_string(s.shards)},
+          {"threads", std::to_string(s.threads)}, {"verify", flag(p.verify_merge)},
+          {"spill", flag(s.log_spill)}, {"spool", s.log_spool_dir},
+          {"checkpoint", flag(s.log_checkpoint)}, {"resume", flag(s.resume)},
+          {"replications", std::to_string(s.replications)},
+          {"metrics", p.options.metrics_file}, {"trace", p.options.trace_file},
+          {"trace_events", std::to_string(p.options.trace_events.value_or(0))},
+          {"progress", flag(p.options.progress.value_or(false))}};
+}
+
+TEST(RunFlags, EveryFlagLandsInItsSpecFieldAndNowhereElse) {
+  // No flags: the classic run with the CLI's defaults.  Each case below
+  // must equal these fields with exactly its listed fields changed.
+  const std::map<std::string, std::string> defaults = fields_of(plan_of({}));
+  EXPECT_EQ(defaults.at("classic"), "1");
+  EXPECT_EQ(defaults.at("users") + " " + defaults.at("sessions") + " " + defaults.at("seed") +
+                " " + defaults.at("model") + " " + defaults.at("pattern"),
+            "1 50 1991 nfs sequential");
+
+  const std::vector<std::pair<std::vector<std::string>, std::map<std::string, std::string>>>
+      cases = {
+          {{"--users", "7"}, {{"users", "7"}}},
+          {{"--sessions", "4"}, {{"sessions", "4"}}},
+          {{"--model", "local"}, {{"model", "local"}}},
+          {{"--heavy", "0.25"}, {{"heavy", "0.25"}}},
+          {{"--seed", "9"}, {{"seed", "9"}}},
+          {{"--markov", "0.5"}, {{"markov", "0.5"}}},
+          {{"--pattern", "zipf"}, {{"pattern", "zipf_block"}}},
+          {{"--windows", "2"}, {{"windows", "2"}}},
+          {{"--spec", "think.gds"}, {{"gds", "think.gds"}}},
+          {{"--log", "a #b; c.tsv"}, {{"log", "a #b; c.tsv"}}},
+          {{"--shards", "3"}, {{"classic", "0"}, {"shards", "3"}}},
+          {{"--shards", "1", "--threads", "5"}, {{"classic", "0"}, {"threads", "5"}}},
+          {{"--shards", "1", "--verify-merge"}, {{"classic", "0"}, {"verify", "1"}}},
+          {{"--shards", "1", "--spill"},
+           {{"classic", "0"}, {"spill", "1"}, {"spool", ".wlgen-spool/cli-run"}}},
+          {{"--shards", "1", "--spool-dir", "d"}, {{"classic", "0"}, {"spill", "1"}, {"spool", "d"}}},
+          {{"--shards", "1", "--checkpoint"},
+           {{"classic", "0"}, {"spill", "1"}, {"spool", ".wlgen-spool/cli-run"},
+            {"checkpoint", "1"}}},
+          {{"--shards", "1", "--resume"},
+           {{"classic", "0"}, {"spill", "1"}, {"spool", ".wlgen-spool/cli-run"},
+            {"checkpoint", "1"}, {"resume", "1"}}},
+          {{"--contended"}, {{"classic", "0"}, {"mode", "contended"}, {"users", "1,2,3,4,5,6"}}},
+          {{"--contended", "--users", "3"}, {{"classic", "0"}, {"mode", "contended"}, {"users", "3"}}},
+          {{"--contended", "--users-sweep", "2:6:2"},
+           {{"classic", "0"}, {"mode", "contended"}, {"users", "2,4,6"}}},
+          {{"--contended", "--replications", "5"},
+           {{"classic", "0"}, {"mode", "contended"}, {"users", "1,2,3,4,5,6"},
+            {"replications", "5"}}},
+          {{"--metrics", "m.json"}, {{"metrics", "m.json"}}},
+          {{"--trace", "t.json"}, {{"trace", "t.json"}}},
+          {{"--trace-events", "10"}, {{"trace_events", "10"}}},
+          {{"--progress"}, {{"progress", "1"}}},
+      };
+  std::set<std::string> covered;
+  for (const auto& [tokens, changed] : cases) {
+    SCOPED_TRACE(util::join(tokens, " "));
+    std::map<std::string, std::string> expected = defaults;
+    for (const auto& [field, value] : changed) expected[field] = value;
+    EXPECT_EQ(fields_of(plan_of(tokens)), expected);
+    for (const auto& token : tokens) {
+      if (token.rfind("--", 0) == 0) covered.insert(token.substr(2));
+    }
+  }
+  std::set<std::string> declared;
+  for (const auto& flag : cli::command_spec("run").flags) declared.insert(flag.name);
+  EXPECT_EQ(covered, declared);
+}
+
+TEST(RunFlags, AcceptSetPerRunPathIsPinnedAndRejectionsNameTheFlag) {
+  // Which paths take each flag: classic (no mode flag), --shards,
+  // --contended — pinned literally, so widening the run_flags table fails.
+  struct Row {
+    std::vector<std::string> tokens;
+    bool classic, sharded, contended;
+  };
+  const std::vector<Row> rows = {
+      {{"--users", "2"}, true, true, true},        {{"--sessions", "3"}, true, true, true},
+      {{"--model", "local"}, true, true, true},    {{"--heavy", "0.5"}, true, true, true},
+      {{"--seed", "5"}, true, true, true},         {{"--markov", "0.2"}, true, true, true},
+      {{"--pattern", "random"}, true, true, true}, {{"--windows", "2"}, true, true, true},
+      {{"--spec", "g.gds"}, true, true, true},     {{"--log", "out.tsv"}, true, true, false},
+      {{"--threads", "2"}, false, true, true},     {{"--verify-merge"}, false, true, false},
+      {{"--spill"}, false, true, false},           {{"--spool-dir", "d"}, false, true, false},
+      {{"--checkpoint"}, false, true, false},      {{"--resume"}, false, true, false},
+      {{"--users-sweep", "1:2"}, false, false, true},
+      {{"--replications", "2"}, false, false, true},
+      {{"--metrics", "m.json"}, true, true, true}, {{"--trace", "t.json"}, true, true, true},
+      {{"--trace-events", "16"}, true, true, true}, {{"--progress"}, true, true, true},
+  };
+  for (const auto& row : rows) {
+    for (const auto& [path, accepted] :
+         {std::pair<std::vector<std::string>, bool>{{}, row.classic},
+          {{"--shards", "2"}, row.sharded},
+          {{"--contended"}, row.contended}}) {
+      std::vector<std::string> tokens = path;
+      tokens.insert(tokens.end(), row.tokens.begin(), row.tokens.end());
+      SCOPED_TRACE(util::join(tokens, " "));
+      try {
+        (void)plan_of(tokens);
+        EXPECT_TRUE(accepted) << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_FALSE(accepted) << e.what();
+        EXPECT_NE(std::string(e.what()).find(row.tokens[0]), std::string::npos) << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(rows.size() + 2, cli::command_spec("run").flags.size());  // + --shards, --contended
+}
+
+TEST(RunFlags, ConflictsAndBadValuesNameTheFlag) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--contended", "--shards", "2"}, "--shards"},
+      {{"--contended", "--users", "2", "--users-sweep", "1:3"}, "--users-sweep"},
+      {{"stray"}, "stray"},
+      {{"--heavy", "1.5"}, "--heavy 1.5"},
+      {{"--model", "afs"}, "--model afs"},
+      {{"--pattern", "backwards"}, "--pattern"},
+      {{"--sessions", "0"}, "--sessions"},
+      {{"--users", "0"}, "--users"},
+      {{"--users", "1:4"}, "--users"},
+      {{"--shards", "0"}, "--shards"},
+      {{"--markov", "1"}, "--markov"},
+      {{"--windows", "0"}, "--windows"},
+      {{"--seed", "-1"}, "--seed"},
+  };
+  for (const auto& [tokens, needle] : cases) {
+    SCOPED_TRACE(util::join(tokens, " "));
+    try {
+      (void)plan_of(tokens);
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
   }
 }
 

@@ -364,24 +364,5 @@ TEST(Usim, NewFilesLandInUserDirectories) {
   EXPECT_TRUE(saw_new);
 }
 
-TEST(Usim, ThinkTimeModulatorSlowsSimulatedTime) {
-  const auto elapsed_with = [](std::shared_ptr<const ThinkTimeModulator> mod) {
-    Rig rig(1);
-    UsimConfig config = small_config(1, 3);
-    config.think_modulator = std::move(mod);
-    UserSimulator usim(rig.simulation, rig.fsys, *rig.model, rig.manifest, default_population(),
-                       config);
-    usim.run();
-    return rig.simulation.now();
-  };
-  // A modulator pinned at 10x think time stretches the run.
-  class TenX final : public ThinkTimeModulator {
-   public:
-    double multiplier(double) const override { return 10.0; }
-    std::string name() const override { return "10x"; }
-  };
-  EXPECT_GT(elapsed_with(std::make_shared<TenX>()), elapsed_with(nullptr) * 3.0);
-}
-
 }  // namespace
 }  // namespace wlgen::core

@@ -29,7 +29,7 @@ fi
 # ours to lint).
 RUNNER="$(command -v run-clang-tidy || true)"
 if [ -n "$RUNNER" ]; then
-  "$RUNNER" -p "$BUILD_DIR" -quiet "^$ROOT/(src|tests|bench|examples)/.*"
+  "$RUNNER" -p "$BUILD_DIR" -quiet "^$ROOT/(src|tests|bench)/.*"
 else
   status=0
   while IFS= read -r file; do
@@ -39,7 +39,7 @@ import json, sys
 for entry in json.load(open('$BUILD_DIR/compile_commands.json')):
     f = entry['file']
     if f.startswith('$ROOT/src/') or f.startswith('$ROOT/tests/') \
-       or f.startswith('$ROOT/bench/') or f.startswith('$ROOT/examples/'):
+       or f.startswith('$ROOT/bench/'):
         print(f)
 ")
   exit $status
