@@ -19,6 +19,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -166,6 +167,9 @@ int cmd_run(const Args& args) {
   if (plan.verify_merge) {
     if (!runner::is_merge_ordered(*model.open_log_reader())) {
       std::cerr << "merge contract violated: log is not (time, user) ordered\n";
+      // A log that breaks the contract is not left behind as if it were good.
+      std::error_code ignored;
+      if (!plan.spec.log_file.empty()) std::filesystem::remove(plan.spec.log_file, ignored);
       return 1;
     }
     std::cout << "\nmerge contract verified: " << model.points.front().ops

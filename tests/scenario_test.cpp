@@ -435,6 +435,15 @@ TEST(ScenarioLibrary, EveryCommittedScenarioParsesAndCoversTheMatrix) {
   EXPECT_TRUE(overridden_models.count("wholefile"));
 }
 
+TEST(ScenarioLibrary, QuickstartRunsEndToEnd) {
+  const ScenarioSpec spec =
+      ScenarioSpec::parse_file(std::string(WLGEN_SOURCE_DIR) + "/scenarios/quickstart.scn");
+  const ScenarioOutcome outcome = run_scenario(spec);
+  ASSERT_EQ(outcome.models.size(), 1u);
+  EXPECT_GT(outcome.models[0].points[0].ops, 0u);
+  EXPECT_GT(outcome.models[0].points[0].sessions, 0u);
+}
+
 #endif  // WLGEN_SOURCE_DIR
 
 // --- drift-proof CLI help ---------------------------------------------------
