@@ -7,7 +7,13 @@
 #                           scenarios/*.scn, at --threads 1 and 4;
 #   run_<form>.sha256       the SHA-256 of the usage log `wlgen run ... --log`
 #                           writes: classic, --shards 4 at --threads 1 and 4,
-#                           and --shards 4 --spill (at --threads 1 and 4).
+#                           and --shards 4 --spill (at --threads 1 and 4);
+#   replay_<form>.sha256    the SHA-256 of `wlgen replay`'s stdout over the
+#                           classic and --shards 4 logs: open loop on local
+#                           (a completion-order log, so out-of-order issue
+#                           times), on nfs at --scale 0.3, and closed loop;
+#   experiments/<id>.json   every experiment's JSON at --scale 0.25, at
+#                           --threads 1 and 4.
 #
 # ctest runs it as `golden_test`.  By hand, from the source root:
 #
@@ -35,6 +41,16 @@ function(wlgen)
   if(NOT status EQUAL 0)
     message(FATAL_ERROR "golden_test: `wlgen ${ARGN}` exited ${status}:\n${err}")
   endif()
+endfunction()
+
+# Like wlgen(), but keeps stdout in the caller's variable `out`.
+function(wlgen_stdout out)
+  execute_process(COMMAND ${WLGEN_CLI} ${ARGN} WORKING_DIRECTORY ${WORK_DIR}
+                  RESULT_VARIABLE status OUTPUT_VARIABLE text ERROR_VARIABLE err)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "golden_test: `wlgen ${ARGN}` exited ${status}:\n${err}")
+  endif()
+  set(${out} "${text}" PARENT_SCOPE)
 endfunction()
 
 # Compares `actual` with a golden file, or rewrites the file in record mode.
@@ -67,11 +83,11 @@ foreach(scn IN LISTS scenarios)
 endforeach()
 
 # One `run --log` form: `golden` names the sha256 file, ARGN the flags.
+# The log stays at WORK_DIR/<golden>.log for the replay checks below.
 function(check_run_log golden)
   string(REPLACE ";" " " CHECK_LABEL "run ${ARGN}")
-  string(MD5 tag "${ARGN}")
-  wlgen(run ${ARGN} --log ${WORK_DIR}/${tag}.log)
-  file(SHA256 ${WORK_DIR}/${tag}.log sha)
+  wlgen(run ${ARGN} --log ${WORK_DIR}/${golden}.log)
+  file(SHA256 ${WORK_DIR}/${golden}.log sha)
   check(${GOLDEN_DIR}/${golden}.sha256 "${sha}\n")
   set(failures "${failures}" PARENT_SCOPE)
 endfunction()
@@ -83,6 +99,49 @@ check_run_log(run_shards4_t4 ${sharded} --threads 4)
 foreach(threads 1 4)
   check_run_log(run_shards4_spill ${sharded} --threads ${threads}
                 --spill --spool-dir ${WORK_DIR}/spool_t${threads})
+endforeach()
+
+# One `wlgen replay` form: `golden` names the sha256 file, `log` the
+# check_run_log golden whose log is replayed, ARGN the replay flags.
+function(check_replay golden log)
+  string(REPLACE ";" " " CHECK_LABEL "replay ${log}.log ${ARGN}")
+  wlgen_stdout(report replay ${WORK_DIR}/${log}.log ${ARGN})
+  string(SHA256 sha "${report}")
+  check(${GOLDEN_DIR}/${golden}.sha256 "${sha}\n")
+  set(failures "${failures}" PARENT_SCOPE)
+endfunction()
+
+check_replay(replay_classic_local run_classic --model local)
+check_replay(replay_classic_nfs_scaled run_classic --model nfs --scale 0.3)
+check_replay(replay_shards4_nfs run_shards4_t1 --model nfs)
+check_replay(replay_shards4_local_closed run_shards4_t1 --model local --closed-loop)
+
+# Experiment JSON, byte for byte.  The golden set must match the produced
+# set exactly, so a dropped or a new experiment fails too.
+file(GLOB golden_jsons RELATIVE ${GOLDEN_DIR}/experiments ${GOLDEN_DIR}/experiments/*.json)
+foreach(threads 1 4)
+  set(out ${WORK_DIR}/experiments_t${threads})
+  wlgen(experiments --scale 0.25 --threads ${threads} --out ${out})
+  file(GLOB jsons RELATIVE ${out} ${out}/*.json)
+  foreach(json IN LISTS jsons)
+    set(golden ${GOLDEN_DIR}/experiments/${json})
+    if(RECORD)
+      file(COPY ${out}/${json} DESTINATION ${GOLDEN_DIR}/experiments)
+      continue()
+    endif()
+    set(expected "<missing>")
+    if(EXISTS ${golden})
+      file(SHA256 ${golden} expected)
+    endif()
+    file(SHA256 ${out}/${json} actual)
+    if(NOT expected STREQUAL actual)
+      set(failures "${failures}  ${golden}: experiments --threads ${threads}\n")
+    endif()
+  endforeach()
+  if(NOT RECORD AND NOT jsons STREQUAL golden_jsons)
+    set(failures "${failures}  ${GOLDEN_DIR}/experiments: produced {${jsons}} at "
+                 "--threads ${threads}, pinned {${golden_jsons}}\n")
+  endif()
 endforeach()
 
 if(RECORD)
