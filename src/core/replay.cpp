@@ -1,9 +1,8 @@
 #include "core/replay.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
-#include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -11,16 +10,26 @@
 
 namespace wlgen::core {
 
-TraceReplayer::TraceReplayer(sim::Simulation& sim, fsmodel::FileSystemModel& model,
-                             LogReader& trace)
-    : sim_(sim), model_(model), trace_(trace) {}
+/// One recorded user in closed loop: its ops in issue order and the think
+/// gap before each, walked as gap -> op -> completion -> next.
+struct TraceReplayer::UserWalk {
+  TraceReplayer* self = nullptr;
+  std::vector<const OpRecord*> ops;
+  std::vector<double> gaps;  // gap before ops[i]
+  std::size_t index = 0;
+
+  void step() {
+    if (index >= ops.size()) return;
+    const OpRecord& r = *ops[index];
+    const double gap = gaps[index];
+    ++index;
+    self->sim_.schedule(gap, [this, &r]() { self->issue(r, this); });
+  }
+};
 
 TraceReplayer::TraceReplayer(sim::Simulation& sim, fsmodel::FileSystemModel& model,
                              const UsageLog& trace)
-    : sim_(sim),
-      model_(model),
-      owned_trace_(std::make_unique<MemoryLogReader>(trace)),
-      trace_(*owned_trace_) {}
+    : sim_(sim), model_(model), trace_(trace) {}
 
 UsageLog TraceReplayer::run() { return run(Options{}); }
 
@@ -30,121 +39,84 @@ UsageLog TraceReplayer::run(const Options& options) {
   if (options.time_scale <= 0.0) {
     throw std::invalid_argument("TraceReplayer: time_scale must be > 0");
   }
-
-  auto result = std::make_shared<UsageLog>();
-  const double scale = options.time_scale;
-
   if (options.preserve_timing) {
-    // Open loop: every op fires at its recorded (scaled) offset regardless
-    // of how long the replayed calls take.  The cursor is drained once,
-    // scheduling each record as it is read — the event heap buffers the
-    // pending issues, never the log itself — and input order is preserved
-    // on timestamp ties (the sim's FIFO tie-break), so a trace recorded in
-    // completion order (a raw USIM log) replays identically to before the
-    // streaming refactor.
-    OpRecord r;
-    bool have_base = false;
-    double base = 0.0;
-    while (trace_.next(r)) {
-      if (!have_base) {
-        base = r.issue_time_us;
-        have_base = true;
-      }
-      const double at = std::max(0.0, (r.issue_time_us - base) * scale);
-      sim_.schedule_at(at, [this, result, r]() {
-        fsmodel::FsOp op;
-        op.type = r.op;
-        op.file_id = r.file_id;
-        op.size = r.actual_bytes;
-        op.file_size = r.file_size;
-        const double issued = sim_.now();
-        sim::execute_chain(sim_, model_.plan(op), [this, r, result, issued](double elapsed) {
-          OpRecord out = r;
-          out.issue_time_us = issued;
-          out.response_us = elapsed;
-          result->append(out);
-          ++ops_replayed_;
-        });
-      });
-    }
-    sim_.run();
-    return std::move(*result);
+    run_open_loop(options.time_scale);
+  } else {
+    run_closed_loop(options.time_scale);
   }
+  return std::move(replayed_);
+}
 
-  // Closed loop: per recorded user, preserve the think gaps between the end
-  // of one call and the issue of the next.  Every user's chain starts at
-  // simulated time 0, so the per-user queues buffer the whole trace — a
-  // property of the mode itself, not of the cursor input.
-  struct UserTrace {
-    std::vector<OpRecord> ops;
-    std::vector<double> gaps;  // gap before ops[i]
+void TraceReplayer::issue(const OpRecord& record, UserWalk* walk) {
+  fsmodel::FsOp op;
+  op.type = record.op;
+  op.file_id = record.file_id;
+  op.size = record.actual_bytes;
+  op.file_size = record.file_size;
+  const double issued = sim_.now();
+  sim::execute_chain(sim_, model_.plan(op), [this, &record, walk, issued](double elapsed) {
+    OpRecord out = record;
+    out.issue_time_us = issued;
+    out.response_us = elapsed;
+    replayed_.append(out);
+    ++ops_replayed_;
+    if (walk != nullptr) walk->step();
+  });
+}
+
+void TraceReplayer::run_open_loop(double scale) {
+  // Every op fires at its recorded (scaled) offset from the first record,
+  // regardless of how long the replayed calls take.
+  const std::vector<OpRecord>& records = trace_.records();
+  const double base = records.empty() ? 0.0 : records.front().issue_time_us;
+  const auto at = [&](std::size_t i) {
+    return std::max(0.0, (records[i].issue_time_us - base) * scale);
   };
-  auto traces = std::make_shared<std::map<std::uint32_t, UserTrace>>();
-  {
-    OpRecord r;
-    while (trace_.next(r)) (*traces)[r.user].ops.push_back(r);
+  const auto fire = [&](std::size_t i) {
+    sim_.fire_at(at(i), [&] { issue(records[i], nullptr); });
+  };
+  bool ordered = true;
+  for (std::size_t i = 1; i < records.size() && ordered; ++i) ordered = at(i - 1) <= at(i);
+  if (ordered) {
+    for (std::size_t i = 0; i < records.size(); ++i) fire(i);
+  } else {
+    std::vector<std::uint32_t> order(records.size());
+    std::iota(order.begin(), order.end(), 0U);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return at(a) < at(b); });
+    for (const std::uint32_t i : order) fire(i);
   }
-  for (auto& [user, t] : *traces) {
-    std::stable_sort(t.ops.begin(), t.ops.end(), [](const OpRecord& a, const OpRecord& b) {
-      return a.issue_time_us < b.issue_time_us;
+  sim_.run();
+}
+
+void TraceReplayer::run_closed_loop(double scale) {
+  // Per recorded user, preserve the think gaps between the end of one call
+  // and the issue of the next.  Every user's walk starts at simulated time 0.
+  std::map<std::uint32_t, UserWalk> walks;
+  for (const OpRecord& r : trace_.records()) walks[r.user].ops.push_back(&r);
+  for (auto& [user, walk] : walks) {
+    auto& ops = walk.ops;
+    std::stable_sort(ops.begin(), ops.end(), [](const OpRecord* a, const OpRecord* b) {
+      return a->issue_time_us < b->issue_time_us;
     });
-    t.gaps.resize(t.ops.size(), 0.0);
-    for (std::size_t i = 1; i < t.ops.size(); ++i) {
-      const double prev_end = t.ops[i - 1].issue_time_us + t.ops[i - 1].response_us;
-      t.gaps[i] = std::max(0.0, (t.ops[i].issue_time_us - prev_end) * scale);
+    walk.gaps.resize(ops.size(), 0.0);
+    for (std::size_t i = 1; i < ops.size(); ++i) {
+      const double prev_end = ops[i - 1]->issue_time_us + ops[i - 1]->response_us;
+      walk.gaps[i] = std::max(0.0, (ops[i]->issue_time_us - prev_end) * scale);
     }
   }
-
-  // Each user is a chain: gap -> op -> completion -> next.
-  struct Walker {
-    TraceReplayer* self;
-    std::shared_ptr<UsageLog> result;
-    const UserTrace* trace;
-    std::size_t index = 0;
-
-    void step() {
-      if (index >= trace->ops.size()) return;
-      const OpRecord& r = trace->ops[index];
-      const double gap = trace->gaps[index];
-      ++index;
-      self->sim_.schedule(gap, [this, r]() {
-        fsmodel::FsOp op;
-        op.type = r.op;
-        op.file_id = r.file_id;
-        op.size = r.actual_bytes;
-        op.file_size = r.file_size;
-        const double issued = self->sim_.now();
-        sim::execute_chain(self->sim_, self->model_.plan(op),
-                           [this, r, issued](double elapsed) {
-                             OpRecord out = r;
-                             out.issue_time_us = issued;
-                             out.response_us = elapsed;
-                             result->append(out);
-                             ++self->ops_replayed_;
-                             step();
-                           });
-      });
-    }
-  };
-
-  std::vector<std::shared_ptr<Walker>> walkers;
-  for (const auto& [user, t] : *traces) {
-    auto w = std::make_shared<Walker>();
-    w->self = this;
-    w->result = result;
-    w->trace = &t;
-    walkers.push_back(w);
-    w->step();
+  for (auto& [user, walk] : walks) {
+    walk.self = this;
+    walk.step();
   }
   sim_.run();
 
   // Canonical order for determinism: by issue time, then user.
-  std::sort(result->records_mutable().begin(), result->records_mutable().end(),
+  std::sort(replayed_.records_mutable().begin(), replayed_.records_mutable().end(),
             [](const OpRecord& a, const OpRecord& b) {
               if (a.issue_time_us != b.issue_time_us) return a.issue_time_us < b.issue_time_us;
               return a.user < b.user;
             });
-  return std::move(*result);
 }
 
 }  // namespace wlgen::core

@@ -339,8 +339,10 @@ void UserSimulator::issue(UserState& user, SessionSlot& slot, WorkItem& item,
   const std::uint32_t session = slot.session_ordinal;
   sim::execute_chain(
       sim_, model_.plan(model_op),
-      [this, &user, &slot, op, requested, actual, issued_at, session,
-       inode = item.inode, fsize = item.file_size, category = item.category](double elapsed) {
+      // Word-sized captures first, then the small ones: the closure packs
+      // into sim::ChainDone's 80 inline bytes.
+      [this, &user, &slot, requested, actual, issued_at, inode = item.inode,
+       fsize = item.file_size, op, session, category = item.category](double elapsed) {
         if (config_.collect_log || config_.on_record || config_.sink != nullptr) {
           OpRecord record;
           record.issue_time_us = issued_at;

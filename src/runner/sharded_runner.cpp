@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/presets.h"
@@ -23,6 +24,27 @@ std::string shard_stem(std::size_t shard) {
   char buffer[24];
   std::snprintf(buffer, sizeof buffer, "shard%06zu", shard);
   return buffer;
+}
+
+/// The resume error for a checkpointed record whose user lies outside its
+/// shard (a corrupt or foreign run file).  The merged stream does not say
+/// which run a record came from, so this rescans the runs — error path only.
+std::runtime_error stray_user_error(const ShardCheckpoint& ckpt, std::uint32_t user) {
+  std::string file = "<unknown run>";
+  for (const core::SpillRun& run : ckpt.runs) {
+    core::RunFileReader reader(run);
+    core::OpRecord r;
+    bool found = false;
+    while (!found && reader.next(r)) found = r.user == user;
+    if (found) {
+      file = run.path;
+      break;
+    }
+  }
+  return std::runtime_error("resume: run file '" + file + "' holds a record of user " +
+                            std::to_string(user) + ", outside shard " +
+                            std::to_string(ckpt.shard) + "'s users [" +
+                            std::to_string(ckpt.begin) + ", " + std::to_string(ckpt.end) + ")");
 }
 
 }  // namespace
@@ -268,6 +290,10 @@ RunnerResult ShardedRunner::run() {
         core::OpRecord r;
         while (reader->next(r)) {
           if (cancelled.load(std::memory_order_relaxed)) return;
+          // The user field comes from disk: index nothing with it until it
+          // is known to belong to this shard (another shard's slot would
+          // race with the worker that owns it).
+          if (r.user < ckpt.begin || r.user >= ckpt.end) throw stray_user_error(ckpt, r.user);
           outcomes[r.user].stats.add(r);
           sketches[s].add(r.response_us);
           if (collect) samples[r.user].ops.add(r);

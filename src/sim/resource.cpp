@@ -15,37 +15,53 @@ void Resource::integrate_to_now() {
   const SimTime dt = sim_.now() - last_change_;
   if (dt > 0.0) {
     busy_integral_ += dt * static_cast<double>(busy_);
-    queue_integral_ += dt * static_cast<double>(waiting_.size());
+    queue_integral_ += dt * static_cast<double>(waiting_);
     last_change_ = sim_.now();
   }
 }
 
-void Resource::use(SimTime service_time, std::function<void()> on_complete) {
+void Resource::use(SimTime service_time, EventFn on_complete) {
   if (service_time < 0.0) throw std::invalid_argument("Resource::use: negative service time");
   if (!on_complete) throw std::invalid_argument("Resource::use: empty completion");
   integrate_to_now();
-  if (busy_ < capacity_) {
-    start_service(Pending{service_time, std::move(on_complete)});
+  std::uint32_t slot = free_head_;
+  if (slot == kNone) {
+    slot = static_cast<std::uint32_t>(requests_.size());
+    requests_.emplace_back();
   } else {
-    waiting_.push_back(Pending{service_time, std::move(on_complete)});
+    free_head_ = requests_[slot].next;
   }
+  Request& request = requests_[slot];
+  request.service_time = service_time;
+  request.on_complete = std::move(on_complete);
+  request.next = kNone;
+  if (busy_ < capacity_) {
+    start_service(slot);
+    return;
+  }
+  (wait_tail_ == kNone ? wait_head_ : requests_[wait_tail_].next) = slot;
+  wait_tail_ = slot;
+  ++waiting_;
 }
 
-void Resource::start_service(Pending request) {
+void Resource::start_service(std::uint32_t slot) {
   ++busy_;
-  auto cb = std::move(request.on_complete);
-  sim_.schedule(request.service_time,
-                [this, cb = std::move(cb)]() mutable { on_service_done(std::move(cb)); });
+  sim_.schedule(requests_[slot].service_time, [this, slot]() { on_service_done(slot); });
 }
 
-void Resource::on_service_done(std::function<void()> on_complete) {
+void Resource::on_service_done(std::uint32_t slot) {
   integrate_to_now();
   --busy_;
   ++completed_;
-  if (!waiting_.empty()) {
-    Pending next = std::move(waiting_.front());
-    waiting_.pop_front();
-    start_service(std::move(next));
+  EventFn on_complete = std::move(requests_[slot].on_complete);
+  requests_[slot].next = free_head_;
+  free_head_ = slot;
+  if (wait_head_ != kNone) {
+    const std::uint32_t next = wait_head_;
+    wait_head_ = requests_[next].next;
+    if (wait_head_ == kNone) wait_tail_ = kNone;
+    --waiting_;
+    start_service(next);
   }
   // Run the completion after dequeueing the successor so a completion that
   // immediately re-enters use() observes a consistent queue.
@@ -64,7 +80,7 @@ double Resource::mean_queue_length() const {
   const SimTime elapsed = sim_.now() - stats_start_;
   if (elapsed <= 0.0) return 0.0;
   double integral = queue_integral_;
-  integral += (sim_.now() - last_change_) * static_cast<double>(waiting_.size());
+  integral += (sim_.now() - last_change_) * static_cast<double>(waiting_);
   return integral / elapsed;
 }
 

@@ -3,9 +3,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <limits>
 #include <string>
 
+#include "sim/callback.h"
 #include "sim/simulation.h"
 
 namespace wlgen::sim {
@@ -17,6 +18,12 @@ namespace wlgen::sim {
 /// Figures 5.6–5.11: with zero think time every simulated user keeps a
 /// request outstanding at the server disk, so response time grows linearly
 /// with the number of users.
+///
+/// Engineering: every request, waiting or in service, sits in a slot table
+/// the resource owns and recycles; the waiting line is an intrusive FIFO
+/// through that table.  The service-done event captures only
+/// `{this, slot}`, so it stays inline in EventFn, and a warm resource
+/// queues and serves without allocating.
 class Resource {
  public:
   /// capacity = number of parallel servers (>= 1).
@@ -26,7 +33,7 @@ class Resource {
 
   /// Requests `service_time` microseconds of service; `on_complete` runs when
   /// the request finishes (after any queueing delay).
-  void use(SimTime service_time, std::function<void()> on_complete);
+  void use(SimTime service_time, EventFn on_complete);
 
   const std::string& name() const { return name_; }
   std::size_t capacity() const { return capacity_; }
@@ -35,7 +42,7 @@ class Resource {
   std::uint64_t completed() const { return completed_; }
 
   /// Requests currently waiting (not in service).
-  std::size_t queue_length() const { return waiting_.size(); }
+  std::size_t queue_length() const { return waiting_; }
 
   /// Requests currently in service.
   std::size_t in_service() const { return busy_; }
@@ -54,20 +61,29 @@ class Resource {
   void reset_stats();
 
  private:
-  struct Pending {
-    SimTime service_time;
-    std::function<void()> on_complete;
+  static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+
+  /// One slot of the request table.  `next` links the waiting FIFO while
+  /// the request waits, and the free list once it has completed.
+  struct Request {
+    SimTime service_time = 0.0;
+    EventFn on_complete;
+    std::uint32_t next = kNone;
   };
 
   void integrate_to_now();
-  void start_service(Pending request);
-  void on_service_done(std::function<void()> on_complete);
+  void start_service(std::uint32_t slot);
+  void on_service_done(std::uint32_t slot);
 
   Simulation& sim_;
   std::string name_;
   std::size_t capacity_;
   std::size_t busy_ = 0;
-  std::deque<Pending> waiting_;
+  std::deque<Request> requests_;  ///< grows without moving live requests
+  std::uint32_t free_head_ = kNone;
+  std::uint32_t wait_head_ = kNone;  ///< oldest waiting request
+  std::uint32_t wait_tail_ = kNone;
+  std::size_t waiting_ = 0;
   std::uint64_t completed_ = 0;
 
   SimTime stats_start_ = 0.0;

@@ -4,11 +4,16 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/stages.h"
+
 namespace wlgen::sim {
 
 namespace {
 constexpr std::size_t kArity = 4;
 }
+
+Simulation::Simulation() = default;
+Simulation::~Simulation() = default;
 
 void Simulation::schedule(SimTime delay, EventFn action) {
   if (delay < 0.0) throw std::invalid_argument("Simulation::schedule: negative delay");
@@ -40,9 +45,33 @@ void Simulation::reset() {
   // the next run repopulates slots in place without reallocating.
   slots_.clear();
   free_slots_.clear();
+  // Chains still in flight can never finish now: drop their completions
+  // (and whatever those captured) and put every state back on the list.
+  free_chain_ = nullptr;
+  for (const auto& block : chain_blocks_) {
+    for (std::size_t i = 0; i < kChainBlock; ++i) {
+      block[i].done.reset();
+      release_chain(block[i]);
+    }
+  }
   now_ = 0.0;
   next_seq_ = 0;
   processed_ = 0;
+}
+
+ChainState& Simulation::acquire_chain() {
+  if (free_chain_ == nullptr) {
+    const auto& block = chain_blocks_.emplace_back(std::make_unique<ChainState[]>(kChainBlock));
+    for (std::size_t i = kChainBlock; i-- > 0;) release_chain(block[i]);
+  }
+  ChainState& state = *free_chain_;
+  free_chain_ = state.next_free;
+  return state;
+}
+
+void Simulation::release_chain(ChainState& state) {
+  state.next_free = free_chain_;
+  free_chain_ = &state;
 }
 
 void Simulation::sift_up(std::size_t i) {
@@ -105,6 +134,12 @@ void Simulation::run(std::size_t max_events) {
     }
     dispatch_top();
   }
+}
+
+void Simulation::run_before(SimTime t) {
+  if (t < now_) throw std::invalid_argument("Simulation::fire_at: time in the past");
+  while (!heap_keys_.empty() && heap_keys_.front().when < t) dispatch_top();
+  now_ = t;
 }
 
 void Simulation::run_until(SimTime t) {

@@ -2,11 +2,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.h"
 
 namespace wlgen::sim {
+
+struct ChainState;  // sim/stages.h
 
 /// Simulated time in microseconds.  The paper reports every latency in
 /// microseconds (Table 5.3, Figures 5.6–5.12), so the kernel adopts the same
@@ -33,10 +37,14 @@ using SimTime = double;
 /// outgrows L1.  Scheduling an event with a capture of up to
 /// EventFn::kInlineCapacity bytes performs zero heap allocations once the
 /// arena is warm — the std::function-per-event design this replaces paid one
-/// malloc/free pair per simulated system call.
+/// malloc/free pair per simulated system call.  The states of executing
+/// stage chains (sim/stages.h) come from a free list the Simulation owns,
+/// so a whole simulated call — plan, queueing, service, completion — runs
+/// without allocating once the pools are warm.
 class Simulation {
  public:
-  Simulation() = default;
+  Simulation();
+  ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -59,6 +67,21 @@ class Simulation {
   /// queue is already empty, so idle periods still advance the clock.
   void run_until(SimTime t);
 
+  /// Runs `action` as an event at time t (>= now()) without queueing it:
+  /// dispatches every pending event strictly before t, sets now() = t,
+  /// counts one processed event and calls `action` inline.  That is
+  /// exactly where the event would have run had it been scheduled before
+  /// everything now pending — its earlier seq puts it ahead of the events
+  /// already queued at t.  Open-loop trace replay issues its records this
+  /// way, in time order, so the heap holds only in-flight work instead of
+  /// every future issue.
+  template <typename F>
+  void fire_at(SimTime t, F&& action) {
+    run_before(t);
+    ++processed_;
+    std::forward<F>(action)();
+  }
+
   /// Rewinds the clock to 0 and discards any pending events, keeping the
   /// arena and heap storage warm.  This is the shard-runner reuse path (see
   /// DESIGN.md "Sharded runner"): one worker simulates many independent
@@ -80,6 +103,14 @@ class Simulation {
   /// peak, deterministic per user.
   std::size_t arena_high_water() const { return slots_.size(); }
 
+  /// Chain-state free list for execute_chain (sim/stages.h).  acquire
+  /// reuses a released state or grows the pool by a block; release hands a
+  /// finished state back (its completion already moved out).  reset()
+  /// reclaims the states of chains still in flight; the destructor frees
+  /// them all.
+  ChainState& acquire_chain();
+  void release_chain(ChainState& state);
+
  private:
   /// Hot half of a heap entry: everything the sift comparisons read.  The
   /// arena slot rides in the parallel heap_slots_ array (the callback
@@ -100,10 +131,18 @@ class Simulation {
   /// Pops the earliest event and runs it (advancing now_ and processed_).
   void dispatch_top();
 
+  /// Dispatches every event strictly before t, then sets now_ = t.
+  void run_before(SimTime t);
+
   std::vector<HeapKey> heap_keys_;       ///< 4-ary min-heap, key half (SoA)
   std::vector<std::uint32_t> heap_slots_;  ///< payload half, parallel to heap_keys_
   std::vector<EventFn> slots_;           ///< pooled callback arena
   std::vector<std::uint32_t> free_slots_;
+  /// Chain states come in blocks of kChainBlock: no per-state heap cell,
+  /// and no pointer array that has to grow with the in-flight count.
+  static constexpr std::size_t kChainBlock = 64;
+  std::vector<std::unique_ptr<ChainState[]>> chain_blocks_;
+  ChainState* free_chain_ = nullptr;  ///< intrusive free list (ChainState::next_free)
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

@@ -1,7 +1,7 @@
 #include "sim/stages.h"
 
-#include <memory>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "obs/trace.h"
@@ -10,12 +10,12 @@ namespace wlgen::sim {
 
 Stage Stage::make_delay(SimTime duration) {
   if (duration < 0.0) throw std::invalid_argument("Stage::make_delay: negative duration");
-  return Stage{Kind::delay, nullptr, duration};
+  return Stage{nullptr, duration};
 }
 
 Stage Stage::make_use(Resource& resource, SimTime service_time) {
   if (service_time < 0.0) throw std::invalid_argument("Stage::make_use: negative service time");
-  return Stage{Kind::use, &resource, service_time};
+  return Stage{&resource, service_time};
 }
 
 SimTime chain_service_demand(const StageChain& chain) {
@@ -26,35 +26,27 @@ SimTime chain_service_demand(const StageChain& chain) {
 
 namespace {
 
-struct ChainState {
-  Simulation& sim;
-  StageChain chain;
-  std::function<void(SimTime)> done;
-  SimTime start;
-};
-
 // Template keeps the continuation's concrete type: delay stages hand the raw
-// lambda to Simulation::schedule (inline in EventFn, allocation-free), just
-// as before the trace hook existed.
+// lambda to Simulation::schedule, use stages to Resource::use — inline in
+// EventFn either way, so neither allocates.
 template <typename Fn>
-void dispatch_stage(const std::shared_ptr<ChainState>& state, const Stage& stage,
-                    Fn&& continuation) {
-  switch (stage.kind) {
-    case Stage::Kind::delay:
-      state->sim.schedule(stage.duration, std::forward<Fn>(continuation));
-      break;
-    case Stage::Kind::use:
-      if (stage.resource == nullptr) {
-        throw std::logic_error("execute_chain: use stage without resource");
-      }
-      stage.resource->use(stage.duration, std::forward<Fn>(continuation));
-      break;
+void dispatch_stage(ChainState& state, const Stage& stage, Fn&& continuation) {
+  if (stage.is_delay()) {
+    state.sim->schedule(stage.duration, std::forward<Fn>(continuation));
+  } else {
+    stage.resource->use(stage.duration, std::forward<Fn>(continuation));
   }
 }
 
-void run_stage(const std::shared_ptr<ChainState>& state, std::size_t index) {
+void run_stage(ChainState* state, std::size_t index) {
   if (index >= state->chain.size()) {
-    state->done(state->sim.now() - state->start);
+    // Hand the state back before completing, so a completion that starts
+    // the next chain (the user simulator's next op) reuses it.
+    Simulation& sim = *state->sim;
+    ChainDone done = std::move(state->done);
+    const SimTime elapsed = sim.now() - state->start;
+    sim.release_chain(*state);
+    done(elapsed);
     return;
   }
   const Stage& stage = state->chain[index];
@@ -63,17 +55,16 @@ void run_stage(const std::shared_ptr<ChainState>& state, std::size_t index) {
   // simulated outcome — and every stats digest — is identical either way.
   obs::TraceRing* ring = obs::stage_trace_slot();
   if (ring == nullptr) {
-    dispatch_stage(state, stage, [state, index]() { run_stage(state, index + 1); });
+    dispatch_stage(*state, stage, [state, index]() { run_stage(state, index + 1); });
     return;
   }
-  const SimTime t0 = state->sim.now();
-  const std::uint32_t name_id = ring->intern(
-      stage.kind == Stage::Kind::use && stage.resource != nullptr ? stage.resource->name()
-                                                                  : "delay");
-  dispatch_stage(state, stage, [state, index, ring, name_id, t0]() {
+  const SimTime t0 = state->sim->now();
+  const std::uint32_t name_id =
+      ring->intern(stage.is_delay() ? std::string_view("delay") : stage.resource->name());
+  dispatch_stage(*state, stage, [state, index, ring, name_id, t0]() {
     obs::TraceEvent event;
     event.ts_us = t0;
-    event.dur_us = state->sim.now() - t0;
+    event.dur_us = state->sim->now() - t0;
     event.name_id = name_id;
     event.track = name_id;  // one virtual-time track per resource name
     ring->push(event);
@@ -83,10 +74,14 @@ void run_stage(const std::shared_ptr<ChainState>& state, std::size_t index) {
 
 }  // namespace
 
-void execute_chain(Simulation& sim, StageChain chain, std::function<void(SimTime)> done) {
+void execute_chain(Simulation& sim, StageChain chain, ChainDone done) {
   if (!done) throw std::invalid_argument("execute_chain: empty completion");
-  auto state = std::make_shared<ChainState>(ChainState{sim, std::move(chain), std::move(done), sim.now()});
-  run_stage(state, 0);
+  ChainState& state = sim.acquire_chain();
+  state.sim = &sim;
+  state.chain = std::move(chain);
+  state.done = std::move(done);
+  state.start = sim.now();
+  run_stage(&state, 0);
 }
 
 }  // namespace wlgen::sim

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/analysis.h"
 #include "core/fsc.h"
 #include "core/presets.h"
@@ -10,6 +16,7 @@
 #include "core/usim.h"
 #include "fsmodel/local_model.h"
 #include "fsmodel/nfs_model.h"
+#include "sim/stages.h"
 
 namespace wlgen::core {
 namespace {
@@ -141,6 +148,110 @@ TEST(Replay, EmptyTraceIsFine) {
   fsmodel::NfsModel nfs(simulation);
   TraceReplayer replayer(simulation, nfs, empty);
   EXPECT_EQ(replayer.run().size(), 0u);
+}
+
+
+/// A synthetic trace of `n` reads and writes from eight users on 200 files.
+/// Issue times step by multiples of `quantum_us`, so a coarse quantum makes
+/// many ties.
+UsageLog synthetic_trace(std::size_t n, double quantum_us, std::uint32_t seed) {
+  std::mt19937 gen(seed);
+  std::uniform_int_distribution<int> step(0, 4);
+  std::uniform_int_distribution<std::uint32_t> user(0, 7);
+  std::uniform_int_distribution<std::uint64_t> file(0, 199);
+  std::uniform_int_distribution<std::uint64_t> bytes(0, 20000);
+  UsageLog trace;
+  double t = 1000.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    t += quantum_us * step(gen);
+    OpRecord r;
+    r.issue_time_us = t;
+    r.response_us = 100.0;
+    r.user = user(gen);
+    r.op = (i % 3 == 0) ? fsmodel::FsOpType::write : fsmodel::FsOpType::read;
+    r.requested_bytes = r.actual_bytes = bytes(gen);
+    r.file_id = file(gen);
+    r.file_size = 65536;
+    trace.append(r);
+  }
+  return trace;
+}
+
+struct QueuedReplay {
+  std::string log;
+  std::uint64_t events = 0;
+  std::size_t high_water = 0;
+};
+
+/// Open-loop replay the way it was done before Simulation::fire_at: every
+/// issue queued up front as an event, so the heap holds the whole trace.
+QueuedReplay replay_queueing_every_issue(const UsageLog& trace) {
+  sim::Simulation simulation;
+  fsmodel::NfsModel nfs(simulation);
+  UsageLog out;
+  const double base = trace.records().front().issue_time_us;
+  for (const OpRecord& r : trace.records()) {
+    simulation.schedule_at(std::max(0.0, r.issue_time_us - base), [&simulation, &nfs, &out, &r] {
+      fsmodel::FsOp op;
+      op.type = r.op;
+      op.file_id = r.file_id;
+      op.size = r.actual_bytes;
+      op.file_size = r.file_size;
+      const double issued = simulation.now();
+      sim::execute_chain(simulation, nfs.plan(op), [&out, &r, issued](double elapsed) {
+        OpRecord o = r;
+        o.issue_time_us = issued;
+        o.response_us = elapsed;
+        out.append(o);
+      });
+    });
+  }
+  simulation.run();
+  return {out.serialize(), simulation.events_processed(), simulation.arena_high_water()};
+}
+
+QueuedReplay replay_open_loop(const UsageLog& trace) {
+  sim::Simulation simulation;
+  fsmodel::NfsModel nfs(simulation);
+  TraceReplayer replayer(simulation, nfs, trace);
+  const UsageLog replayed = replayer.run();
+  return {replayed.serialize(), simulation.events_processed(), simulation.arena_high_water()};
+}
+
+// Open loop issues each record as it comes due instead of queueing the
+// whole trace: the heap holds only in-flight work, while the replayed log
+// and the processed-event count stay those of the queue-everything design.
+TEST(Replay, OpenLoopHoldsOnlyInFlightEvents) {
+  const std::size_t n = 10000;
+  const UsageLog trace = synthetic_trace(n, 2000.0, 11);
+  const QueuedReplay queued = replay_queueing_every_issue(trace);
+  const QueuedReplay replayed = replay_open_loop(trace);
+  EXPECT_GE(queued.high_water, n);
+  EXPECT_LT(replayed.high_water, n / 100);
+  EXPECT_EQ(replayed.events, queued.events);
+  EXPECT_EQ(replayed.log, queued.log);
+}
+
+// A trace whose issue times go backwards (a raw USIM log is in completion
+// order) replays exactly like its stable-sorted copy, and like queueing
+// every issue (the FIFO tie-break among equal times is input order).
+TEST(Replay, ShuffledTraceReplaysLikeItsStableSortedCopy) {
+  UsageLog shuffled = synthetic_trace(3000, 500.0, 12);  // many timestamp ties
+  auto& records = shuffled.records_mutable();
+  // Keep the earliest record first: the replay clock is based on record 0.
+  std::shuffle(records.begin() + 1, records.end(), std::mt19937(13));
+  UsageLog sorted = shuffled;
+  std::stable_sort(sorted.records_mutable().begin(), sorted.records_mutable().end(),
+                   [](const OpRecord& a, const OpRecord& b) {
+                     return a.issue_time_us < b.issue_time_us;
+                   });
+  ASSERT_NE(shuffled.serialize(), sorted.serialize());
+
+  const QueuedReplay from_shuffled = replay_open_loop(shuffled);
+  EXPECT_EQ(from_shuffled.log, replay_open_loop(sorted).log);
+  const QueuedReplay queued = replay_queueing_every_issue(shuffled);
+  EXPECT_EQ(from_shuffled.log, queued.log);
+  EXPECT_EQ(from_shuffled.events, queued.events);
 }
 
 }  // namespace

@@ -9,8 +9,11 @@
 
 #include <filesystem>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/analysis.h"
+#include "core/log_sink.h"
 #include "core/presets.h"
 #include "fs/filesystem.h"
 #include "fsmodel/nfs_model.h"
@@ -447,6 +450,51 @@ TEST(ShardedRunnerSpill, ResumeRejectsAForeignFingerprint) {
   ShardedRunner resumed(other);
   EXPECT_THROW(resumed.run(), std::runtime_error);
   std::filesystem::remove_all(spool);
+}
+
+// A run file is trusted input only up to its user field: a record whose user
+// belongs to another shard (a corrupted or foreign file of the right size)
+// must fail the resume cleanly, naming the file and the user, instead of
+// indexing another shard's per-user slots.
+TEST(ShardedRunnerSpill, ResumeRejectsARecordOfAnotherShardsUser) {
+  const std::string spool = fresh_spool("stray_user");
+  RunnerConfig config = spill_config(4, 2, 1, spool);
+  config.spill.checkpoint = true;
+  ShardedRunner(config).run();
+
+  // Rewrite shard 0's first run (users [0, 2)) with one record moved to
+  // user 3, which shard 1 owns.  Same record count, so the same size: the
+  // checkpoint still accepts the file.
+  const std::string victim = (std::filesystem::path(spool) / "shard000000_run000000.wlr").string();
+  ASSERT_TRUE(std::filesystem::exists(victim));
+  std::vector<core::OpRecord> records;
+  {
+    core::RunFileReader reader(core::SpillRun{victim, 0, 0});
+    core::OpRecord r;
+    while (reader.next(r)) records.push_back(r);
+  }
+  ASSERT_FALSE(records.empty());
+  records.front().user = 3;
+  const std::string crafted_dir = fresh_spool("stray_user_crafted");
+  core::SpillSink crafted(crafted_dir, "crafted", records.size());
+  for (const core::OpRecord& r : records) crafted.append(r);
+  crafted.close();
+  ASSERT_EQ(crafted.runs().size(), 1u);
+  std::filesystem::copy_file(crafted.runs().front().path, victim,
+                             std::filesystem::copy_options::overwrite_existing);
+
+  config.spill.resume = true;
+  ShardedRunner resumed(config);
+  try {
+    resumed.run();
+    FAIL() << "resume accepted a record of another shard's user";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(victim), std::string::npos) << what;
+    EXPECT_NE(what.find("user 3"), std::string::npos) << what;
+  }
+  std::filesystem::remove_all(spool);
+  std::filesystem::remove_all(crafted_dir);
 }
 
 TEST(ShardedRunnerSpill, ValidatesSpillConfiguration) {

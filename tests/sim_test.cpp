@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <new>
 #include <random>
 #include <utility>
@@ -126,6 +127,61 @@ TEST(Simulation, RunUntilOnEmptyQueueStillAdvancesClock) {
   sim.run_until(40.0);
   EXPECT_DOUBLE_EQ(sim.now(), 40.0);
   EXPECT_THROW(sim.run_until(10.0), std::invalid_argument);
+}
+
+// fire_at runs an action as if it had been queued ahead of everything now
+// pending: events strictly before t first, then the action (ahead of events
+// already pending at t), counted as one processed event.
+TEST(Simulation, FireAtRunsInlineAheadOfEventsPendingAtItsTime) {
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule_at(5.0, [&] { order.push_back(5); });
+  sim.schedule_at(10.0, [&] { order.push_back(10); });
+  sim.schedule_at(15.0, [&] { order.push_back(15); });
+  double seen_now = -1.0;
+  sim.fire_at(10.0, [&] {
+    seen_now = sim.now();
+    order.push_back(0);
+    sim.schedule(0.0, [&] { order.push_back(1); });  // queued behind the pending t=10 event
+  });
+  EXPECT_DOUBLE_EQ(seen_now, 10.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
+  EXPECT_EQ(order, (std::vector<int>{5, 0}));
+  EXPECT_EQ(sim.events_processed(), 2u);  // the t=5 event and the fired action
+  sim.fire_at(10.0, [&] { order.push_back(2); });  // a tie fires in call order
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{5, 0, 2, 10, 1, 15}));
+  EXPECT_EQ(sim.events_processed(), 6u);
+  EXPECT_THROW(sim.fire_at(14.0, [] {}), std::invalid_argument);
+}
+
+// fire_at is the same timeline as queueing every action up front: the
+// dispatch order and the processed-event count match schedule_at + run.
+TEST(Simulation, FireAtMatchesQueueingEverythingUpFront) {
+  std::mt19937 gen(7);
+  std::uniform_int_distribution<int> coarse_time(0, 40);
+  std::vector<double> times(300);
+  for (double& t : times) t = static_cast<double>(coarse_time(gen));
+  std::sort(times.begin(), times.end());
+
+  auto drive = [&times](bool fire) {
+    Simulation sim;
+    std::vector<int> order;
+    for (int i = 0; i < static_cast<int>(times.size()); ++i) {
+      auto action = [&sim, &order, i] {
+        order.push_back(i);
+        sim.schedule(static_cast<double>(i % 3), [&order, i] { order.push_back(1000 + i); });
+      };
+      if (fire) {
+        sim.fire_at(times[static_cast<std::size_t>(i)], action);
+      } else {
+        sim.schedule_at(times[static_cast<std::size_t>(i)], action);
+      }
+    }
+    sim.run();
+    return std::make_pair(order, sim.events_processed());
+  };
+  EXPECT_EQ(drive(true), drive(false));
 }
 
 // reset() rewinds the clock and discards pending work: the sharded runner
@@ -422,6 +478,93 @@ TEST(Stages, ManyConcurrentChainsOnOneResource) {
   sim.run();
   EXPECT_EQ(completed, n);
   EXPECT_DOUBLE_EQ(sim.now(), static_cast<double>(n));
+}
+
+
+TEST(Stages, StageChainSpillsPastItsInlineCapacity) {
+  Simulation sim;
+  StageChain chain;
+  const std::size_t n = StageChain::kInlineCapacity + 3;
+  for (std::size_t i = 0; i < n; ++i) chain.push_back(Stage::make_delay(static_cast<double>(i)));
+  ASSERT_EQ(chain.size(), n);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(chain[i].duration, static_cast<double>(i));
+  const StageChain copy = chain;
+  EXPECT_DOUBLE_EQ(chain_service_demand(copy), chain_service_demand(chain));
+  StageChain moved = std::move(chain);
+  EXPECT_EQ(moved.size(), n);
+  EXPECT_TRUE(chain.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  double elapsed = -1.0;
+  execute_chain(sim, std::move(moved), [&](SimTime t) { elapsed = t; });
+  sim.run();
+  EXPECT_DOUBLE_EQ(elapsed, static_cast<double>(n * (n - 1) / 2));
+}
+
+// A completion the size of the user simulator's: eight words and three
+// small fields (sim::ChainDone's inline budget).
+struct UsimSizedCapture {
+  int* completed;
+  std::uint64_t words[7];
+  std::uint32_t op, session;
+  std::uint8_t category[3];
+};
+static_assert(sizeof(UsimSizedCapture) == ChainDone::kInlineCapacity);
+
+// The point of the chain pool, the inline ChainDone, the resource slot table
+// and the small-buffer StageChain: once warm, a simulated call — planned
+// chain, queueing at a resource, service, completion — allocates nothing.
+TEST(Stages, WarmChainsThroughAResourceAllocateNothing) {
+  Simulation sim;
+  Resource disk(sim, "disk", 1);
+  int completed = 0;
+  UsimSizedCapture capture{&completed, {}, 0, 0, {}};
+  auto burst = [&] {
+    for (int i = 0; i < 200; ++i) {
+      StageChain chain;
+      chain.push_back(Stage::make_delay(1.0));
+      chain.push_back(Stage::make_use(disk, 2.0));  // queues: 200 chains, one server
+      chain.push_back(Stage::make_delay(0.5));
+      execute_chain(sim, std::move(chain), [capture](SimTime) { ++*capture.completed; });
+    }
+    sim.run();
+  };
+  burst();  // warm-up: grows the arena, the chain pool and the slot table
+  ASSERT_EQ(completed, 200);
+
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  burst();
+  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(completed, 400);
+  EXPECT_EQ(disk.completed(), 400u);
+}
+
+// reset() with chains in flight (some waiting at a resource, some in
+// service, some in a delay) must release what their completions captured;
+// so must destroying the Simulation.  LSan (the ASan job) checks the rest.
+TEST(Stages, ResetAndDestructionReleaseChainsInFlight) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulation sim;
+    Resource disk(sim, "disk", 1);
+    for (int i = 0; i < 100; ++i) {
+      execute_chain(sim, {Stage::make_delay(static_cast<double>(i % 4)), Stage::make_use(disk, 5.0)},
+                    [token](SimTime) { ++*token; });
+    }
+    sim.run_until(20.0);
+    EXPECT_GT(*token, 0);
+    EXPECT_GT(token.use_count(), 1);
+    sim.reset();
+    EXPECT_EQ(token.use_count(), 1);
+
+    // The recycled pool serves a fresh timeline.
+    Resource cpu(sim, "cpu", 1);
+    for (int i = 0; i < 10; ++i) {
+      execute_chain(sim, {Stage::make_use(cpu, 1.0)}, [token](SimTime) { ++*token; });
+    }
+    sim.run_until(3.5);
+    EXPECT_GT(token.use_count(), 1);
+  }  // destroyed with chains still in flight
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace
