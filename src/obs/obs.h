@@ -48,7 +48,10 @@ struct ObsConfig {
 struct SimSample {
   OpTally ops;
   std::uint64_t sim_events = 0;
-  std::uint64_t heap_high_water = 0;  ///< max concurrently-pending events
+  /// Max concurrently-pending events.  An open-loop replay issues its
+  /// records through Simulation::fire_at, never queueing them, so there it
+  /// is the peak of in-flight events, not the trace length.
+  std::uint64_t heap_high_water = 0;
   std::uint64_t rng_draws = 0;        ///< uniform01-path draws
   std::uint64_t sessions = 0;
 

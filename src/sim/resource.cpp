@@ -24,42 +24,34 @@ void Resource::use(SimTime service_time, EventFn on_complete) {
   if (service_time < 0.0) throw std::invalid_argument("Resource::use: negative service time");
   if (!on_complete) throw std::invalid_argument("Resource::use: empty completion");
   integrate_to_now();
-  std::uint32_t slot = free_head_;
-  if (slot == kNone) {
-    slot = static_cast<std::uint32_t>(requests_.size());
-    requests_.emplace_back();
-  } else {
-    free_head_ = requests_[slot].next;
-  }
-  Request& request = requests_[slot];
+  Request& request = requests_.acquire();
   request.service_time = service_time;
   request.on_complete = std::move(on_complete);
-  request.next = kNone;
+  request.next = nullptr;
   if (busy_ < capacity_) {
-    start_service(slot);
+    start_service(request);
     return;
   }
-  (wait_tail_ == kNone ? wait_head_ : requests_[wait_tail_].next) = slot;
-  wait_tail_ = slot;
+  (wait_tail_ == nullptr ? wait_head_ : wait_tail_->next) = &request;
+  wait_tail_ = &request;
   ++waiting_;
 }
 
-void Resource::start_service(std::uint32_t slot) {
+void Resource::start_service(Request& request) {
   ++busy_;
-  sim_.schedule(requests_[slot].service_time, [this, slot]() { on_service_done(slot); });
+  sim_.schedule(request.service_time, [this, &request]() { on_service_done(request); });
 }
 
-void Resource::on_service_done(std::uint32_t slot) {
+void Resource::on_service_done(Request& request) {
   integrate_to_now();
   --busy_;
   ++completed_;
-  EventFn on_complete = std::move(requests_[slot].on_complete);
-  requests_[slot].next = free_head_;
-  free_head_ = slot;
-  if (wait_head_ != kNone) {
-    const std::uint32_t next = wait_head_;
-    wait_head_ = requests_[next].next;
-    if (wait_head_ == kNone) wait_tail_ = kNone;
+  EventFn on_complete = std::move(request.on_complete);
+  requests_.release(request);
+  if (wait_head_ != nullptr) {
+    Request& next = *wait_head_;
+    wait_head_ = next.next;
+    if (wait_head_ == nullptr) wait_tail_ = nullptr;
     --waiting_;
     start_service(next);
   }

@@ -2,11 +2,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <limits>
 #include <string>
 
 #include "sim/callback.h"
+#include "sim/pool.h"
 #include "sim/simulation.h"
 
 namespace wlgen::sim {
@@ -19,10 +18,10 @@ namespace wlgen::sim {
 /// request outstanding at the server disk, so response time grows linearly
 /// with the number of users.
 ///
-/// Engineering: every request, waiting or in service, sits in a slot table
-/// the resource owns and recycles; the waiting line is an intrusive FIFO
-/// through that table.  The service-done event captures only
-/// `{this, slot}`, so it stays inline in EventFn, and a warm resource
+/// Engineering: every request, waiting or in service, sits in a pool the
+/// resource owns and recycles; the waiting line is an intrusive FIFO
+/// through the pooled requests.  The service-done event captures only
+/// `{this, request}`, so it stays inline in EventFn, and a warm resource
 /// queues and serves without allocating.
 class Resource {
  public:
@@ -61,28 +60,25 @@ class Resource {
   void reset_stats();
 
  private:
-  static constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
-
-  /// One slot of the request table.  `next` links the waiting FIFO while
-  /// the request waits, and the free list once it has completed.
+  /// A pooled request.  `next` links the waiting FIFO while the request
+  /// waits, and the pool's free list once it has completed.
   struct Request {
     SimTime service_time = 0.0;
     EventFn on_complete;
-    std::uint32_t next = kNone;
+    Request* next = nullptr;
   };
 
   void integrate_to_now();
-  void start_service(std::uint32_t slot);
-  void on_service_done(std::uint32_t slot);
+  void start_service(Request& request);
+  void on_service_done(Request& request);
 
   Simulation& sim_;
   std::string name_;
   std::size_t capacity_;
   std::size_t busy_ = 0;
-  std::deque<Request> requests_;  ///< grows without moving live requests
-  std::uint32_t free_head_ = kNone;
-  std::uint32_t wait_head_ = kNone;  ///< oldest waiting request
-  std::uint32_t wait_tail_ = kNone;
+  Pool<Request> requests_;
+  Request* wait_head_ = nullptr;  ///< oldest waiting request
+  Request* wait_tail_ = nullptr;
   std::size_t waiting_ = 0;
   std::uint64_t completed_ = 0;
 

@@ -47,32 +47,15 @@ void Simulation::reset() {
   free_slots_.clear();
   // Chains still in flight can never finish now: drop their completions
   // (and whatever those captured) and put every state back on the list.
-  free_chain_ = nullptr;
-  for (const auto& block : chain_blocks_) {
-    for (std::size_t i = 0; i < kChainBlock; ++i) {
-      block[i].done.reset();
-      release_chain(block[i]);
-    }
-  }
+  chains_.reclaim_all([](ChainState& state) { state.done.reset(); });
   now_ = 0.0;
   next_seq_ = 0;
   processed_ = 0;
 }
 
-ChainState& Simulation::acquire_chain() {
-  if (free_chain_ == nullptr) {
-    const auto& block = chain_blocks_.emplace_back(std::make_unique<ChainState[]>(kChainBlock));
-    for (std::size_t i = kChainBlock; i-- > 0;) release_chain(block[i]);
-  }
-  ChainState& state = *free_chain_;
-  free_chain_ = state.next_free;
-  return state;
-}
+ChainState& Simulation::acquire_chain() { return chains_.acquire(); }
 
-void Simulation::release_chain(ChainState& state) {
-  state.next_free = free_chain_;
-  free_chain_ = &state;
-}
+void Simulation::release_chain(ChainState& state) { chains_.release(state); }
 
 void Simulation::sift_up(std::size_t i) {
   const HeapKey key = heap_keys_[i];

@@ -2,11 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "sim/callback.h"
+#include "sim/pool.h"
 
 namespace wlgen::sim {
 
@@ -138,11 +138,7 @@ class Simulation {
   std::vector<std::uint32_t> heap_slots_;  ///< payload half, parallel to heap_keys_
   std::vector<EventFn> slots_;           ///< pooled callback arena
   std::vector<std::uint32_t> free_slots_;
-  /// Chain states come in blocks of kChainBlock: no per-state heap cell,
-  /// and no pointer array that has to grow with the in-flight count.
-  static constexpr std::size_t kChainBlock = 64;
-  std::vector<std::unique_ptr<ChainState[]>> chain_blocks_;
-  ChainState* free_chain_ = nullptr;  ///< intrusive free list (ChainState::next_free)
+  Pool<ChainState> chains_;  ///< execute_chain's states, live or free
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

@@ -107,7 +107,7 @@ void execute_chain(Simulation& sim, StageChain chain, ChainDone done);
 struct ChainState {
   Simulation* sim = nullptr;
   SimTime start = 0.0;
-  ChainState* next_free = nullptr;  ///< the pool's free list
+  ChainState* next = nullptr;  ///< Pool free-list link
   StageChain chain;
   ChainDone done;
 };
