@@ -120,9 +120,10 @@ class SpillSink final : public LogSink {
 // ---------------------------------------------------------------------------
 
 /// Forward cursor over a usage-log stream — the consumer-side half of the
-/// pipeline.  UsageAnalyzer, TraceReplayer and the text serializer all
-/// iterate one of these, so they work identically over an in-RAM log, one
-/// spilled run, or a k-way merge of a million users' runs.
+/// pipeline.  UsageAnalyzer and the text serializer both iterate one of
+/// these, so they work identically over an in-RAM log, one spilled run, or
+/// a k-way merge of a million users' runs.  (TraceReplayer walks a loaded
+/// UsageLog in place: open loop may need it in time order, not file order.)
 class LogReader {
  public:
   virtual ~LogReader() = default;
