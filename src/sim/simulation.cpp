@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/stages.h"
+#include "sim/chain_state.h"
 
 namespace wlgen::sim {
 

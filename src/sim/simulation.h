@@ -10,7 +10,7 @@
 
 namespace wlgen::sim {
 
-struct ChainState;  // sim/stages.h
+struct ChainState;  // sim/chain_state.h
 
 /// Simulated time in microseconds.  The paper reports every latency in
 /// microseconds (Table 5.3, Figures 5.6–5.12), so the kernel adopts the same
@@ -103,7 +103,8 @@ class Simulation {
   /// peak, deterministic per user.
   std::size_t arena_high_water() const { return slots_.size(); }
 
-  /// Chain-state free list for execute_chain (sim/stages.h).  acquire
+  /// Chain-state free list for execute_chain (sim/stages.h) — its only
+  /// user.  acquire
   /// reuses a released state or grows the pool by a block; release hands a
   /// finished state back (its completion already moved out).  reset()
   /// reclaims the states of chains still in flight; the destructor frees

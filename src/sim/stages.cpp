@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "sim/chain_state.h"
 
 namespace wlgen::sim {
 

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 #include <initializer_list>
 #include <utility>
 #include <vector>
@@ -100,16 +99,5 @@ using ChainDone = InlineFn<80, false, SimTime>;
 /// simulation's chain pool is warm, a chain of up to
 /// StageChain::kInlineCapacity stages executes without allocating.
 void execute_chain(Simulation& sim, StageChain chain, ChainDone done);
-
-/// The state of one executing chain.  Owned by the Simulation's chain pool
-/// (Simulation::acquire_chain / release_chain); execute_chain is its only
-/// user.
-struct ChainState {
-  Simulation* sim = nullptr;
-  SimTime start = 0.0;
-  ChainState* next = nullptr;  ///< Pool free-list link
-  StageChain chain;
-  ChainDone done;
-};
 
 }  // namespace wlgen::sim
