@@ -1,25 +1,29 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <vector>
 
 namespace wlgen::sim {
 
-/// Stable-address object pool: objects come in blocks of kBlock and are
-/// recycled through an intrusive free list threaded through their `next`
-/// member (a `T*`).  Once warm, acquire and release never allocate, and
-/// growing never moves a live object — so a pool's footprint is its peak
-/// live count rounded up to a block, with no reallocation spike on the way.
+/// Stable-address object pool: objects come in blocks and are recycled
+/// through an intrusive free list threaded through their `next` member (a
+/// `T*`).  Once warm, acquire and release never allocate, and growing never
+/// moves a live object, so there is no reallocation spike.  Blocks double
+/// from 8 objects up to 1024, so a pool that stays small (a resource that
+/// rarely queues) costs one small block, and a pool that grows large costs
+/// few allocations.
 ///
 /// Holds the Simulation's stage-chain states and each Resource's requests.
-template <typename T, std::size_t kBlock = 64>
+template <typename T>
 class Pool {
  public:
   T& acquire() {
     if (free_ == nullptr) {
-      const auto& block = blocks_.emplace_back(std::make_unique<T[]>(kBlock));
-      for (std::size_t i = kBlock; i-- > 0;) release(block[i]);
+      const std::size_t n = block_size(blocks_.size());
+      const auto& block = blocks_.emplace_back(std::make_unique<T[]>(n));
+      for (std::size_t i = n; i-- > 0;) release(block[i]);
     }
     T& object = *free_;
     free_ = object.next;
@@ -36,15 +40,19 @@ class Pool {
   template <typename Fn>
   void reclaim_all(Fn&& fn) {
     free_ = nullptr;
-    for (const auto& block : blocks_) {
-      for (std::size_t i = kBlock; i-- > 0;) {
-        fn(block[i]);
-        release(block[i]);
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      for (std::size_t i = block_size(b); i-- > 0;) {
+        fn(blocks_[b][i]);
+        release(blocks_[b][i]);
       }
     }
   }
 
  private:
+  static constexpr std::size_t block_size(std::size_t index) {
+    return std::size_t{8} << std::min<std::size_t>(index, 7);
+  }
+
   std::vector<std::unique_ptr<T[]>> blocks_;
   T* free_ = nullptr;
 };
