@@ -8,7 +8,8 @@
 // scoreboard entries behind the DESIGN.md scaling tables: on an M-core
 // machine the /T rate should approach T-fold the /1 rate until T exceeds M
 // (on a single-core CI container the curves are flat).  BM_MergeUserLogs,
-// BM_WriteLogText and BM_ParseLogText time the serial log tail in isolation.
+// BM_WriteLogText and BM_ParseLogText time the serial log tail in isolation;
+// BM_WriteLogFile times the text writer on 1, 2 and 4 threads.
 
 #include <benchmark/benchmark.h>
 
@@ -193,6 +194,21 @@ void BM_WriteLogText(benchmark::State& state) {
   set_records_rate(state, records);
 }
 BENCHMARK(BM_WriteLogText)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+// The same 100 k records through write_log_file to /dev/null, formatted on
+// a growing thread budget: /T should approach T-fold the /1 rate until T
+// exceeds the cores (the calling thread's read and write stay serial).
+void BM_WriteLogFile(benchmark::State& state) {
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kRecords = 100000;
+  const core::UsageLog log = codec_log(kRecords);
+  for (auto _ : state) {
+    core::MemoryLogReader reader(log);
+    benchmark::DoNotOptimize(core::write_log_file(reader, "/dev/null", threads));
+  }
+  set_records_rate(state, kRecords);
+}
+BENCHMARK(BM_WriteLogFile)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ParseLogText(benchmark::State& state) {
   const auto records = static_cast<std::size_t>(state.range(0));

@@ -1,9 +1,12 @@
 #include "core/log_sink.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 
 #include "util/strings.h"
 #include "util/svg.h"
@@ -286,40 +289,163 @@ std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs) {
 
 namespace {
 
-constexpr std::size_t kLogTextBufferBytes = 64 * 1024;
+// Records per formatting block: enough that handing a block between threads
+// costs little next to formatting it, few enough that the ring of blocks
+// stays at a few MiB.
+constexpr std::size_t kTextBlockRecords = 4096;
 
-// Formats the header and every record into one fixed buffer, handing each
-// filled stretch to `flush(data, size)`.
-template <typename Flush>
-std::uint64_t stream_log_text(LogReader& reader, Flush&& flush) {
-  std::vector<char> buffer(kLogTextBufferBytes);
-  char* const begin = buffer.data();
-  char* const limit = begin + buffer.size() - kMaxRecordTextBytes;
-  char* out = begin;
-  for (const char* header = usage_log_header_line(); *header != '\0'; ++header) *out++ = *header;
-  std::uint64_t written = 0;
-  OpRecord record;
-  while (reader.next(record)) {
-    if (out > limit) {
-      flush(begin, static_cast<std::size_t>(out - begin));
-      out = begin;
+// One ring slot: records in stream order and, once formatted, their text.
+struct TextBlock {
+  std::vector<OpRecord> records = std::vector<OpRecord>(kTextBlockRecords);
+  std::size_t count = 0;
+  // Left uninitialised, so only the pages formatting writes become resident.
+  std::unique_ptr<char[]> text =
+      std::make_unique_for_overwrite<char[]>(kTextBlockRecords * kMaxRecordTextBytes);
+  std::size_t text_size = 0;
+  bool formatted = false;  ///< text is ready; guarded by TextRing::mutex_
+};
+
+// Bounded ring between the calling thread, which reads records into blocks
+// and writes their text, and `workers` formatter threads.  Blocks are
+// numbered in stream order and block `seq` lives in slot seq % size(); the
+// caller refills a slot only after writing the block it held, so the text
+// goes out in stream order whichever thread formatted it.
+class TextRing {
+ public:
+  explicit TextRing(std::size_t workers) : blocks_(workers == 0 ? 1 : 2 * (workers + 1)) {
+    try {
+      threads_.reserve(workers);
+      for (std::size_t i = 0; i < workers; ++i) threads_.emplace_back([this] { format_loop(); });
+    } catch (...) {
+      stop_and_join();
+      throw;
     }
-    out = format_record_text(record, out);
-    ++written;
   }
-  flush(begin, static_cast<std::size_t>(out - begin));
-  return written;
+  ~TextRing() { stop_and_join(); }
+  TextRing(const TextRing&) = delete;
+  TextRing& operator=(const TextRing&) = delete;
+
+  std::size_t size() const { return blocks_.size(); }
+  TextBlock& slot(std::uint64_t seq) { return blocks_[seq % blocks_.size()]; }
+
+  /// Reads the stream's next block into slot `seq` and returns its record
+  /// count (0 at end of stream).  With formatter threads the block goes to
+  /// them; alone, the caller formats each record as it reads it, which
+  /// keeps the serial path at one pass over the records.
+  std::size_t fill(LogReader& reader, std::uint64_t seq) {
+    TextBlock& block = slot(seq);
+    const bool alone = threads_.empty();
+    OpRecord* const records = block.records.data();
+    char* out = block.text.get();
+    std::size_t count = 0;
+    while (count < kTextBlockRecords && reader.next(records[count])) {
+      if (alone) out = format_record_text(records[count], out);
+      ++count;
+    }
+    if (count == 0) return 0;
+    block.count = count;
+    if (alone) block.text_size = static_cast<std::size_t>(out - block.text.get());
+    {
+      const std::lock_guard lock(mutex_);
+      block.formatted = alone;
+      published_ = seq + 1;
+      if (alone) claimed_ = published_;
+    }
+    work_.notify_one();
+    return count;
+  }
+
+  /// Returns once block `seq`, the oldest unwritten one, is formatted.
+  /// Rather than idle, the caller formats unclaimed blocks itself, oldest
+  /// first.
+  void await(std::uint64_t seq) {
+    std::unique_lock lock(mutex_);
+    while (!slot(seq).formatted && claimed_ < published_) format_next(lock);
+    done_.wait(lock, [&] { return slot(seq).formatted; });
+  }
+
+ private:
+  void format_loop() {
+    std::unique_lock lock(mutex_);
+    for (;;) {
+      work_.wait(lock, [this] { return stop_ || claimed_ < published_; });
+      if (stop_) return;
+      format_next(lock);
+      done_.notify_one();
+    }
+  }
+
+  /// Claims the oldest unclaimed block and formats it with `lock` released.
+  void format_next(std::unique_lock<std::mutex>& lock) {
+    TextBlock& block = slot(claimed_++);
+    lock.unlock();
+    char* out = block.text.get();
+    for (std::size_t i = 0; i < block.count; ++i) out = format_record_text(block.records[i], out);
+    block.text_size = static_cast<std::size_t>(out - block.text.get());
+    lock.lock();
+    block.formatted = true;
+  }
+
+  void stop_and_join() {
+    {
+      const std::lock_guard lock(mutex_);
+      stop_ = true;
+    }
+    work_.notify_all();
+    for (auto& thread : threads_) thread.join();
+  }
+
+  std::vector<TextBlock> blocks_;
+  std::mutex mutex_;
+  std::condition_variable work_;  ///< a block was published, or stop_
+  std::condition_variable done_;  ///< a formatter finished a block
+  std::uint64_t published_ = 0;   ///< guarded by mutex_
+  std::uint64_t claimed_ = 0;     ///< guarded by mutex_
+  bool stop_ = false;             ///< guarded by mutex_
+  std::vector<std::thread> threads_;  // last: joined before the members above die
+};
+
+// Writes the header and every record's text to `flush(data, size)` in
+// stream order.  The calling thread reads and writes, formatting too when
+// it would otherwise wait; up to threads - 1 formatter threads turn blocks
+// into text in between.  An exception from the reader or `flush` stops and
+// joins the formatters before it leaves.
+template <typename Flush>
+std::uint64_t stream_log_text(LogReader& reader, std::size_t threads, Flush&& flush) {
+  const char* const header = usage_log_header_line();
+  flush(header, std::strlen(header));
+  // More formatters than cores cannot format faster, and each adds two slots.
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  TextRing ring(std::clamp<std::size_t>(threads, 1, cores) - 1);
+  std::uint64_t filled = 0;
+  std::uint64_t flushed = 0;
+  std::uint64_t records = 0;
+  bool more = true;
+  for (;;) {
+    if (more && filled - flushed < ring.size()) {
+      const std::size_t count = ring.fill(reader, filled);
+      more = count == kTextBlockRecords;
+      if (count > 0) ++filled;
+      continue;
+    }
+    if (flushed == filled) break;
+    ring.await(flushed);
+    const TextBlock& block = ring.slot(flushed++);
+    flush(block.text.get(), block.text_size);
+    records += block.count;
+  }
+  return records;
 }
 
 }  // namespace
 
 std::uint64_t write_log_text(LogReader& reader, std::ostream& out) {
-  return stream_log_text(reader, [&out](const char* data, std::size_t size) {
+  return stream_log_text(reader, 1, [&out](const char* data, std::size_t size) {
     out.write(data, static_cast<std::streamsize>(size));
   });
 }
 
-std::uint64_t write_log_file(LogReader& reader, const std::string& path) {
+std::uint64_t write_log_file(LogReader& reader, const std::string& path, std::size_t threads) {
   const std::filesystem::path p(path);
   if (p.has_parent_path()) {
     std::error_code ec;
@@ -327,18 +453,28 @@ std::uint64_t write_log_file(LogReader& reader, const std::string& path) {
   }
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) throw std::runtime_error("write_log_file: cannot open " + path);
+  // A partial log must not be left behind looking like a finished one; only
+  // a regular file is removed (never a device such as /dev/null).
+  const auto remove_partial = [&p] {
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(p, ec)) std::filesystem::remove(p, ec);
+  };
   std::uint64_t written = 0;
   try {
-    written = stream_log_text(reader, [&](const char* data, std::size_t size) {
+    written = stream_log_text(reader, threads, [&](const char* data, std::size_t size) {
       if (std::fwrite(data, 1, size, file) != size) {
         throw std::runtime_error("write_log_file: write failed for " + path);
       }
     });
   } catch (...) {
     std::fclose(file);
+    remove_partial();
     throw;
   }
-  if (std::fclose(file) != 0) throw std::runtime_error("write_log_file: close failed for " + path);
+  if (std::fclose(file) != 0) {
+    remove_partial();
+    throw std::runtime_error("write_log_file: close failed for " + path);
+  }
   return written;
 }
 

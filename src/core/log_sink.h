@@ -198,15 +198,21 @@ std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs);
 
 /// Streams the reader to `out` in UsageLog::serialize's exact text format
 /// (header line + one tab-separated record per line, %.17g doubles),
-/// formatted into a 64 KiB buffer that goes out with one out.write each
-/// time it fills.  Returns the number of records written.
+/// formatting blocks of records on the calling thread and handing each
+/// block's text to one out.write.  Returns the number of records written.
 std::uint64_t write_log_text(LogReader& reader, std::ostream& out);
 
-/// write_log_text straight to a file: the buffer goes out with fwrite, so
-/// the text never exists in RAM beyond one buffer.  Creates parent
+/// write_log_text straight to a file, with the text formatted on up to
+/// `threads` threads: the calling thread reads records and fwrites each
+/// block's text in stream order, and threads - 1 formatter threads (capped
+/// at the core count; none for threads <= 1) format blocks in between,
+/// helped by the caller while it waits, so the bytes are the same for any
+/// `threads`.  Memory stays at a bounded ring of blocks.  Creates parent
 /// directories; throws std::runtime_error when the file cannot be opened,
-/// written or closed.  Returns the number of records written.
-std::uint64_t write_log_file(LogReader& reader, const std::string& path);
+/// written or closed, and on any failure removes the partial file (when it
+/// is a regular file) before rethrowing.  Returns the number of records
+/// written.
+std::uint64_t write_log_file(LogReader& reader, const std::string& path, std::size_t threads);
 
 /// Parses UsageLog text (serialize() output) record by record into `sink`,
 /// scanning lines and fields in place.  Throws std::invalid_argument on

@@ -368,8 +368,10 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
   if (!spec.log_file.empty()) {
     // Stream through a reader straight into the file, so neither branch
     // ever holds the log text in RAM (and a spilled run never materializes
-    // the merged log either).
-    core::write_log_file(*outcome.models.front().open_log_reader(), spec.log_file);
+    // the merged log either).  The pool has drained, so the whole thread
+    // budget formats the text.
+    core::write_log_file(*outcome.models.front().open_log_reader(), spec.log_file,
+                         total_threads);
   }
   if (!spec.stats_file.empty()) {
     util::write_text_file(spec.stats_file, outcome.stats_digest);

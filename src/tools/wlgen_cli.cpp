@@ -137,7 +137,9 @@ int run_classic(const cli::RunPlan& plan) {
   std::cout << "\n" << run.model_stats;
   if (!spec.log_file.empty()) {
     core::MemoryLogReader reader(run.log);
-    core::write_log_file(reader, spec.log_file);
+    core::write_log_file(
+        reader, spec.log_file,
+        runner::resolve_pool_threads(spec.threads, std::numeric_limits<std::size_t>::max()));
   }
 
   scenario::ScenarioOutcome outcome;
@@ -178,12 +180,12 @@ int cmd_run(const Args& args) {
   return 0;
 }
 
-/// The paper-expectation harness: runs the 23 registered figure/table
+/// The paper-expectation harness: runs the 25 registered figure/table
 /// experiments, grades them PASS/WARN/FAIL, and writes the artifact set.
 int cmd_experiments(const Args& args) {
   if (!args.positional.empty()) {
     // `experiments fig5_1` almost certainly meant `--only fig5_1`; running
-    // all 23 instead would silently ignore the selection.
+    // all 25 instead would silently ignore the selection.
     throw std::invalid_argument("unexpected argument '" + args.positional.front() +
                                 "' (to select experiments use --only id[,id...])");
   }

@@ -358,7 +358,7 @@ void expect_writers_match_reference(const std::vector<OpRecord>& records, const 
   const std::string dir = temp_dir(tag);
   const std::string path = dir + "/sub/usage.log";  // parent created on demand
   MemoryLogReader file_reader(log);
-  EXPECT_EQ(write_log_file(file_reader, path), records.size());
+  EXPECT_EQ(write_log_file(file_reader, path, 4), records.size());
   EXPECT_EQ(first_difference(util::read_text_file(path), expected), "") << "write_log_file";
   std::filesystem::remove_all(dir);
 }
@@ -440,6 +440,83 @@ TEST(TextWriter, MatchesIostreamReferenceOnEdgeValues) {
   expect_writers_match_reference({}, "writer_empty");
 }
 
+// Records per formatting block (kTextBlockRecords in log_sink.cpp).
+constexpr std::size_t kBlockRecords = 4096;
+
+// `count` varied records in the order a producer hands them to a SpillSink:
+// users ascending, each user's issue times nondecreasing.
+UsageLog spill_ordered_log(std::size_t count) {
+  std::mt19937_64 rng(count);
+  std::uniform_real_distribution<double> think(0.0, 5e4);
+  UsageLog log;
+  double issue = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto user = static_cast<std::uint32_t>(i / 97);
+    issue = i % 97 == 0 ? think(rng) : issue + think(rng);
+    OpRecord r = make_record(user, issue, think(rng) * 1e-3, rng() >> (rng() % 64));
+    r.op = static_cast<fsmodel::FsOpType>(rng() % 10);
+    r.file_id = rng();
+    log.append(r);
+  }
+  return log;
+}
+
+std::string text_of(LogReader& reader) {
+  std::ostringstream out;
+  write_log_text(reader, out);
+  return out.str();
+}
+
+TEST(TextWriter, WriteLogFileMatchesWriteLogTextAtEveryThreadCount) {
+  const std::string dir = temp_dir("writer_threads");
+  const std::string path = dir + "/usage.log";
+  for (const std::size_t count : {std::size_t{0}, std::size_t{1}, kBlockRecords - 1, kBlockRecords,
+                                  kBlockRecords + 1, 3 * kBlockRecords + 17}) {
+    SCOPED_TRACE(count);
+    const UsageLog log = spill_ordered_log(count);
+    MemoryLogReader memory_text(log);
+    const std::string memory_expected = text_of(memory_text);
+
+    // Several sorted runs, merged back by the loser tree.
+    SpillSink sink(dir + "/spool" + std::to_string(count), "t", 1500);
+    for (const OpRecord& r : log.records()) sink.append(r);
+    sink.close();
+    const std::string spilled_expected = text_of(*open_spilled_log(sink.runs()));
+
+    for (const std::size_t threads : {1, 2, 3, 4, 8}) {
+      SCOPED_TRACE(threads);
+      MemoryLogReader memory(log);
+      EXPECT_EQ(write_log_file(memory, path, threads), count);
+      EXPECT_EQ(first_difference(util::read_text_file(path), memory_expected), "");
+      EXPECT_EQ(write_log_file(*open_spilled_log(sink.runs()), path, threads), count);
+      EXPECT_EQ(first_difference(util::read_text_file(path), spilled_expected), "");
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TextWriter, WriteLogFileRemovesThePartialLogWhenARunIsTruncated) {
+  const std::string dir = temp_dir("writer_truncated");
+  const UsageLog log = spill_ordered_log(6 * kBlockRecords);
+  SpillSink sink(dir + "/spool", "t", 2 * kBlockRecords);
+  for (const OpRecord& r : log.records()) sink.append(r);
+  sink.close();
+  ASSERT_GE(sink.runs().size(), 2u);
+  // Cut the last run mid-stream: its first read chunk survives, so the
+  // reader throws only after several blocks are with the formatters.
+  const SpillRun& last = sink.runs().back();
+  std::filesystem::resize_file(last.path, kSpillHeaderBytes + (last.records / 2) * kSpillRecordBytes + 7);
+
+  const std::string path = dir + "/usage.log";
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const auto reader = open_spilled_log(sink.runs());
+    EXPECT_THROW(write_log_file(*reader, path, threads), std::runtime_error);
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TextWriter, WriteLogFileThrowsOnUnwritablePath) {
   const std::string dir = temp_dir("writer_unwritable");
   // A regular file where a parent directory should be: no directory can be
@@ -451,13 +528,19 @@ TEST(TextWriter, WriteLogFileThrowsOnUnwritablePath) {
   UsageLog log;
   log.append(make_record(1, 2.0, 3.0));
   MemoryLogReader reader(log);
-  EXPECT_THROW(write_log_file(reader, blocker + "/usage.log"), std::runtime_error);
+  EXPECT_THROW(write_log_file(reader, blocker + "/usage.log", 1), std::runtime_error);
   std::filesystem::remove_all(dir);
 
-  // A device that accepts the open but fails every write (Linux).
+  // A device that accepts the open but fails every write (Linux).  The
+  // larger log keeps formatter threads busy when the first write fails;
+  // the device itself must survive the cleanup of the partial log.
   if (std::filesystem::exists("/dev/full")) {
     MemoryLogReader again(log);
-    EXPECT_THROW(write_log_file(again, "/dev/full"), std::runtime_error);
+    EXPECT_THROW(write_log_file(again, "/dev/full", 1), std::runtime_error);
+    const UsageLog big = spill_ordered_log(5 * kBlockRecords);
+    MemoryLogReader big_reader(big);
+    EXPECT_THROW(write_log_file(big_reader, "/dev/full", 4), std::runtime_error);
+    EXPECT_TRUE(std::filesystem::exists("/dev/full"));
   }
 }
 
@@ -649,7 +732,7 @@ TEST(TextParser, ReadLogFilePrefixesThePath) {
   log.append(make_record(1, 2.0, 3.0));
   log.append(make_record(2, 4.0, 5.0));
   MemoryLogReader reader(log);
-  write_log_file(reader, path);
+  write_log_file(reader, path, 1);
   EXPECT_EQ(read_log_file(path).serialize(), log.serialize());
 
   std::FILE* f = std::fopen(path.c_str(), "ab");
