@@ -6,15 +6,8 @@
 // almost everything (flatter).  It isolates the mechanism DESIGN.md credits
 // for the figure's shape.
 
-#include "core/analysis.h"
-#include "core/fsc.h"
-#include "core/presets.h"
-#include "core/usim.h"
 #include "exp/workload.h"
 #include "experiments.h"
-#include "fs/filesystem.h"
-#include "fsmodel/nfs_model.h"
-#include "sim/simulation.h"
 
 namespace wlgen::bench {
 
@@ -22,27 +15,14 @@ namespace {
 
 double cache_point(std::size_t blocks, std::size_t users, std::size_t sessions,
                    std::uint64_t seed) {
-  sim::Simulation simulation;
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&simulation] { return simulation.now(); });
-  fsmodel::NfsParams params;
-  params.client_cache_blocks = blocks;
-  fsmodel::NfsModel nfs(simulation, params);
-  core::FscConfig fsc_config;
-  fsc_config.num_users = users;
-  fsc_config.seed = seed + users;
-  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-  core::UsimConfig usim_config;
-  usim_config.num_users = users;
-  usim_config.sessions_per_user = sessions;
-  usim_config.seed = seed + users;
-  core::Population population;
-  population.groups.push_back({core::extremely_heavy_user(), 1.0});
-  population.validate_and_normalize();
-  core::UserSimulator usim(simulation, fsys, nfs, manifest, population, usim_config);
-  usim.run();
-  return core::UsageAnalyzer(usim.log()).response_per_byte_us();
+  exp::WorkloadConfig config;
+  config.num_users = users;
+  config.sessions_per_user = sessions;
+  config.seed = seed + users;
+  config.model = runner::model_factory_by_name(
+      "nfs", {{"client_cache_blocks", static_cast<double>(blocks)}});
+  config.population.groups.push_back({core::extremely_heavy_user(), 1.0});
+  return exp::run_workload(config).response_per_byte_us;
 }
 
 }  // namespace

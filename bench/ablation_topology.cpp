@@ -8,15 +8,8 @@
 // shared client and (b) one client per user, both against the same server
 // and Ethernet — the late-80s diskless-workstation sizing question.
 
-#include "core/analysis.h"
-#include "core/fsc.h"
-#include "core/presets.h"
-#include "core/usim.h"
 #include "exp/workload.h"
 #include "experiments.h"
-#include "fs/filesystem.h"
-#include "fsmodel/nfs_model.h"
-#include "sim/simulation.h"
 
 namespace wlgen::bench {
 
@@ -24,28 +17,15 @@ namespace {
 
 double topology_point(std::size_t users, std::size_t clients, std::size_t sessions,
                       std::uint64_t seed) {
-  sim::Simulation simulation;
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&simulation] { return simulation.now(); });
-  fsmodel::NfsParams params;
-  params.num_clients = clients;
-  fsmodel::NfsModel nfs(simulation, params);
-  core::FscConfig fsc_config;
-  fsc_config.num_users = users;
-  fsc_config.seed = seed + users;
-  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-  core::UsimConfig config;
+  exp::WorkloadConfig config;
   config.num_users = users;
   config.sessions_per_user = sessions;
-  config.client_machines = clients;
   config.seed = seed + users;
-  core::Population population;
-  population.groups.push_back({core::extremely_heavy_user(), 1.0});
-  population.validate_and_normalize();
-  core::UserSimulator usim(simulation, fsys, nfs, manifest, population, config);
-  usim.run();
-  return core::UsageAnalyzer(usim.log()).response_per_byte_us();
+  config.model =
+      runner::model_factory_by_name("nfs", {{"num_clients", static_cast<double>(clients)}});
+  config.usim.client_machines = clients;
+  config.population.groups.push_back({core::extremely_heavy_user(), 1.0});
+  return exp::run_workload(config).response_per_byte_us;
 }
 
 }  // namespace

@@ -7,15 +7,12 @@
 // "what happens when the number of users changes?" — the question the
 // user-oriented generator exists for.
 
-#include <memory>
+#include <string>
 
 #include "core/baseline.h"
-#include "exp/workload.h"
 #include "experiments.h"
 #include "fs/filesystem.h"
-#include "fsmodel/local_model.h"
-#include "fsmodel/nfs_model.h"
-#include "fsmodel/wholefile_model.h"
+#include "runner/model_factory.h"
 #include "sim/simulation.h"
 
 namespace wlgen::bench {
@@ -27,16 +24,8 @@ struct BaselinePoint {
   double buchholz_ms = 0.0;
 };
 
-BaselinePoint baseline_point(exp::ModelKind kind) {
-  const auto make = [&](sim::Simulation& simulation) -> std::unique_ptr<fsmodel::FileSystemModel> {
-    switch (kind) {
-      case exp::ModelKind::nfs: return std::make_unique<fsmodel::NfsModel>(simulation);
-      case exp::ModelKind::local: return std::make_unique<fsmodel::LocalDiskModel>(simulation);
-      case exp::ModelKind::wholefile:
-        return std::make_unique<fsmodel::WholeFileCacheModel>(simulation);
-    }
-    throw std::logic_error("baseline_point: bad kind");
-  };
+BaselinePoint baseline_point(const std::string& name) {
+  const runner::ModelFactory make = runner::model_factory_by_name(name);
 
   BaselinePoint point;
   {
@@ -80,22 +69,18 @@ exp::Experiment make_baseline_bench() {
   };
 
   experiment.run = [](const exp::RunContext&) {
-    const std::vector<std::pair<std::string, exp::ModelKind>> candidates = {
-        {"nfs", exp::ModelKind::nfs},
-        {"local", exp::ModelKind::local},
-        {"wholefile", exp::ModelKind::wholefile},
-    };
+    const std::vector<std::string> candidates = {"nfs", "local", "wholefile"};
     exp::ExperimentResult result;
     result.x_label = "file-system model (0 = nfs, 1 = local, 2 = wholefile)";
     result.y_label = "elapsed (ms)";
     std::vector<double> index, andrew, buchholz;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const BaselinePoint point = baseline_point(candidates[i].second);
+      const BaselinePoint point = baseline_point(candidates[i]);
       index.push_back(static_cast<double>(i));
       andrew.push_back(point.andrew_total_ms);
       buchholz.push_back(point.buchholz_ms);
-      result.set_scalar("andrew_" + candidates[i].first + "_ms", point.andrew_total_ms);
-      result.set_scalar("buchholz_" + candidates[i].first + "_ms", point.buchholz_ms);
+      result.set_scalar("andrew_" + candidates[i] + "_ms", point.andrew_total_ms);
+      result.set_scalar("buchholz_" + candidates[i] + "_ms", point.buchholz_ms);
     }
     result.add_series("andrew total", index, andrew);
     result.add_series("buchholz update pass", index, buchholz);

@@ -5,38 +5,26 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
-#include "core/analysis.h"
-#include "core/fsc.h"
-#include "core/presets.h"
-#include "core/usim.h"
-#include "fsmodel/nfs_model.h"
+#include "runner/universe.h"
 
 namespace {
 
 using namespace wlgen;
 
 void run_usim_sessions(benchmark::State& state, std::size_t draw_batch) {
-  const std::size_t users = static_cast<std::size_t>(state.range(0));
+  const runner::UniverseEnv env;  // NFS, the DI86 profiles, the default population
+  core::UsimConfig config;
+  config.num_users = static_cast<std::size_t>(state.range(0));
+  config.sessions_per_user = 5;
+  config.draw_batch = draw_batch;
+  config.collect_log = false;  // measure the simulator, not the log
   std::uint64_t ops = 0;
   std::uint64_t sessions = 0;
   for (auto _ : state) {
     sim::Simulation simulation;
-    fs::SimulatedFileSystem fsys;
-    fsmodel::NfsModel nfs(simulation);
-    core::FscConfig fsc_config;
-    fsc_config.num_users = users;
-    core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-    const core::CreatedFileSystem manifest = fsc.create();
-    core::UsimConfig config;
-    config.num_users = users;
-    config.sessions_per_user = 5;
-    config.draw_batch = draw_batch;
-    config.collect_log = false;  // measure the simulator, not the log
-    core::UserSimulator usim(simulation, fsys, nfs, manifest, core::default_population(),
-                             config);
-    usim.run();
-    ops += usim.total_ops();
-    sessions += usim.sessions_completed();
+    const runner::UniverseRun run = runner::run_universe(simulation, env, config);
+    ops += run.ops;
+    sessions += run.sessions;
   }
   state.counters["syscalls/s"] =
       benchmark::Counter(static_cast<double>(ops), benchmark::Counter::kIsRate);

@@ -3,47 +3,20 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <utility>
 
-#include "fs/filesystem.h"
-#include "fsmodel/local_model.h"
-#include "fsmodel/nfs_model.h"
-#include "fsmodel/wholefile_model.h"
 #include "runner/contended_runner.h"
+#include "runner/universe.h"
 #include "sim/simulation.h"
 
 namespace wlgen::exp {
 
-namespace {
-
-std::unique_ptr<fsmodel::FileSystemModel> make_model(ModelKind kind, sim::Simulation& sim) {
-  switch (kind) {
-    case ModelKind::nfs: return std::make_unique<fsmodel::NfsModel>(sim);
-    case ModelKind::local: return std::make_unique<fsmodel::LocalDiskModel>(sim);
-    case ModelKind::wholefile: return std::make_unique<fsmodel::WholeFileCacheModel>(sim);
-  }
-  throw std::logic_error("make_model: bad kind");
-}
-
-}  // namespace
-
 WorkloadOutput run_workload(const WorkloadConfig& config) {
-  sim::Simulation simulation;
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&simulation] { return simulation.now(); });
-  auto model = make_model(config.model, simulation);
-  if (config.tune_model) config.tune_model(*model);
   config.traffic.validate();
-  if (config.traffic.faults.any()) {
-    traffic::install_faults(simulation, *model, config.traffic.faults);
-  }
-
-  core::FscConfig fsc_config;
-  fsc_config.num_users = config.num_users;
-  fsc_config.seed = config.seed;
-  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
+  runner::UniverseEnv env;
+  env.model_factory = config.model;
+  if (!config.population.groups.empty()) env.population = config.population;
+  env.faults = config.traffic.faults;
 
   core::UsimConfig usim_config = config.usim;
   usim_config.num_users = config.num_users;
@@ -53,15 +26,11 @@ WorkloadOutput run_workload(const WorkloadConfig& config) {
     usim_config.arrival_times_us = std::make_shared<const std::vector<std::vector<double>>>(
         traffic::assign_arrivals(*config.traffic.arrivals, config.num_users, config.seed));
   }
-  usim_config.churn = config.traffic.faults.churns;
 
-  core::Population population = config.population;
-  if (population.groups.empty()) population = core::default_population();
+  sim::Simulation simulation;
+  runner::UniverseRun run = runner::run_universe(simulation, env, std::move(usim_config));
 
-  core::UserSimulator usim(simulation, fsys, *model, manifest, population, usim_config);
-  usim.run();
-
-  const core::UsageAnalyzer analyzer(usim.log());
+  const core::UsageAnalyzer analyzer(run.log);
   WorkloadOutput out;
   out.response_per_byte_us = analyzer.response_per_byte_us();
   out.access_size = analyzer.access_size_stats();
@@ -69,10 +38,9 @@ WorkloadOutput run_workload(const WorkloadConfig& config) {
   out.sessions = analyzer.sessions();
   out.per_category = analyzer.per_category_usage();
   out.per_op = analyzer.per_op_stats();
-  out.total_ops = usim.total_ops();
-  out.simulated_us = simulation.now();
-  out.model_stats = model->stats_summary();
-  out.log = usim.log();
+  out.total_ops = run.ops;
+  out.simulated_us = run.simulated_us;
+  out.log = std::move(run.log);  // the analyzer kept no reference to it
   return out;
 }
 
@@ -86,13 +54,7 @@ std::vector<ContendedSweepPoint> contended_response_sweep(const ContendedSweepCo
   contended.seed = config.seed;
   contended.usim.sessions_per_user = config.sessions_per_user;
   contended.population = config.population;
-  // One ModelKind mapping for the whole file: a kind make_model doesn't
-  // know throws, instead of leaving a null factory for the runner's NFS
-  // default to paper over.
-  contended.model_factory = [kind = config.model](sim::Simulation& sim) {
-    return make_model(kind, sim);
-  };
-  contended.tune_model = config.tune_model;
+  contended.model_factory = config.model;
 
   runner::ContendedRunner run(std::move(contended));
   const runner::ContendedResult result = run.run();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -11,13 +10,11 @@
 #include "core/presets.h"
 #include "core/usim.h"
 #include "fsmodel/model.h"
+#include "runner/model_factory.h"
 #include "stats/summary.h"
 #include "traffic/traffic.h"
 
 namespace wlgen::exp {
-
-/// Which performance model a workload runs against.
-enum class ModelKind { nfs, local, wholefile };
 
 /// One full paper-style workload: FSC builds the file system, USIM runs the
 /// population, the analyzer digests the log.  Every registered experiment
@@ -27,10 +24,9 @@ struct WorkloadConfig {
   std::size_t num_users = 1;
   std::size_t sessions_per_user = 50;  ///< paper: "mean value during 50 login sessions"
   std::uint64_t seed = 1991;
-  ModelKind model = ModelKind::nfs;
-  core::Population population;
+  runner::ModelFactory model = runner::nfs_model_factory();  ///< see model_factory_by_name
+  core::Population population;  ///< empty = core::default_population()
   core::UsimConfig usim;  ///< num_users/sessions/seed are overwritten from above
-  std::function<void(fsmodel::FileSystemModel&)> tune_model;  ///< optional
 
   /// Open-system traffic (src/traffic/): when `traffic.arrivals` is set the
   /// run is open-loop (session starts follow the arrival process instead of
@@ -49,8 +45,7 @@ struct WorkloadOutput {
   std::map<fsmodel::FsOpType, core::OpTypeStats> per_op;
   std::uint64_t total_ops = 0;
   double simulated_us = 0.0;
-  std::string model_stats;
-  core::UsageLog log;  ///< full log (for figure histograms)
+  core::UsageLog log;  ///< full log (for figure histograms), moved out of the run
 };
 
 /// Runs one workload to completion.
@@ -67,9 +62,8 @@ struct ContendedSweepConfig {
   std::size_t replications = 1;
   std::size_t threads = 0;  ///< worker threads (0 = hardware concurrency)
   std::uint64_t seed = 1991;
-  ModelKind model = ModelKind::nfs;
+  runner::ModelFactory model = runner::nfs_model_factory();  ///< see model_factory_by_name
   core::Population population;  ///< empty = core::default_population()
-  std::function<void(fsmodel::FileSystemModel&)> tune_model;  ///< optional
 };
 
 /// One sweep point's merged outcome.

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/presets.h"
-#include "fs/filesystem.h"
 #include "obs/progress.h"
 #include "runner/pool.h"
 #include "util/rng.h"
@@ -29,10 +28,7 @@ struct ContendedRunner::JobOutcome {
   explicit JobOutcome(HistogramSpec spec) : stats(spec) {}
 
   RunnerStats stats;
-  double simulated_us = 0.0;
-  std::uint64_t ops = 0;
-  std::uint64_t sessions = 0;
-  std::uint64_t events = 0;
+  UniverseRun run;  ///< its backend is dropped as soon as the job finishes
 };
 
 ContendedRunner::ContendedRunner(ContendedConfig config) : config_(std::move(config)) {
@@ -53,30 +49,22 @@ ContendedRunner::ContendedRunner(ContendedConfig config) : config_(std::move(con
     throw std::invalid_argument(
         "ContendedRunner: open-loop arrivals require windows_per_user == 1");
   }
+  env_ = {config_.model_factory, config_.profiles, config_.fsc, config_.population,
+          config_.traffic.faults};
+  if (config_.tune_model) {
+    // Tuned before the faults go in, like any freshly built model.
+    env_.model_factory = [build = config_.model_factory,
+                          tune = config_.tune_model](sim::Simulation& sim) {
+      auto model = build(sim);
+      tune(*model);
+      return model;
+    };
+  }
 }
 
 void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
                                       std::uint64_t seed, JobOutcome& out,
                                       obs::SimSample* sample, obs::TraceRing* op_ring) const {
-  sim.reset();
-
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&sim] { return sim.now(); });
-  auto model = config_.model_factory(sim);
-  if (config_.tune_model) config_.tune_model(*model);
-  // Fault events land on the replication's shared model — the server-side
-  // disturbance every user of the point experiences together.
-  if (config_.traffic.faults.any()) {
-    traffic::install_faults(sim, *model, config_.traffic.faults);
-  }
-
-  core::FscConfig fsc_config = config_.fsc;
-  fsc_config.num_users = users;
-  fsc_config.first_user = 0;
-  fsc_config.seed = seed;
-  core::FileSystemCreator fsc(fsys, config_.profiles, fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-
   core::UsimConfig usim_config = config_.usim;
   usim_config.num_users = users;
   usim_config.first_user = 0;
@@ -90,7 +78,6 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
     usim_config.arrival_times_us = std::make_shared<const std::vector<std::vector<double>>>(
         traffic::assign_arrivals(*config_.traffic.arrivals, users, seed));
   }
-  usim_config.churn = config_.traffic.faults.churns;
   // Same single-observation-point pattern as ShardedRunner::run_user: obs
   // off means the historical record hook, bit for bit.
   if (sample == nullptr) {
@@ -108,19 +95,11 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
     };
   }
 
-  core::UserSimulator usim(sim, fsys, *model, manifest, config_.population, usim_config);
-  usim.run();
-
-  out.simulated_us = sim.now();
-  out.ops = usim.total_ops();
-  out.sessions = usim.sessions_completed();
-  out.events = sim.events_processed();
-  if (sample != nullptr) {
-    sample->sim_events = out.events;
-    sample->heap_high_water = sim.arena_high_water();
-    sample->rng_draws = usim.rng_draws();
-    sample->sessions = out.sessions;
-  }
+  // Fault events land on the replication's shared model — the server-side
+  // disturbance every user of the point experiences together.
+  out.run = run_universe(sim, env_, std::move(usim_config));
+  out.run.model.reset();
+  if (sample != nullptr) out.run.count_into(*sample);
 }
 
 ContendedResult ContendedRunner::run() {
@@ -132,7 +111,9 @@ ContendedResult ContendedRunner::run() {
   const std::size_t reps = config_.replications;
   const std::size_t jobs = points * reps;
 
-  std::vector<JobOutcome> outcomes(jobs, JobOutcome(config_.histogram));
+  std::vector<JobOutcome> outcomes;  // move-only: a slot briefly holds its backend
+  outcomes.reserve(jobs);
+  for (std::size_t j = 0; j < jobs; ++j) outcomes.emplace_back(config_.histogram);
   std::vector<ReplicationReport> reports(jobs);
 
   // Observability sinks: per-job samples (fold in fixed job order) and
@@ -175,9 +156,9 @@ ContendedResult ContendedRunner::run() {
       obs::ScopedStageTrace stage_trace(trace_on ? &stage_rings[j] : nullptr);
       run_replication(*sim, users, seed, outcomes[j], collect ? &samples[j] : nullptr,
                       trace_on ? &op_rings[j] : nullptr);
-      reports[j] = {p, r, seed, outcomes[j].ops, outcomes[j].events,
-                    outcomes[j].simulated_us, elapsed_ms(job_start)};
-      if (progress) progress->advance(1, outcomes[j].events, outcomes[j].simulated_us);
+      const UniverseRun& run = outcomes[j].run;
+      reports[j] = {p, r, seed, run.ops, run.events, run.simulated_us, elapsed_ms(job_start)};
+      if (progress) progress->advance(1, run.events, run.simulated_us);
     };
   }, pool_ptr);
 
@@ -194,8 +175,8 @@ ContendedResult ContendedRunner::run() {
       const JobOutcome& out = outcomes[p * reps + r];
       point.stats.merge(out.stats);
       point.replication_levels.push_back(out.stats.response_per_byte_us());
-      point.total_ops += out.ops;
-      point.sessions_completed += out.sessions;
+      point.total_ops += out.run.ops;
+      point.sessions_completed += out.run.sessions;
     }
     point.response_per_byte =
         stats::mean_confidence_interval(point.replication_levels, config_.confidence);

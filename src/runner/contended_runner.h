@@ -11,6 +11,7 @@
 #include "obs/obs.h"
 #include "runner/model_factory.h"
 #include "runner/stats.h"
+#include "runner/universe.h"
 #include "sim/simulation.h"
 #include "stats/summary.h"
 #include "traffic/traffic.h"
@@ -174,14 +175,15 @@ class ContendedRunner {
  private:
   struct JobOutcome;
 
-  /// Simulates one replication (all users of one sweep point) on the
-  /// worker's Simulation.  `sample`/`op_ring` are the per-job obs sinks;
-  /// null means the uninstrumented record hook.
+  /// Runs one replication (all users of one sweep point) as one universe
+  /// (run_universe) on the worker's Simulation.  `sample`/`op_ring` are the
+  /// per-job obs sinks; null means the uninstrumented record hook.
   void run_replication(sim::Simulation& sim, std::size_t users, std::uint64_t seed,
                        JobOutcome& out, obs::SimSample* sample,
                        obs::TraceRing* op_ring) const;
 
   ContendedConfig config_;
+  UniverseEnv env_;  ///< config_'s environment, tune_model folded into its factory
   bool ran_ = false;
 };
 

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "core/presets.h"
-#include "fs/filesystem.h"
 #include "obs/progress.h"
 #include "runner/checkpoint.h"
 #include "runner/pool.h"
@@ -54,14 +53,8 @@ std::runtime_error stray_user_error(const ShardCheckpoint& ckpt, std::uint32_t u
 struct ShardedRunner::UserOutcome {
   explicit UserOutcome(HistogramSpec spec) : stats(spec) {}
 
-  core::UsageLog log;
   RunnerStats stats;
-  double simulated_us = 0.0;
-  std::uint64_t ops = 0;
-  std::uint64_t sessions = 0;
-  std::uint64_t events = 0;
-  std::uint64_t rng_draws = 0;        ///< always set (checkpoints need it)
-  std::uint64_t heap_high_water = 0;  ///< always set (checkpoints need it)
+  UniverseRun run;  ///< its backend is dropped as soon as the user finishes
 };
 
 ShardedRunner::ShardedRunner(RunnerConfig config) : config_(std::move(config)) {
@@ -95,6 +88,8 @@ ShardedRunner::ShardedRunner(RunnerConfig config) : config_(std::move(config)) {
     throw std::invalid_argument(
         "ShardedRunner: open-loop arrivals require windows_per_user == 1");
   }
+  env_ = {config_.model_factory, config_.profiles, config_.fsc, config_.population,
+          config_.traffic.faults};
 }
 
 std::string ShardedRunner::fingerprint() const {
@@ -119,25 +114,6 @@ std::string ShardedRunner::fingerprint() const {
 void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome& out,
                              obs::SimSample* sample, obs::TraceRing* op_ring,
                              core::LogSink* sink, stats::QuantileSketch* sketch) const {
-  sim.reset();
-
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&sim] { return sim.now(); });
-  auto model = config_.model_factory(sim);
-  // Every user universe gets the same fault timeline — slowdown windows and
-  // cache flushes are server-side events that exist in each universe's copy
-  // of the environment, keeping the per-user purity the merge relies on.
-  if (config_.traffic.faults.any()) {
-    traffic::install_faults(sim, *model, config_.traffic.faults);
-  }
-
-  core::FscConfig fsc_config = config_.fsc;
-  fsc_config.num_users = 1;
-  fsc_config.first_user = user;
-  fsc_config.seed = config_.seed;
-  core::FileSystemCreator fsc(fsys, config_.profiles, fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
-
   core::UsimConfig usim_config = config_.usim;
   usim_config.num_users = 1;
   usim_config.first_user = user;
@@ -146,7 +122,6 @@ void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome
   usim_config.collect_log = config_.collect_log;
   usim_config.sink = sink;  // non-null => records stream to the shard's runs
   usim_config.arrival_times_us = arrivals_;
-  usim_config.churn = config_.traffic.faults.churns;
   // The record hook is the single observation point: when obs is off the
   // lambda is the minimal stats+sketch one, so the hot path stays lean.
   if (sample == nullptr) {
@@ -169,22 +144,9 @@ void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome
     };
   }
 
-  core::UserSimulator usim(sim, fsys, *model, manifest, config_.population, usim_config);
-  usim.run();
-
-  out.log = usim.take_log();
-  out.simulated_us = sim.now();
-  out.ops = usim.total_ops();
-  out.sessions = usim.sessions_completed();
-  out.events = sim.events_processed();
-  out.rng_draws = usim.rng_draws();
-  out.heap_high_water = sim.arena_high_water();
-  if (sample != nullptr) {
-    sample->sim_events = out.events;
-    sample->heap_high_water = out.heap_high_water;
-    sample->rng_draws = out.rng_draws;
-    sample->sessions = out.sessions;
-  }
+  out.run = run_universe(sim, env_, std::move(usim_config));
+  out.run.model.reset();
+  if (sample != nullptr) out.run.count_into(*sample);
 }
 
 RunnerResult ShardedRunner::run() {
@@ -204,7 +166,9 @@ RunnerResult ShardedRunner::run() {
         traffic::assign_arrivals(*config_.traffic.arrivals, num_users, config_.seed));
   }
 
-  std::vector<UserOutcome> outcomes(num_users, UserOutcome(config_.histogram));
+  std::vector<UserOutcome> outcomes;  // move-only: a slot briefly holds its backend
+  outcomes.reserve(num_users);
+  for (std::size_t u = 0; u < num_users; ++u) outcomes.emplace_back(config_.histogram);
   std::vector<ShardReport> reports(ranges.size());
   for (std::size_t s = 0; s < ranges.size(); ++s) {
     reports[s].shard = s;
@@ -319,9 +283,10 @@ RunnerResult ShardedRunner::run() {
         if (cancelled.load(std::memory_order_relaxed)) return;
         run_user(*sim, u, outcomes[u], collect ? &samples[u] : nullptr,
                  trace_on ? &op_rings[s] : nullptr, sink, &sketches[s]);
-        events += outcomes[u].events;
-        ops += outcomes[u].ops;
-        if (progress) progress->advance(1, outcomes[u].events, outcomes[u].simulated_us);
+        const UniverseRun& run = outcomes[u].run;
+        events += run.events;
+        ops += run.ops;
+        if (progress) progress->advance(1, run.events, run.simulated_us);
       }
       if (sink != nullptr) sinks[s]->close();
       if (config_.spill.checkpoint) {
@@ -336,10 +301,11 @@ RunnerResult ShardedRunner::run() {
         ckpt.events = events;
         ckpt.ops = ops;
         for (std::size_t u = ranges[s].begin; u < ranges[s].end; ++u) {
-          ckpt.sessions += outcomes[u].sessions;
-          ckpt.rng_draws += outcomes[u].rng_draws;
-          ckpt.heap_high_water = std::max(ckpt.heap_high_water, outcomes[u].heap_high_water);
-          ckpt.max_simulated_us = std::max(ckpt.max_simulated_us, outcomes[u].simulated_us);
+          const UniverseRun& run = outcomes[u].run;
+          ckpt.sessions += run.sessions;
+          ckpt.rng_draws += run.rng_draws;
+          ckpt.heap_high_water = std::max(ckpt.heap_high_water, run.heap_high_water);
+          ckpt.max_simulated_us = std::max(ckpt.max_simulated_us, run.simulated_us);
         }
         ckpt.runs = sinks[s]->runs();
         write_checkpoint(checkpoint_path(config_.spill.spool_dir, s), ckpt, fp);
@@ -361,12 +327,12 @@ RunnerResult ShardedRunner::run() {
   std::vector<core::UsageLog> user_logs;
   if (merge_in_memory) user_logs.reserve(num_users);
   for (std::size_t u = 0; u < num_users; ++u) {
-    UserOutcome& out = outcomes[u];
-    result.stats.merge(out.stats);
-    result.total_ops += out.ops;
-    result.sessions_completed += out.sessions;
-    if (out.simulated_us > result.max_simulated_us) result.max_simulated_us = out.simulated_us;
-    if (merge_in_memory) user_logs.push_back(std::move(out.log));
+    UniverseRun& run = outcomes[u].run;
+    result.stats.merge(outcomes[u].stats);
+    result.total_ops += run.ops;
+    result.sessions_completed += run.sessions;
+    if (run.simulated_us > result.max_simulated_us) result.max_simulated_us = run.simulated_us;
+    if (merge_in_memory) user_logs.push_back(std::move(run.log));
   }
   for (std::size_t s = 0; s < ranges.size(); ++s) {
     if (!resumed[s].has_value()) continue;

@@ -16,6 +16,7 @@
 #include "runner/model_factory.h"
 #include "runner/partition.h"
 #include "runner/stats.h"
+#include "runner/universe.h"
 #include "sim/simulation.h"
 #include "stats/sketch.h"
 #include "traffic/traffic.h"
@@ -204,9 +205,10 @@ class ShardedRunner {
  private:
   struct UserOutcome;
 
-  /// Simulates one user's universe on the worker's Simulation.  `sample`
-  /// (when collecting metrics) and `op_ring` (when tracing) are per-user /
-  /// per-shard obs sinks; null means the uninstrumented record hook.
+  /// Runs one user's universe (run_universe) on the worker's Simulation.
+  /// `sample` (when collecting metrics) and `op_ring` (when tracing) are
+  /// per-user / per-shard obs sinks; null means the uninstrumented record
+  /// hook.
   /// `sink` (when spilling) replaces the in-memory per-user log; `sketch`
   /// is the owning shard's quantile sketch (always set on sharded runs).
   void run_user(sim::Simulation& sim, std::size_t user, UserOutcome& out,
@@ -219,6 +221,7 @@ class ShardedRunner {
   std::string fingerprint() const;
 
   RunnerConfig config_;
+  UniverseEnv env_;  ///< config_'s environment, shared by every user universe
 
   /// Per-global-user session arrival lists (set once in run() before the
   /// worker pool starts; workers only read it).  Null in closed-loop runs.

@@ -9,16 +9,13 @@
 #include <sstream>
 #include <utility>
 
-#include "core/fsc.h"
 #include "core/log_sink.h"
-#include "core/presets.h"
 #include "core/replay.h"
-#include "core/usim.h"
-#include "fs/filesystem.h"
 #include "obs/progress.h"
 #include "runner/contended_runner.h"
 #include "runner/pool.h"
 #include "runner/sharded_runner.h"
+#include "runner/universe.h"
 #include "util/svg.h"
 #include "util/table.h"
 
@@ -401,20 +398,18 @@ SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, st
   // One serial Simulation: the model-stage ring stays installed throughout.
   obs::ScopedStageTrace stage_trace(obs.trace() ? &run.trace.stages : nullptr);
 
-  sim::Simulation simulation;
-  fs::SimulatedFileSystem fsys;
-  fsys.set_clock([&simulation] { return simulation.now(); });
-  auto fsmodel = model.factory()(simulation);
-
-  core::FscConfig fsc_config;
-  fsc_config.num_users = users;
-  fsc_config.seed = spec.seed;
-  core::FileSystemCreator fsc(fsys, core::di86_file_profiles(), fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
+  runner::UniverseEnv env;
+  env.model_factory = model.factory();
+  env.population = spec.population();
+  env.faults = spec.traffic.faults;
 
   core::UsimConfig config = spec.usim_config();
   config.num_users = users;
   config.seed = spec.seed;
+  if (spec.traffic.arrivals) {
+    config.arrival_times_us = std::make_shared<const std::vector<std::vector<double>>>(
+        traffic::assign_arrivals(*spec.traffic.arrivals, users, spec.seed));
+  }
   std::unique_ptr<obs::ProgressReporter> progress;
   if (obs.progress) {
     obs::ProgressReporter::Options options;
@@ -426,19 +421,16 @@ SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, st
       progress->note_sim_time(record.issue_time_us + record.response_us);
     };
   }
-  core::UserSimulator usim(simulation, fsys, *fsmodel, manifest, spec.population(), config);
-  usim.run();
+  sim::Simulation simulation;
+  runner::UniverseRun universe = runner::run_universe(simulation, env, std::move(config));
   if (progress) progress->stop();
 
-  run.log = usim.take_log();
-  run.sessions = usim.sessions_completed();
-  run.simulated_us = simulation.now();
-  run.model_stats = fsmodel->stats_summary();
+  run.log = std::move(universe.log);
+  run.sessions = universe.sessions;
+  run.simulated_us = universe.simulated_us;
+  run.model_stats = universe.model->stats_summary();
   if (obs.collect()) {
-    run.sample.sim_events = simulation.events_processed();
-    run.sample.heap_high_water = simulation.arena_high_water();
-    run.sample.rng_draws = usim.rng_draws();
-    run.sample.sessions = run.sessions;
+    universe.count_into(run.sample);
     tally_log(run.log, run.sample, obs.trace() ? &run.trace.ops : nullptr);
   }
   return run;

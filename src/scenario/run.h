@@ -115,10 +115,10 @@ struct SharedRun {
   obs::RunTrace trace;
 };
 
-/// One shared-machine run: `users` users on one Simulation, one simulated
-/// file system and one `model` backend, FSC and USIM seeded from the
-/// spec's root seed.  The single shared-universe path: the classic `wlgen
-/// run` (no --shards/--contended) and replay mode's trace recording and
+/// One shared-machine run: `users` users in one runner::run_universe
+/// universe on the `model` backend, FSC and USIM seeded from the spec's
+/// root seed, with the spec's arrivals and faults.  The classic `wlgen run`
+/// (no --shards/--contended) and replay mode's trace recording and
 /// synthetic leg all call it.  `obs.progress` adds a heartbeat on stderr;
 /// like every obs switch, none of them changes the log.
 SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, std::size_t users,

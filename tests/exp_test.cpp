@@ -1,6 +1,7 @@
 // Unit tests for src/exp: experiment registry, expectation-check verdicts,
 // ExperimentResult JSON round-trip, artifact writing (directory creation +
-// slugified names), and determinism of a real registered experiment.
+// slugified names), determinism of a real registered experiment, and
+// agreement between the front ends that run one FSC + USIM universe.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,11 @@
 #include "exp/harness.h"
 #include "exp/registry.h"
 #include "exp/result.h"
+#include "exp/workload.h"
 #include "experiments.h"
+#include "runner/contended_runner.h"
+#include "scenario/run.h"
+#include "scenario/spec.h"
 #include "util/json.h"
 #include "util/strings.h"
 
@@ -293,6 +298,54 @@ TEST(Determinism, ContendedResponseExperimentIsThreadInvariant) {
   parallel.contended_threads = 8;
   EXPECT_EQ(experiment.run(serial).to_json().dump(),
             experiment.run(parallel).to_json().dump());
+}
+
+TEST(FrontEnds, WorkloadSharedRunAndContendedReplicationAgree) {
+  // run_workload, generate_shared and a one-replication contended point are
+  // three callers of runner::run_universe; on the same workload they must
+  // produce the same log and the same statistics, bit for bit.
+  for (const double heavy : {1.0, 0.5}) {
+    SCOPED_TRACE(heavy);
+    WorkloadConfig config;
+    config.num_users = 3;
+    config.sessions_per_user = 6;
+    config.seed = 77;
+    config.model = runner::model_factory_by_name("local");
+    config.population = core::mixed_population(heavy);
+    const WorkloadOutput workload = run_workload(config);
+    ASSERT_GT(workload.total_ops, 0u);
+
+    const scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse_text(
+        "[scenario]\nmode = sharded\nseed = 77\n[workload]\nusers = 3\nsessions = 6\n"
+        "heavy_fraction = " + std::to_string(heavy) + "\n[model]\nname = local\n");
+    const scenario::SharedRun shared = scenario::generate_shared(spec, spec.models.front(), 3);
+    EXPECT_EQ(workload.log.serialize(), shared.log.serialize());
+
+    runner::ContendedConfig contended;
+    contended.user_points = {3};
+    contended.seed = 77;
+    contended.usim.sessions_per_user = 6;
+    contended.population = core::mixed_population(heavy);
+    contended.model_factory = runner::model_factory_by_name("local");
+    const runner::ContendedResult result = runner::ContendedRunner(contended).run();
+    ASSERT_EQ(result.points.size(), 1u);
+    const runner::RunnerStats& got = result.points.front().stats;
+
+    config.seed = runner::replication_seed(77, 0);
+    const WorkloadOutput replication = run_workload(config);
+    runner::RunnerStats want;
+    for (const auto& record : replication.log.records()) want.add(record);
+    EXPECT_EQ(got.ops(), want.ops());
+    EXPECT_EQ(got.bytes_moved(), want.bytes_moved());
+    EXPECT_EQ(got.response_us().mean(), want.response_us().mean());
+    EXPECT_EQ(got.response_us().variance(), want.response_us().variance());
+    EXPECT_EQ(got.response_us().min(), want.response_us().min());
+    EXPECT_EQ(got.response_us().max(), want.response_us().max());
+    EXPECT_EQ(got.access_size().mean(), want.access_size().mean());
+    EXPECT_EQ(got.access_size().variance(), want.access_size().variance());
+    EXPECT_EQ(got.response_per_byte_us(), want.response_per_byte_us());
+    EXPECT_EQ(got.response_histogram().counts(), want.response_histogram().counts());
+  }
 }
 
 }  // namespace
