@@ -5,6 +5,9 @@
 #
 #   scenarios/<stem>.stats  the `[output] stats` digest of every committed
 #                           scenarios/*.scn, at --threads 1 and 4;
+#   metrics/<stem>.json     each group's `metrics` object from the same runs'
+#                           `--metrics` report (`timing` holds wall-clock and
+#                           pool counters, so it is left out);
 #   run_<form>.sha256       the SHA-256 of the usage log `wlgen run ... --log`
 #                           writes: classic, --shards 4 at --threads 1 and 4,
 #                           and --shards 4 --spill (at --threads 1 and 4);
@@ -68,6 +71,21 @@ function(check golden actual)
   endif()
 endfunction()
 
+# Reads a `--metrics` report and keeps its `groups` array without each
+# group's `timing` object, re-serialized by CMake (keys sorted, trailing
+# blanks dropped).
+function(metrics_groups out report)
+  file(READ ${report} json)
+  string(JSON count LENGTH "${json}" groups)
+  math(EXPR last "${count} - 1")
+  foreach(i RANGE ${last})
+    string(JSON json REMOVE "${json}" groups ${i} timing)
+  endforeach()
+  string(JSON groups GET "${json}" groups)
+  string(REGEX REPLACE " +\n" "\n" groups "${groups}")
+  set(${out} "${groups}" PARENT_SCOPE)
+endfunction()
+
 file(GLOB scenarios ${SOURCE_DIR}/scenarios/*.scn)
 foreach(scn IN LISTS scenarios)
   get_filename_component(stem ${scn} NAME_WE)
@@ -76,9 +94,12 @@ foreach(scn IN LISTS scenarios)
     set(CHECK_LABEL "scenario ${stem} --threads ${threads}")
     set(stats ${WORK_DIR}/${stem}_t${threads}.stats)
     file(WRITE ${WORK_DIR}/${stem}.scn "${text}\n[output]\nstats = ${stats}\n")
-    wlgen(scenario run ${WORK_DIR}/${stem}.scn --threads ${threads})
+    set(metrics ${WORK_DIR}/${stem}_t${threads}.metrics.json)
+    wlgen(scenario run ${WORK_DIR}/${stem}.scn --threads ${threads} --metrics ${metrics})
     file(READ ${stats} digest)
     check(${GOLDEN_DIR}/scenarios/${stem}.stats "${digest}")
+    metrics_groups(groups ${metrics})
+    check(${GOLDEN_DIR}/metrics/${stem}.json "${groups}\n")
   endforeach()
 endforeach()
 
