@@ -17,9 +17,9 @@ double cache_point(std::size_t blocks, std::size_t users, std::size_t sessions,
                    std::uint64_t seed) {
   exp::WorkloadConfig config;
   config.num_users = users;
-  config.sessions_per_user = sessions;
+  config.usim.sessions_per_user = sessions;
   config.seed = seed + users;
-  config.model = runner::model_factory_by_name(
+  config.model_factory = runner::model_factory_by_name(
       "nfs", {{"client_cache_blocks", static_cast<double>(blocks)}});
   config.population.groups.push_back({core::extremely_heavy_user(), 1.0});
   return exp::run_workload(config).response_per_byte_us;

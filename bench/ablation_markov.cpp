@@ -37,7 +37,7 @@ exp::Experiment make_ablation_markov() {
     for (const double p : persistences) {
       exp::WorkloadConfig config;
       config.num_users = 4;
-      config.sessions_per_user = ctx.sessions(40);
+      config.usim.sessions_per_user = ctx.sessions(40);
       config.seed = ctx.seed + 808;
       config.usim.markov_persistence = p;
       levels.push_back(exp::run_workload(config).response_per_byte_us);

@@ -19,9 +19,9 @@ double topology_point(std::size_t users, std::size_t clients, std::size_t sessio
                       std::uint64_t seed) {
   exp::WorkloadConfig config;
   config.num_users = users;
-  config.sessions_per_user = sessions;
+  config.usim.sessions_per_user = sessions;
   config.seed = seed + users;
-  config.model =
+  config.model_factory =
       runner::model_factory_by_name("nfs", {{"num_clients", static_cast<double>(clients)}});
   config.usim.client_machines = clients;
   config.population.groups.push_back({core::extremely_heavy_user(), 1.0});

@@ -18,7 +18,7 @@ exp::Experiment response_experiment(std::string id, std::string artifact, std::s
   experiment.run = [population = std::move(population)](const exp::RunContext& ctx) {
     exp::ContendedSweepConfig sweep;
     sweep.max_users = 6;
-    sweep.sessions_per_user = ctx.sessions(50);
+    sweep.usim.sessions_per_user = ctx.sessions(50);
     sweep.replications = ctx.replications;
     sweep.threads = ctx.contended_threads;
     sweep.seed = ctx.seed;

@@ -40,8 +40,8 @@ exp::Experiment make_compare_fs() {
       for (const std::string& name : candidates) {
         exp::WorkloadConfig config;
         config.num_users = users;
-        config.sessions_per_user = ctx.sessions(40);
-        config.model = runner::model_factory_by_name(name);
+        config.usim.sessions_per_user = ctx.sessions(40);
+        config.model_factory = runner::model_factory_by_name(name);
         config.seed = ctx.seed + 53;
         levels[name][users] = exp::run_workload(config).response_per_byte_us;
       }

@@ -50,7 +50,7 @@ exp::Experiment make_fig5_12() {
       population.validate_and_normalize();
       exp::WorkloadConfig config;
       config.num_users = 1;
-      config.sessions_per_user = ctx.sessions(50);  // paper: mean over 50 login sessions
+      config.usim.sessions_per_user = ctx.sessions(50);  // paper: mean over 50 login sessions
       config.population = population;
       config.seed = ctx.seed + 512 + static_cast<std::uint64_t>(mean);
       const exp::WorkloadOutput out = exp::run_workload(config);

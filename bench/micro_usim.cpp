@@ -12,7 +12,8 @@ namespace {
 using namespace wlgen;
 
 void run_usim_sessions(benchmark::State& state, std::size_t draw_batch) {
-  const runner::UniverseEnv env;  // NFS, the DI86 profiles, the default population
+  runner::WorkloadConfig workload;
+  workload.resolve();  // NFS, the DI86 profiles, the default population
   core::UsimConfig config;
   config.num_users = static_cast<std::size_t>(state.range(0));
   config.sessions_per_user = 5;
@@ -22,7 +23,7 @@ void run_usim_sessions(benchmark::State& state, std::size_t draw_batch) {
   std::uint64_t sessions = 0;
   for (auto _ : state) {
     sim::Simulation simulation;
-    const runner::UniverseRun run = runner::run_universe(simulation, env, config);
+    const runner::UniverseRun run = runner::run_universe(simulation, workload, config);
     ops += run.ops;
     sessions += run.sessions;
   }

@@ -37,7 +37,7 @@ exp::Experiment make_table5_2() {
   experiment.run = [](const exp::RunContext& ctx) {
     exp::WorkloadConfig config;
     config.num_users = 1;
-    config.sessions_per_user = ctx.sessions(600);  // "after simulating 600 login sessions"
+    config.usim.sessions_per_user = ctx.sessions(600);  // "after simulating 600 login sessions"
     config.seed = ctx.seed;
     const exp::WorkloadOutput out = exp::run_workload(config);
 

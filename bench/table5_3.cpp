@@ -39,7 +39,7 @@ exp::Experiment make_table5_3() {
     for (std::size_t u = 1; u <= 6; ++u) {
       exp::WorkloadConfig config;
       config.num_users = u;
-      config.sessions_per_user = ctx.sessions(50);  // paper: mean over 50 login sessions
+      config.usim.sessions_per_user = ctx.sessions(50);  // paper: mean over 50 login sessions
       config.seed = ctx.seed + u;
       const exp::WorkloadOutput out = exp::run_workload(config);
       users.push_back(static_cast<double>(u));

@@ -47,7 +47,7 @@ exp::Experiment make_table5_4() {
       population.validate_and_normalize();
       exp::WorkloadConfig config;
       config.num_users = 1;
-      config.sessions_per_user = ctx.sessions(30);
+      config.usim.sessions_per_user = ctx.sessions(30);
       config.population = population;
       config.seed = ctx.seed;
       const exp::WorkloadOutput out = exp::run_workload(config);

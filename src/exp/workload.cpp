@@ -6,29 +6,19 @@
 #include <utility>
 
 #include "runner/contended_runner.h"
-#include "runner/universe.h"
 #include "sim/simulation.h"
 
 namespace wlgen::exp {
 
 WorkloadOutput run_workload(const WorkloadConfig& config) {
-  config.traffic.validate();
-  runner::UniverseEnv env;
-  env.model_factory = config.model;
-  if (!config.population.groups.empty()) env.population = config.population;
-  env.faults = config.traffic.faults;
-
-  core::UsimConfig usim_config = config.usim;
+  runner::WorkloadConfig workload = config;
+  workload.resolve();
+  core::UsimConfig usim_config = workload.usim;
   usim_config.num_users = config.num_users;
-  usim_config.sessions_per_user = config.sessions_per_user;
-  usim_config.seed = config.seed;
-  if (config.traffic.arrivals) {
-    usim_config.arrival_times_us = std::make_shared<const std::vector<std::vector<double>>>(
-        traffic::assign_arrivals(*config.traffic.arrivals, config.num_users, config.seed));
-  }
+  usim_config.seed = workload.seed;
 
   sim::Simulation simulation;
-  runner::UniverseRun run = runner::run_universe(simulation, env, std::move(usim_config));
+  runner::UniverseRun run = runner::run_universe(simulation, workload, std::move(usim_config));
 
   const core::UsageAnalyzer analyzer(run.log);
   WorkloadOutput out;
@@ -45,16 +35,12 @@ WorkloadOutput run_workload(const WorkloadConfig& config) {
 }
 
 std::vector<ContendedSweepPoint> contended_response_sweep(const ContendedSweepConfig& config) {
-  runner::ContendedConfig contended;
+  runner::ContendedConfig contended{config};
   for (std::size_t users = 1; users <= config.max_users; ++users) {
     contended.user_points.push_back(users);
   }
   contended.replications = config.replications;
   contended.threads = config.threads;
-  contended.seed = config.seed;
-  contended.usim.sessions_per_user = config.sessions_per_user;
-  contended.population = config.population;
-  contended.model_factory = config.model;
 
   runner::ContendedRunner run(std::move(contended));
   const runner::ContendedResult result = run.run();
@@ -92,8 +78,7 @@ const WorkloadOutput& characterisation_run(std::size_t sessions, std::uint64_t s
   if (compute) {
     try {
       WorkloadConfig config;
-      config.num_users = 1;
-      config.sessions_per_user = sessions;
+      config.usim.sessions_per_user = sessions;
       config.seed = seed;
       promise.set_value(std::make_shared<const WorkloadOutput>(run_workload(config)));
     } catch (...) {

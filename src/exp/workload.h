@@ -6,33 +6,20 @@
 #include <vector>
 
 #include "core/analysis.h"
-#include "core/fsc.h"
-#include "core/presets.h"
-#include "core/usim.h"
 #include "fsmodel/model.h"
-#include "runner/model_factory.h"
+#include "runner/universe.h"
 #include "stats/summary.h"
-#include "traffic/traffic.h"
 
 namespace wlgen::exp {
 
-/// One full paper-style workload: FSC builds the file system, USIM runs the
-/// population, the analyzer digests the log.  Every registered experiment
-/// goes through this so results stay comparable (formerly
-/// bench/common/experiment.h).
-struct WorkloadConfig {
+/// One full paper-style workload: FSC builds the file system, USIM runs
+/// `num_users` users on one machine, the analyzer digests the log.  Every
+/// registered experiment goes through this so results stay comparable.
+/// The session count is usim.sessions_per_user (paper: "mean value during
+/// 50 login sessions"); usim.num_users and usim.seed are set from
+/// `num_users` and `seed`.
+struct WorkloadConfig : runner::WorkloadConfig {
   std::size_t num_users = 1;
-  std::size_t sessions_per_user = 50;  ///< paper: "mean value during 50 login sessions"
-  std::uint64_t seed = 1991;
-  runner::ModelFactory model = runner::nfs_model_factory();  ///< see model_factory_by_name
-  core::Population population;  ///< empty = core::default_population()
-  core::UsimConfig usim;  ///< num_users/sessions/seed are overwritten from above
-
-  /// Open-system traffic (src/traffic/): when `traffic.arrivals` is set the
-  /// run is open-loop (session starts follow the arrival process instead of
-  /// think-time gaps) and `traffic.faults` perturbations are installed on
-  /// the DES timeline.  Inert by default.
-  traffic::TrafficConfig traffic;
 };
 
 /// Everything an experiment needs to build its figure/table series.
@@ -56,14 +43,10 @@ WorkloadOutput run_workload(const WorkloadConfig& config);
 /// one population, each load point replicated `replications` times with
 /// independent seeds and executed on runner::ContendedRunner's
 /// (point x replication) worker pool.
-struct ContendedSweepConfig {
-  std::size_t max_users = 6;           ///< sweep points are 1..max_users
-  std::size_t sessions_per_user = 50;  ///< paper: mean over 50 login sessions
+struct ContendedSweepConfig : runner::WorkloadConfig {
+  std::size_t max_users = 6;  ///< sweep points are 1..max_users
   std::size_t replications = 1;
   std::size_t threads = 0;  ///< worker threads (0 = hardware concurrency)
-  std::uint64_t seed = 1991;
-  runner::ModelFactory model = runner::nfs_model_factory();  ///< see model_factory_by_name
-  core::Population population;  ///< empty = core::default_population()
 };
 
 /// One sweep point's merged outcome.

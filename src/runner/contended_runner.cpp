@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/presets.h"
 #include "obs/progress.h"
 #include "runner/pool.h"
 #include "util/rng.h"
@@ -41,20 +40,12 @@ ContendedRunner::ContendedRunner(ContendedConfig config) : config_(std::move(con
   if (config_.replications == 0) {
     throw std::invalid_argument("ContendedRunner: need >= 1 replication");
   }
-  if (config_.profiles.empty()) config_.profiles = core::di86_file_profiles();
-  if (config_.population.groups.empty()) config_.population = core::default_population();
-  if (!config_.model_factory) config_.model_factory = nfs_model_factory();
-  config_.traffic.validate();
-  if (config_.traffic.arrivals && config_.usim.windows_per_user != 1) {
-    throw std::invalid_argument(
-        "ContendedRunner: open-loop arrivals require windows_per_user == 1");
-  }
-  env_ = {config_.model_factory, config_.profiles, config_.fsc, config_.population,
-          config_.traffic.faults};
+  config_.resolve();
   if (config_.tune_model) {
     // Tuned before the faults go in, like any freshly built model.
-    env_.model_factory = [build = config_.model_factory,
-                          tune = config_.tune_model](sim::Simulation& sim) {
+    config_.model_factory = [build = std::move(config_.model_factory),
+                             tune = std::exchange(config_.tune_model, nullptr)](
+                                sim::Simulation& sim) {
       auto model = build(sim);
       tune(*model);
       return model;
@@ -71,13 +62,6 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
   usim_config.population_users = users;
   usim_config.seed = seed;
   usim_config.collect_log = false;  // aggregates only; replications do not share a log
-  // Open-loop arrivals: each replication deals its own timeline from its
-  // replication seed — a pure function of (config, users, seed), so results
-  // stay thread-invariant and replications stay independent.
-  if (config_.traffic.arrivals) {
-    usim_config.arrival_times_us = std::make_shared<const std::vector<std::vector<double>>>(
-        traffic::assign_arrivals(*config_.traffic.arrivals, users, seed));
-  }
   // Same single-observation-point pattern as ShardedRunner::run_user: obs
   // off means the historical record hook, bit for bit.
   if (sample == nullptr) {
@@ -96,8 +80,9 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
   }
 
   // Fault events land on the replication's shared model — the server-side
-  // disturbance every user of the point experiences together.
-  out.run = run_universe(sim, env_, std::move(usim_config));
+  // disturbance every user of the point experiences together — and the
+  // universe deals its own arrival timeline from the replication seed.
+  out.run = run_universe(sim, config_, std::move(usim_config));
   out.run.model.reset();
   if (sample != nullptr) out.run.count_into(*sample);
 }

@@ -4,17 +4,12 @@
 #include <functional>
 #include <vector>
 
-#include "core/fsc.h"
-#include "core/usim.h"
-#include "core/workload.h"
 #include "fsmodel/model.h"
 #include "obs/obs.h"
-#include "runner/model_factory.h"
 #include "runner/stats.h"
 #include "runner/universe.h"
 #include "sim/simulation.h"
 #include "stats/summary.h"
-#include "traffic/traffic.h"
 
 namespace wlgen::runner {
 
@@ -36,16 +31,20 @@ namespace wlgen::runner {
 /// adjacent points (see DESIGN.md "Contended runner").
 std::uint64_t replication_seed(std::uint64_t root_seed, std::size_t replication);
 
-/// Configuration of a contended run: a sweep over simultaneous-user counts
-/// (the x-axis of Figures 5.6–5.11), each point replicated R times with
-/// independent seeds.
-struct ContendedConfig {
+/// Configuration of a contended run: the workload (WorkloadConfig, resolved
+/// by the constructor) swept over simultaneous-user counts (the x-axis of
+/// Figures 5.6–5.11), each point replicated R times with independent seeds.
+/// Each replication is one universe with its own replication_seed(): its
+/// own FSC layout, user streams and arrival timeline, with the fault plan
+/// installed on its shared model — pure functions of (config, point,
+/// replication), so thread invariance holds with traffic on.  Every own
+/// field has a default member initializer, so `ContendedConfig{workload}`
+/// builds a complete config.
+struct ContendedConfig : WorkloadConfig {
   /// Simultaneous-user counts to sweep, in output order (e.g. {1,...,6}).
-  std::vector<std::size_t> user_points;
+  std::vector<std::size_t> user_points{};
 
-  /// Independent replications per sweep point (>= 1).  Each replication is a
-  /// complete universe: its own FSC layout and user streams under its own
-  /// replication_seed().
+  /// Independent replications per sweep point (>= 1).
   std::size_t replications = 1;
 
   /// Worker threads executing (point x replication) jobs (0 = min(jobs,
@@ -53,46 +52,20 @@ struct ContendedConfig {
   /// results.
   std::size_t threads = 0;
 
-  /// Root seed; see replication_seed().
-  std::uint64_t seed = 1991;
-
   /// Confidence level of the cross-replication interval (0.90|0.95|0.99).
   double confidence = 0.95;
 
-  /// Per-user behaviour.  num_users, first_user, population_users, seed,
-  /// collect_log and the record hook are overwritten per replication.
-  core::UsimConfig usim;
-
-  /// File-system layout; num_users/first_user/seed overwritten.
-  core::FscConfig fsc;
-
-  /// Initial-file-system category profiles (empty = core::di86_file_profiles()).
-  std::vector<core::FileCategoryProfile> profiles;
-
-  /// User-type mixture (empty groups = core::default_population()).
-  core::Population population;
-
   /// Geometry of the per-point response-time histograms.
-  HistogramSpec histogram;
-
-  /// Model per replication — shared by all of that replication's users
-  /// (null = nfs_model_factory()).
-  ModelFactory model_factory;
+  HistogramSpec histogram{};
 
   /// Optional tuning applied to every freshly built model (parameter
-  /// ablations), invoked before any op is planned.
-  std::function<void(fsmodel::FileSystemModel&)> tune_model;
+  /// ablations), invoked before any op is planned.  The constructor folds
+  /// it into model_factory.
+  std::function<void(fsmodel::FileSystemModel&)> tune_model{};
 
   /// Observability switches (all off by default — the default run takes
   /// exactly the uninstrumented hot path).
-  obs::ObsConfig obs;
-
-  /// Open-system traffic (src/traffic/): optional open-loop arrivals plus a
-  /// fault plan.  Each replication generates its own arrival timeline from
-  /// its replication_seed() (independent replications stay independent) and
-  /// installs the fault events on its shared model — pure functions of
-  /// (config, point, replication), so thread invariance is unchanged.
-  traffic::TrafficConfig traffic;
+  obs::ObsConfig obs{};
 };
 
 /// Per-replication execution accounting (reporting only — results never
@@ -182,8 +155,7 @@ class ContendedRunner {
                        JobOutcome& out, obs::SimSample* sample,
                        obs::TraceRing* op_ring) const;
 
-  ContendedConfig config_;
-  UniverseEnv env_;  ///< config_'s environment, tune_model folded into its factory
+  ContendedConfig config_;  ///< resolved, tune_model folded into model_factory
   bool ran_ = false;
 };
 

@@ -10,7 +10,6 @@
 #include <string>
 #include <utility>
 
-#include "core/presets.h"
 #include "obs/progress.h"
 #include "runner/checkpoint.h"
 #include "runner/pool.h"
@@ -80,16 +79,7 @@ ShardedRunner::ShardedRunner(RunnerConfig config) : config_(std::move(config)) {
   if (config_.spill.resume && !config_.spill.checkpoint) {
     throw std::invalid_argument("ShardedRunner: resume requires checkpointing");
   }
-  if (config_.profiles.empty()) config_.profiles = core::di86_file_profiles();
-  if (config_.population.groups.empty()) config_.population = core::default_population();
-  if (!config_.model_factory) config_.model_factory = nfs_model_factory();
-  config_.traffic.validate();
-  if (config_.traffic.arrivals && config_.usim.windows_per_user != 1) {
-    throw std::invalid_argument(
-        "ShardedRunner: open-loop arrivals require windows_per_user == 1");
-  }
-  env_ = {config_.model_factory, config_.profiles, config_.fsc, config_.population,
-          config_.traffic.faults};
+  config_.resolve();
 }
 
 std::string ShardedRunner::fingerprint() const {
@@ -144,7 +134,7 @@ void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome
     };
   }
 
-  out.run = run_universe(sim, env_, std::move(usim_config));
+  out.run = run_universe(sim, config_, std::move(usim_config));
   out.run.model.reset();
   if (sample != nullptr) out.run.count_into(*sample);
 }

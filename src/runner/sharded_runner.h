@@ -1,25 +1,18 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/fsc.h"
 #include "core/log_sink.h"
-#include "core/usim.h"
-#include "core/workload.h"
-#include "fsmodel/model.h"
 #include "obs/obs.h"
 #include "runner/merge.h"
-#include "runner/model_factory.h"
 #include "runner/partition.h"
 #include "runner/stats.h"
 #include "runner/universe.h"
 #include "sim/simulation.h"
 #include "stats/sketch.h"
-#include "traffic/traffic.h"
 
 namespace wlgen::runner {
 
@@ -56,8 +49,15 @@ struct SpillConfig {
   std::string config_tag;
 };
 
-/// Configuration of a sharded run.
-struct RunnerConfig {
+/// Configuration of a sharded run: the workload (WorkloadConfig, resolved by
+/// the constructor) plus the sharded runner's own fields.  The arrival
+/// timeline is generated once per run from `seed` and dealt to users by
+/// global index, and faults are installed identically in every user
+/// universe — both pure functions of the config, so the shard/thread
+/// invariance contract holds with traffic on.  Every own field has a
+/// default member initializer, so `RunnerConfig{workload}` builds a
+/// complete config.
+struct RunnerConfig : WorkloadConfig {
   /// Total simulated users (the global index space [0, num_users)).
   std::size_t num_users = 1;
 
@@ -69,28 +69,11 @@ struct RunnerConfig {
   /// concurrency)).  Purely an execution knob; never affects results.
   std::size_t threads = 0;
 
-  /// Root seed for both the FSC layout and the user behaviour streams.
-  std::uint64_t seed = 1991;
-
-  /// Per-user behaviour (sessions_per_user, think/markov/pattern switches).
-  /// num_users, first_user, population_users, seed and the record hook are
-  /// overwritten per user range.
-  core::UsimConfig usim;
-
-  /// Per-universe file-system layout; num_users/first_user/seed overwritten.
-  core::FscConfig fsc;
-
-  /// Initial-file-system category profiles (empty = core::di86_file_profiles()).
-  std::vector<core::FileCategoryProfile> profiles;
-
-  /// User-type mixture (empty groups = core::default_population()).
-  core::Population population;
-
   /// Geometry of the merged response-time histogram.  Every user holds one
   /// private histogram during the run (the per-user slots are what make the
   /// merge fold K-invariant), so the transient footprint is ~8 bytes x bins
   /// per user — shrink bins for multi-million-user sweeps.
-  HistogramSpec histogram;
+  HistogramSpec histogram{};
 
   /// Retain and merge the per-op usage log.  With `spill.enabled` the log
   /// streams to disk instead of RAM, so even million-user runs can keep
@@ -99,22 +82,11 @@ struct RunnerConfig {
   bool collect_log = true;
 
   /// Disk-spill / checkpoint-resume switches (off = historical behaviour).
-  SpillConfig spill;
-
-  /// Model per user (null = nfs_model_factory()).
-  ModelFactory model_factory;
-
-  /// Open-system traffic: optional open-loop arrivals plus a fault plan
-  /// (src/traffic/).  The arrival timeline is generated once per run from
-  /// `seed` and dealt to users by global index, and faults are installed
-  /// identically in every user universe — both pure functions of the
-  /// config, so the shard/thread invariance contract is unchanged.  A
-  /// default (inert) TrafficConfig leaves every code path byte-identical.
-  traffic::TrafficConfig traffic;
+  SpillConfig spill{};
 
   /// Observability switches (all off by default — the default run takes
   /// exactly the uninstrumented hot path).
-  obs::ObsConfig obs;
+  obs::ObsConfig obs{};
 };
 
 /// Per-shard execution accounting (reporting only — results never depend
@@ -184,8 +156,8 @@ struct RunnerResult {
 /// behaviour; the runner extends it to the whole environment, which is what
 /// makes the merged result a pure per-user function: independent of shard
 /// count, thread count, and scheduling.  Shared-machine contention studies
-/// (the Figures 5.6–5.11 response-vs-users curves) deliberately stay on the
-/// single-Simulation core::UserSimulator path.
+/// (the Figures 5.6–5.11 response-vs-users curves) run on ContendedRunner,
+/// where all users of a load point share one universe.
 ///
 /// Execution: partition_users() cuts [0, num_users) into K contiguous
 /// ranges; a pool of worker threads drains the shards, each worker reusing
@@ -221,7 +193,6 @@ class ShardedRunner {
   std::string fingerprint() const;
 
   RunnerConfig config_;
-  UniverseEnv env_;  ///< config_'s environment, shared by every user universe
 
   /// Per-global-user session arrival lists (set once in run() before the
   /// worker pool starts; workers only read it).  Null in closed-loop runs.

@@ -12,23 +12,50 @@
 #include "obs/obs.h"
 #include "runner/model_factory.h"
 #include "sim/simulation.h"
-#include "traffic/faults.h"
+#include "traffic/traffic.h"
 
 namespace wlgen::runner {
 
-/// What every universe of a run shares: the backend, the initial file
-/// system's shape, the user mixture and the fault schedule.  The defaults
-/// are the paper's section 5.1 setup (NFS, the DI86 profiles, the default
-/// population, no faults).
-struct UniverseEnv {
-  ModelFactory model_factory = nfs_model_factory();
-  std::vector<core::FileCategoryProfile> profiles = core::di86_file_profiles();
+/// The user-oriented description of one workload, as the paper drives its
+/// generator: the GDS distributions (in `population` and `usim`), the FSC
+/// file system (`fsc`, `profiles`) and the USIM users (`usim`), run against
+/// one backend with optional open-system traffic.  Every universe of a run
+/// shares it.  RunnerConfig, ContendedConfig and the experiments' configs
+/// derive from it and add only their own run-level fields.
+struct WorkloadConfig {
+  /// Root seed of the FSC layout, the user behaviour streams and the
+  /// arrival timeline (replicated runs derive one seed per replication).
+  std::uint64_t seed = 1991;
 
-  /// Layout knobs; num_users, first_user and seed come from the UsimConfig.
+  /// Per-user behaviour (sessions_per_user, think/markov/pattern switches).
+  /// The user range, seed, log switches, sink and record hook are set per
+  /// universe.
+  core::UsimConfig usim;
+
+  /// Layout knobs; num_users, first_user and seed come from the universe's
+  /// UsimConfig.
   core::FscConfig fsc;
 
-  core::Population population = core::default_population();
-  traffic::FaultPlan faults;
+  /// Initial-file-system category profiles (empty = core::di86_file_profiles()).
+  std::vector<core::FileCategoryProfile> profiles;
+
+  /// User-type mixture (empty groups = core::default_population()).
+  core::Population population;
+
+  /// Backend of each universe (null = nfs_model_factory()).
+  ModelFactory model_factory;
+
+  /// Open-system traffic (src/traffic/): optional open-loop arrivals plus a
+  /// fault plan, installed identically in every universe.  A default
+  /// (inert) TrafficConfig leaves every code path byte-identical.
+  traffic::TrafficConfig traffic;
+
+  /// Fills the empty fields with the defaults above (the paper's section
+  /// 5.1 setup: NFS, the DI86 profiles, the default population) and checks
+  /// the traffic config.  Throws std::invalid_argument on an invalid
+  /// traffic config, or on open-loop arrivals with usim.windows_per_user
+  /// != 1.  Idempotent; run_universe expects a resolved config.
+  void resolve();
 };
 
 /// What one universe produced.
@@ -51,13 +78,16 @@ struct UniverseRun {
 };
 
 /// Runs one universe on `sim`: resets it, builds the simulated file system
-/// (clocked by `sim`), the backend with `env.faults` installed, and the FSC
-/// layout for the users [usim.first_user, usim.first_user + usim.num_users)
-/// at usim.seed, then USIM with the faults' churn windows.  Every FSC + USIM
-/// run in the tree — sharded users, contended replications, the
-/// shared-machine run and the experiments — goes through here.  The caller
-/// owns the per-record hook, the sink and the arrival timeline (all on
-/// `usim`).
-UniverseRun run_universe(sim::Simulation& sim, const UniverseEnv& env, core::UsimConfig usim);
+/// (clocked by `sim`), the backend with `config.traffic.faults` installed,
+/// and the FSC layout for the users [usim.first_user, usim.first_user +
+/// usim.num_users) at usim.seed, then USIM with the faults' churn windows.
+/// Open-loop arrivals come from usim.arrival_times_us; when that is empty
+/// the universe deals its own timeline to users [0, usim.first_user +
+/// usim.num_users) from usim.seed.  Every FSC + USIM run in the tree —
+/// sharded users, contended replications, the shared-machine run and the
+/// experiments — goes through here.  The caller owns the per-record hook
+/// and the sink (both on `usim`).  `config` must be resolved.
+UniverseRun run_universe(sim::Simulation& sim, const WorkloadConfig& config,
+                         core::UsimConfig usim);
 
 }  // namespace wlgen::runner

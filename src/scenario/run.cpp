@@ -16,6 +16,7 @@
 #include "runner/pool.h"
 #include "runner/sharded_runner.h"
 #include "runner/universe.h"
+#include "util/rng.h"
 #include "util/svg.h"
 #include "util/table.h"
 
@@ -50,7 +51,8 @@ runner::RunnerStats stats_of_log(const core::UsageLog& log) {
 /// Scenario-level identity folded into checkpoint fingerprints: everything
 /// that shapes the record streams but is invisible to RunnerConfig's own
 /// fingerprint fields (model + overrides, population shape, behaviour
-/// switches).  Single line — the checkpoint format is line-based.
+/// switches, the GDS file's path and a hash of its bytes).  Single line —
+/// the checkpoint format is line-based.
 std::string spill_config_tag(const ScenarioSpec& spec, const ModelChoice& model) {
   std::ostringstream tag;
   tag << "model=" << model.name;
@@ -59,25 +61,36 @@ std::string spill_config_tag(const ScenarioSpec& spec, const ModelChoice& model)
       << " pattern=" << static_cast<int>(spec.pattern) << " markov=" << exact(spec.markov)
       << " think=" << spec.think_time << " access=" << spec.access_size
       << " gds=" << spec.gds_file;
+  if (!spec.gds_file.empty()) {
+    tag << " gds_fnv1a=" << std::hex << util::hash_label(util::read_text_file(spec.gds_file))
+        << std::dec;
+  }
   // Traffic identity (arrivals + faults): appended only when configured so
   // pre-traffic checkpoints keep validating.
   if (spec.traffic.any()) tag << " " << spec.traffic.tag();
   return tag.str();
 }
 
+/// The workload every run of `spec` on `model` simulates: the spec's seed,
+/// behaviour, population and traffic on the model's backend.
+runner::WorkloadConfig workload_config(const ScenarioSpec& spec, const ModelChoice& model) {
+  runner::WorkloadConfig workload;
+  workload.seed = spec.seed;
+  workload.usim = spec.usim_config();
+  workload.population = spec.population();
+  workload.model_factory = model.factory();
+  workload.traffic = spec.traffic;
+  return workload;
+}
+
 ModelOutcome run_sharded(const ScenarioSpec& spec, const ModelChoice& model,
                          std::size_t threads, const obs::ObsConfig& obs) {
-  runner::RunnerConfig config;
+  runner::RunnerConfig config{workload_config(spec, model)};
   config.num_users = spec.user_points.front();
   config.shards = spec.shards;
   config.threads = threads;
-  config.seed = spec.seed;
-  config.usim = spec.usim_config();
-  config.population = spec.population();
   config.collect_log = spec.collect_log;
-  config.model_factory = model.factory();
   config.obs = obs;
-  config.traffic = spec.traffic;
   if (spec.log_spill) {
     config.spill.enabled = true;
     // Multi-model scenarios get one spool subdirectory per backend so their
@@ -112,17 +125,12 @@ ModelOutcome run_sharded(const ScenarioSpec& spec, const ModelChoice& model,
 
 ModelOutcome run_contended(const ScenarioSpec& spec, const ModelChoice& model,
                            std::size_t threads, const obs::ObsConfig& obs) {
-  runner::ContendedConfig config;
+  runner::ContendedConfig config{workload_config(spec, model)};
   config.user_points = spec.user_points;
   config.replications = spec.replications;
   config.threads = threads;
-  config.seed = spec.seed;
   config.confidence = spec.confidence;
-  config.usim = spec.usim_config();
-  config.population = spec.population();
-  config.model_factory = model.factory();
   config.obs = obs;
-  config.traffic = spec.traffic;
 
   runner::ContendedRunner run(std::move(config));
   runner::ContendedResult result = run.run();
@@ -398,18 +406,11 @@ SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, st
   // One serial Simulation: the model-stage ring stays installed throughout.
   obs::ScopedStageTrace stage_trace(obs.trace() ? &run.trace.stages : nullptr);
 
-  runner::UniverseEnv env;
-  env.model_factory = model.factory();
-  env.population = spec.population();
-  env.faults = spec.traffic.faults;
-
-  core::UsimConfig config = spec.usim_config();
+  runner::WorkloadConfig workload = workload_config(spec, model);
+  workload.resolve();
+  core::UsimConfig config = workload.usim;
   config.num_users = users;
-  config.seed = spec.seed;
-  if (spec.traffic.arrivals) {
-    config.arrival_times_us = std::make_shared<const std::vector<std::vector<double>>>(
-        traffic::assign_arrivals(*spec.traffic.arrivals, users, spec.seed));
-  }
+  config.seed = workload.seed;
   std::unique_ptr<obs::ProgressReporter> progress;
   if (obs.progress) {
     obs::ProgressReporter::Options options;
@@ -422,7 +423,7 @@ SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, st
     };
   }
   sim::Simulation simulation;
-  runner::UniverseRun universe = runner::run_universe(simulation, env, std::move(config));
+  runner::UniverseRun universe = runner::run_universe(simulation, workload, std::move(config));
   if (progress) progress->stop();
 
   run.log = std::move(universe.log);

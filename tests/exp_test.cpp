@@ -19,6 +19,7 @@
 #include "exp/workload.h"
 #include "experiments.h"
 #include "runner/contended_runner.h"
+#include "runner/sharded_runner.h"
 #include "scenario/run.h"
 #include "scenario/spec.h"
 #include "util/json.h"
@@ -301,32 +302,31 @@ TEST(Determinism, ContendedResponseExperimentIsThreadInvariant) {
 }
 
 TEST(FrontEnds, WorkloadSharedRunAndContendedReplicationAgree) {
-  // run_workload, generate_shared and a one-replication contended point are
-  // three callers of runner::run_universe; on the same workload they must
-  // produce the same log and the same statistics, bit for bit.
+  // run_workload, generate_shared, a one-replication contended point and a
+  // one-user sharded run are four callers of runner::run_universe; built
+  // from one runner::WorkloadConfig they must produce the same log and the
+  // same statistics, bit for bit.
   for (const double heavy : {1.0, 0.5}) {
     SCOPED_TRACE(heavy);
-    WorkloadConfig config;
+    runner::WorkloadConfig workload;
+    workload.seed = 77;
+    workload.usim.sessions_per_user = 6;
+    workload.model_factory = runner::model_factory_by_name("local");
+    workload.population = core::mixed_population(heavy);
+
+    WorkloadConfig config{workload};
     config.num_users = 3;
-    config.sessions_per_user = 6;
-    config.seed = 77;
-    config.model = runner::model_factory_by_name("local");
-    config.population = core::mixed_population(heavy);
-    const WorkloadOutput workload = run_workload(config);
-    ASSERT_GT(workload.total_ops, 0u);
+    const WorkloadOutput output = run_workload(config);
+    ASSERT_GT(output.total_ops, 0u);
 
     const scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse_text(
         "[scenario]\nmode = sharded\nseed = 77\n[workload]\nusers = 3\nsessions = 6\n"
         "heavy_fraction = " + std::to_string(heavy) + "\n[model]\nname = local\n");
     const scenario::SharedRun shared = scenario::generate_shared(spec, spec.models.front(), 3);
-    EXPECT_EQ(workload.log.serialize(), shared.log.serialize());
+    EXPECT_EQ(output.log.serialize(), shared.log.serialize());
 
-    runner::ContendedConfig contended;
+    runner::ContendedConfig contended{workload};
     contended.user_points = {3};
-    contended.seed = 77;
-    contended.usim.sessions_per_user = 6;
-    contended.population = core::mixed_population(heavy);
-    contended.model_factory = runner::model_factory_by_name("local");
     const runner::ContendedResult result = runner::ContendedRunner(contended).run();
     ASSERT_EQ(result.points.size(), 1u);
     const runner::RunnerStats& got = result.points.front().stats;
@@ -345,6 +345,15 @@ TEST(FrontEnds, WorkloadSharedRunAndContendedReplicationAgree) {
     EXPECT_EQ(got.access_size().variance(), want.access_size().variance());
     EXPECT_EQ(got.response_per_byte_us(), want.response_per_byte_us());
     EXPECT_EQ(got.response_histogram().counts(), want.response_histogram().counts());
+
+    // One user on one shard is one universe: user 0 at the root seed.
+    runner::RunnerConfig sharded{workload};
+    sharded.num_users = 1;
+    sharded.shards = 1;
+    const runner::RunnerResult one_user = runner::ShardedRunner(sharded).run();
+    const WorkloadOutput single = run_workload(WorkloadConfig{workload});
+    ASSERT_FALSE(single.log.empty());
+    EXPECT_EQ(one_user.log.serialize(), single.log.serialize());
   }
 }
 

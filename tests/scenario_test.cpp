@@ -32,6 +32,7 @@
 #include "tools/cli_spec.h"
 #include "tools/run_flags.h"
 #include "util/args.h"
+#include "util/svg.h"
 #include "util/strings.h"
 
 namespace wlgen::scenario {
@@ -348,6 +349,37 @@ TEST(ScenarioRun, ResumedScenarioReproducesTheDigest) {
   // digest byte for byte — the crash-recovery contract.
   EXPECT_EQ(digest_with_threads(resumed, 2), first);
   std::filesystem::remove_all(spool);
+}
+
+TEST(ScenarioRun, ResumeRefusesCheckpointsOfAnEditedGdsFile) {
+  // The checkpoints of a run with a GDS file describe that file's contents,
+  // not just its path: after an edit, resume must refuse the spool rather
+  // than return the stale run's digest.
+  const auto dir = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_gds_resume";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string gds = (dir / "think.gds").string();
+  const std::string spool = (dir / "spool").string();
+  const std::string workload = "users = 6\nsessions = 2\ngds = " + gds + "\n";
+  const auto scenario = [&](const std::string& sharded_extra) {
+    return "[scenario]\nmode = sharded\nname = pin-gds\n[workload]\n" + workload +
+           "[sharded]\nshards = 3\n" + sharded_extra + "[log]\nspill = true\n"
+           "checkpoint = true\nspool_dir = " + spool + "\n[model]\nname = nfs\n";
+  };
+
+  util::write_text_file(gds, "think_time = exp(theta=5000)\n");
+  const std::string first = digest_with_threads(scenario(""), 2);
+  EXPECT_EQ(digest_with_threads(scenario("resume = true\n"), 2), first);
+
+  util::write_text_file(gds, "think_time = exp(theta=90000)\n");
+  try {
+    (void)digest_with_threads(scenario("resume = true\n"), 2);
+    FAIL() << "resume accepted checkpoints written before the GDS file changed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("different configuration"), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScenarioRun, SpilledScenarioStillWritesTheOutputLog) {

@@ -305,7 +305,7 @@ TEST(Churn, FullChurnWindowPostponesEveryOpenLoopSession) {
 TEST(Faults, SlowdownWindowScalesTheResponseLevel) {
   exp::WorkloadConfig baseline;
   baseline.num_users = 2;
-  baseline.sessions_per_user = 4;
+  baseline.usim.sessions_per_user = 4;
   const double base = exp::run_workload(baseline).response_per_byte_us;
   ASSERT_GT(base, 0.0);
 
@@ -323,7 +323,7 @@ TEST(Faults, SlowdownWindowScalesTheResponseLevel) {
 TEST(Faults, CacheFlushCannotImproveTheRun) {
   exp::WorkloadConfig baseline;
   baseline.num_users = 2;
-  baseline.sessions_per_user = 4;
+  baseline.usim.sessions_per_user = 4;
   const exp::WorkloadOutput before = exp::run_workload(baseline);
 
   exp::WorkloadConfig flushed = baseline;
@@ -338,7 +338,7 @@ TEST(Faults, CacheFlushCannotImproveTheRun) {
 TEST(OpenLoop, SessionBudgetIsTheArrivalCount) {
   exp::WorkloadConfig config;
   config.num_users = 3;
-  config.sessions_per_user = 50;  // must be ignored under open-loop arrivals
+  config.usim.sessions_per_user = 50;  // must be ignored under open-loop arrivals
   ArrivalConfig arrivals;
   arrivals.rate_per_sec = 0.5;
   arrivals.sessions = 12;
