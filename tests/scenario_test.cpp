@@ -32,8 +32,8 @@
 #include "tools/cli_spec.h"
 #include "tools/run_flags.h"
 #include "util/args.h"
-#include "util/svg.h"
 #include "util/strings.h"
+#include "util/svg.h"
 
 namespace wlgen::scenario {
 namespace {
