@@ -8,6 +8,10 @@
 #   metrics/<stem>.json     each group's `metrics` object from the same runs'
 #                           `--metrics` report (`timing` holds wall-clock and
 #                           pool counters, so it is left out);
+#   scenarios/<stem>.log.sha256
+#                           the SHA-256 of the `[output] log` the same runs
+#                           write, for flash_crowd (sharded, in memory, with
+#                           traffic) and trace_vs_synthetic (the replayed log);
 #   run_<form>.sha256       the SHA-256 of the usage log `wlgen run ... --log`
 #                           writes: classic, --shards 4 at --threads 1 and 4,
 #                           and --shards 4 --spill (at --threads 1 and 4);
@@ -25,6 +29,8 @@
 #
 # Goldens change only on purpose: add -DRECORD=ON to rewrite them from the
 # given binary, then review the diff.  Without it a mismatch fails the test.
+
+cmake_minimum_required(VERSION 3.20)  # script mode sets no policies (IN_LIST)
 
 foreach(var IN ITEMS WLGEN_CLI SOURCE_DIR WORK_DIR)
   if(NOT DEFINED ${var})
@@ -86,6 +92,7 @@ function(metrics_groups out report)
   set(${out} "${groups}" PARENT_SCOPE)
 endfunction()
 
+set(logged_scenarios flash_crowd trace_vs_synthetic)
 file(GLOB scenarios ${SOURCE_DIR}/scenarios/*.scn)
 foreach(scn IN LISTS scenarios)
   get_filename_component(stem ${scn} NAME_WE)
@@ -93,13 +100,22 @@ foreach(scn IN LISTS scenarios)
   foreach(threads 1 4)
     set(CHECK_LABEL "scenario ${stem} --threads ${threads}")
     set(stats ${WORK_DIR}/${stem}_t${threads}.stats)
-    file(WRITE ${WORK_DIR}/${stem}.scn "${text}\n[output]\nstats = ${stats}\n")
+    set(log ${WORK_DIR}/${stem}_t${threads}.log)
+    set(output "[output]\nstats = ${stats}\n")
+    if(stem IN_LIST logged_scenarios)
+      string(APPEND output "log = ${log}\n")
+    endif()
+    file(WRITE ${WORK_DIR}/${stem}.scn "${text}\n${output}")
     set(metrics ${WORK_DIR}/${stem}_t${threads}.metrics.json)
     wlgen(scenario run ${WORK_DIR}/${stem}.scn --threads ${threads} --metrics ${metrics})
     file(READ ${stats} digest)
     check(${GOLDEN_DIR}/scenarios/${stem}.stats "${digest}")
     metrics_groups(groups ${metrics})
     check(${GOLDEN_DIR}/metrics/${stem}.json "${groups}\n")
+    if(stem IN_LIST logged_scenarios)
+      file(SHA256 ${log} sha)
+      check(${GOLDEN_DIR}/scenarios/${stem}.log.sha256 "${sha}\n")
+    endif()
   endforeach()
 endforeach()
 
