@@ -7,8 +7,8 @@
 // shared-machine simulations drained by a growing pool.  Both are
 // scoreboard entries behind the DESIGN.md scaling tables: on an M-core
 // machine the /T rate should approach T-fold the /1 rate until T exceeds M
-// (on a single-core CI container the curves are flat).  BM_MergeUserLogs,
-// BM_WriteLogText and BM_ParseLogText time the serial log tail in isolation;
+// (on a single-core CI container the curves are flat).  BM_WriteLogText
+// and BM_ParseLogText time the serial log tail in isolation;
 // BM_WriteLogFile times the text writer on 1, 2 and 4 threads.
 
 #include <benchmark/benchmark.h>
@@ -106,29 +106,6 @@ void BM_ContendedRunner(benchmark::State& state) {
 }
 BENCHMARK(BM_ContendedRunner)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
-
-// Merge overhead in isolation: the (time, user) stable-sort fold over
-// per-user logs, at a size big enough to expose the O(M log M) term.
-void BM_MergeUserLogs(benchmark::State& state) {
-  const std::size_t users = 64;
-  const std::size_t ops_per_user = static_cast<std::size_t>(state.range(0));
-  std::vector<core::UsageLog> prototype(users);
-  for (std::size_t u = 0; u < users; ++u) {
-    for (std::size_t i = 0; i < ops_per_user; ++i) {
-      core::OpRecord r;
-      r.issue_time_us = static_cast<double>(i * 37 % 1000);
-      r.user = static_cast<std::uint32_t>(u);
-      prototype[u].append(r);
-    }
-  }
-  for (auto _ : state) {
-    std::vector<core::UsageLog> logs = prototype;
-    benchmark::DoNotOptimize(runner::merge_user_logs(std::move(logs)).size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(users * ops_per_user));
-}
-BENCHMARK(BM_MergeUserLogs)->Arg(1000);
 
 // Usage-log text codec, the serial tail of every `[output] log` run.
 // Records have the magnitudes a real log carries (microsecond clocks,

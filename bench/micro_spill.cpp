@@ -88,17 +88,13 @@ void BM_SpillPopulation(benchmark::State& state) {
     const auto result = run.run();
     ops += result.total_ops;
     benchmark::DoNotOptimize(result.stats.response_us().mean());
-    // Both paths end with a merged, ordered log available; the spill path's
-    // merge cost is paid by the reader, so charge it here too.
-    if (spill) {
-      auto reader = result.open_log_reader();
-      core::OpRecord record;
-      std::uint64_t merged = 0;
-      while (reader->next(record)) ++merged;
-      benchmark::DoNotOptimize(merged);
-    } else {
-      benchmark::DoNotOptimize(result.log.size());
-    }
+    // Both arms end with sorted runs (on disk or in memory) whose merge
+    // cost is paid by the reader, so charge it here.
+    auto reader = core::open_spilled_log(result.log_runs);
+    core::OpRecord record;
+    std::uint64_t merged = 0;
+    while (reader->next(record)) ++merged;
+    benchmark::DoNotOptimize(merged);
   }
   std::error_code ec;
   std::filesystem::remove_all(kSpoolDir, ec);

@@ -9,7 +9,7 @@
 # When the micro_runner binary exists (third argument, defaulting to the
 # sibling of micro_bench), its runner-scaling entries — BM_ShardedRunner
 # shard scaling, BM_ContendedRunner contended-replication scaling, the
-# BM_MergeUserLogs fold, and BM_ScenarioMultiBackend scenario-parallelism
+# log-text codec, and BM_ScenarioMultiBackend scenario-parallelism
 # scaling — are merged into the same scoreboard file.  The runner entries
 # carry a "pool_busy_pct" counter (worker busy / (busy + idle), via
 # obs.pool) so a flat curve on the scoreboard is self-diagnosing.

@@ -99,11 +99,13 @@ SpillSink::SpillSink(std::string dir, std::string stem, std::size_t buffer_recor
     : dir_(std::move(dir)),
       stem_(std::move(stem)),
       buffer_records_(std::max<std::size_t>(1, buffer_records)) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
-  if (ec && !std::filesystem::is_directory(dir_)) {
-    throw std::runtime_error("SpillSink: cannot create spool directory '" + dir_ +
-                             "': " + ec.message());
+  if (!dir_.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir_, ec);
+    if (ec && !std::filesystem::is_directory(dir_)) {
+      throw std::runtime_error("SpillSink: cannot create spool directory '" + dir_ +
+                               "': " + ec.message());
+    }
   }
   buffer_.reserve(buffer_records_);
 }
@@ -124,6 +126,7 @@ void SpillSink::append(const OpRecord& record) {
 void SpillSink::close() {
   if (closed_) return;
   flush();
+  buffer_ = std::vector<OpRecord>();  // a run's worth of RAM, no longer needed
   closed_ = true;
 }
 
@@ -136,6 +139,13 @@ void SpillSink::flush() {
     if (a.issue_time_us != b.issue_time_us) return a.issue_time_us < b.issue_time_us;
     return a.user < b.user;
   });
+  records_written_ += buffer_.size();
+  if (dir_.empty()) {
+    // A copy holds exactly the run; the buffer's capacity stays for reuse.
+    runs_.push_back(memory_run({buffer_.begin(), buffer_.end()}));
+    buffer_.clear();
+    return;
+  }
 
   const std::string path =
       (std::filesystem::path(dir_) / run_file_name(stem_, runs_.size())).string();
@@ -163,19 +173,43 @@ void SpillSink::flush() {
   run.path = path;
   run.records = buffer_.size();
   run.bytes = kSpillHeaderBytes + encoded.size();
-  records_written_ += run.records;
   bytes_written_ += run.bytes;
   runs_.push_back(std::move(run));
   buffer_.clear();
 }
 
+SpillRun memory_run(std::vector<OpRecord> records) {
+  SpillRun run;
+  run.records = records.size();
+  run.memory = std::make_shared<const std::vector<OpRecord>>(std::move(records));
+  return run;
+}
+
 // ---------------------------------------------------------------------------
-// RunFileReader
+// Run readers
 // ---------------------------------------------------------------------------
 
 namespace {
+
 constexpr std::size_t kReadChunkRecords = 1024;
-}
+
+/// Cursor over a memory run; shares ownership of its records.
+class MemoryRunReader final : public LogReader {
+ public:
+  explicit MemoryRunReader(std::shared_ptr<const std::vector<OpRecord>> records)
+      : records_(std::move(records)) {}
+  bool next(OpRecord& out) override {
+    if (index_ >= records_->size()) return false;
+    out = (*records_)[index_++];
+    return true;
+  }
+
+ private:
+  std::shared_ptr<const std::vector<OpRecord>> records_;
+  std::size_t index_ = 0;
+};
+
+}  // namespace
 
 RunFileReader::RunFileReader(const SpillRun& run) : path_(run.path) {
   file_ = std::fopen(path_.c_str(), "rb");
@@ -279,7 +313,13 @@ bool MergeLogReader::next(OpRecord& out) {
 std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs) {
   std::vector<std::unique_ptr<LogReader>> readers;
   readers.reserve(runs.size());
-  for (const auto& run : runs) readers.push_back(std::make_unique<RunFileReader>(run));
+  for (const auto& run : runs) {
+    if (run.memory) {
+      readers.push_back(std::make_unique<MemoryRunReader>(run.memory));
+    } else {
+      readers.push_back(std::make_unique<RunFileReader>(run));
+    }
+  }
   return std::make_unique<MergeLogReader>(std::move(readers));
 }
 

@@ -20,8 +20,8 @@ namespace wlgen::core {
 /// of the streaming log pipeline (DESIGN.md "Streaming log pipeline").
 /// Everything that used to "return a UsageLog by value" now appends into a
 /// LogSink instead, so the producer never has to know whether records are
-/// being materialized in RAM (MemorySink — the default, today's behaviour)
-/// or spilled to sorted on-disk runs (SpillSink — the million-user path).
+/// being materialized in one UsageLog (MemorySink) or cut into sorted runs
+/// (SpillSink — the sharded runner's path, in RAM or on disk).
 class LogSink {
  public:
   virtual ~LogSink() = default;
@@ -36,7 +36,7 @@ class LogSink {
   virtual void close() = 0;
 };
 
-/// In-memory sink: appends into a UsageLog (exactly the historical path).
+/// In-memory sink: appends into one UsageLog.
 class MemorySink final : public LogSink {
  public:
   void append(const OpRecord& record) override { log_.append(record); }
@@ -65,15 +65,23 @@ inline constexpr char kSpillMagic[8] = {'W', 'L', 'G', 'R', 'U', 'N', '1', '\0'}
 void encode_record(const OpRecord& record, unsigned char* out);
 OpRecord decode_record(const unsigned char* in);
 
-/// Metadata of one sorted on-disk run.
+/// One sorted run: a `.wlr` file at `path`, or — with an empty path — the
+/// records held in `memory`.
 struct SpillRun {
   std::string path;
   std::uint64_t records = 0;
-  std::uint64_t bytes = 0;  ///< file size including the header
+  std::uint64_t bytes = 0;  ///< file size including the header (0 in memory)
+  std::shared_ptr<const std::vector<OpRecord>> memory;
 };
 
-/// Disk-spilling sink: buffers records and cuts them into sorted run files
-/// (`<stem>_run<NNNNNN>.wlr` under `dir`) of ~`buffer_records` each.
+/// A run held in memory over `records`, which must already be in the order
+/// the run is to be read in.
+SpillRun memory_run(std::vector<OpRecord> records);
+
+/// Run-cutting sink: buffers records and cuts them into sorted runs of
+/// ~`buffer_records` each — run files (`<stem>_run<NNNNNN>.wlr` under
+/// `dir`), or memory runs when `dir` is empty.  Only where a run lives
+/// differs: the cut, the sort and therefore the merged stream are the same.
 ///
 /// Runs are only cut at *user boundaries*: a user's records never straddle
 /// two runs.  Producers append users in ascending index order and each
@@ -85,8 +93,9 @@ struct SpillRun {
 /// never tie across runs because a user lives in exactly one run.
 class SpillSink final : public LogSink {
  public:
-  /// Creates `dir` if needed.  Throws std::runtime_error when the directory
-  /// or a run file cannot be created.
+  /// Creates `dir` if needed (none when empty: the runs stay in memory).
+  /// Throws std::runtime_error when the directory or a run file cannot be
+  /// created.
   SpillSink(std::string dir, std::string stem, std::size_t buffer_records = 65536);
   ~SpillSink() override;
   SpillSink(const SpillSink&) = delete;
@@ -121,8 +130,8 @@ class SpillSink final : public LogSink {
 
 /// Forward cursor over a usage-log stream — the consumer-side half of the
 /// pipeline.  UsageAnalyzer and the text serializer both iterate one of
-/// these, so they work identically over an in-RAM log, one spilled run, or
-/// a k-way merge of a million users' runs.  (TraceReplayer walks a loaded
+/// these, so they work identically over an in-RAM log, one run, or a k-way
+/// merge of a million users' runs.  (TraceReplayer walks a loaded
 /// UsageLog in place: open loop may need it in time order, not file order.)
 class LogReader {
  public:
@@ -169,7 +178,7 @@ class RunFileReader final : public LogReader {
 
 /// Loser-tree k-way merge over sorted inputs, keyed by (issue_time, user)
 /// with input index as the final tie-break — the reader that gives a
-/// spilled sharded run the exact merge_user_logs stream.  Each input must
+/// sharded run's runs the exact merge_user_logs stream.  Each input must
 /// itself be non-descending on (issue_time, user).  Handles k = 0 (empty
 /// stream) and k = 1 (degenerate pass-through) without special casing at
 /// the call site.
@@ -189,7 +198,8 @@ class MergeLogReader final : public LogReader {
   std::size_t k_ = 0;
 };
 
-/// Opens the merged (issue_time, user) view over a set of spilled runs.
+/// Opens the merged (issue_time, user) view over a set of runs, memory runs
+/// and run files alike.  One run passes through in its own order.
 std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs);
 
 // ---------------------------------------------------------------------------

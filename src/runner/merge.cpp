@@ -28,17 +28,6 @@ core::UsageLog merge_user_logs(std::vector<core::UsageLog> per_user) {
   return merged;
 }
 
-bool is_merge_ordered(const core::UsageLog& log) {
-  const auto& records = log.records();
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    const auto& prev = records[i - 1];
-    const auto& cur = records[i];
-    if (prev.issue_time_us > cur.issue_time_us) return false;
-    if (prev.issue_time_us == cur.issue_time_us && prev.user > cur.user) return false;
-  }
-  return true;
-}
-
 bool is_merge_ordered(core::LogReader& reader) {
   core::OpRecord prev;
   if (!reader.next(prev)) return true;

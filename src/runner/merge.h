@@ -16,18 +16,18 @@ namespace wlgen::runner {
 /// analogue of the event core's FIFO tie-break — and ties within a user keep
 /// the user's own issue order.  The result is a pure function of the
 /// per-user inputs, so it is bit-identical however those inputs were
-/// produced (1 shard or N, 1 thread or T).
+/// produced (1 shard or N, 1 thread or T).  The sharded runner never calls
+/// it: core::open_spilled_log's k-way merge over its sorted runs yields the
+/// same stream.  It stays as the independent reference for tests and
+/// benchmarks.
 core::UsageLog merge_user_logs(std::vector<core::UsageLog> per_user);
 
-/// True when `log` is non-descending on the (issue_time_us, user) key —
-/// the observable half of the merge contract; exposed for tests and the
-/// CLI's --verify-merge mode.  Per-user sub-order on full ties is NOT
+/// True when the stream is non-descending on the (issue_time_us, user)
+/// key — the observable half of the merge contract; exposed for tests and
+/// the CLI's --verify-merge mode.  O(1) memory, so it works on spilled
+/// runs that never fit in RAM.  Per-user sub-order on full ties is NOT
 /// checkable from a log alone (records carry no per-user issue ordinal);
-/// the runner tests pin it by comparing whole logs across shard counts.
-bool is_merge_ordered(const core::UsageLog& log);
-
-/// Streaming variant over a LogReader cursor — same check in O(1) memory,
-/// so --verify-merge works on spilled runs that never fit in RAM.
+/// the runner tests pin it by comparing whole logs with merge_user_logs.
 bool is_merge_ordered(core::LogReader& reader);
 
 }  // namespace wlgen::runner

@@ -165,10 +165,11 @@ RunnerResult ShardedRunner::run() {
     reports[s].range = ranges[s];
   }
 
-  // Spill state: one lazily-created sink per shard (each slot touched only
-  // by the worker that owns the shard), one quantile sketch per shard
-  // (integer merge => any shard grouping yields the same merged sketch),
-  // and — under resume — the shards whose checkpoints were accepted.
+  // Per-shard state: one lazily-created run sink per shard when the log is
+  // kept (each slot touched only by the worker that owns the shard), one
+  // quantile sketch per shard (integer merge => any shard grouping yields
+  // the same merged sketch), and — under resume — the shards whose
+  // checkpoints were accepted.
   const std::string fp = fingerprint();
   std::vector<std::unique_ptr<core::SpillSink>> sinks(ranges.size());
   std::vector<stats::QuantileSketch> sketches(ranges.size());
@@ -262,9 +263,11 @@ RunnerResult ShardedRunner::run() {
       }
 
       core::LogSink* sink = nullptr;
-      if (spill) {
-        sinks[s] = std::make_unique<core::SpillSink>(
-            config_.spill.spool_dir, shard_stem(s), config_.spill.buffer_records);
+      if (config_.collect_log) {
+        // No directory keeps the shard's runs in memory.
+        sinks[s] = std::make_unique<core::SpillSink>(spill ? config_.spill.spool_dir : "",
+                                                     shard_stem(s),
+                                                     config_.spill.buffer_records);
         sink = sinks[s].get();
       }
       std::uint64_t events = 0;
@@ -313,16 +316,12 @@ RunnerResult ShardedRunner::run() {
   // shard totals fold afterwards (sums/maxima — grouping-invariant).
   RunnerResult result;
   result.stats = RunnerStats(config_.histogram);
-  const bool merge_in_memory = config_.collect_log && !spill;
-  std::vector<core::UsageLog> user_logs;
-  if (merge_in_memory) user_logs.reserve(num_users);
   for (std::size_t u = 0; u < num_users; ++u) {
-    UniverseRun& run = outcomes[u].run;
+    const UniverseRun& run = outcomes[u].run;
     result.stats.merge(outcomes[u].stats);
     result.total_ops += run.ops;
     result.sessions_completed += run.sessions;
     if (run.simulated_us > result.max_simulated_us) result.max_simulated_us = run.simulated_us;
-    if (merge_in_memory) user_logs.push_back(std::move(run.log));
   }
   for (std::size_t s = 0; s < ranges.size(); ++s) {
     if (!resumed[s].has_value()) continue;
@@ -334,12 +333,10 @@ RunnerResult ShardedRunner::run() {
     }
     result.shards_resumed += 1;
   }
-  if (merge_in_memory) result.log = merge_user_logs(std::move(user_logs));
-  if (spill) {
+  if (config_.collect_log) {
     for (std::size_t s = 0; s < ranges.size(); ++s) {
       const auto& shard_runs = resumed[s].has_value() ? resumed[s]->runs : sinks[s]->runs();
-      result.spilled_runs.insert(result.spilled_runs.end(), shard_runs.begin(),
-                                 shard_runs.end());
+      result.log_runs.insert(result.log_runs.end(), shard_runs.begin(), shard_runs.end());
     }
   }
   for (std::size_t s = 0; s < ranges.size(); ++s) {
@@ -364,7 +361,7 @@ RunnerResult ShardedRunner::run() {
     if (spill) {
       std::uint64_t records = 0;
       std::uint64_t bytes = 0;
-      for (const auto& run : result.spilled_runs) {
+      for (const auto& run : result.log_runs) {
         records += run.records;
         bytes += run.bytes;
       }
@@ -372,10 +369,10 @@ RunnerResult ShardedRunner::run() {
       // Run/byte/fan-in shapes depend on the shard cut, so they live with
       // the unstable (timing-ish) metrics.
       result.registry.add_counter("spill.records", records);
-      result.registry.add_counter("spill.runs_written", result.spilled_runs.size(),
+      result.registry.add_counter("spill.runs_written", result.log_runs.size(),
                                   /*stable=*/false);
       result.registry.add_counter("spill.bytes", bytes, /*stable=*/false);
-      result.registry.add_gauge_max("spill.merge_fan_in", result.spilled_runs.size(),
+      result.registry.add_gauge_max("spill.merge_fan_in", result.log_runs.size(),
                                     /*stable=*/false);
     }
     if (config_.spill.checkpoint) {
@@ -412,11 +409,6 @@ RunnerResult ShardedRunner::run() {
 
   result.wall_ms = elapsed_ms(run_start);
   return result;
-}
-
-std::unique_ptr<core::LogReader> RunnerResult::open_log_reader() const {
-  if (!spilled_runs.empty()) return core::open_spilled_log(spilled_runs);
-  return std::make_unique<core::MemoryLogReader>(log);
 }
 
 }  // namespace wlgen::runner

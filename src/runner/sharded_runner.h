@@ -7,7 +7,6 @@
 
 #include "core/log_sink.h"
 #include "obs/obs.h"
-#include "runner/merge.h"
 #include "runner/partition.h"
 #include "runner/stats.h"
 #include "runner/universe.h"
@@ -17,11 +16,12 @@
 namespace wlgen::runner {
 
 /// Streaming-log spill configuration (DESIGN.md "Streaming log pipeline").
-/// Off by default: the run materializes the merged log in RAM exactly as
-/// before.  With `enabled`, every shard streams its records through a
-/// core::SpillSink into sorted on-disk runs under `spool_dir`, and the
-/// merged (issue_time, user) view is exposed through the k-way merge
-/// reader (RunnerResult::open_log_reader) — same bytes, bounded RSS.
+/// Every log-collecting shard cuts its records into sorted runs through a
+/// core::SpillSink; off by default, the runs stay in memory.  With
+/// `enabled`, they are written as run files under `spool_dir` instead —
+/// the same merged (issue_time, user) stream through the same k-way merge
+/// reader (core::open_spilled_log over RunnerResult::log_runs), with RSS
+/// bounded by the buffers rather than the log.
 struct SpillConfig {
   bool enabled = false;
 
@@ -75,13 +75,13 @@ struct RunnerConfig : WorkloadConfig {
   /// per user — shrink bins for multi-million-user sweeps.
   HistogramSpec histogram{};
 
-  /// Retain and merge the per-op usage log.  With `spill.enabled` the log
-  /// streams to disk instead of RAM, so even million-user runs can keep
+  /// Retain the per-op usage log as sorted runs.  With `spill.enabled` the
+  /// runs go to disk instead of RAM, so even million-user runs can keep
   /// this on; collect_log = false remains the "aggregates only, no log at
   /// all" mode and conflicts with spilling.
   bool collect_log = true;
 
-  /// Disk-spill / checkpoint-resume switches (off = historical behaviour).
+  /// Disk-spill / checkpoint-resume switches (off = runs in memory).
   SpillConfig spill{};
 
   /// Observability switches (all off by default — the default run takes
@@ -101,19 +101,11 @@ struct ShardReport {
 
 /// Merged outcome of a sharded run.
 struct RunnerResult {
-  /// Usage log merged by (issue time, user index) — empty when collect_log
-  /// is off OR the run spilled (use open_log_reader() for the uniform
-  /// view).  Bit-identical for every (shards, threads) choice.
-  core::UsageLog log;
-
-  /// Sorted on-disk runs in shard order (empty unless spill was on).  The
-  /// k-way merge over them yields the exact `log` stream.
-  std::vector<core::SpillRun> spilled_runs;
-
-  /// The merged (issue_time, user) record stream, wherever it lives: a
-  /// loser-tree merge over `spilled_runs` when the run spilled, else a
-  /// cursor over `log`.  Each call opens a fresh cursor.
-  std::unique_ptr<core::LogReader> open_log_reader() const;
+  /// The usage log as sorted runs in shard order: run files when the run
+  /// spilled, memory runs otherwise, none when collect_log is off.
+  /// core::open_spilled_log(log_runs) streams it merged by (issue time,
+  /// user index), bit-identical for every (shards, threads, spill) choice.
+  std::vector<core::SpillRun> log_runs;
 
   /// Bounded-memory response-time quantile sketch (always on): one sketch
   /// per shard during the run, folded exactly — integer bucket counts make
@@ -161,10 +153,12 @@ struct RunnerResult {
 ///
 /// Execution: partition_users() cuts [0, num_users) into K contiguous
 /// ranges; a pool of worker threads drains the shards, each worker reusing
-/// one warm Simulation (clock/arena reset per user).  Merging follows the
-/// merge_user_logs() / RunnerStats contract: fixed ascending-user fold, so
-/// every aggregate — including floating-point reductions — is bit-identical
-/// regardless of K.
+/// one warm Simulation (clock/arena reset per user) and cutting its shard's
+/// records into sorted runs on the way.  Aggregates follow the RunnerStats
+/// contract — a fixed ascending-user fold, so every aggregate, including
+/// floating-point reductions, is bit-identical regardless of K — and the
+/// log follows merge_user_logs()' order, which the k-way merge over the
+/// runs reproduces for any K.
 class ShardedRunner {
  public:
   explicit ShardedRunner(RunnerConfig config);
@@ -181,8 +175,8 @@ class ShardedRunner {
   /// `sample` (when collecting metrics) and `op_ring` (when tracing) are
   /// per-user / per-shard obs sinks; null means the uninstrumented record
   /// hook.
-  /// `sink` (when spilling) replaces the in-memory per-user log; `sketch`
-  /// is the owning shard's quantile sketch (always set on sharded runs).
+  /// `sink` (when collecting the log) is the owning shard's run sink;
+  /// `sketch` is its quantile sketch (always set on sharded runs).
   void run_user(sim::Simulation& sim, std::size_t user, UserOutcome& out,
                 obs::SimSample* sample, obs::TraceRing* op_ring, core::LogSink* sink,
                 stats::QuantileSketch* sketch) const;

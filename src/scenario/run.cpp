@@ -115,8 +115,7 @@ ModelOutcome run_sharded(const ScenarioSpec& spec, const ModelChoice& model,
   point.ops = result.total_ops;
   point.sessions = result.sessions_completed;
   outcome.points.push_back(std::move(point));
-  outcome.log = std::move(result.log);
-  outcome.spilled_runs = std::move(result.spilled_runs);
+  outcome.log_runs = std::move(result.log_runs);
   outcome.response_sketch = result.response_sketch;
   outcome.registry = std::move(result.registry);
   outcome.trace = std::move(result.trace);
@@ -197,7 +196,8 @@ ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
   replay_point.ops = replayer.ops_replayed();
   replay_point.sessions = trace_sessions;
   outcome.points.push_back(std::move(replay_point));
-  outcome.log = std::move(replayed);
+  // One run: the merge passes it through, so the replayed order is kept.
+  outcome.log_runs.push_back(core::memory_run(std::move(replayed.records_mutable())));
 
   if (spec.synthetic_users > 0) {
     // The paper's section 2.1 contrast: the generator can answer the
@@ -371,12 +371,11 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
   outcome.report = render_report(spec, outcome.models);
 
   if (!spec.log_file.empty()) {
-    // Stream through a reader straight into the file, so neither branch
-    // ever holds the log text in RAM (and a spilled run never materializes
-    // the merged log either).  The pool has drained, so the whole thread
-    // budget formats the text.
-    core::write_log_file(*outcome.models.front().open_log_reader(), spec.log_file,
-                         total_threads);
+    // Stream the merged runs straight into the file, so the log text is
+    // never held in RAM.  The pool has drained, so the whole thread budget
+    // formats the text.
+    core::write_log_file(*core::open_spilled_log(outcome.models.front().log_runs),
+                         spec.log_file, total_threads);
   }
   if (!spec.stats_file.empty()) {
     util::write_text_file(spec.stats_file, outcome.stats_digest);
@@ -388,11 +387,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
 
   write_obs_artifacts(effective_obs, outcome);
   return outcome;
-}
-
-std::unique_ptr<core::LogReader> ModelOutcome::open_log_reader() const {
-  if (!spilled_runs.empty()) return core::open_spilled_log(spilled_runs);
-  return std::make_unique<core::MemoryLogReader>(log);
 }
 
 SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, std::size_t users,

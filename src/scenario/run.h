@@ -50,13 +50,11 @@ struct PointOutcome {
 struct ModelOutcome {
   std::string model;
   std::vector<PointOutcome> points;
-  /// Merged usage log (sharded with collect_log) or replayed log (replay);
-  /// empty otherwise — and empty when the run spilled (see spilled_runs).
-  core::UsageLog log;
-
-  /// Sorted on-disk runs when the scenario spilled (log.spill); the merged
-  /// stream is core::open_spilled_log(spilled_runs).
-  std::vector<core::SpillRun> spilled_runs;
+  /// The kept usage log as runs: the sharded runner's sorted runs (run
+  /// files when the scenario spilled, log.spill; memory runs otherwise), or
+  /// one memory run holding the replayed log (replay); empty elsewhere.
+  /// core::open_spilled_log(log_runs) streams it.
+  std::vector<core::SpillRun> log_runs;
 
   /// Response-time quantile sketch (sharded mode only; empty elsewhere).
   /// Bit-identical across shard/thread counts AND spill on/off, so its
@@ -67,10 +65,6 @@ struct ModelOutcome {
   /// registry metrics follow the owning runner's merge contract.
   obs::Registry registry;
   obs::RunTrace trace;
-
-  /// The kept log as one stream: a merge cursor over spilled_runs, or a
-  /// cursor over `log` — the same records either way.
-  std::unique_ptr<core::LogReader> open_log_reader() const;
 };
 
 /// Result of compiling and executing one scenario.

@@ -165,9 +165,9 @@ int cmd_run(const Args& args) {
 
   const scenario::ModelOutcome& model = outcome.models.front();
   std::cout << "\n";
-  print_analysis(*model.open_log_reader());
+  print_analysis(*core::open_spilled_log(model.log_runs));
   if (plan.verify_merge) {
-    if (!runner::is_merge_ordered(*model.open_log_reader())) {
+    if (!runner::is_merge_ordered(*core::open_spilled_log(model.log_runs))) {
       std::cerr << "merge contract violated: log is not (time, user) ordered\n";
       // A log that breaks the contract is not left behind as if it were good.
       std::error_code ignored;

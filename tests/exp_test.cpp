@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 
+#include "core/log_sink.h"
 #include "exp/artifacts.h"
 #include "exp/expectation.h"
 #include "exp/harness.h"
@@ -353,7 +354,8 @@ TEST(FrontEnds, WorkloadSharedRunAndContendedReplicationAgree) {
     const runner::RunnerResult one_user = runner::ShardedRunner(sharded).run();
     const WorkloadOutput single = run_workload(WorkloadConfig{workload});
     ASSERT_FALSE(single.log.empty());
-    EXPECT_EQ(one_user.log.serialize(), single.log.serialize());
+    EXPECT_EQ(core::materialize(*core::open_spilled_log(one_user.log_runs)).serialize(),
+              single.log.serialize());
   }
 }
 

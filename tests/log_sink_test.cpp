@@ -123,12 +123,15 @@ TEST(SpillSink, CutsRunsOnlyAtUserBoundaries) {
   const std::string dir = temp_dir("boundaries");
   // Tiny buffer so nearly every user boundary cuts a run — but a single
   // user's burst (longer than the buffer) must still stay in one run.
+  const auto feed = [](SpillSink& sink) {
+    for (int i = 0; i < 11; ++i) sink.append(make_record(0, i, 1.0));  // > buffer
+    for (std::uint32_t u = 1; u < 6; ++u) {
+      for (int i = 0; i < 3; ++i) sink.append(make_record(u, i, 1.0));
+    }
+    sink.close();
+  };
   SpillSink sink(dir, "s", 4);
-  for (int i = 0; i < 11; ++i) sink.append(make_record(0, i, 1.0));  // > buffer
-  for (std::uint32_t u = 1; u < 6; ++u) {
-    for (int i = 0; i < 3; ++i) sink.append(make_record(u, i, 1.0));
-  }
-  sink.close();
+  feed(sink);
   ASSERT_GE(sink.runs().size(), 2u);
 
   // No user may appear in two runs.
@@ -144,6 +147,26 @@ TEST(SpillSink, CutsRunsOnlyAtUserBoundaries) {
     }
   }
   EXPECT_EQ(sink.records_written(), 11u + 5u * 3u);
+
+  // Without a directory the same appends are cut at the same places, each
+  // run held in memory, and merge to the same stream — with no file made.
+  SpillSink memory("", "s", 4);
+  feed(memory);
+  ASSERT_EQ(memory.runs().size(), sink.runs().size());
+  EXPECT_EQ(memory.records_written(), sink.records_written());
+  EXPECT_EQ(memory.bytes_written(), 0u);
+  for (std::size_t i = 0; i < memory.runs().size(); ++i) {
+    const SpillRun& run = memory.runs()[i];
+    EXPECT_TRUE(run.path.empty());
+    ASSERT_NE(run.memory, nullptr);
+    EXPECT_EQ(run.records, sink.runs()[i].records);
+    EXPECT_EQ(materialize(*open_spilled_log({run})).serialize(),
+              materialize(*open_spilled_log({sink.runs()[i]})).serialize())
+        << "run " << i;
+  }
+  EXPECT_EQ(materialize(*open_spilled_log(memory.runs())).serialize(),
+            materialize(*open_spilled_log(sink.runs())).serialize());
+  EXPECT_FALSE(std::filesystem::exists("s_run000000.wlr"));
   std::filesystem::remove_all(dir);
 }
 
@@ -483,12 +506,21 @@ TEST(TextWriter, WriteLogFileMatchesWriteLogTextAtEveryThreadCount) {
     sink.close();
     const std::string spilled_expected = text_of(*open_spilled_log(sink.runs()));
 
+    // The same runs held in memory: the same merged stream.
+    SpillSink memory_sink("", "t", 1500);
+    for (const OpRecord& r : log.records()) memory_sink.append(r);
+    memory_sink.close();
+    EXPECT_EQ(first_difference(text_of(*open_spilled_log(memory_sink.runs())), spilled_expected),
+              "");
+
     for (const std::size_t threads : {1, 2, 3, 4, 8}) {
       SCOPED_TRACE(threads);
       MemoryLogReader memory(log);
       EXPECT_EQ(write_log_file(memory, path, threads), count);
       EXPECT_EQ(first_difference(util::read_text_file(path), memory_expected), "");
       EXPECT_EQ(write_log_file(*open_spilled_log(sink.runs()), path, threads), count);
+      EXPECT_EQ(first_difference(util::read_text_file(path), spilled_expected), "");
+      EXPECT_EQ(write_log_file(*open_spilled_log(memory_sink.runs()), path, threads), count);
       EXPECT_EQ(first_difference(util::read_text_file(path), spilled_expected), "");
     }
   }

@@ -19,7 +19,9 @@
 #include "fsmodel/nfs_model.h"
 #include "runner/checkpoint.h"
 #include "runner/contended_runner.h"
+#include "runner/merge.h"
 #include "runner/sharded_runner.h"
+#include "runner/universe.h"
 
 namespace wlgen::runner {
 namespace {
@@ -93,18 +95,21 @@ TEST(Merge, OrdersByTimeThenUserWithStablePerUserOrder) {
   std::vector<std::uint64_t> ids;
   for (const auto& r : merged.records()) ids.push_back(r.file_id);
   EXPECT_EQ(ids, (std::vector<std::uint64_t>{3, 5, 1, 2, 4}));
-  EXPECT_TRUE(is_merge_ordered(merged));
+  core::MemoryLogReader reader(merged);
+  EXPECT_TRUE(is_merge_ordered(reader));
 }
 
 TEST(Merge, DetectsDisorder) {
   core::UsageLog log;
   log.append(record_at(2.0, 0, 1));
   log.append(record_at(1.0, 0, 2));
-  EXPECT_FALSE(is_merge_ordered(log));
+  core::MemoryLogReader log_reader(log);
+  EXPECT_FALSE(is_merge_ordered(log_reader));
   core::UsageLog tie;
   tie.append(record_at(1.0, 3, 1));
   tie.append(record_at(1.0, 2, 2));
-  EXPECT_FALSE(is_merge_ordered(tie));
+  core::MemoryLogReader tie_reader(tie);
+  EXPECT_FALSE(is_merge_ordered(tie_reader));
 }
 
 // --- the headline invariance ------------------------------------------------
@@ -118,6 +123,29 @@ RunnerConfig base_config(std::size_t users, std::size_t shards, std::size_t thre
   config.usim.sessions_per_user = 3;
   config.population = core::mixed_population(0.5);
   return config;
+}
+
+/// A run's merged log, read through the k-way merge over its runs.
+core::UsageLog merged_log(const RunnerResult& result) {
+  return core::materialize(*core::open_spilled_log(result.log_runs));
+}
+
+/// The independent reference for a sharded run's log: every user's
+/// universe built on its own by run_universe, as run_user configures it,
+/// and the per-user logs merged by merge_user_logs.
+core::UsageLog reference_log(RunnerConfig config) {
+  config.resolve();
+  sim::Simulation sim;
+  std::vector<core::UsageLog> per_user;
+  for (std::size_t u = 0; u < config.num_users; ++u) {
+    core::UsimConfig usim = config.usim;
+    usim.num_users = 1;
+    usim.first_user = u;
+    usim.population_users = config.num_users;
+    usim.seed = config.seed;
+    per_user.push_back(run_universe(sim, config, std::move(usim)).log);
+  }
+  return merge_user_logs(std::move(per_user));
 }
 
 void expect_stats_identical(const RunnerStats& a, const RunnerStats& b) {
@@ -140,13 +168,16 @@ TEST(ShardedRunner, ShardCountNeverChangesMergedResults) {
   ShardedRunner one(base_config(6, 1, 1));
   const RunnerResult r1 = one.run();
   ASSERT_GT(r1.total_ops, 0u);
-  EXPECT_TRUE(is_merge_ordered(r1.log));
+  const core::UsageLog log1 = merged_log(r1);
+  ASSERT_EQ(log1.size(), r1.total_ops);
+  core::MemoryLogReader reader(log1);
+  EXPECT_TRUE(is_merge_ordered(reader));
 
   for (std::size_t shards : {2u, 3u, 6u}) {
     ShardedRunner many(base_config(6, shards, 2));
     const RunnerResult rk = many.run();
     // Bit-identical merged usage log, FIFO tie-break order included.
-    EXPECT_EQ(rk.log.serialize(), r1.log.serialize()) << shards << " shards";
+    EXPECT_EQ(merged_log(rk).serialize(), log1.serialize()) << shards << " shards";
     expect_stats_identical(rk.stats, r1.stats);
     EXPECT_EQ(rk.total_ops, r1.total_ops);
     EXPECT_EQ(rk.sessions_completed, r1.sessions_completed);
@@ -159,7 +190,11 @@ TEST(ShardedRunner, ThreadCountNeverChangesMergedResults) {
   const RunnerResult r1 = serial.run();
   ShardedRunner parallel(base_config(5, 5, 4));
   const RunnerResult r4 = parallel.run();
-  EXPECT_EQ(r4.log.serialize(), r1.log.serialize());
+  ASSERT_GT(r1.total_ops, 0u);
+  const core::UsageLog log1 = merged_log(r1);
+  ASSERT_EQ(log1.size(), r1.total_ops);
+  EXPECT_EQ(merged_log(r4).serialize(), log1.serialize());
+  EXPECT_EQ(r4.total_ops, r1.total_ops);
   expect_stats_identical(r4.stats, r1.stats);
 }
 
@@ -176,10 +211,12 @@ TEST(ShardedRunner, DrawBatchKeepsShardAndThreadInvariance) {
   ShardedRunner one(batched(1, 1));
   const RunnerResult r1 = one.run();
   ASSERT_GT(r1.total_ops, 0u);
+  const core::UsageLog log1 = merged_log(r1);
+  ASSERT_EQ(log1.size(), r1.total_ops);
   for (std::size_t shards : {2u, 6u}) {
     ShardedRunner many(batched(shards, 4));
     const RunnerResult rk = many.run();
-    EXPECT_EQ(rk.log.serialize(), r1.log.serialize()) << shards << " shards";
+    EXPECT_EQ(merged_log(rk).serialize(), log1.serialize()) << shards << " shards";
     expect_stats_identical(rk.stats, r1.stats);
   }
 }
@@ -193,11 +230,12 @@ TEST(ShardedRunner, TimestampTiesBreakByUserIndex) {
   config.population.groups.push_back({core::extremely_heavy_user(), 1.0});
   ShardedRunner run(std::move(config));
   const RunnerResult result = run.run();
-  EXPECT_TRUE(is_merge_ordered(result.log));
+  EXPECT_TRUE(is_merge_ordered(*core::open_spilled_log(result.log_runs)));
   // Ties must appear in ascending user order (is_merge_ordered verifies);
   // check the tie case is actually exercised.
   bool saw_cross_user_tie = false;
-  const auto& records = result.log.records();
+  const core::UsageLog log = merged_log(result);
+  const auto& records = log.records();
   for (std::size_t i = 1; i < records.size() && !saw_cross_user_tie; ++i) {
     saw_cross_user_tie = records[i].issue_time_us == records[i - 1].issue_time_us &&
                          records[i].user != records[i - 1].user;
@@ -231,7 +269,8 @@ TEST(ShardedRunner, MatchesDirectSingleUserSimulation) {
                            usim_config);
   usim.run();
 
-  EXPECT_EQ(result.log.serialize(), usim.log().serialize());
+  ASSERT_FALSE(usim.log().empty());
+  EXPECT_EQ(merged_log(result).serialize(), usim.log().serialize());
   EXPECT_EQ(result.max_simulated_us, simulation.now());
 }
 
@@ -240,7 +279,7 @@ TEST(ShardedRunner, LogFreeRunsStillProduceMergedAggregates) {
   config.collect_log = false;
   ShardedRunner run(config);
   const RunnerResult result = run.run();
-  EXPECT_TRUE(result.log.empty());
+  EXPECT_TRUE(result.log_runs.empty());
   EXPECT_GT(result.total_ops, 0u);
   EXPECT_EQ(result.stats.ops(), result.total_ops);
   EXPECT_GT(result.stats.bytes_moved(), 0u);
@@ -255,7 +294,8 @@ TEST(ShardedRunner, LogFreeRunsStillProduceMergedAggregates) {
 TEST(ShardedRunner, StatsAgreeWithAnalyzerOnTheMergedLog) {
   ShardedRunner run(base_config(3, 3, 2));
   const RunnerResult result = run.run();
-  const core::UsageAnalyzer analyzer(result.log);
+  const core::UsageAnalyzer analyzer(*core::open_spilled_log(result.log_runs));
+  ASSERT_GT(analyzer.op_count(), 0u);
   EXPECT_EQ(result.stats.response_us().count(), analyzer.response_stats().count());
   EXPECT_EQ(result.stats.access_size().count(), analyzer.access_size_stats().count());
   // Different floating-point fold order (per-user vs merged-log scan):
@@ -274,9 +314,11 @@ TEST(ShardedRunner, PopulationTypesFollowGlobalIndex) {
   const RunnerResult sharded_result = sharded.run();
   ShardedRunner whole(base_config(4, 1, 1));
   const RunnerResult whole_result = whole.run();
-  EXPECT_EQ(sharded_result.log.serialize(), whole_result.log.serialize());
+  const core::UsageLog sharded_log = merged_log(sharded_result);
+  ASSERT_FALSE(sharded_log.empty());
+  EXPECT_EQ(sharded_log.serialize(), merged_log(whole_result).serialize());
   std::set<std::uint32_t> users_seen;
-  for (const auto& r : sharded_result.log.records()) users_seen.insert(r.user);
+  for (const auto& r : sharded_log.records()) users_seen.insert(r.user);
   EXPECT_EQ(users_seen.size(), 4u);
 }
 
@@ -327,31 +369,46 @@ RunnerConfig spill_config(std::size_t users, std::size_t shards, std::size_t thr
   return config;
 }
 
-TEST(ShardedRunnerSpill, MatchesInMemoryLogByteForByteAcrossShardsAndThreads) {
-  ShardedRunner reference(base_config(6, 1, 1));
-  const RunnerResult in_memory = reference.run();
-  ASSERT_FALSE(in_memory.log.empty());
+TEST(ShardedRunnerSpill, MatchesReferenceLogInMemoryAndOnDiskAcrossShardsAndThreads) {
+  // Memory runs and run files are cut, sorted and merged the same way; only
+  // where a run lives differs.  Both give merge_user_logs' exact stream,
+  // tie-break order included, for every shard and thread count.
+  const core::UsageLog reference = reference_log(base_config(6, 1, 1));
+  ASSERT_FALSE(reference.empty());
+  const std::string expected = reference.serialize();
+  ShardedRunner baseline(base_config(6, 1, 1));
+  const RunnerResult base = baseline.run();
 
   for (std::size_t shards : {1u, 2u, 3u}) {
     for (std::size_t threads : {1u, 4u}) {
-      const std::string spool =
-          fresh_spool("s" + std::to_string(shards) + "t" + std::to_string(threads));
-      ShardedRunner spilled(spill_config(6, shards, threads, spool));
-      const RunnerResult result = spilled.run();
+      for (bool disk : {false, true}) {
+        const std::string where = std::to_string(shards) + " shards, " +
+                                  std::to_string(threads) + " threads, " +
+                                  (disk ? "on disk" : "in memory");
+        const std::string spool =
+            fresh_spool("s" + std::to_string(shards) + "t" + std::to_string(threads));
+        RunnerConfig config = spill_config(6, shards, threads, spool);
+        config.spill.enabled = disk;
+        ShardedRunner runner(std::move(config));
+        const RunnerResult result = runner.run();
 
-      // The in-RAM log stays empty; the merged stream lives behind the
-      // reader and carries the exact same bytes, tie-break order included.
-      EXPECT_TRUE(result.log.empty());
-      ASSERT_FALSE(result.spilled_runs.empty());
-      auto reader = result.open_log_reader();
-      EXPECT_EQ(core::materialize(*reader).serialize(), in_memory.log.serialize())
-          << shards << " shards, " << threads << " threads";
+        // buffer_records = 32 cuts several runs per shard either way.
+        ASSERT_GT(result.log_runs.size(), shards) << where;
+        for (const core::SpillRun& run : result.log_runs) {
+          EXPECT_EQ(run.path.empty(), !disk) << where;
+          EXPECT_EQ(run.memory != nullptr, !disk) << where;
+        }
+        EXPECT_EQ(merged_log(result).serialize(), expected) << where;
 
-      expect_stats_identical(result.stats, in_memory.stats);
-      EXPECT_EQ(result.total_ops, in_memory.total_ops);
-      EXPECT_EQ(result.max_simulated_us, in_memory.max_simulated_us);
-      EXPECT_TRUE(result.response_sketch == in_memory.response_sketch);
-      std::filesystem::remove_all(spool);
+        expect_stats_identical(result.stats, base.stats);
+        EXPECT_EQ(result.total_ops, base.total_ops);
+        EXPECT_EQ(result.max_simulated_us, base.max_simulated_us);
+        EXPECT_TRUE(result.response_sketch == base.response_sketch);
+        if (!disk) {
+          EXPECT_FALSE(std::filesystem::exists(spool)) << where;
+        }
+        std::filesystem::remove_all(spool);
+      }
     }
   }
 }
@@ -362,10 +419,9 @@ TEST(ShardedRunnerSpill, HandlesMoreShardsThanUsers) {
   const std::string spool = fresh_spool("empty_shards");
   ShardedRunner spilled(spill_config(2, 5, 2, spool));
   const RunnerResult result = spilled.run();
-  ShardedRunner reference(base_config(2, 1, 1));
-  const RunnerResult in_memory = reference.run();
-  auto reader = result.open_log_reader();
-  EXPECT_EQ(core::materialize(*reader).serialize(), in_memory.log.serialize());
+  const core::UsageLog reference = reference_log(base_config(2, 1, 1));
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(merged_log(result).serialize(), reference.serialize());
   std::filesystem::remove_all(spool);
 }
 
@@ -373,8 +429,8 @@ TEST(ShardedRunnerSpill, StreamSatisfiesMergeContractViaReader) {
   const std::string spool = fresh_spool("contract");
   ShardedRunner spilled(spill_config(5, 3, 2, spool));
   const RunnerResult result = spilled.run();
-  auto reader = result.open_log_reader();
-  EXPECT_TRUE(is_merge_ordered(*reader));
+  ASSERT_GT(result.total_ops, 0u);
+  EXPECT_TRUE(is_merge_ordered(*core::open_spilled_log(result.log_runs)));
   std::filesystem::remove_all(spool);
 }
 
@@ -403,7 +459,9 @@ TEST(ShardedRunnerSpill, CheckpointResumeIsBitIdentical) {
   const RunnerResult original = first.run();
   EXPECT_EQ(original.checkpoints_written, 3u);
   EXPECT_EQ(original.shards_resumed, 0u);
-  const std::string original_log = core::materialize(*original.open_log_reader()).serialize();
+  const core::UsageLog original_records = merged_log(original);
+  ASSERT_FALSE(original_records.empty());
+  const std::string original_log = original_records.serialize();
 
   // Full resume: every shard restored from its checkpoint, nothing re-run,
   // and the result — log bytes, stats fold, sketch — is bit-identical.
@@ -413,7 +471,7 @@ TEST(ShardedRunnerSpill, CheckpointResumeIsBitIdentical) {
   ShardedRunner resumed(resume_config);
   const RunnerResult restored = resumed.run();
   EXPECT_EQ(restored.shards_resumed, 3u);
-  EXPECT_EQ(core::materialize(*restored.open_log_reader()).serialize(), original_log);
+  EXPECT_EQ(merged_log(restored).serialize(), original_log);
   expect_stats_identical(restored.stats, original.stats);
   EXPECT_EQ(restored.total_ops, original.total_ops);
   EXPECT_EQ(restored.sessions_completed, original.sessions_completed);
@@ -428,7 +486,7 @@ TEST(ShardedRunnerSpill, CheckpointResumeIsBitIdentical) {
   const RunnerResult repaired = partial.run();
   EXPECT_EQ(repaired.shards_resumed, 2u);
   EXPECT_EQ(repaired.checkpoints_written, 1u);
-  EXPECT_EQ(core::materialize(*repaired.open_log_reader()).serialize(), original_log);
+  EXPECT_EQ(merged_log(repaired).serialize(), original_log);
   expect_stats_identical(repaired.stats, original.stats);
   EXPECT_TRUE(repaired.response_sketch == original.response_sketch);
   std::filesystem::remove_all(spool);
@@ -469,7 +527,7 @@ TEST(ShardedRunnerSpill, ResumeRejectsARecordOfAnotherShardsUser) {
   ASSERT_TRUE(std::filesystem::exists(victim));
   std::vector<core::OpRecord> records;
   {
-    core::RunFileReader reader(core::SpillRun{victim, 0, 0});
+    core::RunFileReader reader(core::SpillRun{victim, 0, 0, nullptr});
     core::OpRecord r;
     while (reader.next(r)) records.push_back(r);
   }

@@ -391,7 +391,8 @@ TEST(ScenarioRun, SpilledScenarioStillWritesTheOutputLog) {
       spill_scenario_text(spool.string()) + "[output]\nlog = " + log_path.string() + "\n";
   const ScenarioOutcome outcome = run_scenario(ScenarioSpec::parse_text(text));
   ASSERT_EQ(outcome.models.size(), 1u);
-  EXPECT_FALSE(outcome.models[0].spilled_runs.empty());
+  ASSERT_FALSE(outcome.models[0].log_runs.empty());
+  EXPECT_FALSE(outcome.models[0].log_runs.front().path.empty());
   EXPECT_GT(outcome.models[0].response_sketch.count(), 0u);
   EXPECT_TRUE(std::filesystem::exists(log_path));
   EXPECT_GT(std::filesystem::file_size(log_path), 0u);
@@ -413,7 +414,9 @@ TEST(ScenarioRun, ReplayModeRunsTheAbComparison) {
   EXPECT_EQ(outcome.models[0].points[1].users, 2u);
   EXPECT_GT(outcome.models[0].points[0].ops, 0u);
   EXPECT_GT(outcome.models[0].points[1].ops, 0u);
-  EXPECT_FALSE(outcome.models[0].log.empty());
+  // The replayed log is one memory run.
+  ASSERT_EQ(outcome.models[0].log_runs.size(), 1u);
+  EXPECT_EQ(outcome.models[0].log_runs.front().records, outcome.models[0].points[0].ops);
   // Replay is serial; the digest must still be invariant to the knob.
   EXPECT_EQ(digest_with_threads(text, 1), digest_with_threads(text, 8));
 }
