@@ -2,15 +2,15 @@
 // log pipeline.
 //
 // BM_SpillPopulation runs the same per-user workload at growing population
-// sizes with the log path either held in memory (spill=0, the pre-streaming
-// behaviour) or spilled to sorted on-disk runs (spill=1).  Two counters per
-// entry:
+// sizes with each shard's sorted runs either held in memory (spill=0) or
+// written to run files (spill=1), and drains the k-way merge over them.
+// Two counters per entry:
 //
-//   * syscalls/s    — wall-clock throughput, showing what the spill path
-//                     costs (encode + write + k-way merge bookkeeping);
+//   * syscalls/s    — wall-clock throughput, showing what the disk costs
+//                     (encode + write + read back);
 //   * peak_rss_mb   — the process peak resident set over the entry, showing
 //                     what it buys (flat memory as users grow, versus the
-//                     in-memory log's linear climb).
+//                     memory runs' linear climb).
 //
 // Peak RSS comes from /proc/self/status VmHWM.  The high-water mark is
 // process-wide, so each entry resets it first via /proc/self/clear_refs

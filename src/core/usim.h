@@ -97,9 +97,9 @@ struct UsimConfig {
 
   /// Streaming destination for completed-op records (non-owning; must
   /// outlive the run).  When set it REPLACES the internal in-memory log —
-  /// records append here instead of log_, so a spilling run never
-  /// materializes them — and collect_log is ignored.  The sharded runner
-  /// points every shard's users at that shard's SpillSink.
+  /// records append here instead of log_ — and collect_log is ignored.
+  /// The sharded runner points every shard's users at that shard's
+  /// SpillSink, so it keeps no per-user log.
   LogSink* sink = nullptr;
 
   /// Observer invoked with every op record as it completes, independent of
