@@ -19,6 +19,8 @@
 #                           classic and --shards 4 logs: open loop on local
 #                           (a completion-order log, so out-of-order issue
 #                           times), on nfs at --scale 0.3, and closed loop;
+#   analyze_<form>.txt      `wlgen analyze`'s stdout over the classic and
+#                           --shards 4 --threads 1 logs;
 #   experiments/<id>.json   every experiment's JSON at --scale 0.25, at
 #                           --threads 1 and 4.
 #
@@ -152,6 +154,18 @@ check_replay(replay_classic_local run_classic --model local)
 check_replay(replay_classic_nfs_scaled run_classic --model nfs --scale 0.3)
 check_replay(replay_shards4_nfs run_shards4_t1 --model nfs)
 check_replay(replay_shards4_local_closed run_shards4_t1 --model local --closed-loop)
+
+# `wlgen analyze` stdout, verbatim: `golden` names the text file, `log` the
+# check_run_log golden whose log is analyzed.
+function(check_analyze golden log)
+  set(CHECK_LABEL "analyze ${log}.log")
+  wlgen_stdout(report analyze ${WORK_DIR}/${log}.log)
+  check(${GOLDEN_DIR}/${golden}.txt "${report}")
+  set(failures "${failures}" PARENT_SCOPE)
+endfunction()
+
+check_analyze(analyze_classic run_classic)
+check_analyze(analyze_shards4_t1 run_shards4_t1)
 
 # Experiment JSON, byte for byte.  The golden set must match the produced
 # set exactly, so a dropped or a new experiment fails too.
