@@ -8,8 +8,9 @@
 // scoreboard entries behind the DESIGN.md scaling tables: on an M-core
 // machine the /T rate should approach T-fold the /1 rate until T exceeds M
 // (on a single-core CI container the curves are flat).  BM_WriteLogText
-// and BM_ParseLogText time the serial log tail in isolation;
-// BM_WriteLogFile times the text writer on 1, 2 and 4 threads.
+// times the serial log writer in isolation, BM_WriteLogFile the writer and
+// BM_ParseLogText the parser on 1, 2 and 4 threads, and BM_UsageAnalyzer
+// the analyzer's pass.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include <string>
 
 #include "bench_main.h"
+#include "core/analysis.h"
 #include "core/log_sink.h"
 #include "runner/contended_runner.h"
 #include "runner/sharded_runner.h"
@@ -110,8 +112,7 @@ BENCHMARK(BM_ContendedRunner)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisec
 // Usage-log text codec, the serial tail of every `[output] log` run.
 // Records have the magnitudes a real log carries (microsecond clocks,
 // block-sized transfers); the writer drains into a discarding stream so
-// only formatting and buffering are timed, and the parser feeds a counting
-// sink so only scanning and number conversion are.
+// only formatting and buffering are timed.
 core::UsageLog codec_log(std::size_t records) {
   std::mt19937_64 rng(1991);
   std::exponential_distribution<double> gap(1.0 / 250.0);
@@ -142,13 +143,6 @@ class DiscardBuffer final : public std::streambuf {
  protected:
   std::streamsize xsputn(const char* /*data*/, std::streamsize size) override { return size; }
   int_type overflow(int_type c) override { return traits_type::not_eof(c); }
-};
-
-class CountingSink final : public core::LogSink {
- public:
-  void append(const core::OpRecord& /*record*/) override { ++records; }
-  void close() override {}
-  std::uint64_t records = 0;
 };
 
 void set_records_rate(benchmark::State& state, std::size_t per_iteration) {
@@ -187,17 +181,31 @@ void BM_WriteLogFile(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteLogFile)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// The bulk parser over the same 100 k records' text (about 10 MiB, so every
+// budget here cuts a chunk per thread), on a growing thread budget.
 void BM_ParseLogText(benchmark::State& state) {
-  const auto records = static_cast<std::size_t>(state.range(0));
-  const std::string text = codec_log(records).serialize();
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kRecords = 100000;
+  const std::string text = codec_log(kRecords).serialize();
   for (auto _ : state) {
-    CountingSink sink;
-    core::parse_log_text(text, sink);
-    benchmark::DoNotOptimize(sink.records);
+    benchmark::DoNotOptimize(core::parse_log_text(text, threads).size());
+  }
+  set_records_rate(state, kRecords);
+}
+BENCHMARK(BM_ParseLogText)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The Usage Analyzer's one pass over a million records in 4,000 sessions
+// (200 users x 20), records interleaved across sessions as in a merged log.
+void BM_UsageAnalyzer(benchmark::State& state) {
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const core::UsageLog log = codec_log(records);
+  for (auto _ : state) {
+    const core::UsageAnalyzer analyzer(log);
+    benchmark::DoNotOptimize(analyzer.sessions().size());
   }
   set_records_rate(state, records);
 }
-BENCHMARK(BM_ParseLogText)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UsageAnalyzer)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 // Scenario-level parallelism: one three-backend sharded scenario, run with a
 // growing --threads budget.  run_scenario fans the independent backends over

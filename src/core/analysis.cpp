@@ -1,86 +1,228 @@
 #include "core/analysis.h"
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
+#include <stdexcept>
+#include <string>
 
 namespace wlgen::core {
 
-UsageAnalyzer::UsageAnalyzer(LogReader& reader) { consume(reader); }
+namespace {
 
-UsageAnalyzer::UsageAnalyzer(const UsageLog& log) {
-  MemoryLogReader reader(log);
-  consume(reader);
+// The murmur3 finalizer: spreads every key bit over the low bits a table
+// masks with.
+std::uint64_t mix(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
 }
 
-void UsageAnalyzer::consume(LogReader& reader) {
+// A session: the user in the high half, the session ordinal in the low.
+std::uint64_t session_key(const OpRecord& r) {
+  return (std::uint64_t{r.user} << 32) | r.session;
+}
+
+// A session's file: (accumulator index, file id).
+struct TouchKey {
+  std::uint64_t file_id = 0;
+  std::uint32_t session = 0;
+  bool operator==(const TouchKey&) const = default;
+};
+
+std::uint64_t hash_of(std::uint64_t key) { return mix(key); }
+std::uint64_t hash_of(const TouchKey& key) {
+  return mix(key.file_id ^ (std::uint64_t{key.session} * 0x9e3779b97f4a7c15ULL));
+}
+
+// Open-addressing map from a key to a dense value (the caller's index of
+// the key's entry), probing linearly through a power-of-two table that is
+// kept at most half full.
+template <typename Key>
+class FlatIndex {
+ public:
+  /// The value stored for `key`, or — when `key` is absent — `fresh`, which
+  /// is stored for it.
+  std::uint32_t find_or_insert(const Key& key, std::size_t fresh) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash_of(key) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.value == kEmpty) {
+        if (fresh >= kEmpty) throw std::length_error("UsageAnalyzer: too many table entries");
+        slot = {key, static_cast<std::uint32_t>(fresh)};
+        ++used_;
+        return slot.value;
+      }
+      if (slot.key == key) return slot.value;
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  struct Slot {
+    Key key{};
+    std::uint32_t value = kEmpty;
+  };
+
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.value == kEmpty) continue;
+      std::size_t i = hash_of(slot.key) & mask;
+      while (slots_[i].value != kEmpty) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+};
+
+}  // namespace
+
+// The one pass over the records: per-record state lives in flat tables in
+// first-seen order; finish() puts it in (user, session, file id) order.
+struct UsageAnalyzer::Pass {
   struct SessionAccumulator {
+    std::uint64_t key = 0;  ///< session_key
     double start = 0.0;
     double end = 0.0;
     std::uint64_t ops = 0;
     std::uint64_t bytes = 0;
-    bool first = true;
   };
-  std::map<std::pair<std::uint32_t, std::uint32_t>, SessionAccumulator> acc;
+  struct Touch {
+    FileTouch touch;
+    std::uint32_t session = 0;  ///< accumulator index
+  };
 
-  OpRecord r;
-  while (reader.next(r)) {
-    ++op_count_;
-    response_.add(r.response_us);
-    response_sum_us_ += r.response_us;
-    auto& op_stats = per_op_[r.op];
+  explicit Pass(UsageAnalyzer& out) : out(out) {}
+
+  void add(const OpRecord& r) {
+    const auto op = static_cast<std::size_t>(r.op);
+    if (op >= fsmodel::kFsOpTypeCount) {
+      throw std::invalid_argument("UsageAnalyzer: unknown op code " + std::to_string(op));
+    }
+    ++out.op_count_;
+    out.response_.add(r.response_us);
+    out.response_sum_us_ += r.response_us;
+    OpTypeStats& op_stats = per_op[op];
     op_stats.response_us.add(r.response_us);
-    if (fsmodel::is_data_op(r.op)) {
-      access_size_.add(static_cast<double>(r.actual_bytes));
-      data_response_.add(r.response_us);
+    const bool data = fsmodel::is_data_op(r.op);
+    if (data) {
+      out.access_size_.add(static_cast<double>(r.actual_bytes));
+      out.data_response_.add(r.response_us);
       op_stats.access_size.add(static_cast<double>(r.actual_bytes));
-      data_bytes_ += static_cast<double>(r.actual_bytes);
+      out.data_bytes_ += static_cast<double>(r.actual_bytes);
     }
-    const auto key = std::make_pair(r.user, r.session);
-    auto& a = acc[key];
-    if (a.first) {
-      a.start = r.issue_time_us;
-      a.first = false;
+
+    // Consecutive records of one session skip the lookup.
+    const std::uint64_t key = session_key(r);
+    if (sessions.empty() || key != last_key) {
+      last_session = session_index.find_or_insert(key, sessions.size());
+      if (last_session == sessions.size()) {
+        sessions.push_back({key, r.issue_time_us, 0.0, 0, 0});
+      }
+      last_key = key;
     }
+    SessionAccumulator& a = sessions[last_session];
     a.start = std::min(a.start, r.issue_time_us);
     a.end = std::max(a.end, r.issue_time_us + r.response_us);
     ++a.ops;
-    if (fsmodel::is_data_op(r.op)) {
-      a.bytes += r.actual_bytes;
-      auto& touch = touches_[key][r.file_id];
-      touch.bytes += r.actual_bytes;
-      touch.file_size = std::max(touch.file_size, r.file_size);
-      touch.category = r.category;
-    } else if (r.op == fsmodel::FsOpType::open || r.op == fsmodel::FsOpType::creat) {
-      // Opening counts as referencing the file even if no byte moves.
-      auto& touch = touches_[key][r.file_id];
+    // Reads and writes reference their file; so does opening one, even if
+    // no byte moves.
+    if (data || r.op == fsmodel::FsOpType::open || r.op == fsmodel::FsOpType::creat) {
+      const std::uint32_t t = touch_index.find_or_insert({r.file_id, last_session}, touches.size());
+      if (t == touches.size()) touches.push_back({{r.file_id, 0, 0, {}}, last_session});
+      FileTouch& touch = touches[t].touch;
+      if (data) {
+        a.bytes += r.actual_bytes;
+        touch.bytes += r.actual_bytes;
+      }
       touch.file_size = std::max(touch.file_size, r.file_size);
       touch.category = r.category;
     }
   }
 
-  sessions_.reserve(acc.size());
-  for (const auto& [key, a] : acc) {
-    SessionSummary s;
-    s.user = key.first;
-    s.session = key.second;
-    s.start_us = a.start;
-    s.end_us = a.end;
-    s.ops = a.ops;
-    s.bytes_accessed = a.bytes;
-    const auto touched = touches_.find(key);
-    if (touched != touches_.end()) {
-      s.files_referenced = touched->second.size();
-      for (const auto& [file, t] : touched->second) {
-        s.total_file_bytes += static_cast<double>(t.file_size);
+  void finish() {
+    for (std::size_t op = 0; op < per_op.size(); ++op) {
+      if (per_op[op].response_us.count() > 0) {
+        out.per_op_.emplace(static_cast<fsmodel::FsOpType>(op), per_op[op]);
       }
+    }
+
+    // Sessions in (user, session) order; rank[i] is accumulator i's place.
+    std::vector<std::uint32_t> order(sessions.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<std::uint32_t>(i);
+    std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
+      return sessions[a].key < sessions[b].key;
+    });
+    std::vector<std::uint32_t> rank(sessions.size());
+    for (std::size_t i = 0; i < order.size(); ++i) rank[order[i]] = static_cast<std::uint32_t>(i);
+
+    // Touches grouped by session rank (a counting sort), then each
+    // session's by file id.
+    std::vector<std::size_t>& begin = out.touch_begin_;
+    begin.assign(sessions.size() + 1, 0);
+    for (const Touch& t : touches) ++begin[rank[t.session] + 1];
+    for (std::size_t i = 0; i < sessions.size(); ++i) begin[i + 1] += begin[i];
+    std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
+    out.touches_.resize(touches.size());
+    for (const Touch& t : touches) out.touches_[next[rank[t.session]]++] = t.touch;
+    touches = {};
+
+    out.sessions_.reserve(sessions.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const SessionAccumulator& a = sessions[order[i]];
+      const auto first = out.touches_.begin() + static_cast<std::ptrdiff_t>(begin[i]);
+      const auto last = out.touches_.begin() + static_cast<std::ptrdiff_t>(begin[i + 1]);
+      std::sort(first, last,
+                [](const FileTouch& x, const FileTouch& y) { return x.file_id < y.file_id; });
+      SessionSummary s;
+      s.user = static_cast<std::uint32_t>(a.key >> 32);
+      s.session = static_cast<std::uint32_t>(a.key);
+      s.start_us = a.start;
+      s.end_us = a.end;
+      s.ops = a.ops;
+      s.bytes_accessed = a.bytes;
+      s.files_referenced = begin[i + 1] - begin[i];
+      for (auto t = first; t != last; ++t) s.total_file_bytes += static_cast<double>(t->file_size);
       if (s.files_referenced > 0) {
         s.mean_file_size = s.total_file_bytes / static_cast<double>(s.files_referenced);
       }
       if (s.total_file_bytes > 0.0) {
         s.access_per_byte = static_cast<double>(s.bytes_accessed) / s.total_file_bytes;
       }
+      out.sessions_.push_back(s);
     }
-    sessions_.push_back(s);
   }
+
+  UsageAnalyzer& out;
+  std::array<OpTypeStats, fsmodel::kFsOpTypeCount> per_op;
+  std::vector<SessionAccumulator> sessions;
+  FlatIndex<std::uint64_t> session_index;
+  std::vector<Touch> touches;
+  FlatIndex<TouchKey> touch_index;
+  std::uint64_t last_key = 0;
+  std::uint32_t last_session = 0;
+};
+
+UsageAnalyzer::UsageAnalyzer(LogReader& reader) {
+  Pass pass(*this);
+  OpRecord record;
+  while (reader.next(record)) pass.add(record);
+  pass.finish();
+}
+
+UsageAnalyzer::UsageAnalyzer(const UsageLog& log) {
+  Pass pass(*this);
+  for (const OpRecord& record : log.records()) pass.add(record);
+  pass.finish();
 }
 
 double UsageAnalyzer::response_per_byte_us() const {
@@ -124,24 +266,30 @@ stats::Histogram UsageAnalyzer::session_files_histogram(std::size_t bins) const 
 std::map<std::string, CategoryUsage> UsageAnalyzer::per_category_usage() const {
   std::map<std::string, CategoryUsage> out;
   std::map<std::string, std::size_t> sessions_touching;
-  for (const auto& [key, files] : touches_) {
+  std::map<FileCategory, std::string> labels;  // one label string per category
+  std::size_t touched_sessions = 0;
+  for (std::size_t i = 0; i < sessions_.size(); ++i) {
+    if (touch_begin_[i] == touch_begin_[i + 1]) continue;
+    ++touched_sessions;
     std::map<std::string, std::size_t> files_in_category;
-    for (const auto& [file, t] : files) {
-      const std::string label = t.category.label();
-      auto& usage = out[label];
-      if (t.file_size > 0) {
-        usage.access_per_byte.add(static_cast<double>(t.bytes) /
-                                  static_cast<double>(t.file_size));
-        usage.file_size.add(static_cast<double>(t.file_size));
+    for (std::size_t t = touch_begin_[i]; t < touch_begin_[i + 1]; ++t) {
+      const FileTouch& touch = touches_[t];
+      auto [label, fresh] = labels.try_emplace(touch.category);
+      if (fresh) label->second = touch.category.label();
+      auto& usage = out[label->second];
+      if (touch.file_size > 0) {
+        usage.access_per_byte.add(static_cast<double>(touch.bytes) /
+                                  static_cast<double>(touch.file_size));
+        usage.file_size.add(static_cast<double>(touch.file_size));
       }
-      ++files_in_category[label];
+      ++files_in_category[label->second];
     }
     for (const auto& [label, count] : files_in_category) {
       out[label].files_per_session.add(static_cast<double>(count));
       ++sessions_touching[label];
     }
   }
-  const double total_sessions = static_cast<double>(touches_.size());
+  const double total_sessions = static_cast<double>(touched_sessions);
   if (total_sessions > 0.0) {
     for (auto& [label, usage] : out) {
       usage.fraction_sessions_touching =

@@ -47,14 +47,19 @@ struct CategoryUsage {
 ///
 /// Consumes a LogReader in ONE streaming pass — a spilled million-user run
 /// analyzes in bounded memory (per-session accumulators, never the record
-/// vector).  Each accumulator sees records in the same forward order a
-/// per-method scan of a materialized log used to, so every statistic is
-/// bit-identical with the pre-streaming implementation.
+/// vector).  Per record the pass touches only flat tables: per-op stats in
+/// an array indexed by FsOpType, per-session accumulators found through a
+/// hash table on (user, session), and file touches through a hash table on
+/// (session, file id).  Everything whose value depends on an order is built
+/// once at the end: sessions sorted by (user, session), each session's
+/// touches by file id, so every sum adds its terms in the same order, and
+/// every statistic is bit-identical with the original ordered-map analyzer
+/// (tests/analysis_test.cpp keeps it as the reference).
 class UsageAnalyzer {
  public:
   explicit UsageAnalyzer(LogReader& reader);
 
-  /// Convenience over a materialized log (wraps a MemoryLogReader).
+  /// Convenience over a materialized log (walks its records in place).
   explicit UsageAnalyzer(const UsageLog& log);
 
   const std::vector<SessionSummary>& sessions() const { return sessions_; }
@@ -93,17 +98,20 @@ class UsageAnalyzer {
   std::size_t op_count() const { return op_count_; }
 
  private:
+  struct Pass;  // the streaming pass's hash tables (analysis.cpp)
+
   struct FileTouch {
+    std::uint64_t file_id = 0;
     std::uint64_t bytes = 0;
     std::uint64_t file_size = 0;
     FileCategory category;
   };
 
-  void consume(LogReader& reader);
-
   std::vector<SessionSummary> sessions_;
-  // (user, session) -> file id -> touch record; kept for category breakdowns.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::map<std::uint64_t, FileTouch>> touches_;
+  // Every referenced file, kept for category breakdowns: sessions_[i]'s
+  // touches are touches_[touch_begin_[i], touch_begin_[i + 1]), by file id.
+  std::vector<FileTouch> touches_;
+  std::vector<std::size_t> touch_begin_;
   std::size_t op_count_ = 0;
   stats::RunningSummary access_size_;
   stats::RunningSummary response_;

@@ -1,11 +1,14 @@
 #include "core/log_sink.h"
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <mutex>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "util/strings.h"
@@ -518,32 +521,117 @@ std::uint64_t write_log_file(LogReader& reader, const std::string& path, std::si
   return written;
 }
 
-void parse_log_text(std::string_view text, LogSink& sink, const std::string& source) {
-  std::size_t line_number = 0;
-  for (std::size_t start = 0; start <= text.size();) {
-    const std::size_t end = std::min(text.find('\n', start), text.size());
-    const std::string_view line = util::trim_view(text.substr(start, end - start));
-    start = end + 1;
-    ++line_number;
-    if (line.empty() || line.front() == '#') continue;
-    OpRecord record;
-    try {
-      record = parse_record_line(line);
-    } catch (const std::invalid_argument& e) {
-      const std::string where = source.empty()
-                                    ? "UsageLog::parse: line " + std::to_string(line_number)
-                                    : source + ":" + std::to_string(line_number);
-      throw std::invalid_argument(where + ": " + e.what());
-    }
-    sink.append(record);
+namespace {
+
+// Calls on_line(line_number, trimmed_line) for every '\n'-separated line of
+// text[begin, end), numbering from `first_line`.  Returns the number of
+// newlines it passed.  A chunk ends just after a newline (or at the end of
+// the text), so the chunks' lines are exactly the text's lines.
+template <typename OnLine>
+std::size_t for_each_line(std::string_view text, std::size_t begin, std::size_t end,
+                          std::size_t first_line, OnLine&& on_line) {
+  std::size_t line_number = first_line;
+  for (std::size_t start = begin; start < end; ++line_number) {
+    const std::size_t newline = text.find('\n', start);
+    const std::size_t stop = std::min(newline, end);
+    on_line(line_number, util::trim_view(text.substr(start, stop - start)));
+    if (stop == end) break;
+    start = stop + 1;
   }
-  sink.close();
+  return line_number - first_line;
 }
 
-UsageLog read_log_file(const std::string& path) {
-  MemorySink sink;
-  parse_log_text(util::read_text_file(path), sink, path);
-  return sink.take_log();
+bool is_record_line(std::string_view trimmed) { return !trimmed.empty() && trimmed.front() != '#'; }
+
+// Runs job(i) for every i < jobs: the calling thread and up to jobs - 1
+// helper threads claim indices from a shared counter.  A job's exception is
+// kept in its own slot, so every job still runs and the caller rethrows the
+// lowest index's exception after joining.  When a helper cannot be started,
+// the threads already running (the caller among them) claim its share.
+template <typename Job>
+void run_chunks(std::size_t jobs, Job&& job) {
+  std::vector<std::exception_ptr> errors(jobs);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < jobs;) {
+      try {
+        job(i);
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(jobs);
+  try {
+    for (std::size_t i = 1; i < jobs; ++i) helpers.emplace_back(work);
+  } catch (const std::system_error&) {
+    // Fewer helpers: the shared counter hands their chunks to the others.
+  }
+  work();
+  for (auto& helper : helpers) helper.join();
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+}  // namespace
+
+UsageLog parse_log_text(std::string_view text, std::size_t threads, const std::string& source) {
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t chunks = std::clamp<std::size_t>(
+      std::min(threads, text.size() / kMinParseChunkBytes), 1, cores);
+  // Chunk c is text[cut[c], cut[c + 1]); every inner cut sits just after a
+  // newline, so no line straddles two chunks.
+  std::vector<std::size_t> cut(chunks + 1, text.size());
+  cut[0] = 0;
+  for (std::size_t c = 1; c < chunks; ++c) {
+    const std::size_t target = std::max(cut[c - 1], text.size() / chunks * c);
+    const std::size_t newline = text.find('\n', target);
+    cut[c] = newline == std::string_view::npos ? text.size() : newline + 1;
+  }
+
+  // Pass 1: each chunk's records and lines, so pass 2 knows where each
+  // chunk's records go and which line number each chunk starts at.
+  std::vector<std::size_t> records(chunks + 1, 0);
+  std::vector<std::size_t> lines(chunks + 1, 0);
+  run_chunks(chunks, [&](std::size_t c) {
+    std::size_t count = 0;
+    lines[c + 1] = for_each_line(text, cut[c], cut[c + 1], 0,
+                                 [&](std::size_t, std::string_view line) {
+                                   if (is_record_line(line)) ++count;
+                                 });
+    records[c + 1] = count;
+  });
+  for (std::size_t c = 0; c < chunks; ++c) {
+    records[c + 1] += records[c];
+    lines[c + 1] += lines[c];
+  }
+
+  // Pass 2: every chunk parses into its own slice of the one vector.
+  UsageLog log;
+  std::vector<OpRecord>& out = log.records_mutable();
+  out.resize(records[chunks]);
+  run_chunks(chunks, [&](std::size_t c) {
+    OpRecord* slot = out.data() + records[c];
+    const auto parse_line = [&](std::size_t line_number, std::string_view line) {
+      if (!is_record_line(line)) return;
+      try {
+        *slot++ = parse_record_line(line);
+      } catch (const std::invalid_argument& e) {
+        const std::string where = source.empty()
+                                      ? "UsageLog::parse: line " + std::to_string(line_number)
+                                      : source + ":" + std::to_string(line_number);
+        throw std::invalid_argument(where + ": " + e.what());
+      }
+    };
+    for_each_line(text, cut[c], cut[c + 1], lines[c] + 1, parse_line);
+  });
+  return log;
+}
+
+UsageLog read_log_file(const std::string& path, std::size_t threads) {
+  return parse_log_text(util::read_text_file(path), threads, path);
 }
 
 UsageLog materialize(LogReader& reader) {

@@ -224,15 +224,27 @@ std::uint64_t write_log_text(LogReader& reader, std::ostream& out);
 /// written.
 std::uint64_t write_log_file(LogReader& reader, const std::string& path, std::size_t threads);
 
-/// Parses UsageLog text (serialize() output) record by record into `sink`,
-/// scanning lines and fields in place.  Throws std::invalid_argument on
-/// malformed input, naming the 1-based line: "<source>:<line>: <detail>",
-/// or "UsageLog::parse: line <line>: <detail>" when `source` is empty.
-void parse_log_text(std::string_view text, LogSink& sink, const std::string& source = {});
+/// Text below this size is parsed on the calling thread; above it the
+/// parser cuts one chunk per this many bytes, up to one per thread.
+inline constexpr std::size_t kMinParseChunkBytes = 256 * 1024;
 
-/// Reads and parses a usage-log text file; parse errors read
-/// "<path>:<line>: <detail>".
-UsageLog read_log_file(const std::string& path);
+/// Parses UsageLog text (serialize() output) on up to `threads` threads
+/// (capped at the core count, like write_log_file's formatters), scanning
+/// lines and fields in place.  The text is cut at line boundaries into at
+/// most one chunk per thread, none smaller than kMinParseChunkBytes; a first
+/// pass counts each chunk's records, the record vector is sized once, and a
+/// second pass parses every chunk straight into its own slice of it, so the
+/// records are the same for any `threads`.  Throws std::invalid_argument on
+/// malformed input, naming the lowest malformed 1-based line:
+/// "<source>:<line>: <detail>", or "UsageLog::parse: line <line>: <detail>"
+/// when `source` is empty.  Any other exception on a worker is rethrown on
+/// the calling thread.
+UsageLog parse_log_text(std::string_view text, std::size_t threads,
+                        const std::string& source = {});
+
+/// Reads and parses a usage-log text file on up to `threads` threads; parse
+/// errors read "<path>:<line>: <detail>".
+UsageLog read_log_file(const std::string& path, std::size_t threads);
 
 /// Drains a reader into a materialized UsageLog (tests and small runs).
 UsageLog materialize(LogReader& reader);

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <stdexcept>
+#include <thread>
 
 #include "core/log_sink.h"
 #include "util/strings.h"
@@ -165,9 +166,7 @@ std::string UsageLog::serialize() const {
 }
 
 UsageLog UsageLog::parse(const std::string& text) {
-  MemorySink sink;
-  parse_log_text(text, sink);
-  return sink.take_log();
+  return parse_log_text(text, std::thread::hardware_concurrency());
 }
 
 }  // namespace wlgen::core

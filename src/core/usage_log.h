@@ -43,8 +43,8 @@ class UsageLog {
   /// write_log_file — identical text to streaming a LogReader directly.
   std::string serialize() const;
 
-  /// Parses serialize() output.  Throws std::invalid_argument on bad input.
-  /// Streams record-by-record through a LogSink (log_sink.h parse_log_text).
+  /// Parses serialize() output on every core (log_sink.h parse_log_text).
+  /// Throws std::invalid_argument on bad input.
   static UsageLog parse(const std::string& text);
 
  private:

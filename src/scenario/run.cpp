@@ -7,6 +7,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "core/log_sink.h"
@@ -309,6 +310,9 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
         obs::ring_share(effective_obs.trace_events, spec.models.size());
   }
 
+  const std::size_t total_threads =
+      runner::resolve_pool_threads(threads, std::numeric_limits<std::size_t>::max());
+
   // Replay mode shares one trace across every backend: record it on the
   // first model (or load it) so the comparison replays identical input.
   core::UsageLog trace;
@@ -321,7 +325,8 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
       trace = std::move(recorded.log);
       trace_sessions = recorded.sessions;
     } else {
-      trace = core::read_log_file(spec.trace_file);
+      trace = core::read_log_file(spec.trace_file, total_threads);
+      if (trace.empty()) throw std::invalid_argument(spec.trace_file + ": no records to replay");
       // Recover the recorded population/session shape from the trace itself.
       std::set<std::pair<std::uint32_t, std::uint32_t>> sessions;
       for (const auto& record : trace.records()) {
@@ -341,8 +346,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
   // its internal runner pool with an equal share of the remainder — so a
   // multi-model scenario never oversubscribes the requested thread count.
   outcome.models.resize(spec.models.size());
-  const std::size_t total_threads =
-      runner::resolve_pool_threads(threads, std::numeric_limits<std::size_t>::max());
   const std::size_t outer = std::min(total_threads, spec.models.size());
   const std::size_t inner = std::max<std::size_t>(1, total_threads / std::max<std::size_t>(1, outer));
   runner::drain_pool(spec.models.size(), outer, [&]() -> runner::PoolJob {

@@ -94,23 +94,26 @@ int cmd_gds(const Args& args) {
   return 0;
 }
 
+/// "mean(std)" of a summary, or "-" when it has no observations (an empty
+/// log, or the access size of an op that moves no data).
+std::string mean_std_or_dash(const stats::RunningSummary& summary) {
+  return summary.count() ? summary.mean_std_string() : "-";
+}
+
 void print_analysis(core::LogReader& reader) {
   const core::UsageAnalyzer analyzer(reader);
   util::TextTable ops({"op", "count", "access size mean(std)", "response us mean(std)"});
   for (const auto& [op, s] : analyzer.per_op_stats()) {
     ops.add_row({fsmodel::to_string(op), std::to_string(s.response_us.count()),
-                 s.access_size.count() ? s.access_size.mean_std_string() : "-",
-                 s.response_us.mean_std_string()});
+                 mean_std_or_dash(s.access_size), mean_std_or_dash(s.response_us)});
   }
   std::cout << ops.render() << "\n";
 
   util::TextTable summary({"metric", "value"});
   summary.add_row({"system calls", std::to_string(analyzer.op_count())});
   summary.add_row({"sessions", std::to_string(analyzer.sessions().size())});
-  summary.add_row(
-      {"access size B mean(std)",
-       analyzer.access_size_stats().count() ? analyzer.access_size_stats().mean_std_string() : "-"});
-  summary.add_row({"response us mean(std)", analyzer.response_stats().mean_std_string()});
+  summary.add_row({"access size B mean(std)", mean_std_or_dash(analyzer.access_size_stats())});
+  summary.add_row({"response us mean(std)", mean_std_or_dash(analyzer.response_stats())});
   summary.add_row(
       {"response per byte us", util::TextTable::num(analyzer.response_per_byte_us(), 4)});
   std::cout << summary.render();
@@ -220,16 +223,22 @@ int cmd_experiments(const Args& args) {
   return args.boolean("check") && summary.any_fail() ? 1 : 0;
 }
 
+/// The thread budget of `analyze` and `replay`, which take no --threads:
+/// every core, the cap write_log_file and the parser apply anyway.
+std::size_t all_cores() {
+  return runner::resolve_pool_threads(0, std::numeric_limits<std::size_t>::max());
+}
+
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) return usage();
-  const core::UsageLog log = core::read_log_file(args.positional[0]);
+  const core::UsageLog log = core::read_log_file(args.positional[0], all_cores());
   print_analysis(log);
   return 0;
 }
 
 int cmd_replay(const Args& args) {
   if (args.positional.empty()) return usage();
-  const core::UsageLog trace = core::read_log_file(args.positional[0]);
+  const core::UsageLog trace = core::read_log_file(args.positional[0], all_cores());
 
   sim::Simulation simulation;
   auto model = runner::model_factory_by_name(args.get("model", "nfs"))(simulation);

@@ -103,6 +103,9 @@ std::string read_text_file(const std::string& path) {
   while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
     text.append(chunk, static_cast<std::size_t>(in.gcount()));
   }
+  // End of file only sets eofbit and failbit; a read error (a directory, an
+  // I/O fault) sets badbit, and must not pass for an empty or short file.
+  if (in.bad()) throw std::runtime_error("read_text_file: cannot read " + path);
   return text;
 }
 

@@ -21,6 +21,9 @@
 #                           times), on nfs at --scale 0.3, and closed loop;
 #   analyze_<form>.txt      `wlgen analyze`'s stdout over the classic and
 #                           --shards 4 --threads 1 logs;
+#   {analyze,replay}_empty.txt
+#                           `wlgen analyze` and `wlgen replay --model local`
+#                           stdout over a log that holds only its header;
 #   experiments/<id>.json   every experiment's JSON at --scale 0.25, at
 #                           --threads 1 and 4.
 #
@@ -166,6 +169,15 @@ endfunction()
 
 check_analyze(analyze_classic run_classic)
 check_analyze(analyze_shards4_t1 run_shards4_t1)
+
+# A log with no records is valid input: both commands exit 0 and print "-"
+# for every summary without observations.
+file(WRITE ${WORK_DIR}/empty.log "# issue_us\tresponse_us\tuser\tsession\top\treq_bytes\t"
+                                 "act_bytes\tfile_id\tfile_size\tftype\towner\tuse\n")
+check_analyze(analyze_empty empty)
+set(CHECK_LABEL "replay empty.log --model local")
+wlgen_stdout(report replay ${WORK_DIR}/empty.log --model local)
+check(${GOLDEN_DIR}/replay_empty.txt "${report}")
 
 # Experiment JSON, byte for byte.  The golden set must match the produced
 # set exactly, so a dropped or a new experiment fails too.

@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -304,20 +306,123 @@ TEST(TextAdapters, WriteLogTextMatchesSerialize) {
   EXPECT_EQ(out.str(), log.serialize());
 }
 
+// Empty when the texts are equal, else the first differing line of each:
+// a full EXPECT_EQ diff of two multi-megabyte texts would be unreadable.
+std::string first_difference(const std::string& got, const std::string& want) {
+  if (got == want) return "";
+  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+  const auto line_of = [](const std::string& text, std::string::const_iterator at) {
+    const std::size_t pos = static_cast<std::size_t>(at - text.begin());
+    const std::size_t begin = pos == 0 ? 0 : text.rfind('\n', pos - 1) + 1;
+    return text.substr(begin, text.find('\n', pos) - begin);
+  };
+  return "got  '" + line_of(got, g) + "'\nwant '" + line_of(want, w) + "'";
+}
+
+// A log text of about 2.5 MiB, enough for 4 threads to cut 4 chunks, with
+// a block of CRLF, comment and blank lines spanning every point where the
+// parser cuts it into 2, 3 or 4 chunks, and no newline after its last line.
+// `replace` swaps record lines, by record index, for other text; the
+// 1-based line each replaced record was on lands in `line_of`.
+struct CutText {
+  std::string text;
+  UsageLog log;  ///< the records the text holds, replaced ones left out
+  std::map<std::size_t, std::size_t> line_of;
+};
+
+constexpr std::size_t kCutTextRecords = 28000;
+
+CutText cut_text(const std::map<std::size_t, std::string>& replace = {}) {
+  // The block's record line: CRLF-terminated, like everything around it.
+  const std::string block_record = "7.25\t2.5\t3\t4\tread\t5\t6\t7\t8\t1\t0\t2";
+  std::string block;
+  for (int i = 0; i < 4; ++i) block += "# cut point\r\n\r\n  \t \r\n" + block_record + "\r\n\n";
+
+  std::vector<std::string> lines;
+  std::vector<OpRecord> records;
+  for (std::size_t i = 0; i < kCutTextRecords; ++i) {
+    const double at = static_cast<double>(i);
+    OpRecord r = make_record(static_cast<std::uint32_t>(i % 97), 0.1 + 1.37 * at,
+                             1234.5678901234567 / (at + 1.0), i * 7);
+    r.op = static_cast<fsmodel::FsOpType>(i % fsmodel::kFsOpTypeCount);
+    char line[kMaxRecordTextBytes];
+    const auto it = replace.find(i);
+    lines.push_back(it != replace.end() ? it->second + "\n"
+                                        : std::string(line, format_record_text(r, line)));
+    records.push_back(r);
+  }
+  lines.back().pop_back();  // no newline after the last line
+
+  const std::string header = usage_log_header_line();
+  std::size_t size = header.size() + 5 * block.size();
+  std::size_t longest = 0;
+  for (const auto& line : lines) {
+    size += line.size();
+    longest = std::max(longest, line.size());
+  }
+  // The cuts parse_log_text makes before moving to the next newline, as
+  // (first, last) pairs of targets one block must span.
+  const std::pair<std::size_t, std::size_t> cuts[] = {
+      {size / 4, size / 4},
+      {size / 3, size / 3},
+      {std::min(size / 2, size / 4 * 2), std::max(size / 2, size / 4 * 2)},
+      {size / 3 * 2, size / 3 * 2},
+      {size / 4 * 3, size / 4 * 3}};
+  EXPECT_GT(block.size(), longest + 24);
+
+  CutText out;
+  out.text = header;
+  std::size_t line_number = 1;  // the header's
+  std::size_t next_cut = 0;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    // The first line start within (block - 16) bytes of a cut takes the
+    // block: the previous start was further away, so this one is at or
+    // before the cut, and the cut's newline falls inside the block.
+    if (next_cut < std::size(cuts) &&
+        out.text.size() + block.size() - 16 > cuts[next_cut].second) {
+      EXPECT_LE(out.text.size(), cuts[next_cut].first);
+      out.text += block;
+      line_number += static_cast<std::size_t>(std::count(block.begin(), block.end(), '\n'));
+      for (int b = 0; b < 4; ++b) out.log.append(parse_record_line(block_record));
+      ++next_cut;
+    }
+    out.text += lines[i];
+    ++line_number;
+    if (replace.count(i)) {
+      out.line_of[i] = line_number;
+    } else {
+      out.log.append(records[i]);
+    }
+  }
+  EXPECT_EQ(next_cut, std::size(cuts));
+  EXPECT_EQ(out.text.size(), size);
+  EXPECT_GE(out.text.size(), 2u << 20);
+  return out;
+}
+
 TEST(TextAdapters, ParseLogTextRoundTrips) {
   UsageLog log;
   log.append(make_record(0, 1.5, 2.5));
   log.append(make_record(9, 3.25, 0.125, 0));
   const std::string text = log.serialize();
 
-  MemorySink sink;
-  parse_log_text(text, sink);
-  const UsageLog parsed = sink.take_log();
+  const UsageLog parsed = parse_log_text(text, 1);
   ASSERT_EQ(parsed.size(), log.size());
   for (std::size_t i = 0; i < log.size(); ++i) {
     EXPECT_EQ(parsed.records()[i].issue_time_us, log.records()[i].issue_time_us);
     EXPECT_EQ(parsed.records()[i].user, log.records()[i].user);
     EXPECT_EQ(parsed.records()[i].actual_bytes, log.records()[i].actual_bytes);
+  }
+
+  // Chunked: every thread budget parses the same records in the same order,
+  // whatever the lines at the cuts.
+  const CutText big = cut_text();
+  const std::string expected = big.log.serialize();
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE(threads);
+    const UsageLog chunked = parse_log_text(big.text, threads);
+    EXPECT_EQ(chunked.size(), big.log.size());
+    EXPECT_EQ(first_difference(chunked.serialize(), expected), "");
   }
 }
 
@@ -351,19 +456,6 @@ double from_bits(std::uint64_t bits) {
 }
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
-
-// Empty when the texts are equal, else the first differing line of each:
-// a full EXPECT_EQ diff of two multi-megabyte texts would be unreadable.
-std::string first_difference(const std::string& got, const std::string& want) {
-  if (got == want) return "";
-  const auto [g, w] = std::mismatch(got.begin(), got.end(), want.begin(), want.end());
-  const auto line_of = [](const std::string& text, std::string::const_iterator at) {
-    const std::size_t pos = static_cast<std::size_t>(at - text.begin());
-    const std::size_t begin = pos == 0 ? 0 : text.rfind('\n', pos - 1) + 1;
-    return text.substr(begin, text.find('\n', pos) - begin);
-  };
-  return "got  '" + line_of(got, g) + "'\nwant '" + line_of(want, w) + "'";
-}
 
 // Asserts that all three writers reproduce the reference formatter.
 void expect_writers_match_reference(const std::vector<OpRecord>& records, const char* tag) {
@@ -719,10 +811,10 @@ TEST(TextParser, RoundTripIsBitExactForEdgeValues) {
 }
 
 // The message parse_log_text throws for `text`, or "" when it parses.
-std::string parse_error(const std::string& text, const std::string& source = {}) {
-  MemorySink sink;
+std::string parse_error(const std::string& text, const std::string& source = {},
+                        std::size_t threads = 1) {
   try {
-    parse_log_text(text, sink, source);
+    parse_log_text(text, threads, source);
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
@@ -755,6 +847,23 @@ TEST(TextParser, ErrorsNameTheLine) {
   EXPECT_EQ(parse_error(prefix), "");
   EXPECT_EQ(parse_error("\n\n" + line_with(2, "")), "UsageLog::parse: line 3: field 3 (user): "
                                                     "malformed number ''");
+
+  // Chunked: a bad last line (in the last chunk, with no newline after it)
+  // names its line; with bad lines in two chunks the lower one is reported,
+  // whichever chunk finishes first.
+  const std::size_t last = kCutTextRecords - 1;
+  const std::size_t early = kCutTextRecords * 3 / 10;
+  const std::size_t late = kCutTextRecords * 9 / 10;
+  const CutText tail = cut_text({{last, "1\t2\t3"}});
+  const CutText two = cut_text({{early, line_with(4, "fsync")}, {late, "1\t2"}});
+  for (std::size_t threads = 1; threads <= 4; ++threads) {
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(parse_error(tail.text, "big.log", threads),
+              "big.log:" + std::to_string(tail.line_of.at(last)) + ": expected 12 fields, got 3");
+    EXPECT_EQ(parse_error(two.text, {}, threads),
+              "UsageLog::parse: line " + std::to_string(two.line_of.at(early)) +
+                  ": unknown op 'fsync'");
+  }
 }
 
 TEST(TextParser, ReadLogFilePrefixesThePath) {
@@ -765,19 +874,19 @@ TEST(TextParser, ReadLogFilePrefixesThePath) {
   log.append(make_record(2, 4.0, 5.0));
   MemoryLogReader reader(log);
   write_log_file(reader, path, 1);
-  EXPECT_EQ(read_log_file(path).serialize(), log.serialize());
+  EXPECT_EQ(read_log_file(path, 1).serialize(), log.serialize());
 
   std::FILE* f = std::fopen(path.c_str(), "ab");
   ASSERT_NE(f, nullptr);
   std::fputs("1\t2\n", f);
   std::fclose(f);
   try {
-    read_log_file(path);
+    read_log_file(path, 1);
     ADD_FAILURE() << "malformed trace parsed";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()), path + ":4: expected 12 fields, got 2");
   }
-  EXPECT_THROW(read_log_file(dir + "/missing.log"), std::runtime_error);
+  EXPECT_THROW(read_log_file(dir + "/missing.log", 1), std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 

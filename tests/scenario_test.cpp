@@ -23,6 +23,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/usage_log.h"
 #include "fsmodel/local_model.h"
 #include "fsmodel/nfs_model.h"
 #include "fsmodel/wholefile_model.h"
@@ -419,6 +420,23 @@ TEST(ScenarioRun, ReplayModeRunsTheAbComparison) {
   EXPECT_EQ(outcome.models[0].log_runs.front().records, outcome.models[0].points[0].ops);
   // Replay is serial; the digest must still be invariant to the knob.
   EXPECT_EQ(digest_with_threads(text, 1), digest_with_threads(text, 8));
+}
+
+TEST(ScenarioRun, ReplayRejectsATraceWithNoRecords) {
+  const auto trace = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_empty_trace.log";
+  util::write_text_file(trace.string(),
+                        std::string(core::usage_log_header_line()) + "# no records\n\n");
+  const ScenarioSpec spec = ScenarioSpec::parse_text(
+      "[scenario]\nmode = replay\nname = empty\n"
+      "[replay]\ntrace = " + trace.string() + "\n"
+      "[model]\nname = local\n");
+  try {
+    run_scenario(spec);
+    ADD_FAILURE() << "an empty trace was replayed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), trace.string() + ": no records to replay");
+  }
+  std::filesystem::remove(trace);
 }
 
 TEST(ScenarioRun, MultiModelScenarioReportsEveryBackend) {

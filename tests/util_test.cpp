@@ -2,11 +2,15 @@
 // string helpers.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "util/args.h"
 #include "util/ascii_plot.h"
@@ -263,6 +267,39 @@ TEST(TextFile, ReadReturnsExactBytes) {
   write_text_file(path, "");
   EXPECT_EQ(read_text_file(path), "");
   EXPECT_THROW(read_text_file(dir + "/missing.txt"), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TextFile, ReadRejectsADirectoryButReadsPipesAndSpecialFiles) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "wlgen_util_text_dir").string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  // A directory opens as a stream but cannot be read: it is not an empty file.
+  try {
+    read_text_file(dir);
+    ADD_FAILURE() << "a directory read as a file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "read_text_file: cannot read " + dir);
+  }
+
+  // A pipe reports no size; its bytes are read all the same.
+  const std::string fifo = dir + "/pipe";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  std::string payload;
+  for (int i = 0; i < 20000; ++i) payload += "pipe line " + std::to_string(i) + "\n";
+  std::thread writer([&] {
+    std::ofstream out(fifo, std::ios::binary);
+    out << payload;
+  });
+  const std::string piped = read_text_file(fifo);
+  writer.join();
+  EXPECT_EQ(piped, payload);
+
+  // So does a special file whose size reads as 0.
+  std::error_code ec;
+  ASSERT_EQ(std::filesystem::file_size("/proc/self/status", ec), 0u);
+  EXPECT_NE(read_text_file("/proc/self/status").find("Name:"), std::string::npos);
   std::filesystem::remove_all(dir);
 }
 
