@@ -100,8 +100,7 @@ std::string mean_std_or_dash(const stats::RunningSummary& summary) {
   return summary.count() ? summary.mean_std_string() : "-";
 }
 
-void print_analysis(core::LogReader& reader) {
-  const core::UsageAnalyzer analyzer(reader);
+void print_analysis(const core::UsageAnalyzer& analyzer) {
   util::TextTable ops({"op", "count", "access size mean(std)", "response us mean(std)"});
   for (const auto& [op, s] : analyzer.per_op_stats()) {
     ops.add_row({fsmodel::to_string(op), std::to_string(s.response_us.count()),
@@ -119,11 +118,6 @@ void print_analysis(core::LogReader& reader) {
   std::cout << summary.render();
 }
 
-void print_analysis(const core::UsageLog& log) {
-  core::MemoryLogReader reader(log);
-  print_analysis(reader);
-}
-
 /// Classic path: one shared-machine run at the root seed that keeps its
 /// log, reported with the backend's own counters.
 int run_classic(const cli::RunPlan& plan) {
@@ -136,7 +130,7 @@ int run_classic(const cli::RunPlan& plan) {
   std::cout << "model: " << spec.models.front().name << "  users: " << spec.user_points.front()
             << "  sessions: " << run.sessions << "  simulated: " << run.simulated_us / 1e6
             << " s\n\n";
-  print_analysis(run.log);
+  print_analysis(core::UsageAnalyzer(run.log));
   std::cout << "\n" << run.model_stats;
   if (!spec.log_file.empty()) {
     core::MemoryLogReader reader(run.log);
@@ -168,7 +162,7 @@ int cmd_run(const Args& args) {
 
   const scenario::ModelOutcome& model = outcome.models.front();
   std::cout << "\n";
-  print_analysis(*core::open_spilled_log(model.log_runs));
+  print_analysis(core::UsageAnalyzer(*core::open_spilled_log(model.log_runs)));
   if (plan.verify_merge) {
     if (!runner::is_merge_ordered(*core::open_spilled_log(model.log_runs))) {
       std::cerr << "merge contract violated: log is not (time, user) ordered\n";
@@ -232,7 +226,7 @@ std::size_t all_cores() {
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) return usage();
   const core::UsageLog log = core::read_log_file(args.positional[0], all_cores());
-  print_analysis(log);
+  print_analysis(core::UsageAnalyzer(log));
   return 0;
 }
 
@@ -251,7 +245,7 @@ int cmd_replay(const Args& args) {
   std::cout << "replayed " << replayer.ops_replayed() << " ops ("
             << (options.preserve_timing ? "open" : "closed") << " loop) on " << model->name()
             << "\n\n";
-  print_analysis(replayed);
+  print_analysis(core::UsageAnalyzer(replayed));
   return 0;
 }
 
