@@ -15,6 +15,10 @@
 #   run_<form>.sha256       the SHA-256 of the usage log `wlgen run ... --log`
 #                           writes: classic, --shards 4 at --threads 1 and 4,
 #                           and --shards 4 --spill (at --threads 1 and 4);
+#   run_shards4_stdout.txt  the stdout of those --shards 4 runs and of the
+#                           same run without --log (at --threads 1 and 4),
+#                           less the `wall:` and `... written to` lines: all
+#                           six forms print this one text;
 #   replay_<form>.sha256    the SHA-256 of `wlgen replay`'s stdout over the
 #                           classic and --shards 4 logs: open loop on local
 #                           (a completion-order log, so out-of-order issue
@@ -124,13 +128,26 @@ foreach(scn IN LISTS scenarios)
   endforeach()
 endforeach()
 
+# The stdout of a `run --shards 4` form (`report`) against the one golden
+# text every form prints, once the lines that name wall time or a written
+# file are dropped.
+function(check_shards_stdout report)
+  string(REGEX REPLACE "\nwall: [^\n]*" "" report "${report}")
+  string(REGEX REPLACE "\n[^\n]* written to [^\n]*" "" report "${report}")
+  check(${GOLDEN_DIR}/run_shards4_stdout.txt "${report}")
+  set(failures "${failures}" PARENT_SCOPE)
+endfunction()
+
 # One `run --log` form: `golden` names the sha256 file, ARGN the flags.
 # The log stays at WORK_DIR/<golden>.log for the replay checks below.
 function(check_run_log golden)
   string(REPLACE ";" " " CHECK_LABEL "run ${ARGN}")
-  wlgen(run ${ARGN} --log ${WORK_DIR}/${golden}.log)
+  wlgen_stdout(report run ${ARGN} --log ${WORK_DIR}/${golden}.log)
   file(SHA256 ${WORK_DIR}/${golden}.log sha)
   check(${GOLDEN_DIR}/${golden}.sha256 "${sha}\n")
+  if(golden MATCHES "^run_shards4")
+    check_shards_stdout("${report}")
+  endif()
   set(failures "${failures}" PARENT_SCOPE)
 endfunction()
 
@@ -141,6 +158,9 @@ check_run_log(run_shards4_t4 ${sharded} --threads 4)
 foreach(threads 1 4)
   check_run_log(run_shards4_spill ${sharded} --threads ${threads}
                 --spill --spool-dir ${WORK_DIR}/spool_t${threads})
+  set(CHECK_LABEL "run ${sharded} --threads ${threads} (no --log)")
+  wlgen_stdout(report run ${sharded} --threads ${threads})
+  check_shards_stdout("${report}")
 endforeach()
 
 # One `wlgen replay` form: `golden` names the sha256 file, `log` the
