@@ -22,7 +22,7 @@ double cache_point(std::size_t blocks, std::size_t users, std::size_t sessions,
   config.model_factory = runner::model_factory_by_name(
       "nfs", {{"client_cache_blocks", static_cast<double>(blocks)}});
   config.population.groups.push_back({core::extremely_heavy_user(), 1.0});
-  return exp::run_workload(config).response_per_byte_us;
+  return exp::run_workload(config).analysis.response_per_byte_us();
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ exp::Experiment make_ablation_markov() {
       config.usim.sessions_per_user = ctx.sessions(40);
       config.seed = ctx.seed + 808;
       config.usim.markov_persistence = p;
-      levels.push_back(exp::run_workload(config).response_per_byte_us);
+      levels.push_back(exp::run_workload(config).analysis.response_per_byte_us());
       xs.push_back(std::max(p, 0.0));  // plot the independent baseline at p=0
     }
 

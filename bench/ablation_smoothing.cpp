@@ -57,8 +57,7 @@ exp::Experiment make_ablation_smoothing() {
 
   experiment.run = [](const exp::RunContext& ctx) {
     const exp::WorkloadOutput& out = exp::characterisation_run(ctx.sessions(400), ctx.seed);
-    const core::UsageAnalyzer analyzer(out.log);
-    const stats::Histogram histogram = analyzer.session_access_per_byte_histogram(30);
+    const stats::Histogram histogram = out.analysis.session_access_per_byte_histogram(30);
     const std::vector<double>& raw = histogram.counts();
     const std::size_t raw_mode = mode_bin(raw);
 

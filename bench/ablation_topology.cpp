@@ -25,7 +25,7 @@ double topology_point(std::size_t users, std::size_t clients, std::size_t sessio
       runner::model_factory_by_name("nfs", {{"num_clients", static_cast<double>(clients)}});
   config.usim.client_machines = clients;
   config.population.groups.push_back({core::extremely_heavy_user(), 1.0});
-  return exp::run_workload(config).response_per_byte_us;
+  return exp::run_workload(config).analysis.response_per_byte_us();
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ exp::Experiment make_compare_fs() {
         config.usim.sessions_per_user = ctx.sessions(40);
         config.model_factory = runner::model_factory_by_name(name);
         config.seed = ctx.seed + 53;
-        levels[name][users] = exp::run_workload(config).response_per_byte_us;
+        levels[name][users] = exp::run_workload(config).analysis.response_per_byte_us();
       }
     }
     for (const std::string& name : candidates) {

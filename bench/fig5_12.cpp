@@ -59,14 +59,13 @@ exp::Experiment make_fig5_12() {
       // figure's access-size knob actually exercises.
       double data_response_us = 0.0;
       double data_bytes = 0.0;
-      for (const auto& [op, s] : out.per_op) {
-        if (fsmodel::is_data_op(op)) {
-          data_response_us += s.response_us.sum();
-          data_bytes += s.access_size.sum();
-        }
+      for (const fsmodel::FsOpType op : {fsmodel::FsOpType::read, fsmodel::FsOpType::write}) {
+        const core::OpTypeStats& s = out.analysis.op_stats().per_op[static_cast<std::size_t>(op)];
+        data_response_us += s.response_us.sum();
+        data_bytes += s.access_size.sum();
       }
       levels.push_back(data_bytes > 0.0 ? data_response_us / data_bytes : 0.0);
-      all_call_levels.push_back(out.response_per_byte_us);
+      all_call_levels.push_back(out.analysis.response_per_byte_us());
     }
 
     exp::ExperimentResult result;

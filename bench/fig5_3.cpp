@@ -32,8 +32,7 @@ exp::Experiment make_fig5_3() {
 
   experiment.run = [](const exp::RunContext& ctx) {
     const exp::WorkloadOutput& out = exp::characterisation_run(ctx.sessions(600), ctx.seed);
-    const core::UsageAnalyzer analyzer(out.log);
-    const stats::Histogram histogram = analyzer.session_access_per_byte_histogram(24);
+    const stats::Histogram histogram = out.analysis.session_access_per_byte_histogram(24);
 
     exp::ExperimentResult result;
     result.x_label = "accesses per byte";
@@ -42,7 +41,7 @@ exp::Experiment make_fig5_3() {
 
     stats::RunningSummary apb;
     std::size_t below3 = 0, counted = 0;
-    for (const auto& s : out.sessions) {
+    for (const auto& s : out.analysis.sessions()) {
       if (s.files_referenced == 0) continue;
       apb.add(s.access_per_byte);
       ++counted;
@@ -53,7 +52,7 @@ exp::Experiment make_fig5_3() {
     for (std::size_t i = 1; i < counts.size(); ++i) {
       if (counts[i] > counts[mode]) mode = i;
     }
-    result.set_scalar("sessions", static_cast<double>(out.sessions.size()));
+    result.set_scalar("sessions", static_cast<double>(out.analysis.sessions().size()));
     result.set_scalar("mean_access_per_byte", apb.mean());
     result.set_scalar("std_access_per_byte", apb.stddev());
     result.set_scalar("mode_center", histogram.centers()[mode]);

@@ -30,8 +30,7 @@ exp::Experiment make_fig5_4() {
 
   experiment.run = [](const exp::RunContext& ctx) {
     const exp::WorkloadOutput& out = exp::characterisation_run(ctx.sessions(600), ctx.seed);
-    const core::UsageAnalyzer analyzer(out.log);
-    const stats::Histogram histogram = analyzer.session_file_size_histogram(24);
+    const stats::Histogram histogram = out.analysis.session_file_size_histogram(24);
 
     exp::ExperimentResult result;
     result.x_label = "average file size (B)";
@@ -40,13 +39,13 @@ exp::Experiment make_fig5_4() {
 
     stats::RunningSummary size;
     std::size_t below = 0, counted = 0;
-    for (const auto& s : out.sessions) {
+    for (const auto& s : out.analysis.sessions()) {
       if (s.files_referenced == 0) continue;
       size.add(s.mean_file_size);
       ++counted;
       if (s.mean_file_size < 20000.0) ++below;
     }
-    result.set_scalar("sessions", static_cast<double>(out.sessions.size()));
+    result.set_scalar("sessions", static_cast<double>(out.analysis.sessions().size()));
     result.set_scalar("mean_file_size", size.mean());
     result.set_scalar("std_file_size", size.stddev());
     result.set_scalar("fraction_below_20000",

@@ -30,8 +30,7 @@ exp::Experiment make_fig5_5() {
 
   experiment.run = [](const exp::RunContext& ctx) {
     const exp::WorkloadOutput& out = exp::characterisation_run(ctx.sessions(600), ctx.seed);
-    const core::UsageAnalyzer analyzer(out.log);
-    const stats::Histogram histogram = analyzer.session_files_histogram(24);
+    const stats::Histogram histogram = out.analysis.session_files_histogram(24);
 
     exp::ExperimentResult result;
     result.x_label = "files referenced";
@@ -40,17 +39,17 @@ exp::Experiment make_fig5_5() {
 
     stats::RunningSummary files;
     std::size_t below = 0;
-    for (const auto& s : out.sessions) {
+    for (const auto& s : out.analysis.sessions()) {
       files.add(static_cast<double>(s.files_referenced));
       if (s.files_referenced < 40) ++below;
     }
-    result.set_scalar("sessions", static_cast<double>(out.sessions.size()));
+    const std::size_t sessions = out.analysis.sessions().size();
+    result.set_scalar("sessions", static_cast<double>(sessions));
     result.set_scalar("mean_files", files.mean());
     result.set_scalar("std_files", files.stddev());
-    result.set_scalar("fraction_below_40",
-                      out.sessions.empty()
-                          ? 0.0
-                          : static_cast<double>(below) / static_cast<double>(out.sessions.size()));
+    result.set_scalar("fraction_below_40", sessions == 0 ? 0.0
+                                                         : static_cast<double>(below) /
+                                                               static_cast<double>(sessions));
     result.notes.push_back(
         "The histogram centres near the Table 5.2 expectation (~28 files) and "
         "skews right, as in the paper's measured curve.");

@@ -227,7 +227,6 @@ sessions = 3
 
 [sharded]
 shards = 4
-collect_log = false
 
 [model]
 names = nfs, local, wholefile

@@ -40,7 +40,7 @@ LoadPoint load_point(double rate_per_sec, std::size_t arrivals, std::uint64_t se
   config.traffic.arrivals = arrival_config;
 
   const exp::WorkloadOutput out = exp::run_workload(config);
-  return {out.response_per_byte_us, out.simulated_us};
+  return {out.analysis.response_per_byte_us(), out.simulated_us};
 }
 
 }  // namespace

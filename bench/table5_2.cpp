@@ -47,9 +47,10 @@ exp::Experiment make_table5_2() {
     std::vector<double> index, paper_files, measured_files;
     double files_err = 0.0, touch_err = 0.0;
     std::size_t measured = 0;
+    const auto per_category = out.analysis.per_category_usage();
     for (const auto& profile : core::di86_usage_profiles()) {
-      const auto it = out.per_category.find(profile.category.label());
-      if (it == out.per_category.end() || it->second.files_per_session.count() == 0) continue;
+      const auto it = per_category.find(profile.category.label());
+      if (it == per_category.end() || it->second.files_per_session.count() == 0) continue;
       index.push_back(static_cast<double>(index.size() + 1));
       paper_files.push_back(profile.files_per_session->mean());
       measured_files.push_back(it->second.files_per_session.mean());
@@ -65,7 +66,7 @@ exp::Experiment make_table5_2() {
     result.set_scalar("categories_touched", static_cast<double>(measured));
     result.set_scalar("mean_abs_files_rel_err", measured > 0 ? files_err / measured : 1.0);
     result.set_scalar("mean_abs_touch_err_pct", measured > 0 ? touch_err / measured : 100.0);
-    result.set_scalar("sessions", static_cast<double>(out.sessions.size()));
+    result.set_scalar("sessions", static_cast<double>(out.analysis.sessions().size()));
     result.set_scalar("system_calls", static_cast<double>(out.total_ops));
     result.notes.push_back(
         "Measured accesses-per-byte reflects EOF truncation and per-file wrap "

@@ -43,10 +43,10 @@ exp::Experiment make_table5_3() {
       config.seed = ctx.seed + u;
       const exp::WorkloadOutput out = exp::run_workload(config);
       users.push_back(static_cast<double>(u));
-      access_mean.push_back(out.access_size.mean());
-      access_std.push_back(out.access_size.stddev());
-      response_mean.push_back(out.response_us.mean());
-      response_std.push_back(out.response_us.stddev());
+      access_mean.push_back(out.analysis.access_size_stats().mean());
+      access_std.push_back(out.analysis.access_size_stats().stddev());
+      response_mean.push_back(out.analysis.response_stats().mean());
+      response_std.push_back(out.analysis.response_stats().stddev());
     }
 
     exp::ExperimentResult result;

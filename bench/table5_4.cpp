@@ -57,7 +57,7 @@ exp::Experiment make_table5_4() {
               : 0.0;
       index.push_back(static_cast<double>(i));
       rates.push_back(ops_per_s);
-      responses.push_back(out.response_us.mean());
+      responses.push_back(out.analysis.response_stats().mean());
     }
     result.add_series("ops per simulated second", index, rates);
     result.add_series("mean response us", index, responses);

@@ -1,7 +1,6 @@
 #include "core/analysis.h"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -108,18 +107,9 @@ struct UsageAnalyzer::Pass {
     if (op >= fsmodel::kFsOpTypeCount) {
       throw std::invalid_argument("UsageAnalyzer: unknown op code " + std::to_string(op));
     }
-    ++out.op_count_;
-    out.response_.add(r.response_us);
-    out.response_sum_us_ += r.response_us;
-    OpTypeStats& op_stats = per_op[op];
-    op_stats.response_us.add(r.response_us);
+    out.ops_.add(r);
     const bool data = fsmodel::is_data_op(r.op);
-    if (data) {
-      out.access_size_.add(static_cast<double>(r.actual_bytes));
-      out.data_response_.add(r.response_us);
-      op_stats.access_size.add(static_cast<double>(r.actual_bytes));
-      out.data_bytes_ += static_cast<double>(r.actual_bytes);
-    }
+    if (data) out.data_response_.add(r.response_us);
 
     // Consecutive records of one session skip the lookup.
     const std::uint64_t key = session_key(r);
@@ -150,12 +140,6 @@ struct UsageAnalyzer::Pass {
   }
 
   void finish() {
-    for (std::size_t op = 0; op < per_op.size(); ++op) {
-      if (per_op[op].response_us.count() > 0) {
-        out.per_op_.emplace(static_cast<fsmodel::FsOpType>(op), per_op[op]);
-      }
-    }
-
     // Sessions in (user, session) order; rank[i] is accumulator i's place.
     std::vector<std::uint32_t> order(sessions.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<std::uint32_t>(i);
@@ -203,7 +187,6 @@ struct UsageAnalyzer::Pass {
   }
 
   UsageAnalyzer& out;
-  std::array<OpTypeStats, fsmodel::kFsOpTypeCount> per_op;
   std::vector<SessionAccumulator> sessions;
   FlatIndex<std::uint64_t> session_index;
   std::vector<Touch> touches;
@@ -225,8 +208,45 @@ UsageAnalyzer::UsageAnalyzer(const UsageLog& log) {
   pass.finish();
 }
 
-double UsageAnalyzer::response_per_byte_us() const {
-  return data_bytes_ > 0.0 ? response_sum_us_ / data_bytes_ : 0.0;
+void OpStats::add(const OpRecord& record) {
+  OpTypeStats& op = per_op[static_cast<std::size_t>(record.op)];
+  op.response_us.add(record.response_us);
+  op.response_sum_us += record.response_us;
+  op.bytes += record.actual_bytes;
+  response_us.add(record.response_us);
+  response_sum_us += record.response_us;
+  if (fsmodel::is_data_op(record.op)) {
+    const auto bytes = static_cast<double>(record.actual_bytes);
+    op.access_size.add(bytes);
+    access_size.add(bytes);
+    bytes_moved += record.actual_bytes;
+  }
+}
+
+void OpStats::merge(const OpStats& other) {
+  for (std::size_t op = 0; op < kOps; ++op) {
+    per_op[op].access_size.merge(other.per_op[op].access_size);
+    per_op[op].response_us.merge(other.per_op[op].response_us);
+    per_op[op].bytes += other.per_op[op].bytes;
+    per_op[op].response_sum_us += other.per_op[op].response_sum_us;
+  }
+  response_us.merge(other.response_us);
+  access_size.merge(other.access_size);
+  bytes_moved += other.bytes_moved;
+  response_sum_us += other.response_sum_us;
+}
+
+double OpStats::response_per_byte_us() const {
+  return bytes_moved > 0 ? response_sum_us / static_cast<double>(bytes_moved) : 0.0;
+}
+
+std::map<fsmodel::FsOpType, OpTypeStats> UsageAnalyzer::per_op_stats() const {
+  std::map<fsmodel::FsOpType, OpTypeStats> out;
+  for (std::size_t op = 0; op < OpStats::kOps; ++op) {
+    const OpTypeStats& stats = ops_.per_op[op];
+    if (stats.response_us.count() > 0) out.emplace(static_cast<fsmodel::FsOpType>(op), stats);
+  }
+  return out;
 }
 
 namespace {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <map>
 #include <vector>
 
@@ -27,10 +28,41 @@ struct SessionSummary {
   double access_per_byte = 0.0;          ///< bytes_accessed / total_file_bytes
 };
 
-/// Per-op-type statistics (Table 5.3's access size and response time).
+/// Per-op-type statistics (Table 5.3's access size and response time, plus
+/// the byte and service-time sums of the `ops.*` metrics).
 struct OpTypeStats {
   stats::RunningSummary access_size;  ///< actual bytes (data ops only)
   stats::RunningSummary response_us;
+  std::uint64_t bytes = 0;         ///< actual bytes over every call of the type
+  double response_sum_us = 0.0;    ///< plain sum of response_us, in add order
+};
+
+/// The one per-record fold of a usage-log stream, per op type and in total.
+/// The Usage Analyzer keeps its op-level statistics in one, RunnerStats
+/// holds one next to its histogram, and the `ops.*` metrics are exported
+/// from one (obs::SimSample::export_into).  Per-user folds merged in a fixed user order
+/// give the same bits for any shard or thread count.
+struct OpStats {
+  static constexpr std::size_t kOps = fsmodel::kFsOpTypeCount;
+
+  std::array<OpTypeStats, kOps> per_op{};  ///< indexed by FsOpType
+  stats::RunningSummary response_us;        ///< every call
+  stats::RunningSummary access_size;        ///< actual bytes per read/write call
+  std::uint64_t bytes_moved = 0;            ///< actual bytes over read/write calls
+  double response_sum_us = 0.0;             ///< every call, in add order
+
+  /// Accumulates one call; `record.op` must be a valid FsOpType.
+  void add(const OpRecord& record);
+
+  /// Folds `other` in: summaries merge, sums add.
+  void merge(const OpStats& other);
+
+  std::uint64_t ops() const { return response_us.count(); }
+
+  /// Total response over every call / bytes moved by read/write calls, the
+  /// Figures 5.6–5.12 y-axis: opens, closes, creats and unlinks are part of
+  /// the cost of moving those bytes (0 when no byte moved).
+  double response_per_byte_us() const;
 };
 
 /// Per-category usage re-derivation (cross-check against Table 5.2).
@@ -47,8 +79,8 @@ struct CategoryUsage {
 ///
 /// Consumes a LogReader in ONE streaming pass — a spilled million-user run
 /// analyzes in bounded memory (per-session accumulators, never the record
-/// vector).  Per record the pass touches only flat tables: per-op stats in
-/// an array indexed by FsOpType, per-session accumulators found through a
+/// vector).  Per record the pass touches only flat tables: its OpStats fold
+/// (an array indexed by FsOpType), per-session accumulators found through a
 /// hash table on (user, session), and file touches through a hash table on
 /// (session, file id).  Everything whose value depends on an order is built
 /// once at the end: sessions sorted by (user, session), each session's
@@ -64,24 +96,24 @@ class UsageAnalyzer {
 
   const std::vector<SessionSummary>& sessions() const { return sessions_; }
 
+  /// The op-level fold of every record: per op type and in total.
+  const OpStats& op_stats() const { return ops_; }
+
   /// Actual bytes moved per read/write call (Table 5.3 "access size").
-  const stats::RunningSummary& access_size_stats() const { return access_size_; }
+  const stats::RunningSummary& access_size_stats() const { return ops_.access_size; }
 
   /// Response time over every logged call (Table 5.3 "response time").
-  const stats::RunningSummary& response_stats() const { return response_; }
+  const stats::RunningSummary& response_stats() const { return ops_.response_us; }
 
   /// Response time over read/write calls only.
   const stats::RunningSummary& data_response_stats() const { return data_response_; }
 
   /// Total response time across *every* file-access call divided by the
-  /// bytes moved by read/write calls — the "average response time per byte"
-  /// y-axis of Figures 5.6–5.12.  Opens, closes, creats and unlinks are part
-  /// of the cost of accessing those bytes (and under contention they absorb
-  /// most of the queueing), so they belong in the numerator.
-  double response_per_byte_us() const;
+  /// bytes moved by read/write calls (OpStats::response_per_byte_us).
+  double response_per_byte_us() const { return ops_.response_per_byte_us(); }
 
-  /// Per-op-type breakdown.
-  const std::map<fsmodel::FsOpType, OpTypeStats>& per_op_stats() const { return per_op_; }
+  /// Per-op-type breakdown of the op types that occurred.
+  std::map<fsmodel::FsOpType, OpTypeStats> per_op_stats() const;
 
   /// Distribution of per-session access-per-byte (Figure 5.3 input).
   stats::Histogram session_access_per_byte_histogram(std::size_t bins = 30) const;
@@ -95,7 +127,7 @@ class UsageAnalyzer {
   /// Per-category usage aggregates keyed by category label.
   std::map<std::string, CategoryUsage> per_category_usage() const;
 
-  std::size_t op_count() const { return op_count_; }
+  std::size_t op_count() const { return ops_.ops(); }
 
  private:
   struct Pass;  // the streaming pass's hash tables (analysis.cpp)
@@ -112,13 +144,8 @@ class UsageAnalyzer {
   // touches are touches_[touch_begin_[i], touch_begin_[i + 1]), by file id.
   std::vector<FileTouch> touches_;
   std::vector<std::size_t> touch_begin_;
-  std::size_t op_count_ = 0;
-  stats::RunningSummary access_size_;
-  stats::RunningSummary response_;
+  OpStats ops_;
   stats::RunningSummary data_response_;
-  std::map<fsmodel::FsOpType, OpTypeStats> per_op_;
-  double response_sum_us_ = 0.0;
-  double data_bytes_ = 0.0;
 };
 
 }  // namespace wlgen::core

@@ -248,6 +248,9 @@ bool RunFileReader::next(OpRecord& out) {
     }
   }
   out = decode_record(buffer_.data() + buffer_pos_);
+  if (static_cast<std::size_t>(out.op) >= fsmodel::kFsOpTypeCount) {  // readers index by op
+    throw std::runtime_error("RunFileReader: unknown op code in run file '" + path_ + "'");
+  }
   buffer_pos_ += kSpillRecordBytes;
   --remaining_;
   return true;

@@ -36,7 +36,7 @@ UsageLog TraceReplayer::run() { return run(Options{}); }
 UsageLog TraceReplayer::run(const Options& options) {
   if (ran_) throw std::logic_error("TraceReplayer::run: may only run once");
   ran_ = true;
-  if (options.time_scale <= 0.0) {
+  if (!(options.time_scale > 0.0)) {  // NaN included
     throw std::invalid_argument("TraceReplayer: time_scale must be > 0");
   }
   if (options.preserve_timing) {

@@ -20,18 +20,12 @@ WorkloadOutput run_workload(const WorkloadConfig& config) {
   sim::Simulation simulation;
   runner::UniverseRun run = runner::run_universe(simulation, workload, std::move(usim_config));
 
-  const core::UsageAnalyzer analyzer(run.log);
-  WorkloadOutput out;
-  out.response_per_byte_us = analyzer.response_per_byte_us();
-  out.access_size = analyzer.access_size_stats();
-  out.response_us = analyzer.response_stats();
-  out.sessions = analyzer.sessions();
-  out.per_category = analyzer.per_category_usage();
-  out.per_op = analyzer.per_op_stats();
-  out.total_ops = run.ops;
-  out.simulated_us = run.simulated_us;
-  out.log = std::move(run.log);  // the analyzer kept no reference to it
-  return out;
+  // Braced initializers run in order: the analyzer reads the log before it
+  // moves (the analyzer keeps no reference to it).
+  return {.analysis = core::UsageAnalyzer(run.log),
+          .total_ops = run.ops,
+          .simulated_us = run.simulated_us,
+          .log = std::move(run.log)};
 }
 
 std::vector<ContendedSweepPoint> contended_response_sweep(const ContendedSweepConfig& config) {

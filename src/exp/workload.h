@@ -1,12 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "core/analysis.h"
-#include "fsmodel/model.h"
 #include "runner/universe.h"
 #include "stats/summary.h"
 
@@ -24,12 +21,7 @@ struct WorkloadConfig : runner::WorkloadConfig {
 
 /// Everything an experiment needs to build its figure/table series.
 struct WorkloadOutput {
-  double response_per_byte_us = 0.0;
-  stats::RunningSummary access_size;
-  stats::RunningSummary response_us;
-  std::vector<core::SessionSummary> sessions;
-  std::map<std::string, core::CategoryUsage> per_category;
-  std::map<fsmodel::FsOpType, core::OpTypeStats> per_op;
+  core::UsageAnalyzer analysis;  ///< the one analyzer pass over the log
   std::uint64_t total_ops = 0;
   double simulated_us = 0.0;
   core::UsageLog log;  ///< full log (for figure histograms), moved out of the run

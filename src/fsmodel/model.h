@@ -23,7 +23,7 @@ enum class FsOpType {
   readdir,
 };
 
-/// Number of FsOpType values — sizes per-op tally arrays (obs::OpTally).
+/// Number of FsOpType values — sizes per-op arrays (core::OpStats).
 inline constexpr std::size_t kFsOpTypeCount = 10;
 
 /// Name of an op type ("open", "read", ...).

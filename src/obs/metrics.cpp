@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "fsmodel/model.h"
 
 namespace wlgen::obs {
 
@@ -112,31 +111,6 @@ util::JsonValue Registry::to_json() const {
   out.set("metrics", std::move(stable));
   out.set("timing", std::move(timing));
   return out;
-}
-
-void OpTally::merge(const OpTally& other) {
-  for (std::size_t op = 0; op < kOps; ++op) {
-    count[op] += other.count[op];
-    response_sum_us[op] += other.response_sum_us[op];
-    bytes[op] += other.bytes[op];
-  }
-}
-
-std::uint64_t OpTally::total_ops() const {
-  std::uint64_t total = 0;
-  for (std::size_t op = 0; op < kOps; ++op) total += count[op];
-  return total;
-}
-
-void OpTally::export_into(Registry& registry) const {
-  for (std::size_t op = 0; op < kOps; ++op) {
-    if (count[op] == 0) continue;
-    const std::string prefix =
-        std::string("ops.") + fsmodel::to_string(static_cast<fsmodel::FsOpType>(op));
-    registry.add_counter(prefix + ".count", count[op]);
-    registry.add_sum(prefix + ".response_sum_us", response_sum_us[op]);
-    registry.add_counter(prefix + ".bytes", bytes[op]);
-  }
 }
 
 }  // namespace wlgen::obs

@@ -1,12 +1,10 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/usage_log.h"
 #include "util/json.h"
 
 namespace wlgen::obs {
@@ -46,7 +44,7 @@ struct Metric {
 /// inherits the runners' bit-identical determinism guarantee.
 ///
 /// Registry calls are cold-path (end of a user/replication, end of a run);
-/// the hot path increments plain struct fields (see OpTally) and exports
+/// the hot path updates plain struct fields (core::OpStats) and exports
 /// here once.
 class Registry {
  public:
@@ -80,36 +78,6 @@ class Registry {
   Metric& slot(std::string_view name, MetricKind kind, bool stable);
 
   std::vector<Metric> metrics_;
-};
-
-/// Per-op-type tally — the hot-path accumulator behind the "per-model op
-/// counts and service-time sums" metrics.  A plain struct of arrays: adding
-/// a record is three indexed increments, no hashing, no branches beyond the
-/// caller's single "is obs enabled" check.  One OpTally lives per user (or
-/// per contended replication) so the double sums fold in the same fixed
-/// entity order as RunnerStats.
-struct OpTally {
-  static constexpr std::size_t kOps = fsmodel::kFsOpTypeCount;
-
-  std::array<std::uint64_t, kOps> count{};
-  std::array<double, kOps> response_sum_us{};
-  std::array<std::uint64_t, kOps> bytes{};
-
-  void add(const core::OpRecord& record) {
-    const auto op = static_cast<std::size_t>(record.op);
-    count[op] += 1;
-    response_sum_us[op] += record.response_us;
-    bytes[op] += record.actual_bytes;
-  }
-
-  /// Fixed-order fold (sums + sums + sums).
-  void merge(const OpTally& other);
-
-  std::uint64_t total_ops() const;
-
-  /// Exports "ops.<name>.count|response_sum_us|bytes" for every op type
-  /// that occurred (all stable).
-  void export_into(Registry& registry) const;
 };
 
 }  // namespace wlgen::obs

@@ -6,19 +6,26 @@
 namespace wlgen::obs {
 
 void SimSample::merge(const SimSample& other) {
-  ops.merge(other.ops);
   sim_events += other.sim_events;
   if (other.heap_high_water > heap_high_water) heap_high_water = other.heap_high_water;
   rng_draws += other.rng_draws;
   sessions += other.sessions;
 }
 
-void SimSample::export_into(Registry& registry) const {
+void SimSample::export_into(Registry& registry, const core::OpStats& ops) const {
   registry.add_counter("sim.events", sim_events);
   registry.add_gauge_max("sim.heap_high_water", heap_high_water);
   registry.add_counter("sim.sessions", sessions);
   registry.add_counter("rng.uniform_draws", rng_draws);
-  ops.export_into(registry);
+  for (std::size_t op = 0; op < core::OpStats::kOps; ++op) {
+    const core::OpTypeStats& stats = ops.per_op[op];
+    if (stats.response_us.count() == 0) continue;
+    const std::string prefix =
+        std::string("ops.") + fsmodel::to_string(static_cast<fsmodel::FsOpType>(op));
+    registry.add_counter(prefix + ".count", stats.response_us.count());
+    registry.add_sum(prefix + ".response_sum_us", stats.response_sum_us);
+    registry.add_counter(prefix + ".bytes", stats.bytes);
+  }
 }
 
 std::size_t ring_share(std::size_t total, std::size_t parts) {

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "core/analysis.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runner/pool.h"
@@ -40,13 +41,10 @@ struct ObsConfig {
   bool any() const { return collect() || progress || pool; }
 };
 
-/// Per-entity (user or replication) observability sample.  Lives in the
-/// same per-entity result slot as RunnerStats and folds in the same fixed
-/// entity order, which is what makes the merged metrics — including the
-/// floating-point service-time sums — bit-identical for every shard and
-/// thread count.
+/// Per-entity (user or replication) observability sample: the counters a
+/// universe reports beside its records.  Folds in the same fixed entity
+/// order as RunnerStats, whose per-op fold supplies the "ops.*" family.
 struct SimSample {
-  OpTally ops;
   std::uint64_t sim_events = 0;
   /// Max concurrently-pending events.  An open-loop replay issues its
   /// records through Simulation::fire_at, never queueing them, so there it
@@ -58,8 +56,10 @@ struct SimSample {
   void merge(const SimSample& other);
 
   /// Emits "sim.events", "sim.heap_high_water", "sim.sessions",
-  /// "rng.uniform_draws" and the per-op "ops.*" family (all stable).
-  void export_into(Registry& registry) const;
+  /// "rng.uniform_draws", then "ops.<op>.count|response_sum_us|bytes" for
+  /// every op type that occurred in `ops`, the run's per-op fold (all
+  /// stable).
+  void export_into(Registry& registry, const core::OpStats& ops) const;
 };
 
 /// The three trace tracks a run produces; each serializes as one Chrome

@@ -62,19 +62,13 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
   usim_config.population_users = users;
   usim_config.seed = seed;
   usim_config.collect_log = false;  // aggregates only; replications do not share a log
-  // Same single-observation-point pattern as ShardedRunner::run_user: obs
-  // off means the historical record hook, bit for bit.
-  if (sample == nullptr) {
+  // Same single-observation-point pattern as ShardedRunner::run_user: the
+  // per-op fold, plus the op span only when tracing.
+  if (op_ring == nullptr) {
     usim_config.on_record = [&out](const core::OpRecord& r) { out.stats.add(r); };
-  } else if (op_ring == nullptr) {
-    usim_config.on_record = [&out, sample](const core::OpRecord& r) {
-      out.stats.add(r);
-      sample->ops.add(r);
-    };
   } else {
-    usim_config.on_record = [&out, sample, op_ring](const core::OpRecord& r) {
+    usim_config.on_record = [&out, op_ring](const core::OpRecord& r) {
       out.stats.add(r);
-      sample->ops.add(r);
       obs::record_op(*op_ring, r);
     };
   }
@@ -172,9 +166,15 @@ ContendedResult ContendedRunner::run() {
 
   if (progress) progress->stop();
   if (collect) {
+    // Every job's per-op fold in job order across all points: the points'
+    // own stats group the jobs differently, which would move the sums.
     obs::SimSample merged;
-    for (std::size_t j = 0; j < jobs; ++j) merged.merge(samples[j]);
-    merged.export_into(result.registry);
+    core::OpStats ops;
+    for (std::size_t j = 0; j < jobs; ++j) {
+      merged.merge(samples[j]);
+      ops.merge(outcomes[j].stats.op_stats());
+    }
+    merged.export_into(result.registry, ops);
     if (config_.traffic.any()) {
       // Pure functions of the config — thread invariant, so stable.
       if (config_.traffic.arrivals) {

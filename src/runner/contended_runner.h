@@ -149,8 +149,9 @@ class ContendedRunner {
   struct JobOutcome;
 
   /// Runs one replication (all users of one sweep point) as one universe
-  /// (run_universe) on the worker's Simulation.  `sample`/`op_ring` are the
-  /// per-job obs sinks; null means the uninstrumented record hook.
+  /// (run_universe) on the worker's Simulation.  `sample` (when collecting
+  /// metrics) takes the universe's counters and `op_ring` (when tracing)
+  /// the job's op spans; null means off.
   void run_replication(sim::Simulation& sim, std::size_t users, std::uint64_t seed,
                        JobOutcome& out, obs::SimSample* sample,
                        obs::TraceRing* op_ring) const;

@@ -45,6 +45,18 @@ std::runtime_error stray_user_error(const ShardCheckpoint& ckpt, std::uint32_t u
                             std::to_string(ckpt.begin) + ", " + std::to_string(ckpt.end) + ")");
 }
 
+/// The sorted session ordinals among one user's records: the analyzer's
+/// session count, which leaves out logins that logged nothing.
+struct SessionSet {
+  std::vector<std::uint32_t> seen;
+
+  void add(std::uint32_t session) {
+    if (!seen.empty() && seen.back() == session) return;
+    const auto it = std::lower_bound(seen.begin(), seen.end(), session);
+    if (it == seen.end() || *it != session) seen.insert(it, session);
+  }
+};
+
 }  // namespace
 
 /// Everything one user's universe produces; slots are per-user, so workers
@@ -53,6 +65,7 @@ struct ShardedRunner::UserOutcome {
   explicit UserOutcome(HistogramSpec spec) : stats(spec) {}
 
   RunnerStats stats;
+  std::uint64_t sessions_logged = 0;  ///< sessions with at least one record
   UniverseRun run;  ///< its backend is dropped as soon as the user finishes
 };
 
@@ -112,30 +125,27 @@ void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome
   usim_config.collect_log = config_.collect_log;
   usim_config.sink = sink;  // non-null => records stream to the shard's runs
   usim_config.arrival_times_us = arrivals_;
-  // The record hook is the single observation point: when obs is off the
-  // lambda is the minimal stats+sketch one, so the hot path stays lean.
-  if (sample == nullptr) {
-    usim_config.on_record = [&out, sketch](const core::OpRecord& r) {
+  // The record hook is the single observation point: the per-op fold, the
+  // sketch and the session count, plus the op span only when tracing.
+  SessionSet sessions;
+  if (op_ring == nullptr) {
+    usim_config.on_record = [&out, &sessions, sketch](const core::OpRecord& r) {
       out.stats.add(r);
       sketch->add(r.response_us);
-    };
-  } else if (op_ring == nullptr) {
-    usim_config.on_record = [&out, sketch, sample](const core::OpRecord& r) {
-      out.stats.add(r);
-      sketch->add(r.response_us);
-      sample->ops.add(r);
+      sessions.add(r.session);
     };
   } else {
-    usim_config.on_record = [&out, sketch, sample, op_ring](const core::OpRecord& r) {
+    usim_config.on_record = [&out, &sessions, sketch, op_ring](const core::OpRecord& r) {
       out.stats.add(r);
       sketch->add(r.response_us);
-      sample->ops.add(r);
+      sessions.add(r.session);
       obs::record_op(*op_ring, r);
     };
   }
 
   out.run = run_universe(sim, config_, std::move(usim_config));
   out.run.model.reset();
+  out.sessions_logged = sessions.seen.size();
   if (sample != nullptr) out.run.count_into(*sample);
 }
 
@@ -242,6 +252,7 @@ RunnerResult ShardedRunner::run() {
         // checkpoint's grouping-invariant integer scalars instead.
         const ShardCheckpoint& ckpt = *resumed[s];
         auto reader = core::open_spilled_log(ckpt.runs);
+        std::vector<SessionSet> sessions(ckpt.end - ckpt.begin);
         core::OpRecord r;
         while (reader->next(r)) {
           if (cancelled.load(std::memory_order_relaxed)) return;
@@ -251,7 +262,10 @@ RunnerResult ShardedRunner::run() {
           if (r.user < ckpt.begin || r.user >= ckpt.end) throw stray_user_error(ckpt, r.user);
           outcomes[r.user].stats.add(r);
           sketches[s].add(r.response_us);
-          if (collect) samples[r.user].ops.add(r);
+          sessions[r.user - ckpt.begin].add(r.session);
+        }
+        for (std::size_t u = ckpt.begin; u < ckpt.end; ++u) {
+          outcomes[u].sessions_logged = sessions[u - ckpt.begin].seen.size();
         }
         reports[s].wall_ms = elapsed_ms(shard_start);
         reports[s].events = ckpt.events;
@@ -319,6 +333,7 @@ RunnerResult ShardedRunner::run() {
   for (std::size_t u = 0; u < num_users; ++u) {
     const UniverseRun& run = outcomes[u].run;
     result.stats.merge(outcomes[u].stats);
+    result.sessions_logged += outcomes[u].sessions_logged;
     result.total_ops += run.ops;
     result.sessions_completed += run.sessions;
     if (run.simulated_us > result.max_simulated_us) result.max_simulated_us = run.simulated_us;
@@ -357,7 +372,7 @@ RunnerResult ShardedRunner::run() {
       merged.sessions += ckpt.sessions;
       merged.heap_high_water = std::max(merged.heap_high_water, ckpt.heap_high_water);
     }
-    merged.export_into(result.registry);
+    merged.export_into(result.registry, result.stats.op_stats());
     if (spill) {
       std::uint64_t records = 0;
       std::uint64_t bytes = 0;

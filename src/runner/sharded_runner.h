@@ -77,8 +77,8 @@ struct RunnerConfig : WorkloadConfig {
 
   /// Retain the per-op usage log as sorted runs.  With `spill.enabled` the
   /// runs go to disk instead of RAM, so even million-user runs can keep
-  /// this on; collect_log = false remains the "aggregates only, no log at
-  /// all" mode and conflicts with spilling.
+  /// this on; collect_log = false keeps no log at all (every statistic
+  /// comes from the per-user fold) and conflicts with spilling.
   bool collect_log = true;
 
   /// Disk-spill / checkpoint-resume switches (off = runs in memory).
@@ -121,6 +121,10 @@ struct RunnerResult {
 
   std::uint64_t total_ops = 0;
   std::uint64_t sessions_completed = 0;
+
+  /// Sessions with at least one record: the analyzer's session count of the
+  /// merged log (sessions_completed also counts logins that planned no work).
+  std::uint64_t sessions_logged = 0;
 
   /// Longest single-user simulated timeline, microseconds.
   double max_simulated_us = 0.0;
@@ -172,9 +176,8 @@ class ShardedRunner {
   struct UserOutcome;
 
   /// Runs one user's universe (run_universe) on the worker's Simulation.
-  /// `sample` (when collecting metrics) and `op_ring` (when tracing) are
-  /// per-user / per-shard obs sinks; null means the uninstrumented record
-  /// hook.
+  /// `sample` (when collecting metrics) takes the universe's counters and
+  /// `op_ring` (when tracing) the shard's op spans; null means off.
   /// `sink` (when collecting the log) is the owning shard's run sink;
   /// `sketch` is its quantile sketch (always set on sharded runs).
   void run_user(sim::Simulation& sim, std::size_t user, UserOutcome& out,

@@ -6,27 +6,13 @@ RunnerStats::RunnerStats(HistogramSpec spec)
     : response_hist_(spec.lo_us, spec.hi_us, spec.bins) {}
 
 void RunnerStats::add(const core::OpRecord& record) {
-  response_us_.add(record.response_us);
+  ops_.add(record);
   response_hist_.add(record.response_us);
-  if (fsmodel::is_data_op(record.op)) {
-    access_size_.add(static_cast<double>(record.actual_bytes));
-    bytes_moved_ += record.actual_bytes;
-  }
-  total_response_us_ += record.response_us;
-  ++ops_;
 }
 
 void RunnerStats::merge(const RunnerStats& other) {
-  response_us_.merge(other.response_us_);
-  access_size_.merge(other.access_size_);
+  ops_.merge(other.ops_);
   response_hist_.merge(other.response_hist_);
-  ops_ += other.ops_;
-  bytes_moved_ += other.bytes_moved_;
-  total_response_us_ += other.total_response_us_;
-}
-
-double RunnerStats::response_per_byte_us() const {
-  return bytes_moved_ > 0 ? total_response_us_ / static_cast<double>(bytes_moved_) : 0.0;
 }
 
 }  // namespace wlgen::runner

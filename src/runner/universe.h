@@ -72,8 +72,8 @@ struct UniverseRun {
   /// Simulation the universe ran on, which must outlive it.
   std::unique_ptr<fsmodel::FileSystemModel> model;
 
-  /// Writes the sim, RNG and session counters into `sample` (its op tally
-  /// belongs to the caller's record hook).
+  /// Writes the sim, RNG and session counters into `sample` (the ops.*
+  /// family comes from the caller's per-op fold).
   void count_into(obs::SimSample& sample) const;
 };
 

@@ -34,21 +34,6 @@ std::string exact(double value) {
   return buffer;
 }
 
-/// The post-run obs tally of a kept log: per-op counts and service-time
-/// sums into `sample`, op spans into `ops` when tracing.
-void tally_log(const core::UsageLog& log, obs::SimSample& sample, obs::TraceRing* ops) {
-  for (const auto& record : log.records()) {
-    sample.ops.add(record);
-    if (ops != nullptr) obs::record_op(*ops, record);
-  }
-}
-
-runner::RunnerStats stats_of_log(const core::UsageLog& log) {
-  runner::RunnerStats stats;
-  for (const auto& record : log.records()) stats.add(record);
-  return stats;
-}
-
 /// Scenario-level identity folded into checkpoint fingerprints: everything
 /// that shapes the record streams but is invisible to RunnerConfig's own
 /// fingerprint fields (model + overrides, population shape, behaviour
@@ -115,6 +100,7 @@ ModelOutcome run_sharded(const ScenarioSpec& spec, const ModelChoice& model,
   point.response_per_byte = {result.stats.response_per_byte_us(), 0.0, 1};
   point.ops = result.total_ops;
   point.sessions = result.sessions_completed;
+  point.sessions_logged = result.sessions_logged;
   outcome.points.push_back(std::move(point));
   outcome.log_runs = std::move(result.log_runs);
   outcome.response_sketch = result.response_sketch;
@@ -180,22 +166,23 @@ ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
   options.time_scale = spec.time_scale;
   core::UsageLog replayed = replayer.run(options);
 
+  PointOutcome replay_point;
+  replay_point.label = spec.closed_loop ? "trace replay (closed loop)"
+                                        : "trace replay (open loop)";
+  replay_point.users = trace_users;
+  for (const auto& record : replayed.records()) {
+    replay_point.stats.add(record);
+    if (trace_on) obs::record_op(outcome.trace.ops, record);
+  }
+  replay_point.response_per_byte = {replay_point.stats.response_per_byte_us(), 0.0, 1};
+  replay_point.ops = replayer.ops_replayed();
+  replay_point.sessions = trace_sessions;
   obs::SimSample merged;
   if (collect) {
     merged.sim_events = simulation.events_processed();
     merged.heap_high_water = simulation.arena_high_water();
     merged.sessions = trace_sessions;
-    tally_log(replayed, merged, trace_on ? &outcome.trace.ops : nullptr);
   }
-
-  PointOutcome replay_point;
-  replay_point.label = spec.closed_loop ? "trace replay (closed loop)"
-                                        : "trace replay (open loop)";
-  replay_point.users = trace_users;
-  replay_point.stats = stats_of_log(replayed);
-  replay_point.response_per_byte = {replay_point.stats.response_per_byte_us(), 0.0, 1};
-  replay_point.ops = replayer.ops_replayed();
-  replay_point.sessions = trace_sessions;
   outcome.points.push_back(std::move(replay_point));
   // One run: the merge passes it through, so the replayed order is kept.
   outcome.log_runs.push_back(core::memory_run(std::move(replayed.records_mutable())));
@@ -212,13 +199,17 @@ ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
     PointOutcome point;
     point.label = "synthetic";
     point.users = spec.synthetic_users;
-    point.stats = stats_of_log(synthetic.log);
+    point.stats = std::move(synthetic.stats);
     point.response_per_byte = {point.stats.response_per_byte_us(), 0.0, 1};
     point.ops = synthetic.log.size();
     point.sessions = synthetic.sessions;
     outcome.points.push_back(std::move(point));
   }
-  if (collect) merged.export_into(outcome.registry);
+  if (collect) {
+    core::OpStats ops;  // the replayed log, then the synthetic leg
+    for (const PointOutcome& point : outcome.points) ops.merge(point.stats.op_stats());
+    merged.export_into(outcome.registry, ops);
+  }
   return outcome;
 }
 
@@ -414,11 +405,17 @@ SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, st
     options.label = obs.label;
     options.unit = "ops";
     progress = std::make_unique<obs::ProgressReporter>(std::move(options));
-    config.on_record = [&progress](const core::OpRecord& record) {
-      progress->advance(1, 0, 0.0);
-      progress->note_sim_time(record.issue_time_us + record.response_us);
-    };
   }
+  // The hook sees the records in log order, as a pass over the log would.
+  config.on_record = [&run, ops = obs.trace() ? &run.trace.ops : nullptr,
+                      heartbeat = progress.get()](const core::OpRecord& record) {
+    run.stats.add(record);
+    if (ops != nullptr) obs::record_op(*ops, record);
+    if (heartbeat != nullptr) {
+      heartbeat->advance(1, 0, 0.0);
+      heartbeat->note_sim_time(record.issue_time_us + record.response_us);
+    }
+  };
   sim::Simulation simulation;
   runner::UniverseRun universe = runner::run_universe(simulation, workload, std::move(config));
   if (progress) progress->stop();
@@ -427,10 +424,7 @@ SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, st
   run.sessions = universe.sessions;
   run.simulated_us = universe.simulated_us;
   run.model_stats = universe.model->stats_summary();
-  if (obs.collect()) {
-    universe.count_into(run.sample);
-    tally_log(run.log, run.sample, obs.trace() ? &run.trace.ops : nullptr);
-  }
+  if (obs.collect()) universe.count_into(run.sample);
   return run;
 }
 

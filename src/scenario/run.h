@@ -44,6 +44,7 @@ struct PointOutcome {
   stats::MeanCi response_per_byte;
   std::uint64_t ops = 0;
   std::uint64_t sessions = 0;
+  std::uint64_t sessions_logged = 0;  ///< sessions with a record (sharded mode only)
 };
 
 /// Everything one model backend produced.
@@ -98,13 +99,14 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
 /// What generate_shared produced.
 struct SharedRun {
   core::UsageLog log;
+  runner::RunnerStats stats;  ///< the log's records, folded in log order
   std::uint64_t sessions = 0;
   double simulated_us = 0.0;  ///< simulation clock when the last user finished
   std::string model_stats;    ///< the backend's stats_summary()
 
-  /// The run's one obs tally, filled per `obs`: sim/RNG counters plus the
-  /// per-op tally when it collects, op and model-stage spans when it
-  /// traces (ring budget obs.trace_events, split between the two).
+  /// The run's obs outputs, filled per `obs`: sim/RNG counters when it
+  /// collects, op and model-stage spans when it traces (ring budget
+  /// obs.trace_events, split between the two).
   obs::SimSample sample;
   obs::RunTrace trace;
 };

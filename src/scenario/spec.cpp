@@ -71,7 +71,6 @@ core::AccessPattern parse_pattern(const util::Config& config) {
 const std::map<std::string, RunMode>& mode_scoped_keys() {
   static const std::map<std::string, RunMode> keys = {
       {"sharded.shards", RunMode::sharded},
-      {"sharded.collect_log", RunMode::sharded},
       {"sharded.resume", RunMode::sharded},
       {"log.spill", RunMode::sharded},
       {"log.spool_dir", RunMode::sharded},
@@ -284,7 +283,7 @@ ScenarioSpec ScenarioSpec::parse(const util::Config& config) {
       "workload.markov", "workload.windows", "workload.draw_batch", "workload.think_time",
       "workload.access_size", "workload.gds",
       "model.name", "model.names",
-      "sharded.shards", "sharded.collect_log", "sharded.resume",
+      "sharded.shards", "sharded.resume",
       "log.spill", "log.spool_dir", "log.checkpoint",
       "contended.replications", "contended.confidence",
       "replay.trace", "replay.closed_loop", "replay.time_scale", "replay.synthetic_users",
@@ -362,18 +361,12 @@ ScenarioSpec ScenarioSpec::parse(const util::Config& config) {
   if (spec.mode == RunMode::sharded && spec.shards == 0) {
     fail(config, "sharded.shards", "expects at least 1 shard");
   }
-  spec.collect_log = config.get_bool("sharded.collect_log", true);
 
   // [log] — the streaming spill pipeline (docs/SCENARIOS.md "[log]").
   spec.log_spill = config.get_bool("log.spill", false);
   spec.log_spool_dir = config.get_string("log.spool_dir", "");
   if (!spec.log_spool_dir.empty() && !spec.log_spill) {
     fail(config, "log.spool_dir", "is only meaningful with log.spill = true");
-  }
-  if (spec.log_spill && !spec.collect_log) {
-    fail(config, "log.spill",
-         "conflicts with sharded.collect_log = false (spilling streams the log to "
-         "disk; collect_log = false means no log at all); drop one");
   }
   spec.log_checkpoint = config.get_bool("log.checkpoint", false);
   if (spec.log_checkpoint && !spec.log_spill) {
@@ -440,11 +433,8 @@ ScenarioSpec ScenarioSpec::parse(const util::Config& config) {
   if (!spec.log_file.empty() && spec.models.size() > 1) {
     fail(config, "output.log", "needs a single-model scenario (one log per run)");
   }
-  if (!spec.log_file.empty() && spec.mode == RunMode::sharded && !spec.collect_log) {
-    fail(config, "output.log",
-         "conflicts with sharded.collect_log = false (the run would write an empty "
-         "log); drop one");
-  }
+  // A sharded run keeps its log exactly when something reads it.
+  spec.collect_log = spec.log_spill || !spec.log_file.empty();
 
   return spec;
 }
@@ -499,8 +489,7 @@ std::string ScenarioSpec::summary() const {
   }
   switch (mode) {
     case RunMode::sharded:
-      out << "  sharded: " << shards << " shard(s), collect_log="
-          << (collect_log ? "true" : "false") << "\n";
+      out << "  sharded: " << shards << " shard(s)\n";
       if (log_spill) {
         out << "  log: spill -> " << log_spool_dir
             << (log_checkpoint ? ", checkpointed" : "") << (resume ? ", resume" : "")

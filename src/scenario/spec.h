@@ -66,7 +66,9 @@ struct ScenarioSpec {
 
   // [sharded]
   std::size_t shards = 1;
-  bool collect_log = true;
+  /// Keep the merged log: derived at parse, true exactly when log.spill or
+  /// output.log is set (`run --verify-merge` also sets it on its plan).
+  bool collect_log = false;
   bool resume = false;  ///< skip shards with valid checkpoints (needs log.checkpoint)
 
   // [log] — streaming log pipeline (sharded mode; docs/SCENARIOS.md "[log]").

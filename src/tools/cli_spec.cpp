@@ -27,10 +27,10 @@ const std::vector<util::CommandSpec>& command_specs() {
            {"pattern", "seq|random|zipf", "block access pattern (default seq)"},
            {"windows", "W", "concurrent login sessions per user (default 1)"},
            {"spec", "FILE", "GDS file overriding think_time / access_size"},
-           {"log", "OUT.tsv", "write the usage log (classic and --shards runs)"},
+           {"log", "OUT.tsv", "write the usage log (classic, --shards: else only --spill keeps it)"},
            {"shards", "K", "sharded scenario: K shards of independent user universes"},
            {"threads", "T", "worker threads (--shards/--contended; 0 = hardware)"},
-           {"verify-merge", "", "check the kept log is (time, user) ordered (--shards)"},
+           {"verify-merge", "", "keep the log and check it is (time, user) ordered (--shards)"},
            {"spill", "", "stream the log to sorted disk runs, bounded RSS (--shards)"},
            {"spool-dir", "DIR", "spill run/checkpoint directory (default .wlgen-spool/cli-run)"},
            {"checkpoint", "", "persist per-shard checkpoints (implies --spill)"},

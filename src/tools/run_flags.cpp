@@ -169,6 +169,7 @@ RunPlan run_plan(const util::Args& args) {
   plan.spec = text.parse();
   plan.classic = !sharded && !contended;
   plan.verify_merge = args.boolean("verify-merge");
+  if (plan.verify_merge) plan.spec.collect_log = true;  // the check reads the kept log
   plan.options.metrics_file = args.get("metrics", "");
   plan.options.trace_file = args.get("trace", "");
   if (args.flags.count("trace-events")) {

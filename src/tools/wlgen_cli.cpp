@@ -100,22 +100,29 @@ std::string mean_std_or_dash(const stats::RunningSummary& summary) {
   return summary.count() ? summary.mean_std_string() : "-";
 }
 
-void print_analysis(const core::UsageAnalyzer& analyzer) {
+/// The analyzer's tables; `sessions` counts sessions with at least one record.
+void print_analysis(const core::OpStats& stats, std::size_t sessions) {
   util::TextTable ops({"op", "count", "access size mean(std)", "response us mean(std)"});
-  for (const auto& [op, s] : analyzer.per_op_stats()) {
-    ops.add_row({fsmodel::to_string(op), std::to_string(s.response_us.count()),
-                 mean_std_or_dash(s.access_size), mean_std_or_dash(s.response_us)});
+  for (std::size_t op = 0; op < core::OpStats::kOps; ++op) {
+    const core::OpTypeStats& s = stats.per_op[op];
+    if (s.response_us.count() == 0) continue;
+    ops.add_row({fsmodel::to_string(static_cast<fsmodel::FsOpType>(op)),
+                 std::to_string(s.response_us.count()), mean_std_or_dash(s.access_size),
+                 mean_std_or_dash(s.response_us)});
   }
   std::cout << ops.render() << "\n";
 
   util::TextTable summary({"metric", "value"});
-  summary.add_row({"system calls", std::to_string(analyzer.op_count())});
-  summary.add_row({"sessions", std::to_string(analyzer.sessions().size())});
-  summary.add_row({"access size B mean(std)", mean_std_or_dash(analyzer.access_size_stats())});
-  summary.add_row({"response us mean(std)", mean_std_or_dash(analyzer.response_stats())});
-  summary.add_row(
-      {"response per byte us", util::TextTable::num(analyzer.response_per_byte_us(), 4)});
+  summary.add_row({"system calls", std::to_string(stats.ops())});
+  summary.add_row({"sessions", std::to_string(sessions)});
+  summary.add_row({"access size B mean(std)", mean_std_or_dash(stats.access_size)});
+  summary.add_row({"response us mean(std)", mean_std_or_dash(stats.response_us)});
+  summary.add_row({"response per byte us", util::TextTable::num(stats.response_per_byte_us(), 4)});
   std::cout << summary.render();
+}
+
+void print_analysis(const core::UsageAnalyzer& analyzer) {
+  print_analysis(analyzer.op_stats(), analyzer.sessions().size());
 }
 
 /// Classic path: one shared-machine run at the root seed that keeps its
@@ -142,7 +149,7 @@ int run_classic(const cli::RunPlan& plan) {
   scenario::ScenarioOutcome outcome;
   scenario::ModelOutcome& model = outcome.models.emplace_back();
   model.model = spec.models.front().name;
-  run.sample.export_into(model.registry);
+  run.sample.export_into(model.registry, run.stats.op_stats());
   model.trace = std::move(run.trace);
   outcome.wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start).count();
@@ -160,9 +167,11 @@ int cmd_run(const Args& args) {
             << artifact_lines(plan.spec, scenario::resolve_obs(plan.spec, plan.options), outcome);
   if (plan.spec.mode != scenario::RunMode::sharded) return 0;  // contended keeps no log
 
+  // The run's per-user fold prints what the analyzer prints for its log.
   const scenario::ModelOutcome& model = outcome.models.front();
+  const scenario::PointOutcome& point = model.points.front();
   std::cout << "\n";
-  print_analysis(core::UsageAnalyzer(*core::open_spilled_log(model.log_runs)));
+  print_analysis(point.stats.op_stats(), point.sessions_logged);
   if (plan.verify_merge) {
     if (!runner::is_merge_ordered(*core::open_spilled_log(model.log_runs))) {
       std::cerr << "merge contract violated: log is not (time, user) ordered\n";
@@ -171,7 +180,7 @@ int cmd_run(const Args& args) {
       if (!plan.spec.log_file.empty()) std::filesystem::remove(plan.spec.log_file, ignored);
       return 1;
     }
-    std::cout << "\nmerge contract verified: " << model.points.front().ops
+    std::cout << "\nmerge contract verified: " << point.ops
               << " records in (time, user) order\n";
   }
   return 0;

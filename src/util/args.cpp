@@ -1,6 +1,7 @@
 #include "util/args.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -62,9 +63,10 @@ double Args::number(const std::string& key, double fallback) const {
   const auto it = flags.find(key);
   if (it == flags.end()) return fallback;
   const auto v = parse_double(it->second);
-  if (!v) {
-    throw std::invalid_argument("flag --" + key + " expects a number, got '" + it->second +
-                                "'");
+  if (!v || !std::isfinite(*v)) {
+    // strtod reads "nan" and "inf", and NaN passes every `x <= bound` check.
+    throw std::invalid_argument("flag --" + key + " expects a finite number, got '" +
+                                it->second + "'");
   }
   return *v;
 }

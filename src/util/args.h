@@ -39,8 +39,8 @@ struct Args {
   /// Raw string value, or `fallback` when the flag is absent.
   std::string get(const std::string& key, const std::string& fallback) const;
 
-  /// Floating-point value; throws std::invalid_argument on a malformed
-  /// number.
+  /// Finite floating-point value; throws std::invalid_argument on a
+  /// malformed number, nan or inf.
   double number(const std::string& key, double fallback) const;
 
   /// Non-negative integral count (--users, --sessions, --shards, ...).

@@ -1,5 +1,6 @@
 #include "util/config.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -153,7 +154,10 @@ double Config::get_double(const std::string& key, double fallback) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return fallback;
   const auto v = parse_double(it->second.value);
-  if (!v) fail(key, "expects a number, got '" + it->second.value + "'");
+  // strtod reads "nan" and "inf", and NaN passes every `x <= bound` check.
+  if (!v || !std::isfinite(*v)) {
+    fail(key, "expects a finite number, got '" + it->second.value + "'");
+  }
   return *v;
 }
 

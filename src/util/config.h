@@ -48,7 +48,8 @@ class Config {
   /// Non-negative integer (sizes, counts); rejects negatives.
   std::size_t get_size(const std::string& key, std::size_t fallback) const;
 
-  /// Floating-point value.
+  /// Finite floating-point value; throws std::invalid_argument (with line
+  /// number) on a malformed number, nan or inf.
   double get_double(const std::string& key, double fallback) const;
 
   /// Boolean: true/false, yes/no, on/off, 1/0 (case-insensitive).

@@ -294,6 +294,34 @@ TEST(RunFileReader, RejectsBadMagicAndTruncation) {
   std::filesystem::remove_all(dir);
 }
 
+// The op byte indexes per-op tables downstream (the resume fold, the
+// analyzer), so a run file whose op byte names no FsOpType is refused.
+TEST(RunFileReader, RejectsAnUnknownOpCode) {
+  const std::string dir = temp_dir("bad_op");
+  SpillSink sink(dir, "x", 64);
+  for (int i = 0; i < 3; ++i) sink.append(make_record(0, i, 1.0));
+  sink.close();
+  ASSERT_EQ(sink.runs().size(), 1u);
+  const SpillRun run = sink.runs()[0];
+  {
+    std::FILE* f = std::fopen(run.path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 16 + kSpillRecordBytes + 24, SEEK_SET);  // second record's op byte
+    std::fputc(static_cast<int>(fsmodel::kFsOpTypeCount), f);
+    std::fclose(f);
+  }
+  RunFileReader reader(run);
+  OpRecord r;
+  EXPECT_TRUE(reader.next(r));
+  try {
+    reader.next(r);
+    FAIL() << "accepted an unknown op code";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(run.path), std::string::npos) << e.what();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TextAdapters, WriteLogTextMatchesSerialize) {
   UsageLog log;
   for (std::uint32_t u = 0; u < 3; ++u) {

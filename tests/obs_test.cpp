@@ -81,23 +81,25 @@ TEST(Registry, JsonRoundTripsThroughUtilJson) {
   EXPECT_EQ(parsed.at("metrics").find("pool.jobs"), nullptr);
 }
 
-TEST(OpTally, AddMergeExport) {
+TEST(OpStats, AddMergeExport) {
   core::OpRecord read;
   read.op = fsmodel::FsOpType::read;
   read.response_us = 10.0;
   read.actual_bytes = 512;
-  OpTally a, b;
+  core::OpStats a, b;
   a.add(read);
   b.add(read);
   b.add(read);
   a.merge(b);
-  EXPECT_EQ(a.total_ops(), 3u);
+  EXPECT_EQ(a.ops(), 3u);
+  EXPECT_EQ(a.bytes_moved, 1536u);
 
   Registry registry;
-  a.export_into(registry);
+  SimSample{}.export_into(registry, a);
   // Only op types that occurred export (no zero-noise rows).
   const std::string text = registry.stable_text();
   EXPECT_NE(text.find("ops.read.count 3\n"), std::string::npos);
+  EXPECT_NE(text.find("ops.read.response_sum_us 30\n"), std::string::npos);
   EXPECT_NE(text.find("ops.read.bytes 1536\n"), std::string::npos);
   EXPECT_EQ(text.find("ops.write"), std::string::npos);
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -134,12 +135,15 @@ TEST(Replay, RunTwiceRejected) {
 
 TEST(Replay, RejectsBadScale) {
   const UsageLog trace = record_trace(1, 1);
-  sim::Simulation simulation;
-  fsmodel::NfsModel nfs(simulation);
-  TraceReplayer replayer(simulation, nfs, trace);
-  TraceReplayer::Options options;
-  options.time_scale = 0.0;
-  EXPECT_THROW(replayer.run(options), std::invalid_argument);
+  // NaN fails `scale <= 0` as well as `scale > 0`: it must still be refused.
+  for (const double scale : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    sim::Simulation simulation;
+    fsmodel::NfsModel nfs(simulation);
+    TraceReplayer replayer(simulation, nfs, trace);
+    TraceReplayer::Options options;
+    options.time_scale = scale;
+    EXPECT_THROW(replayer.run(options), std::invalid_argument) << scale;
+  }
 }
 
 TEST(Replay, EmptyTraceIsFine) {

@@ -9,7 +9,9 @@
 
 #include <filesystem>
 #include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.h"
@@ -22,6 +24,7 @@
 #include "runner/merge.h"
 #include "runner/sharded_runner.h"
 #include "runner/universe.h"
+#include "util/table.h"
 
 namespace wlgen::runner {
 namespace {
@@ -490,6 +493,69 @@ TEST(ShardedRunnerSpill, CheckpointResumeIsBitIdentical) {
   expect_stats_identical(repaired.stats, original.stats);
   EXPECT_TRUE(repaired.response_sketch == original.response_sketch);
   std::filesystem::remove_all(spool);
+}
+
+/// The Usage Analyzer's tables of a per-op fold and a session count, as
+/// text at the precision the CLI prints them.
+std::string analysis_table(const core::OpStats& ops, std::size_t sessions) {
+  const auto mean_std = [](const stats::RunningSummary& s) {
+    return s.count() > 0 ? s.mean_std_string() : std::string("-");
+  };
+  std::ostringstream out;
+  for (std::size_t op = 0; op < core::OpStats::kOps; ++op) {
+    const core::OpTypeStats& s = ops.per_op[op];
+    if (s.response_us.count() == 0) continue;
+    out << fsmodel::to_string(static_cast<fsmodel::FsOpType>(op)) << " "
+        << s.response_us.count() << " " << s.bytes << " " << mean_std(s.access_size) << " "
+        << mean_std(s.response_us) << "\n";
+  }
+  out << "calls " << ops.ops() << " sessions " << sessions << " bytes " << ops.bytes_moved
+      << " access " << mean_std(ops.access_size) << " response " << mean_std(ops.response_us)
+      << " per byte "
+      << util::TextTable::num(ops.response_per_byte_us(), 4) << "\n";
+  return out.str();
+}
+
+// `wlgen run --shards` prints its analysis from the per-user fold instead of
+// reading the merged log: the fold must print what the analyzer prints for
+// that log, live and after a resume, with interleaved login windows and with
+// open-loop arrivals.
+TEST(ShardedRunnerSpill, FoldPrintsTheAnalyzerTablesOfTheMergedLog) {
+  RunnerConfig windows = base_config(6, 1, 1);
+  windows.usim.windows_per_user = 2;
+  RunnerConfig open = base_config(6, 1, 1);
+  traffic::ArrivalConfig arrivals;
+  arrivals.rate_per_sec = 2.0;
+  arrivals.sessions = 18;
+  open.traffic.arrivals = arrivals;
+  for (const auto& [name, workload] : {std::pair{"windows", windows}, std::pair{"open", open}}) {
+    for (const std::size_t shards : {1u, 3u}) {
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string(name) + " shards " + std::to_string(shards) + " threads " +
+                     std::to_string(threads));
+        const std::string spool = fresh_spool(std::string("fold_") + name);
+        RunnerConfig config = workload;
+        config.shards = shards;
+        config.threads = threads;
+        config.spill.enabled = true;
+        config.spill.spool_dir = spool;
+        config.spill.buffer_records = 32;
+        config.spill.checkpoint = true;
+        const RunnerResult live = ShardedRunner(config).run();
+        const core::UsageAnalyzer analyzer(*core::open_spilled_log(live.log_runs));
+        ASSERT_GT(analyzer.op_count(), 0u);
+        const std::string expected =
+            analysis_table(analyzer.op_stats(), analyzer.sessions().size());
+        EXPECT_EQ(analysis_table(live.stats.op_stats(), live.sessions_logged), expected);
+
+        config.spill.resume = true;
+        const RunnerResult resumed = ShardedRunner(config).run();
+        EXPECT_EQ(resumed.shards_resumed, shards);
+        EXPECT_EQ(analysis_table(resumed.stats.op_stats(), resumed.sessions_logged), expected);
+        std::filesystem::remove_all(spool);
+      }
+    }
+  }
 }
 
 TEST(ShardedRunnerSpill, ResumeRejectsAForeignFingerprint) {

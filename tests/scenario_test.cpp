@@ -137,6 +137,13 @@ INSTANTIATE_TEST_SUITE_P(
                     "seq | random | zipf"},
         FailureCase{"[scenario]\nmode = contended\n[workload]\nsessions = none\n",
                     "non-negative integer"},
+        // strtod reads nan and inf; NaN would pass every range check.
+        FailureCase{"[scenario]\nmode = contended\n[workload]\nheavy_fraction = nan\n",
+                    "expects a finite number"},
+        FailureCase{"[scenario]\nmode = replay\n[replay]\ntime_scale = nan\n",
+                    "expects a finite number"},
+        FailureCase{"[scenario]\nmode = sharded\n[arrivals]\nrate = inf\n",
+                    "expects a finite number"},
         FailureCase{"[scenario]\nmode = contended\n[model]\nname = afs\n", "unknown model"},
         FailureCase{"[scenario]\nmode = contended\n[model]\nname = nfs\n"
                     "nfs.warp_factor = 9\n",
@@ -149,18 +156,16 @@ INSTANTIATE_TEST_SUITE_P(
                     "does not run"},
         FailureCase{"[scenario]\nmode = contended\n[output]\nlog = out.tsv\n",
                     "no merged usage log"},
-        FailureCase{"[scenario]\nmode = sharded\n[sharded]\ncollect_log = false\n"
-                    "[output]\nlog = out.tsv\n",
-                    "empty"},
+        // A sharded run keeps its log exactly when output.log or log.spill
+        // asks for it; there is no key to keep or drop it.
+        FailureCase{"[scenario]\nmode = sharded\n[sharded]\ncollect_log = false\n",
+                    "key 'sharded.collect_log' is not a recognised key"},
         FailureCase{"[scenario]\nmode = contended\n[workload]\nthink_time = warp(9)\n",
                     "is invalid"},
         FailureCase{"[scenario]\nmode = contended\n[log]\nspill = true\n",
                     "only meaningful when scenario.mode = sharded"},
         FailureCase{"[scenario]\nmode = sharded\n[log]\nspool_dir = /tmp/x\n",
                     "only meaningful with log.spill"},
-        FailureCase{"[scenario]\nmode = sharded\n[sharded]\ncollect_log = false\n"
-                    "[log]\nspill = true\n",
-                    "conflicts with sharded.collect_log = false"},
         FailureCase{"[scenario]\nmode = sharded\n[log]\ncheckpoint = true\n",
                     "requires log.spill = true"},
         FailureCase{"[scenario]\nmode = sharded\n[sharded]\nresume = true\n",
@@ -687,6 +692,8 @@ TEST(RunFlags, ConflictsAndBadValuesNameTheFlag) {
       {{"--markov", "1"}, "--markov"},
       {{"--windows", "0"}, "--windows"},
       {{"--seed", "-1"}, "--seed"},
+      {{"--heavy", "nan"}, "--heavy nan"},
+      {{"--markov", "-inf"}, "--markov -inf"},
   };
   for (const auto& [tokens, needle] : cases) {
     SCOPED_TRACE(util::join(tokens, " "));

@@ -306,12 +306,12 @@ TEST(Faults, SlowdownWindowScalesTheResponseLevel) {
   exp::WorkloadConfig baseline;
   baseline.num_users = 2;
   baseline.usim.sessions_per_user = 4;
-  const double base = exp::run_workload(baseline).response_per_byte_us;
+  const double base = exp::run_workload(baseline).analysis.response_per_byte_us();
   ASSERT_GT(base, 0.0);
 
   exp::WorkloadConfig slowed = baseline;
   slowed.traffic.faults.slowdowns = {{0.0, 1e15, 10.0}};  // covers the whole run
-  const double slow = exp::run_workload(slowed).response_per_byte_us;
+  const double slow = exp::run_workload(slowed).analysis.response_per_byte_us();
   EXPECT_GT(slow, 5.0 * base);
 
   // A factor-1 window is a no-op and must not move a single bit.
@@ -332,7 +332,7 @@ TEST(Faults, CacheFlushCannotImproveTheRun) {
   // Refilling cold caches costs time; the op timeline must differ and the
   // pooled level must not get faster.
   EXPECT_NE(after.log.serialize(), before.log.serialize());
-  EXPECT_GE(after.response_per_byte_us, before.response_per_byte_us);
+  EXPECT_GE(after.analysis.response_per_byte_us(), before.analysis.response_per_byte_us());
 }
 
 TEST(OpenLoop, SessionBudgetIsTheArrivalCount) {
@@ -344,7 +344,7 @@ TEST(OpenLoop, SessionBudgetIsTheArrivalCount) {
   arrivals.sessions = 12;
   config.traffic.arrivals = arrivals;
   const exp::WorkloadOutput out = exp::run_workload(config);
-  EXPECT_EQ(out.sessions.size(), 12u);
+  EXPECT_EQ(out.analysis.sessions().size(), 12u);
 }
 
 // --- scenario determinism pins ----------------------------------------------

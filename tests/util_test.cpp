@@ -472,6 +472,11 @@ TEST(Args, CountRejectsNegativeFractionalAndMalformedValues) {
 TEST(Args, NumberAcceptsNegativesButRejectsGarbage) {
   EXPECT_DOUBLE_EQ(Args::parse({"--markov", "-1"}).number("markov", 0.0), -1.0);
   EXPECT_THROW(Args::parse({"--markov", "x"}).number("markov", 0.0), std::invalid_argument);
+  // strtod reads these, but no flag takes them: NaN passes every range check.
+  for (const char* value : {"nan", "-nan", "inf", "-Infinity", "1e999"}) {
+    EXPECT_THROW(Args::parse({"--scale", value}).number("scale", 1.0), std::invalid_argument)
+        << value;
+  }
 }
 
 TEST(Args, RequireKnownNamesTheMisspelledFlag) {
@@ -546,14 +551,18 @@ TEST(Config, TypedGetterErrorsCarryOriginAndLineNumber) {
       "[a]\n"
       "count = many\n"
       "level = high\n"
-      "flag = maybe\n",
+      "flag = maybe\n"
+      "ratio = nan\n"
+      "limit = inf\n",
       "test.scn");
   EXPECT_EQ(config.line_of("a.count"), 2);
   for (const auto& probe : std::vector<std::function<void()>>{
            [&] { (void)config.get_int("a.count", 0); },
            [&] { (void)config.get_size("a.count", 0); },
            [&] { (void)config.get_double("a.level", 0.0); },
-           [&] { (void)config.get_bool("a.flag", false); }}) {
+           [&] { (void)config.get_bool("a.flag", false); },
+           [&] { (void)config.get_double("a.ratio", 0.0); },
+           [&] { (void)config.get_double("a.limit", 0.0); }}) {
     try {
       probe();
       FAIL() << "expected std::invalid_argument";
