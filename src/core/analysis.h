@@ -33,15 +33,15 @@ struct SessionSummary {
 struct OpTypeStats {
   stats::RunningSummary access_size;  ///< actual bytes (data ops only)
   stats::RunningSummary response_us;
-  std::uint64_t bytes = 0;         ///< actual bytes over every call of the type
-  double response_sum_us = 0.0;    ///< plain sum of response_us, in add order
+  std::uint64_t bytes = 0;            ///< actual bytes over every call of the type
+  double response_sum_us = 0.0;       ///< plain sum of response_us, in add order
 };
 
 /// The one per-record fold of a usage-log stream, per op type and in total.
 /// The Usage Analyzer keeps its op-level statistics in one, RunnerStats
-/// holds one next to its histogram, and the `ops.*` metrics are exported
-/// from one (obs::SimSample::export_into).  Per-user folds merged in a fixed user order
-/// give the same bits for any shard or thread count.
+/// holds one next to its histogram, and obs::SimSample::export_into writes
+/// the `ops.*` metrics from one.  Per-user folds merged in a fixed user
+/// order give the same bits for any shard or thread count.
 struct OpStats {
   static constexpr std::size_t kOps = fsmodel::kFsOpTypeCount;
 
