@@ -19,6 +19,11 @@
 #                           same run without --log (at --threads 1 and 4),
 #                           less the `wall:` and `... written to` lines: all
 #                           six forms print this one text;
+#   run_classic_stdout.txt  the same for the classic run, with and without
+#                           --log;
+#   run_classic_windows2_stdout.txt
+#                           the same for a classic run whose users keep two
+#                           sessions open at once (--windows 2);
 #   replay_<form>.sha256    the SHA-256 of `wlgen replay`'s stdout over the
 #                           classic and --shards 4 logs: open loop on local
 #                           (a completion-order log, so out-of-order issue
@@ -128,13 +133,13 @@ foreach(scn IN LISTS scenarios)
   endforeach()
 endforeach()
 
-# The stdout of a `run --shards 4` form (`report`) against the one golden
-# text every form prints, once the lines that name wall time or a written
-# file are dropped.
-function(check_shards_stdout report)
+# The stdout of a `run` form (`report`) against the one golden text
+# (`golden`, a file name) every form of that run prints, once the lines
+# that name wall time or a written file are dropped.
+function(check_run_stdout golden report)
   string(REGEX REPLACE "\nwall: [^\n]*" "" report "${report}")
   string(REGEX REPLACE "\n[^\n]* written to [^\n]*" "" report "${report}")
-  check(${GOLDEN_DIR}/run_shards4_stdout.txt "${report}")
+  check(${GOLDEN_DIR}/${golden} "${report}")
   set(failures "${failures}" PARENT_SCOPE)
 endfunction()
 
@@ -146,13 +151,21 @@ function(check_run_log golden)
   file(SHA256 ${WORK_DIR}/${golden}.log sha)
   check(${GOLDEN_DIR}/${golden}.sha256 "${sha}\n")
   if(golden MATCHES "^run_shards4")
-    check_shards_stdout("${report}")
+    check_run_stdout(run_shards4_stdout.txt "${report}")
+  elseif(golden STREQUAL "run_classic")
+    check_run_stdout(run_classic_stdout.txt "${report}")
   endif()
   set(failures "${failures}" PARENT_SCOPE)
 endfunction()
 
 set(sharded --users 12 --sessions 3 --shards 4 --heavy 0.5 --pattern zipf)
 check_run_log(run_classic --users 4 --sessions 5)
+set(CHECK_LABEL "run --users 4 --sessions 5 (no --log)")
+wlgen_stdout(report run --users 4 --sessions 5)
+check_run_stdout(run_classic_stdout.txt "${report}")
+set(CHECK_LABEL "run --users 3 --sessions 4 --windows 2 --heavy 0.5")
+wlgen_stdout(report run --users 3 --sessions 4 --windows 2 --heavy 0.5)
+check_run_stdout(run_classic_windows2_stdout.txt "${report}")
 check_run_log(run_shards4_t1 ${sharded} --threads 1)
 check_run_log(run_shards4_t4 ${sharded} --threads 4)
 foreach(threads 1 4)
@@ -160,7 +173,7 @@ foreach(threads 1 4)
                 --spill --spool-dir ${WORK_DIR}/spool_t${threads})
   set(CHECK_LABEL "run ${sharded} --threads ${threads} (no --log)")
   wlgen_stdout(report run ${sharded} --threads ${threads})
-  check_shards_stdout("${report}")
+  check_run_stdout(run_shards4_stdout.txt "${report}")
 endforeach()
 
 # One `wlgen replay` form: `golden` names the sha256 file, `log` the
