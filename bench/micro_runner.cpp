@@ -83,7 +83,7 @@ void BM_ContendedRunner(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kReplications = 4;
   std::uint64_t ops = 0;
-  std::size_t replications = 0;
+  std::size_t replications = 0;  // (point x replication) jobs run
   std::uint64_t busy_ns = 0;
   std::uint64_t idle_ns = 0;
   for (auto _ : state) {
@@ -93,10 +93,10 @@ void BM_ContendedRunner(benchmark::State& state) {
     config.threads = threads;
     config.usim.sessions_per_user = kSessions;
     config.obs.pool = true;
+    replications += config.user_points.size() * config.replications;
     runner::ContendedRunner run(std::move(config));
     const auto result = run.run();
     ops += result.total_ops;
-    replications += result.replications.size();
     busy_ns += result.pool.busy_ns();
     idle_ns += result.pool.idle_ns();
     benchmark::DoNotOptimize(result.points.back().response_per_byte.mean);

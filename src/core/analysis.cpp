@@ -9,22 +9,6 @@ namespace wlgen::core {
 
 namespace {
 
-// The murmur3 finalizer: spreads every key bit over the low bits a table
-// masks with.
-std::uint64_t mix(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-// A session: the user in the high half, the session ordinal in the low.
-std::uint64_t session_key(const OpRecord& r) {
-  return (std::uint64_t{r.user} << 32) | r.session;
-}
-
 // A session's file: (accumulator index, file id).
 struct TouchKey {
   std::uint64_t file_id = 0;
@@ -32,55 +16,10 @@ struct TouchKey {
   bool operator==(const TouchKey&) const = default;
 };
 
-std::uint64_t hash_of(std::uint64_t key) { return mix(key); }
-std::uint64_t hash_of(const TouchKey& key) {
-  return mix(key.file_id ^ (std::uint64_t{key.session} * 0x9e3779b97f4a7c15ULL));
-}
-
-// Open-addressing map from a key to a dense value (the caller's index of
-// the key's entry), probing linearly through a power-of-two table that is
-// kept at most half full.
-template <typename Key>
-class FlatIndex {
- public:
-  /// The value stored for `key`, or — when `key` is absent — `fresh`, which
-  /// is stored for it.
-  std::uint32_t find_or_insert(const Key& key, std::size_t fresh) {
-    if (2 * (used_ + 1) > slots_.size()) grow();
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash_of(key) & mask;; i = (i + 1) & mask) {
-      Slot& slot = slots_[i];
-      if (slot.value == kEmpty) {
-        if (fresh >= kEmpty) throw std::length_error("UsageAnalyzer: too many table entries");
-        slot = {key, static_cast<std::uint32_t>(fresh)};
-        ++used_;
-        return slot.value;
-      }
-      if (slot.key == key) return slot.value;
-    }
+struct TouchHash {
+  std::uint64_t operator()(const TouchKey& key) const {
+    return detail::mix64(key.file_id ^ (std::uint64_t{key.session} * 0x9e3779b97f4a7c15ULL));
   }
-
- private:
-  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
-  struct Slot {
-    Key key{};
-    std::uint32_t value = kEmpty;
-  };
-
-  void grow() {
-    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
-    old.swap(slots_);
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.value == kEmpty) continue;
-      std::size_t i = hash_of(slot.key) & mask;
-      while (slots_[i].value != kEmpty) i = (i + 1) & mask;
-      slots_[i] = slot;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t used_ = 0;
 };
 
 }  // namespace
@@ -89,7 +28,7 @@ class FlatIndex {
 // first-seen order; finish() puts it in (user, session, file id) order.
 struct UsageAnalyzer::Pass {
   struct SessionAccumulator {
-    std::uint64_t key = 0;  ///< session_key
+    std::uint64_t key = 0;  ///< SessionCounter::key_of
     double start = 0.0;
     double end = 0.0;
     std::uint64_t ops = 0;
@@ -111,24 +50,19 @@ struct UsageAnalyzer::Pass {
     const bool data = fsmodel::is_data_op(r.op);
     if (data) out.data_response_.add(r.response_us);
 
-    // Consecutive records of one session skip the lookup.
-    const std::uint64_t key = session_key(r);
-    if (sessions.empty() || key != last_key) {
-      last_session = session_index.find_or_insert(key, sessions.size());
-      if (last_session == sessions.size()) {
-        sessions.push_back({key, r.issue_time_us, 0.0, 0, 0});
-      }
-      last_key = key;
+    const std::uint32_t session = session_index.add(r);
+    if (session == sessions.size()) {
+      sessions.push_back({SessionCounter::key_of(r), r.issue_time_us, 0.0, 0, 0});
     }
-    SessionAccumulator& a = sessions[last_session];
+    SessionAccumulator& a = sessions[session];
     a.start = std::min(a.start, r.issue_time_us);
     a.end = std::max(a.end, r.issue_time_us + r.response_us);
     ++a.ops;
     // Reads and writes reference their file; so does opening one, even if
     // no byte moves.
     if (data || r.op == fsmodel::FsOpType::open || r.op == fsmodel::FsOpType::creat) {
-      const std::uint32_t t = touch_index.find_or_insert({r.file_id, last_session}, touches.size());
-      if (t == touches.size()) touches.push_back({{r.file_id, 0, 0, {}}, last_session});
+      const std::uint32_t t = touch_index.find_or_insert({r.file_id, session}, touches.size());
+      if (t == touches.size()) touches.push_back({{r.file_id, 0, 0, {}}, session});
       FileTouch& touch = touches[t].touch;
       if (data) {
         a.bytes += r.actual_bytes;
@@ -188,11 +122,9 @@ struct UsageAnalyzer::Pass {
 
   UsageAnalyzer& out;
   std::vector<SessionAccumulator> sessions;
-  FlatIndex<std::uint64_t> session_index;
+  SessionCounter session_index;
   std::vector<Touch> touches;
-  FlatIndex<TouchKey> touch_index;
-  std::uint64_t last_key = 0;
-  std::uint32_t last_session = 0;
+  detail::FlatIndex<TouchKey, TouchHash> touch_index;
 };
 
 UsageAnalyzer::UsageAnalyzer(LogReader& reader) {

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <vector>
 
 #include "core/log_sink.h"
@@ -65,6 +68,103 @@ struct OpStats {
   double response_per_byte_us() const;
 };
 
+namespace detail {
+
+/// The murmur3 finalizer: spreads every key bit over the low bits a table
+/// masks with.
+inline std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+/// Open-addressing map from a key to a dense value (the caller's index of
+/// the key's entry), probing linearly through a power-of-two table that is
+/// kept at most half full.  `Hash` maps a key to a well-mixed 64-bit value.
+template <typename Key, typename Hash>
+class FlatIndex {
+ public:
+  /// The value stored for `key`, or — when `key` is absent — `fresh`, which
+  /// is stored for it.
+  std::uint32_t find_or_insert(const Key& key, std::size_t fresh) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = Hash{}(key) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.value == kEmpty) {
+        if (fresh >= kEmpty) throw std::length_error("FlatIndex: too many table entries");
+        slot = {key, static_cast<std::uint32_t>(fresh)};
+        ++used_;
+        return slot.value;
+      }
+      if (slot.key == key) return slot.value;
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  struct Slot {
+    Key key{};
+    std::uint32_t value = kEmpty;
+  };
+
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.value == kEmpty) continue;
+      std::size_t i = Hash{}(slot.key) & mask;
+      while (slots_[i].value != kEmpty) i = (i + 1) & mask;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+};
+
+struct Mix64 {
+  std::uint64_t operator()(std::uint64_t key) const { return mix64(key); }
+};
+
+}  // namespace detail
+
+/// Numbers the distinct (user, session) pairs of a record stream in
+/// first-seen order: count() is the sessions with at least one record.  The
+/// analyzer, the sharded fold and the shared-machine and replay drivers all
+/// count with it.  Memory grows with the sessions seen, never with a user
+/// id's value (a trace may name user 4294967295).
+class SessionCounter {
+ public:
+  /// A session's key: the user in the high half, the session in the low.
+  static std::uint64_t key_of(const OpRecord& record) {
+    return (std::uint64_t{record.user} << 32) | record.session;
+  }
+
+  /// The ordinal of `record`'s session: count() - 1 when it is new.
+  std::uint32_t add(const OpRecord& record) {
+    const std::uint64_t key = key_of(record);
+    if (count_ == 0 || key != last_key_) {  // a session's next record skips the lookup
+      last_ = index_.find_or_insert(key, count_);
+      if (last_ == count_) ++count_;
+      last_key_ = key;
+    }
+    return last_;
+  }
+
+  std::size_t count() const { return count_; }
+
+ private:
+  detail::FlatIndex<std::uint64_t, detail::Mix64> index_;
+  std::uint64_t last_key_ = 0;
+  std::uint32_t last_ = 0;
+  std::size_t count_ = 0;
+};
+
 /// Per-category usage re-derivation (cross-check against Table 5.2).
 struct CategoryUsage {
   stats::RunningSummary access_per_byte;    ///< per touched file
@@ -80,8 +180,8 @@ struct CategoryUsage {
 /// Consumes a LogReader in ONE streaming pass — a spilled million-user run
 /// analyzes in bounded memory (per-session accumulators, never the record
 /// vector).  Per record the pass touches only flat tables: its OpStats fold
-/// (an array indexed by FsOpType), per-session accumulators found through a
-/// hash table on (user, session), and file touches through a hash table on
+/// (an array indexed by FsOpType), per-session accumulators numbered by a
+/// SessionCounter, and file touches found through a hash table on
 /// (session, file id).  Everything whose value depends on an order is built
 /// once at the end: sessions sorted by (user, session), each session's
 /// touches by file id, so every sum adds its terms in the same order, and

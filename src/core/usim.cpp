@@ -226,21 +226,8 @@ bool UserSimulator::plan_items(UserState& user, SessionSlot& slot) {
                          static_cast<double>(item.write_target));
         item.state = WorkItem::State::need_creat;
       } else if (!pool.empty()) {
-        std::size_t pick;
-        if (config_.size_bias_beta != 0.0) {
-          // Size-biased selection: weight ~ size^beta.
-          std::vector<double> weights;
-          weights.reserve(pool.size());
-          for (std::size_t idx : pool) {
-            weights.push_back(std::pow(
-                static_cast<double>(std::max<std::uint64_t>(1, manifest_.files()[idx].size)),
-                config_.size_bias_beta));
-          }
-          pick = user.rng.categorical(weights);
-        } else {
-          pick = static_cast<std::size_t>(
-              user.rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
-        }
+        const auto pick = static_cast<std::size_t>(
+            user.rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1));
         const CreatedFile& file = manifest_.files()[pool[pick]];
         item.path = file.path;
         // Re-stat: earlier sessions may have grown/shrunk the file.
@@ -371,7 +358,7 @@ void UserSimulator::issue(UserState& user, SessionSlot& slot, WorkItem& item,
             break;
           }
         }
-        if (all_done || slot.ops_this_session >= config_.max_ops_per_session) {
+        if (all_done || slot.ops_this_session >= kMaxOpsPerSession) {
           // Emergency close of anything still open when the op budget blew.
           for (auto& it : slot.items) {
             if (it.fd >= 0) {
@@ -498,7 +485,7 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
   }
 
   const bool is_write = item.category.use == UseMode::read_write &&
-                        !user.rng.bernoulli(config_.rdwr_read_fraction);
+                        !user.rng.bernoulli(kRdwrReadFraction);
 
   if (config_.pattern != AccessPattern::sequential) {
     // Direct-access extension: silently position the descriptor; the data op

@@ -19,6 +19,13 @@ namespace wlgen::core {
 
 class LogSink;  // core/log_sink.h
 
+/// Read share of data operations on RD-WRT items (the paper does not
+/// publish an op mix; 0.5 is the documented assumption — see DESIGN.md).
+inline constexpr double kRdwrReadFraction = 0.5;
+
+/// Hard per-session op budget (guards against degenerate configurations).
+inline constexpr std::size_t kMaxOpsPerSession = 200000;
+
 /// Configuration of a User Simulator run.
 struct UsimConfig {
   /// Simultaneous users on the machine — the x-axis of Figures 5.6–5.11.
@@ -57,16 +64,6 @@ struct UsimConfig {
   /// Probability of issuing a stat() before opening an existing file.
   double stat_before_open_prob = 0.0;
 
-  /// Read share of data operations on RD-WRT items (the paper does not
-  /// publish an op mix; 0.5 is the documented assumption — see DESIGN.md).
-  double rdwr_read_fraction = 0.5;
-
-  /// Size bias when picking existing files from a category pool: selection
-  /// weight is size^beta.  0 = uniform (the paper's implied behaviour);
-  /// beta > 0 models the observation that *touched* files run larger than
-  /// the category average (Table 5.2 vs Table 5.1 NOTES sizes).
-  double size_bias_beta = 0.0;
-
   /// Concurrent login sessions per user (section 6.2: "under a window
   /// system, a user may have several simultaneous logins"); 1 = the paper's
   /// single-session user model.
@@ -88,9 +85,6 @@ struct UsimConfig {
   /// a different (equally valid) random sequence, so digests differ from a
   /// draw_batch = 1 run.  Scenario key: workload.draw_batch.
   std::size_t draw_batch = 1;
-
-  /// Hard per-session op budget (guards against degenerate configurations).
-  std::size_t max_ops_per_session = 200000;
 
   /// When false, per-op records are not retained (big sweeps).
   bool collect_log = true;

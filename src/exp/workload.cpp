@@ -6,20 +6,11 @@
 #include <utility>
 
 #include "runner/contended_runner.h"
-#include "sim/simulation.h"
 
 namespace wlgen::exp {
 
 WorkloadOutput run_workload(const WorkloadConfig& config) {
-  runner::WorkloadConfig workload = config;
-  workload.resolve();
-  core::UsimConfig usim_config = workload.usim;
-  usim_config.num_users = config.num_users;
-  usim_config.seed = workload.seed;
-
-  sim::Simulation simulation;
-  runner::UniverseRun run = runner::run_universe(simulation, workload, std::move(usim_config));
-
+  runner::SharedRun run = runner::run_shared(config, config.num_users);
   // Braced initializers run in order: the analyzer reads the log before it
   // moves (the analyzer keeps no reference to it).
   return {.analysis = core::UsageAnalyzer(run.log),

@@ -22,8 +22,7 @@ struct ObsConfig {
   /// shards/jobs and event kinds; the ring keeps the trailing window.
   std::size_t trace_events = 65536;
 
-  bool progress = false;          ///< heartbeat lines on stderr
-  int progress_interval_ms = 1000;
+  bool progress = false;  ///< heartbeat lines on stderr
 
   /// Collect pool busy/idle accounting (RunnerResult::pool) without paying
   /// for metrics or tracing — what the benches use for utilization columns.

@@ -1,6 +1,5 @@
 #include "runner/contended_runner.h"
 
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -84,7 +83,6 @@ void ContendedRunner::run_replication(sim::Simulation& sim, std::size_t users,
 ContendedResult ContendedRunner::run() {
   if (ran_) throw std::logic_error("ContendedRunner::run: may only run once");
   ran_ = true;
-  const auto run_start = std::chrono::steady_clock::now();  // wlgen-lint: allow(wall-clock): reported wall_ms only; never enters the sim
 
   const std::size_t points = config_.user_points.size();
   const std::size_t reps = config_.replications;
@@ -93,7 +91,6 @@ ContendedResult ContendedRunner::run() {
   std::vector<JobOutcome> outcomes;  // move-only: a slot briefly holds its backend
   outcomes.reserve(jobs);
   for (std::size_t j = 0; j < jobs; ++j) outcomes.emplace_back(config_.histogram);
-  std::vector<ReplicationReport> reports(jobs);
 
   // Observability sinks: per-job samples (fold in fixed job order) and
   // per-job trace rings; all empty when obs is off.
@@ -113,7 +110,6 @@ ContendedResult ContendedRunner::run() {
     options.label = config_.obs.label.empty() ? "contended sweep" : config_.obs.label;
     options.unit = "replications";
     options.total_units = jobs;
-    options.interval_ms = config_.obs.progress_interval_ms;
     progress.emplace(std::move(options));
   }
   PoolObs pool_obs;
@@ -131,12 +127,10 @@ ContendedResult ContendedRunner::run() {
       const std::size_t r = j % reps;
       const std::size_t users = config_.user_points[p];
       const std::uint64_t seed = replication_seed(config_.seed, r);
-      const auto job_start = std::chrono::steady_clock::now();  // wlgen-lint: allow(wall-clock): reported wall_ms only; never enters the sim
       obs::ScopedStageTrace stage_trace(trace_on ? &stage_rings[j] : nullptr);
       run_replication(*sim, users, seed, outcomes[j], collect ? &samples[j] : nullptr,
                       trace_on ? &op_rings[j] : nullptr);
       const UniverseRun& run = outcomes[j].run;
-      reports[j] = {p, r, seed, run.ops, run.events, run.simulated_us, elapsed_ms(job_start)};
       if (progress) progress->advance(1, run.events, run.simulated_us);
     };
   }, pool_ptr);
@@ -162,7 +156,6 @@ ContendedResult ContendedRunner::run() {
     result.total_ops += point.total_ops;
     result.points.push_back(std::move(point));
   }
-  result.replications = std::move(reports);
 
   if (progress) progress->stop();
   if (collect) {
@@ -199,8 +192,6 @@ ContendedResult ContendedRunner::run() {
     obs::pool_spans_into(pool_obs, result.trace.pool);
   }
   result.pool = std::move(pool_obs);
-
-  result.wall_ms = elapsed_ms(run_start);
   return result;
 }
 

@@ -68,18 +68,6 @@ struct ContendedConfig : WorkloadConfig {
   obs::ObsConfig obs{};
 };
 
-/// Per-replication execution accounting (reporting only — results never
-/// depend on it).
-struct ReplicationReport {
-  std::size_t point = 0;        ///< index into ContendedConfig::user_points
-  std::size_t replication = 0;  ///< replication index within the point
-  std::uint64_t seed = 0;       ///< the derived replication_seed()
-  std::uint64_t ops = 0;        ///< system calls issued
-  std::uint64_t events = 0;     ///< DES events dispatched
-  double simulated_us = 0.0;    ///< replication's simulated timeline
-  double wall_ms = 0.0;
-};
-
 /// Merged outcome of one sweep point.
 struct ContendedPoint {
   std::size_t users = 0;
@@ -103,9 +91,7 @@ struct ContendedPoint {
 /// Merged outcome of a contended run.
 struct ContendedResult {
   std::vector<ContendedPoint> points;  ///< user_points order
-  std::vector<ReplicationReport> replications;  ///< (point, replication) order
   std::uint64_t total_ops = 0;
-  double wall_ms = 0.0;  ///< whole run, including merging
 
   /// Merged observability outputs (empty/zero-capacity when obs is off).
   /// Stable metrics fold per (point, replication) job in fixed job order,
@@ -142,8 +128,6 @@ class ContendedRunner {
 
   /// Executes the run.  May be called once.
   ContendedResult run();
-
-  const ContendedConfig& config() const { return config_; }
 
  private:
   struct JobOutcome;

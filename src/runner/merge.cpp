@@ -28,16 +28,22 @@ core::UsageLog merge_user_logs(std::vector<core::UsageLog> per_user) {
   return merged;
 }
 
-bool is_merge_ordered(core::LogReader& reader) {
-  core::OpRecord prev;
-  if (!reader.next(prev)) return true;
-  core::OpRecord cur;
-  while (reader.next(cur)) {
-    if (prev.issue_time_us > cur.issue_time_us) return false;
-    if (prev.issue_time_us == cur.issue_time_us && prev.user > cur.user) return false;
-    prev = cur;
+bool OrderCheck::next(core::OpRecord& out) {
+  if (!inner_.next(out)) return false;
+  if (started_ && (out.issue_time_us < prev_.issue_time_us ||
+                   (out.issue_time_us == prev_.issue_time_us && out.user < prev_.user))) {
+    ordered_ = false;
   }
+  prev_ = out;
+  started_ = true;
   return true;
+}
+
+bool is_merge_ordered(core::LogReader& reader) {
+  OrderCheck check(reader);
+  core::OpRecord record;
+  while (check.next(record)) continue;
+  return check.ordered();
 }
 
 }  // namespace wlgen::runner

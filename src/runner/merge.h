@@ -22,12 +22,29 @@ namespace wlgen::runner {
 /// benchmarks.
 core::UsageLog merge_user_logs(std::vector<core::UsageLog> per_user);
 
-/// True when the stream is non-descending on the (issue_time_us, user)
-/// key — the observable half of the merge contract; exposed for tests and
-/// the CLI's --verify-merge mode.  O(1) memory, so it works on spilled
-/// runs that never fit in RAM.  Per-user sub-order on full ties is NOT
-/// checkable from a log alone (records carry no per-user issue ordinal);
-/// the runner tests pin it by comparing whole logs with merge_user_logs.
+/// Passes `inner`'s records through, checking that the stream is
+/// non-descending on the (issue_time_us, user) key — the observable half of
+/// the merge contract — in the pass that drains it (write_log_file, say),
+/// in O(1) memory.  Per-user sub-order on full ties is NOT checkable from a
+/// log alone (records carry no per-user issue ordinal); the runner tests
+/// pin it by comparing whole logs with merge_user_logs.
+class OrderCheck final : public core::LogReader {
+ public:
+  explicit OrderCheck(core::LogReader& inner) : inner_(inner) {}
+
+  bool next(core::OpRecord& out) override;
+
+  /// False once a record came before its predecessor in key order.
+  bool ordered() const { return ordered_; }
+
+ private:
+  core::LogReader& inner_;
+  core::OpRecord prev_;
+  bool started_ = false;
+  bool ordered_ = true;
+};
+
+/// Drains `reader` through an OrderCheck: true when it is in order.
 bool is_merge_ordered(core::LogReader& reader);
 
 }  // namespace wlgen::runner

@@ -8,11 +8,6 @@
 
 namespace wlgen::runner {
 
-double elapsed_ms(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - since)
-      .count();
-}
-
 std::size_t resolve_pool_threads(std::size_t requested, std::size_t jobs) {
   std::size_t threads = requested;
   if (threads == 0) {

@@ -9,10 +9,6 @@
 
 namespace wlgen::runner {
 
-/// Wall-clock milliseconds since `since` — the runners' report timing
-/// helper.
-double elapsed_ms(std::chrono::steady_clock::time_point since);
-
 /// Executes one job index.  The `cancelled` flag flips when another worker
 /// has thrown; long-running jobs should poll it at natural checkpoints
 /// (ShardedRunner checks between users) and return early.

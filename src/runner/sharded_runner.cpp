@@ -1,7 +1,6 @@
 #include "runner/sharded_runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -44,18 +43,6 @@ std::runtime_error stray_user_error(const ShardCheckpoint& ckpt, std::uint32_t u
                             std::to_string(ckpt.shard) + "'s users [" +
                             std::to_string(ckpt.begin) + ", " + std::to_string(ckpt.end) + ")");
 }
-
-/// The sorted session ordinals among one user's records: the analyzer's
-/// session count, which leaves out logins that logged nothing.
-struct SessionSet {
-  std::vector<std::uint32_t> seen;
-
-  void add(std::uint32_t session) {
-    if (!seen.empty() && seen.back() == session) return;
-    const auto it = std::lower_bound(seen.begin(), seen.end(), session);
-    if (it == seen.end() || *it != session) seen.insert(it, session);
-  }
-};
 
 }  // namespace
 
@@ -127,32 +114,31 @@ void ShardedRunner::run_user(sim::Simulation& sim, std::size_t user, UserOutcome
   usim_config.arrival_times_us = arrivals_;
   // The record hook is the single observation point: the per-op fold, the
   // sketch and the session count, plus the op span only when tracing.
-  SessionSet sessions;
+  core::SessionCounter sessions;
   if (op_ring == nullptr) {
     usim_config.on_record = [&out, &sessions, sketch](const core::OpRecord& r) {
       out.stats.add(r);
       sketch->add(r.response_us);
-      sessions.add(r.session);
+      sessions.add(r);
     };
   } else {
     usim_config.on_record = [&out, &sessions, sketch, op_ring](const core::OpRecord& r) {
       out.stats.add(r);
       sketch->add(r.response_us);
-      sessions.add(r.session);
+      sessions.add(r);
       obs::record_op(*op_ring, r);
     };
   }
 
   out.run = run_universe(sim, config_, std::move(usim_config));
   out.run.model.reset();
-  out.sessions_logged = sessions.seen.size();
+  out.sessions_logged = sessions.count();
   if (sample != nullptr) out.run.count_into(*sample);
 }
 
 RunnerResult ShardedRunner::run() {
   if (ran_) throw std::logic_error("ShardedRunner::run: may only run once");
   ran_ = true;
-  const auto run_start = std::chrono::steady_clock::now();  // wlgen-lint: allow(wall-clock): reported wall_ms only; never enters the sim
 
   const std::size_t num_users = config_.num_users;
   const std::vector<UserRange> ranges = partition_users(num_users, config_.shards);
@@ -169,21 +155,17 @@ RunnerResult ShardedRunner::run() {
   std::vector<UserOutcome> outcomes;  // move-only: a slot briefly holds its backend
   outcomes.reserve(num_users);
   for (std::size_t u = 0; u < num_users; ++u) outcomes.emplace_back(config_.histogram);
-  std::vector<ShardReport> reports(ranges.size());
-  for (std::size_t s = 0; s < ranges.size(); ++s) {
-    reports[s].shard = s;
-    reports[s].range = ranges[s];
-  }
 
   // Per-shard state: one lazily-created run sink per shard when the log is
   // kept (each slot touched only by the worker that owns the shard), one
   // quantile sketch per shard (integer merge => any shard grouping yields
   // the same merged sketch), and — under resume — the shards whose
-  // checkpoints were accepted.
+  // checkpoints were accepted with the sessions their records hold.
   const std::string fp = fingerprint();
   std::vector<std::unique_ptr<core::SpillSink>> sinks(ranges.size());
   std::vector<stats::QuantileSketch> sketches(ranges.size());
   std::vector<std::optional<ShardCheckpoint>> resumed(ranges.size());
+  std::vector<std::uint64_t> resumed_sessions(ranges.size(), 0);
   std::vector<char> wrote_ckpt(ranges.size(), 0);
   if (spill) {
     std::filesystem::create_directories(config_.spill.spool_dir);
@@ -220,7 +202,6 @@ RunnerResult ShardedRunner::run() {
     options.label = config_.obs.label.empty() ? "sharded run" : config_.obs.label;
     options.unit = "users";
     options.total_units = num_users;
-    options.interval_ms = config_.obs.progress_interval_ms;
     progress.emplace(std::move(options));
   }
   PoolObs pool_obs;
@@ -236,7 +217,6 @@ RunnerResult ShardedRunner::run() {
   drain_pool(ranges.size(), config_.threads, [&]() -> PoolJob {
     auto sim = std::make_shared<sim::Simulation>();
     return [&, sim](std::size_t s, const std::atomic<bool>& cancelled) {
-      const auto shard_start = std::chrono::steady_clock::now();  // wlgen-lint: allow(wall-clock): reported wall_ms only; never enters the sim
       // Installs this shard's stage ring (or null) for the worker while it
       // runs this shard; save/restore keeps nested pools correct.
       obs::ScopedStageTrace stage_trace(trace_on ? &stage_rings[s] : nullptr);
@@ -252,7 +232,7 @@ RunnerResult ShardedRunner::run() {
         // checkpoint's grouping-invariant integer scalars instead.
         const ShardCheckpoint& ckpt = *resumed[s];
         auto reader = core::open_spilled_log(ckpt.runs);
-        std::vector<SessionSet> sessions(ckpt.end - ckpt.begin);
+        core::SessionCounter sessions;
         core::OpRecord r;
         while (reader->next(r)) {
           if (cancelled.load(std::memory_order_relaxed)) return;
@@ -262,14 +242,9 @@ RunnerResult ShardedRunner::run() {
           if (r.user < ckpt.begin || r.user >= ckpt.end) throw stray_user_error(ckpt, r.user);
           outcomes[r.user].stats.add(r);
           sketches[s].add(r.response_us);
-          sessions[r.user - ckpt.begin].add(r.session);
+          sessions.add(r);
         }
-        for (std::size_t u = ckpt.begin; u < ckpt.end; ++u) {
-          outcomes[u].sessions_logged = sessions[u - ckpt.begin].seen.size();
-        }
-        reports[s].wall_ms = elapsed_ms(shard_start);
-        reports[s].events = ckpt.events;
-        reports[s].ops = ckpt.ops;
+        resumed_sessions[s] = sessions.count();
         if (progress) {
           progress->advance(ranges[s].size(), ckpt.events, ckpt.max_simulated_us);
         }
@@ -318,9 +293,6 @@ RunnerResult ShardedRunner::run() {
         write_checkpoint(checkpoint_path(config_.spill.spool_dir, s), ckpt, fp);
         wrote_ckpt[s] = 1;
       }
-      reports[s].wall_ms = elapsed_ms(shard_start);
-      reports[s].events = events;
-      reports[s].ops = ops;
     };
   }, pool_ptr);
 
@@ -336,16 +308,13 @@ RunnerResult ShardedRunner::run() {
     result.sessions_logged += outcomes[u].sessions_logged;
     result.total_ops += run.ops;
     result.sessions_completed += run.sessions;
-    if (run.simulated_us > result.max_simulated_us) result.max_simulated_us = run.simulated_us;
   }
   for (std::size_t s = 0; s < ranges.size(); ++s) {
     if (!resumed[s].has_value()) continue;
     const ShardCheckpoint& ckpt = *resumed[s];
     result.total_ops += ckpt.ops;
     result.sessions_completed += ckpt.sessions;
-    if (ckpt.max_simulated_us > result.max_simulated_us) {
-      result.max_simulated_us = ckpt.max_simulated_us;
-    }
+    result.sessions_logged += resumed_sessions[s];
     result.shards_resumed += 1;
   }
   if (config_.collect_log) {
@@ -358,7 +327,6 @@ RunnerResult ShardedRunner::run() {
     result.response_sketch.merge(sketches[s]);
     result.checkpoints_written += wrote_ckpt[s];
   }
-  result.shards = std::move(reports);
 
   if (progress) progress->stop();
   if (collect) {
@@ -421,8 +389,6 @@ RunnerResult ShardedRunner::run() {
     obs::pool_spans_into(pool_obs, result.trace.pool);
   }
   result.pool = std::move(pool_obs);
-
-  result.wall_ms = elapsed_ms(run_start);
   return result;
 }
 

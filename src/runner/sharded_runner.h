@@ -89,16 +89,6 @@ struct RunnerConfig : WorkloadConfig {
   obs::ObsConfig obs{};
 };
 
-/// Per-shard execution accounting (reporting only — results never depend
-/// on it).
-struct ShardReport {
-  std::size_t shard = 0;
-  UserRange range;
-  double wall_ms = 0.0;        ///< wall-clock time this shard's users took
-  std::uint64_t events = 0;    ///< DES events dispatched across its users
-  std::uint64_t ops = 0;       ///< system calls issued across its users
-};
-
 /// Merged outcome of a sharded run.
 struct RunnerResult {
   /// The usage log as sorted runs in shard order: run files when the run
@@ -125,12 +115,6 @@ struct RunnerResult {
   /// Sessions with at least one record: the analyzer's session count of the
   /// merged log (sessions_completed also counts logins that planned no work).
   std::uint64_t sessions_logged = 0;
-
-  /// Longest single-user simulated timeline, microseconds.
-  double max_simulated_us = 0.0;
-
-  std::vector<ShardReport> shards;
-  double wall_ms = 0.0;  ///< whole run, including partitioning and merging
 
   /// Merged observability outputs (empty/zero-capacity when obs is off).
   /// The stable metrics fold per-user in ascending user order, so they are
@@ -169,8 +153,6 @@ class ShardedRunner {
 
   /// Executes the run.  May be called once.
   RunnerResult run();
-
-  const RunnerConfig& config() const { return config_; }
 
  private:
   struct UserOutcome;

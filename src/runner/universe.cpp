@@ -1,11 +1,13 @@
 #include "runner/universe.h"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "fs/filesystem.h"
+#include "obs/progress.h"
 
 namespace wlgen::runner {
 
@@ -57,6 +59,92 @@ UniverseRun run_universe(sim::Simulation& sim, const WorkloadConfig& config,
   run.events = sim.events_processed();
   run.rng_draws = simulator.rng_draws();
   run.heap_high_water = sim.arena_high_water();
+  return run;
+}
+
+namespace {
+
+/// The op and model-stage rings of a serial run: half the budget each.
+obs::RunTrace serial_trace(const obs::ObsConfig& obs) {
+  obs::RunTrace trace;
+  if (obs.trace()) {
+    const std::size_t share = obs::ring_share(obs.trace_events / 2, 1);
+    trace.ops = obs::TraceRing(share);
+    trace.stages = obs::TraceRing(share);
+  }
+  return trace;
+}
+
+}  // namespace
+
+SharedRun run_shared(const WorkloadConfig& workload, std::size_t users,
+                     const obs::ObsConfig& obs) {
+  SharedRun run;
+  run.trace = serial_trace(obs);
+  // One serial Simulation: the model-stage ring stays installed throughout.
+  obs::ScopedStageTrace stage_trace(obs.trace() ? &run.trace.stages : nullptr);
+
+  WorkloadConfig resolved = workload;
+  resolved.resolve();
+  core::UsimConfig config = resolved.usim;
+  config.num_users = users;
+  config.seed = resolved.seed;
+  std::unique_ptr<obs::ProgressReporter> progress;
+  if (obs.progress) {
+    obs::ProgressReporter::Options options;
+    options.label = obs.label;
+    options.unit = "ops";
+    progress = std::make_unique<obs::ProgressReporter>(std::move(options));
+  }
+  // The hook sees the records in log order, as a pass over the log would.
+  core::SessionCounter sessions;
+  config.on_record = [&run, &sessions, ops = obs.trace() ? &run.trace.ops : nullptr,
+                      heartbeat = progress.get()](const core::OpRecord& record) {
+    run.stats.add(record);
+    sessions.add(record);
+    if (ops != nullptr) obs::record_op(*ops, record);
+    if (heartbeat != nullptr) {
+      heartbeat->advance(1, 0, 0.0);
+      heartbeat->note_sim_time(record.issue_time_us + record.response_us);
+    }
+  };
+  sim::Simulation simulation;
+  UniverseRun universe = run_universe(simulation, resolved, std::move(config));
+  if (progress) progress->stop();
+
+  run.log = std::move(universe.log);
+  run.ops = universe.ops;
+  run.sessions = universe.sessions;
+  run.sessions_logged = sessions.count();
+  run.simulated_us = universe.simulated_us;
+  run.model_stats = universe.model->stats_summary();
+  if (obs.collect()) universe.count_into(run.sample);
+  return run;
+}
+
+ReplayRun replay_trace(const ModelFactory& model_factory, const core::UsageLog& trace,
+                       core::TraceReplayer::Options options, const obs::ObsConfig& obs) {
+  ReplayRun run;
+  run.trace = serial_trace(obs);
+  obs::ScopedStageTrace stage_trace(obs.trace() ? &run.trace.stages : nullptr);
+  sim::Simulation simulation;
+  const auto model = model_factory(simulation);
+  run.model = model->name();
+  run.log = core::TraceReplayer(simulation, *model, trace).run(options);
+
+  core::SessionCounter sessions;
+  for (const core::OpRecord& record : run.log.records()) {
+    run.stats.add(record);
+    sessions.add(record);
+    run.users = std::max<std::uint64_t>(run.users, std::uint64_t{record.user} + 1);
+    if (obs.trace()) obs::record_op(run.trace.ops, record);
+  }
+  run.sessions_logged = sessions.count();
+  if (obs.collect()) {
+    run.sample.sim_events = simulation.events_processed();
+    run.sample.heap_high_water = simulation.arena_high_water();
+    run.sample.sessions = run.sessions_logged;
+  }
   return run;
 }
 

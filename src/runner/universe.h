@@ -2,15 +2,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/fsc.h"
 #include "core/presets.h"
+#include "core/replay.h"
 #include "core/usage_log.h"
 #include "core/usim.h"
 #include "fsmodel/model.h"
 #include "obs/obs.h"
 #include "runner/model_factory.h"
+#include "runner/stats.h"
 #include "sim/simulation.h"
 #include "traffic/traffic.h"
 
@@ -83,11 +86,48 @@ struct UniverseRun {
 /// usim.num_users) at usim.seed, then USIM with the faults' churn windows.
 /// Open-loop arrivals come from usim.arrival_times_us; when that is empty
 /// the universe deals its own timeline to users [0, usim.first_user +
-/// usim.num_users) from usim.seed.  Every FSC + USIM run in the tree —
-/// sharded users, contended replications, the shared-machine run and the
-/// experiments — goes through here.  The caller owns the per-record hook
-/// and the sink (both on `usim`).  `config` must be resolved.
+/// usim.num_users) from usim.seed.  Every FSC + USIM run in the tree goes
+/// through here, from one of three drivers: ShardedRunner (independent
+/// universes), ContendedRunner (replicated shared machines) and run_shared
+/// (the shared machine at the root seed).  The caller owns the per-record
+/// hook and the sink (both on `usim`).  `config` must be resolved.
 UniverseRun run_universe(sim::Simulation& sim, const WorkloadConfig& config,
                          core::UsimConfig usim);
+
+/// What run_shared produced.
+struct SharedRun {
+  core::UsageLog log;  ///< empty unless workload.usim.collect_log
+  RunnerStats stats;   ///< every record, folded in log order
+  std::uint64_t ops = 0;
+  std::uint64_t sessions = 0;         ///< logins completed
+  std::uint64_t sessions_logged = 0;  ///< sessions with at least one record
+  double simulated_us = 0.0;  ///< simulation clock when the last user finished
+  std::string model_stats;    ///< the backend's stats_summary()
+  obs::SimSample sample;      ///< sim/RNG counters when obs collects
+  obs::RunTrace trace;        ///< op and model-stage spans when obs traces
+};
+
+/// The shared-machine run: `users` users at the root seed in one universe,
+/// all queueing against one backend.  The classic `wlgen run`, replay
+/// mode's trace recording and synthetic leg, and exp::run_workload call it.
+/// No obs switch changes the log.
+SharedRun run_shared(const WorkloadConfig& workload, std::size_t users,
+                     const obs::ObsConfig& obs = {});
+
+/// What replay_trace produced.
+struct ReplayRun {
+  core::UsageLog log;  ///< the replayed records, re-measured on the backend
+  RunnerStats stats;   ///< every replayed record, folded in log order
+  std::uint64_t users = 0;            ///< highest user id + 1 (0 when empty)
+  std::uint64_t sessions_logged = 0;  ///< sessions with at least one record
+  std::string model;                  ///< the backend's name()
+  obs::SimSample sample;  ///< sim counters and sessions_logged when obs collects
+  obs::RunTrace trace;    ///< op and model-stage spans when obs traces
+};
+
+/// Trace replay (paper section 2.1): `trace` on a fresh backend in one
+/// Simulation.  `wlgen replay` and scenario replay mode call it.
+ReplayRun replay_trace(const ModelFactory& model_factory, const core::UsageLog& trace,
+                       core::TraceReplayer::Options options, const obs::ObsConfig& obs = {});
 
 }  // namespace wlgen::runner

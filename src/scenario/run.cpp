@@ -5,15 +5,15 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
-#include <set>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "core/log_sink.h"
 #include "core/replay.h"
-#include "obs/progress.h"
 #include "runner/contended_runner.h"
+#include "runner/merge.h"
 #include "runner/pool.h"
 #include "runner/sharded_runner.h"
 #include "runner/universe.h"
@@ -55,18 +55,6 @@ std::string spill_config_tag(const ScenarioSpec& spec, const ModelChoice& model)
   // pre-traffic checkpoints keep validating.
   if (spec.traffic.any()) tag << " " << spec.traffic.tag();
   return tag.str();
-}
-
-/// The workload every run of `spec` on `model` simulates: the spec's seed,
-/// behaviour, population and traffic on the model's backend.
-runner::WorkloadConfig workload_config(const ScenarioSpec& spec, const ModelChoice& model) {
-  runner::WorkloadConfig workload;
-  workload.seed = spec.seed;
-  workload.usim = spec.usim_config();
-  workload.population = spec.population();
-  workload.model_factory = model.factory();
-  workload.traffic = spec.traffic;
-  return workload;
 }
 
 ModelOutcome run_sharded(const ScenarioSpec& spec, const ModelChoice& model,
@@ -137,75 +125,64 @@ ModelOutcome run_contended(const ScenarioSpec& spec, const ModelChoice& model,
   return outcome;
 }
 
+/// The shape of a trace replay mode recorded itself.
+struct RecordedTrace {
+  std::size_t users = 0;
+  std::uint64_t sessions = 0;  ///< logins the recording run completed
+};
+
 ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
-                        const core::UsageLog& trace, std::size_t trace_users,
-                        std::uint64_t trace_sessions, const obs::ObsConfig& obs) {
+                        const core::UsageLog& trace,
+                        const std::optional<RecordedTrace>& recorded,
+                        const obs::ObsConfig& obs) {
   ModelOutcome outcome;
   outcome.model = model.name;
 
-  const bool collect = obs.collect();
-  const bool trace_on = obs.trace();
   // The replay and synthetic legs split the trace budget; the synthetic
   // leg's rings are appended after the replay leg's, so the shares sum
   // back to the budget.
   obs::ObsConfig leg_obs = obs;
   leg_obs.trace_events = obs::ring_share(obs.trace_events, spec.synthetic_users > 0 ? 2 : 1);
-  if (trace_on) {
-    const std::size_t share = obs::ring_share(leg_obs.trace_events / 2, 1);
-    outcome.trace.ops = obs::TraceRing(share);
-    outcome.trace.stages = obs::TraceRing(share);
-  }
-  // Replay is serial: the model-stage ring stays installed for the replay leg.
-  obs::ScopedStageTrace stage_trace(trace_on ? &outcome.trace.stages : nullptr);
-
-  sim::Simulation simulation;
-  auto fsmodel = model.factory()(simulation);
-  core::TraceReplayer replayer(simulation, *fsmodel, trace);
   core::TraceReplayer::Options options;
   options.preserve_timing = !spec.closed_loop;
   options.time_scale = spec.time_scale;
-  core::UsageLog replayed = replayer.run(options);
+  runner::ReplayRun replay = runner::replay_trace(model.factory(), trace, options, leg_obs);
 
   PointOutcome replay_point;
   replay_point.label = spec.closed_loop ? "trace replay (closed loop)"
                                         : "trace replay (open loop)";
-  replay_point.users = trace_users;
-  for (const auto& record : replayed.records()) {
-    replay_point.stats.add(record);
-    if (trace_on) obs::record_op(outcome.trace.ops, record);
-  }
+  // A loaded trace's shape comes from the replay's own pass over it.
+  replay_point.users = recorded ? recorded->users : replay.users;
+  replay_point.sessions = recorded ? recorded->sessions : replay.sessions_logged;
+  replay_point.stats = std::move(replay.stats);
   replay_point.response_per_byte = {replay_point.stats.response_per_byte_us(), 0.0, 1};
-  replay_point.ops = replayer.ops_replayed();
-  replay_point.sessions = trace_sessions;
-  obs::SimSample merged;
-  if (collect) {
-    merged.sim_events = simulation.events_processed();
-    merged.heap_high_water = simulation.arena_high_water();
-    merged.sessions = trace_sessions;
-  }
+  replay_point.ops = replay.log.size();
+  obs::SimSample merged = replay.sample;
+  merged.sessions = replay_point.sessions;
   outcome.points.push_back(std::move(replay_point));
+  outcome.trace = std::move(replay.trace);
   // One run: the merge passes it through, so the replayed order is kept.
-  outcome.log_runs.push_back(core::memory_run(std::move(replayed.records_mutable())));
+  outcome.log_runs.push_back(core::memory_run(std::move(replay.log.records_mutable())));
 
   if (spec.synthetic_users > 0) {
     // The paper's section 2.1 contrast: the generator can answer the
     // "what about N users?" question the trace cannot.
-    SharedRun synthetic = generate_shared(spec, model, spec.synthetic_users, leg_obs);
-    if (collect) merged.merge(synthetic.sample);
-    if (trace_on) {
-      outcome.trace.ops.append(synthetic.trace.ops);
-      outcome.trace.stages.append(synthetic.trace.stages);
-    }
+    runner::WorkloadConfig workload = workload_config(spec, model);
+    workload.usim.collect_log = false;  // only its statistics are reported
+    runner::SharedRun synthetic = runner::run_shared(workload, spec.synthetic_users, leg_obs);
+    merged.merge(synthetic.sample);
+    outcome.trace.ops.append(synthetic.trace.ops);
+    outcome.trace.stages.append(synthetic.trace.stages);
     PointOutcome point;
     point.label = "synthetic";
     point.users = spec.synthetic_users;
     point.stats = std::move(synthetic.stats);
     point.response_per_byte = {point.stats.response_per_byte_us(), 0.0, 1};
-    point.ops = synthetic.log.size();
+    point.ops = point.stats.ops();
     point.sessions = synthetic.sessions;
     outcome.points.push_back(std::move(point));
   }
-  if (collect) {
+  if (obs.collect()) {
     core::OpStats ops;  // the replayed log, then the synthetic leg
     for (const PointOutcome& point : outcome.points) ops.merge(point.stats.op_stats());
     merged.export_into(outcome.registry, ops);
@@ -284,6 +261,16 @@ std::string render_report(const ScenarioSpec& spec, const std::vector<ModelOutco
 
 }  // namespace
 
+runner::WorkloadConfig workload_config(const ScenarioSpec& spec, const ModelChoice& model) {
+  runner::WorkloadConfig workload;
+  workload.seed = spec.seed;
+  workload.usim = spec.usim_config();
+  workload.population = spec.population();
+  workload.model_factory = model.factory();
+  workload.traffic = spec.traffic;
+  return workload;
+}
+
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options) {
   const auto start = std::chrono::steady_clock::now();  // wlgen-lint: allow(wall-clock): reported wall_ms only; never enters the sim
   const std::size_t threads = options.threads.value_or(spec.threads);
@@ -307,24 +294,16 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
   // Replay mode shares one trace across every backend: record it on the
   // first model (or load it) so the comparison replays identical input.
   core::UsageLog trace;
-  std::size_t trace_users = 0;
-  std::uint64_t trace_sessions = 0;
+  std::optional<RecordedTrace> recorded;
   if (spec.mode == RunMode::replay) {
     if (spec.trace_file.empty()) {
-      trace_users = spec.user_points.front();
-      SharedRun recorded = generate_shared(spec, spec.models.front(), trace_users);
-      trace = std::move(recorded.log);
-      trace_sessions = recorded.sessions;
+      const std::size_t users = spec.user_points.front();
+      runner::SharedRun run = runner::run_shared(workload_config(spec, spec.models.front()), users);
+      trace = std::move(run.log);
+      recorded = RecordedTrace{users, run.sessions};
     } else {
       trace = core::read_log_file(spec.trace_file, total_threads);
       if (trace.empty()) throw std::invalid_argument(spec.trace_file + ": no records to replay");
-      // Recover the recorded population/session shape from the trace itself.
-      std::set<std::pair<std::uint32_t, std::uint32_t>> sessions;
-      for (const auto& record : trace.records()) {
-        trace_users = std::max<std::size_t>(trace_users, record.user + 1);
-        sessions.insert({record.user, record.session});
-      }
-      trace_sessions = sessions.size();
     }
   }
 
@@ -350,8 +329,8 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
           outcome.models[index] = run_contended(spec, model, inner, model_obs[index]);
           break;
         case RunMode::replay:
-          outcome.models[index] = run_replay(spec, model, trace, trace_users,
-                                             trace_sessions, model_obs[index]);
+          outcome.models[index] =
+              run_replay(spec, model, trace, recorded, model_obs[index]);
           break;
       }
     };
@@ -366,10 +345,12 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
 
   if (!spec.log_file.empty()) {
     // Stream the merged runs straight into the file, so the log text is
-    // never held in RAM.  The pool has drained, so the whole thread budget
-    // formats the text.
-    core::write_log_file(*core::open_spilled_log(outcome.models.front().log_runs),
-                         spec.log_file, total_threads);
+    // never held in RAM, checking the merge order on the way.  The pool has
+    // drained, so the whole thread budget formats the text.
+    const auto merged = core::open_spilled_log(outcome.models.front().log_runs);
+    runner::OrderCheck check(*merged);
+    core::write_log_file(check, spec.log_file, total_threads);
+    outcome.log_ordered = check.ordered();
   }
   if (!spec.stats_file.empty()) {
     util::write_text_file(spec.stats_file, outcome.stats_digest);
@@ -381,51 +362,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
 
   write_obs_artifacts(effective_obs, outcome);
   return outcome;
-}
-
-SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, std::size_t users,
-                          const obs::ObsConfig& obs) {
-  SharedRun run;
-  if (obs.trace()) {
-    const std::size_t share = obs::ring_share(obs.trace_events / 2, 1);
-    run.trace.ops = obs::TraceRing(share);
-    run.trace.stages = obs::TraceRing(share);
-  }
-  // One serial Simulation: the model-stage ring stays installed throughout.
-  obs::ScopedStageTrace stage_trace(obs.trace() ? &run.trace.stages : nullptr);
-
-  runner::WorkloadConfig workload = workload_config(spec, model);
-  workload.resolve();
-  core::UsimConfig config = workload.usim;
-  config.num_users = users;
-  config.seed = workload.seed;
-  std::unique_ptr<obs::ProgressReporter> progress;
-  if (obs.progress) {
-    obs::ProgressReporter::Options options;
-    options.label = obs.label;
-    options.unit = "ops";
-    progress = std::make_unique<obs::ProgressReporter>(std::move(options));
-  }
-  // The hook sees the records in log order, as a pass over the log would.
-  config.on_record = [&run, ops = obs.trace() ? &run.trace.ops : nullptr,
-                      heartbeat = progress.get()](const core::OpRecord& record) {
-    run.stats.add(record);
-    if (ops != nullptr) obs::record_op(*ops, record);
-    if (heartbeat != nullptr) {
-      heartbeat->advance(1, 0, 0.0);
-      heartbeat->note_sim_time(record.issue_time_us + record.response_us);
-    }
-  };
-  sim::Simulation simulation;
-  runner::UniverseRun universe = runner::run_universe(simulation, workload, std::move(config));
-  if (progress) progress->stop();
-
-  run.log = std::move(universe.log);
-  run.sessions = universe.sessions;
-  run.simulated_us = universe.simulated_us;
-  run.model_stats = universe.model->stats_summary();
-  if (obs.collect()) universe.count_into(run.sample);
-  return run;
 }
 
 obs::ObsConfig resolve_obs(const ScenarioSpec& spec, const RunOptions& options) {

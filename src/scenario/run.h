@@ -10,6 +10,7 @@
 #include "core/usage_log.h"
 #include "obs/obs.h"
 #include "runner/stats.h"
+#include "runner/universe.h"
 #include "scenario/spec.h"
 #include "stats/sketch.h"
 #include "stats/summary.h"
@@ -75,6 +76,10 @@ struct ScenarioOutcome {
   /// Rendered human-readable report (per-model tables plus a comparison
   /// table for multi-model scenarios).
   std::string report;
+  /// False when the written `output.log` broke the merge contract's
+  /// (time, user) order, checked in the pass that wrote it (true when no
+  /// log was written).
+  bool log_ordered = true;
   /// Deterministic text serialization of every merged statistic — the
   /// artifact `output.stats` writes, and the value tests pin to prove
   /// thread-count invariance (%.17g doubles: equal bits => equal text).
@@ -96,29 +101,10 @@ struct ScenarioOutcome {
 /// unreadable trace/GDS inputs or unwritable outputs.
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options = {});
 
-/// What generate_shared produced.
-struct SharedRun {
-  core::UsageLog log;
-  runner::RunnerStats stats;  ///< the log's records, folded in log order
-  std::uint64_t sessions = 0;
-  double simulated_us = 0.0;  ///< simulation clock when the last user finished
-  std::string model_stats;    ///< the backend's stats_summary()
-
-  /// The run's obs outputs, filled per `obs`: sim/RNG counters when it
-  /// collects, op and model-stage spans when it traces (ring budget
-  /// obs.trace_events, split between the two).
-  obs::SimSample sample;
-  obs::RunTrace trace;
-};
-
-/// One shared-machine run: `users` users in one runner::run_universe
-/// universe on the `model` backend, FSC and USIM seeded from the spec's
-/// root seed, with the spec's arrivals and faults.  The classic `wlgen run`
-/// (no --shards/--contended) and replay mode's trace recording and
-/// synthetic leg all call it.  `obs.progress` adds a heartbeat on stderr;
-/// like every obs switch, none of them changes the log.
-SharedRun generate_shared(const ScenarioSpec& spec, const ModelChoice& model, std::size_t users,
-                          const obs::ObsConfig& obs = {});
+/// The workload every run of `spec` on `model` simulates: the spec's seed,
+/// behaviour, population and traffic on the model's backend.  Every run
+/// semantics compiles from it, the classic `wlgen run` included.
+runner::WorkloadConfig workload_config(const ScenarioSpec& spec, const ModelChoice& model);
 
 /// Effective obs switches of one invocation: the spec's [obs] keys with the
 /// RunOptions overrides applied on top, labelled with the scenario name.

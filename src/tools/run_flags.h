@@ -10,9 +10,10 @@ namespace wlgen::cli {
 /// "`wlgen run` flags").  Sharded and contended runs are a scenario for
 /// scenario::run_scenario.  A `classic` run (neither --shards nor
 /// --contended) is the one shared-machine run at the root seed,
-/// scenario::generate_shared; it has no scenario mode of its own, so its
-/// spec is validated under sharded-mode rules (which accept exactly the
-/// keys the classic flags set) and `spec.mode` is never read.
+/// runner::run_shared on the spec's scenario::workload_config; it has no
+/// scenario mode of its own, so its spec is validated under sharded-mode
+/// rules (which accept exactly the keys the classic flags set) and
+/// `spec.mode` is never read.
 struct RunPlan {
   scenario::ScenarioSpec spec;
   scenario::RunOptions options;

@@ -11,8 +11,12 @@
 // its flags into an in-memory ScenarioSpec.  `run --shards` and `run
 // --contended` execute through scenario::run_scenario exactly as a
 // `mode = sharded` / `mode = contended` `.scn` file would; without either,
-// the classic path is scenario::generate_shared, the one shared-machine
-// run (DESIGN.md "Scenario subsystem", flag table in docs/SCENARIOS.md).
+// the classic path is runner::run_shared, the one shared-machine run, on
+// the spec's scenario::workload_config.  `replay` is runner::replay_trace,
+// the driver scenario replay mode uses.  `run` and `replay` print their
+// analysis from the driver's per-op fold; only `analyze` builds a Usage
+// Analyzer (DESIGN.md "One path per run semantics", flag table in
+// docs/SCENARIOS.md).
 //
 // Exit status: 0 on success, 1 on bad usage or I/O failure; `experiments
 // --check` also exits 1 when any experiment's verdict is FAIL.
@@ -36,6 +40,7 @@
 #include "runner/merge.h"
 #include "runner/model_factory.h"
 #include "runner/pool.h"
+#include "runner/universe.h"
 #include "scenario/run.h"
 #include "scenario/spec.h"
 #include "tools/cli_spec.h"
@@ -121,23 +126,20 @@ void print_analysis(const core::OpStats& stats, std::size_t sessions) {
   std::cout << summary.render();
 }
 
-void print_analysis(const core::UsageAnalyzer& analyzer) {
-  print_analysis(analyzer.op_stats(), analyzer.sessions().size());
-}
-
-/// Classic path: one shared-machine run at the root seed that keeps its
-/// log, reported with the backend's own counters.
+/// Classic path: one shared-machine run at the root seed, reported with
+/// the backend's own counters; it keeps its log only for --log.
 int run_classic(const cli::RunPlan& plan) {
   const auto start = std::chrono::steady_clock::now();
   const scenario::ScenarioSpec& spec = plan.spec;
   const obs::ObsConfig obs = scenario::resolve_obs(spec, plan.options);
-  scenario::SharedRun run =
-      scenario::generate_shared(spec, spec.models.front(), spec.user_points.front(), obs);
+  runner::WorkloadConfig workload = scenario::workload_config(spec, spec.models.front());
+  workload.usim.collect_log = !spec.log_file.empty();
+  runner::SharedRun run = runner::run_shared(workload, spec.user_points.front(), obs);
 
   std::cout << "model: " << spec.models.front().name << "  users: " << spec.user_points.front()
             << "  sessions: " << run.sessions << "  simulated: " << run.simulated_us / 1e6
             << " s\n\n";
-  print_analysis(core::UsageAnalyzer(run.log));
+  print_analysis(run.stats.op_stats(), run.sessions_logged);
   std::cout << "\n" << run.model_stats;
   if (!spec.log_file.empty()) {
     core::MemoryLogReader reader(run.log);
@@ -173,7 +175,12 @@ int cmd_run(const Args& args) {
   std::cout << "\n";
   print_analysis(point.stats.op_stats(), point.sessions_logged);
   if (plan.verify_merge) {
-    if (!runner::is_merge_ordered(*core::open_spilled_log(model.log_runs))) {
+    // With --log the pass that wrote the log checked its order; without it,
+    // the kept runs are drained once here.
+    const bool ordered = plan.spec.log_file.empty()
+                             ? runner::is_merge_ordered(*core::open_spilled_log(model.log_runs))
+                             : outcome.log_ordered;
+    if (!ordered) {
       std::cerr << "merge contract violated: log is not (time, user) ordered\n";
       // A log that breaks the contract is not left behind as if it were good.
       std::error_code ignored;
@@ -235,26 +242,24 @@ std::size_t all_cores() {
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) return usage();
   const core::UsageLog log = core::read_log_file(args.positional[0], all_cores());
-  print_analysis(core::UsageAnalyzer(log));
+  const core::UsageAnalyzer analyzer(log);
+  print_analysis(analyzer.op_stats(), analyzer.sessions().size());
   return 0;
 }
 
 int cmd_replay(const Args& args) {
   if (args.positional.empty()) return usage();
   const core::UsageLog trace = core::read_log_file(args.positional[0], all_cores());
-
-  sim::Simulation simulation;
-  auto model = runner::model_factory_by_name(args.get("model", "nfs"))(simulation);
-  core::TraceReplayer replayer(simulation, *model, trace);
+  const runner::ModelFactory factory = runner::model_factory_by_name(args.get("model", "nfs"));
   core::TraceReplayer::Options options;
   options.preserve_timing = !args.boolean("closed-loop");
   options.time_scale = args.number("scale", 1.0);
-  const core::UsageLog replayed = replayer.run(options);
+  const runner::ReplayRun run = runner::replay_trace(factory, trace, options);
 
-  std::cout << "replayed " << replayer.ops_replayed() << " ops ("
-            << (options.preserve_timing ? "open" : "closed") << " loop) on " << model->name()
+  std::cout << "replayed " << run.log.size() << " ops ("
+            << (options.preserve_timing ? "open" : "closed") << " loop) on " << run.model
             << "\n\n";
-  print_analysis(core::UsageAnalyzer(replayed));
+  print_analysis(run.stats.op_stats(), run.sessions_logged);
   return 0;
 }
 

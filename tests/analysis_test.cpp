@@ -36,6 +36,28 @@ OpRecord record(std::uint32_t user, std::uint32_t session, fsmodel::FsOpType op,
   return r;
 }
 
+TEST(SessionCounter, NumbersDistinctUserSessionPairsInFirstSeenOrder) {
+  SessionCounter counter;
+  using fsmodel::FsOpType;
+  // Interleaved sessions, a repeat after other keys, and the extreme ids:
+  // (0, max) and (max, 0) are different pairs, and neither is (0, 0).
+  EXPECT_EQ(counter.add(record(0, 0, FsOpType::open, 1, 0, 10)), 0u);
+  EXPECT_EQ(counter.add(record(0, 1, FsOpType::open, 1, 0, 10)), 1u);
+  EXPECT_EQ(counter.add(record(0, 0, FsOpType::read, 1, 5, 10)), 0u);
+  EXPECT_EQ(counter.add(record(0, 0xFFFFFFFFu, FsOpType::open, 1, 0, 10)), 2u);
+  EXPECT_EQ(counter.add(record(0xFFFFFFFFu, 0, FsOpType::open, 1, 0, 10)), 3u);
+  EXPECT_EQ(counter.add(record(0xFFFFFFFFu, 0xFFFFFFFFu, FsOpType::open, 1, 0, 10)), 4u);
+  EXPECT_EQ(counter.add(record(0, 1, FsOpType::close, 1, 0, 10)), 1u);
+  EXPECT_EQ(counter.count(), 5u);
+  // Past the table's first growth, every pair still counts once.
+  for (std::uint32_t user = 0; user < 100; ++user) {
+    for (std::uint32_t session = 2; session < 6; ++session) {
+      counter.add(record(user, session, FsOpType::open, 1, 0, 10));
+    }
+  }
+  EXPECT_EQ(counter.count(), 405u);
+}
+
 TEST(Analyzer, SessionAggregatesMatchHandComputation) {
   UsageLog log;
   // Session (0,0): file 1 (size 1000) read 600+600 bytes; file 2 (size 500) read 250.

@@ -303,10 +303,11 @@ TEST(Determinism, ContendedResponseExperimentIsThreadInvariant) {
 }
 
 TEST(FrontEnds, WorkloadSharedRunAndContendedReplicationAgree) {
-  // run_workload, generate_shared, a one-replication contended point and a
-  // one-user sharded run are four callers of runner::run_universe; built
-  // from one runner::WorkloadConfig they must produce the same log and the
-  // same statistics, bit for bit.
+  // run_shared (under run_workload, the classic `wlgen run` and replay
+  // mode), a one-replication contended point and a one-user sharded run are
+  // the three drivers over runner::run_universe; built from one
+  // runner::WorkloadConfig they must produce the same log and the same
+  // statistics, bit for bit.
   for (const double heavy : {1.0, 0.5}) {
     SCOPED_TRACE(heavy);
     runner::WorkloadConfig workload;
@@ -315,16 +316,20 @@ TEST(FrontEnds, WorkloadSharedRunAndContendedReplicationAgree) {
     workload.model_factory = runner::model_factory_by_name("local");
     workload.population = core::mixed_population(heavy);
 
+    const runner::SharedRun shared = runner::run_shared(workload, 3);
+    ASSERT_GT(shared.ops, 0u);
     WorkloadConfig config{workload};
     config.num_users = 3;
     const WorkloadOutput output = run_workload(config);
-    ASSERT_GT(output.total_ops, 0u);
-
+    EXPECT_EQ(output.total_ops, shared.ops);
+    EXPECT_EQ(output.log.serialize(), shared.log.serialize());
+    // The scenario layer compiles a spec to the same workload.
     const scenario::ScenarioSpec spec = scenario::ScenarioSpec::parse_text(
         "[scenario]\nmode = sharded\nseed = 77\n[workload]\nusers = 3\nsessions = 6\n"
         "heavy_fraction = " + std::to_string(heavy) + "\n[model]\nname = local\n");
-    const scenario::SharedRun shared = scenario::generate_shared(spec, spec.models.front(), 3);
-    EXPECT_EQ(output.log.serialize(), shared.log.serialize());
+    EXPECT_EQ(runner::run_shared(scenario::workload_config(spec, spec.models.front()), 3)
+                  .log.serialize(),
+              shared.log.serialize());
 
     runner::ContendedConfig contended{workload};
     contended.user_points = {3};
@@ -332,8 +337,9 @@ TEST(FrontEnds, WorkloadSharedRunAndContendedReplicationAgree) {
     ASSERT_EQ(result.points.size(), 1u);
     const runner::RunnerStats& got = result.points.front().stats;
 
-    config.seed = runner::replication_seed(77, 0);
-    const WorkloadOutput replication = run_workload(config);
+    runner::WorkloadConfig replicated = workload;
+    replicated.seed = runner::replication_seed(77, 0);
+    const runner::SharedRun replication = runner::run_shared(replicated, 3);
     runner::RunnerStats want;
     for (const auto& record : replication.log.records()) want.add(record);
     EXPECT_EQ(got.ops(), want.ops());
@@ -346,13 +352,16 @@ TEST(FrontEnds, WorkloadSharedRunAndContendedReplicationAgree) {
     EXPECT_EQ(got.access_size().variance(), want.access_size().variance());
     EXPECT_EQ(got.response_per_byte_us(), want.response_per_byte_us());
     EXPECT_EQ(got.response_histogram().counts(), want.response_histogram().counts());
+    // run_shared's own fold is the same log-order fold.
+    EXPECT_EQ(replication.stats.response_us().mean(), want.response_us().mean());
+    EXPECT_EQ(replication.stats.response_per_byte_us(), want.response_per_byte_us());
 
     // One user on one shard is one universe: user 0 at the root seed.
     runner::RunnerConfig sharded{workload};
     sharded.num_users = 1;
     sharded.shards = 1;
     const runner::RunnerResult one_user = runner::ShardedRunner(sharded).run();
-    const WorkloadOutput single = run_workload(WorkloadConfig{workload});
+    const runner::SharedRun single = runner::run_shared(workload, 1);
     ASSERT_FALSE(single.log.empty());
     EXPECT_EQ(core::materialize(*core::open_spilled_log(one_user.log_runs)).serialize(),
               single.log.serialize());

@@ -184,7 +184,6 @@ TEST(ShardedRunner, ShardCountNeverChangesMergedResults) {
     expect_stats_identical(rk.stats, r1.stats);
     EXPECT_EQ(rk.total_ops, r1.total_ops);
     EXPECT_EQ(rk.sessions_completed, r1.sessions_completed);
-    EXPECT_EQ(rk.max_simulated_us, r1.max_simulated_us);
   }
 }
 
@@ -274,7 +273,6 @@ TEST(ShardedRunner, MatchesDirectSingleUserSimulation) {
 
   ASSERT_FALSE(usim.log().empty());
   EXPECT_EQ(merged_log(result).serialize(), usim.log().serialize());
-  EXPECT_EQ(result.max_simulated_us, simulation.now());
 }
 
 TEST(ShardedRunner, LogFreeRunsStillProduceMergedAggregates) {
@@ -338,21 +336,6 @@ TEST(ShardedRunner, ValidatesConfigurationAndRunsOnce) {
   EXPECT_THROW(model_factory_by_name("afs"), std::invalid_argument);
 }
 
-TEST(ShardedRunner, ShardReportsCoverAllUsersAndOps) {
-  ShardedRunner run(base_config(6, 3, 2));
-  const RunnerResult result = run.run();
-  ASSERT_EQ(result.shards.size(), 3u);
-  std::uint64_t ops = 0;
-  std::size_t users = 0;
-  for (const auto& s : result.shards) {
-    ops += s.ops;
-    users += s.range.size();
-    EXPECT_GT(s.events, 0u);
-  }
-  EXPECT_EQ(ops, result.total_ops);
-  EXPECT_EQ(users, 6u);
-}
-
 // --- streaming spill + checkpoint/resume ------------------------------------
 
 // Fresh spool directory per test (and per configuration within a test, when
@@ -405,7 +388,6 @@ TEST(ShardedRunnerSpill, MatchesReferenceLogInMemoryAndOnDiskAcrossShardsAndThre
 
         expect_stats_identical(result.stats, base.stats);
         EXPECT_EQ(result.total_ops, base.total_ops);
-        EXPECT_EQ(result.max_simulated_us, base.max_simulated_us);
         EXPECT_TRUE(result.response_sketch == base.response_sketch);
         if (!disk) {
           EXPECT_FALSE(std::filesystem::exists(spool)) << where;
@@ -478,7 +460,6 @@ TEST(ShardedRunnerSpill, CheckpointResumeIsBitIdentical) {
   expect_stats_identical(restored.stats, original.stats);
   EXPECT_EQ(restored.total_ops, original.total_ops);
   EXPECT_EQ(restored.sessions_completed, original.sessions_completed);
-  EXPECT_EQ(restored.max_simulated_us, original.max_simulated_us);
   EXPECT_TRUE(restored.response_sketch == original.response_sketch);
 
   // Partial resume: delete one shard's checkpoint (simulating an interrupt
@@ -546,11 +527,13 @@ TEST(ShardedRunnerSpill, FoldPrintsTheAnalyzerTablesOfTheMergedLog) {
         ASSERT_GT(analyzer.op_count(), 0u);
         const std::string expected =
             analysis_table(analyzer.op_stats(), analyzer.sessions().size());
+        EXPECT_EQ(live.sessions_logged, analyzer.sessions().size());
         EXPECT_EQ(analysis_table(live.stats.op_stats(), live.sessions_logged), expected);
 
         config.spill.resume = true;
         const RunnerResult resumed = ShardedRunner(config).run();
         EXPECT_EQ(resumed.shards_resumed, shards);
+        EXPECT_EQ(resumed.sessions_logged, analyzer.sessions().size());
         EXPECT_EQ(analysis_table(resumed.stats.op_stats(), resumed.sessions_logged), expected);
         std::filesystem::remove_all(spool);
       }
@@ -640,6 +623,84 @@ TEST(ShardedRunnerSpill, ValidatesSpillConfiguration) {
 
   RunnerConfig zero_buffer = spill_config(1, 1, 1, fresh_spool("v3"), 0);
   EXPECT_THROW(ShardedRunner(std::move(zero_buffer)), std::invalid_argument);
+}
+
+// --- shared-machine run and trace replay -----------------------------------
+
+// run_shared and replay_trace print the analysis from their fold: it must be
+// the analyzer's tables of the log they return, session count included.
+void expect_fold_matches_analyzer(const RunnerStats& stats, std::uint64_t sessions,
+                                  const core::UsageLog& log) {
+  const core::UsageAnalyzer analyzer(log);
+  ASSERT_GT(analyzer.op_count(), 0u);
+  EXPECT_EQ(sessions, analyzer.sessions().size());
+  EXPECT_EQ(analysis_table(stats.op_stats(), sessions),
+            analysis_table(analyzer.op_stats(), analyzer.sessions().size()));
+}
+
+WorkloadConfig two_window_workload() {
+  WorkloadConfig workload;
+  workload.seed = 31;
+  workload.usim.sessions_per_user = 4;
+  workload.usim.windows_per_user = 2;
+  workload.population = core::mixed_population(0.5);
+  return workload;
+}
+
+TEST(RunShared, FoldAndSessionCountMatchTheAnalyzerWithTwoWindows) {
+  const SharedRun run = run_shared(two_window_workload(), 3);
+  EXPECT_EQ(run.log.size(), run.ops);
+  // Two windows per user: some user's sessions interleave in the log, so a
+  // counter that only compared neighbouring records would overcount.
+  bool interleaved = false;
+  std::vector<std::uint32_t> last_session(3, 0);
+  for (const core::OpRecord& r : run.log.records()) {
+    interleaved |= r.session < last_session[r.user];
+    last_session[r.user] = r.session;
+  }
+  EXPECT_TRUE(interleaved);
+  expect_fold_matches_analyzer(run.stats, run.sessions_logged, run.log);
+}
+
+TEST(ReplayTrace, FoldAndSessionCountMatchTheAnalyzerOpenAndClosedLoop) {
+  const SharedRun recorded = run_shared(two_window_workload(), 3);
+  for (const bool open_loop : {true, false}) {
+    SCOPED_TRACE(open_loop ? "open loop" : "closed loop");
+    core::TraceReplayer::Options options;
+    options.preserve_timing = open_loop;
+    const ReplayRun run = replay_trace(model_factory_by_name("local"), recorded.log, options);
+    EXPECT_EQ(run.model, "local");
+    EXPECT_EQ(run.users, 3u);
+    EXPECT_EQ(run.log.size(), recorded.log.size());
+    EXPECT_EQ(run.sessions_logged, recorded.sessions_logged);
+    expect_fold_matches_analyzer(run.stats, run.sessions_logged, run.log);
+  }
+}
+
+TEST(ReplayTrace, CountsTheSessionOfTheLargestUserId) {
+  // User ids in a trace come from a file: the largest one replays and
+  // counts as one session like any other.
+  core::UsageLog trace;
+  core::OpRecord record;
+  record.user = 4294967295u;
+  record.session = 4294967295u;
+  record.op = fsmodel::FsOpType::read;
+  record.requested_bytes = record.actual_bytes = 512;
+  record.file_id = 9;
+  record.file_size = 4096;
+  for (const double at : {0.0, 50.0, 100.0}) {
+    record.issue_time_us = at;
+    trace.append(record);
+  }
+  for (const bool open_loop : {true, false}) {
+    core::TraceReplayer::Options options;
+    options.preserve_timing = open_loop;
+    const ReplayRun run = replay_trace(model_factory_by_name("local"), trace, options);
+    EXPECT_EQ(run.log.size(), 3u);
+    EXPECT_EQ(run.users, 4294967296u);
+    EXPECT_EQ(run.sessions_logged, 1u);
+    expect_fold_matches_analyzer(run.stats, run.sessions_logged, run.log);
+  }
 }
 
 // --- contended runner -------------------------------------------------------
@@ -772,12 +833,6 @@ TEST(ContendedRunner, CrossReplicationCiIsPopulated) {
   // different estimators of the same quantity).
   EXPECT_NEAR(point.stats.response_per_byte_us(), point.response_per_byte.mean,
               point.response_per_byte.mean);
-  // Execution accounting covers the whole (point x replication) grid.
-  ASSERT_EQ(result.replications.size(), 3u);
-  for (const auto& rep : result.replications) {
-    EXPECT_GT(rep.ops, 0u);
-    EXPECT_GT(rep.events, 0u);
-  }
 }
 
 TEST(ContendedRunner, ValidatesConfigurationAndRunsOnce) {

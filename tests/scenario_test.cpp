@@ -444,6 +444,33 @@ TEST(ScenarioRun, ReplayRejectsATraceWithNoRecords) {
   std::filesystem::remove(trace);
 }
 
+TEST(ScenarioRun, ReplayCountsTheLargestUserIdOfALoadedTrace) {
+  // A loaded trace's population is its highest user id plus one, computed
+  // without wrapping, and its sessions are counted by the replay.
+  const auto trace = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_max_user.log";
+  core::UsageLog log;
+  core::OpRecord record;
+  record.user = 4294967295u;
+  record.session = 3;
+  record.op = fsmodel::FsOpType::read;
+  record.requested_bytes = record.actual_bytes = 100;
+  record.file_size = 1000;
+  log.append(record);
+  record.issue_time_us = 10.0;
+  log.append(record);
+  util::write_text_file(trace.string(), log.serialize());
+  const ScenarioSpec spec = ScenarioSpec::parse_text(
+      "[scenario]\nmode = replay\nname = max_user\n"
+      "[replay]\ntrace = " + trace.string() + "\n"
+      "[model]\nname = local\n");
+  const ScenarioOutcome outcome = run_scenario(spec);
+  EXPECT_NE(outcome.stats_digest.find("users=4294967296 "), std::string::npos)
+      << outcome.stats_digest;
+  EXPECT_NE(outcome.stats_digest.find(" ops=2 sessions=1 "), std::string::npos)
+      << outcome.stats_digest;
+  std::filesystem::remove(trace);
+}
+
 TEST(ScenarioRun, MultiModelScenarioReportsEveryBackend) {
   const std::string text =
       "[scenario]\nmode = contended\nname = compare\n"
