@@ -4,7 +4,8 @@
 # known-good build and committed in tests/golden/:
 #
 #   scenarios/<stem>.stats  the `[output] stats` digest of every committed
-#                           scenarios/*.scn, at --threads 1 and 4;
+#                           scenarios/*.scn and of the fixtures
+#                           tests/golden/*.scn, at --threads 1 and 4;
 #   metrics/<stem>.json     each group's `metrics` object from the same runs'
 #                           `--metrics` report (`timing` holds wall-clock and
 #                           pool counters, so it is left out);
@@ -107,7 +108,7 @@ function(metrics_groups out report)
 endfunction()
 
 set(logged_scenarios flash_crowd trace_vs_synthetic)
-file(GLOB scenarios ${SOURCE_DIR}/scenarios/*.scn)
+file(GLOB scenarios ${SOURCE_DIR}/scenarios/*.scn ${GOLDEN_DIR}/*.scn)
 foreach(scn IN LISTS scenarios)
   get_filename_component(stem ${scn} NAME_WE)
   file(READ ${scn} text)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -556,6 +557,23 @@ TEST(ShardedRunnerSpill, ResumeRejectsAForeignFingerprint) {
   other.seed = 777;
   ShardedRunner resumed(other);
   EXPECT_THROW(resumed.run(), std::runtime_error);
+  std::filesystem::remove_all(spool);
+}
+
+// Resuming throws on any fingerprint mismatch, so the text a checkpoint
+// stores is part of the on-disk format: a spool written by an older build
+// must still resume.  Pin it for one fixed spilled, checkpointed run.
+TEST(ShardedRunnerSpill, CheckpointFingerprintLineIsPinned) {
+  const std::string spool = fresh_spool("fingerprint_text");
+  RunnerConfig config = spill_config(4, 2, 1, spool);
+  config.spill.checkpoint = true;
+  ShardedRunner(config).run();
+  std::ifstream in(checkpoint_path(spool, 0));
+  std::string line;
+  while (std::getline(in, line) && line.rfind("fingerprint ", 0) != 0) {
+  }
+  EXPECT_EQ(line,
+            "fingerprint v1 seed=2024 users=4 shards=2 sessions=3 draw_batch=1 windows=1 tag=");
   std::filesystem::remove_all(spool);
 }
 
