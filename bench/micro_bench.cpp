@@ -5,8 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <vector>
-
 #include "bench_main.h"
 #include "dist/basic.h"
 #include "dist/cdf_table.h"
@@ -62,39 +60,6 @@ void BM_SampleMultiStageGamma(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleMultiStageGamma);
 
-// Batched counterparts of the scalar sampling benches above: one sample_n
-// call per kSampleBatch draws (the per-characteristic refill size the USIM's
-// draw buffers use).  Items = draws, so items/s compares directly against
-// the scalar entries.  The batch kernels consume the stream in the same
-// order as the scalar path (pinned by dist_test SampleNMatchesScalar*).
-constexpr std::size_t kSampleBatch = 256;
-
-void BM_SamplePhaseTypeExponentialBatch(benchmark::State& state) {
-  const auto d = dist::PhaseTypeExponential::paper_example_c();
-  util::RngStream rng(1, "bm");
-  std::vector<double> out(kSampleBatch);
-  for (auto _ : state) {
-    d.sample_n(rng, out.data(), out.size());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSampleBatch));
-}
-BENCHMARK(BM_SamplePhaseTypeExponentialBatch);
-
-void BM_SampleMultiStageGammaBatch(benchmark::State& state) {
-  const auto d = dist::MultiStageGamma::paper_example_c();
-  util::RngStream rng(1, "bm");
-  std::vector<double> out(kSampleBatch);
-  for (auto _ : state) {
-    d.sample_n(rng, out.data(), out.size());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSampleBatch));
-}
-BENCHMARK(BM_SampleMultiStageGammaBatch);
-
 void BM_CdfTableSample(benchmark::State& state) {
   dist::ExponentialDistribution d(1024.0);
   const dist::CdfTable table = dist::build_cdf_table(d, static_cast<std::size_t>(state.range(0)));
@@ -112,23 +77,6 @@ void BM_CdfTableSampleBinarySearch(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(table.sample_binary(rng));
 }
 BENCHMARK(BM_CdfTableSampleBinarySearch)->Arg(16)->Arg(256)->Arg(4096);
-
-// Batched alias path: one fill_uniform01 per kSampleBatch draws plus a
-// branch-free resolve loop (no data-dependent accept/alias branch).  Items =
-// draws; compare items/s against BM_CdfTableSample at the same table size.
-void BM_CdfTableSampleBatch(benchmark::State& state) {
-  dist::ExponentialDistribution d(1024.0);
-  const dist::CdfTable table = dist::build_cdf_table(d, static_cast<std::size_t>(state.range(0)));
-  util::RngStream rng(1, "bm");
-  std::vector<double> out(kSampleBatch);
-  for (auto _ : state) {
-    table.sample_n(rng, out.data(), out.size());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kSampleBatch));
-}
-BENCHMARK(BM_CdfTableSampleBatch)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_SimulationEventLoop(benchmark::State& state) {
   for (auto _ : state) {

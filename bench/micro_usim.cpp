@@ -11,13 +11,12 @@ namespace {
 
 using namespace wlgen;
 
-void run_usim_sessions(benchmark::State& state, std::size_t draw_batch) {
+void BM_UsimSessions(benchmark::State& state) {
   runner::WorkloadConfig workload;
   workload.resolve();  // NFS, the DI86 profiles, the default population
   core::UsimConfig config;
   config.num_users = static_cast<std::size_t>(state.range(0));
   config.sessions_per_user = 5;
-  config.draw_batch = draw_batch;
   config.collect_log = false;  // measure the simulator, not the log
   std::uint64_t ops = 0;
   std::uint64_t sessions = 0;
@@ -32,16 +31,7 @@ void run_usim_sessions(benchmark::State& state, std::size_t draw_batch) {
   state.counters["sessions/s"] =
       benchmark::Counter(static_cast<double>(sessions), benchmark::Counter::kIsRate);
 }
-
-void BM_UsimSessions(benchmark::State& state) { run_usim_sessions(state, 1); }
 BENCHMARK(BM_UsimSessions)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// The same workload with 16 draws prefetched per characteristic
-// (UsimConfig::draw_batch — deterministic but a different realization than
-// the unbatched sequence; see the field's doc comment).  Compare syscalls/s
-// against BM_UsimSessions to see what batch refills buy end to end.
-void BM_UsimSessionsBatched(benchmark::State& state) { run_usim_sessions(state, 16); }
-BENCHMARK(BM_UsimSessionsBatched)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

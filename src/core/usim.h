@@ -23,10 +23,15 @@ class LogSink;  // core/log_sink.h
 /// publish an op mix; 0.5 is the documented assumption — see DESIGN.md).
 inline constexpr double kRdwrReadFraction = 0.5;
 
+/// Gap between a logout and the next login in a closed-loop run, µs.
+inline constexpr double kInterSessionGapUs = 1000.0;
+
 /// Hard per-session op budget (guards against degenerate configurations).
 inline constexpr std::size_t kMaxOpsPerSession = 200000;
 
-/// Configuration of a User Simulator run.
+/// Configuration of a User Simulator run.  Nothing here selects how draws
+/// are made: each user characteristic is one Distribution::sample() from the
+/// user's own stream, at the point where the simulator needs it.
 struct UsimConfig {
   /// Simultaneous users on the machine — the x-axis of Figures 5.6–5.11.
   std::size_t num_users = 1;
@@ -51,9 +56,6 @@ struct UsimConfig {
   /// Root seed; every user derives an independent stream from it.
   std::uint64_t seed = 42;
 
-  /// Gap between a logout and the next login (defaults to constant 1000 µs).
-  DistRef inter_session_gap_us;
-
   /// Offset access pattern (paper: sequential).
   AccessPattern pattern = AccessPattern::sequential;
 
@@ -74,18 +76,6 @@ struct UsimConfig {
   /// NfsParams::num_clients when running a multi-workstation topology.
   std::size_t client_machines = 1;
 
-  /// Draws prefetched per characteristic through Distribution::sample_n
-  /// (must be >= 1).  1 — the default — consumes each user's stream
-  /// draw-for-draw in the historical order, so results are bit-identical
-  /// with pre-batching builds.  Larger batches amortise sampling dispatch
-  /// across the whole draw pipeline (think time, access size, session
-  /// planning, inter-session gaps); results stay deterministic and
-  /// shard/thread-invariant — every buffer refills from the owning user's
-  /// private stream at fixed points in that user's timeline — but realise
-  /// a different (equally valid) random sequence, so digests differ from a
-  /// draw_batch = 1 run.  Scenario key: workload.draw_batch.
-  std::size_t draw_batch = 1;
-
   /// When false, per-op records are not retained (big sweeps).
   bool collect_log = true;
 
@@ -103,7 +93,7 @@ struct UsimConfig {
 
   /// Open-system session arrivals (src/traffic/arrivals.h): element g holds
   /// GLOBAL user g's session start times in µs, ascending.  When set, the
-  /// closed-loop schedule (initial stagger + inter-session gap) is replaced:
+  /// closed-loop schedule (initial stagger + kInterSessionGapUs) is replaced:
   /// user g's session k starts at max(arrival k, previous session end) —
   /// arrivals queue per user, sessions never overlap — and the user runs
   /// exactly arrival_times_us[g].size() sessions (sessions_per_user is
@@ -172,7 +162,6 @@ class UserSimulator {
  private:
   struct WorkItem;
   struct SessionSlot;
-  struct DrawBuffer;
   struct UserState;
 
   void start_session(UserState& user, SessionSlot& slot);

@@ -41,15 +41,6 @@ class CdfTable {
   /// O(1) alias-method draw (the default hot path).
   double sample(util::RngStream& rng) const;
 
-  /// Batch alias-method draw: fills out[0..n) with the next n sample()
-  /// values, bit-identical to n scalar calls.  The whole uniform block is
-  /// drawn up front and the alias columns are resolved in a tight
-  /// branch-free loop — the scalar path's accept/alias branch is
-  /// data-random, so on large tables the misprediction dominates the draw;
-  /// the select here compiles to conditional moves and the iterations
-  /// pipeline independently.
-  void sample_n(util::RngStream& rng, double* out, std::size_t n) const;
-
   /// O(log n) binary-search draw; statistically identical to sample().
   double sample_binary(util::RngStream& rng) const;
 

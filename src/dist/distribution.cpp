@@ -8,10 +8,6 @@ namespace wlgen::dist {
 
 double Distribution::stddev() const { return std::sqrt(variance()); }
 
-void Distribution::sample_n(util::RngStream& rng, double* out, std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = sample(rng);
-}
-
 double Distribution::quantile(double p) const {
   if (!(p >= 0.0 && p <= 1.0)) {
     throw std::invalid_argument("Distribution::quantile: p outside [0, 1]");

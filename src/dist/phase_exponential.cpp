@@ -78,28 +78,6 @@ double PhaseTypeExponential::sample(util::RngStream& rng) const {
   return ph.offset - ph.theta * std::log1p(-v);
 }
 
-void PhaseTypeExponential::sample_n(util::RngStream& rng, double* out, std::size_t n) const {
-  // Each draw consumes exactly one uniform, so pulling the whole block up
-  // front leaves the stream in the same state as n scalar calls; the
-  // resolve loop then runs without the per-draw refill check or virtual
-  // dispatch.
-  rng.fill_uniform01(out, n);
-  const std::size_t last = cum_weights_.size() - 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double u = out[i];
-    std::size_t k = 0;
-    for (std::size_t j = 0; j < last; ++j) {
-      k += static_cast<std::size_t>(u >= cum_weights_[j]);
-    }
-    const double lo = k == 0 ? 0.0 : cum_weights_[k - 1];
-    const double span = cum_weights_[k] - lo;
-    double v = (u - lo) / span;
-    v = std::min(v, 1.0 - 1e-16);
-    const ExpPhase& ph = phases_[k];
-    out[i] = ph.offset - ph.theta * std::log1p(-v);
-  }
-}
-
 double PhaseTypeExponential::pdf(double x) const {
   double f = 0.0;
   for (std::size_t i = 0; i < phases_.size(); ++i) {

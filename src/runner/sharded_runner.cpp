@@ -84,11 +84,11 @@ ShardedRunner::ShardedRunner(RunnerConfig config) : config_(std::move(config)) {
 
 std::string ShardedRunner::fingerprint() const {
   char buffer[192];
+  // Literal draw_batch=1 (a retired knob): older builds' checkpoints must still match.
   std::snprintf(buffer, sizeof buffer,
-                "v1 seed=%llu users=%zu shards=%zu sessions=%zu draw_batch=%zu windows=%zu",
+                "v1 seed=%llu users=%zu shards=%zu sessions=%zu draw_batch=1 windows=%zu",
                 static_cast<unsigned long long>(config_.seed), config_.num_users,
-                config_.shards, config_.usim.sessions_per_user, config_.usim.draw_batch,
-                config_.usim.windows_per_user);
+                config_.shards, config_.usim.sessions_per_user, config_.usim.windows_per_user);
   std::string fp = buffer;
   fp += " tag=";
   fp += config_.spill.config_tag;

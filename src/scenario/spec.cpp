@@ -280,8 +280,8 @@ ScenarioSpec ScenarioSpec::parse(const util::Config& config) {
       "scenario.name", "scenario.description", "scenario.mode", "scenario.seed",
       "scenario.threads",
       "workload.users", "workload.sessions", "workload.heavy_fraction", "workload.pattern",
-      "workload.markov", "workload.windows", "workload.draw_batch", "workload.think_time",
-      "workload.access_size", "workload.gds",
+      "workload.markov", "workload.windows", "workload.think_time", "workload.access_size",
+      "workload.gds",
       "model.name", "model.names",
       "sharded.shards", "sharded.resume",
       "log.spill", "log.spool_dir", "log.checkpoint",
@@ -336,11 +336,6 @@ ScenarioSpec ScenarioSpec::parse(const util::Config& config) {
   }
   spec.windows = config.get_size("workload.windows", 1);
   if (spec.windows == 0) fail(config, "workload.windows", "expects at least 1 window");
-  spec.draw_batch = config.get_size("workload.draw_batch", 1);
-  if (spec.draw_batch == 0) {
-    fail(config, "workload.draw_batch",
-         "expects at least 1 draw per refill (1 = the unbatched historical sequence)");
-  }
   spec.think_time = config.get_string("workload.think_time", "");
   spec.access_size = config.get_string("workload.access_size", "");
   spec.gds_file = config.get_string("workload.gds", "");
@@ -464,7 +459,6 @@ core::UsimConfig ScenarioSpec::usim_config() const {
   config.pattern = pattern;
   config.markov_persistence = markov;
   config.windows_per_user = windows;
-  config.draw_batch = draw_batch;
   return config;
 }
 
@@ -478,7 +472,6 @@ std::string ScenarioSpec::summary() const {
   for (const std::size_t users : user_points) out << " " << users;
   out << "  sessions/user: " << sessions << "  heavy fraction: " << heavy_fraction
       << "  windows: " << windows << "\n";
-  if (draw_batch != 1) out << "  draw batch: " << draw_batch << "\n";
   if (!think_time.empty()) out << "  think_time override: " << think_time << "\n";
   if (!access_size.empty()) out << "  access_size override: " << access_size << "\n";
   if (!gds_file.empty()) out << "  gds file: " << gds_file << "\n";

@@ -39,13 +39,6 @@ class RngStream {
     return block_[block_pos_++];
   }
 
-  /// Fills out[0..n) with the next n uniform01() draws.  Bit-identical to n
-  /// sequential uniform01() calls — the block refills at the same points —
-  /// but served by bulk copies out of the block, so batch samplers
-  /// (Distribution::sample_n) pay the refill check once per copied span
-  /// instead of once per draw.
-  void fill_uniform01(double* out, std::size_t n);
-
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
@@ -68,10 +61,10 @@ class RngStream {
   /// Weights need not be normalised; all must be >= 0 and not all zero.
   std::size_t categorical(const std::vector<double>& weights);
 
-  /// uniform01()-path draws consumed so far (uniform01 + fill_uniform01;
-  /// direct engine() draws are not counted).  Costs one counter increment
-  /// per kBlock-draw refill — nothing on the draw path itself — which is
-  /// what lets the obs metrics report RNG volume for free.
+  /// uniform01() draws consumed so far (direct engine() draws are not
+  /// counted).  Costs one counter increment per kBlock-draw refill —
+  /// nothing on the draw path itself — which is what lets the obs metrics
+  /// report RNG volume for free.
   std::uint64_t uniform_draws() const {
     return refills_ == 0 ? 0 : (refills_ - 1) * kBlock + block_pos_;
   }

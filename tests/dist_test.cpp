@@ -386,80 +386,6 @@ TEST(CdfTableAlias, DeterministicPerSeedAndStreamOnBothPaths) {
   EXPECT_LT(collisions, 5);
 }
 
-// ---------------------------------------------------------------------------
-// Batched sampling: every sample_n override must reproduce the scalar draw
-// sequence bit-for-bit (the contract in distribution.h that lets the USIM's
-// draw buffers keep digests identical at draw_batch = 1, and keeps batch
-// sizes a pure performance knob elsewhere).
-// ---------------------------------------------------------------------------
-
-// Templated so it covers CdfTable too (same sample/sample_n surface without
-// the Distribution base).
-template <typename Sampler>
-void expect_sample_n_matches_scalar(const Sampler& d, const char* label) {
-  util::RngStream scalar_rng(9001, "sample-n");
-  util::RngStream batch_rng(9001, "sample-n");
-  // Mixed chunk sizes, together far past RngStream's 128-double uniform
-  // block, so refill boundaries land mid-chunk on the batched stream.
-  const std::size_t chunks[] = {1, 3, 128, 7, 200, 64, 129, 1, 500};
-  std::vector<double> batch;
-  for (const std::size_t n : chunks) {
-    batch.resize(n);
-    d.sample_n(batch_rng, batch.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(d.sample(scalar_rng), batch[i])
-          << label << ": chunk of " << n << ", element " << i;
-    }
-  }
-  // Both streams must also be left in the same state (no draws skipped or
-  // buffered inside the distribution).
-  EXPECT_EQ(scalar_rng.uniform01(), batch_rng.uniform01()) << label << ": stream state";
-}
-
-TEST(SampleN, CdfTableMatchesScalarBitForBit) {
-  ExponentialDistribution d(100.0);
-  expect_sample_n_matches_scalar(build_cdf_table(d, 256), "cdf_table");
-}
-
-TEST(SampleN, PhaseExponentialMatchesScalarBitForBit) {
-  expect_sample_n_matches_scalar(PhaseTypeExponential::paper_example_c(), "phase_exp");
-}
-
-TEST(SampleN, MultiStageGammaMatchesScalarBitForBit) {
-  expect_sample_n_matches_scalar(MultiStageGamma::paper_example_c(), "multistage_gamma");
-}
-
-TEST(SampleN, DefaultScalarLoopMatchesScalarBitForBit) {
-  // A family without an override exercises Distribution::sample_n's default.
-  expect_sample_n_matches_scalar(ExponentialDistribution(50.0, 10.0), "exponential");
-}
-
-TEST(CdfTableAlias, BatchPathPassesChiSquaredAgainstTableCdf) {
-  // The statistical-identity check of BothPathsPassChiSquaredAgainstTableCdf,
-  // pointed at the branch-free batched alias resolve.
-  ExponentialDistribution d(100.0);
-  const CdfTable table = build_cdf_table(d, 256);
-  constexpr int kBins = 20;
-  constexpr int kSamples = 50000;
-  std::vector<double> edges;
-  for (int b = 1; b < kBins; ++b) {
-    edges.push_back(table.quantile(static_cast<double>(b) / kBins));
-  }
-  util::RngStream rng(777, "alias-batch");
-  std::vector<double> draws(kSamples);
-  table.sample_n(rng, draws.data(), draws.size());
-  std::vector<double> counts(kBins, 0.0);
-  for (const double v : draws) {
-    const auto bin = std::upper_bound(edges.begin(), edges.end(), v) - edges.begin();
-    counts[static_cast<std::size_t>(bin)] += 1.0;
-  }
-  const double expected = static_cast<double>(kSamples) / kBins;
-  double chi2 = 0.0;
-  for (double c : counts) chi2 += (c - expected) * (c - expected) / expected;
-  // 99.9th percentile of chi^2 with 19 dof is ~43.8.
-  EXPECT_LT(chi2, 43.8);
-}
-
 TEST(CdfTableClass, RejectsDegenerateTables) {
   EXPECT_THROW(CdfTable({0.0}, {0.0}), std::invalid_argument);
   EXPECT_THROW(CdfTable({0.0, 1.0}, {0.5, 0.5}), std::invalid_argument);

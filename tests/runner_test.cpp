@@ -201,29 +201,6 @@ TEST(ShardedRunner, ThreadCountNeverChangesMergedResults) {
   expect_stats_identical(r4.stats, r1.stats);
 }
 
-TEST(ShardedRunner, DrawBatchKeepsShardAndThreadInvariance) {
-  // draw_batch > 1 changes which random sequence each user realises, but the
-  // per-user streams still refill at fixed points in that user's own
-  // timeline — so the shard/thread invariance of the merge must be as
-  // bit-exact as at draw_batch = 1.
-  auto batched = [](std::size_t shards, std::size_t threads) {
-    RunnerConfig config = base_config(6, shards, threads);
-    config.usim.draw_batch = 8;
-    return config;
-  };
-  ShardedRunner one(batched(1, 1));
-  const RunnerResult r1 = one.run();
-  ASSERT_GT(r1.total_ops, 0u);
-  const core::UsageLog log1 = merged_log(r1);
-  ASSERT_EQ(log1.size(), r1.total_ops);
-  for (std::size_t shards : {2u, 6u}) {
-    ShardedRunner many(batched(shards, 4));
-    const RunnerResult rk = many.run();
-    EXPECT_EQ(merged_log(rk).serialize(), log1.serialize()) << shards << " shards";
-    expect_stats_identical(rk.stats, r1.stats);
-  }
-}
-
 TEST(ShardedRunner, TimestampTiesBreakByUserIndex) {
   RunnerConfig config = base_config(4, 2, 2);
   // Zero-think users: every user's first call issues at exactly the

@@ -160,6 +160,9 @@ INSTANTIATE_TEST_SUITE_P(
         // asks for it; there is no key to keep or drop it.
         FailureCase{"[scenario]\nmode = sharded\n[sharded]\ncollect_log = false\n",
                     "key 'sharded.collect_log' is not a recognised key"},
+        // The batched-draw knob is retired: its key is unknown, not ignored.
+        FailureCase{"[scenario]\nmode = sharded\n[workload]\ndraw_batch = 16\n",
+                    "bad.scn:4: key 'workload.draw_batch' is not a recognised key"},
         FailureCase{"[scenario]\nmode = contended\n[workload]\nthink_time = warp(9)\n",
                     "is invalid"},
         FailureCase{"[scenario]\nmode = contended\n[log]\nspill = true\n",
@@ -271,29 +274,6 @@ TEST(ScenarioRun, MultiModelDigestIsThreadCountInvariant) {
   // Model sections appear in spec order regardless of completion order.
   EXPECT_LT(one.find("model nfs"), one.find("model local"));
   EXPECT_LT(one.find("model local"), one.find("model wholefile"));
-}
-
-TEST(ScenarioSpec, DrawBatchParsesAndRejectsZero) {
-  const ScenarioSpec spec = ScenarioSpec::parse_text(
-      "[scenario]\nmode = sharded\nname = batch\n"
-      "[workload]\nusers = 2\ndraw_batch = 16\n"
-      "[model]\nname = nfs\n");
-  EXPECT_EQ(spec.draw_batch, 16u);
-  EXPECT_EQ(spec.usim_config().draw_batch, 16u);
-  EXPECT_NE(spec.summary().find("draw batch: 16"), std::string::npos);
-  EXPECT_THROW(ScenarioSpec::parse_text("[scenario]\nmode = sharded\nname = b\n"
-                                        "[workload]\nusers = 1\ndraw_batch = 0\n"
-                                        "[model]\nname = nfs\n"),
-               std::invalid_argument);
-}
-
-TEST(ScenarioRun, DrawBatchDigestIsThreadCountInvariant) {
-  const std::string text =
-      "[scenario]\nmode = sharded\nname = pin-batch\n"
-      "[workload]\nusers = 4\nsessions = 2\ndraw_batch = 8\n"
-      "[sharded]\nshards = 2\n"
-      "[model]\nname = nfs\n";
-  EXPECT_EQ(digest_with_threads(text, 1), digest_with_threads(text, 8));
 }
 
 // --- streaming spill at the scenario layer ----------------------------------
