@@ -3,12 +3,21 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "sim/stages.h"
 
 namespace wlgen::core {
+
+namespace {
+
+/// 2^53 µs: past this, adjacent doubles on the simulated clock are 2 µs
+/// apart, so re-measured responses would round away.
+constexpr double kMaxClockUs = 9007199254740992.0;
+
+}  // namespace
 
 /// One recorded user in closed loop: its ops in issue order and the think
 /// gap before each, walked as gap -> op -> completion -> next.
@@ -38,6 +47,19 @@ UsageLog TraceReplayer::run(const Options& options) {
   ran_ = true;
   if (!(options.time_scale > 0.0)) {  // NaN included
     throw std::invalid_argument("TraceReplayer: time_scale must be > 0");
+  }
+  const std::vector<OpRecord>& records = trace_.records();
+  if (!records.empty()) {
+    const auto [first, last] = std::minmax_element(
+        records.begin(), records.end(),
+        [](const OpRecord& a, const OpRecord& b) { return a.issue_time_us < b.issue_time_us; });
+    const double span = last->issue_time_us - first->issue_time_us;
+    if (!(span * options.time_scale <= kMaxClockUs)) {  // inf and NaN included
+      std::ostringstream message;
+      message << "TraceReplayer: time_scale " << options.time_scale << " stretches the trace's "
+              << span << " us span past 2^53 us, where the clock cannot resolve a response";
+      throw std::invalid_argument(message.str());
+    }
   }
   if (options.preserve_timing) {
     run_open_loop(options.time_scale);

@@ -135,14 +135,31 @@ TEST(Replay, RunTwiceRejected) {
 
 TEST(Replay, RejectsBadScale) {
   const UsageLog trace = record_trace(1, 1);
-  // NaN fails `scale <= 0` as well as `scale > 0`: it must still be refused.
-  for (const double scale : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+  const auto replay = [&](double scale, bool open_loop) {
     sim::Simulation simulation;
     fsmodel::NfsModel nfs(simulation);
     TraceReplayer replayer(simulation, nfs, trace);
     TraceReplayer::Options options;
     options.time_scale = scale;
-    EXPECT_THROW(replayer.run(options), std::invalid_argument) << scale;
+    options.preserve_timing = open_loop;
+    return replayer.run(options);
+  };
+  for (const bool open_loop : {true, false}) {
+    // NaN fails `scale <= 0` as well as `scale > 0`: it must still be
+    // refused.  1e308 overflows the stretched span to inf; 1e300 keeps it
+    // finite but past 2^53 us, where responses round away.
+    for (const double scale : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(), 1e308, 1e300}) {
+      EXPECT_THROW(replay(scale, open_loop), std::invalid_argument)
+          << scale << (open_loop ? " open" : " closed");
+    }
+    try {
+      replay(1e308, open_loop);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("time_scale 1e+308"), std::string::npos) << e.what();
+    }
+    // A tiny scale compresses the clock; it loses nothing and still replays.
+    EXPECT_EQ(replay(1e-320, open_loop).size(), trace.size());
   }
 }
 

@@ -451,6 +451,19 @@ TEST(ScenarioRun, ReplayCountsTheLargestUserIdOfALoadedTrace) {
   std::filesystem::remove(trace);
 }
 
+TEST(ScenarioRun, ReplayRejectsATimeScaleThatOverflowsTheClock) {
+  // The recorded trace spans seconds; 1e308 stretches it to inf, which
+  // would write `inf` issue times and NaN responses to the log.
+  for (const char* closed_loop : {"false", "true"}) {
+    const ScenarioSpec spec = ScenarioSpec::parse_text(
+        std::string("[scenario]\nmode = replay\nname = overflow\n"
+                    "[workload]\nusers = 1\nsessions = 1\n"
+                    "[replay]\ntime_scale = 1e308\nclosed_loop = ") +
+        closed_loop + "\n[model]\nname = local\n");
+    EXPECT_THROW(run_scenario(spec), std::invalid_argument) << closed_loop;
+  }
+}
+
 TEST(ScenarioRun, MultiModelScenarioReportsEveryBackend) {
   const std::string text =
       "[scenario]\nmode = contended\nname = compare\n"
