@@ -4,7 +4,7 @@
 #
 #   cmake --build build -t record_bench
 #
-# Usage: bench/record_bench.sh [micro_bench] [output.json] [micro_runner] [micro_spill]
+# Usage: bench/record_bench.sh [micro_bench] [output.json] [micro_runner] [micro_spill] [micro_usim]
 #
 # When the micro_runner binary exists (third argument, defaulting to the
 # sibling of micro_bench), its runner-scaling entries — BM_ShardedRunner
@@ -18,6 +18,10 @@
 # its population-scaling entries — BM_SpillPopulation wall time and peak-RSS
 # counters with the streaming spill path on vs off — are merged too.
 #
+# When the micro_usim binary exists (fifth argument, same default rule), its
+# end-to-end USIM entries — BM_UsimSessions syscalls/s and sessions/s at 1
+# and 4 users — are merged too.
+#
 # Debug-build guard: numbers from an unoptimised binary are meaningless on a
 # perf scoreboard, so recording refuses unless each binary's own
 # "wlgen_build_type" context entry (bench/bench_main.h, keyed on NDEBUG)
@@ -30,6 +34,7 @@ BIN="${1:-build/micro_bench}"
 OUT="${2:-BENCH_micro.json}"
 RUNNER_BIN="${3:-$(dirname "$BIN")/micro_runner}"
 SPILL_BIN="${4:-$(dirname "$BIN")/micro_spill}"
+USIM_BIN="${5:-$(dirname "$BIN")/micro_usim}"
 
 if [[ ! -x "$BIN" ]]; then
   echo "error: $BIN not found or not executable (build with: cmake --build build -t micro_bench)" >&2
@@ -37,9 +42,8 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 TMP_MAIN="$(mktemp)"
-TMP_RUNNER="$(mktemp)"
-TMP_SPILL="$(mktemp)"
-trap 'rm -f "$TMP_MAIN" "$TMP_RUNNER" "$TMP_SPILL"' EXIT
+TMP_EXTRA="$(mktemp)"
+trap 'rm -f "$TMP_MAIN" "$TMP_EXTRA"' EXIT
 
 # Appends the second file's "benchmarks" array onto the first file's.
 merge_benchmarks() {
@@ -77,21 +81,21 @@ PY
 "$BIN" --benchmark_format=json --benchmark_min_time=0.2 --benchmark_repetitions=1 > "$TMP_MAIN"
 require_release "$TMP_MAIN" "$BIN"
 
-if [[ -x "$RUNNER_BIN" ]]; then
-  "$RUNNER_BIN" --benchmark_format=json --benchmark_min_time=0.5 --benchmark_repetitions=1 > "$TMP_RUNNER"
-  require_release "$TMP_RUNNER" "$RUNNER_BIN"
-  merge_benchmarks "$TMP_MAIN" "$TMP_RUNNER"
-else
-  echo "note: $RUNNER_BIN not found — scoreboard recorded without runner-scaling entries" >&2
-fi
+# Runs an optional bench binary (arguments: binary, min time, what its
+# entries are) and merges its entries, or notes that it is missing.
+merge_optional() {
+  if [[ ! -x "$1" ]]; then
+    echo "note: $1 not found — scoreboard recorded without $3 entries" >&2
+    return
+  fi
+  "$1" --benchmark_format=json --benchmark_min_time="$2" --benchmark_repetitions=1 > "$TMP_EXTRA"
+  require_release "$TMP_EXTRA" "$1"
+  merge_benchmarks "$TMP_MAIN" "$TMP_EXTRA"
+}
 
-if [[ -x "$SPILL_BIN" ]]; then
-  "$SPILL_BIN" --benchmark_format=json --benchmark_min_time=0.2 --benchmark_repetitions=1 > "$TMP_SPILL"
-  require_release "$TMP_SPILL" "$SPILL_BIN"
-  merge_benchmarks "$TMP_MAIN" "$TMP_SPILL"
-else
-  echo "note: $SPILL_BIN not found — scoreboard recorded without spill population-scaling entries" >&2
-fi
+merge_optional "$RUNNER_BIN" 0.5 "runner-scaling"
+merge_optional "$SPILL_BIN" 0.2 "spill population-scaling"
+merge_optional "$USIM_BIN" 0.2 "end-to-end USIM"
 
 # Stamp build provenance into the context so a scoreboard entry can always
 # be traced back to the exact tree that produced it.
