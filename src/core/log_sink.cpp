@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "util/strings.h"
-#include "util/svg.h"
 
 namespace wlgen::core {
 
@@ -335,101 +334,73 @@ std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs) {
 
 namespace {
 
-// Records per formatting block: enough that handing a block between threads
-// costs little next to formatting it, few enough that the ring of blocks
-// stays at a few MiB.
-constexpr std::size_t kTextBlockRecords = 4096;
-
-// One ring slot: records in stream order and, once formatted, their text.
-struct TextBlock {
-  std::vector<OpRecord> records = std::vector<OpRecord>(kTextBlockRecords);
-  std::size_t count = 0;
-  // Left uninitialised, so only the pages formatting writes become resident.
-  std::unique_ptr<char[]> text =
-      std::make_unique_for_overwrite<char[]>(kTextBlockRecords * kMaxRecordTextBytes);
-  std::size_t text_size = 0;
-  bool formatted = false;  ///< text is ready; guarded by TextRing::mutex_
-};
-
-// Bounded ring between the calling thread, which reads records into blocks
-// and writes their text, and `workers` formatter threads.  Blocks are
-// numbered in stream order and block `seq` lives in slot seq % size(); the
-// caller refills a slot only after writing the block it held, so the text
-// goes out in stream order whichever thread formatted it.
-class TextRing {
+// Bounded ring of blocks between the calling thread, which fills blocks in
+// stream order and takes them back in the same order, and `workers` threads
+// that run `work` on published blocks, oldest first.  Block `seq` lives in
+// slot seq % size(); the caller refills a slot only after taking back the
+// block it held, so memory stays at size() blocks and the blocks come back
+// in stream order whichever thread worked on them.
+template <typename Block>
+class BlockRing {
  public:
-  explicit TextRing(std::size_t workers) : blocks_(workers == 0 ? 1 : 2 * (workers + 1)) {
+  BlockRing(std::size_t workers, void (*work)(Block&))
+      : blocks_(workers == 0 ? 1 : 2 * (workers + 1)), work_(work), worked_(blocks_.size(), 0) {
     try {
       threads_.reserve(workers);
-      for (std::size_t i = 0; i < workers; ++i) threads_.emplace_back([this] { format_loop(); });
+      for (std::size_t i = 0; i < workers; ++i) threads_.emplace_back([this] { work_loop(); });
     } catch (...) {
       stop_and_join();
       throw;
     }
   }
-  ~TextRing() { stop_and_join(); }
-  TextRing(const TextRing&) = delete;
-  TextRing& operator=(const TextRing&) = delete;
+  ~BlockRing() { stop_and_join(); }
+  BlockRing(const BlockRing&) = delete;
+  BlockRing& operator=(const BlockRing&) = delete;
 
   std::size_t size() const { return blocks_.size(); }
-  TextBlock& slot(std::uint64_t seq) { return blocks_[seq % blocks_.size()]; }
+  Block& slot(std::uint64_t seq) { return blocks_[seq % blocks_.size()]; }
 
-  /// Reads the stream's next block into slot `seq` and returns its record
-  /// count (0 at end of stream).  With formatter threads the block goes to
-  /// them; alone, the caller formats each record as it reads it, which
-  /// keeps the serial path at one pass over the records.
-  std::size_t fill(LogReader& reader, std::uint64_t seq) {
-    TextBlock& block = slot(seq);
-    const bool alone = threads_.empty();
-    OpRecord* const records = block.records.data();
-    char* out = block.text.get();
-    std::size_t count = 0;
-    while (count < kTextBlockRecords && reader.next(records[count])) {
-      if (alone) out = format_record_text(records[count], out);
-      ++count;
-    }
-    if (count == 0) return 0;
-    block.count = count;
-    if (alone) block.text_size = static_cast<std::size_t>(out - block.text.get());
+  /// Publishes block `seq`, the one just filled, to the workers; with
+  /// `worked` the caller has already worked on it, as it does on every
+  /// block when there are no workers.
+  void publish(std::uint64_t seq, bool worked) {
     {
       const std::lock_guard lock(mutex_);
-      block.formatted = alone;
+      worked_[seq % blocks_.size()] = worked ? 1 : 0;
       published_ = seq + 1;
-      if (alone) claimed_ = published_;
+      if (worked) claimed_ = published_;
     }
-    work_.notify_one();
-    return count;
+    work_cv_.notify_one();
   }
 
-  /// Returns once block `seq`, the oldest unwritten one, is formatted.
-  /// Rather than idle, the caller formats unclaimed blocks itself, oldest
-  /// first.
+  /// Returns once block `seq`, the oldest not taken back, has been worked
+  /// on.  Rather than idle, the caller works on unclaimed blocks itself,
+  /// oldest first.
   void await(std::uint64_t seq) {
     std::unique_lock lock(mutex_);
-    while (!slot(seq).formatted && claimed_ < published_) format_next(lock);
-    done_.wait(lock, [&] { return slot(seq).formatted; });
+    const std::size_t index = seq % blocks_.size();
+    while (!worked_[index] && claimed_ < published_) work_next(lock);
+    done_cv_.wait(lock, [&] { return worked_[index] != 0; });
   }
 
  private:
-  void format_loop() {
+  void work_loop() {
     std::unique_lock lock(mutex_);
     for (;;) {
-      work_.wait(lock, [this] { return stop_ || claimed_ < published_; });
+      work_cv_.wait(lock, [this] { return stop_ || claimed_ < published_; });
       if (stop_) return;
-      format_next(lock);
-      done_.notify_one();
+      work_next(lock);
+      done_cv_.notify_one();
     }
   }
 
-  /// Claims the oldest unclaimed block and formats it with `lock` released.
-  void format_next(std::unique_lock<std::mutex>& lock) {
-    TextBlock& block = slot(claimed_++);
+  /// Claims the oldest unclaimed block and works on it with `lock` released.
+  void work_next(std::unique_lock<std::mutex>& lock) {
+    const std::uint64_t seq = claimed_++;
     lock.unlock();
-    char* out = block.text.get();
-    for (std::size_t i = 0; i < block.count; ++i) out = format_record_text(block.records[i], out);
-    block.text_size = static_cast<std::size_t>(out - block.text.get());
+    work_(slot(seq));
     lock.lock();
-    block.formatted = true;
+    worked_[seq % blocks_.size()] = 1;
   }
 
   void stop_and_join() {
@@ -437,19 +408,60 @@ class TextRing {
       const std::lock_guard lock(mutex_);
       stop_ = true;
     }
-    work_.notify_all();
+    work_cv_.notify_all();
     for (auto& thread : threads_) thread.join();
   }
 
-  std::vector<TextBlock> blocks_;
+  std::vector<Block> blocks_;
+  void (*const work_)(Block&);
   std::mutex mutex_;
-  std::condition_variable work_;  ///< a block was published, or stop_
-  std::condition_variable done_;  ///< a formatter finished a block
-  std::uint64_t published_ = 0;   ///< guarded by mutex_
-  std::uint64_t claimed_ = 0;     ///< guarded by mutex_
-  bool stop_ = false;             ///< guarded by mutex_
+  std::vector<char> worked_;         ///< per slot; guarded by mutex_
+  std::uint64_t published_ = 0;      ///< guarded by mutex_
+  std::uint64_t claimed_ = 0;        ///< guarded by mutex_
+  bool stop_ = false;                ///< guarded by mutex_
+  std::condition_variable work_cv_;  ///< a block was published, or stop_
+  std::condition_variable done_cv_;  ///< a worker finished a block
   std::vector<std::thread> threads_;  // last: joined before the members above die
 };
+
+// Records per formatting block: enough that handing a block between threads
+// costs little next to formatting it, few enough that the ring of blocks
+// stays at a few MiB.
+constexpr std::size_t kTextBlockRecords = 4096;
+
+// One ring slot of write_log_text: records in stream order and, once
+// formatted, their text.
+struct TextBlock {
+  std::vector<OpRecord> records = std::vector<OpRecord>(kTextBlockRecords);
+  std::size_t count = 0;
+  // Left uninitialised, so only the pages formatting writes become resident.
+  std::unique_ptr<char[]> text =
+      std::make_unique_for_overwrite<char[]>(kTextBlockRecords * kMaxRecordTextBytes);
+  std::size_t text_size = 0;
+};
+
+void format_block(TextBlock& block) {
+  char* out = block.text.get();
+  for (std::size_t i = 0; i < block.count; ++i) out = format_record_text(block.records[i], out);
+  block.text_size = static_cast<std::size_t>(out - block.text.get());
+}
+
+// Reads the stream's next block into `block` and returns its record count
+// (0 at end of stream).  With `format` (no formatter threads) each record
+// is formatted as it is read, which keeps the serial path at one pass over
+// the records.
+std::size_t fill_block(LogReader& reader, TextBlock& block, bool format) {
+  OpRecord* const records = block.records.data();
+  char* out = block.text.get();
+  std::size_t count = 0;
+  while (count < kTextBlockRecords && reader.next(records[count])) {
+    if (format) out = format_record_text(records[count], out);
+    ++count;
+  }
+  block.count = count;
+  if (format) block.text_size = static_cast<std::size_t>(out - block.text.get());
+  return count;
+}
 
 // Writes the header and every record's text to `flush(data, size)` in
 // stream order.  The calling thread reads and writes, formatting too when
@@ -462,16 +474,17 @@ std::uint64_t stream_log_text(LogReader& reader, std::size_t threads, Flush&& fl
   flush(header, std::strlen(header));
   // More formatters than cores cannot format faster, and each adds two slots.
   const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
-  TextRing ring(std::clamp<std::size_t>(threads, 1, cores) - 1);
+  const std::size_t workers = std::clamp<std::size_t>(threads, 1, cores) - 1;
+  BlockRing<TextBlock> ring(workers, &format_block);
   std::uint64_t filled = 0;
   std::uint64_t flushed = 0;
   std::uint64_t records = 0;
   bool more = true;
   for (;;) {
     if (more && filled - flushed < ring.size()) {
-      const std::size_t count = ring.fill(reader, filled);
+      const std::size_t count = fill_block(reader, ring.slot(filled), workers == 0);
       more = count == kTextBlockRecords;
-      if (count > 0) ++filled;
+      if (count > 0) ring.publish(filled++, workers == 0);
       continue;
     }
     if (flushed == filled) break;
@@ -633,14 +646,177 @@ UsageLog parse_log_text(std::string_view text, std::size_t threads, const std::s
   return log;
 }
 
+// ---------------------------------------------------------------------------
+// TextLogReader
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// One slot of a TextLogReader's ring: whole lines of the file and, once
+// parsed, their records.
+struct ParseBlock {
+  std::string text;  ///< grown, never shrunk; bytes [0, size) hold the lines
+  std::size_t size = 0;
+  std::vector<OpRecord> records;
+  std::size_t lines = 0;     ///< newlines in the block
+  std::size_t bad_line = 0;  ///< first malformed line, 1-based in the block (0 = none)
+  std::string bad_detail;
+  std::exception_ptr error;  ///< any other failure while parsing
+};
+
+// Parses the block's lines as parse_log_text does; a malformed line stops
+// the parse and is kept for the reader to report with its file line.
+void parse_block(ParseBlock& block) {
+  block.records.clear();
+  block.bad_line = 0;
+  block.error = nullptr;
+  try {
+    block.lines = for_each_line(std::string_view(block.text.data(), block.size), 0, block.size,
+                                1, [&block](std::size_t line_number, std::string_view line) {
+                                  if (block.bad_line != 0 || !is_record_line(line)) return;
+                                  try {
+                                    block.records.push_back(parse_record_line(line));
+                                  } catch (const std::invalid_argument& e) {
+                                    block.bad_line = line_number;
+                                    block.bad_detail = e.what();
+                                  }
+                                });
+  } catch (...) {
+    block.error = std::current_exception();
+  }
+}
+
+}  // namespace
+
+// The reader's thread reads blocks into the ring, parser threads parse
+// them, and advance() takes them back in file order.
+struct TextLogReader::Ring {
+  Ring(const std::string& file_path, std::size_t workers, std::size_t bytes)
+      : path(file_path),
+        block_bytes(std::max<std::size_t>(1, bytes)),
+        file(std::fopen(path.c_str(), "rb")),
+        blocks(workers, &parse_block) {
+    if (file == nullptr) throw std::runtime_error("TextLogReader: cannot open " + path);
+  }
+  ~Ring() {
+    if (file != nullptr) std::fclose(file);
+  }
+
+  /// Reads blocks into every free slot and publishes them to the parsers.
+  void fill() {
+    while (!at_eof && published < yielded + blocks.size()) {
+      if (!read_block(blocks.slot(published))) break;
+      blocks.publish(published++, false);
+    }
+  }
+
+  /// Reads the file's next block into `block`: the partial line carried
+  /// over from the last read, then block_bytes at a time until a read holds
+  /// a newline or the file ends.  The block ends just after its last
+  /// newline (or at the end of the file); the bytes after it carry over.
+  /// False when the file has nothing left.
+  bool read_block(ParseBlock& block) {
+    std::size_t size = carry.size();
+    if (block.text.size() < size) block.text.resize(size);
+    std::memcpy(block.text.data(), carry.data(), size);
+    carry.clear();
+    while (!at_eof) {
+      if (block.text.size() < size + block_bytes) block.text.resize(size + block_bytes);
+      const std::size_t got = std::fread(block.text.data() + size, 1, block_bytes, file);
+      const std::size_t newline = std::string_view(block.text.data() + size, got).rfind('\n');
+      size += got;
+      if (got < block_bytes) {
+        if (std::ferror(file)) throw std::runtime_error("TextLogReader: cannot read " + path);
+        at_eof = true;
+      } else if (newline != std::string_view::npos) {
+        const std::size_t cut = size - got + newline + 1;
+        carry.assign(block.text.data() + cut, size - cut);
+        size = cut;
+        break;
+      }
+    }
+    block.size = size;
+    return size > 0;
+  }
+
+  const std::string path;
+  const std::size_t block_bytes;
+  std::FILE* const file;
+  std::string carry;  ///< read past the last block's final newline
+  bool at_eof = false;
+  std::uint64_t published = 0;  ///< blocks read
+  std::uint64_t yielded = 0;    ///< blocks whose records have all come out
+  bool yielding = false;        ///< block `yielded` is the current one
+  std::size_t line_base = 0;    ///< lines in the blocks already yielded
+  BlockRing<ParseBlock> blocks;  // last: its parsers stop before the members above die
+};
+
+TextLogReader::TextLogReader(const std::string& path, std::size_t threads,
+                             std::size_t block_bytes) {
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  ring_ = std::make_unique<Ring>(path, std::clamp<std::size_t>(threads, 1, cores) - 1,
+                                 block_bytes);
+}
+
+TextLogReader::~TextLogReader() = default;
+
+bool TextLogReader::advance() {
+  Ring& ring = *ring_;
+  for (;;) {
+    if (ring.yielding) {
+      const ParseBlock& block = ring.blocks.slot(ring.yielded);
+      if (block.bad_line != 0) {  // its records before the bad line have come out
+        throw std::invalid_argument(ring.path + ":" +
+                                    std::to_string(ring.line_base + block.bad_line) + ": " +
+                                    block.bad_detail);
+      }
+      ring.line_base += block.lines;
+      ++ring.yielded;
+      ring.yielding = false;
+    }
+    ring.fill();
+    if (ring.yielded == ring.published) return false;
+    ring.blocks.await(ring.yielded);
+    ring.yielding = true;
+    const ParseBlock& block = ring.blocks.slot(ring.yielded);
+    if (block.error) std::rethrow_exception(block.error);
+    if (!block.records.empty()) {
+      cursor_ = block.records.data();
+      end_ = cursor_ + block.records.size();
+      return true;
+    }
+  }
+}
+
 UsageLog read_log_file(const std::string& path, std::size_t threads) {
-  return parse_log_text(util::read_text_file(path), threads, path);
+  TextLogReader reader(path, threads);
+  return materialize(reader);
 }
 
 UsageLog materialize(LogReader& reader) {
-  UsageLog log;
+  // Fixed-size chunks, then one vector sized once: each chunk is freed as
+  // it is copied, so memory stays near one copy of the records instead of
+  // the up to two a doubling vector holds while it grows.
+  constexpr std::size_t kChunkRecords = 65536;
+  std::vector<std::vector<OpRecord>> chunks;
+  std::size_t total = 0;
   OpRecord record;
-  while (reader.next(record)) log.append(record);
+  for (;;) {
+    std::vector<OpRecord> chunk;
+    chunk.reserve(kChunkRecords);
+    while (chunk.size() < kChunkRecords && reader.next(record)) chunk.push_back(record);
+    const bool full = chunk.size() == kChunkRecords;
+    total += chunk.size();
+    chunks.push_back(std::move(chunk));
+    if (!full) break;
+  }
+  UsageLog log;
+  std::vector<OpRecord>& out = log.records_mutable();
+  out.reserve(total);
+  for (std::vector<OpRecord>& chunk : chunks) {
+    out.insert(out.end(), chunk.begin(), chunk.end());
+    chunk = std::vector<OpRecord>();
+  }
   return log;
 }
 

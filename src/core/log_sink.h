@@ -129,10 +129,10 @@ class SpillSink final : public LogSink {
 // ---------------------------------------------------------------------------
 
 /// Forward cursor over a usage-log stream — the consumer-side half of the
-/// pipeline.  UsageAnalyzer and the text serializer both iterate one of
-/// these, so they work identically over an in-RAM log, one run, or a k-way
-/// merge of a million users' runs.  (TraceReplayer walks a loaded
-/// UsageLog in place: open loop may need it in time order, not file order.)
+/// pipeline.  UsageAnalyzer, the text serializer and open-loop
+/// TraceReplayer all iterate one of these, so they work identically over an
+/// in-RAM log, a text file read a block at a time, one run, or a k-way
+/// merge of a million users' runs.
 class LogReader {
  public:
   virtual ~LogReader() = default;
@@ -242,11 +242,55 @@ inline constexpr std::size_t kMinParseChunkBytes = 256 * 1024;
 UsageLog parse_log_text(std::string_view text, std::size_t threads,
                         const std::string& source = {});
 
-/// Reads and parses a usage-log text file on up to `threads` threads; parse
-/// errors read "<path>:<line>: <detail>".
+/// TextLogReader reads its file this many bytes at a time, and more only
+/// while a line runs past the bytes read so far.
+inline constexpr std::size_t kLogReadBlockBytes = 64 * 1024;
+
+/// Cursor over a usage-log text file (serialize() output) in file order,
+/// read and parsed a block at a time, so memory stays at a small ring of
+/// blocks whatever the file's size.  The calling thread reads each block of
+/// whole lines (about `block_bytes`) and up to threads - 1 parser threads
+/// (capped at the core count, started once the file proves longer than one
+/// block) parse the blocks ahead of the one being yielded; next() parses
+/// unclaimed blocks itself rather than wait.  The records are exactly
+/// parse_log_text's, in the same order, for any `threads` and
+/// `block_bytes`.  A malformed line throws std::invalid_argument from the
+/// next() that reaches it, after every record before it has come out, with
+/// read_log_file's message: "<path>:<line>: <detail>", the line numbered in
+/// the whole file.  Throws std::runtime_error when the file cannot be
+/// opened or read.
+class TextLogReader final : public LogReader {
+ public:
+  TextLogReader(const std::string& path, std::size_t threads,
+                std::size_t block_bytes = kLogReadBlockBytes);
+  ~TextLogReader() override;
+  TextLogReader(const TextLogReader&) = delete;
+  TextLogReader& operator=(const TextLogReader&) = delete;
+
+  bool next(OpRecord& out) override {
+    if (cursor_ == end_ && !advance()) return false;
+    out = *cursor_++;
+    return true;
+  }
+
+ private:
+  struct Ring;  // the blocks, the file and the parser threads (log_sink.cpp)
+
+  /// Moves to the next block with records; false at end of file.
+  bool advance();
+
+  std::unique_ptr<Ring> ring_;
+  const OpRecord* cursor_ = nullptr;  ///< the current block's unread records
+  const OpRecord* end_ = nullptr;
+};
+
+/// Reads a usage-log text file whole: materialize over a TextLogReader on
+/// up to `threads` threads, so parse errors read "<path>:<line>: <detail>".
 UsageLog read_log_file(const std::string& path, std::size_t threads);
 
-/// Drains a reader into a materialized UsageLog (tests and small runs).
+/// Drains a reader into a UsageLog, read in fixed-size chunks and copied
+/// into one vector sized once, so memory stays near one copy of the
+/// records.
 UsageLog materialize(LogReader& reader);
 
 }  // namespace wlgen::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -122,23 +123,32 @@ SharedRun run_shared(const WorkloadConfig& workload, std::size_t users,
   return run;
 }
 
-ReplayRun replay_trace(const ModelFactory& model_factory, const core::UsageLog& trace,
-                       core::TraceReplayer::Options options, const obs::ObsConfig& obs) {
+namespace {
+
+/// One replay of `trace` on a fresh Simulation and backend, folding each
+/// record as the replayer hands it on.  Empty when `trace` is a stream
+/// whose issue times went backwards: the attempt is dropped whole.
+template <typename Trace>
+std::optional<ReplayRun> replay_once(const ModelFactory& model_factory, Trace& trace,
+                                     const core::TraceReplayer::Options& options,
+                                     const obs::ObsConfig& obs, bool keep_log) {
   ReplayRun run;
   run.trace = serial_trace(obs);
   obs::ScopedStageTrace stage_trace(obs.trace() ? &run.trace.stages : nullptr);
   sim::Simulation simulation;
   const auto model = model_factory(simulation);
   run.model = model->name();
-  run.log = core::TraceReplayer(simulation, *model, trace).run(options);
-
   core::SessionCounter sessions;
-  for (const core::OpRecord& record : run.log.records()) {
-    run.stats.add(record);
-    sessions.add(record);
-    run.users = std::max<std::uint64_t>(run.users, std::uint64_t{record.user} + 1);
-    if (obs.trace()) obs::record_op(run.trace.ops, record);
-  }
+  const bool complete = core::TraceReplayer(simulation, *model, trace)
+                            .run(options, [&](const core::OpRecord& record) {
+                              run.stats.add(record);
+                              sessions.add(record);
+                              run.users = std::max<std::uint64_t>(run.users,
+                                                                  std::uint64_t{record.user} + 1);
+                              if (obs.trace()) obs::record_op(run.trace.ops, record);
+                              if (keep_log) run.log.append(record);
+                            });
+  if (!complete) return std::nullopt;
   run.sessions_logged = sessions.count();
   if (obs.collect()) {
     run.sample.sim_events = simulation.events_processed();
@@ -146,6 +156,27 @@ ReplayRun replay_trace(const ModelFactory& model_factory, const core::UsageLog& 
     run.sample.sessions = run.sessions_logged;
   }
   return run;
+}
+
+}  // namespace
+
+ReplayRun replay_trace(const ModelFactory& model_factory, const core::UsageLog& trace,
+                       core::TraceReplayer::Options options, const obs::ObsConfig& obs,
+                       bool keep_log) {
+  return *replay_once(model_factory, trace, options, obs, keep_log);
+}
+
+ReplayRun replay_trace(const ModelFactory& model_factory, const TraceSource& source,
+                       core::TraceReplayer::Options options, const obs::ObsConfig& obs,
+                       bool keep_log) {
+  {
+    const std::unique_ptr<core::LogReader> stream = source();
+    if (auto run = replay_once(model_factory, *stream, options, obs, keep_log)) {
+      return std::move(*run);
+    }
+  }
+  const core::UsageLog trace = core::materialize(*source());
+  return *replay_once(model_factory, trace, options, obs, keep_log);
 }
 
 void UniverseRun::count_into(obs::SimSample& sample) const {

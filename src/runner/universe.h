@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/fsc.h"
+#include "core/log_sink.h"
 #include "core/presets.h"
 #include "core/replay.h"
 #include "core/usage_log.h"
@@ -116,8 +118,8 @@ SharedRun run_shared(const WorkloadConfig& workload, std::size_t users,
 
 /// What replay_trace produced.
 struct ReplayRun {
-  core::UsageLog log;  ///< the replayed records, re-measured on the backend
-  RunnerStats stats;   ///< every replayed record, folded in log order
+  core::UsageLog log;  ///< the replayed records in fold order; empty unless keep_log
+  RunnerStats stats;   ///< every replayed record, folded as it was handed on
   std::uint64_t users = 0;            ///< highest user id + 1 (0 when empty)
   std::uint64_t sessions_logged = 0;  ///< sessions with at least one record
   std::string model;                  ///< the backend's name()
@@ -126,8 +128,24 @@ struct ReplayRun {
 };
 
 /// Trace replay (paper section 2.1): `trace` on a fresh backend in one
-/// Simulation.  `wlgen replay` and scenario replay mode call it.
+/// Simulation, each replayed record folded as the replayer hands it on (at
+/// its completion in open loop).  The log is kept only with `keep_log`.
+/// Scenario replay mode calls it.
 ReplayRun replay_trace(const ModelFactory& model_factory, const core::UsageLog& trace,
-                       core::TraceReplayer::Options options, const obs::ObsConfig& obs = {});
+                       core::TraceReplayer::Options options, const obs::ObsConfig& obs = {},
+                       bool keep_log = false);
+
+/// Opens a new cursor at the first record of a trace.
+using TraceSource = std::function<std::unique_ptr<core::LogReader>()>;
+
+/// replay_trace over a trace read as a stream, which `wlgen replay` calls:
+/// open loop fires each record as it is read, so neither the trace nor the
+/// replayed log is held.  At the first record whose scaled issue time goes
+/// backwards it drops the simulation, the backend and the fold, and
+/// replays the trace loaded whole through a second `source()`, as the
+/// UsageLog overload does.  Closed loop loads the trace.
+ReplayRun replay_trace(const ModelFactory& model_factory, const TraceSource& source,
+                       core::TraceReplayer::Options options, const obs::ObsConfig& obs = {},
+                       bool keep_log = false);
 
 }  // namespace wlgen::runner

@@ -131,10 +131,12 @@ struct RecordedTrace {
   std::uint64_t sessions = 0;  ///< logins the recording run completed
 };
 
+/// Replays `trace` on `model`; the replayed log is kept, as the outcome's
+/// one memory run, only with `keep_log` (the scenario writes it: one model).
 ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
                         const core::UsageLog& trace,
                         const std::optional<RecordedTrace>& recorded,
-                        const obs::ObsConfig& obs) {
+                        const obs::ObsConfig& obs, bool keep_log) {
   ModelOutcome outcome;
   outcome.model = model.name;
 
@@ -146,7 +148,15 @@ ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
   core::TraceReplayer::Options options;
   options.preserve_timing = !spec.closed_loop;
   options.time_scale = spec.time_scale;
-  runner::ReplayRun replay = runner::replay_trace(model.factory(), trace, options, leg_obs);
+  runner::ReplayRun replay;
+  try {
+    replay = runner::replay_trace(model.factory(), trace, options, leg_obs, keep_log);
+  } catch (const std::invalid_argument& e) {
+    // The scale is the scenario's: name the line that set it.
+    if (spec.time_scale_line == 0) throw;
+    throw std::invalid_argument(spec.origin + ":" + std::to_string(spec.time_scale_line) + ": " +
+                                e.what());
+  }
 
   PointOutcome replay_point;
   replay_point.label = spec.closed_loop ? "trace replay (closed loop)"
@@ -156,13 +166,15 @@ ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
   replay_point.sessions = recorded ? recorded->sessions : replay.sessions_logged;
   replay_point.stats = std::move(replay.stats);
   replay_point.response_per_byte = {replay_point.stats.response_per_byte_us(), 0.0, 1};
-  replay_point.ops = replay.log.size();
+  replay_point.ops = replay_point.stats.ops();
   obs::SimSample merged = replay.sample;
   merged.sessions = replay_point.sessions;
   outcome.points.push_back(std::move(replay_point));
   outcome.trace = std::move(replay.trace);
-  // One run: the merge passes it through, so the replayed order is kept.
-  outcome.log_runs.push_back(core::memory_run(std::move(replay.log.records_mutable())));
+  if (keep_log) {
+    // One run: the merge passes it through, so the replayed order is kept.
+    outcome.log_runs.push_back(core::memory_run(std::move(replay.log.records_mutable())));
+  }
 
   if (spec.synthetic_users > 0) {
     // The paper's section 2.1 contrast: the generator can answer the
@@ -330,7 +342,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
           break;
         case RunMode::replay:
           outcome.models[index] =
-              run_replay(spec, model, trace, recorded, model_obs[index]);
+              run_replay(spec, model, trace, recorded, model_obs[index], spec.collect_log);
           break;
       }
     };

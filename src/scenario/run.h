@@ -54,7 +54,8 @@ struct ModelOutcome {
   std::vector<PointOutcome> points;
   /// The kept usage log as runs: the sharded runner's sorted runs (run
   /// files when the scenario spilled, log.spill; memory runs otherwise), or
-  /// one memory run holding the replayed log (replay); empty elsewhere.
+  /// one memory run holding the replayed log (replay, when the scenario
+  /// writes it); empty elsewhere.
   /// core::open_spilled_log(log_runs) streams it.
   std::vector<core::SpillRun> log_runs;
 

@@ -394,6 +394,7 @@ ScenarioSpec ScenarioSpec::parse(const util::Config& config) {
   }
   spec.closed_loop = config.get_bool("replay.closed_loop", true);
   spec.time_scale = config.get_double("replay.time_scale", 1.0);
+  spec.time_scale_line = config.line_of("replay.time_scale");
   if (spec.time_scale <= 0.0) fail(config, "replay.time_scale", "expects a positive factor");
   spec.synthetic_users = config.get_size("replay.synthetic_users", 0);
 

@@ -103,6 +103,7 @@ struct ScenarioSpec {
   std::string stats_file;  ///< deterministic merged-stats digest
 
   std::string origin;  ///< file path or "<scenario>", for error messages
+  int time_scale_line = 0;  ///< origin's line of replay.time_scale (0 when absent)
 
   /// Parses + validates a Config.  Throws std::invalid_argument with
   /// "origin:line:"-prefixed messages on unknown keys, mode mismatches,

@@ -13,9 +13,10 @@
 // `mode = sharded` / `mode = contended` `.scn` file would; without either,
 // the classic path is runner::run_shared, the one shared-machine run, on
 // the spec's scenario::workload_config.  `replay` is runner::replay_trace,
-// the driver scenario replay mode uses.  `run` and `replay` print their
-// analysis from the driver's per-op fold; only `analyze` builds a Usage
-// Analyzer (DESIGN.md "One path per run semantics", flag table in
+// the driver scenario replay mode uses, over the trace file read as a
+// stream.  `run` and `replay` print their analysis from the driver's per-op
+// fold; only `analyze` builds a UsageAnalyzer, folding the file as it is
+// read (DESIGN.md "One path per run semantics", flag table in
 // docs/SCENARIOS.md).
 //
 // Exit status: 0 on success, 1 on bad usage or I/O failure; `experiments
@@ -26,6 +27,7 @@
 #include <filesystem>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -241,22 +243,30 @@ std::size_t all_cores() {
 
 int cmd_analyze(const Args& args) {
   if (args.positional.empty()) return usage();
-  const core::UsageLog log = core::read_log_file(args.positional[0], all_cores());
-  const core::UsageAnalyzer analyzer(log);
+  core::TextLogReader reader(args.positional[0], all_cores());
+  const core::UsageAnalyzer analyzer(reader);
   print_analysis(analyzer.op_stats(), analyzer.sessions().size());
   return 0;
 }
 
 int cmd_replay(const Args& args) {
   if (args.positional.empty()) return usage();
-  const core::UsageLog trace = core::read_log_file(args.positional[0], all_cores());
+  const std::string& path = args.positional[0];
   const runner::ModelFactory factory = runner::model_factory_by_name(args.get("model", "nfs"));
   core::TraceReplayer::Options options;
   options.preserve_timing = !args.boolean("closed-loop");
   options.time_scale = args.number("scale", 1.0);
-  const runner::ReplayRun run = runner::replay_trace(factory, trace, options);
+  const runner::TraceSource source = [&path] {
+    return std::make_unique<core::TextLogReader>(path, all_cores());
+  };
+  // A stream whose issue times step back is read a second time, which a
+  // pipe cannot be: one is loaded whole instead.
+  const runner::ReplayRun run =
+      std::filesystem::is_regular_file(path)
+          ? runner::replay_trace(factory, source, options)
+          : runner::replay_trace(factory, core::materialize(*source()), options);
 
-  std::cout << "replayed " << run.log.size() << " ops ("
+  std::cout << "replayed " << run.stats.ops() << " ops ("
             << (options.preserve_timing ? "open" : "closed") << " loop) on " << run.model
             << "\n\n";
   print_analysis(run.stats.op_stats(), run.sessions_logged);

@@ -918,6 +918,139 @@ TEST(TextParser, ReadLogFilePrefixesThePath) {
   std::filesystem::remove_all(dir);
 }
 
+// What a TextLogReader over `path` yields: its records, and the message of
+// the std::invalid_argument it throws ("" when it reads to the end).
+struct StreamRead {
+  UsageLog log;
+  std::string error;
+};
+
+StreamRead stream_read(const std::string& path, std::size_t threads, std::size_t block_bytes) {
+  StreamRead read;
+  try {
+    TextLogReader reader(path, threads, block_bytes);
+    OpRecord record;
+    while (reader.next(record)) read.log.append(record);
+    EXPECT_FALSE(reader.next(record));  // the end stays the end
+  } catch (const std::invalid_argument& e) {
+    read.error = e.what();
+  }
+  return read;
+}
+
+// Block sizes: one byte (every block is one line, and every line straddles
+// reads), a few bytes, about one record line, and whole blocks of lines.
+constexpr std::size_t kSmallBlocks[] = {1, 7, 90, 4096, kLogReadBlockBytes};
+
+TEST(TextLogReader, YieldsParseLogTextsRecords) {
+  const std::string dir = temp_dir("text_log_reader");
+  const std::string path = dir + "/trace.log";
+  const std::string header = usage_log_header_line();
+  const std::string a = line_with(0, "1.5");
+  const std::string b = line_with(2, "9");
+  const std::string texts[] = {
+      "",
+      header,
+      header + a,                                                  // no trailing newline
+      header + a + "\n" + b + "\n",
+      header + "\n# note\n  \r\n" + a + "\r\n\n# end\n" + b,        // comments, blanks, CRLF
+      "\n\n" + a + "\n\n\n",
+  };
+  for (const std::string& text : texts) {
+    util::write_text_file(path, text);
+    const std::string expected = parse_log_text(text, 1).serialize();
+    for (const std::size_t block : kSmallBlocks) {
+      for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE(text + " block " + std::to_string(block) + " threads " +
+                     std::to_string(threads));
+        const StreamRead read = stream_read(path, threads, block);
+        EXPECT_EQ(read.error, "");
+        EXPECT_EQ(read.log.serialize(), expected);
+      }
+    }
+  }
+
+  // A log large enough for many blocks, with CRLF, comment and blank lines
+  // and no newline after its last line.
+  const CutText big = cut_text();
+  util::write_text_file(path, big.text);
+  const std::string expected = big.log.serialize();
+  for (const std::size_t block : {std::size_t{1000}, std::size_t{4096}, kLogReadBlockBytes}) {
+    for (std::size_t threads = 1; threads <= 4; ++threads) {
+      SCOPED_TRACE("block " + std::to_string(block) + " threads " + std::to_string(threads));
+      const StreamRead read = stream_read(path, threads, block);
+      EXPECT_EQ(read.error, "");
+      EXPECT_EQ(first_difference(read.log.serialize(), expected), "");
+    }
+  }
+  EXPECT_EQ(read_log_file(path, 4).serialize(), expected);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TextLogReader, ErrorsMatchReadLogFileAfterEveryEarlierRecord) {
+  const std::string dir = temp_dir("text_log_reader_errors");
+  const std::string path = dir + "/trace.log";
+  // The error parse_log_text gives for `text`, and the records before the
+  // line that fails: the reader yields exactly those first.
+  const auto check = [&](const std::string& text, const std::string& bad_line,
+                         std::initializer_list<std::size_t> blocks) {
+    util::write_text_file(path, text);
+    std::string expected_error;
+    try {
+      parse_log_text(text, 1, path);
+    } catch (const std::invalid_argument& e) {
+      expected_error = e.what();
+    }
+    ASSERT_NE(expected_error, "");
+    const std::size_t at = text.find("\n" + bad_line) + 1;
+    const std::string before = parse_log_text(text.substr(0, at), 1).serialize();
+    for (const std::size_t block : blocks) {
+      for (const std::size_t threads : {1, 2, 4}) {
+        SCOPED_TRACE("block " + std::to_string(block) + " threads " + std::to_string(threads));
+        const StreamRead read = stream_read(path, threads, block);
+        EXPECT_EQ(read.error, expected_error);
+        EXPECT_EQ(first_difference(read.log.serialize(), before), "");
+      }
+    }
+  };
+
+  // TextParser.ErrorsNameTheLine's malformed lines, after comment, blank
+  // and CRLF lines.
+  const std::string good = line_with(0, "1.5") + "\n";
+  const std::string prefix =
+      std::string(usage_log_header_line()) + good + "\n  \r\n# note\n" + good;
+  for (const std::string& bad : {std::string("1\t2\t3"), line_with(0, "1.5x"),
+                                line_with(3, "four"), line_with(4, "fsync"), line_with(9, "7"),
+                                line_with(10, "3"), line_with(11, "-1")}) {
+    SCOPED_TRACE(bad);
+    check(prefix + bad + "\r\n" + good, bad, {1, 7, 90, 4096, kLogReadBlockBytes});
+  }
+
+  // Many blocks: a bad last line with no newline after it, and bad lines
+  // in two blocks far apart (the lower one is reported).
+  const std::size_t last = kCutTextRecords - 1;
+  const std::size_t early = kCutTextRecords * 3 / 10;
+  const std::size_t late = kCutTextRecords * 9 / 10;
+  check(cut_text({{last, "1\t2\t3"}}).text, "1\t2\t3", {4096, kLogReadBlockBytes});
+  check(cut_text({{early, line_with(4, "fsync")}, {late, "1\t2"}}).text, line_with(4, "fsync"),
+        {4096, kLogReadBlockBytes});
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TextLogReader, RejectsAMissingFileAndADirectory) {
+  const std::string dir = temp_dir("text_log_reader_missing");
+  EXPECT_THROW(TextLogReader(dir + "/missing.log", 1), std::runtime_error);
+  try {
+    TextLogReader reader(dir, 2);
+    OpRecord record;
+    reader.next(record);
+    ADD_FAILURE() << "a directory was read as a log";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "TextLogReader: cannot read " + dir);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Analyzer, ReaderAndLogConstructionAgree) {
   UsageLog log;
   std::mt19937 rng(7);

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <random>
@@ -12,12 +14,16 @@
 
 #include "core/analysis.h"
 #include "core/fsc.h"
+#include "core/log_sink.h"
 #include "core/presets.h"
 #include "core/replay.h"
 #include "core/usim.h"
 #include "fsmodel/local_model.h"
 #include "fsmodel/nfs_model.h"
+#include "runner/model_factory.h"
+#include "runner/universe.h"
 #include "sim/stages.h"
+#include "util/svg.h"
 
 namespace wlgen::core {
 namespace {
@@ -273,6 +279,143 @@ TEST(Replay, ShuffledTraceReplaysLikeItsStableSortedCopy) {
   const QueuedReplay queued = replay_queueing_every_issue(shuffled);
   EXPECT_EQ(from_shuffled.log, queued.log);
   EXPECT_EQ(from_shuffled.events, queued.events);
+}
+
+/// Every figure of a replay's fold, as exact text.
+std::string fold_text(const runner::ReplayRun& run) {
+  const auto exact = [](double v) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%.17g", v);
+    return std::string(buffer);
+  };
+  std::string text = "ops=" + std::to_string(run.stats.ops()) +
+                     " bytes=" + std::to_string(run.stats.bytes_moved()) +
+                     " users=" + std::to_string(run.users) +
+                     " sessions=" + std::to_string(run.sessions_logged) +
+                     " per_byte=" + exact(run.stats.response_per_byte_us());
+  for (const auto* summary : {&run.stats.response_us(), &run.stats.access_size()}) {
+    text += " [" + std::to_string(summary->count()) + " " + exact(summary->mean()) + " " +
+            exact(summary->stddev()) + " " + exact(summary->min()) + " " +
+            exact(summary->max()) + "]";
+  }
+  for (std::size_t op = 0; op < OpStats::kOps; ++op) {
+    const OpTypeStats& s = run.stats.op_stats().per_op[op];
+    text += " op" + std::to_string(op) + "=" + std::to_string(s.response_us.count()) + "/" +
+            exact(s.response_sum_us);
+  }
+  return text;
+}
+
+// The streamed replay `wlgen replay` runs folds and logs exactly what the
+// replay of the loaded trace does: an ordered trace streams, one that goes
+// backwards is read again and replayed loaded.
+TEST(Replay, StreamedOpenLoopMatchesTheLoadedReplay) {
+  UsageLog shuffled = synthetic_trace(3000, 500.0, 12);
+  std::shuffle(shuffled.records_mutable().begin() + 1, shuffled.records_mutable().end(),
+               std::mt19937(13));
+  const struct {
+    const char* name;
+    UsageLog trace;
+    bool ordered;
+  } traces[] = {
+      {"ordered", synthetic_trace(3000, 100.0, 21), true},
+      {"ties", synthetic_trace(3000, 2000.0, 11), true},
+      {"shuffled", shuffled, false},
+      {"usim log", record_trace(3, 3), false},
+  };
+  const runner::ModelFactory factory = runner::model_factory_by_name("local");
+  for (const auto& t : traces) {
+    for (const double scale : {1.0, 0.5, 1e-320}) {
+      SCOPED_TRACE(std::string(t.name) + " scale " + std::to_string(scale));
+      TraceReplayer::Options options;
+      options.time_scale = scale;
+      const runner::ReplayRun loaded = runner::replay_trace(factory, t.trace, options, {}, true);
+      ASSERT_EQ(loaded.log.size(), t.trace.size());
+
+      std::size_t opened = 0;
+      const runner::TraceSource source = [&]() -> std::unique_ptr<LogReader> {
+        ++opened;
+        return std::make_unique<MemoryLogReader>(t.trace);
+      };
+      const runner::ReplayRun streamed = runner::replay_trace(factory, source, options, {}, true);
+      EXPECT_EQ(fold_text(streamed), fold_text(loaded));
+      EXPECT_EQ(streamed.log.serialize(), loaded.log.serialize());
+      // 1e-320 rounds a short trace's offsets to a few denormals: whether
+      // they still step back depends on the trace.
+      if (scale != 1e-320) {
+        EXPECT_EQ(opened, t.ordered ? 1u : 2u);
+      }
+
+      // Without keep_log nothing of the log is kept; the fold is the same.
+      const runner::ReplayRun folded = runner::replay_trace(factory, source, options);
+      EXPECT_TRUE(folded.log.empty());
+      EXPECT_EQ(fold_text(folded), fold_text(loaded));
+    }
+  }
+}
+
+TEST(Replay, StreamedTraceFileMatchesTheLoadedReplay) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "wlgen_replay_stream.log").string();
+  const UsageLog trace = synthetic_trace(20000, 300.0, 5);
+  util::write_text_file(path, trace.serialize());
+  const runner::ModelFactory factory = runner::model_factory_by_name("nfs");
+  TraceReplayer::Options options;
+  const runner::ReplayRun loaded = runner::replay_trace(factory, trace, options, {}, true);
+  const runner::ReplayRun streamed = runner::replay_trace(
+      factory, [&] { return std::make_unique<TextLogReader>(path, 4, 4096); }, options, {}, true);
+  EXPECT_EQ(fold_text(streamed), fold_text(loaded));
+  EXPECT_EQ(streamed.log.serialize(), loaded.log.serialize());
+  std::filesystem::remove(path);
+}
+
+// The replayer over a reader: a trace that goes backwards stops the stream
+// (the collecting run refuses it); closed loop loads the stream first.
+TEST(Replay, StreamReportsTheFirstStepBackAndClosedLoopLoadsIt) {
+  const UsageLog trace = record_trace(2, 2);
+  {
+    sim::Simulation simulation;
+    fsmodel::NfsModel nfs(simulation);
+    MemoryLogReader reader(trace);
+    TraceReplayer replayer(simulation, nfs, reader);
+    std::size_t handed = 0;
+    EXPECT_FALSE(replayer.run({}, [&](const OpRecord&) { ++handed; }));
+    EXPECT_LT(handed, trace.size());
+  }
+  {
+    sim::Simulation simulation;
+    fsmodel::NfsModel nfs(simulation);
+    MemoryLogReader reader(trace);
+    EXPECT_THROW(TraceReplayer(simulation, nfs, reader).run(), std::logic_error);
+  }
+  TraceReplayer::Options closed;
+  closed.preserve_timing = false;
+  sim::Simulation loaded_sim;
+  fsmodel::LocalDiskModel loaded_model(loaded_sim);
+  const UsageLog expected = TraceReplayer(loaded_sim, loaded_model, trace).run(closed);
+  sim::Simulation simulation;
+  fsmodel::LocalDiskModel local(simulation);
+  MemoryLogReader reader(trace);
+  EXPECT_EQ(TraceReplayer(simulation, local, reader).run(closed).serialize(),
+            expected.serialize());
+}
+
+// A stream is checked against 2^53 µs as it is read: the error still names
+// the scale.
+TEST(Replay, StreamRejectsAnOverflowingScale) {
+  const UsageLog trace = synthetic_trace(100, 1000.0, 3);
+  sim::Simulation simulation;
+  fsmodel::NfsModel nfs(simulation);
+  MemoryLogReader reader(trace);
+  TraceReplayer replayer(simulation, nfs, reader);
+  TraceReplayer::Options options;
+  options.time_scale = 1e308;
+  try {
+    replayer.run(options, [](const OpRecord&) {});
+    ADD_FAILURE() << "an overflowing scale replayed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("time_scale 1e+308"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

@@ -663,7 +663,8 @@ TEST(ReplayTrace, FoldAndSessionCountMatchTheAnalyzerOpenAndClosedLoop) {
     SCOPED_TRACE(open_loop ? "open loop" : "closed loop");
     core::TraceReplayer::Options options;
     options.preserve_timing = open_loop;
-    const ReplayRun run = replay_trace(model_factory_by_name("local"), recorded.log, options);
+    const ReplayRun run =
+        replay_trace(model_factory_by_name("local"), recorded.log, options, {}, true);
     EXPECT_EQ(run.model, "local");
     EXPECT_EQ(run.users, 3u);
     EXPECT_EQ(run.log.size(), recorded.log.size());
@@ -690,7 +691,7 @@ TEST(ReplayTrace, CountsTheSessionOfTheLargestUserId) {
   for (const bool open_loop : {true, false}) {
     core::TraceReplayer::Options options;
     options.preserve_timing = open_loop;
-    const ReplayRun run = replay_trace(model_factory_by_name("local"), trace, options);
+    const ReplayRun run = replay_trace(model_factory_by_name("local"), trace, options, {}, true);
     EXPECT_EQ(run.log.size(), 3u);
     EXPECT_EQ(run.users, 4294967296u);
     EXPECT_EQ(run.sessions_logged, 1u);

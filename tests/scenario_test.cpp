@@ -400,9 +400,8 @@ TEST(ScenarioRun, ReplayModeRunsTheAbComparison) {
   EXPECT_EQ(outcome.models[0].points[1].users, 2u);
   EXPECT_GT(outcome.models[0].points[0].ops, 0u);
   EXPECT_GT(outcome.models[0].points[1].ops, 0u);
-  // The replayed log is one memory run.
-  ASSERT_EQ(outcome.models[0].log_runs.size(), 1u);
-  EXPECT_EQ(outcome.models[0].log_runs.front().records, outcome.models[0].points[0].ops);
+  // No [output] log: the replayed log is not kept.
+  EXPECT_TRUE(outcome.models[0].log_runs.empty());
   // Replay is serial; the digest must still be invariant to the knob.
   EXPECT_EQ(digest_with_threads(text, 1), digest_with_threads(text, 8));
 }
@@ -462,6 +461,52 @@ TEST(ScenarioRun, ReplayRejectsATimeScaleThatOverflowsTheClock) {
         closed_loop + "\n[model]\nname = local\n");
     EXPECT_THROW(run_scenario(spec), std::invalid_argument) << closed_loop;
   }
+}
+
+TEST(ScenarioRun, ReplayTimeScaleOverflowNamesTheScenarioLine) {
+  // The scale comes from the .scn file, so the error names the line that
+  // set it.
+  const auto path = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_overflow.scn";
+  util::write_text_file(path.string(),
+                        "[scenario]\nmode = replay\nname = overflow\n"
+                        "[workload]\nusers = 1\nsessions = 1\n"
+                        "[replay]\nclosed_loop = false\ntime_scale = 1e308\n"
+                        "[model]\nname = local\n");
+  const ScenarioSpec spec = ScenarioSpec::parse_file(path.string());
+  try {
+    run_scenario(spec);
+    ADD_FAILURE() << "an overflowing time scale replayed";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.rfind(path.string() + ":9: TraceReplayer: time_scale 1e+308 ", 0), 0u)
+        << message;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(ScenarioRun, ReplayKeepsTheReplayedLogOnlyForTheWrittenLog) {
+  const std::string text =
+      "[scenario]\nmode = replay\nname = keep\n"
+      "[workload]\nusers = 2\nsessions = 1\n"
+      "[replay]\nclosed_loop = false\n";
+  const ScenarioOutcome two =
+      run_scenario(ScenarioSpec::parse_text(text + "[model]\nnames = local, nfs\n"));
+  ASSERT_EQ(two.models.size(), 2u);
+  EXPECT_TRUE(two.models[0].log_runs.empty());
+  EXPECT_TRUE(two.models[1].log_runs.empty());
+
+  // [output] log (single-model only) keeps the replay that is written.
+  const std::string one = text + "[model]\nname = local\n";
+  const auto log_path = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_keep.log";
+  const ScenarioOutcome written = run_scenario(
+      ScenarioSpec::parse_text(one + "[output]\nlog = " + log_path.string() + "\n"));
+  ASSERT_EQ(written.models[0].log_runs.size(), 1u);
+  EXPECT_EQ(written.models[0].log_runs.front().records, written.models[0].points[0].ops);
+  EXPECT_EQ(core::read_log_file(log_path.string(), 1).size(), written.models[0].points[0].ops);
+  const ScenarioOutcome unwritten = run_scenario(ScenarioSpec::parse_text(one));
+  EXPECT_TRUE(unwritten.models[0].log_runs.empty());
+  EXPECT_EQ(unwritten.stats_digest, written.stats_digest);
+  std::filesystem::remove(log_path);
 }
 
 TEST(ScenarioRun, MultiModelScenarioReportsEveryBackend) {
