@@ -250,9 +250,8 @@ inline constexpr std::size_t kLogReadBlockBytes = 64 * 1024;
 /// read and parsed a block at a time, so memory stays at a small ring of
 /// blocks whatever the file's size.  The calling thread reads each block of
 /// whole lines (about `block_bytes`) and up to threads - 1 parser threads
-/// (capped at the core count, started once the file proves longer than one
-/// block) parse the blocks ahead of the one being yielded; next() parses
-/// unclaimed blocks itself rather than wait.  The records are exactly
+/// (capped at the core count) parse the blocks ahead of the one being
+/// yielded; next() parses unclaimed blocks itself rather than wait.  The records are exactly
 /// parse_log_text's, in the same order, for any `threads` and
 /// `block_bytes`.  A malformed line throws std::invalid_argument from the
 /// next() that reaches it, after every record before it has come out, with
