@@ -484,6 +484,38 @@ TEST(ScenarioRun, ReplayTimeScaleOverflowNamesTheScenarioLine) {
   std::filesystem::remove(path);
 }
 
+TEST(ScenarioRun, ReplayTraceParseErrorNamesTheTraceLine) {
+  // A malformed trace line is the trace file's error, not the scenario's:
+  // it names the trace line even when the .scn sets time_scale.
+  const auto trace = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_bad_trace.log";
+  core::UsageLog log;
+  core::OpRecord record;
+  record.op = fsmodel::FsOpType::read;
+  record.requested_bytes = record.actual_bytes = 100;
+  record.file_size = 1000;
+  log.append(record);
+  record.issue_time_us = 10.0;
+  log.append(record);
+  const std::string text = log.serialize();
+  const auto bad_line = std::count(text.begin(), text.end(), '\n') + 1;
+  util::write_text_file(trace.string(), text + "not a record\n");
+  for (const char* closed_loop : {"false", "true"}) {
+    const ScenarioSpec spec = ScenarioSpec::parse_text(
+        std::string("[scenario]\nmode = replay\nname = bad_trace\n"
+                    "[replay]\ntime_scale = 2\nclosed_loop = ") +
+        closed_loop + "\ntrace = " + trace.string() + "\n[model]\nnames = local, nfs\n");
+    try {
+      run_scenario(spec);
+      ADD_FAILURE() << "a malformed trace replayed";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_EQ(message.rfind(trace.string() + ":" + std::to_string(bad_line) + ": ", 0), 0u)
+          << message;
+    }
+  }
+  std::filesystem::remove(trace);
+}
+
 TEST(ScenarioRun, ReplayKeepsTheReplayedLogOnlyForTheWrittenLog) {
   const std::string text =
       "[scenario]\nmode = replay\nname = keep\n"

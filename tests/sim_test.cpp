@@ -10,9 +10,12 @@
 #include <memory>
 #include <new>
 #include <random>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "obs/trace.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
 #include "sim/stages.h"
@@ -323,14 +326,20 @@ TEST(Simulation, EventBudgetGuardsLivelock) {
   EXPECT_THROW(sim.run(1000), std::runtime_error);
 }
 
+// The Resource tests drive the resource through one-stage chains, the way
+// every model uses it.
+void use_at(Simulation& sim, Resource& resource, SimTime service_time, ChainDone done) {
+  execute_chain(sim, {Stage::make_use(resource, service_time)}, std::move(done));
+}
+
 TEST(Resource, SingleServerSerializesRequests) {
   Simulation sim;
   Resource disk(sim, "disk", 1);
   std::vector<double> completions;
   sim.schedule(0.0, [&] {
-    disk.use(10.0, [&] { completions.push_back(sim.now()); });
-    disk.use(10.0, [&] { completions.push_back(sim.now()); });
-    disk.use(10.0, [&] { completions.push_back(sim.now()); });
+    for (int i = 0; i < 3; ++i) {
+      use_at(sim, disk, 10.0, [&](SimTime) { completions.push_back(sim.now()); });
+    }
   });
   sim.run();
   ASSERT_EQ(completions.size(), 3u);
@@ -346,7 +355,7 @@ TEST(Resource, MultiServerRunsInParallel) {
   std::vector<double> completions;
   sim.schedule(0.0, [&] {
     for (int i = 0; i < 4; ++i) {
-      cpu.use(10.0, [&] { completions.push_back(sim.now()); });
+      use_at(sim, cpu, 10.0, [&](SimTime) { completions.push_back(sim.now()); });
     }
   });
   sim.run();
@@ -361,9 +370,11 @@ TEST(Resource, FcfsOrderPreserved) {
   Simulation sim;
   Resource disk(sim, "disk", 1);
   std::vector<int> order;
-  sim.schedule(0.0, [&] { disk.use(5.0, [&] { order.push_back(0); }); });
-  sim.schedule(1.0, [&] { disk.use(5.0, [&] { order.push_back(1); }); });
-  sim.schedule(2.0, [&] { disk.use(5.0, [&] { order.push_back(2); }); });
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule(static_cast<double>(i), [&, i] {
+      use_at(sim, disk, 5.0, [&order, i](SimTime) { order.push_back(i); });
+    });
+  }
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -372,7 +383,7 @@ TEST(Resource, UtilizationFullWhenSaturated) {
   Simulation sim;
   Resource disk(sim, "disk", 1);
   sim.schedule(0.0, [&] {
-    for (int i = 0; i < 10; ++i) disk.use(10.0, [] {});
+    for (int i = 0; i < 10; ++i) use_at(sim, disk, 10.0, [](SimTime) {});
   });
   sim.run();
   EXPECT_NEAR(disk.utilization(), 1.0, 1e-9);
@@ -382,8 +393,8 @@ TEST(Resource, UtilizationFullWhenSaturated) {
 TEST(Resource, UtilizationHalfWhenIdleHalfTheTime) {
   Simulation sim;
   Resource disk(sim, "disk", 1);
-  sim.schedule(0.0, [&] { disk.use(10.0, [] {}); });
-  sim.schedule(20.0, [&] { disk.use(10.0, [] {}); });
+  sim.schedule(0.0, [&] { use_at(sim, disk, 10.0, [](SimTime) {}); });
+  sim.schedule(20.0, [&] { use_at(sim, disk, 10.0, [](SimTime) {}); });
   sim.run();  // busy [0,10] and [20,30] over elapsed 30
   EXPECT_NEAR(disk.utilization(), 20.0 / 30.0, 1e-9);
 }
@@ -392,8 +403,8 @@ TEST(Resource, MeanQueueLengthAccounting) {
   Simulation sim;
   Resource disk(sim, "disk", 1);
   sim.schedule(0.0, [&] {
-    disk.use(10.0, [] {});
-    disk.use(10.0, [] {});  // waits [0,10]
+    use_at(sim, disk, 10.0, [](SimTime) {});
+    use_at(sim, disk, 10.0, [](SimTime) {});  // waits [0,10]
   });
   sim.run();  // queue length 1 for 10 of 20 elapsed
   EXPECT_NEAR(disk.mean_queue_length(), 0.5, 1e-9);
@@ -402,7 +413,7 @@ TEST(Resource, MeanQueueLengthAccounting) {
 TEST(Resource, ResetStatsClearsCounters) {
   Simulation sim;
   Resource disk(sim, "disk", 1);
-  sim.schedule(0.0, [&] { disk.use(10.0, [] {}); });
+  sim.schedule(0.0, [&] { use_at(sim, disk, 10.0, [](SimTime) {}); });
   sim.run();
   disk.reset_stats();
   EXPECT_EQ(disk.completed(), 0u);
@@ -412,8 +423,9 @@ TEST(Resource, ResetStatsClearsCounters) {
 TEST(Resource, RejectsInvalidUse) {
   Simulation sim;
   Resource disk(sim, "disk", 1);
-  EXPECT_THROW(disk.use(-1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(disk.use(1.0, nullptr), std::invalid_argument);
+  EXPECT_THROW(Stage::make_use(disk, -1.0), std::invalid_argument);
+  EXPECT_THROW(use_at(sim, disk, 1.0, nullptr), std::invalid_argument);
+  EXPECT_EQ(disk.queue_length() + disk.in_service(), 0u);  // nothing was queued
   EXPECT_THROW(Resource(sim, "bad", 0), std::invalid_argument);
 }
 
@@ -480,6 +492,115 @@ TEST(Stages, ManyConcurrentChainsOnOneResource) {
   EXPECT_DOUBLE_EQ(sim.now(), static_cast<double>(n));
 }
 
+/// One chain's completion: which chain, when, and its elapsed time.
+struct Finished {
+  int chain;
+  SimTime at;
+  SimTime elapsed;
+  bool operator==(const Finished&) const = default;
+};
+
+/// A use stage of `first` on `resource`, `delays` delay stages of `gap`,
+/// then a use stage of `last`: `delays + 2` stages.
+StageChain long_chain(Resource& resource, SimTime first, std::size_t delays, SimTime gap,
+                      SimTime last) {
+  StageChain chain;
+  chain.push_back(Stage::make_use(resource, first));
+  for (std::size_t i = 0; i < delays; ++i) chain.push_back(Stage::make_delay(gap));
+  chain.push_back(Stage::make_use(resource, last));
+  return chain;
+}
+
+// Chains of 1, 3 and 10 stages queue in arrival order at a single server;
+// a chain that comes back after a delay joins the back of the line.
+TEST(Stages, ChainsQueueFifoAtASingleServer) {
+  Simulation sim;
+  Resource disk(sim, "disk", 1);
+  std::vector<Finished> finished;
+  auto done = [&](int chain) {
+    return [&finished, &sim, chain](SimTime elapsed) {
+      finished.push_back({chain, sim.now(), elapsed});
+    };
+  };
+  // A is served [0,10].  C arrives at 0 and is served [10,13], delays 8 x
+  // 0.5 and is served again [17,18].  B arrives at 1 behind C, is served
+  // [13,17] and delays 2.  At 17 B's service ends before C's delay does
+  // (scheduled at 13, ahead of 16.5), so C finds the disk free.
+  execute_chain(sim, {Stage::make_use(disk, 10.0)}, done(0));
+  execute_chain(sim, {Stage::make_delay(1.0), Stage::make_use(disk, 4.0), Stage::make_delay(2.0)},
+                done(1));
+  const StageChain c = long_chain(disk, 3.0, 8, 0.5, 1.0);
+  ASSERT_EQ(c.size(), 10u);
+  execute_chain(sim, c, done(2));
+  sim.run();
+  EXPECT_EQ(finished, (std::vector<Finished>{{0, 10.0, 10.0}, {2, 18.0, 18.0}, {1, 19.0, 19.0}}));
+  EXPECT_EQ(disk.completed(), 4u);
+  EXPECT_DOUBLE_EQ(disk.busy_time(), 18.0);
+  // Waiting: C over [0,10], B over [1,13].
+  EXPECT_DOUBLE_EQ(disk.mean_queue_length(), (10.0 + 12.0) / 19.0);
+  EXPECT_EQ(sim.events_processed(), 14u);
+}
+
+// At two servers a finished service starts the oldest waiter, and chains
+// whose services end at the same instant complete in scheduling order.
+TEST(Stages, ChainsQueueFifoAtATwoServerResource) {
+  Simulation sim;
+  Resource cpu(sim, "cpu", 2);
+  std::vector<Finished> finished;
+  auto done = [&](int chain) {
+    return [&finished, &sim, chain](SimTime elapsed) {
+      finished.push_back({chain, sim.now(), elapsed});
+    };
+  };
+  // X0 [0,10] and X1 [0,4] take the servers; X2 and X3 wait.  X2 is served
+  // [4,10]; X1 delays to 5 and waits behind X3.  At 10 X0's service ends
+  // first (scheduled at 0), so X3 is served [10,12] and X1 [10,14].  X3
+  // delays 8 x 1 and is served again [20,22].
+  execute_chain(sim, {Stage::make_use(cpu, 10.0)}, done(0));
+  execute_chain(sim, {Stage::make_use(cpu, 4.0), Stage::make_delay(1.0), Stage::make_use(cpu, 4.0)},
+                done(1));
+  execute_chain(sim, {Stage::make_use(cpu, 6.0)}, done(2));
+  execute_chain(sim, long_chain(cpu, 2.0, 8, 1.0, 2.0), done(3));
+  EXPECT_EQ(cpu.in_service(), 2u);
+  EXPECT_EQ(cpu.queue_length(), 2u);
+  sim.run();
+  EXPECT_EQ(finished, (std::vector<Finished>{
+                          {0, 10.0, 10.0}, {2, 10.0, 10.0}, {1, 14.0, 14.0}, {3, 22.0, 22.0}}));
+  EXPECT_EQ(cpu.completed(), 6u);
+  EXPECT_DOUBLE_EQ(cpu.busy_time(), 28.0);
+}
+
+// A traced resource stage spans the wait and the service: ts is when the
+// chain reached the resource, dur runs to the end of its service, and the
+// resource's name is interned when the chain reaches it.
+TEST(Stages, TracedStagesOfQueuedChainsSpanWaitAndService) {
+  obs::TraceRing ring(64);
+  obs::ScopedStageTrace scope(&ring);
+  Simulation sim;
+  Resource disk(sim, "disk", 1);
+  Resource cpu(sim, "cpu", 2);
+  int completed = 0;
+  auto done = [&completed](SimTime) { ++completed; };
+  // 0: disk [0,10].  1: delay [0,1], disk waits 1-10 and is served
+  // [10,14].  2: cpu [0,3], then disk waits 3-14 and is served [14,16].
+  execute_chain(sim, {Stage::make_use(disk, 10.0)}, done);
+  execute_chain(sim, {Stage::make_delay(1.0), Stage::make_use(disk, 4.0)}, done);
+  execute_chain(sim, {Stage::make_use(cpu, 3.0), Stage::make_use(disk, 2.0)}, done);
+  sim.run();
+  ASSERT_EQ(completed, 3);
+  EXPECT_EQ(ring.names(), (std::vector<std::string>{"disk", "delay", "cpu"}));
+  const std::vector<obs::TraceEvent> events = ring.ordered();
+  // {ts, dur, name}, in push order.
+  const std::vector<std::tuple<double, double, std::uint32_t>> expected = {
+      {0.0, 1.0, 1}, {0.0, 3.0, 2}, {0.0, 10.0, 0}, {1.0, 13.0, 0}, {3.0, 13.0, 0}};
+  ASSERT_EQ(events.size(), expected.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_DOUBLE_EQ(events[i].ts_us, std::get<0>(expected[i])) << i;
+    EXPECT_DOUBLE_EQ(events[i].dur_us, std::get<1>(expected[i])) << i;
+    EXPECT_EQ(events[i].name_id, std::get<2>(expected[i])) << i;
+    EXPECT_EQ(events[i].track, events[i].name_id) << i;
+  }
+}
 
 TEST(Stages, StageChainSpillsPastItsInlineCapacity) {
   Simulation sim;
@@ -509,12 +630,14 @@ struct UsimSizedCapture {
 };
 static_assert(sizeof(UsimSizedCapture) == ChainDone::kInlineCapacity);
 
-// The point of the chain pool, the inline ChainDone, the resource slot table
-// and the small-buffer StageChain: once warm, a simulated call — planned
-// chain, queueing at a resource, service, completion — allocates nothing.
+// The point of the chain pool, the inline ChainDone, the long-plan pool and
+// the small-buffer StageChain: once warm, a simulated call — planned chain,
+// queueing at a resource, service, completion — allocates nothing, whether
+// its plan fits the chain state inline (up to two stages) or not.
 TEST(Stages, WarmChainsThroughAResourceAllocateNothing) {
   Simulation sim;
   Resource disk(sim, "disk", 1);
+  Resource cpu(sim, "cpu", 2);
   int completed = 0;
   UsimSizedCapture capture{&completed, {}, 0, 0, {}};
   auto burst = [&] {
@@ -524,45 +647,77 @@ TEST(Stages, WarmChainsThroughAResourceAllocateNothing) {
       chain.push_back(Stage::make_use(disk, 2.0));  // queues: 200 chains, one server
       chain.push_back(Stage::make_delay(0.5));
       execute_chain(sim, std::move(chain), [capture](SimTime) { ++*capture.completed; });
+      // An NFS single-block read's shape: seven stages, two resources.
+      StageChain seven;
+      seven.push_back(Stage::make_use(cpu, 0.5));
+      seven.push_back(Stage::make_delay(1.0));
+      seven.push_back(Stage::make_use(cpu, 1.0));  // queues: 200 chains, two servers
+      seven.push_back(Stage::make_use(disk, 1.5));
+      seven.push_back(Stage::make_delay(1.0));
+      seven.push_back(Stage::make_use(cpu, 0.5));
+      seven.push_back(Stage::make_delay(1.0));
+      execute_chain(sim, std::move(seven), [capture](SimTime) { ++*capture.completed; });
+      // One and two stages.
+      execute_chain(sim, {Stage::make_use(cpu, 0.25)},
+                    [capture](SimTime) { ++*capture.completed; });
+      execute_chain(sim, {Stage::make_use(disk, 0.25), Stage::make_delay(1.0)},
+                    [capture](SimTime) { ++*capture.completed; });
     }
     sim.run();
   };
-  burst();  // warm-up: grows the arena, the chain pool and the slot table
-  ASSERT_EQ(completed, 200);
+  burst();  // warm-up: grows the arena and the chain and plan pools
+  ASSERT_EQ(completed, 800);
 
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   burst();
   const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before);
-  EXPECT_EQ(completed, 400);
-  EXPECT_EQ(disk.completed(), 400u);
+  EXPECT_EQ(completed, 1600);
+  EXPECT_EQ(disk.completed(), 1200u);
+  EXPECT_EQ(cpu.completed(), 1600u);
 }
 
 // reset() with chains in flight (some waiting at a resource, some in
-// service, some in a delay) must release what their completions captured;
-// so must destroying the Simulation.  LSan (the ASan job) checks the rest.
+// service, some in a delay, with plans short and long) must release what
+// their completions captured; so must destroying the Simulation.  LSan
+// (the ASan job) checks the rest, spilled plans included.
 TEST(Stages, ResetAndDestructionReleaseChainsInFlight) {
   auto token = std::make_shared<int>(0);
+  auto long_plan = [](Resource& resource, std::size_t delays) {
+    return long_chain(resource, 5.0, delays, 1.0, 5.0);
+  };
   {
     Simulation sim;
     Resource disk(sim, "disk", 1);
     for (int i = 0; i < 100; ++i) {
-      execute_chain(sim, {Stage::make_delay(static_cast<double>(i % 4)), Stage::make_use(disk, 5.0)},
+      execute_chain(sim,
+                    {Stage::make_delay(static_cast<double>(i % 4)), Stage::make_use(disk, 5.0)},
                     [token](SimTime) { ++*token; });
     }
+    sim.schedule(4.0, [&] {
+      // Five and twelve stages, waiting at the disk behind the rest.
+      for (int i = 0; i < 20; ++i) {
+        execute_chain(sim, long_plan(disk, 3), [token](SimTime) { ++*token; });
+        execute_chain(sim, long_plan(disk, 10), [token](SimTime) { ++*token; });
+      }
+    });
     sim.run_until(20.0);
     EXPECT_GT(*token, 0);
     EXPECT_GT(token.use_count(), 1);
+    EXPECT_GT(disk.queue_length(), 0u);
     sim.reset();
     EXPECT_EQ(token.use_count(), 1);
 
-    // The recycled pool serves a fresh timeline.
+    // The recycled pools serve a fresh timeline.
     Resource cpu(sim, "cpu", 1);
     for (int i = 0; i < 10; ++i) {
       execute_chain(sim, {Stage::make_use(cpu, 1.0)}, [token](SimTime) { ++*token; });
+      execute_chain(sim, long_plan(cpu, 2), [token](SimTime) { ++*token; });
+      execute_chain(sim, long_plan(cpu, 9), [token](SimTime) { ++*token; });
     }
     sim.run_until(3.5);
     EXPECT_GT(token.use_count(), 1);
+    EXPECT_GT(cpu.queue_length(), 0u);
   }  // destroyed with chains still in flight
   EXPECT_EQ(token.use_count(), 1);
 }
