@@ -128,7 +128,9 @@ void BM_ResourceQueueing(benchmark::State& state) {
     sim::Simulation sim;
     sim::Resource disk(sim, "disk", 1);
     const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) disk.use(1.0, [] {});
+    for (int i = 0; i < n; ++i) {
+      sim::execute_chain(sim, {sim::Stage::make_use(disk, 1.0)}, [](double) {});
+    }
     sim.run();
     benchmark::DoNotOptimize(disk.completed());
   }

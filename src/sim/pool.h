@@ -15,7 +15,7 @@ namespace wlgen::sim {
 /// rarely queues) costs one small block, and a pool that grows large costs
 /// few allocations.
 ///
-/// Holds the Simulation's stage-chain states and each Resource's requests.
+/// Holds the Simulation's stage-chain states and long plans (sim/chain_state.h).
 template <typename T>
 class Pool {
  public:

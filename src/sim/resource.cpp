@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/chain_state.h"
+
 namespace wlgen::sim {
 
 Resource::Resource(Simulation& sim, std::string name, std::size_t capacity)
@@ -20,44 +22,37 @@ void Resource::integrate_to_now() {
   }
 }
 
-void Resource::use(SimTime service_time, EventFn on_complete) {
-  if (service_time < 0.0) throw std::invalid_argument("Resource::use: negative service time");
-  if (!on_complete) throw std::invalid_argument("Resource::use: empty completion");
+void Resource::serve(ChainState& chain) {
   integrate_to_now();
-  Request& request = requests_.acquire();
-  request.service_time = service_time;
-  request.on_complete = std::move(on_complete);
-  request.next = nullptr;
   if (busy_ < capacity_) {
-    start_service(request);
+    start_service(chain);
     return;
   }
-  (wait_tail_ == nullptr ? wait_head_ : wait_tail_->next) = &request;
-  wait_tail_ = &request;
+  chain.next = nullptr;
+  (wait_tail_ == nullptr ? wait_head_ : wait_tail_->next) = &chain;
+  wait_tail_ = &chain;
   ++waiting_;
 }
 
-void Resource::start_service(Request& request) {
+void Resource::start_service(ChainState& chain) {
   ++busy_;
-  sim_.schedule(request.service_time, [this, &request]() { on_service_done(request); });
+  sim_.schedule(chain.stage().duration, [this, &chain]() { on_service_done(chain); });
 }
 
-void Resource::on_service_done(Request& request) {
+void Resource::on_service_done(ChainState& chain) {
   integrate_to_now();
   --busy_;
   ++completed_;
-  EventFn on_complete = std::move(request.on_complete);
-  requests_.release(request);
   if (wait_head_ != nullptr) {
-    Request& next = *wait_head_;
+    ChainState& next = *wait_head_;
     wait_head_ = next.next;
     if (wait_head_ == nullptr) wait_tail_ = nullptr;
     --waiting_;
     start_service(next);
   }
-  // Run the completion after dequeueing the successor so a completion that
-  // immediately re-enters use() observes a consistent queue.
-  on_complete();
+  // Run the finished chain on after dequeueing the successor, so a chain
+  // whose next stage uses this resource again joins a consistent queue.
+  finish_use_stage(chain);
 }
 
 double Resource::utilization() const {

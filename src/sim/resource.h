@@ -4,8 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/callback.h"
-#include "sim/pool.h"
 #include "sim/simulation.h"
 
 namespace wlgen::sim {
@@ -18,11 +16,12 @@ namespace wlgen::sim {
 /// request outstanding at the server disk, so response time grows linearly
 /// with the number of users.
 ///
-/// Engineering: every request, waiting or in service, sits in a pool the
-/// resource owns and recycles; the waiting line is an intrusive FIFO
-/// through the pooled requests.  The service-done event captures only
-/// `{this, request}`, so it stays inline in EventFn, and a warm resource
-/// queues and serves without allocating.
+/// Engineering: a resource queues the executing chains themselves
+/// (execute_chain, sim/stages.h).  The waiting line is an intrusive FIFO
+/// through each waiting chain's state, and the service-done event captures
+/// only `{this, chain}`, so it stays inline in EventFn: a resource holds no
+/// per-request storage of its own and queues and serves without
+/// allocating.
 class Resource {
  public:
   /// capacity = number of parallel servers (>= 1).
@@ -30,9 +29,10 @@ class Resource {
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
-  /// Requests `service_time` microseconds of service; `on_complete` runs when
-  /// the request finishes (after any queueing delay).
-  void use(SimTime service_time, EventFn on_complete);
+  /// Serves the current stage of `chain` (a use of this resource) for its
+  /// duration, after any queueing delay, then runs the chain on.  Called
+  /// by execute_chain: a chain is the only thing a resource serves.
+  void serve(ChainState& chain);
 
   const std::string& name() const { return name_; }
   std::size_t capacity() const { return capacity_; }
@@ -60,25 +60,16 @@ class Resource {
   void reset_stats();
 
  private:
-  /// A pooled request.  `next` links the waiting FIFO while the request
-  /// waits, and the pool's free list once it has completed.
-  struct Request {
-    SimTime service_time = 0.0;
-    EventFn on_complete;
-    Request* next = nullptr;
-  };
-
   void integrate_to_now();
-  void start_service(Request& request);
-  void on_service_done(Request& request);
+  void start_service(ChainState& chain);
+  void on_service_done(ChainState& chain);
 
   Simulation& sim_;
   std::string name_;
   std::size_t capacity_;
   std::size_t busy_ = 0;
-  Pool<Request> requests_;
-  Request* wait_head_ = nullptr;  ///< oldest waiting request
-  Request* wait_tail_ = nullptr;
+  ChainState* wait_head_ = nullptr;  ///< oldest waiting chain, linked through `next`
+  ChainState* wait_tail_ = nullptr;
   std::size_t waiting_ = 0;
   std::uint64_t completed_ = 0;
 

@@ -48,6 +48,7 @@ void Simulation::reset() {
   // Chains still in flight can never finish now: drop their completions
   // (and whatever those captured) and put every state back on the list.
   chains_.reclaim_all([](ChainState& state) { state.done.reset(); });
+  plans_.reclaim_all([](LongPlan&) {});
   now_ = 0.0;
   next_seq_ = 0;
   processed_ = 0;
@@ -56,6 +57,10 @@ void Simulation::reset() {
 ChainState& Simulation::acquire_chain() { return chains_.acquire(); }
 
 void Simulation::release_chain(ChainState& state) { chains_.release(state); }
+
+LongPlan& Simulation::acquire_plan() { return plans_.acquire(); }
+
+void Simulation::release_plan(LongPlan& plan) { plans_.release(plan); }
 
 void Simulation::sift_up(std::size_t i) {
   const HeapKey key = heap_keys_[i];

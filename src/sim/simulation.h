@@ -11,6 +11,7 @@
 namespace wlgen::sim {
 
 struct ChainState;  // sim/chain_state.h
+struct LongPlan;    // sim/chain_state.h
 
 /// Simulated time in microseconds.  The paper reports every latency in
 /// microseconds (Table 5.3, Figures 5.6–5.12), so the kernel adopts the same
@@ -38,9 +39,10 @@ using SimTime = double;
 /// EventFn::kInlineCapacity bytes performs zero heap allocations once the
 /// arena is warm — the std::function-per-event design this replaces paid one
 /// malloc/free pair per simulated system call.  The states of executing
-/// stage chains (sim/stages.h) come from a free list the Simulation owns,
-/// so a whole simulated call — plan, queueing, service, completion — runs
-/// without allocating once the pools are warm.
+/// stage chains (sim/stages.h), and the plans of more than two stages, come
+/// from free lists the Simulation owns, and a resource queues the chain
+/// states themselves, so a whole simulated call — plan, queueing, service,
+/// completion — runs without allocating once the pools are warm.
 class Simulation {
  public:
   Simulation();
@@ -86,7 +88,9 @@ class Simulation {
   /// arena and heap storage warm.  This is the shard-runner reuse path (see
   /// DESIGN.md "Sharded runner"): one worker simulates many independent
   /// user timelines back to back on the same Simulation without paying the
-  /// arena's allocation ramp-up again.
+  /// arena's allocation ramp-up again.  A Resource that had chains waiting
+  /// or in service must not serve again: it still counts them, and they are
+  /// gone.  The runners build a new backend for each timeline.
   void reset();
 
   /// Number of events executed so far.
@@ -103,14 +107,15 @@ class Simulation {
   /// peak, deterministic per user.
   std::size_t arena_high_water() const { return slots_.size(); }
 
-  /// Chain-state free list for execute_chain (sim/stages.h) — its only
-  /// user.  acquire
-  /// reuses a released state or grows the pool by a block; release hands a
-  /// finished state back (its completion already moved out).  reset()
-  /// reclaims the states of chains still in flight; the destructor frees
-  /// them all.
+  /// Chain-state and long-plan free lists for execute_chain (sim/stages.h)
+  /// — their only user.  acquire reuses a released object or grows the
+  /// pool by a block; release hands a finished one back (a state's
+  /// completion already moved out).  reset() reclaims the states and plans
+  /// of chains still in flight; the destructor frees them all.
   ChainState& acquire_chain();
   void release_chain(ChainState& state);
+  LongPlan& acquire_plan();
+  void release_plan(LongPlan& plan);
 
  private:
   /// Hot half of a heap entry: everything the sift comparisons read.  The
@@ -140,6 +145,7 @@ class Simulation {
   std::vector<EventFn> slots_;           ///< pooled callback arena
   std::vector<std::uint32_t> free_slots_;
   Pool<ChainState> chains_;  ///< execute_chain's states, live or free
+  Pool<LongPlan> plans_;     ///< plans of more than two stages, live or free
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;

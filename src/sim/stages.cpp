@@ -1,7 +1,8 @@
 #include "sim/stages.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "obs/trace.h"
@@ -27,62 +28,87 @@ SimTime chain_service_demand(const StageChain& chain) {
 
 namespace {
 
-// Template keeps the continuation's concrete type: delay stages hand the raw
-// lambda to Simulation::schedule, use stages to Resource::use — inline in
-// EventFn either way, so neither allocates.
-template <typename Fn>
-void dispatch_stage(ChainState& state, const Stage& stage, Fn&& continuation) {
-  if (stage.is_delay()) {
-    state.sim->schedule(stage.duration, std::forward<Fn>(continuation));
-  } else {
-    stage.resource->use(stage.duration, std::forward<Fn>(continuation));
-  }
+/// One stage's span on its resource's virtual-time track.
+void push_stage_event(obs::TraceRing& ring, std::uint32_t name_id, SimTime t0, SimTime now) {
+  obs::TraceEvent event;
+  event.ts_us = t0;
+  event.dur_us = now - t0;
+  event.name_id = name_id;
+  event.track = name_id;  // one virtual-time track per resource name
+  ring.push(event);
 }
 
-void run_stage(ChainState* state, std::size_t index) {
-  if (index >= state->chain.size()) {
+void run_stage(ChainState& state) {
+  Simulation& sim = *state.sim;
+  if (state.index >= state.size) {
     // Hand the state back before completing, so a completion that starts
     // the next chain (the user simulator's next op) reuses it.
-    Simulation& sim = *state->sim;
-    ChainDone done = std::move(state->done);
-    const SimTime elapsed = sim.now() - state->start;
-    sim.release_chain(*state);
+    ChainDone done = std::move(state.done);
+    const SimTime elapsed = sim.now() - state.start;
+    if (state.plan != nullptr) sim.release_plan(*state.plan);
+    sim.release_chain(state);
     done(elapsed);
     return;
   }
-  const Stage& stage = state->chain[index];
-  // One thread-local load + predictable branch when tracing is off; the
-  // traced continuation schedules the same events at the same times, so the
-  // simulated outcome — and every stats digest — is identical either way.
+  const Stage& stage = state.stage();
+  // One thread-local load + predictable branch when tracing is off; traced
+  // stages schedule the same events at the same times, so the simulated
+  // outcome — and every stats digest — is identical either way.
   obs::TraceRing* ring = obs::stage_trace_slot();
-  if (ring == nullptr) {
-    dispatch_stage(*state, stage, [state, index]() { run_stage(state, index + 1); });
+  if (!stage.is_delay()) {
+    if (ring != nullptr) {
+      ring->intern(stage.resource->name());
+      state.stage_start = sim.now();
+    }
+    stage.resource->serve(state);  // finish_use_stage once served
     return;
   }
-  const SimTime t0 = state->sim->now();
-  const std::uint32_t name_id =
-      ring->intern(stage.is_delay() ? std::string_view("delay") : stage.resource->name());
-  dispatch_stage(*state, stage, [state, index, ring, name_id, t0]() {
-    obs::TraceEvent event;
-    event.ts_us = t0;
-    event.dur_us = state->sim->now() - t0;
-    event.name_id = name_id;
-    event.track = name_id;  // one virtual-time track per resource name
-    ring->push(event);
-    run_stage(state, index + 1);
+  ChainState* chain = &state;
+  if (ring == nullptr) {
+    sim.schedule(stage.duration, [chain]() {
+      ++chain->index;
+      run_stage(*chain);
+    });
+    return;
+  }
+  const SimTime t0 = sim.now();
+  const std::uint32_t name_id = ring->intern("delay");
+  sim.schedule(stage.duration, [chain, ring, name_id, t0]() {
+    push_stage_event(*ring, name_id, t0, chain->sim->now());
+    ++chain->index;
+    run_stage(*chain);
   });
 }
 
 }  // namespace
 
+void finish_use_stage(ChainState& state) {
+  if (obs::TraceRing* ring = obs::stage_trace_slot()) {
+    // The name was interned when the chain reached the resource, so this
+    // finds its id.
+    push_stage_event(*ring, ring->intern(state.stage().resource->name()), state.stage_start,
+                     state.sim->now());
+  }
+  ++state.index;
+  run_stage(state);
+}
+
 void execute_chain(Simulation& sim, StageChain chain, ChainDone done) {
   if (!done) throw std::invalid_argument("execute_chain: empty completion");
   ChainState& state = sim.acquire_chain();
   state.sim = &sim;
-  state.chain = std::move(chain);
-  state.done = std::move(done);
   state.start = sim.now();
-  run_stage(&state, 0);
+  state.index = 0;
+  state.size = static_cast<std::uint32_t>(chain.size());
+  if (chain.size() <= ChainState::kInlineStages) {
+    std::copy(chain.begin(), chain.end(), state.stages.begin());
+    state.plan = nullptr;
+  } else {
+    state.plan = &sim.acquire_plan();
+    state.plan->chain = std::move(chain);
+  }
+  state.done = std::move(done);
+  run_stage(state);
 }
 
 }  // namespace wlgen::sim
