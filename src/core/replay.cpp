@@ -23,7 +23,7 @@ void check_span(double span_us, double scale) {
     std::ostringstream message;
     message << "TraceReplayer: time_scale " << scale << " stretches the trace's " << span_us
             << " us span past 2^53 us, where the clock cannot resolve a response";
-    throw std::invalid_argument(message.str());
+    throw TimeScaleError(message.str());
   }
 }
 
@@ -92,7 +92,7 @@ bool TraceReplayer::run(const Options& options, const OnReplayed& on_replayed) {
   if (ran_) throw std::logic_error("TraceReplayer::run: may only run once");
   ran_ = true;
   if (!(options.time_scale > 0.0)) {  // NaN included
-    throw std::invalid_argument("TraceReplayer: time_scale must be > 0");
+    throw TimeScaleError("TraceReplayer: time_scale must be > 0");
   }
   on_replayed_ = &on_replayed;
   if (loaded_ != nullptr) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/usage_log.h"
@@ -11,6 +12,12 @@
 namespace wlgen::core {
 
 class LogReader;
+
+/// What TraceReplayer::run throws on a time_scale it cannot replay with, so
+/// a caller can tell it from the errors of the trace it reads.
+struct TimeScaleError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
 
 /// Trace-driven workload replay — the related-work alternative the paper
 /// positions itself against (section 2.1: "trace data reproduces the actual
@@ -63,8 +70,8 @@ class TraceReplayer {
   /// Returns false only for an open-loop stream whose scaled issue times go
   /// backwards: it stops at that record, with the ops before it issued and
   /// some of them handed on, so the simulation, the model and whatever
-  /// `on_replayed` folded must all be discarded.  Throws
-  /// std::invalid_argument on a time_scale that is not > 0 or that
+  /// `on_replayed` folded must all be discarded.  Throws TimeScaleError
+  /// (a std::invalid_argument) on a time_scale that is not > 0 or that
   /// stretches the trace's issue-time span past 2^53 µs (a stream's span as
   /// far as it has been read, so after part of the replay).  May be called
   /// once.

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -131,10 +133,11 @@ struct RecordedTrace {
   std::uint64_t sessions = 0;  ///< logins the recording run completed
 };
 
-/// Replays `trace` on `model`; the replayed log is kept, as the outcome's
-/// one memory run, only with `keep_log` (the scenario writes it: one model).
+/// Replays the trace on `model`: `trace_file` streamed when it is set,
+/// else `trace`.  The replayed log is kept, as the outcome's one memory
+/// run, only with `keep_log` (the scenario writes it: one model).
 ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
-                        const core::UsageLog& trace,
+                        const core::UsageLog& trace, const runner::TraceSource& trace_file,
                         const std::optional<RecordedTrace>& recorded,
                         const obs::ObsConfig& obs, bool keep_log) {
   ModelOutcome outcome;
@@ -150,8 +153,10 @@ ModelOutcome run_replay(const ScenarioSpec& spec, const ModelChoice& model,
   options.time_scale = spec.time_scale;
   runner::ReplayRun replay;
   try {
-    replay = runner::replay_trace(model.factory(), trace, options, leg_obs, keep_log);
-  } catch (const std::invalid_argument& e) {
+    replay = trace_file
+                 ? runner::replay_trace(model.factory(), trace_file, options, leg_obs, keep_log)
+                 : runner::replay_trace(model.factory(), trace, options, leg_obs, keep_log);
+  } catch (const core::TimeScaleError& e) {
     // The scale is the scenario's: name the line that set it.
     if (spec.time_scale_line == 0) throw;
     throw std::invalid_argument(spec.origin + ":" + std::to_string(spec.time_scale_line) + ": " +
@@ -303,22 +308,6 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
   const std::size_t total_threads =
       runner::resolve_pool_threads(threads, std::numeric_limits<std::size_t>::max());
 
-  // Replay mode shares one trace across every backend: record it on the
-  // first model (or load it) so the comparison replays identical input.
-  core::UsageLog trace;
-  std::optional<RecordedTrace> recorded;
-  if (spec.mode == RunMode::replay) {
-    if (spec.trace_file.empty()) {
-      const std::size_t users = spec.user_points.front();
-      runner::SharedRun run = runner::run_shared(workload_config(spec, spec.models.front()), users);
-      trace = std::move(run.log);
-      recorded = RecordedTrace{users, run.sessions};
-    } else {
-      trace = core::read_log_file(spec.trace_file, total_threads);
-      if (trace.empty()) throw std::invalid_argument(spec.trace_file + ": no records to replay");
-    }
-  }
-
   // Independent backends fan out over the worker pool.  Each job writes its
   // ModelOutcome to a per-index slot and the digest is folded in spec order
   // below, so the digest is bit-identical for any --threads: every backend's
@@ -327,9 +316,41 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
   // splits across the two levels — `outer` backends in flight, each running
   // its internal runner pool with an equal share of the remainder — so a
   // multi-model scenario never oversubscribes the requested thread count.
-  outcome.models.resize(spec.models.size());
   const std::size_t outer = std::min(total_threads, spec.models.size());
   const std::size_t inner = std::max<std::size_t>(1, total_threads / std::max<std::size_t>(1, outer));
+
+  // Replay mode replays identical input on every backend.  A trace recorded
+  // on the first model is held and shared.  An open-loop replay of a trace
+  // file reads it through each backend's own cursor, so it is never held
+  // whole.  Closed loop loads its trace anyway, and a pipe cannot be read
+  // twice: those are loaded once and shared.
+  core::UsageLog trace;
+  runner::TraceSource trace_file;
+  std::optional<RecordedTrace> recorded;
+  if (spec.mode == RunMode::replay) {
+    if (spec.trace_file.empty()) {
+      const std::size_t users = spec.user_points.front();
+      runner::SharedRun run = runner::run_shared(workload_config(spec, spec.models.front()), users);
+      trace = std::move(run.log);
+      recorded = RecordedTrace{users, run.sessions};
+    } else {
+      const std::string& path = spec.trace_file;
+      if (!spec.closed_loop && std::filesystem::is_regular_file(path)) {
+        trace_file = [&spec, inner] {
+          return std::make_unique<core::TextLogReader>(spec.trace_file, inner);
+        };
+        core::OpRecord first;
+        if (!core::TextLogReader(path, 1).next(first)) {
+          throw std::invalid_argument(path + ": no records to replay");
+        }
+      } else {
+        trace = core::read_log_file(path, total_threads);
+        if (trace.empty()) throw std::invalid_argument(path + ": no records to replay");
+      }
+    }
+  }
+
+  outcome.models.resize(spec.models.size());
   runner::drain_pool(spec.models.size(), outer, [&]() -> runner::PoolJob {
     return [&](std::size_t index, const std::atomic<bool>& /*cancelled*/) {
       const ModelChoice& model = spec.models[index];
@@ -342,7 +363,8 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
           break;
         case RunMode::replay:
           outcome.models[index] =
-              run_replay(spec, model, trace, recorded, model_obs[index], spec.collect_log);
+              run_replay(spec, model, trace, trace_file, recorded, model_obs[index],
+                         spec.collect_log);
           break;
       }
     };

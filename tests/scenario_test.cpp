@@ -410,15 +410,16 @@ TEST(ScenarioRun, ReplayRejectsATraceWithNoRecords) {
   const auto trace = std::filesystem::path(::testing::TempDir()) / "wlgen_scn_empty_trace.log";
   util::write_text_file(trace.string(),
                         std::string(core::usage_log_header_line()) + "# no records\n\n");
-  const ScenarioSpec spec = ScenarioSpec::parse_text(
-      "[scenario]\nmode = replay\nname = empty\n"
-      "[replay]\ntrace = " + trace.string() + "\n"
-      "[model]\nname = local\n");
-  try {
-    run_scenario(spec);
-    ADD_FAILURE() << "an empty trace was replayed";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(std::string(e.what()), trace.string() + ": no records to replay");
+  for (const char* closed_loop : {"false", "true"}) {  // streamed and loaded
+    const ScenarioSpec spec = ScenarioSpec::parse_text(
+        std::string("[scenario]\nmode = replay\nname = empty\n[replay]\nclosed_loop = ") +
+        closed_loop + "\ntrace = " + trace.string() + "\n[model]\nname = local\n");
+    try {
+      run_scenario(spec);
+      ADD_FAILURE() << "an empty trace was replayed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), trace.string() + ": no records to replay");
+    }
   }
   std::filesystem::remove(trace);
 }
@@ -438,15 +439,16 @@ TEST(ScenarioRun, ReplayCountsTheLargestUserIdOfALoadedTrace) {
   record.issue_time_us = 10.0;
   log.append(record);
   util::write_text_file(trace.string(), log.serialize());
-  const ScenarioSpec spec = ScenarioSpec::parse_text(
-      "[scenario]\nmode = replay\nname = max_user\n"
-      "[replay]\ntrace = " + trace.string() + "\n"
-      "[model]\nname = local\n");
-  const ScenarioOutcome outcome = run_scenario(spec);
-  EXPECT_NE(outcome.stats_digest.find("users=4294967296 "), std::string::npos)
-      << outcome.stats_digest;
-  EXPECT_NE(outcome.stats_digest.find(" ops=2 sessions=1 "), std::string::npos)
-      << outcome.stats_digest;
+  for (const char* closed_loop : {"false", "true"}) {  // streamed and loaded
+    const ScenarioSpec spec = ScenarioSpec::parse_text(
+        std::string("[scenario]\nmode = replay\nname = max_user\n[replay]\nclosed_loop = ") +
+        closed_loop + "\ntrace = " + trace.string() + "\n[model]\nname = local\n");
+    const ScenarioOutcome outcome = run_scenario(spec);
+    EXPECT_NE(outcome.stats_digest.find("users=4294967296 "), std::string::npos)
+        << outcome.stats_digest;
+    EXPECT_NE(outcome.stats_digest.find(" ops=2 sessions=1 "), std::string::npos)
+        << outcome.stats_digest;
+  }
   std::filesystem::remove(trace);
 }
 
