@@ -25,7 +25,7 @@ struct ChainState {
 
   Simulation* sim = nullptr;
   SimTime start = 0.0;
-  SimTime stage_start = 0.0;  ///< when a traced use stage reached its resource
+  SimTime stage_start = 0.0;  ///< when the current stage started, if traced
   /// A Resource's waiting FIFO while the chain waits there; the Pool's free
   /// list once released.  A live state is never on the free list.
   ChainState* next = nullptr;
@@ -42,8 +42,9 @@ struct ChainState {
 // ChainDone: every op in flight holds one of these.
 static_assert(sizeof(ChainState) <= 168);
 
-/// Ends the current use stage of a chain its resource has just served and
-/// runs the chain on from the next stage (sim/stages.cpp).
-void finish_use_stage(ChainState& state);
+/// Ends the current stage of a chain (its delay has passed, or its
+/// resource has served it) and runs the chain on from the next stage
+/// (sim/stages.cpp).
+void finish_stage(ChainState& state);
 
 }  // namespace wlgen::sim

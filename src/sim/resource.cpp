@@ -52,7 +52,7 @@ void Resource::on_service_done(ChainState& chain) {
   }
   // Run the finished chain on after dequeueing the successor, so a chain
   // whose next stage uses this resource again joins a consistent queue.
-  finish_use_stage(chain);
+  finish_stage(chain);
 }
 
 double Resource::utilization() const {

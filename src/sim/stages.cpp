@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "obs/trace.h"
@@ -28,14 +29,8 @@ SimTime chain_service_demand(const StageChain& chain) {
 
 namespace {
 
-/// One stage's span on its resource's virtual-time track.
-void push_stage_event(obs::TraceRing& ring, std::uint32_t name_id, SimTime t0, SimTime now) {
-  obs::TraceEvent event;
-  event.ts_us = t0;
-  event.dur_us = now - t0;
-  event.name_id = name_id;
-  event.track = name_id;  // one virtual-time track per resource name
-  ring.push(event);
+std::string_view stage_name(const Stage& stage) {
+  return stage.is_delay() ? std::string_view("delay") : stage.resource->name();
 }
 
 void run_stage(ChainState& state) {
@@ -51,43 +46,31 @@ void run_stage(ChainState& state) {
     return;
   }
   const Stage& stage = state.stage();
-  // One thread-local load + predictable branch when tracing is off; traced
-  // stages schedule the same events at the same times, so the simulated
-  // outcome — and every stats digest — is identical either way.
-  obs::TraceRing* ring = obs::stage_trace_slot();
-  if (!stage.is_delay()) {
-    if (ring != nullptr) {
-      ring->intern(stage.resource->name());
-      state.stage_start = sim.now();
-    }
-    stage.resource->serve(state);  // finish_use_stage once served
-    return;
+  // One thread-local load + predictable branch when tracing is off; a traced
+  // stage schedules the same events at the same times, so the simulated
+  // outcome — and every stats digest — is identical either way.  The name
+  // is interned when the stage starts, which fixes the trace's name ids.
+  if (obs::TraceRing* ring = obs::stage_trace_slot()) {
+    ring->intern(stage_name(stage));
+    state.stage_start = sim.now();
   }
-  ChainState* chain = &state;
-  if (ring == nullptr) {
-    sim.schedule(stage.duration, [chain]() {
-      ++chain->index;
-      run_stage(*chain);
-    });
-    return;
+  if (stage.is_delay()) {
+    sim.schedule(stage.duration, [chain = &state]() { finish_stage(*chain); });
+  } else {
+    stage.resource->serve(state);  // finish_stage once served
   }
-  const SimTime t0 = sim.now();
-  const std::uint32_t name_id = ring->intern("delay");
-  sim.schedule(stage.duration, [chain, ring, name_id, t0]() {
-    push_stage_event(*ring, name_id, t0, chain->sim->now());
-    ++chain->index;
-    run_stage(*chain);
-  });
 }
 
 }  // namespace
 
-void finish_use_stage(ChainState& state) {
+void finish_stage(ChainState& state) {
   if (obs::TraceRing* ring = obs::stage_trace_slot()) {
-    // The name was interned when the chain reached the resource, so this
-    // finds its id.
-    push_stage_event(*ring, ring->intern(state.stage().resource->name()), state.stage_start,
-                     state.sim->now());
+    obs::TraceEvent event;
+    event.ts_us = state.stage_start;
+    event.dur_us = state.sim->now() - state.stage_start;
+    event.name_id = ring->intern(stage_name(state.stage()));  // interned at the start
+    event.track = event.name_id;  // one virtual-time track per resource name
+    ring->push(event);
   }
   ++state.index;
   run_stage(state);

@@ -96,7 +96,7 @@ using ChainDone = InlineFn<80, false, SimTime>;
 
 /// Executes the chain starting now; calls `done(elapsed_us)` when the last
 /// stage finishes.  Many chains may be in flight concurrently.  Once the
-/// simulation's chain pool is warm, a chain of up to
+/// simulation's chain and plan pools are warm, a chain of up to
 /// StageChain::kInlineCapacity stages executes without allocating.
 void execute_chain(Simulation& sim, StageChain chain, ChainDone done);
 
