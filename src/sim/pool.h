@@ -11,9 +11,9 @@ namespace wlgen::sim {
 /// through an intrusive free list threaded through their `next` member (a
 /// `T*`).  Once warm, acquire and release never allocate, and growing never
 /// moves a live object, so there is no reallocation spike.  Blocks double
-/// from 8 objects up to 1024, so a pool that stays small (a resource that
-/// rarely queues) costs one small block, and a pool that grows large costs
-/// few allocations.
+/// from 8 objects up to 1024, so a pool that stays small (a simulation
+/// that runs few chains at once, or few long ones) costs one small block,
+/// and a pool that grows large costs few allocations.
 ///
 /// Holds the Simulation's stage-chain states and long plans (sim/chain_state.h).
 template <typename T>

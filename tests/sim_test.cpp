@@ -541,6 +541,24 @@ TEST(Stages, ChainsQueueFifoAtASingleServer) {
   EXPECT_EQ(sim.events_processed(), 14u);
 }
 
+// A served chain whose next stage uses the same resource again joins the
+// line behind the chains that were already waiting: the resource starts
+// its next waiter before it runs the served chain on.
+TEST(Stages, AServedChainRequeuesBehindTheWaiters) {
+  Simulation sim;
+  Resource disk(sim, "disk", 1);
+  std::vector<Finished> finished;
+  auto done = [&](int chain) {
+    return [&finished, &sim, chain](SimTime elapsed) {
+      finished.push_back({chain, sim.now(), elapsed});
+    };
+  };
+  execute_chain(sim, {Stage::make_use(disk, 5.0), Stage::make_use(disk, 5.0)}, done(0));
+  execute_chain(sim, {Stage::make_use(disk, 5.0)}, done(1));
+  sim.run();
+  EXPECT_EQ(finished, (std::vector<Finished>{{1, 10.0, 10.0}, {0, 15.0, 15.0}}));
+}
+
 // At two servers a finished service starts the oldest waiter, and chains
 // whose services end at the same instant complete in scheduling order.
 TEST(Stages, ChainsQueueFifoAtATwoServerResource) {
