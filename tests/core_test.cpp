@@ -6,6 +6,9 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/ext.h"
 #include "core/fsc.h"
@@ -329,6 +332,75 @@ TEST(Fsc, DeterministicForFixedSeed) {
   };
   EXPECT_EQ(build(5), build(5));
   EXPECT_NE(build(5), build(6));
+}
+
+/// FNV-1a digest of a layout: every manifest entry in order, every entry's
+/// stat (timestamps included) and the inode id and fd the next creat gets.
+std::uint64_t layout_digest(fs::SimulatedFileSystem& fsys, const CreatedFileSystem& manifest) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto add = [&h](std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const CreatedFile& f : manifest.files()) {
+    for (const char c : f.path) add(static_cast<unsigned char>(c));
+    add(f.category.index());
+    add(f.size);
+    add(f.inode);
+    add(f.owner_user);
+    const auto st = fsys.stat(f.path);
+    add(static_cast<std::uint64_t>(st.status()));
+    add(st.value().inode);
+    add(static_cast<std::uint64_t>(st.value().kind));
+    add(st.value().size);
+    add(st.value().link_count);
+    add(static_cast<std::uint64_t>(st.value().created_at * 1000.0));
+    add(static_cast<std::uint64_t>(st.value().modified_at * 1000.0));
+  }
+  add(manifest.user_count());
+  add(fsys.inode_count());
+  add(fsys.bytes_in_use());
+  const auto probe = fsys.creat("/probe");
+  add(static_cast<std::uint64_t>(probe.value()));
+  add(fsys.fstat(probe.value()).value().inode);
+  return h;
+}
+
+TEST(Fsc, UserRangeLayoutIsPinned) {
+  const auto build = [](std::size_t first_user, std::size_t num_users,
+                        fs::SimulatedFileSystem& fsys) {
+    FscConfig config;
+    config.first_user = first_user;
+    config.num_users = num_users;
+    config.seed = 11;
+    return FileSystemCreator(fsys, di86_file_profiles(), config).create();
+  };
+  fs::SimulatedFileSystem range_fs;
+  const CreatedFileSystem range = build(2, 3, range_fs);
+  fs::SimulatedFileSystem full_fs;
+  const CreatedFileSystem full = build(0, 5, full_fs);
+
+  // Users [2,5) of the range build are the full build's users 2..4: the same
+  // files, categories, sizes and directory sizes in the same order; the
+  // system tree is the same down to its inode ids.
+  const auto entries = [](const CreatedFileSystem& manifest, fs::SimulatedFileSystem& fsys) {
+    std::vector<std::tuple<std::string, std::size_t, std::uint64_t, std::uint64_t>> out;
+    for (const CreatedFile& f : manifest.files()) {
+      if (f.owner_user != CreatedFile::kSystemOwner && f.owner_user < 2) continue;
+      const bool system = f.owner_user == CreatedFile::kSystemOwner;
+      if (system && f.path == "/users") continue;  // its size counts every user
+      out.emplace_back(f.path, f.category.index(), fsys.stat(f.path).value().size,
+                       system ? f.inode : 0);
+    }
+    return out;
+  };
+  EXPECT_EQ(entries(range, range_fs), entries(full, full_fs));
+
+  // Pinned: every path's stat, the manifest order and the next inode/fd.
+  EXPECT_EQ(layout_digest(range_fs, range), 10135983633065695418ULL);
+  EXPECT_EQ(layout_digest(full_fs, full), 10047440481453558824ULL);
 }
 
 TEST(Fsc, RejectsBadConfig) {

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "fs/filesystem.h"
 #include "fs/path.h"
+#include "util/rng.h"
 
 namespace wlgen::fs {
 namespace {
@@ -378,6 +384,211 @@ TEST(FileSystem, PathThroughFileRejected) {
   fsys.close(fsys.creat("/f").value());
   EXPECT_EQ(fsys.creat("/f/child").status(), FsStatus::not_a_directory);
   EXPECT_EQ(fsys.stat("/f/child").status(), FsStatus::not_a_directory);
+}
+
+// --- pinned random-op sequence ------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+struct Digest {
+  std::uint64_t value = 14695981039346656037ULL;
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      value ^= (word >> (8 * i)) & 0xffU;
+      value *= 1099511628211ULL;
+    }
+  }
+  void add(const std::string& text) {
+    add(text.size());
+    for (const char c : text) add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+  }
+  void add(FsStatus status) { add(static_cast<std::uint64_t>(status)); }
+  void add_time(double t) { add(static_cast<std::uint64_t>(t * 1000.0)); }
+};
+
+/// A random path over a small namespace, spelled with the lexical detours
+/// split_path folds away: "//", "." and "<name>/..".  "longname7" exceeds
+/// the sequence's 8-byte name limit.
+std::string random_path(util::RngStream& rng) {
+  static const char* const kNames[] = {"a", "b", "c", "dd", "longname7"};
+  const auto pick = [&rng](std::int64_t n) { return rng.uniform_int(0, n - 1); };
+  std::string path;
+  const std::int64_t depth = rng.uniform_int(1, 3);
+  for (std::int64_t level = 0; level < depth; ++level) {
+    path += pick(8) == 0 ? "//" : "/";
+    const std::int64_t detour = pick(10);
+    if (detour == 0) path += "./";
+    if (detour == 1) path += std::string(kNames[pick(4)]) + "/../";
+    if (detour == 2) path += "../";
+    path += kNames[pick(5)];
+  }
+  if (pick(12) == 0) path += "/.";
+  if (pick(12) == 0) path += "/";
+  return path;
+}
+
+/// Runs a seeded mix of every path and descriptor call and digests each
+/// status, fd, inode id, size and directory size, then the final tree's
+/// stat of every entry, timestamps included.
+std::uint64_t random_sequence_digest(bool store_data) {
+  SimulatedFileSystem::Options options;
+  options.store_data = store_data;
+  options.capacity_bytes = 30000;
+  options.max_open_files = 6;
+  options.max_name_length = 8;
+  SimulatedFileSystem fsys(options);
+  double now = 0.0;
+  fsys.set_clock([&now] { return now; });
+  util::RngStream rng(20261019, "fs/random-ops");
+  Digest digest;
+  std::vector<Fd> fds;
+  const auto some_fd = [&]() -> Fd {
+    if (fds.empty() || rng.uniform_int(0, 9) == 0) return 1000;  // never handed out
+    return fds[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(fds.size()) - 1))];
+  };
+  const auto add_stat = [&digest](const Result<FileStat>& st) {
+    digest.add(st.status());
+    if (!st.ok()) return;
+    const FileStat& s = st.value();
+    digest.add(s.inode);
+    digest.add(static_cast<std::uint64_t>(s.kind));
+    digest.add(s.size);
+    digest.add(s.link_count);
+  };
+  const auto add_count = [&digest](const Result<std::uint64_t>& r) {
+    digest.add(r.status());
+    if (r.ok()) digest.add(r.value());
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    now += 1.0;
+    const std::int64_t op = rng.uniform_int(0, 14);
+    digest.add(static_cast<std::uint64_t>(op));
+    switch (op) {
+      case 0:
+      case 1: {
+        const unsigned flags = static_cast<unsigned>(rng.uniform_int(0, 31));
+        const Result<Fd> fd = op == 0 ? fsys.creat(random_path(rng))
+                                      : fsys.open(random_path(rng), flags);
+        digest.add(fd.status());
+        if (fd.ok()) {
+          digest.add(static_cast<std::uint64_t>(fd.value()));
+          fds.push_back(fd.value());
+        }
+        break;
+      }
+      case 2: {
+        const Fd fd = some_fd();
+        digest.add(fsys.close(fd));
+        break;
+      }
+      case 3:
+        if (store_data && rng.uniform_int(0, 1) == 0) {
+          const auto got = fsys.read_bytes(some_fd(), static_cast<std::uint64_t>(rng.uniform_int(0, 3000)));
+          digest.add(got.status());
+          if (got.ok()) {
+            digest.add(got.value().size());
+            std::uint64_t sum = 0;
+            for (const std::uint8_t b : got.value()) sum = sum * 31 + b;
+            digest.add(sum);
+          }
+        } else {
+          add_count(fsys.read(some_fd(), static_cast<std::uint64_t>(rng.uniform_int(0, 3000))));
+        }
+        break;
+      case 4:
+        if (store_data && rng.uniform_int(0, 1) == 0) {
+          std::vector<std::uint8_t> bytes(static_cast<std::size_t>(rng.uniform_int(0, 500)));
+          for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<std::uint8_t>(i * 7);
+          add_count(fsys.write_bytes(some_fd(), bytes));
+        } else {
+          add_count(fsys.write(some_fd(), static_cast<std::uint64_t>(rng.uniform_int(0, 8000))));
+        }
+        break;
+      case 5: {
+        const Seek whence = static_cast<Seek>(rng.uniform_int(0, 2));
+        add_count(fsys.lseek(some_fd(), rng.uniform_int(-2000, 4000), whence));
+        add_count(fsys.tell(some_fd()));
+        break;
+      }
+      case 6: digest.add(fsys.unlink(random_path(rng))); break;
+      case 7: {
+        const std::string from = random_path(rng);
+        digest.add(fsys.link(from, random_path(rng)));
+        break;
+      }
+      case 8:
+        digest.add(rng.uniform_int(0, 3) == 0 ? fsys.mkdir_recursive(random_path(rng))
+                                              : fsys.mkdir(random_path(rng)));
+        break;
+      case 9: digest.add(fsys.rmdir(random_path(rng))); break;
+      case 10: {
+        const std::string from = random_path(rng);
+        digest.add(fsys.rename(from, random_path(rng)));
+        break;
+      }
+      case 11: {
+        const std::string path = random_path(rng);
+        digest.add(fsys.truncate(path, static_cast<std::uint64_t>(rng.uniform_int(0, 6000))));
+        break;
+      }
+      case 12:
+        add_stat(fsys.stat(random_path(rng)));
+        add_stat(fsys.fstat(some_fd()));
+        break;
+      case 13: {
+        const auto names = fsys.readdir(random_path(rng));
+        digest.add(names.status());
+        if (names.ok()) {
+          for (const auto& name : names.value()) digest.add(name);
+        }
+        break;
+      }
+      default: digest.add(fsys.exists(random_path(rng)) ? 1U : 0U); break;
+    }
+    add_stat(fsys.stat("/"));
+    digest.add(fsys.open_descriptor_count());
+    digest.add(fsys.bytes_in_use());
+  }
+
+  // The final tree, walked in readdir order.
+  const std::function<void(const std::string&)> walk = [&](const std::string& dir) {
+    const auto names = fsys.readdir(dir);
+    if (!names.ok()) return;
+    for (const auto& name : names.value()) {
+      const std::string path = (dir == "/" ? "" : dir) + "/" + name;
+      digest.add(path);
+      const auto st = fsys.stat(path);
+      add_stat(st);
+      digest.add(st.value().bytes_read);
+      digest.add(st.value().bytes_written);
+      digest.add(st.value().read_ops);
+      digest.add(st.value().write_ops);
+      digest.add_time(st.value().created_at);
+      digest.add_time(st.value().modified_at);
+      digest.add_time(st.value().accessed_at);
+      if (st.value().kind == FileKind::directory) walk(path);
+    }
+  };
+  walk("/");
+  digest.add(fsys.inode_count());
+  digest.add(fsys.regular_file_count());
+  digest.add(fsys.directory_count());
+  // The next inode id and fd.
+  for (const Fd fd : fds) fsys.close(fd);
+  const auto probe = fsys.creat("/probe");
+  digest.add(probe.status());
+  if (probe.ok()) {
+    digest.add(static_cast<std::uint64_t>(probe.value()));
+    add_stat(fsys.fstat(probe.value()));
+  }
+  return digest.value;
+}
+
+TEST(FileSystem, RandomOpSequenceDigestIsPinned) {
+  // Pinned values: any change to an id, fd, size, status or timestamp the
+  // call surface hands out moves them.
+  EXPECT_EQ(random_sequence_digest(false), 17688434362516181140ULL);
+  EXPECT_EQ(random_sequence_digest(true), 18239602498015353814ULL);
 }
 
 TEST(ResultType, ValueAccessContracts) {

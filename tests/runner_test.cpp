@@ -699,6 +699,43 @@ TEST(ReplayTrace, CountsTheSessionOfTheLargestUserId) {
   }
 }
 
+TEST(RunUniverse, SeedChangedAfterResolveMatchesAFreshConfig) {
+  // A config resolved at one seed and re-seeded afterwards runs the layout
+  // of its new seed on every path: run_shared, run_universe and a sharded
+  // run all give a fresh config's log.
+  const auto workload = [](std::uint64_t seed) {
+    WorkloadConfig config;
+    config.seed = seed;
+    config.usim.sessions_per_user = 2;
+    config.population = core::mixed_population(0.5);
+    return config;
+  };
+  WorkloadConfig stale = workload(5);
+  stale.resolve();
+  stale.seed = 6;
+  const std::string fresh_log = run_shared(workload(6), 2).log.serialize();
+  EXPECT_EQ(run_shared(stale, 2).log.serialize(), fresh_log);
+  EXPECT_NE(run_shared(workload(5), 2).log.serialize(), fresh_log);
+
+  WorkloadConfig fresh = workload(6);
+  fresh.resolve();
+  core::UsimConfig usim = fresh.usim;
+  usim.num_users = 2;
+  usim.seed = 6;
+  sim::Simulation stale_sim;
+  sim::Simulation fresh_sim;
+  EXPECT_EQ(run_universe(stale_sim, stale, usim).log.serialize(),
+            run_universe(fresh_sim, fresh, usim).log.serialize());
+
+  RunnerConfig stale_runner = base_config(3, 2, 2);
+  stale_runner.resolve();
+  stale_runner.seed = 99;
+  RunnerConfig fresh_runner = base_config(3, 2, 2);
+  fresh_runner.seed = 99;
+  EXPECT_EQ(merged_log(ShardedRunner(stale_runner).run()).serialize(),
+            merged_log(ShardedRunner(fresh_runner).run()).serialize());
+}
+
 // --- contended runner -------------------------------------------------------
 
 ContendedConfig contended_config(std::vector<std::size_t> points, std::size_t replications,
