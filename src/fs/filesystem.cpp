@@ -1,91 +1,240 @@
 #include "fs/filesystem.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 
 namespace wlgen::fs {
 
+// --- EntryTable ---------------------------------------------------------------
+
+std::uint32_t SimulatedFileSystem::EntryTable::hash_of(InodeId parent, std::string_view name) {
+  // The murmur3 finalizer over the name's hash and the parent.
+  std::uint64_t x = std::hash<std::string_view>{}(name) + parent * 0x9e3779b97f4a7c15ULL;
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return static_cast<std::uint32_t>(x);
+}
+
+std::size_t SimulatedFileSystem::EntryTable::probe(InodeId parent, std::string_view name,
+                                                   std::uint32_t hash) const {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.parent == 0) return i;
+    if (slot.hash == hash && slot.parent == parent && name_of(slot) == name) return i;
+  }
+}
+
+InodeId SimulatedFileSystem::EntryTable::find(InodeId parent, std::string_view name) const {
+  if (slots_.empty()) return 0;
+  const Slot& slot = slots_[probe(parent, name, hash_of(parent, name))];
+  return slot.parent == 0 ? 0 : slot.child;
+}
+
+void SimulatedFileSystem::EntryTable::insert(InodeId parent, std::string_view name,
+                                             InodeId child) {
+  if (2 * (used_ + 1) > slots_.size()) grow();
+  if (names_.size() + name.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("SimulatedFileSystem: directory names exceed 4 GiB");
+  }
+  const std::uint32_t hash = hash_of(parent, name);
+  slots_[probe(parent, name, hash)] = {parent, child, hash,
+                                       static_cast<std::uint32_t>(names_.size()),
+                                       static_cast<std::uint32_t>(name.size())};
+  names_.append(name);
+  ++used_;
+}
+
+bool SimulatedFileSystem::EntryTable::erase(InodeId parent, std::string_view name) {
+  if (slots_.empty()) return false;
+  std::size_t hole = probe(parent, name, hash_of(parent, name));
+  if (slots_[hole].parent == 0) return false;
+  dead_name_bytes_ += slots_[hole].name_size;
+  // Backward-shift deletion: pull every later slot of the run whose home is
+  // not between the hole and itself into the hole, so no probe breaks early.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = (hole + 1) & mask; slots_[i].parent != 0; i = (i + 1) & mask) {
+    const std::size_t home = slots_[i].hash & mask;
+    const bool stays = hole < i ? (hole < home && home <= i) : (hole < home || home <= i);
+    if (stays) continue;
+    slots_[hole] = slots_[i];
+    hole = i;
+  }
+  slots_[hole] = Slot{};
+  --used_;
+  if (dead_name_bytes_ > 4096 && 2 * dead_name_bytes_ > names_.size()) compact_names();
+  return true;
+}
+
+std::vector<std::string> SimulatedFileSystem::EntryTable::names(InodeId parent) const {
+  std::vector<std::string> out;
+  for (const Slot& slot : slots_) {
+    if (slot.parent == parent) out.emplace_back(name_of(slot));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void SimulatedFileSystem::EntryTable::grow() {
+  std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.parent == 0) continue;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].parent != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+void SimulatedFileSystem::EntryTable::compact_names() {
+  std::string live;
+  live.reserve(names_.size() - dead_name_bytes_);
+  for (Slot& slot : slots_) {
+    if (slot.parent == 0) continue;
+    const std::string_view name = name_of(slot);
+    slot.name_at = static_cast<std::uint32_t>(live.size());
+    live.append(name);
+  }
+  names_.swap(live);
+  dead_name_bytes_ = 0;
+}
+
+// --- SimulatedFileSystem ------------------------------------------------------
+
 SimulatedFileSystem::SimulatedFileSystem() : SimulatedFileSystem(Options{}) {}
 
 SimulatedFileSystem::SimulatedFileSystem(Options options) : options_(options) {
-  Inode root;
-  root.id = 1;
-  root.kind = FileKind::directory;
-  root.link_count = 1;
-  inodes_.emplace(root.id, std::move(root));
+  record_of_.push_back(0);          // id 0: never an inode
+  make_inode(FileKind::directory);  // the root, id 1
 }
 
 void SimulatedFileSystem::set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
 
-void SimulatedFileSystem::add_child(Inode& dir, const std::string& name, InodeId id) {
-  dir.children.emplace(name, id);
-  dir.size += 16 + name.size();  // UFS-style directory entry record
-  dir.modified_at = now();
+void SimulatedFileSystem::copy_from(const SimulatedFileSystem& source) {
+  options_ = source.options_;
+  record_of_ = source.record_of_;
+  inodes_ = source.inodes_;
+  free_records_ = source.free_records_;
+  data_ = source.data_;
+  entries_ = source.entries_;
+  open_files_ = source.open_files_;
+  first_fd_ = source.first_fd_;
+  open_front_ = source.open_front_;
+  open_count_ = source.open_count_;
+  live_inodes_ = source.live_inodes_;
+  bytes_in_use_ = source.bytes_in_use_;
 }
 
-void SimulatedFileSystem::remove_child(Inode& dir, const std::string& name) {
-  const auto it = dir.children.find(name);
-  if (it == dir.children.end()) return;
+InodeId SimulatedFileSystem::make_inode(FileKind kind) {
+  const InodeId id = record_of_.size();
+  std::size_t record = inodes_.size();
+  if (free_records_.empty()) {
+    if (record >= std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("SimulatedFileSystem: too many live inodes");
+    }
+    inodes_.emplace_back();
+    if (options_.store_data) data_.emplace_back();
+  } else {
+    record = free_records_.back();
+    free_records_.pop_back();
+    inodes_[record] = Inode{};
+  }
+  record_of_.push_back(static_cast<std::uint32_t>(record + 1));
+  Inode& node = inodes_[record];
+  node.kind = kind;
+  node.link_count = 1;
+  node.live = true;
+  node.created_at = node.modified_at = node.accessed_at = now();
+  ++live_inodes_;
+  return id;
+}
+
+void SimulatedFileSystem::add_child(InodeId dir, std::string_view name, InodeId id) {
+  entries_.insert(dir, name, id);
+  Inode& node = inode_ref(dir);
+  ++node.entries;
+  node.size += 16 + name.size();  // UFS-style directory entry record
+  node.modified_at = now();
+}
+
+void SimulatedFileSystem::remove_child(InodeId dir, std::string_view name) {
+  if (!entries_.erase(dir, name)) return;
+  Inode& node = inode_ref(dir);
+  --node.entries;
   const std::uint64_t entry = 16 + name.size();
-  dir.size -= std::min<std::uint64_t>(dir.size, entry);
-  dir.children.erase(it);
-  dir.modified_at = now();
+  node.size -= std::min<std::uint64_t>(node.size, entry);
+  node.modified_at = now();
+}
+
+std::size_t SimulatedFileSystem::record_index(InodeId id) const {
+  if (id >= record_of_.size() || record_of_[id] == 0) {
+    throw std::logic_error("SimulatedFileSystem: dangling inode id");
+  }
+  return record_of_[id] - 1;
 }
 
 SimulatedFileSystem::Inode& SimulatedFileSystem::inode_ref(InodeId id) {
-  const auto it = inodes_.find(id);
-  if (it == inodes_.end()) throw std::logic_error("SimulatedFileSystem: dangling inode id");
-  return it->second;
+  return inodes_[record_index(id)];
 }
 
 const SimulatedFileSystem::Inode& SimulatedFileSystem::inode_ref(InodeId id) const {
-  const auto it = inodes_.find(id);
-  if (it == inodes_.end()) throw std::logic_error("SimulatedFileSystem: dangling inode id");
-  return it->second;
+  return inodes_[record_index(id)];
 }
 
-Result<InodeId> SimulatedFileSystem::resolve(const std::string& path) const {
-  std::vector<std::string> parts;
-  if (!split_path(path, parts)) return FsStatus::invalid_argument;
+Result<InodeId> SimulatedFileSystem::resolve(std::string_view path) const {
+  if (!is_absolute(path)) return FsStatus::invalid_argument;
+  PathWalker walk(path);
   InodeId current = 1;
-  for (const auto& piece : parts) {
+  for (std::string_view piece; walk.next(piece);) {
     if (piece.size() > options_.max_name_length) return FsStatus::name_too_long;
-    const Inode& node = inode_ref(current);
-    if (node.kind != FileKind::directory) return FsStatus::not_a_directory;
-    const auto it = node.children.find(piece);
-    if (it == node.children.end()) return FsStatus::not_found;
-    current = it->second;
+    if (inode_ref(current).kind != FileKind::directory) return FsStatus::not_a_directory;
+    current = entries_.find(current, piece);
+    if (current == 0) return FsStatus::not_found;
   }
   return current;
 }
 
-Result<InodeId> SimulatedFileSystem::resolve_parent(const std::string& path,
-                                                    std::string& leaf) const {
-  std::vector<std::string> parts;
-  if (!split_path(path, parts)) return FsStatus::invalid_argument;
-  if (parts.empty()) return FsStatus::invalid_argument;  // root has no parent entry
-  leaf = parts.back();
-  if (leaf.size() > options_.max_name_length) return FsStatus::name_too_long;
-  parts.pop_back();
+Result<InodeId> SimulatedFileSystem::resolve_parent(std::string_view path,
+                                                    std::string_view& leaf) const {
+  if (!is_absolute(path)) return FsStatus::invalid_argument;
+  // One pass: each component is looked up once the next one shows it is not
+  // the leaf.  The leaf's own checks come first, so a walk error waits.
+  PathWalker walk(path);
   InodeId current = 1;
-  for (const auto& piece : parts) {
-    const Inode& node = inode_ref(current);
-    if (node.kind != FileKind::directory) return FsStatus::not_a_directory;
-    const auto it = node.children.find(piece);
-    if (it == node.children.end()) return FsStatus::not_found;
-    current = it->second;
+  FsStatus walk_error = FsStatus::ok;
+  bool any = false;
+  for (std::string_view piece; walk.next(piece); leaf = piece, any = true) {
+    if (!any || walk_error != FsStatus::ok) continue;
+    if (inode_ref(current).kind != FileKind::directory) {
+      walk_error = FsStatus::not_a_directory;
+      continue;
+    }
+    current = entries_.find(current, leaf);
+    if (current == 0) walk_error = FsStatus::not_found;
   }
+  if (!any) return FsStatus::invalid_argument;  // root has no parent entry
+  if (leaf.size() > options_.max_name_length) return FsStatus::name_too_long;
+  if (walk_error != FsStatus::ok) return walk_error;
   if (inode_ref(current).kind != FileKind::directory) return FsStatus::not_a_directory;
   return current;
 }
 
 void SimulatedFileSystem::maybe_collect(InodeId id) {
-  const auto it = inodes_.find(id);
-  if (it == inodes_.end()) return;
-  Inode& node = it->second;
+  const std::size_t record = record_index(id);
+  Inode& node = inodes_[record];
   if (node.link_count == 0 && node.open_count == 0) {
     bytes_in_use_ -= std::min<std::uint64_t>(bytes_in_use_, node.size);
-    inodes_.erase(it);
+    node.live = false;
+    record_of_[id] = 0;
+    free_records_.push_back(static_cast<std::uint32_t>(record));
+    --live_inodes_;
+    if (options_.store_data) std::vector<std::uint8_t>().swap(data_[record]);
   }
 }
 
@@ -96,41 +245,40 @@ FsStatus SimulatedFileSystem::grow_check(std::uint64_t extra) const {
 }
 
 Result<SimulatedFileSystem::OpenFile*> SimulatedFileSystem::descriptor(Fd fd) {
-  const auto it = open_files_.find(fd);
-  if (it == open_files_.end()) return FsStatus::bad_descriptor;
-  return &it->second;
+  if (fd < first_fd_ || static_cast<std::size_t>(fd - first_fd_) >= open_files_.size()) {
+    return FsStatus::bad_descriptor;
+  }
+  OpenFile& of = open_files_[static_cast<std::size_t>(fd - first_fd_)];
+  if (of.inode == 0) return FsStatus::bad_descriptor;
+  return &of;
 }
 
 Result<const SimulatedFileSystem::OpenFile*> SimulatedFileSystem::descriptor(Fd fd) const {
-  const auto it = open_files_.find(fd);
-  if (it == open_files_.end()) return FsStatus::bad_descriptor;
-  return &it->second;
+  if (fd < first_fd_ || static_cast<std::size_t>(fd - first_fd_) >= open_files_.size()) {
+    return FsStatus::bad_descriptor;
+  }
+  const OpenFile& of = open_files_[static_cast<std::size_t>(fd - first_fd_)];
+  if (of.inode == 0) return FsStatus::bad_descriptor;
+  return &of;
 }
 
 Result<Fd> SimulatedFileSystem::open(const std::string& path, unsigned flags) {
   if ((flags & (kRead | kWrite)) == 0) return FsStatus::invalid_argument;
-  if (open_files_.size() >= options_.max_open_files) return FsStatus::too_many_open_files;
+  if (open_count_ >= options_.max_open_files) return FsStatus::too_many_open_files;
 
   InodeId target = 0;
   const Result<InodeId> found = resolve(path);
   if (found.ok()) {
     target = found.value();
-    const Inode& node = inode_ref(target);
-    if (node.kind == FileKind::directory && (flags & (kWrite | kTruncate)) != 0) {
+    if (inode_ref(target).kind == FileKind::directory && (flags & (kWrite | kTruncate)) != 0) {
       return FsStatus::is_a_directory;
     }
   } else if (found.status() == FsStatus::not_found && (flags & kCreate) != 0) {
-    std::string leaf;
+    std::string_view leaf;
     const Result<InodeId> parent = resolve_parent(path, leaf);
     if (!parent.ok()) return parent.status();
-    Inode node;
-    node.id = next_inode_++;
-    node.kind = FileKind::regular;
-    node.link_count = 1;
-    node.created_at = node.modified_at = node.accessed_at = now();
-    target = node.id;
-    inodes_.emplace(node.id, std::move(node));
-    add_child(inode_ref(parent.value()), leaf, target);
+    target = make_inode(FileKind::regular);
+    add_child(parent.value(), leaf, target);
   } else {
     return found.status();
   }
@@ -139,13 +287,14 @@ Result<Fd> SimulatedFileSystem::open(const std::string& path, unsigned flags) {
   if ((flags & kTruncate) != 0 && node.kind == FileKind::regular) {
     bytes_in_use_ -= std::min<std::uint64_t>(bytes_in_use_, node.size);
     node.size = 0;
-    node.data.clear();
+    if (options_.store_data) data_[record_index(target)].clear();
     node.modified_at = now();
   }
   ++node.open_count;
 
-  const Fd fd = next_fd_++;
-  open_files_.emplace(fd, OpenFile{target, 0, flags});
+  const Fd fd = first_fd_ + static_cast<Fd>(open_files_.size());
+  open_files_.push_back(OpenFile{target, 0, flags});
+  ++open_count_;
   return fd;
 }
 
@@ -154,10 +303,20 @@ Result<Fd> SimulatedFileSystem::creat(const std::string& path) {
 }
 
 FsStatus SimulatedFileSystem::close(Fd fd) {
-  const auto it = open_files_.find(fd);
-  if (it == open_files_.end()) return FsStatus::bad_descriptor;
-  const InodeId inode = it->second.inode;
-  open_files_.erase(it);
+  const auto d = descriptor(fd);
+  if (!d.ok()) return d.status();
+  const InodeId inode = d.value()->inode;
+  d.value()->inode = 0;
+  --open_count_;
+  // Closed descriptors at the front leave the table in batches, so it spans
+  // about the fds from the oldest still open to the newest.
+  while (open_front_ < open_files_.size() && open_files_[open_front_].inode == 0) ++open_front_;
+  if (open_front_ >= 64 && 2 * open_front_ >= open_files_.size()) {
+    open_files_.erase(open_files_.begin(),
+                      open_files_.begin() + static_cast<std::ptrdiff_t>(open_front_));
+    first_fd_ += static_cast<Fd>(open_front_);
+    open_front_ = 0;
+  }
   Inode& node = inode_ref(inode);
   if (node.open_count == 0) throw std::logic_error("SimulatedFileSystem: open_count underflow");
   --node.open_count;
@@ -186,16 +345,13 @@ Result<std::vector<std::uint8_t>> SimulatedFileSystem::read_bytes(Fd fd, std::ui
   if (!options_.store_data) return FsStatus::invalid_argument;
   const auto d = descriptor(fd);
   if (!d.ok()) return d.status();
-  if (inode_ref(d.value()->inode).kind == FileKind::directory) return FsStatus::is_a_directory;
+  const InodeId inode = d.value()->inode;
+  if (inode_ref(inode).kind == FileKind::directory) return FsStatus::is_a_directory;
   const std::uint64_t start = d.value()->offset;
   const Result<std::uint64_t> got = read(fd, count);
   if (!got.ok()) return got.status();
-  const Inode& node = inode_ref(d.value()->inode);
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(got.value()));
-  for (std::uint64_t i = 0; i < got.value(); ++i) {
-    out[static_cast<std::size_t>(i)] = node.data[static_cast<std::size_t>(start + i)];
-  }
-  return out;
+  const auto first = data_[record_index(inode)].begin() + static_cast<std::ptrdiff_t>(start);
+  return std::vector<std::uint8_t>(first, first + static_cast<std::ptrdiff_t>(got.value()));
 }
 
 Result<std::uint64_t> SimulatedFileSystem::write(Fd fd, std::uint64_t count) {
@@ -212,11 +368,12 @@ Result<std::uint64_t> SimulatedFileSystem::write(Fd fd, std::uint64_t count) {
     if (space != FsStatus::ok) return space;
     bytes_in_use_ += end - node.size;
     node.size = end;
-    if (options_.store_data) node.data.resize(static_cast<std::size_t>(end), 0);
+    if (options_.store_data) data_[record_index(of.inode)].resize(static_cast<std::size_t>(end), 0);
   }
   if (options_.store_data) {
+    std::vector<std::uint8_t>& data = data_[record_index(of.inode)];
     for (std::uint64_t i = 0; i < count; ++i) {
-      node.data[static_cast<std::size_t>(of.offset + i)] =
+      data[static_cast<std::size_t>(of.offset + i)] =
           static_cast<std::uint8_t>((of.offset + i) & 0xff);
     }
   }
@@ -243,10 +400,11 @@ Result<std::uint64_t> SimulatedFileSystem::write_bytes(Fd fd,
     if (space != FsStatus::ok) return space;
     bytes_in_use_ += end - node.size;
     node.size = end;
-    if (options_.store_data) node.data.resize(static_cast<std::size_t>(end), 0);
+    if (options_.store_data) data_[record_index(of.inode)].resize(static_cast<std::size_t>(end), 0);
   }
   if (options_.store_data) {
-    std::copy(data.begin(), data.end(), node.data.begin() + static_cast<std::ptrdiff_t>(of.offset));
+    std::copy(data.begin(), data.end(),
+              data_[record_index(of.inode)].begin() + static_cast<std::ptrdiff_t>(of.offset));
   }
   of.offset += count;
   ++node.write_ops;
@@ -273,16 +431,14 @@ Result<std::uint64_t> SimulatedFileSystem::lseek(Fd fd, std::int64_t offset, See
 }
 
 FsStatus SimulatedFileSystem::unlink(const std::string& path) {
-  std::string leaf;
+  std::string_view leaf;
   const Result<InodeId> parent = resolve_parent(path, leaf);
   if (!parent.ok()) return parent.status();
-  Inode& dir = inode_ref(parent.value());
-  const auto it = dir.children.find(leaf);
-  if (it == dir.children.end()) return FsStatus::not_found;
-  Inode& node = inode_ref(it->second);
-  if (node.kind == FileKind::directory) return FsStatus::is_a_directory;
-  const InodeId id = it->second;
-  remove_child(dir, leaf);
+  const InodeId id = entries_.find(parent.value(), leaf);
+  if (id == 0) return FsStatus::not_found;
+  if (inode_ref(id).kind == FileKind::directory) return FsStatus::is_a_directory;
+  remove_child(parent.value(), leaf);
+  Inode& node = inode_ref(id);
   if (node.link_count == 0) throw std::logic_error("SimulatedFileSystem: link_count underflow");
   --node.link_count;
   maybe_collect(id);
@@ -292,40 +448,32 @@ FsStatus SimulatedFileSystem::unlink(const std::string& path) {
 FsStatus SimulatedFileSystem::link(const std::string& existing, const std::string& link_path) {
   const Result<InodeId> found = resolve(existing);
   if (!found.ok()) return found.status();
-  Inode& node = inode_ref(found.value());
-  if (node.kind == FileKind::directory) return FsStatus::is_a_directory;  // as POSIX EPERM-ish
-  std::string leaf;
+  const InodeId id = found.value();
+  if (inode_ref(id).kind == FileKind::directory) return FsStatus::is_a_directory;  // as POSIX EPERM-ish
+  std::string_view leaf;
   const Result<InodeId> parent = resolve_parent(link_path, leaf);
   if (!parent.ok()) return parent.status();
-  Inode& dir = inode_ref(parent.value());
-  if (dir.children.count(leaf) != 0) return FsStatus::already_exists;
-  add_child(dir, leaf, node.id);
-  ++node.link_count;
+  if (entries_.find(parent.value(), leaf) != 0) return FsStatus::already_exists;
+  add_child(parent.value(), leaf, id);
+  ++inode_ref(id).link_count;
   return FsStatus::ok;
 }
 
 FsStatus SimulatedFileSystem::mkdir(const std::string& path) {
-  std::string leaf;
+  std::string_view leaf;
   const Result<InodeId> parent = resolve_parent(path, leaf);
   if (!parent.ok()) return parent.status();
-  Inode& dir = inode_ref(parent.value());
-  if (dir.children.count(leaf) != 0) return FsStatus::already_exists;
-  Inode node;
-  node.id = next_inode_++;
-  node.kind = FileKind::directory;
-  node.link_count = 1;
-  node.created_at = node.modified_at = node.accessed_at = now();
-  const InodeId id = node.id;
-  inodes_.emplace(id, std::move(node));
-  add_child(dir, leaf, id);
+  if (entries_.find(parent.value(), leaf) != 0) return FsStatus::already_exists;
+  const InodeId id = make_inode(FileKind::directory);
+  add_child(parent.value(), leaf, id);
   return FsStatus::ok;
 }
 
 FsStatus SimulatedFileSystem::mkdir_recursive(const std::string& path) {
-  std::vector<std::string> parts;
-  if (!split_path(path, parts)) return FsStatus::invalid_argument;
+  if (!is_absolute(path)) return FsStatus::invalid_argument;
+  PathWalker walk(path);
   std::string prefix;
-  for (const auto& piece : parts) {
+  for (std::string_view piece; walk.next(piece);) {
     prefix += '/';
     prefix += piece;
     const FsStatus st = mkdir(prefix);
@@ -336,101 +484,87 @@ FsStatus SimulatedFileSystem::mkdir_recursive(const std::string& path) {
 }
 
 FsStatus SimulatedFileSystem::rmdir(const std::string& path) {
-  std::string leaf;
+  std::string_view leaf;
   const Result<InodeId> parent = resolve_parent(path, leaf);
   if (!parent.ok()) return parent.status();
-  Inode& dir = inode_ref(parent.value());
-  const auto it = dir.children.find(leaf);
-  if (it == dir.children.end()) return FsStatus::not_found;
-  Inode& node = inode_ref(it->second);
+  const InodeId id = entries_.find(parent.value(), leaf);
+  if (id == 0) return FsStatus::not_found;
+  const Inode& node = inode_ref(id);
   if (node.kind != FileKind::directory) return FsStatus::not_a_directory;
-  if (!node.children.empty()) return FsStatus::directory_not_empty;
-  const InodeId id = it->second;
-  remove_child(dir, leaf);
-  --node.link_count;
+  if (node.entries != 0) return FsStatus::directory_not_empty;
+  remove_child(parent.value(), leaf);
+  --inode_ref(id).link_count;
   maybe_collect(id);
   return FsStatus::ok;
 }
 
 FsStatus SimulatedFileSystem::rename(const std::string& from, const std::string& to) {
-  std::string from_leaf;
+  std::string_view from_leaf;
   const Result<InodeId> from_parent = resolve_parent(from, from_leaf);
   if (!from_parent.ok()) return from_parent.status();
-  const auto from_it = inode_ref(from_parent.value()).children.find(from_leaf);
-  if (from_it == inode_ref(from_parent.value()).children.end()) return FsStatus::not_found;
-  const InodeId moving = from_it->second;
+  const InodeId moving = entries_.find(from_parent.value(), from_leaf);
+  if (moving == 0) return FsStatus::not_found;
+  const bool moving_dir = inode_ref(moving).kind == FileKind::directory;
 
-  // A directory must not be moved into its own subtree.
-  if (inode_ref(moving).kind == FileKind::directory) {
-    std::vector<std::string> from_parts, to_parts;
-    split_path(from, from_parts);
-    split_path(to, to_parts);
-    if (to_parts.size() >= from_parts.size() &&
-        std::equal(from_parts.begin(), from_parts.end(), to_parts.begin())) {
-      return FsStatus::invalid_argument;
-    }
+  // A directory must not be moved into its own subtree: `to`'s components
+  // must not start with all of `from`'s.
+  if (moving_dir) {
+    PathWalker from_walk(from);
+    PathWalker to_walk(to);
+    bool inside = true;
+    for (std::string_view a, b; inside && from_walk.next(a);) inside = to_walk.next(b) && a == b;
+    if (inside) return FsStatus::invalid_argument;
   }
 
-  std::string to_leaf;
+  std::string_view to_leaf;
   const Result<InodeId> to_parent = resolve_parent(to, to_leaf);
   if (!to_parent.ok()) return to_parent.status();
-  Inode& dest_dir = inode_ref(to_parent.value());
-  const auto existing = dest_dir.children.find(to_leaf);
-  if (existing != dest_dir.children.end()) {
-    if (existing->second == moving) return FsStatus::ok;  // rename onto itself
-    Inode& target = inode_ref(existing->second);
+  const InodeId replaced = entries_.find(to_parent.value(), to_leaf);
+  if (replaced != 0) {
+    if (replaced == moving) return FsStatus::ok;  // rename onto itself
+    const Inode& target = inode_ref(replaced);
     if (target.kind == FileKind::directory) {
-      if (!target.children.empty()) return FsStatus::directory_not_empty;
-      if (inode_ref(moving).kind != FileKind::directory) return FsStatus::is_a_directory;
-    } else if (inode_ref(moving).kind == FileKind::directory) {
+      if (target.entries != 0) return FsStatus::directory_not_empty;
+      if (!moving_dir) return FsStatus::is_a_directory;
+    } else if (moving_dir) {
       return FsStatus::not_a_directory;
     }
-    const InodeId replaced = existing->second;
-    remove_child(dest_dir, to_leaf);
+    remove_child(to_parent.value(), to_leaf);
     --inode_ref(replaced).link_count;
     maybe_collect(replaced);
   }
-  remove_child(inode_ref(from_parent.value()), from_leaf);
-  add_child(dest_dir, to_leaf, moving);
+  remove_child(from_parent.value(), from_leaf);
+  add_child(to_parent.value(), to_leaf, moving);
   return FsStatus::ok;
+}
+
+FileStat SimulatedFileSystem::stat_of(InodeId id) const {
+  const Inode& node = inode_ref(id);
+  FileStat st;
+  st.inode = id;
+  st.kind = node.kind;
+  st.size = node.size;
+  st.link_count = node.link_count;
+  st.read_ops = node.read_ops;
+  st.write_ops = node.write_ops;
+  st.bytes_read = node.bytes_read;
+  st.bytes_written = node.bytes_written;
+  st.created_at = node.created_at;
+  st.modified_at = node.modified_at;
+  st.accessed_at = node.accessed_at;
+  return st;
 }
 
 Result<FileStat> SimulatedFileSystem::stat(const std::string& path) const {
   const Result<InodeId> found = resolve(path);
   if (!found.ok()) return found.status();
-  const Inode& node = inode_ref(found.value());
-  FileStat st;
-  st.inode = node.id;
-  st.kind = node.kind;
-  st.size = node.size;
-  st.link_count = node.link_count;
-  st.read_ops = node.read_ops;
-  st.write_ops = node.write_ops;
-  st.bytes_read = node.bytes_read;
-  st.bytes_written = node.bytes_written;
-  st.created_at = node.created_at;
-  st.modified_at = node.modified_at;
-  st.accessed_at = node.accessed_at;
-  return st;
+  return stat_of(found.value());
 }
 
 Result<FileStat> SimulatedFileSystem::fstat(Fd fd) const {
   const auto d = descriptor(fd);
   if (!d.ok()) return d.status();
-  const Inode& node = inode_ref(d.value()->inode);
-  FileStat st;
-  st.inode = node.id;
-  st.kind = node.kind;
-  st.size = node.size;
-  st.link_count = node.link_count;
-  st.read_ops = node.read_ops;
-  st.write_ops = node.write_ops;
-  st.bytes_read = node.bytes_read;
-  st.bytes_written = node.bytes_written;
-  st.created_at = node.created_at;
-  st.modified_at = node.modified_at;
-  st.accessed_at = node.accessed_at;
-  return st;
+  return stat_of(d.value()->inode);
 }
 
 FsStatus SimulatedFileSystem::truncate(const std::string& path, std::uint64_t size) {
@@ -446,7 +580,7 @@ FsStatus SimulatedFileSystem::truncate(const std::string& path, std::uint64_t si
     bytes_in_use_ -= node.size - size;
   }
   node.size = size;
-  if (options_.store_data) node.data.resize(static_cast<std::size_t>(size), 0);
+  if (options_.store_data) data_[record_index(found.value())].resize(static_cast<std::size_t>(size), 0);
   node.modified_at = now();
   return FsStatus::ok;
 }
@@ -454,12 +588,8 @@ FsStatus SimulatedFileSystem::truncate(const std::string& path, std::uint64_t si
 Result<std::vector<std::string>> SimulatedFileSystem::readdir(const std::string& path) const {
   const Result<InodeId> found = resolve(path);
   if (!found.ok()) return found.status();
-  const Inode& node = inode_ref(found.value());
-  if (node.kind != FileKind::directory) return FsStatus::not_a_directory;
-  std::vector<std::string> names;
-  names.reserve(node.children.size());
-  for (const auto& [name, id] : node.children) names.push_back(name);
-  return names;  // std::map keeps them sorted
+  if (inode_ref(found.value()).kind != FileKind::directory) return FsStatus::not_a_directory;
+  return entries_.names(found.value());
 }
 
 bool SimulatedFileSystem::exists(const std::string& path) const { return resolve(path).ok(); }
@@ -471,21 +601,15 @@ Result<std::uint64_t> SimulatedFileSystem::tell(Fd fd) const {
 }
 
 std::size_t SimulatedFileSystem::regular_file_count() const {
-  std::size_t n = 0;
-  // Commutative count: the fold result is order-independent.
-  for (const auto& [id, node] : inodes_) {  // wlgen-lint: allow(unordered-iter)
-    if (node.kind == FileKind::regular && node.link_count > 0) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(std::count_if(inodes_.begin(), inodes_.end(), [](const Inode& n) {
+    return n.live && n.kind == FileKind::regular && n.link_count > 0;
+  }));
 }
 
 std::size_t SimulatedFileSystem::directory_count() const {
-  std::size_t n = 0;
-  // Commutative count: the fold result is order-independent.
-  for (const auto& [id, node] : inodes_) {  // wlgen-lint: allow(unordered-iter)
-    if (node.kind == FileKind::directory) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(std::count_if(inodes_.begin(), inodes_.end(), [](const Inode& n) {
+    return n.live && n.kind == FileKind::directory;
+  }));
 }
 
 }  // namespace wlgen::fs

@@ -2,9 +2,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "fs/path.h"
@@ -81,6 +80,8 @@ class SimulatedFileSystem {
     std::size_t max_open_files = 4096;
     /// Max length of a single path component.
     std::size_t max_name_length = 255;
+
+    bool operator==(const Options&) const = default;
   };
 
   SimulatedFileSystem();
@@ -155,22 +156,24 @@ class SimulatedFileSystem {
   /// Current descriptor offset (for tests).
   Result<std::uint64_t> tell(Fd fd) const;
 
+  /// Replaces this file system's inodes, entries, descriptors and options
+  /// with `source`'s, keeping this one's clock: a snapshot copies in a few
+  /// flat-table copies (the FSC copies its shared /system tree this way).
+  void copy_from(const SimulatedFileSystem& source);
+
   // --- introspection -------------------------------------------------------
 
   std::uint64_t bytes_in_use() const { return bytes_in_use_; }
   std::size_t regular_file_count() const;
   std::size_t directory_count() const;
-  std::size_t open_descriptor_count() const { return open_files_.size(); }
-  std::size_t inode_count() const { return inodes_.size(); }
+  std::size_t open_descriptor_count() const { return open_count_; }
+  std::size_t inode_count() const { return live_inodes_; }
   const Options& options() const { return options_; }
 
  private:
+  /// One inode record.  Records are reused once collected; ids are not.
   struct Inode {
-    InodeId id = 0;
-    FileKind kind = FileKind::regular;
     std::uint64_t size = 0;
-    std::uint32_t link_count = 0;
-    std::uint32_t open_count = 0;
     std::uint64_t read_ops = 0;
     std::uint64_t write_ops = 0;
     std::uint64_t bytes_read = 0;
@@ -178,23 +181,73 @@ class SimulatedFileSystem {
     double created_at = 0.0;
     double modified_at = 0.0;
     double accessed_at = 0.0;
-    std::vector<std::uint8_t> data;           // only when store_data
-    std::map<std::string, InodeId> children;  // only for directories
+    std::uint32_t link_count = 0;
+    std::uint32_t open_count = 0;
+    std::uint32_t entries = 0;  ///< a directory's children
+    FileKind kind = FileKind::regular;
+    bool live = false;
   };
 
+  /// One descriptor; inode 0 marks a closed one.
   struct OpenFile {
     InodeId inode = 0;
     std::uint64_t offset = 0;
     unsigned flags = 0;
   };
 
+  /// Every directory entry of the file system in one open-addressed table
+  /// keyed by (parent inode, name), probed linearly and kept at most half
+  /// full; the names live in one append-only buffer, compacted when most of
+  /// it belongs to removed entries.
+  class EntryTable {
+   public:
+    /// The child `name` of `parent`, or 0.
+    InodeId find(InodeId parent, std::string_view name) const;
+    /// Adds an entry; `name` must be absent from `parent`.
+    void insert(InodeId parent, std::string_view name, InodeId child);
+    /// Removes an entry; returns false when it was absent.
+    bool erase(InodeId parent, std::string_view name);
+    /// The names in `parent`, sorted.
+    std::vector<std::string> names(InodeId parent) const;
+
+   private:
+    struct Slot {
+      InodeId parent = 0;  ///< 0 marks an empty slot (the root is nobody's child)
+      InodeId child = 0;
+      std::uint32_t hash = 0;
+      std::uint32_t name_at = 0;  ///< offset of the name in names_
+      std::uint32_t name_size = 0;
+    };
+
+    static std::uint32_t hash_of(InodeId parent, std::string_view name);
+    std::string_view name_of(const Slot& slot) const {
+      return std::string_view(names_).substr(slot.name_at, slot.name_size);
+    }
+    /// The slot holding (parent, name), or the empty slot ending its probe.
+    std::size_t probe(InodeId parent, std::string_view name, std::uint32_t hash) const;
+    void grow();
+    void compact_names();
+
+    std::vector<Slot> slots_;
+    std::string names_;
+    std::size_t used_ = 0;
+    std::size_t dead_name_bytes_ = 0;
+  };
+
   double now() const { return clock_ ? clock_() : 0.0; }
-  void add_child(Inode& dir, const std::string& name, InodeId id);
-  void remove_child(Inode& dir, const std::string& name);
+  /// Creates a live inode under the next id; references into inodes_ do
+  /// not survive it.
+  InodeId make_inode(FileKind kind);
+  void add_child(InodeId dir, std::string_view name, InodeId id);
+  void remove_child(InodeId dir, std::string_view name);
+  /// inodes_'s index of a live inode; throws std::logic_error otherwise.
+  std::size_t record_index(InodeId id) const;
   Inode& inode_ref(InodeId id);
   const Inode& inode_ref(InodeId id) const;
-  Result<InodeId> resolve(const std::string& path) const;
-  Result<InodeId> resolve_parent(const std::string& path, std::string& leaf) const;
+  FileStat stat_of(InodeId id) const;
+  Result<InodeId> resolve(std::string_view path) const;
+  /// The directory holding the path's last component, which `leaf` views.
+  Result<InodeId> resolve_parent(std::string_view path, std::string_view& leaf) const;
   void maybe_collect(InodeId id);
   FsStatus grow_check(std::uint64_t extra) const;
   Result<OpenFile*> descriptor(Fd fd);
@@ -202,10 +255,22 @@ class SimulatedFileSystem {
 
   Options options_;
   std::function<double()> clock_;
-  std::unordered_map<InodeId, Inode> inodes_;
-  std::unordered_map<Fd, OpenFile> open_files_;
-  InodeId next_inode_ = 2;  // 1 is the root
-  Fd next_fd_ = 3;          // mimic stdin/stdout/stderr being taken
+  // Inode ids are handed out in order and never reused: record_of_[id] is
+  // 1 + the index of the inode's record in inodes_, or 0 (a 4-byte
+  // tombstone) for id 0 and for a collected inode.  The root is id 1.
+  std::vector<std::uint32_t> record_of_;
+  std::vector<Inode> inodes_;
+  std::vector<std::uint32_t> free_records_;      // indices of collected records
+  std::vector<std::vector<std::uint8_t>> data_;  // parallel to inodes_; only with store_data
+  EntryTable entries_;
+  // Fds are handed out in order from 3 (mimicking stdin/stdout/stderr being
+  // taken): open_files_[fd - first_fd_].  The closed descriptors before
+  // open_files_[open_front_] are trimmed once they fill half the table.
+  std::vector<OpenFile> open_files_;
+  Fd first_fd_ = 3;
+  std::size_t open_front_ = 0;
+  std::size_t open_count_ = 0;
+  std::size_t live_inodes_ = 0;
   std::uint64_t bytes_in_use_ = 0;
 };
 

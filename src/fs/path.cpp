@@ -2,47 +2,47 @@
 
 namespace wlgen::fs {
 
-bool split_path(std::string_view path, std::vector<std::string>& components) {
-  components.clear();
-  if (path.empty() || path.front() != '/') return false;
-  std::size_t i = 1;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    std::size_t start = i;
-    while (i < path.size() && path[i] != '/') ++i;
-    if (i == start) break;
-    std::string_view piece = path.substr(start, i - start);
-    if (piece == ".") continue;
+namespace {
+
+/// The component starting at or after `pos` (past any '/'); empty at the end.
+std::string_view next_piece(std::string_view path, std::size_t& pos) {
+  while (pos < path.size() && path[pos] == '/') ++pos;
+  const std::size_t start = pos;
+  while (pos < path.size() && path[pos] != '/') ++pos;
+  return path.substr(start, pos - start);
+}
+
+}  // namespace
+
+PathWalker::PathWalker(std::string_view path)
+    : path_(is_absolute(path) ? path : std::string_view{}),
+      dots_(path_.find("..") != std::string_view::npos) {}
+
+bool PathWalker::next(std::string_view& component) {
+  for (;;) {
+    const std::string_view piece = next_piece(path_, pos_);
+    if (piece.empty()) return false;
+    if (piece == "." || piece == "..") continue;
+    if (dots_ && cancelled(pos_)) continue;
+    component = piece;
+    return true;
+  }
+}
+
+bool PathWalker::cancelled(std::size_t from) const {
+  // The components after `from` stack above this one; the first ".." that
+  // finds nothing above it pops this one.
+  std::size_t above = 0;
+  for (std::string_view piece = next_piece(path_, from); !piece.empty();
+       piece = next_piece(path_, from)) {
     if (piece == "..") {
-      if (!components.empty()) components.pop_back();
-      continue;  // ".." at the root stays at the root
+      if (above == 0) return true;
+      --above;
+    } else if (piece != ".") {
+      ++above;
     }
-    components.emplace_back(piece);
   }
-  return true;
-}
-
-std::string join_path(const std::vector<std::string>& components) {
-  if (components.empty()) return "/";
-  std::string out;
-  for (const auto& c : components) {
-    out += '/';
-    out += c;
-  }
-  return out;
-}
-
-std::string parent_path(std::string_view path) {
-  std::vector<std::string> parts;
-  if (!split_path(path, parts) || parts.empty()) return "/";
-  parts.pop_back();
-  return join_path(parts);
-}
-
-std::string base_name(std::string_view path) {
-  std::vector<std::string> parts;
-  if (!split_path(path, parts) || parts.empty()) return "";
-  return parts.back();
+  return false;
 }
 
 }  // namespace wlgen::fs

@@ -1,23 +1,32 @@
 #pragma once
 
-#include <string>
+#include <cstddef>
 #include <string_view>
-#include <vector>
 
 namespace wlgen::fs {
 
-/// Splits an absolute path into components, resolving "." and ".." lexically
-/// ("/a/./b/../c" -> {"a","c"}).  Returns false for non-absolute or empty
-/// paths; ".." above the root clamps at the root, as POSIX does.
-bool split_path(std::string_view path, std::vector<std::string>& components);
+/// Walks the components of an absolute path in order without allocating,
+/// resolving "." and ".." lexically: "/a/./b/../c" yields "a" then "c".  A
+/// component that a later ".." cancels is skipped, and ".." above the root
+/// clamps at the root, as POSIX does.  A relative or empty path yields
+/// nothing (is_absolute tells the two apart from "/").
+class PathWalker {
+ public:
+  explicit PathWalker(std::string_view path);
 
-/// Joins components back into a canonical absolute path ("/" for empty).
-std::string join_path(const std::vector<std::string>& components);
+  /// Sets `component` to the next surviving component; false at the end.
+  bool next(std::string_view& component);
 
-/// Parent of a canonical absolute path ("/a/b" -> "/a", "/a" -> "/").
-std::string parent_path(std::string_view path);
+ private:
+  /// True when a ".." after position `from` cancels the component ending there.
+  bool cancelled(std::size_t from) const;
 
-/// Final component ("/a/b" -> "b"); empty for "/".
-std::string base_name(std::string_view path);
+  std::string_view path_;
+  std::size_t pos_ = 0;
+  bool dots_ = false;  ///< the path may hold a ".." component
+};
+
+/// True for a non-empty path that starts with '/'.
+inline bool is_absolute(std::string_view path) { return !path.empty() && path.front() == '/'; }
 
 }  // namespace wlgen::fs

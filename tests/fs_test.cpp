@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fs/filesystem.h"
@@ -16,29 +17,30 @@
 namespace wlgen::fs {
 namespace {
 
-TEST(Path, SplitNormalizes) {
+/// The components PathWalker yields for `path`.
+std::vector<std::string> walk(std::string_view path) {
   std::vector<std::string> parts;
-  ASSERT_TRUE(split_path("/a/./b/../c//d/", parts));
-  EXPECT_EQ(parts, (std::vector<std::string>{"a", "c", "d"}));
-  ASSERT_TRUE(split_path("/", parts));
-  EXPECT_TRUE(parts.empty());
-  EXPECT_FALSE(split_path("relative/path", parts));
-  EXPECT_FALSE(split_path("", parts));
+  PathWalker walker(path);
+  for (std::string_view piece; walker.next(piece);) parts.emplace_back(piece);
+  return parts;
+}
+
+TEST(Path, WalkerNormalizes) {
+  EXPECT_EQ(walk("/a/./b/../c//d/"), (std::vector<std::string>{"a", "c", "d"}));
+  EXPECT_TRUE(walk("/").empty());
+  EXPECT_TRUE(is_absolute("/"));
+  EXPECT_FALSE(is_absolute("relative/path"));
+  EXPECT_TRUE(walk("relative/path").empty());
+  EXPECT_FALSE(is_absolute(""));
+  // A ".." cancels the nearest surviving component before it, nested or not.
+  EXPECT_EQ(walk("/a/b/c/../../d"), (std::vector<std::string>{"a", "d"}));
+  EXPECT_EQ(walk("/a/b/../c/.."), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(walk("/a..b/..c/."), (std::vector<std::string>{"a..b", "..c"}));
 }
 
 TEST(Path, DotDotClampsAtRoot) {
-  std::vector<std::string> parts;
-  ASSERT_TRUE(split_path("/../../a", parts));
-  EXPECT_EQ(parts, (std::vector<std::string>{"a"}));
-}
-
-TEST(Path, JoinParentBase) {
-  EXPECT_EQ(join_path({}), "/");
-  EXPECT_EQ(join_path({"a", "b"}), "/a/b");
-  EXPECT_EQ(parent_path("/a/b"), "/a");
-  EXPECT_EQ(parent_path("/a"), "/");
-  EXPECT_EQ(base_name("/a/b"), "b");
-  EXPECT_EQ(base_name("/"), "");
+  EXPECT_EQ(walk("/../../a"), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(walk("/a/../../b"), (std::vector<std::string>{"b"}));
 }
 
 TEST(FileSystem, CreateWriteReadRoundTrip) {
@@ -406,7 +408,7 @@ struct Digest {
 };
 
 /// A random path over a small namespace, spelled with the lexical detours
-/// split_path folds away: "//", "." and "<name>/..".  "longname7" exceeds
+/// PathWalker folds away: "//", "." and "<name>/..".  "longname7" exceeds
 /// the sequence's 8-byte name limit.
 std::string random_path(util::RngStream& rng) {
   static const char* const kNames[] = {"a", "b", "c", "dd", "longname7"};
