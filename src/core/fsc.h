@@ -83,28 +83,62 @@ struct FscConfig {
   std::uint64_t seed = 1991;
 };
 
+/// The shared part of an FSC layout: the /system tree (its NOTES and OTHER
+/// files, from the "fsc/system" stream) and the empty /users directory,
+/// with the system files' manifest entries.  It depends only on the seed,
+/// system_files, system_subdirs, the profiles and the file-system options,
+/// so every universe of a run copies one tree instead of rebuilding it (see
+/// DESIGN.md "Logical file system and the FSC layout").  Built on a fresh
+/// file system with no clock: its timestamps read 0, the time an FSC
+/// layout is built at.
+class SystemTree {
+ public:
+  /// Builds the tree.  Throws like FileSystemCreator::create.
+  SystemTree(const FscConfig& config, std::vector<FileCategoryProfile> profiles,
+             fs::SimulatedFileSystem::Options options = {});
+
+  /// True when this is the tree `config` and `profiles` lay out on a file
+  /// system with `options`: the same seed, system_files, system_subdirs and
+  /// options, and the same profiles (distributions compared by identity).
+  bool matches(const FscConfig& config, const std::vector<FileCategoryProfile>& profiles,
+               const fs::SimulatedFileSystem::Options& options) const;
+
+ private:
+  friend class FileSystemCreator;
+
+  FscConfig config_;  ///< seed, system_files and system_subdirs are the key
+  std::vector<FileCategoryProfile> profiles_;
+  fs::SimulatedFileSystem fsys_;
+  CreatedFileSystem manifest_;     ///< the system files
+  std::vector<std::string> dirs_;  ///< the NOTES then the OTHER subdirectories
+};
+
 /// The paper's File System Creator: "builds a new file system according to
 /// the file distributions for each file category ... we create a directory
 /// for system files, and several directories, one for each virtual user"
-/// (section 4.1.2).
+/// (section 4.1.2).  A layout is a copy of a SystemTree plus the users'
+/// trees, laid out on a new file system.
 class FileSystemCreator {
  public:
   FileSystemCreator(fs::SimulatedFileSystem& fsys, std::vector<FileCategoryProfile> profiles,
                     FscConfig config);
 
-  /// Builds directories and files; returns the manifest.
-  /// Throws std::runtime_error if the substrate rejects an operation (which
-  /// would mean the configuration is impossible, e.g. capacity exceeded).
+  /// Builds the layout's SystemTree, then lays out from it; returns the
+  /// manifest.  Throws std::runtime_error if the substrate rejects an
+  /// operation (which would mean the configuration is impossible, e.g.
+  /// capacity exceeded).
   CreatedFileSystem create();
+
+  /// Replaces the file system's contents with a copy of `tree` (its clock
+  /// stays), then builds the users [first_user, first_user + num_users);
+  /// returns the manifest.
+  /// Throws std::invalid_argument unless `tree` matches this creator's
+  /// config, profiles and file-system options, and like create() otherwise.
+  CreatedFileSystem create(const SystemTree& tree);
 
   const FscConfig& config() const { return config_; }
 
  private:
-  std::uint64_t sample_size(const FileCategoryProfile& profile, util::RngStream& rng);
-  void create_regular(CreatedFileSystem& out, const FileCategoryProfile& profile,
-                      const std::string& dir, std::size_t owner_user, std::size_t ordinal,
-                      util::RngStream& rng);
-
   fs::SimulatedFileSystem& fsys_;
   std::vector<FileCategoryProfile> profiles_;
   FscConfig config_;

@@ -21,6 +21,11 @@ void WorkloadConfig::resolve() {
     throw std::invalid_argument(
         "WorkloadConfig: open-loop arrivals require windows_per_user == 1");
   }
+  core::FscConfig layout = fsc;
+  layout.seed = seed;
+  if (!system_tree || !system_tree->matches(layout, profiles, {})) {
+    system_tree = std::make_shared<const core::SystemTree>(layout, profiles);
+  }
 }
 
 UniverseRun run_universe(sim::Simulation& sim, const WorkloadConfig& config,
@@ -40,8 +45,13 @@ UniverseRun run_universe(sim::Simulation& sim, const WorkloadConfig& config,
   fsc_config.num_users = usim.num_users;
   fsc_config.first_user = usim.first_user;
   fsc_config.seed = usim.seed;
+  std::optional<core::SystemTree> own_tree;
+  const core::SystemTree* tree = config.system_tree.get();
+  if (tree == nullptr || !tree->matches(fsc_config, config.profiles, fsys.options())) {
+    tree = &own_tree.emplace(fsc_config, config.profiles, fsys.options());
+  }
   core::FileSystemCreator fsc(fsys, config.profiles, fsc_config);
-  const core::CreatedFileSystem manifest = fsc.create();
+  const core::CreatedFileSystem manifest = fsc.create(*tree);
 
   if (config.traffic.arrivals && !usim.arrival_times_us) {
     usim.arrival_times_us = std::make_shared<const std::vector<std::vector<double>>>(

@@ -55,11 +55,19 @@ struct WorkloadConfig {
   /// (inert) TrafficConfig leaves every code path byte-identical.
   traffic::TrafficConfig traffic;
 
+  /// The FSC's /system tree for `seed`, `fsc` and `profiles`, built by
+  /// resolve() and copied by every universe whose layout it matches.  A
+  /// universe at another seed or layout (a contended replication, a config
+  /// changed after resolve()) builds its own instead.
+  std::shared_ptr<const core::SystemTree> system_tree;
+
   /// Fills the empty fields with the defaults above (the paper's section
-  /// 5.1 setup: NFS, the DI86 profiles, the default population) and checks
-  /// the traffic config.  Throws std::invalid_argument on an invalid
-  /// traffic config, or on open-loop arrivals with usim.windows_per_user
-  /// != 1.  Idempotent; run_universe expects a resolved config.
+  /// 5.1 setup: NFS, the DI86 profiles, the default population), checks
+  /// the traffic config and builds system_tree unless it already matches.
+  /// Throws std::invalid_argument on an invalid traffic config, or on
+  /// open-loop arrivals with usim.windows_per_user != 1, and like
+  /// core::FileSystemCreator::create on an impossible layout.  Idempotent;
+  /// run_universe expects a resolved config.
   void resolve();
 };
 
@@ -91,8 +99,11 @@ struct UniverseRun {
 /// usim.num_users) from usim.seed.  Every FSC + USIM run in the tree goes
 /// through here, from one of three drivers: ShardedRunner (independent
 /// universes), ContendedRunner (replicated shared machines) and run_shared
-/// (the shared machine at the root seed).  The caller owns the per-record
-/// hook and the sink (both on `usim`).  `config` must be resolved.
+/// (the shared machine at the root seed; exp::run_workload sets the same
+/// universe up without run_shared's fold).  The universe copies
+/// config.system_tree when it matches usim.seed and builds its own tree
+/// otherwise.  The caller owns the per-record hook and the sink (both on
+/// `usim`).  `config` must be resolved.
 UniverseRun run_universe(sim::Simulation& sim, const WorkloadConfig& config,
                          core::UsimConfig usim);
 
