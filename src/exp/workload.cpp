@@ -10,7 +10,15 @@
 namespace wlgen::exp {
 
 WorkloadOutput run_workload(const WorkloadConfig& config) {
-  runner::SharedRun run = runner::run_shared(config, config.num_users);
+  // The shared machine at the root seed, as runner::run_shared sets it up,
+  // without its per-record fold: the analyzer's pass is the one fold.
+  runner::WorkloadConfig resolved = config;
+  resolved.resolve();
+  core::UsimConfig usim = resolved.usim;
+  usim.num_users = config.num_users;
+  usim.seed = resolved.seed;
+  sim::Simulation simulation;
+  runner::UniverseRun run = runner::run_universe(simulation, resolved, std::move(usim));
   // Braced initializers run in order: the analyzer reads the log before it
   // moves (the analyzer keeps no reference to it).
   return {.analysis = core::UsageAnalyzer(run.log),
