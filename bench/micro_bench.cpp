@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark): throughput of the hot paths every
 // experiment leans on — distribution sampling, CDF-table lookup, the DES
-// event loop, resource queueing, the simulated file system, and the LRU
-// caches.
+// event loop, resource queueing, the simulated file system and the FSC
+// layout, and the LRU caches.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_main.h"
+#include "core/fsc.h"
+#include "core/presets.h"
 #include "dist/basic.h"
 #include "dist/cdf_table.h"
 #include "dist/multistage_gamma.h"
@@ -138,9 +140,13 @@ void BM_ResourceQueueing(benchmark::State& state) {
 }
 BENCHMARK(BM_ResourceQueueing)->Arg(1000);
 
+// One warm Simulation reset every iteration, as run_universe resets its
+// worker's: the arena and chain pools are the row's own after the first
+// iteration, so the row reads the same alone or after any other benchmark.
 void BM_StageChainExecution(benchmark::State& state) {
+  sim::Simulation sim;
   for (auto _ : state) {
-    sim::Simulation sim;
+    sim.reset();
     sim::Resource disk(sim, "disk", 1);
     for (int i = 0; i < 500; ++i) {
       sim::execute_chain(sim,
@@ -193,6 +199,25 @@ void BM_FsPathResolutionDeep(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(fsys.stat(file));
 }
 BENCHMARK(BM_FsPathResolutionDeep);
+
+// One universe's FSC layout as run_universe lays it out: the run's shared
+// /system tree (256 files) copied, plus one user's tree (64 files and five
+// directories).  Items = manifest entries.
+void BM_FscLayout(benchmark::State& state) {
+  const std::vector<core::FileCategoryProfile> profiles = core::di86_file_profiles();
+  const core::FscConfig config;
+  const core::SystemTree tree(config, profiles);
+  std::int64_t files = 0;
+  for (auto _ : state) {
+    fs::SimulatedFileSystem fsys;
+    core::FileSystemCreator fsc(fsys, profiles, config);
+    const std::size_t count = fsc.create(tree).file_count();
+    benchmark::DoNotOptimize(count);
+    files += static_cast<std::int64_t>(count);
+  }
+  state.SetItemsProcessed(files);
+}
+BENCHMARK(BM_FscLayout);
 
 void BM_LruCacheAccess(benchmark::State& state) {
   fsmodel::LruCache cache(static_cast<std::size_t>(state.range(0)));
