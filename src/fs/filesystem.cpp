@@ -203,22 +203,23 @@ Result<InodeId> SimulatedFileSystem::resolve(std::string_view path) const {
 Result<InodeId> SimulatedFileSystem::resolve_parent(std::string_view path,
                                                     std::string_view& leaf) const {
   if (!is_absolute(path)) return FsStatus::invalid_argument;
-  // One pass: each component is looked up once the next one shows it is not
-  // the leaf.  The leaf's own checks come first, so a walk error waits.
   PathWalker walk(path);
+  std::string_view piece;
+  if (!walk.next(piece)) return FsStatus::invalid_argument;  // root has no parent entry
+  // One pass: a component is looked up once the next one shows it is not
+  // the leaf.  The first error of the walk waits for the leaf's own check.
   InodeId current = 1;
   FsStatus walk_error = FsStatus::ok;
-  bool any = false;
-  for (std::string_view piece; walk.next(piece); leaf = piece, any = true) {
-    if (!any || walk_error != FsStatus::ok) continue;
+  for (std::string_view next; walk.next(next); piece = next) {
+    if (walk_error != FsStatus::ok) continue;
     if (inode_ref(current).kind != FileKind::directory) {
       walk_error = FsStatus::not_a_directory;
       continue;
     }
-    current = entries_.find(current, leaf);
+    current = entries_.find(current, piece);
     if (current == 0) walk_error = FsStatus::not_found;
   }
-  if (!any) return FsStatus::invalid_argument;  // root has no parent entry
+  leaf = piece;
   if (leaf.size() > options_.max_name_length) return FsStatus::name_too_long;
   if (walk_error != FsStatus::ok) return walk_error;
   if (inode_ref(current).kind != FileKind::directory) return FsStatus::not_a_directory;
