@@ -34,6 +34,10 @@
 #   {analyze,replay}_empty.txt
 #                           `wlgen analyze` and `wlgen replay --model local`
 #                           stdout over a log that holds only its header;
+#   {analyze,replay}_noncanonical.txt
+#                           the same two commands over noncanonical.log, a
+#                           log whose fields take every non-canonical form
+#                           the reader accepts;
 #   experiments/<id>.json   every experiment's JSON at --scale 0.25, at
 #                           --threads 1 and 4.
 #
@@ -212,6 +216,16 @@ check_analyze(analyze_empty empty)
 set(CHECK_LABEL "replay empty.log --model local")
 wlgen_stdout(report replay ${WORK_DIR}/empty.log --model local)
 check(${GOLDEN_DIR}/replay_empty.txt "${report}")
+
+# Every field form the reader accepts besides the one the writer prints:
+# CRLF and LF endings, comment and blank lines, padded fields, '+', leading
+# zeros, exponent, hex and leading-dot doubles, -0, and -1 in a u64 field
+# (read as UINT64_MAX).
+file(COPY ${GOLDEN_DIR}/noncanonical.log DESTINATION ${WORK_DIR})
+check_analyze(analyze_noncanonical noncanonical)
+set(CHECK_LABEL "replay noncanonical.log --model local")
+wlgen_stdout(report replay ${WORK_DIR}/noncanonical.log --model local)
+check(${GOLDEN_DIR}/replay_noncanonical.txt "${report}")
 
 # Experiment JSON, byte for byte.  The golden set must match the produced
 # set exactly, so a dropped or a new experiment fails too.
