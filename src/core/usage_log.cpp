@@ -1,5 +1,7 @@
 #include "core/usage_log.h"
 
+#include <array>
+#include <bit>
 #include <charconv>
 #include <stdexcept>
 #include <thread>
@@ -18,14 +20,33 @@ constexpr const char* kFieldNames[kRecordFields] = {
     "issue_us",  "response_us", "user",      "session", "op",    "req_bytes",
     "act_bytes", "file_id",     "file_size", "ftype",   "owner", "use"};
 
-fsmodel::FsOpType op_from_string(std::string_view name) {
-  using fsmodel::FsOpType;
-  for (FsOpType op : {FsOpType::open, FsOpType::close, FsOpType::read, FsOpType::write,
-                      FsOpType::creat, FsOpType::unlink, FsOpType::stat, FsOpType::lseek,
-                      FsOpType::mkdir, FsOpType::readdir}) {
-    if (name == fsmodel::to_string(op)) return op;
+struct OpName {
+  std::string_view name;
+  fsmodel::FsOpType op;
+};
+
+constexpr OpName kOpNames[] = {
+    {"open", fsmodel::FsOpType::open},     {"close", fsmodel::FsOpType::close},
+    {"read", fsmodel::FsOpType::read},     {"write", fsmodel::FsOpType::write},
+    {"creat", fsmodel::FsOpType::creat},   {"unlink", fsmodel::FsOpType::unlink},
+    {"stat", fsmodel::FsOpType::stat},     {"lseek", fsmodel::FsOpType::lseek},
+    {"mkdir", fsmodel::FsOpType::mkdir},   {"readdir", fsmodel::FsOpType::readdir}};
+
+// fsmodel::to_string's inverse; false for any other name.
+bool find_op(std::string_view name, fsmodel::FsOpType& op) {
+  for (const OpName& entry : kOpNames) {
+    if (name == entry.name) {
+      op = entry.op;
+      return true;
+    }
   }
-  throw std::invalid_argument("unknown op '" + std::string(name) + "'");
+  return false;
+}
+
+fsmodel::FsOpType op_from_string(std::string_view name) {
+  fsmodel::FsOpType op{};
+  if (!find_op(name, op)) throw std::invalid_argument("unknown op '" + std::string(name) + "'");
+  return op;
 }
 
 FileType file_type_from_int(int v) {
@@ -79,9 +100,112 @@ long long parse_int_field(std::string_view field, std::size_t index) {
   throw_malformed(index, field);
 }
 
+// One left-to-right pass over a line whose every field is a bare number
+// (or op name) running up to its tab, the last up to the end of the line:
+// what format_record_text writes.  It never throws.  On any other line it
+// returns false and parse_record_line takes the general path from the
+// start, so errors and their precedence are the general path's; where it
+// succeeds, the general path gives the same values, because each field it
+// reads is one the general path reads whole with from_chars too, and the
+// op and category checks are the same checks.
+bool parse_canonical_line(std::string_view line, OpRecord& r) {
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  // Each reader stops at the field's tab and steps over it.
+  const auto at_tab = [&](const char* stop) {
+    if (stop == end || *stop != '\t') return false;
+    p = stop + 1;
+    return true;
+  };
+  const auto read_double = [&](double& value) {
+    const char* digits = p != end && *p == '-' ? p + 1 : p;
+    if (digits == end || *digits < '0' || *digits > '9') return false;
+    const auto [stop, ec] = std::from_chars(p, end, value);
+    return ec == std::errc() && at_tab(stop);
+  };
+  const auto read_int = [&](long long& value) {
+    const auto [stop, ec] = std::from_chars(p, end, value);
+    return ec == std::errc() && at_tab(stop);
+  };
+  long long user = 0, session = 0, requested = 0, actual = 0, file_id = 0, file_size = 0;
+  long long file_type = 0, owner = 0;
+  if (!read_double(r.issue_time_us) || !read_double(r.response_us) || !read_int(user) ||
+      !read_int(session)) {
+    return false;
+  }
+  const char* op_end = p;
+  while (op_end != end && *op_end != '\t') ++op_end;
+  if (!find_op(std::string_view(p, static_cast<std::size_t>(op_end - p)), r.op) ||
+      !at_tab(op_end) || !read_int(requested) || !read_int(actual) || !read_int(file_id) ||
+      !read_int(file_size) || !read_int(file_type) || !read_int(owner)) {
+    return false;
+  }
+  long long use = 0;
+  const auto [stop, ec] = std::from_chars(p, end, use);
+  if (ec != std::errc() || stop != end) return false;
+  // Narrowed by cast, as the general path narrows them.
+  const int type_code = static_cast<int>(file_type);
+  const int owner_code = static_cast<int>(owner);
+  const int use_code = static_cast<int>(use);
+  if (type_code < 0 || type_code > 1 || owner_code < 0 || owner_code > 2 || use_code < 0 ||
+      use_code > 3) {
+    return false;
+  }
+  r.user = static_cast<std::uint32_t>(user);
+  r.session = static_cast<std::uint32_t>(session);
+  r.requested_bytes = static_cast<std::uint64_t>(requested);
+  r.actual_bytes = static_cast<std::uint64_t>(actual);
+  r.file_id = static_cast<std::uint64_t>(file_id);
+  r.file_size = static_cast<std::uint64_t>(file_size);
+  r.category = {file_type_from_int(type_code), owner_from_int(owner_code), use_from_int(use_code)};
+  return true;
+}
+
 template <typename T>
 char* put_int(char* out, T value) {
   return std::to_chars(out, out + 24, value).ptr;
+}
+
+// 10^0 .. 10^16: the fraction scales of put_double.
+constexpr auto kPow10 = [] {
+  std::array<std::uint64_t, 17> pow10{};
+  pow10[0] = 1;
+  for (std::size_t i = 1; i < pow10.size(); ++i) pow10[i] = pow10[i - 1] * 10;
+  return pow10;
+}();
+
+// std::to_chars(general, 17), i.e. %.17g.  A finite v in [1, 2^53) is
+// I + f / 2^s with integer I of d <= 16 digits, so %.17g prints I and then
+// k = 17 - d fraction digits, round(f * 10^k / 2^s) with ties to even,
+// without trailing zeros.  f < 2^52 and 10^k <= 10^16 keep that product
+// in 128 bits, and integer arithmetic leaves the bytes independent of FMA
+// contraction and the rounding mode.  Every other value takes to_chars.
+char* put_double(char* out, double v) {
+  using u128 = unsigned __int128;
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const auto biased_exponent = static_cast<int>(bits >> 52);  // >= 2048 when negative
+  if (biased_exponent < 1023 || biased_exponent > 1023 + 52) {
+    return std::to_chars(out, out + 32, v, std::chars_format::general, 17).ptr;
+  }
+  const int s = 1023 + 52 - biased_exponent;  // fraction bits, 0..52
+  const std::uint64_t mantissa = (bits & ((1ull << 52) - 1)) | (1ull << 52);
+  std::uint64_t integer = mantissa >> s;
+  const std::uint64_t fraction = mantissa & ((1ull << s) - 1);
+  char* p = put_int(out, integer);
+  if (fraction == 0) return p;
+  const auto k = static_cast<std::size_t>(17 - (p - out));
+  const u128 scaled = static_cast<u128>(fraction) * kPow10[k];
+  auto digits = static_cast<std::uint64_t>(scaled >> s);
+  const u128 rest = scaled & ((static_cast<u128>(1) << s) - 1);
+  const u128 half = static_cast<u128>(1) << (s - 1);
+  if (rest > half || (rest == half && (digits & 1) != 0)) ++digits;
+  if (digits == kPow10[k]) return put_int(out, integer + 1);  // rounds up to I + 1
+  if (digits == 0) return p;
+  *p++ = '.';
+  char* last = p + k;
+  for (char* d = last; d != p; digits /= 10) *--d = static_cast<char>('0' + digits % 10);
+  while (last[-1] == '0') --last;
+  return last;
 }
 
 }  // namespace
@@ -94,9 +218,6 @@ const char* usage_log_header_line() {
 char* format_record_text(const OpRecord& r, char* out) {
   // 2 x 24 (doubles) + 2 x 10 + 7 (op) + 4 x 20 + 3 x 11 + 12 separators
   // = 200 bytes at most, inside kMaxRecordTextBytes.
-  const auto put_double = [](char* p, double v) {
-    return std::to_chars(p, p + 32, v, std::chars_format::general, 17).ptr;
-  };
   out = put_double(out, r.issue_time_us);
   *out++ = '\t';
   out = put_double(out, r.response_us);
@@ -125,6 +246,12 @@ char* format_record_text(const OpRecord& r, char* out) {
 }
 
 OpRecord parse_record_line(std::string_view line) {
+  OpRecord r;
+  if (parse_canonical_line(line, r)) return r;
+  return detail::parse_record_fields(line);
+}
+
+OpRecord detail::parse_record_fields(std::string_view line) {
   std::string_view fields[kRecordFields];
   std::size_t count = 0;
   for (std::size_t start = 0;;) {

@@ -61,13 +61,25 @@ inline constexpr std::size_t kMaxRecordTextBytes = 256;
 /// Writes one record line, '\n' included, at `out` (which must have room for
 /// kMaxRecordTextBytes) and returns one past its last byte.  Doubles are
 /// std::to_chars general/17 — by definition printf's %.17g, the bytes an
-/// ostream at precision(17) prints.
+/// ostream at precision(17) prints — written with integer arithmetic for
+/// finite values in [1, 2^53).
 char* format_record_text(const OpRecord& record, char* out);
 
 /// Parses one non-comment record line; throws std::invalid_argument naming
-/// the offending field.  Numbers take a std::from_chars fast path and fall
-/// back to util::parse_double/parse_int, so the accepted inputs and their
-/// values are exactly those of the historical strtod-based parser.
+/// the offending field.  A line in the form format_record_text writes is
+/// read in one pass; any other goes to detail::parse_record_fields, so the
+/// accepted inputs, their values and the error texts are exactly those of
+/// the historical strtod-based parser.
 OpRecord parse_record_line(std::string_view line);
+
+namespace detail {
+
+/// parse_record_line's general path: split the line at every tab, then read
+/// each field with std::from_chars, falling back to util::parse_double/
+/// parse_int (trimmed, strtod for doubles).  Public so tests can hold the
+/// one-pass path to it.
+OpRecord parse_record_fields(std::string_view line);
+
+}  // namespace detail
 
 }  // namespace wlgen::core

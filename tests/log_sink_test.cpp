@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -12,6 +14,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -19,6 +22,7 @@
 
 #include "core/analysis.h"
 #include "core/usage_log.h"
+#include "runner/universe.h"
 #include "util/strings.h"
 #include "util/svg.h"
 
@@ -835,6 +839,218 @@ TEST(TextParser, RoundTripIsBitExactForEdgeValues) {
     EXPECT_EQ(a.file_id, b.file_id);
     EXPECT_EQ(a.file_size, b.file_size);
     EXPECT_EQ(a.category, b.category);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Text codec properties: format_record_text's integer %.17g writer against
+// std::to_chars, and parse_record_line's one-pass path against the general
+// path it falls back to.
+// ---------------------------------------------------------------------------
+
+// A real log's records: three users of the default workload on one machine.
+const std::vector<OpRecord>& real_records() {
+  static const std::vector<OpRecord> records = [] {
+    runner::WorkloadConfig workload;
+    workload.seed = 29;
+    workload.usim.sessions_per_user = 3;
+    return runner::run_shared(workload, 3).log.records();
+  }();
+  return records;
+}
+
+std::string chars17(double v) {
+  char text[32];
+  return {text, std::to_chars(text, text + sizeof text, v, std::chars_format::general, 17).ptr};
+}
+
+// Writes records with `values` two at a time in their double fields and
+// compares each line's first two fields with std::to_chars(general, 17).
+void expect_writer_matches_to_chars(const std::vector<double>& values) {
+  char line[kMaxRecordTextBytes];
+  OpRecord r;
+  for (std::size_t i = 0; i < values.size(); i += 2) {
+    r.issue_time_us = values[i];
+    r.response_us = values[i + 1 < values.size() ? i + 1 : i];
+    const std::string_view text(line, static_cast<std::size_t>(format_record_text(r, line) - line));
+    const std::string expected = chars17(r.issue_time_us) + '\t' + chars17(r.response_us) + '\t';
+    ASSERT_EQ(text.substr(0, expected.size()), expected)
+        << std::hexfloat << r.issue_time_us << ' ' << r.response_us;
+  }
+}
+
+TEST(TextCodecProperty, WriterMatchesToCharsOnEveryClassOfDouble) {
+  std::mt19937_64 rng(29);
+  constexpr std::uint64_t kMantissa = (std::uint64_t{1} << 52) - 1;
+  // A double of biased exponent in [lo, hi] and a random mantissa, half the
+  // time cut to its top bits so short fractions and integers come up.
+  const auto draw = [&](std::uint64_t lo, std::uint64_t hi) {
+    std::uint64_t mantissa = rng() & kMantissa;
+    if (rng() % 2 == 0) mantissa &= ~((std::uint64_t{1} << (rng() % 53)) - 1);
+    return std::bit_cast<double>((lo + rng() % (hi - lo + 1)) << 52 | mantissa);
+  };
+  std::vector<double> values;
+  std::size_t fast = 0;
+  for (std::size_t i = 0; i < 4'000'000; ++i) {
+    switch (i % 16) {
+      case 0:  // subnormal
+        values.push_back(std::bit_cast<double>(1 + rng() % kMantissa));
+        break;
+      case 1:  // (0, 1)
+        values.push_back(draw(1, 1022));
+        break;
+      case 2:  // [2^53, max]
+        values.push_back(draw(1023 + 53, 2046));
+        break;
+      case 3:  // negative, any finite magnitude
+        values.push_back(-draw(0, 2046));
+        break;
+      case 4: {  // +-0, +-inf and nan with any payload and sign
+        const double specials[] = {0.0, -0.0, std::numeric_limits<double>::infinity(),
+                                   -std::numeric_limits<double>::infinity(),
+                                   std::bit_cast<double>(rng() | (std::uint64_t{2047} << 52) |
+                                                         (std::uint64_t{1} << 51))};
+        values.push_back(specials[rng() % 5]);
+        break;
+      }
+      default:  // [1, 2^53): the integer kernel
+        values.push_back(draw(1023, 1023 + 52));
+        ++fast;
+    }
+  }
+  EXPECT_GT(fast, 2'000'000u);
+  expect_writer_matches_to_chars(values);
+
+  // +-2000 ulps around every power of ten from 1 to 10^17.
+  values.clear();
+  double power = 1.0;
+  for (int d = 0; d <= 17; ++d, power *= 10.0) {
+    const auto bits = std::bit_cast<std::uint64_t>(power);
+    for (std::uint64_t ulp = 0; ulp <= 2000; ++ulp) {
+      values.push_back(std::bit_cast<double>(bits + ulp));
+      values.push_back(std::bit_cast<double>(bits - ulp));
+    }
+  }
+  expect_writer_matches_to_chars(values);
+
+  // Exact ties: with d integer digits %.17g keeps k = 17 - d fraction
+  // digits, and v = I + odd / 2^(k+1) lies halfway between two of them.
+  // Such a v is a double when I < 2^(52 - k).
+  values.clear();
+  std::uint64_t low = 1;
+  for (int d = 1; d <= 16; ++d, low *= 10) {
+    const int k = 17 - d;
+    const std::uint64_t high = std::min(low * 10, std::uint64_t{1} << (52 - k));
+    for (int i = 0; i < 4000; ++i) {
+      const std::uint64_t integer = low + rng() % (high - low);
+      const std::uint64_t odd = 2 * (rng() % (std::uint64_t{1} << k)) + 1;
+      values.push_back(std::ldexp(static_cast<double>(integer << (k + 1) | odd), -(k + 1)));
+    }
+  }
+  expect_writer_matches_to_chars(values);
+
+  values.clear();
+  for (const OpRecord& r : real_records()) {
+    values.push_back(r.issue_time_us);
+    values.push_back(r.response_us);
+  }
+  expect_writer_matches_to_chars(values);
+}
+
+// What a parse of `line` gives: the record, or the exception's text.
+struct ParseOutcome {
+  std::optional<OpRecord> record;
+  std::string error;
+};
+
+template <typename Parse>
+ParseOutcome parse_outcome(Parse parse, const std::string& line) {
+  try {
+    return {parse(line), {}};
+  } catch (const std::invalid_argument& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+bool same_record(const OpRecord& a, const OpRecord& b) {
+  return same_bits(a.issue_time_us, b.issue_time_us) && same_bits(a.response_us, b.response_us) &&
+         a.user == b.user && a.session == b.session && a.op == b.op &&
+         a.requested_bytes == b.requested_bytes && a.actual_bytes == b.actual_bytes &&
+         a.file_id == b.file_id && a.file_size == b.file_size && a.category == b.category;
+}
+
+TEST(TextCodecProperty, OnePassParserMatchesGeneralPathOnMutatedLines) {
+  std::vector<std::string> lines;
+  char text[kMaxRecordTextBytes];
+  for (const OpRecord& r : real_records()) {
+    lines.emplace_back(text, format_record_text(r, text) - 1);  // without the '\n'
+  }
+  ASSERT_GT(lines.size(), 500u);
+  const std::string alphabet = "0123456789-+.eExpinaf \t\r\v#";
+  const std::vector<std::string> tokens = {
+      "", " ", "-", "+", "-0", "0", "00", "0012", "+5", "1e3", "1E+3", "1e", "1e400", "-1e400",
+      "1e-400", "4e-320", "nan", "-nan", "inf", "-inf", "0x1p3", "0X10", ".5", "5.", "-.5", "-1",
+      "18446744073709551615", "9223372036854775807", "9223372036854775808", "4294967296",
+      "4294967297", "2147483648", "-2147483649", " 17 ", "17 ", "\v17", "1.5e", "2", "3", "4",
+      "read", "readdir", "reads", "READ", "open ", "\r", "\t", "1\t2"};
+  std::mt19937_64 rng(28);
+  // Field boundaries of `line`: [start, end) of field i.
+  const auto field = [](const std::string& line, std::size_t i) {
+    std::size_t start = 0;
+    for (; i > 0; --i) {
+      const std::size_t tab = line.find('\t', start);
+      if (tab == std::string::npos) return std::pair{line.size(), line.size()};
+      start = tab + 1;
+    }
+    return std::pair{start, std::min(line.find('\t', start), line.size())};
+  };
+  std::size_t accepted = 0;
+  constexpr std::size_t kTrials = 120'000;
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    std::string line = lines[rng() % lines.size()];
+    for (std::size_t edits = 1 + rng() % 3; edits > 0; --edits) {
+      const std::size_t at = rng() % (line.size() + 1);
+      const auto [start, end] = field(line, rng() % 13);
+      switch (rng() % 8) {
+        case 0:  // overwrite a byte
+          if (at < line.size()) line[at] = alphabet[rng() % alphabet.size()];
+          break;
+        case 1:  // insert a byte
+          line.insert(at, 1, alphabet[rng() % alphabet.size()]);
+          break;
+        case 2:  // delete a byte
+          if (at < line.size()) line.erase(at, 1);
+          break;
+        case 3:  // replace a field
+        case 4:
+          line.replace(start, end - start, tokens[rng() % tokens.size()]);
+          break;
+        case 5:  // cut the line short
+          line.resize(at);
+          break;
+        case 6:  // drop a field and its tab
+          line.erase(start, std::min(end + 1, line.size()) - start);
+          break;
+        case 7:  // repeat a field
+          line.insert(start, line.substr(start, end - start) + '\t');
+          break;
+      }
+    }
+    SCOPED_TRACE(line);
+    const ParseOutcome fast = parse_outcome(parse_record_line, line);
+    const ParseOutcome general = parse_outcome(detail::parse_record_fields, line);
+    ASSERT_EQ(fast.error, general.error);
+    ASSERT_EQ(fast.record.has_value(), general.record.has_value());
+    if (fast.record) {
+      ASSERT_TRUE(same_record(*fast.record, *general.record));
+      ++accepted;
+    }
+  }
+  // Both outcomes come up often.
+  EXPECT_GT(accepted, kTrials / 10);
+  EXPECT_LT(accepted, kTrials * 9 / 10);
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(same_record(parse_record_line(line), detail::parse_record_fields(line))) << line;
   }
 }
 
