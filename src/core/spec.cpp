@@ -226,6 +226,26 @@ std::string serialize_distribution(const dist::Distribution& d) {
     }
     return out + ")";
   }
+  // Table families keep the values as entered: normalising them again on
+  // the next parse would move their last digits.
+  const auto table = [](const char* family, const std::vector<double>& xs,
+                        const std::vector<double>& values) {
+    std::string out = family;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      out += i == 0 ? "((" : ", (";
+      out += format_number(xs[i]);
+      out += ", ";
+      out += format_number(values[i]);
+      out += ')';
+    }
+    return out + ")";
+  };
+  if (const auto* t = dynamic_cast<const dist::TabulatedPdf*>(&d)) {
+    return table("pdf_table", t->knots(), t->input_values());
+  }
+  if (const auto* t = dynamic_cast<const dist::TabulatedCdf*>(&d)) {
+    return table("cdf_table", t->knots(), t->input_values());
+  }
   throw std::invalid_argument("serialize_distribution: unsupported family: " + d.describe());
 }
 

@@ -25,8 +25,11 @@ namespace wlgen::core {
 /// Throws std::invalid_argument with a position-annotated message on errors.
 dist::DistributionPtr parse_distribution(const std::string& text);
 
-/// Serialises distributions of the known families back to parseable text.
-/// Throws std::invalid_argument for foreign Distribution subclasses.
+/// Serialises every family parse_distribution accepts back to parseable
+/// text, numbers at 12 significant digits (the table families with their
+/// values as entered, before normalisation), so serialize(parse(serialize(d)))
+/// == serialize(d).  Throws std::invalid_argument for foreign Distribution
+/// subclasses.
 std::string serialize_distribution(const dist::Distribution& d);
 
 /// The GDS replacement: a named collection of distributions with load/store,

@@ -47,7 +47,7 @@ std::size_t segment_of(const std::vector<double>& xs, double x) {
 // ---------------------------------------------------------------------------
 
 TabulatedPdf::TabulatedPdf(std::vector<double> xs, std::vector<double> fs)
-    : xs_(std::move(xs)), fs_(std::move(fs)) {
+    : xs_(std::move(xs)), input_(fs), fs_(std::move(fs)) {
   validate_grid(xs_, fs_, "TabulatedPdf");
   for (double f : fs_) {
     if (f < 0.0) throw std::invalid_argument("TabulatedPdf: density values must be >= 0");
@@ -137,7 +137,7 @@ DistributionPtr TabulatedPdf::clone() const { return std::make_unique<TabulatedP
 // ---------------------------------------------------------------------------
 
 TabulatedCdf::TabulatedCdf(std::vector<double> xs, std::vector<double> Fs)
-    : xs_(std::move(xs)), fs_(std::move(Fs)) {
+    : xs_(std::move(xs)), input_(Fs), fs_(std::move(Fs)) {
   validate_grid(xs_, fs_, "TabulatedCdf");
   for (std::size_t i = 1; i < fs_.size(); ++i) {
     if (fs_[i] < fs_[i - 1]) {

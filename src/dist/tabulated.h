@@ -28,8 +28,13 @@ class TabulatedPdf : public Distribution {
   std::string describe() const override;
   DistributionPtr clone() const override;
 
+  const std::vector<double>& knots() const { return xs_; }
+  /// The density values as given, before normalisation.
+  const std::vector<double>& input_values() const { return input_; }
+
  private:
   std::vector<double> xs_;
+  std::vector<double> input_;
   std::vector<double> fs_;   ///< normalised density at the knots
   std::vector<double> cum_;  ///< CDF at the knots (cum_.back() == 1)
   double mean_ = 0.0;
@@ -56,8 +61,13 @@ class TabulatedCdf : public Distribution {
   std::string describe() const override;
   DistributionPtr clone() const override;
 
+  const std::vector<double>& knots() const { return xs_; }
+  /// The CDF values as given, before rescaling.
+  const std::vector<double>& input_values() const { return input_; }
+
  private:
   std::vector<double> xs_;
+  std::vector<double> input_;
   std::vector<double> fs_;  ///< rescaled CDF at the knots
   double mean_ = 0.0;
   double variance_ = 0.0;

@@ -38,6 +38,8 @@
 #                           the same two commands over noncanonical.log, a
 #                           log whose fields take every non-canonical form
 #                           the reader accepts;
+#   gds_all_families.txt    `wlgen gds` stdout over all_families.gds, a spec
+#                           with one distribution of every family;
 #   experiments/<id>.json   every experiment's JSON at --scale 0.25, at
 #                           --threads 1 and 4.
 #
@@ -226,6 +228,11 @@ check_analyze(analyze_noncanonical noncanonical)
 set(CHECK_LABEL "replay noncanonical.log --model local")
 wlgen_stdout(report replay ${WORK_DIR}/noncanonical.log --model local)
 check(${GOLDEN_DIR}/replay_noncanonical.txt "${report}")
+
+# `wlgen gds` lists and serializes every family the spec grammar accepts.
+set(CHECK_LABEL "gds all_families.gds")
+wlgen_stdout(report gds ${GOLDEN_DIR}/all_families.gds)
+check(${GOLDEN_DIR}/gds_all_families.txt "${report}")
 
 # Experiment JSON, byte for byte.  The golden set must match the produced
 # set exactly, so a dropped or a new experiment fails too.
