@@ -1,19 +1,24 @@
 // Microbenchmarks (google-benchmark): throughput of the hot paths every
 // experiment leans on — distribution sampling, CDF-table lookup, the DES
 // event loop, resource queueing, the simulated file system and the FSC
-// layout, and the LRU caches.
+// layout, the LRU caches and the usage-log text codec.
 
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "bench_main.h"
 #include "core/fsc.h"
 #include "core/presets.h"
+#include "core/usage_log.h"
 #include "dist/basic.h"
 #include "dist/cdf_table.h"
 #include "dist/multistage_gamma.h"
 #include "dist/phase_exponential.h"
 #include "fs/filesystem.h"
 #include "fsmodel/lru_cache.h"
+#include "runner/universe.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
 #include "sim/stages.h"
@@ -229,6 +234,46 @@ void BM_LruCacheAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LruCacheAccess)->Arg(384)->Arg(4096);
+
+// The usage-log text codec, one record per iteration (ns per record), over
+// a real run's records: four users of the default workload, five sessions
+// each, on one machine.
+const std::vector<core::OpRecord>& codec_records() {
+  static const std::vector<core::OpRecord> records = [] {
+    runner::WorkloadConfig workload;
+    workload.usim.sessions_per_user = 5;
+    return runner::run_shared(workload, 4).log.records();
+  }();
+  return records;
+}
+
+void BM_FormatRecordText(benchmark::State& state) {
+  const std::vector<core::OpRecord>& records = codec_records();
+  char line[core::kMaxRecordTextBytes];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::format_record_text(records[i], line));
+    benchmark::ClobberMemory();
+    if (++i == records.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FormatRecordText);
+
+void BM_ParseRecordLine(benchmark::State& state) {
+  std::vector<std::string> lines;
+  char text[core::kMaxRecordTextBytes];
+  for (const core::OpRecord& r : codec_records()) {
+    lines.emplace_back(text, core::format_record_text(r, text) - 1);  // without the '\n'
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::parse_record_line(lines[i]));
+    if (++i == lines.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParseRecordLine);
 
 }  // namespace
 
