@@ -243,7 +243,8 @@ void UserSimulator::schedule_session_start(UserState& user, SessionSlot& slot) {
 }
 
 void UserSimulator::issue(UserState& user, SessionSlot& slot, WorkItem& item,
-                          fsmodel::FsOpType op, std::uint64_t requested, std::uint64_t actual) {
+                          fsmodel::FsOpType op, std::uint64_t requested, std::uint64_t actual,
+                          std::uint64_t offset) {
   ++total_ops_;
   ++slot.ops_this_session;
 
@@ -253,11 +254,7 @@ void UserSimulator::issue(UserState& user, SessionSlot& slot, WorkItem& item,
   model_op.size = actual;
   model_op.file_size = item.file_size;
   model_op.client = static_cast<std::uint32_t>(user.index % config_.client_machines);
-  if (item.fd >= 0 && fsmodel::is_data_op(op)) {
-    const auto pos = fsys_.tell(item.fd);
-    // tell() reports the post-op offset; the op started `actual` earlier.
-    model_op.offset = pos.ok() && pos.value() >= actual ? pos.value() - actual : 0;
-  }
+  model_op.offset = offset;
 
   const double issued_at = sim_.now();
   const std::uint32_t session = slot.session_ordinal;
@@ -400,13 +397,14 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
   if (item.bytes_written < item.write_target) {
     const std::uint64_t remaining = item.write_target - item.bytes_written;
     const std::uint64_t size = std::min(chunk, remaining);
+    const std::uint64_t offset = fsys_.tell(item.fd).value();
     const auto wrote = fsys_.write(item.fd, size);
     const std::uint64_t actual = wrote.ok() ? wrote.value() : 0;
     item.bytes_written += actual;
     item.bytes_done += actual;
     item.file_size = std::max(item.file_size, fsys_.fstat(item.fd).value().size);
     if (!wrote.ok()) item.write_target = item.bytes_written;  // no space: stop growing
-    issue(user, slot, item, fsmodel::FsOpType::write, size, actual);
+    issue(user, slot, item, fsmodel::FsOpType::write, size, actual, offset);
     return;
   }
 
@@ -449,7 +447,7 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
     const std::uint64_t actual = wrote.ok() ? wrote.value() : 0;
     item.bytes_done += actual;
     if (!wrote.ok() || actual == 0) item.state = WorkItem::State::need_close;  // cannot progress
-    issue(user, slot, item, fsmodel::FsOpType::write, size, actual);
+    issue(user, slot, item, fsmodel::FsOpType::write, size, actual, position);
     return;
   }
 
@@ -457,7 +455,7 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
   const std::uint64_t actual = got.ok() ? got.value() : 0;
   item.bytes_done += actual;
   if (!got.ok() || actual == 0) item.state = WorkItem::State::need_close;  // cannot progress
-  issue(user, slot, item, fsmodel::FsOpType::read, chunk, actual);
+  issue(user, slot, item, fsmodel::FsOpType::read, chunk, actual, position);
 }
 
 void UserSimulator::run() {

@@ -170,8 +170,10 @@ class UserSimulator {
   void issue_next_op(UserState& user, SessionSlot& slot);
   void finish_session(UserState& user, SessionSlot& slot);
   bool plan_items(UserState& user, SessionSlot& slot);
+  /// Hands one call to the model and logs it at completion; `offset` is a
+  /// data op's descriptor offset before the call.
   void issue(UserState& user, SessionSlot& slot, WorkItem& item, fsmodel::FsOpType op,
-             std::uint64_t requested, std::uint64_t actual);
+             std::uint64_t requested, std::uint64_t actual, std::uint64_t offset = 0);
   double sample_think(UserState& user);
   std::string new_file_path(UserState& user, UseMode use);
 
