@@ -199,7 +199,10 @@ char* put_double(char* out, double v) {
   const u128 rest = scaled & ((static_cast<u128>(1) << s) - 1);
   const u128 half = static_cast<u128>(1) << (s - 1);
   if (rest > half || (rest == half && (digits & 1) != 0)) ++digits;
-  if (digits == kPow10[k]) return put_int(out, integer + 1);  // rounds up to I + 1
+  // Rounding up to I + 1 needs a double within half a 17th digit below
+  // 10^d, and none is (the ulps around each 10^d are tested), but the digit
+  // loop below relies on digits < 10^k.
+  if (digits == kPow10[k]) return put_int(out, integer + 1);
   if (digits == 0) return p;
   *p++ = '.';
   char* last = p + k;

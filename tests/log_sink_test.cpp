@@ -989,7 +989,7 @@ TEST(TextCodecProperty, OnePassParserMatchesGeneralPathOnMutatedLines) {
   const std::string alphabet = "0123456789-+.eExpinaf \t\r\v#";
   const std::vector<std::string> tokens = {
       "", " ", "-", "+", "-0", "0", "00", "0012", "+5", "1e3", "1E+3", "1e", "1e400", "-1e400",
-      "1e-400", "4e-320", "nan", "-nan", "inf", "-inf", "0x1p3", "0X10", ".5", "5.", "-.5", "-1",
+      "1e-400", "4e-320", "nan", "-nan", "nan(123)", "inf", "-inf", "-Infinity", "0x1p3", "0X10", ".5", "5.", "-.5", "-1",
       "18446744073709551615", "9223372036854775807", "9223372036854775808", "4294967296",
       "4294967297", "2147483648", "-2147483649", " 17 ", "17 ", "\v17", "1.5e", "2", "3", "4",
       "read", "readdir", "reads", "READ", "open ", "\r", "\t", "1\t2"};
