@@ -25,6 +25,8 @@ struct OpName {
   fsmodel::FsOpType op;
 };
 
+// fsmodel::to_string's names with their lengths known, so a lookup costs
+// no strlen (the codec tests round-trip every op through both).
 constexpr OpName kOpNames[] = {
     {"open", fsmodel::FsOpType::open},     {"close", fsmodel::FsOpType::close},
     {"read", fsmodel::FsOpType::read},     {"write", fsmodel::FsOpType::write},
