@@ -26,7 +26,7 @@ struct OpName {
 };
 
 // fsmodel::to_string's names with their lengths known, so a lookup costs
-// no strlen (the codec tests round-trip every op through both).
+// no strlen (log_sink_test checks every op against to_string).
 constexpr OpName kOpNames[] = {
     {"open", fsmodel::FsOpType::open},     {"close", fsmodel::FsOpType::close},
     {"read", fsmodel::FsOpType::read},     {"write", fsmodel::FsOpType::write},

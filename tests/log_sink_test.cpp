@@ -1052,6 +1052,12 @@ TEST(TextCodecProperty, OnePassParserMatchesGeneralPathOnMutatedLines) {
   for (const std::string& line : lines) {
     ASSERT_TRUE(same_record(parse_record_line(line), detail::parse_record_fields(line))) << line;
   }
+  // The one-pass path's op table against fsmodel::to_string, op by op.
+  for (std::size_t op = 0; op < fsmodel::kFsOpTypeCount; ++op) {
+    OpRecord r = real_records().front();
+    r.op = static_cast<fsmodel::FsOpType>(op);
+    EXPECT_EQ(parse_record_line(std::string(text, format_record_text(r, text) - 1)).op, r.op);
+  }
 }
 
 // The message parse_log_text throws for `text`, or "" when it parses.
