@@ -16,6 +16,10 @@
 #   run_<form>.sha256       the SHA-256 of the usage log `wlgen run ... --log`
 #                           writes: classic, --shards 4 at --threads 1 and 4,
 #                           and --shards 4 --spill (at --threads 1 and 4);
+#   run_users40_shards4.sha256
+#                           the same for a 133,528-record --shards 4 log, in
+#                           memory and with --spill, at --threads 1 and 4:
+#                           a log the writer cuts into many slices;
 #   run_shards4_stdout.txt  the stdout of those --shards 4 runs and of the
 #                           same run without --log (at --threads 1 and 4),
 #                           less the `wall:` and `... written to` lines: all
@@ -181,6 +185,15 @@ foreach(threads 1 4)
   set(CHECK_LABEL "run ${sharded} --threads ${threads} (no --log)")
   wlgen_stdout(report run ${sharded} --threads ${threads})
   check_run_stdout(run_shards4_stdout.txt "${report}")
+endforeach()
+
+# A log large enough that the writer cuts it into many key-range slices,
+# from memory runs and from run files.
+set(large --users 40 --sessions 5 --shards 4)
+foreach(threads 1 4)
+  check_run_log(run_users40_shards4 ${large} --threads ${threads})
+  check_run_log(run_users40_shards4 ${large} --threads ${threads}
+                --spill --spool-dir ${WORK_DIR}/spool_users40_t${threads})
 endforeach()
 
 # One `wlgen replay` form: `golden` names the sha256 file, `log` the
