@@ -8,12 +8,13 @@
 // scoreboard entries behind the DESIGN.md scaling tables: on an M-core
 // machine the /T rate should approach T-fold the /1 rate until T exceeds M
 // (on a single-core CI container the curves are flat).  BM_WriteLogText
-// times the serial log writer in isolation, BM_WriteLogFile the writer and
-// BM_ParseLogText the parser on 1, 2 and 4 threads, and BM_UsageAnalyzer
-// the analyzer's pass.
+// times the serial log writer in isolation, BM_WriteLogFile the key-range
+// merge-and-write of sorted runs and BM_ParseLogText the parser on 1, 2 and
+// 4 threads, and BM_UsageAnalyzer the analyzer's pass.
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <ostream>
 #include <random>
 #include <streambuf>
@@ -166,20 +167,37 @@ void BM_WriteLogText(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteLogText)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-// The same 100 k records through write_log_file to /dev/null, formatted on
-// a growing thread budget: /T should approach T-fold the /1 rate until T
-// exceeds the cores (the calling thread's read and write stay serial).
+// The same 100 k records dealt round-robin into 16 sorted runs, held in
+// memory (files:0) or as run files (files:1), merged and written by
+// write_log_file to /dev/null on a growing thread budget.  Each thread
+// merges and formats key-range slices and the calling thread only writes,
+// so /T should approach T-fold the /1 rate until T exceeds the cores.
 void BM_WriteLogFile(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
+  const bool files = state.range(1) != 0;
   constexpr std::size_t kRecords = 100000;
+  constexpr std::size_t kRuns = 16;
+  const std::string spool =
+      files ? (std::filesystem::temp_directory_path() / "wlgen_bm_write_log_file").string() : "";
   const core::UsageLog log = codec_log(kRecords);
+  std::vector<core::SpillRun> runs;
+  for (std::size_t run = 0; run < kRuns; ++run) {
+    core::SpillSink sink(spool, "bm" + std::to_string(run), kRecords);
+    for (std::size_t i = run; i < kRecords; i += kRuns) sink.append(log.records()[i]);
+    sink.close();
+    runs.push_back(sink.runs().front());
+  }
   for (auto _ : state) {
-    core::MemoryLogReader reader(log);
-    benchmark::DoNotOptimize(core::write_log_file(reader, "/dev/null", threads));
+    benchmark::DoNotOptimize(core::write_log_file(runs, "/dev/null", threads).records);
   }
   set_records_rate(state, kRecords);
+  if (files) std::filesystem::remove_all(spool);
 }
-BENCHMARK(BM_WriteLogFile)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_WriteLogFile)
+    ->ArgsProduct({{1, 2, 4}, {0, 1}})
+    ->ArgNames({"threads", "files"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // The bulk parser over the same 100 k records' text (about 10 MiB, so every
 // budget here cuts a chunk per thread), on a growing thread budget.

@@ -2,14 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <tuple>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "util/strings.h"
 
@@ -142,9 +148,14 @@ void SpillSink::flush() {
     return a.user < b.user;
   });
   records_written_ += buffer_.size();
+  auto index = std::make_shared<std::vector<RunKey>>();
+  index->reserve((buffer_.size() + kRunIndexStride - 1) / kRunIndexStride);
+  for (std::size_t i = 0; i < buffer_.size(); i += kRunIndexStride) index_record(*index, i, buffer_[i]);
   if (dir_.empty()) {
     // A copy holds exactly the run; the buffer's capacity stays for reuse.
-    runs_.push_back(memory_run({buffer_.begin(), buffer_.end()}));
+    SpillRun run = memory_run({buffer_.begin(), buffer_.end()});
+    run.index = std::move(index);
+    runs_.push_back(std::move(run));
     buffer_.clear();
     return;
   }
@@ -175,6 +186,7 @@ void SpillSink::flush() {
   run.path = path;
   run.records = buffer_.size();
   run.bytes = kSpillHeaderBytes + encoded.size();
+  run.index = std::move(index);
   bytes_written_ += run.bytes;
   runs_.push_back(std::move(run));
   buffer_.clear();
@@ -424,87 +436,587 @@ class BlockRing {
   std::vector<std::thread> threads_;  // last: joined before the members above die
 };
 
-// Records per formatting block: enough that handing a block between threads
-// costs little next to formatting it, few enough that the ring of blocks
-// stays at a few MiB.
-constexpr std::size_t kTextBlockRecords = 4096;
+}  // namespace
 
-// One ring slot of write_log_text: records in stream order and, once
-// formatted, their text.
-struct TextBlock {
-  std::vector<OpRecord> records = std::vector<OpRecord>(kTextBlockRecords);
-  std::size_t count = 0;
-  // Left uninitialised, so only the pages formatting writes become resident.
-  std::unique_ptr<char[]> text =
-      std::make_unique_for_overwrite<char[]>(kTextBlockRecords * kMaxRecordTextBytes);
-  std::size_t text_size = 0;
-};
+// ---------------------------------------------------------------------------
+// write_log_text
+// ---------------------------------------------------------------------------
 
-void format_block(TextBlock& block) {
-  char* out = block.text.get();
-  for (std::size_t i = 0; i < block.count; ++i) out = format_record_text(block.records[i], out);
-  block.text_size = static_cast<std::size_t>(out - block.text.get());
-}
-
-// Reads the stream's next block into `block` and returns its record count
-// (0 at end of stream).  With `format` (no formatter threads) each record
-// is formatted as it is read, which keeps the serial path at one pass over
-// the records.
-std::size_t fill_block(LogReader& reader, TextBlock& block, bool format) {
-  OpRecord* const records = block.records.data();
-  char* out = block.text.get();
-  std::size_t count = 0;
-  while (count < kTextBlockRecords && reader.next(records[count])) {
-    if (format) out = format_record_text(records[count], out);
-    ++count;
-  }
-  block.count = count;
-  if (format) block.text_size = static_cast<std::size_t>(out - block.text.get());
-  return count;
-}
-
-// Writes the header and every record's text to `flush(data, size)` in
-// stream order.  The calling thread reads and writes, formatting too when
-// it would otherwise wait; up to threads - 1 formatter threads turn blocks
-// into text in between.  An exception from the reader or `flush` stops and
-// joins the formatters before it leaves.
-template <typename Flush>
-std::uint64_t stream_log_text(LogReader& reader, std::size_t threads, Flush&& flush) {
+std::uint64_t write_log_text(LogReader& reader, std::ostream& out) {
   const char* const header = usage_log_header_line();
-  flush(header, std::strlen(header));
-  // More formatters than cores cannot format faster, and each adds two slots.
-  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t workers = std::clamp<std::size_t>(threads, 1, cores) - 1;
-  BlockRing<TextBlock> ring(workers, &format_block);
-  std::uint64_t filled = 0;
-  std::uint64_t flushed = 0;
+  out.write(header, static_cast<std::streamsize>(std::strlen(header)));
+  constexpr std::size_t kBufferRecords = 256;
+  const auto buffer = std::make_unique_for_overwrite<char[]>(kBufferRecords * kMaxRecordTextBytes);
   std::uint64_t records = 0;
-  bool more = true;
-  for (;;) {
-    if (more && filled - flushed < ring.size()) {
-      const std::size_t count = fill_block(reader, ring.slot(filled), workers == 0);
-      more = count == kTextBlockRecords;
-      if (count > 0) ring.publish(filled++, workers == 0);
-      continue;
+  OpRecord record;
+  for (bool more = true; more;) {
+    char* end = buffer.get();
+    for (std::size_t count = 0; count < kBufferRecords && (more = reader.next(record)); ++count) {
+      end = format_record_text(record, end);
+      ++records;
     }
-    if (flushed == filled) break;
-    ring.await(flushed);
-    const TextBlock& block = ring.slot(flushed++);
-    flush(block.text.get(), block.text_size);
-    records += block.count;
+    out.write(buffer.get(), end - buffer.get());
   }
   return records;
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// write_log_file: key-range slices
+// ---------------------------------------------------------------------------
 
-std::uint64_t write_log_text(LogReader& reader, std::ostream& out) {
-  return stream_log_text(reader, 1, [&out](const char* data, std::size_t size) {
-    out.write(data, static_cast<std::streamsize>(size));
-  });
+namespace {
+
+// A double's bits, mapped so that unsigned order is numeric order with -0
+// equal to +0 (as == has them) and NaNs beyond every number: a strict total
+// order, so that sorting keys read from a corrupt run stays defined.
+std::uint64_t ordered_bits(double value) {
+  const std::uint64_t bits = double_bits(value == 0.0 ? 0.0 : value);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
 }
 
-std::uint64_t write_log_file(LogReader& reader, const std::string& path, std::size_t threads) {
+// A place in the merged order: (issue time, user, run, position).  For
+// sorted runs this is exactly the order MergeLogReader yields records in.
+struct SliceKey {
+  std::uint64_t time = 0;
+  std::uint32_t user = 0;
+  std::uint32_t run = 0;
+  std::uint64_t position = 0;
+
+  friend bool operator<(const SliceKey& a, const SliceKey& b) {
+    return std::tie(a.time, a.user, a.run, a.position) <
+           std::tie(b.time, b.user, b.run, b.position);
+  }
+};
+
+// True when `b` comes before `a` in (issue time, user) order: OrderCheck's test.
+bool descends(const RunKey& a, const RunKey& b) {
+  return b.issue_time_us < a.issue_time_us ||
+         (b.issue_time_us == a.issue_time_us && b.user < a.user);
+}
+
+// Reads up to `size` bytes at `offset`; fewer only at the end of the file
+// or on an error.
+std::size_t pread_full(int fd, unsigned char* data, std::size_t size, std::uint64_t offset) {
+  std::size_t done = 0;
+  while (done < size) {
+    const ssize_t got = ::pread(fd, data + done, size - done, static_cast<off_t>(offset + done));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) break;
+    done += static_cast<std::size_t>(got);
+  }
+  return done;
+}
+
+// Records [begin, end) of one run, in run order.
+struct Span {
+  const OpRecord* begin;
+  const OpRecord* end;
+};
+
+// A span's head in the merge, packed so that comparing two takes no
+// branch: (ordered issue-time bits, user << 32 | span index).  ordered_bits
+// agrees with MergeLogReader's comparison of issue times for every value
+// but NaN, so for NaN-free runs the order is MergeLogReader's.  A spent
+// span's key has kSpent set and sorts after every record's.
+struct MergeKey {
+  std::uint64_t hi;
+  std::uint64_t lo;
+};
+constexpr std::uint64_t kSpent = std::uint64_t{1} << 31;
+
+bool merge_before(const MergeKey& a, const MergeKey& b) {
+  return (a.hi < b.hi) | ((a.hi == b.hi) & (a.lo < b.lo));
+}
+
+// Loser-tree merge of sorted spans in (issue time, user, span index) order,
+// calling emit(record) for every record.  The tree holds the keys
+// themselves: tree[0] is the winner and tree[1, k) the losers of a
+// heap-shaped tree whose leaf i sits at node i + k.  `winners` is the
+// scratch the tree is built in.
+template <typename Emit>
+void merge_spans(std::vector<Span>& spans, std::vector<MergeKey>& tree,
+                 std::vector<MergeKey>& winners, Emit&& emit) {
+  const std::size_t k = spans.size();
+  if (k <= 1) {
+    for (const Span& span : spans) std::for_each(span.begin, span.end, emit);
+    return;
+  }
+  const auto head = [&spans](std::size_t i) {
+    if (spans[i].begin == spans[i].end) {
+      return MergeKey{~std::uint64_t{0}, ~std::uint64_t{0} << 32 | kSpent | i};
+    }
+    const OpRecord& r = *spans[i].begin;
+    return MergeKey{ordered_bits(r.issue_time_us), std::uint64_t{r.user} << 32 | i};
+  };
+  tree.resize(k);
+  winners.resize(2 * k);
+  for (std::size_t i = 0; i < k; ++i) winners[k + i] = head(i);
+  for (std::size_t node = k - 1; node >= 1; --node) {
+    const MergeKey& a = winners[2 * node];
+    const MergeKey& b = winners[2 * node + 1];
+    const bool a_wins = merge_before(a, b);
+    tree[node] = a_wins ? b : a;
+    winners[node] = a_wins ? a : b;
+  }
+  tree[0] = winners[1];
+  for (;;) {
+    MergeKey winner = tree[0];
+    if ((winner.lo & kSpent) != 0) return;
+    const std::size_t i = winner.lo & (kSpent - 1);
+    emit(*spans[i].begin++);
+    // k interleaved streams defeat the hardware prefetcher; a span is read
+    // a few records ahead of its head instead.
+    __builtin_prefetch(spans[i].begin + 8);
+    winner = head(i);
+    for (std::size_t node = (i + k) / 2; node >= 1; node /= 2) {
+      const MergeKey loser = tree[node];
+      const bool loser_wins = merge_before(loser, winner);
+      tree[node] = loser_wins ? winner : loser;
+      winner = loser_wins ? loser : winner;
+    }
+    tree[0] = winner;
+  }
+}
+
+// One finished slice: its text and what the order check needs.
+struct Slice {
+  std::unique_ptr<char[]> text;
+  std::size_t capacity = 0;  ///< records the text has room for
+  std::size_t text_size = 0;
+  std::uint64_t records = 0;
+  bool ordered = true;  ///< no descent inside the slice
+  RunKey first;
+  RunKey last;
+  std::exception_ptr error;
+  bool done = false;  ///< guarded by the pipeline's mutex
+};
+
+// A worker's buffers, reused from slice to slice.
+struct SliceScratch {
+  std::vector<unsigned char> bytes;  ///< one run file's range
+  std::vector<OpRecord> decoded;     ///< every run file's records in the slice
+  /// Each run's records in the slice: at `memory`, or at `offset` in `decoded`.
+  struct Range {
+    const OpRecord* memory;
+    std::size_t offset;
+    std::size_t count;
+  };
+  std::vector<Range> ranges;
+  std::vector<Span> spans;
+  std::vector<MergeKey> tree;
+  std::vector<MergeKey> winners;
+};
+
+// The runs, opened, and where every slice boundary cuts each of them.
+//
+// Boundary b has a splitter key, drawn from the runs' sampled keys (every
+// stride-th record), and cuts run r at the first record whose SliceKey is
+// not below it.  The planner narrows each cut to a bracket [lo, hi] of at
+// most one stride from the samples alone; the worker of a slice reads each
+// run from its first boundary's lo to its last boundary's hi and finds the
+// exact cuts by binary search.  Two workers find the same cut from the same
+// bytes, so the slices tile every run.  For sorted runs the cuts are exact,
+// and the slices concatenate to the merged stream.  For an unsorted run the
+// planner never lets a bracket go back and the search is monotone in the
+// splitter (below), so its cuts still never go back and every record lands
+// in exactly one slice.
+class SlicePlan {
+ public:
+  SlicePlan(const std::vector<SpillRun>& runs, std::size_t slice_records) {
+    try {
+      open(runs, slice_records);
+    } catch (...) {
+      close_files();
+      throw;
+    }
+    if (total_ == 0) return;
+    if (inputs_.size() == 1) {
+      // One run passes through in its own order, cut by position.
+      for (std::uint64_t cut = slice_records; cut < total_; cut += slice_records) {
+        splitters_.emplace_back();
+        brackets_.push_back({cut, cut});
+      }
+    } else {
+      choose_splitters(slice_records);
+      bracket_cuts();
+    }
+  }
+  ~SlicePlan() { close_files(); }
+  SlicePlan(const SlicePlan&) = delete;
+  SlicePlan& operator=(const SlicePlan&) = delete;
+
+  std::size_t slices() const { return total_ == 0 ? 0 : splitters_.size() + 1; }
+
+  /// Merges and formats slice `j` into `out`.
+  void fill(std::size_t j, Slice& out, SliceScratch& scratch) const {
+    const std::size_t k = inputs_.size();
+    const bool first_slice = j == 0;
+    const bool last_slice = j + 1 == slices();
+    scratch.decoded.clear();
+    scratch.ranges.clear();
+    std::size_t records = 0;
+    for (std::uint32_t r = 0; r < k; ++r) {
+      const Input& input = inputs_[r];
+      const Bracket start = first_slice ? Bracket{0, 0} : brackets_[(j - 1) * k + r];
+      const Bracket end = last_slice ? Bracket{input.records, input.records}
+                                     : brackets_[j * k + r];
+      const unsigned char* bytes = nullptr;
+      if (!input.memory) bytes = read_range(input, start.lo, end.hi, scratch.bytes);
+      const auto key_at = [&](std::uint64_t position) {
+        if (input.memory) return key_of((*input.memory)[position], r, position);
+        const unsigned char* p = bytes + (position - start.lo) * kSpillRecordBytes;
+        return SliceKey{ordered_bits(bits_double(get_u64(p))), get_u32(p + 16), r, position};
+      };
+      const std::uint64_t from = first_slice ? 0 : cut(start, splitters_[j - 1], key_at);
+      const std::uint64_t to = last_slice ? input.records : cut(end, splitters_[j], key_at);
+      if (to <= from) continue;
+      records += to - from;
+      if (input.memory) {
+        scratch.ranges.push_back({input.memory->data() + from, 0, to - from});
+        continue;
+      }
+      const std::size_t offset = scratch.decoded.size();
+      for (std::uint64_t p = from; p < to; ++p) {
+        const OpRecord& record = scratch.decoded.emplace_back(
+            decode_record(bytes + (p - start.lo) * kSpillRecordBytes));
+        if (static_cast<std::size_t>(record.op) >= fsmodel::kFsOpTypeCount) {
+          throw std::runtime_error("RunFileReader: unknown op code in run file '" + input.path +
+                                   "'");
+        }
+      }
+      scratch.ranges.push_back({nullptr, offset, to - from});
+    }
+    // Spans in run order (the merge's tie-break); pointers into `decoded`
+    // are taken only now that it has stopped growing.
+    scratch.spans.clear();
+    for (const SliceScratch::Range& range : scratch.ranges) {
+      const OpRecord* data =
+          range.memory != nullptr ? range.memory : scratch.decoded.data() + range.offset;
+      scratch.spans.push_back({data, data + range.count});
+    }
+
+    if (out.capacity < records) {
+      out.text = std::make_unique_for_overwrite<char[]>(records * kMaxRecordTextBytes);
+      out.capacity = records;
+    }
+    char* text = out.text.get();
+    bool ordered = true;
+    RunKey last;
+    merge_spans(scratch.spans, scratch.tree, scratch.winners, [&](const OpRecord& record) {
+      const RunKey key{record.issue_time_us, record.user};
+      if (text == out.text.get()) {
+        out.first = key;
+      } else if (descends(last, key)) {
+        ordered = false;
+      }
+      last = key;
+      text = format_record_text(record, text);
+    });
+    out.text_size = static_cast<std::size_t>(text - out.text.get());
+    out.records = records;
+    out.ordered = ordered;
+    out.last = last;
+  }
+
+ private:
+  // One run: a memory run's records, or an open run file.
+  struct Input {
+    std::shared_ptr<const std::vector<OpRecord>> memory;  ///< null for a run file
+    int fd = -1;
+    std::string path;
+    std::uint64_t records = 0;
+    std::uint64_t stride = kRunIndexStride;  ///< positions between sampled keys
+    std::size_t first_sample = 0;            ///< where its samples start in samples_
+    std::uint64_t samples() const { return (records + stride - 1) / stride; }
+  };
+
+  // A boundary's cut in one run lies in [lo, hi].
+  struct Bracket {
+    std::uint64_t lo = 0;
+    std::uint64_t hi = 0;
+  };
+
+  static SliceKey key_of(const OpRecord& record, std::uint32_t run, std::uint64_t position) {
+    return {ordered_bits(record.issue_time_us), record.user, run, position};
+  }
+
+  const SliceKey& sample(std::size_t run, std::uint64_t i) const {
+    return samples_[inputs_[run].first_sample + i];
+  }
+
+  // The first position in [b.lo, b.hi) whose key is not below `splitter`;
+  // b.hi when there is none.  On any array the result is monotone in the
+  // splitter: two searches agree until the first probe where only the
+  // higher splitter's key test passes, and from there the lower one stays
+  // at or before that probe while the higher one moves past it.
+  template <typename KeyAt>
+  static std::uint64_t cut(const Bracket& b, const SliceKey& splitter, const KeyAt& key_at) {
+    std::uint64_t first = b.lo;
+    std::uint64_t count = b.hi - b.lo;
+    while (count > 0) {
+      const std::uint64_t half = count / 2;
+      if (key_at(first + half) < splitter) {
+        first += half + 1;
+        count -= half + 1;
+      } else {
+        count = half;
+      }
+    }
+    return first;
+  }
+
+  void open(const std::vector<SpillRun>& runs, std::size_t slice_records) {
+    const bool sampled = runs.size() > 1;  // one run is cut by position
+    inputs_.reserve(runs.size());
+    for (const SpillRun& run : runs) {
+      const auto r = static_cast<std::uint32_t>(inputs_.size());
+      Input& input = inputs_.emplace_back();
+      if (run.memory) {
+        input.memory = run.memory;
+        input.records = run.memory->size();
+      } else {
+        input.path = run.path;
+        input.fd = ::open(run.path.c_str(), O_RDONLY | O_CLOEXEC);
+        if (input.fd < 0) {
+          throw std::runtime_error("RunFileReader: cannot open run file '" + run.path + "'");
+        }
+        unsigned char header[kSpillHeaderBytes];
+        if (pread_full(input.fd, header, sizeof header, 0) != sizeof header ||
+            std::memcmp(header, kSpillMagic, sizeof kSpillMagic) != 0) {
+          throw std::runtime_error("RunFileReader: '" + run.path + "' is not a wlgen run file");
+        }
+        input.records = get_u64(header + 8);
+      }
+      total_ += input.records;
+      if (!sampled) continue;
+      input.first_sample = samples_.size();
+      if (run.index && run.index->size() == input.samples()) {
+        for (std::uint64_t i = 0; i < run.index->size(); ++i) {
+          const RunKey& key = (*run.index)[i];
+          samples_.push_back({ordered_bits(key.issue_time_us), key.user, r, i * input.stride});
+        }
+      } else if (input.memory) {
+        // Without an index a memory run is sampled at most one slice apart,
+        // so that a small slice size puts seams everywhere.
+        input.stride = std::min<std::uint64_t>(kRunIndexStride, slice_records);
+        for (std::uint64_t p = 0; p < input.records; p += input.stride) {
+          samples_.push_back(key_of((*input.memory)[p], r, p));
+        }
+      } else {
+        // A run file without an index is scanned for its samples.
+        RunFileReader reader(run);
+        OpRecord record;
+        for (std::uint64_t p = 0; reader.next(record); ++p) {
+          if (p % input.stride == 0) samples_.push_back(key_of(record, r, p));
+        }
+      }
+    }
+  }
+
+  void close_files() {
+    for (const Input& input : inputs_) {
+      if (input.fd >= 0) ::close(input.fd);
+    }
+  }
+
+  // Splitters one slice's worth of records apart in the sorted samples; each
+  // sample stands for the stride records from its own.
+  void choose_splitters(std::size_t slice_records) {
+    std::vector<SliceKey> samples = samples_;
+    std::sort(samples.begin(), samples.end());
+    std::uint64_t weight = 0;
+    for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
+      weight += inputs_[samples[i].run].stride;
+      if (weight >= slice_records) {
+        splitters_.push_back(samples[i + 1]);
+        weight = 0;
+      }
+    }
+  }
+
+  // Each boundary's bracket in every run, from its samples alone: after
+  // `below` samples under the splitter, the cut lies past the last of them
+  // and at or before the next.  A bracket never goes back from the one
+  // before it, even where an unsorted run's samples would have it.
+  void bracket_cuts() {
+    const std::size_t k = inputs_.size();
+    brackets_.resize(splitters_.size() * k);
+    std::vector<std::uint64_t> below(k, 0);
+    for (std::size_t b = 0; b < splitters_.size(); ++b) {
+      for (std::size_t r = 0; r < k; ++r) {
+        const Input& input = inputs_[r];
+        std::uint64_t lo = 0;
+        std::uint64_t count = input.samples();
+        while (count > 0) {
+          const std::uint64_t half = count / 2;
+          if (sample(r, lo + half) < splitters_[b]) {
+            lo += half + 1;
+            count -= half + 1;
+          } else {
+            count = half;
+          }
+        }
+        below[r] = std::max(below[r], lo);
+        const std::uint64_t n = below[r];
+        brackets_[b * k + r] = {n == 0 ? 0 : (n - 1) * input.stride + 1,
+                                std::min(n * input.stride, input.records)};
+      }
+    }
+  }
+
+  // Reads records [from, to) of a run file into `bytes`.
+  static const unsigned char* read_range(const Input& input, std::uint64_t from, std::uint64_t to,
+                                         std::vector<unsigned char>& bytes) {
+    const std::size_t size = static_cast<std::size_t>(to - from) * kSpillRecordBytes;
+    if (bytes.size() < size) bytes.resize(size);
+    if (pread_full(input.fd, bytes.data(), size, kSpillHeaderBytes + from * kSpillRecordBytes) !=
+        size) {
+      throw std::runtime_error("RunFileReader: truncated run file '" + input.path + "'");
+    }
+    return bytes.data();
+  }
+
+  std::vector<Input> inputs_;
+  std::uint64_t total_ = 0;
+  std::vector<SliceKey> samples_;    ///< every run's sampled keys, run by run
+  std::vector<SliceKey> splitters_;  ///< boundary b's key
+  std::vector<Bracket> brackets_;    ///< boundary b's bracket in run r at [b * k + r]
+};
+
+// Workers merge and format slices, oldest unclaimed first, into a ring of
+// two slots per worker; the calling thread takes the slices back in order.
+// Slot j % size() is claimed for slice j only once slice j - size() has
+// been taken back, so at most size() slices are in flight.
+class SlicePipeline {
+ public:
+  SlicePipeline(const SlicePlan& plan, std::size_t workers) : plan_(plan), slots_(2 * workers) {
+    try {
+      threads_.reserve(workers);
+      for (std::size_t i = 0; i < workers; ++i) threads_.emplace_back([this] { work_loop(); });
+    } catch (const std::system_error&) {
+      if (threads_.empty()) throw;  // the caller runs the slices itself
+    }
+  }
+  ~SlicePipeline() {
+    {
+      const std::lock_guard lock(mutex_);
+      stop_ = true;
+    }
+    work_cv_.notify_all();
+    for (auto& thread : threads_) thread.join();
+  }
+  SlicePipeline(const SlicePipeline&) = delete;
+  SlicePipeline& operator=(const SlicePipeline&) = delete;
+
+  /// Waits for slice `j`, the oldest not taken back, and returns it; a
+  /// worker's exception is rethrown.
+  const Slice& take(std::size_t j) {
+    Slice& slot = slots_[j % slots_.size()];
+    std::unique_lock lock(mutex_);
+    done_cv_.wait(lock, [&slot] { return slot.done; });
+    if (slot.error) std::rethrow_exception(slot.error);
+    return slot;
+  }
+
+  /// Frees slice `j`'s slot for slice j + size().
+  void release(std::size_t j) {
+    {
+      const std::lock_guard lock(mutex_);
+      slots_[j % slots_.size()].done = false;
+      released_ = j + 1;
+    }
+    work_cv_.notify_all();
+  }
+
+ private:
+  void work_loop() {
+    SliceScratch scratch;
+    const std::size_t slices = plan_.slices();
+    std::unique_lock lock(mutex_);
+    for (;;) {
+      work_cv_.wait(lock, [&] {
+        return stop_ || claimed_ >= slices || claimed_ < released_ + slots_.size();
+      });
+      if (stop_ || claimed_ >= slices) return;
+      const std::size_t j = claimed_++;
+      Slice& slot = slots_[j % slots_.size()];
+      lock.unlock();
+      slot.error = nullptr;
+      try {
+        plan_.fill(j, slot, scratch);
+      } catch (...) {
+        slot.error = std::current_exception();
+      }
+      lock.lock();
+      slot.done = true;
+      done_cv_.notify_one();
+    }
+  }
+
+  const SlicePlan& plan_;
+  std::vector<Slice> slots_;
+  std::mutex mutex_;
+  std::size_t claimed_ = 0;          ///< guarded by mutex_
+  std::size_t released_ = 0;         ///< guarded by mutex_
+  bool stop_ = false;                ///< guarded by mutex_
+  std::condition_variable work_cv_;  ///< a slot was released, or stop_
+  std::condition_variable done_cv_;  ///< a worker finished a slice
+  std::vector<std::thread> threads_;  // last: joined before the members above die
+};
+
+// Writes the header and every slice's text to `write(data, size)` in
+// order, checking each slice and the seams between them.
+template <typename Write>
+WrittenLog write_slices(const SlicePlan& plan, std::size_t threads, Write&& write) {
+  const char* const header = usage_log_header_line();
+  write(header, std::strlen(header));
+  WrittenLog result;
+  std::optional<RunKey> last;  // the last record written
+  const auto emit = [&](const Slice& slice) {
+    write(slice.text.get(), slice.text_size);
+    if (slice.records == 0) return;
+    if (!slice.ordered || (last && descends(*last, slice.first))) result.ordered = false;
+    last = slice.last;
+    result.records += slice.records;
+  };
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t workers = std::min(std::clamp<std::size_t>(threads, 1, cores), plan.slices());
+  std::optional<SlicePipeline> pipeline;
+  if (workers > 1) {
+    try {
+      pipeline.emplace(plan, workers);
+    } catch (const std::system_error&) {
+      // No worker could be started: the calling thread runs every slice.
+    }
+  }
+  if (!pipeline) {
+    Slice slice;
+    SliceScratch scratch;
+    for (std::size_t j = 0; j < plan.slices(); ++j) {
+      plan.fill(j, slice, scratch);
+      emit(slice);
+    }
+    return result;
+  }
+  for (std::size_t j = 0; j < plan.slices(); ++j) {
+    emit(pipeline->take(j));
+    pipeline->release(j);
+  }
+  return result;
+}
+
+}  // namespace
+
+WrittenLog write_log_file(const std::vector<SpillRun>& runs, const std::string& path,
+                          std::size_t threads) {
+  return detail::write_log_file(runs, path, threads, kLogSliceRecords);
+}
+
+WrittenLog detail::write_log_file(const std::vector<SpillRun>& runs, const std::string& path,
+                                  std::size_t threads, std::size_t slice_records) {
+  // The runs are opened and cut before the log exists, so a run that cannot
+  // be read from the start leaves no file behind.
+  const SlicePlan plan(runs, std::max<std::size_t>(1, slice_records));
   const std::filesystem::path p(path);
   if (p.has_parent_path()) {
     std::error_code ec;
@@ -518,9 +1030,9 @@ std::uint64_t write_log_file(LogReader& reader, const std::string& path, std::si
     std::error_code ec;
     if (std::filesystem::is_regular_file(p, ec)) std::filesystem::remove(p, ec);
   };
-  std::uint64_t written = 0;
+  WrittenLog written;
   try {
-    written = stream_log_text(reader, threads, [&](const char* data, std::size_t size) {
+    written = write_slices(plan, threads, [&](const char* data, std::size_t size) {
       if (std::fwrite(data, 1, size, file) != size) {
         throw std::runtime_error("write_log_file: write failed for " + path);
       }

@@ -65,6 +65,25 @@ inline constexpr char kSpillMagic[8] = {'W', 'L', 'G', 'R', 'U', 'N', '1', '\0'}
 void encode_record(const OpRecord& record, unsigned char* out);
 OpRecord decode_record(const unsigned char* in);
 
+/// The merge key of one record: (issue_time_us, user).
+struct RunKey {
+  double issue_time_us = 0.0;
+  std::uint32_t user = 0;
+
+  friend bool operator==(const RunKey&, const RunKey&) = default;
+};
+
+/// A run file's sparse index holds the key of every kRunIndexStride-th
+/// record: records 0, 32, 64, ...
+inline constexpr std::size_t kRunIndexStride = 32;
+
+/// Appends `record`'s key to `index` when `position`, its place in its run,
+/// is a multiple of kRunIndexStride.
+inline void index_record(std::vector<RunKey>& index, std::uint64_t position,
+                         const OpRecord& record) {
+  if (position % kRunIndexStride == 0) index.push_back({record.issue_time_us, record.user});
+}
+
 /// One sorted run: a `.wlr` file at `path`, or — with an empty path — the
 /// records held in `memory`.
 struct SpillRun {
@@ -72,6 +91,10 @@ struct SpillRun {
   std::uint64_t records = 0;
   std::uint64_t bytes = 0;  ///< file size including the header (0 in memory)
   std::shared_ptr<const std::vector<OpRecord>> memory;
+  /// The run's sparse index (index_record over its records), so that
+  /// write_log_file can cut a run file without reading it first; null when
+  /// unknown.  SpillSink records it for every run it cuts.
+  std::shared_ptr<const std::vector<RunKey>> index;
 };
 
 /// A run held in memory over `records`, which must already be in the order
@@ -208,28 +231,55 @@ std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs);
 
 /// Streams the reader to `out` in UsageLog::serialize's exact text format
 /// (header line + one tab-separated record per line, %.17g doubles),
-/// formatting blocks of records on the calling thread and handing each
-/// block's text to one out.write.  Returns the number of records written.
+/// formatting on the calling thread a buffer of lines at a time.  Returns
+/// the number of records written.
 std::uint64_t write_log_text(LogReader& reader, std::ostream& out);
 
-/// write_log_text straight to a file, with the text formatted on up to
-/// `threads` threads: the calling thread reads records and fwrites each
-/// block's text in stream order, and threads - 1 formatter threads (capped
-/// at the core count; none for threads <= 1) format blocks in between,
-/// helped by the caller while it waits, so the bytes are the same for any
-/// `threads`.  Memory stays at a bounded ring of blocks.  Creates parent
-/// directories; throws std::runtime_error when the file cannot be opened,
-/// written or closed, and on any failure removes the partial file (when it
-/// is a regular file) before rethrowing.  Returns the number of records
-/// written.
-std::uint64_t write_log_file(LogReader& reader, const std::string& path, std::size_t threads);
+/// What write_log_file wrote.
+struct WrittenLog {
+  std::uint64_t records = 0;
+  /// False when a record came before its predecessor in (issue_time_us,
+  /// user) order — runner::OrderCheck over the text's records.
+  bool ordered = true;
+};
+
+/// Records per slice of write_log_file.
+inline constexpr std::size_t kLogSliceRecords = 4096;
+
+/// Writes the merged text of `runs` — open_spilled_log's stream, in
+/// write_log_text's format — to the file `path`, merged and formatted on up
+/// to `threads` threads (capped at the core count).  The merged (issue_time,
+/// user, run, position) order is cut into contiguous key-range slices of
+/// about kLogSliceRecords records, with splitters taken from the runs' keys
+/// (every kRunIndexStride-th record: a run file's SpillRun::index, read in
+/// a scan when it has none).  Each slice is merged and formatted into its
+/// own buffer by one worker, which reads one contiguous range of each run
+/// file; the calling thread writes the slices in order, so the bytes are
+/// the same for any `threads`.  At most two slices per worker are in
+/// flight.  One run is cut by position and passes through in its own order.
+/// Cuts never go back, so every record of an unsorted run is written
+/// exactly once (and `ordered` is false).  Creates parent directories;
+/// throws std::runtime_error when the file cannot be opened, written or
+/// closed, and RunFileReader's errors for a run file that cannot be opened,
+/// is not a run file, is truncated or holds an unknown op code; on any
+/// failure removes the partial file (when it is a regular file) before
+/// rethrowing.
+WrittenLog write_log_file(const std::vector<SpillRun>& runs, const std::string& path,
+                          std::size_t threads);
+
+namespace detail {
+/// write_log_file with `slice_records` records per slice (tests put seams
+/// everywhere with a few).
+WrittenLog write_log_file(const std::vector<SpillRun>& runs, const std::string& path,
+                          std::size_t threads, std::size_t slice_records);
+}  // namespace detail
 
 /// Text below this size is parsed on the calling thread; above it the
 /// parser cuts one chunk per this many bytes, up to one per thread.
 inline constexpr std::size_t kMinParseChunkBytes = 256 * 1024;
 
 /// Parses UsageLog text (serialize() output) on up to `threads` threads
-/// (capped at the core count, like write_log_file's formatters), scanning
+/// (capped at the core count, like write_log_file's workers), scanning
 /// lines and fields in place.  The text is cut at line boundaries into at
 /// most one chunk per thread, none smaller than kMinParseChunkBytes; a first
 /// pass counts each chunk's records, the record vector is sized once, and a

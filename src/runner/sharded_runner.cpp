@@ -24,21 +24,10 @@ std::string shard_stem(std::size_t shard) {
 }
 
 /// The resume error for a checkpointed record whose user lies outside its
-/// shard (a corrupt or foreign run file).  The merged stream does not say
-/// which run a record came from, so this rescans the runs — error path only.
-std::runtime_error stray_user_error(const ShardCheckpoint& ckpt, std::uint32_t user) {
-  std::string file = "<unknown run>";
-  for (const core::SpillRun& run : ckpt.runs) {
-    core::RunFileReader reader(run);
-    core::OpRecord r;
-    bool found = false;
-    while (!found && reader.next(r)) found = r.user == user;
-    if (found) {
-      file = run.path;
-      break;
-    }
-  }
-  return std::runtime_error("resume: run file '" + file + "' holds a record of user " +
+/// shard (a corrupt or foreign run file).
+std::runtime_error stray_user_error(const ShardCheckpoint& ckpt, const core::SpillRun& run,
+                                    std::uint32_t user) {
+  return std::runtime_error("resume: run file '" + run.path + "' holds a record of user " +
                             std::to_string(user) + ", outside shard " +
                             std::to_string(ckpt.shard) + "'s users [" +
                             std::to_string(ckpt.begin) + ", " + std::to_string(ckpt.end) + ")");
@@ -223,26 +212,34 @@ RunnerResult ShardedRunner::run() {
 
       if (resumed[s].has_value()) {
         // Checkpointed shard: skip the simulation and rebuild the per-user
-        // accumulators by re-reading its sorted runs.  The stable per-run
-        // sort preserved each user's original append order, so every
-        // per-user slot sees the exact same sequence of add() calls as a
-        // live run — which is what keeps the floating-point folds (and
-        // therefore the digest) bit-identical.  Shard totals that records
-        // cannot reproduce (events, RNG draws, ...) come from the
-        // checkpoint's grouping-invariant integer scalars instead.
-        const ShardCheckpoint& ckpt = *resumed[s];
-        auto reader = core::open_spilled_log(ckpt.runs);
+        // accumulators by re-reading its sorted runs, one after another.  A
+        // user's records all lie in one run, and the stable per-run sort
+        // preserved their original append order, so every per-user slot
+        // sees the exact same sequence of add() calls as a live run — which
+        // is what keeps the floating-point folds (and therefore the digest)
+        // bit-identical.  The sketch and the session count do not depend on
+        // the order.  The same pass rebuilds each run's sparse index for the
+        // log writer.  Shard totals that records cannot reproduce (events,
+        // RNG draws, ...) come from the checkpoint's grouping-invariant
+        // integer scalars instead.
+        ShardCheckpoint& ckpt = *resumed[s];
         core::SessionCounter sessions;
         core::OpRecord r;
-        while (reader->next(r)) {
-          if (cancelled.load(std::memory_order_relaxed)) return;
-          // The user field comes from disk: index nothing with it until it
-          // is known to belong to this shard (another shard's slot would
-          // race with the worker that owns it).
-          if (r.user < ckpt.begin || r.user >= ckpt.end) throw stray_user_error(ckpt, r.user);
-          outcomes[r.user].stats.add(r);
-          sketches[s].add(r.response_us);
-          sessions.add(r);
+        for (core::SpillRun& run : ckpt.runs) {
+          core::RunFileReader reader(run);
+          auto index = std::make_shared<std::vector<core::RunKey>>();
+          for (std::uint64_t position = 0; reader.next(r); ++position) {
+            if (cancelled.load(std::memory_order_relaxed)) return;
+            // The user field comes from disk: index nothing with it until
+            // it is known to belong to this shard (another shard's slot
+            // would race with the worker that owns it).
+            if (r.user < ckpt.begin || r.user >= ckpt.end) throw stray_user_error(ckpt, run, r.user);
+            outcomes[r.user].stats.add(r);
+            sketches[s].add(r.response_us);
+            sessions.add(r);
+            core::index_record(*index, position, r);
+          }
+          run.index = std::move(index);
         }
         resumed_sessions[s] = sessions.count();
         if (progress) {

@@ -15,7 +15,6 @@
 #include "core/log_sink.h"
 #include "core/replay.h"
 #include "runner/contended_runner.h"
-#include "runner/merge.h"
 #include "runner/pool.h"
 #include "runner/sharded_runner.h"
 #include "runner/universe.h"
@@ -378,13 +377,12 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const RunOptions& options
   outcome.report = render_report(spec, outcome.models);
 
   if (!spec.log_file.empty()) {
-    // Stream the merged runs straight into the file, so the log text is
-    // never held in RAM, checking the merge order on the way.  The pool has
-    // drained, so the whole thread budget formats the text.
-    const auto merged = core::open_spilled_log(outcome.models.front().log_runs);
-    runner::OrderCheck check(*merged);
-    core::write_log_file(check, spec.log_file, total_threads);
-    outcome.log_ordered = check.ordered();
+    // Merge the runs straight into the file, so the log text is never held
+    // in RAM, checking the merge order on the way.  The pool has drained,
+    // so the whole thread budget merges and formats the text.
+    outcome.log_ordered =
+        core::write_log_file(outcome.models.front().log_runs, spec.log_file, total_threads)
+            .ordered;
   }
   if (!spec.stats_file.empty()) {
     util::write_text_file(spec.stats_file, outcome.stats_digest);

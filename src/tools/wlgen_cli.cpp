@@ -144,9 +144,8 @@ int run_classic(const cli::RunPlan& plan) {
   print_analysis(run.stats.op_stats(), run.sessions_logged);
   std::cout << "\n" << run.model_stats;
   if (!spec.log_file.empty()) {
-    core::MemoryLogReader reader(run.log);
     core::write_log_file(
-        reader, spec.log_file,
+        {core::memory_run(std::move(run.log.records_mutable()))}, spec.log_file,
         runner::resolve_pool_threads(spec.threads, std::numeric_limits<std::size_t>::max()));
   }
 

@@ -504,8 +504,7 @@ void expect_writers_match_reference(const std::vector<OpRecord>& records, const 
 
   const std::string dir = temp_dir(tag);
   const std::string path = dir + "/sub/usage.log";  // parent created on demand
-  MemoryLogReader file_reader(log);
-  EXPECT_EQ(write_log_file(file_reader, path, 4), records.size());
+  EXPECT_EQ(write_log_file({memory_run(records)}, path, 4).records, records.size());
   EXPECT_EQ(first_difference(util::read_text_file(path), expected), "") << "write_log_file";
   std::filesystem::remove_all(dir);
 }
@@ -587,8 +586,7 @@ TEST(TextWriter, MatchesIostreamReferenceOnEdgeValues) {
   expect_writers_match_reference({}, "writer_empty");
 }
 
-// Records per formatting block (kTextBlockRecords in log_sink.cpp).
-constexpr std::size_t kBlockRecords = 4096;
+constexpr std::size_t kBlockRecords = kLogSliceRecords;
 
 // `count` varied records in the order a producer hands them to a SpillSink:
 // users ascending, each user's issue times nondecreasing.
@@ -637,14 +635,19 @@ TEST(TextWriter, WriteLogFileMatchesWriteLogTextAtEveryThreadCount) {
     EXPECT_EQ(first_difference(text_of(*open_spilled_log(memory_sink.runs())), spilled_expected),
               "");
 
+    // One run passes through in its own order.
+    const std::vector<SpillRun> one = {memory_run(log.records())};
     for (const std::size_t threads : {1, 2, 3, 4, 8}) {
       SCOPED_TRACE(threads);
-      MemoryLogReader memory(log);
-      EXPECT_EQ(write_log_file(memory, path, threads), count);
+      EXPECT_EQ(write_log_file(one, path, threads).records, count);
       EXPECT_EQ(first_difference(util::read_text_file(path), memory_expected), "");
-      EXPECT_EQ(write_log_file(*open_spilled_log(sink.runs()), path, threads), count);
+      WrittenLog written = write_log_file(sink.runs(), path, threads);
+      EXPECT_EQ(written.records, count);
+      EXPECT_TRUE(written.ordered);
       EXPECT_EQ(first_difference(util::read_text_file(path), spilled_expected), "");
-      EXPECT_EQ(write_log_file(*open_spilled_log(memory_sink.runs()), path, threads), count);
+      written = write_log_file(memory_sink.runs(), path, threads);
+      EXPECT_EQ(written.records, count);
+      EXPECT_TRUE(written.ordered);
       EXPECT_EQ(first_difference(util::read_text_file(path), spilled_expected), "");
     }
   }
@@ -658,18 +661,27 @@ TEST(TextWriter, WriteLogFileRemovesThePartialLogWhenARunIsTruncated) {
   for (const OpRecord& r : log.records()) sink.append(r);
   sink.close();
   ASSERT_GE(sink.runs().size(), 2u);
-  // Cut the last run mid-stream: its first read chunk survives, so the
-  // reader throws only after several blocks are with the formatters.
+  // Cut the last run mid-stream: its index still holds every record, so
+  // the writer fails only once slices are being written.
   const SpillRun& last = sink.runs().back();
   std::filesystem::resize_file(last.path, kSpillHeaderBytes + (last.records / 2) * kSpillRecordBytes + 7);
 
   const std::string path = dir + "/usage.log";
   for (const std::size_t threads : {1, 4}) {
     SCOPED_TRACE(threads);
-    const auto reader = open_spilled_log(sink.runs());
-    EXPECT_THROW(write_log_file(*reader, path, threads), std::runtime_error);
+    try {
+      write_log_file(sink.runs(), path, threads);
+      ADD_FAILURE() << "a truncated run was written";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "RunFileReader: truncated run file '" + last.path + "'");
+    }
     EXPECT_FALSE(std::filesystem::exists(path));
   }
+  // Without its index the run is scanned first, and the scan finds the cut.
+  std::vector<SpillRun> unindexed = sink.runs();
+  unindexed.back().index = nullptr;
+  EXPECT_THROW(write_log_file(unindexed, path, 4), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(path));
   std::filesystem::remove_all(dir);
 }
 
@@ -681,23 +693,170 @@ TEST(TextWriter, WriteLogFileThrowsOnUnwritablePath) {
   std::FILE* f = std::fopen(blocker.c_str(), "wb");
   ASSERT_NE(f, nullptr);
   std::fclose(f);
-  UsageLog log;
-  log.append(make_record(1, 2.0, 3.0));
-  MemoryLogReader reader(log);
-  EXPECT_THROW(write_log_file(reader, blocker + "/usage.log", 1), std::runtime_error);
+  const std::vector<SpillRun> one = {memory_run({make_record(1, 2.0, 3.0)})};
+  EXPECT_THROW(write_log_file(one, blocker + "/usage.log", 1), std::runtime_error);
   std::filesystem::remove_all(dir);
 
   // A device that accepts the open but fails every write (Linux).  The
-  // larger log keeps formatter threads busy when the first write fails;
-  // the device itself must survive the cleanup of the partial log.
+  // larger log keeps worker threads busy when the first write fails; the
+  // device itself must survive the cleanup of the partial log.
   if (std::filesystem::exists("/dev/full")) {
-    MemoryLogReader again(log);
-    EXPECT_THROW(write_log_file(again, "/dev/full", 1), std::runtime_error);
-    const UsageLog big = spill_ordered_log(5 * kBlockRecords);
-    MemoryLogReader big_reader(big);
-    EXPECT_THROW(write_log_file(big_reader, "/dev/full", 4), std::runtime_error);
+    EXPECT_THROW(write_log_file(one, "/dev/full", 1), std::runtime_error);
+    const UsageLog big_log = spill_ordered_log(5 * kBlockRecords);
+    SpillSink big("", "t", kBlockRecords);
+    for (const OpRecord& r : big_log.records()) big.append(r);
+    big.close();
+    EXPECT_THROW(write_log_file(big.runs(), "/dev/full", 4), std::runtime_error);
     EXPECT_TRUE(std::filesystem::exists("/dev/full"));
   }
+}
+
+// A run file holding `records` in the order given, written without
+// SpillSink's sort.
+SpillRun unsorted_run_file(const std::string& path, const std::vector<OpRecord>& records) {
+  std::vector<unsigned char> bytes(kSpillHeaderBytes + records.size() * kSpillRecordBytes);
+  std::memcpy(bytes.data(), kSpillMagic, sizeof kSpillMagic);
+  for (int i = 0; i < 8; ++i) bytes[8 + i] = static_cast<unsigned char>(records.size() >> (8 * i));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    encode_record(records[i], bytes.data() + kSpillHeaderBytes + i * kSpillRecordBytes);
+  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  return {path, records.size(), bytes.size(), nullptr, nullptr};
+}
+
+// Seeded runs of every kind, cut into slices of a few records so that seams
+// fall everywhere: the bytes must be MergeLogReader's through
+// write_log_text.  Keys come from a small set, so (time, user) ties across
+// runs are common and the run index must break them as the loser tree does.
+TEST(TextWriterProperty, SlicedRunsMatchTheSerialMerge) {
+  const std::string dir = temp_dir("writer_property");
+  const std::string path = dir + "/usage.log";
+  std::mt19937_64 rng(1991);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t k = 1 + trial % 17;
+    std::vector<SpillRun> runs;
+    for (std::size_t r = 0; r < k; ++r) {
+      const std::size_t size = rng() % 5 == 0 ? 0 : rng() % 300;
+      std::vector<OpRecord> records;
+      for (std::size_t i = 0; i < size; ++i) {
+        OpRecord record = make_record(static_cast<std::uint32_t>(rng() % 6),
+                                      static_cast<double>(rng() % 40) * 0.5, rng() % 1000 * 1e-3);
+        record.file_id = rng();
+        records.push_back(record);
+      }
+      // Four kinds: a SpillSink memory run (indexed), a bare memory run,
+      // an indexed run file and one the writer must scan for its samples.
+      const std::size_t kind = rng() % 4;
+      const std::string stem = std::string("t") + std::to_string(trial) + "_" + std::to_string(r);
+      SpillSink sink(kind < 2 ? "" : dir + "/spool", stem, size + 1);
+      for (const OpRecord& record : records) sink.append(record);
+      sink.close();
+      SpillRun run = size == 0 ? memory_run({}) : sink.runs().front();
+      if (kind == 1 && size > 0) run = memory_run(std::vector<OpRecord>(*run.memory));
+      if (kind == 3) run.index = nullptr;
+      runs.push_back(run);
+    }
+    const std::string expected = text_of(*open_spilled_log(runs));
+    for (const std::size_t slice : {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{64}}) {
+      for (const std::size_t threads : {1, 3, 4}) {
+        SCOPED_TRACE(testing::Message() << "slice " << slice << " threads " << threads);
+        const WrittenLog written = detail::write_log_file(runs, path, threads, slice);
+        EXPECT_TRUE(written.ordered);
+        EXPECT_EQ(first_difference(util::read_text_file(path), expected), "");
+      }
+    }
+    std::filesystem::remove_all(dir + "/spool");
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// The record lines of a log text, sorted: what a log holds, whatever order
+// it holds them in.
+std::vector<std::string> sorted_lines(const std::string& text) {
+  std::vector<std::string> lines = util::split(text, '\n');
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+// A run that is not sorted breaks the merge contract: the writer must say
+// so, and still write each of its records exactly once.
+TEST(TextWriter, AnUnsortedRunIsReportedAndWrittenWhole) {
+  const std::string dir = temp_dir("writer_unsorted");
+  const std::string path = dir + "/usage.log";
+  std::mt19937_64 rng(7);
+  const auto shuffled = [&rng](std::size_t count, std::uint32_t user) {
+    std::vector<OpRecord> records;
+    for (std::size_t i = 0; i < count; ++i) {
+      records.push_back(make_record(user, static_cast<double>(rng() % 5000), 1.0));
+    }
+    return records;
+  };
+  const UsageLog sorted_log = spill_ordered_log(900);
+  SpillSink sorted("", "t", 1000);
+  for (const OpRecord& r : sorted_log.records()) sorted.append(r);
+  sorted.close();
+  for (const bool file : {false, true}) {
+    SCOPED_TRACE(file);
+    std::vector<SpillRun> runs = sorted.runs();
+    const std::vector<OpRecord> bad = shuffled(700, 3);
+    runs.insert(runs.begin() + 1, file ? unsorted_run_file(dir + "/bad.wlr", bad) : memory_run(bad));
+    std::uint64_t total = 0;
+    for (const SpillRun& run : runs) total += run.records;
+    const std::vector<std::string> expected = sorted_lines(text_of(*open_spilled_log(runs)));
+    for (const std::size_t slice : {std::size_t{5}, kLogSliceRecords}) {
+      for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "slice " << slice << " threads " << threads);
+        const WrittenLog written = detail::write_log_file(runs, path, threads, slice);
+        EXPECT_FALSE(written.ordered);
+        EXPECT_EQ(written.records, total);
+        EXPECT_EQ(sorted_lines(util::read_text_file(path)), expected);
+      }
+    }
+    // Alone, an unsorted run passes through in its own order.
+    const WrittenLog alone = detail::write_log_file({runs[1]}, path, 4, 5);
+    EXPECT_FALSE(alone.ordered);
+    EXPECT_EQ(alone.records, bad.size());
+    EXPECT_EQ(util::read_text_file(path), text_of(*open_spilled_log({runs[1]})));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TextWriter, WriteLogFileReportsRunFileErrors) {
+  const std::string dir = temp_dir("writer_run_errors");
+  const std::string path = dir + "/usage.log";
+  const SpillRun missing{dir + "/missing.wlr", 1, 76, nullptr, nullptr};
+  const std::vector<SpillRun> runs = {memory_run({make_record(1, 2.0, 3.0)}), missing};
+  try {
+    write_log_file(runs, path, 2);
+    ADD_FAILURE() << "a missing run was written";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "RunFileReader: cannot open run file '" + missing.path + "'");
+  }
+  util::write_text_file(missing.path, "not a run file at all");
+  try {
+    write_log_file(runs, path, 2);
+    ADD_FAILURE() << "a foreign run was written";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "RunFileReader: '" + missing.path + "' is not a wlgen run file");
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+
+  OpRecord bad_op = make_record(2, 4.0, 5.0);
+  bad_op.op = static_cast<fsmodel::FsOpType>(200);
+  const std::vector<SpillRun> bad = {runs[0], unsorted_run_file(dir + "/bad_op.wlr", {bad_op})};
+  try {
+    write_log_file(bad, path, 2);
+    ADD_FAILURE() << "an unknown op code was written";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "RunFileReader: unknown op code in run file '" + dir + "/bad_op.wlr'");
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+  std::filesystem::remove_all(dir);
 }
 
 // A record line whose field `index` is `field` and every other field valid.
@@ -1122,8 +1281,7 @@ TEST(TextParser, ReadLogFilePrefixesThePath) {
   UsageLog log;
   log.append(make_record(1, 2.0, 3.0));
   log.append(make_record(2, 4.0, 5.0));
-  MemoryLogReader reader(log);
-  write_log_file(reader, path, 1);
+  write_log_file({memory_run(log.records())}, path, 1);
   EXPECT_EQ(read_log_file(path, 1).serialize(), log.serialize());
 
   std::FILE* f = std::fopen(path.c_str(), "ab");

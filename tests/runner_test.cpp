@@ -25,6 +25,7 @@
 #include "runner/merge.h"
 #include "runner/sharded_runner.h"
 #include "runner/universe.h"
+#include "util/svg.h"
 #include "util/table.h"
 
 namespace wlgen::runner {
@@ -435,6 +436,17 @@ TEST(ShardedRunnerSpill, CheckpointResumeIsBitIdentical) {
   const RunnerResult restored = resumed.run();
   EXPECT_EQ(restored.shards_resumed, 3u);
   EXPECT_EQ(merged_log(restored).serialize(), original_log);
+  // The resume pass rebuilt each run's sparse index, so the log writer cuts
+  // the restored runs as it cuts the live ones.
+  ASSERT_EQ(restored.log_runs.size(), original.log_runs.size());
+  for (std::size_t i = 0; i < restored.log_runs.size(); ++i) {
+    ASSERT_NE(restored.log_runs[i].index, nullptr) << i;
+    ASSERT_NE(original.log_runs[i].index, nullptr) << i;
+    EXPECT_TRUE(*restored.log_runs[i].index == *original.log_runs[i].index) << i;
+  }
+  const std::string log_path = spool + "/usage.log";
+  EXPECT_TRUE(core::detail::write_log_file(restored.log_runs, log_path, 4, 5).ordered);
+  EXPECT_EQ(util::read_text_file(log_path), original_log);
   expect_stats_identical(restored.stats, original.stats);
   EXPECT_EQ(restored.total_ops, original.total_ops);
   EXPECT_EQ(restored.sessions_completed, original.sessions_completed);
@@ -571,7 +583,7 @@ TEST(ShardedRunnerSpill, ResumeRejectsARecordOfAnotherShardsUser) {
   ASSERT_TRUE(std::filesystem::exists(victim));
   std::vector<core::OpRecord> records;
   {
-    core::RunFileReader reader(core::SpillRun{victim, 0, 0, nullptr});
+    core::RunFileReader reader(core::SpillRun{victim, 0, 0, nullptr, nullptr});
     core::OpRecord r;
     while (reader.next(r)) records.push_back(r);
   }
