@@ -34,12 +34,15 @@ class ReferenceLru {
     order_.push_front(key);
     return true;
   }
-  void insert(std::uint64_t key) {
+  bool insert(std::uint64_t key) {
     const auto it = std::find(order_.begin(), order_.end(), key);
     if (it != order_.end()) order_.erase(it);
     order_.push_front(key);
-    if (order_.size() > capacity_) order_.pop_back();
+    if (order_.size() <= capacity_) return false;
+    order_.pop_back();
+    return true;
   }
+  void clear() { order_.clear(); }
   void erase(std::uint64_t key) {
     const auto it = std::find(order_.begin(), order_.end(), key);
     if (it != order_.end()) order_.erase(it);
@@ -57,21 +60,37 @@ class ReferenceLru {
 class LruFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LruFuzz, MatchesReferenceImplementation) {
-  const std::size_t capacity = 1 + GetParam() % 13;
+  // Seeds 1-5 fill tiny caches over and over; seeds 6-10 fill caches of 256
+  // to 4,096 entries, so the table grows and evicts at scale.
+  const std::uint64_t seed = GetParam();
+  const std::size_t capacity =
+      seed <= 5 ? 1 + seed % 13 : std::size_t{1} << std::min<std::uint64_t>(seed + 2, 12);
   fsmodel::LruCache cache(capacity);
   ReferenceLru reference(capacity);
-  util::RngStream rng(GetParam(), "lru-fuzz");
-  for (int step = 0; step < 4000; ++step) {
-    const std::uint64_t key = static_cast<std::uint64_t>(rng.uniform_int(0, 25));
-    switch (rng.uniform_int(0, 3)) {
+  util::RngStream rng(seed, "lru-fuzz");
+  const auto max_key = static_cast<std::int64_t>(2 * capacity + 25);
+  const int steps = 4000 + 12 * static_cast<int>(capacity);
+  std::size_t evictions = 0;
+  for (int step = 0; step < steps; ++step) {
+    // Mostly keys from twice the capacity's range, sometimes any 64-bit id;
+    // inserts outnumber erases, so every cache fills and evicts.
+    const std::uint64_t key = rng.uniform_int(0, 15) == 0
+                                  ? rng.engine()()
+                                  : static_cast<std::uint64_t>(rng.uniform_int(0, max_key));
+    switch (rng.uniform_int(0, 7)) {
       case 0:
+      case 1:
         EXPECT_EQ(cache.access(key), reference.access(key)) << "step " << step;
         break;
-      case 1:
-        cache.insert(key);
-        reference.insert(key);
-        break;
       case 2:
+      case 3:
+      case 4: {
+        const bool evicted = cache.insert(key);
+        EXPECT_EQ(evicted, reference.insert(key)) << "step " << step;
+        evictions += evicted ? 1 : 0;
+        break;
+      }
+      case 5:
         cache.erase(key);
         reference.erase(key);
         break;
@@ -79,12 +98,17 @@ TEST_P(LruFuzz, MatchesReferenceImplementation) {
         EXPECT_EQ(cache.contains(key), reference.contains(key)) << "step " << step;
         break;
     }
-    EXPECT_EQ(cache.size(), reference.size()) << "step " << step;
+    if (step == steps / 2) {  // a full cache starts over
+      cache.clear();
+      reference.clear();
+    }
+    ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
     EXPECT_LE(cache.size(), capacity);
   }
+  EXPECT_GT(evictions, 0u);  // the run filled the cache
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LruFuzz, ::testing::Values(1, 2, 3, 4, 5));
+INSTANTIATE_TEST_SUITE_P(Seeds, LruFuzz, ::testing::Range<std::uint64_t>(1, 11));
 
 // ---------------------------------------------------------------------------
 // File-system fuzz against a size-tracking reference model.
