@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -197,6 +198,24 @@ RunnerResult ShardedRunner::run() {
   pool_obs.record_spans = trace_on;
   PoolObs* const pool_ptr = config_.obs.any() ? &pool_obs : nullptr;
 
+  // Shards are handed out in index order, or — when arrivals are assigned,
+  // so the work per shard is known up front — most arrivals first (stable
+  // on the index), so that a long shard does not start last.  Every result
+  // is indexed by shard and user, so the order changes no output.
+  std::vector<std::size_t> order(ranges.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (arrivals_) {
+    std::vector<std::size_t> shard_arrivals(ranges.size(), 0);
+    for (std::size_t s = 0; s < ranges.size(); ++s) {
+      for (std::size_t u = ranges[s].begin; u < ranges[s].end; ++u) {
+        shard_arrivals[s] += (*arrivals_)[u].size();
+      }
+    }
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      return shard_arrivals[a] > shard_arrivals[b];
+    });
+  }
+
   // Workers drain the shard queue (runner::drain_pool); each owns one
   // Simulation whose clock and event arena are reset between users, so the
   // arena's allocation ramp-up is paid once per worker, not once per user.
@@ -205,7 +224,8 @@ RunnerResult ShardedRunner::run() {
   // cancellation flag is also polled between users inside a shard.
   drain_pool(ranges.size(), config_.threads, [&]() -> PoolJob {
     auto sim = std::make_shared<sim::Simulation>();
-    return [&, sim](std::size_t s, const std::atomic<bool>& cancelled) {
+    return [&, sim](std::size_t job, const std::atomic<bool>& cancelled) {
+      const std::size_t s = order[job];
       // Installs this shard's stage ring (or null) for the worker while it
       // runs this shard; save/restore keeps nested pools correct.
       obs::ScopedStageTrace stage_trace(trace_on ? &stage_rings[s] : nullptr);
@@ -292,6 +312,7 @@ RunnerResult ShardedRunner::run() {
       }
     };
   }, pool_ptr);
+  for (PoolJobSpan& span : pool_obs.spans) span.job = static_cast<std::uint32_t>(order[span.job]);
 
   // Deterministic fold: ascending global user order, independent of which
   // shard or thread produced each slot.  Resumed shards contributed their
