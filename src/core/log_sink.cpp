@@ -973,8 +973,8 @@ WrittenLog write_slices(const SlicePlan& plan, std::size_t threads, Write&& writ
   WrittenLog result;
   std::optional<RunKey> last;  // the last record written
   const auto emit = [&](const Slice& slice) {
+    if (slice.records == 0) return;  // a slice of unsorted runs can be empty
     write(slice.text.get(), slice.text_size);
-    if (slice.records == 0) return;
     if (!slice.ordered || (last && descends(*last, slice.first))) result.ordered = false;
     last = slice.last;
     result.records += slice.records;
