@@ -617,9 +617,9 @@ struct SliceScratch {
 // exact cuts by binary search.  Two workers find the same cut from the same
 // bytes, so the slices tile every run.  For sorted runs the cuts are exact,
 // and the slices concatenate to the merged stream.  For an unsorted run the
-// planner never lets a bracket go back and the search is monotone in the
-// splitter (below), so its cuts still never go back and every record lands
-// in exactly one slice.
+// cuts are not where the merge would put them, but the splitters ascend and
+// every search is monotone in the splitter (see cut()), so the cuts still
+// never go back and every record lands in exactly one slice.
 class SlicePlan {
  public:
   SlicePlan(const std::vector<SpillRun>& runs, std::size_t slice_records) {
@@ -740,12 +740,9 @@ class SlicePlan {
     return {ordered_bits(record.issue_time_us), record.user, run, position};
   }
 
-  const SliceKey& sample(std::size_t run, std::uint64_t i) const {
-    return samples_[inputs_[run].first_sample + i];
-  }
-
   // The first position in [b.lo, b.hi) whose key is not below `splitter`;
-  // b.hi when there is none.  On any array the result is monotone in the
+  // b.hi when there is none.  (Over a run's samples, the number of them
+  // below the splitter.)  On any array the result is monotone in the
   // splitter: two searches agree until the first probe where only the
   // higher splitter's key test passes, and from there the lower one stays
   // at or before that probe while the higher one moves past it.
@@ -834,30 +831,20 @@ class SlicePlan {
     }
   }
 
-  // Each boundary's bracket in every run, from its samples alone: after
-  // `below` samples under the splitter, the cut lies past the last of them
-  // and at or before the next.  A bracket never goes back from the one
-  // before it, even where an unsorted run's samples would have it.
+  // Each boundary's bracket in every run, from its samples alone: after n
+  // samples below the splitter, the cut lies past the last of them and at
+  // or before the next.  The splitters ascend and the search is monotone in
+  // the splitter, so a bracket never goes back from the one before it, even
+  // in an unsorted run.
   void bracket_cuts() {
     const std::size_t k = inputs_.size();
     brackets_.resize(splitters_.size() * k);
-    std::vector<std::uint64_t> below(k, 0);
     for (std::size_t b = 0; b < splitters_.size(); ++b) {
       for (std::size_t r = 0; r < k; ++r) {
         const Input& input = inputs_[r];
-        std::uint64_t lo = 0;
-        std::uint64_t count = input.samples();
-        while (count > 0) {
-          const std::uint64_t half = count / 2;
-          if (sample(r, lo + half) < splitters_[b]) {
-            lo += half + 1;
-            count -= half + 1;
-          } else {
-            count = half;
-          }
-        }
-        below[r] = std::max(below[r], lo);
-        const std::uint64_t n = below[r];
+        const SliceKey* samples = samples_.data() + input.first_sample;
+        const std::uint64_t n = cut({0, input.samples()}, splitters_[b],
+                                    [samples](std::uint64_t i) { return samples[i]; });
         brackets_[b * k + r] = {n == 0 ? 0 : (n - 1) * input.stride + 1,
                                 std::min(n * input.stride, input.records)};
       }

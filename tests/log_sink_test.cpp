@@ -822,6 +822,16 @@ TEST(TextWriter, AnUnsortedRunIsReportedAndWrittenWhole) {
     EXPECT_EQ(alone.records, bad.size());
     EXPECT_EQ(util::read_text_file(path), text_of(*open_spilled_log({runs[1]})));
   }
+  // A descent exactly at a seam: each slice of five is in order, the log is not.
+  std::vector<OpRecord> halves;
+  for (const double t : {10.0, 11.0, 12.0, 13.0, 14.0, 0.0, 1.0, 2.0, 3.0, 4.0}) {
+    halves.push_back(make_record(1, t, 1.0));
+  }
+  for (const std::size_t threads : {1, 4}) {
+    const WrittenLog written = detail::write_log_file({memory_run(halves)}, path, threads, 5);
+    EXPECT_FALSE(written.ordered);
+    EXPECT_EQ(written.records, halves.size());
+  }
   std::filesystem::remove_all(dir);
 }
 
