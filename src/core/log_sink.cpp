@@ -150,7 +150,9 @@ void SpillSink::flush() {
   records_written_ += buffer_.size();
   auto index = std::make_shared<std::vector<RunKey>>();
   index->reserve((buffer_.size() + kRunIndexStride - 1) / kRunIndexStride);
-  for (std::size_t i = 0; i < buffer_.size(); i += kRunIndexStride) index_record(*index, i, buffer_[i]);
+  for (std::size_t i = 0; i < buffer_.size(); i += kRunIndexStride) {
+    index_record(*index, i, buffer_[i]);
+  }
   if (dir_.empty()) {
     // A copy holds exactly the run; the buffer's capacity stays for reuse.
     SpillRun run = memory_run({buffer_.begin(), buffer_.end()});

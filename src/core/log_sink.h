@@ -251,8 +251,8 @@ inline constexpr std::size_t kLogSliceRecords = 4096;
 /// to `threads` threads (capped at the core count).  The merged (issue_time,
 /// user, run, position) order is cut into contiguous key-range slices of
 /// about kLogSliceRecords records, with splitters taken from the runs' keys
-/// (every kRunIndexStride-th record: a run file's SpillRun::index, read in
-/// a scan when it has none).  Each slice is merged and formatted into its
+/// (every kRunIndexStride-th record: SpillRun::index, or a scan of a run
+/// that has none).  Each slice is merged and formatted into its
 /// own buffer by one worker, which reads one contiguous range of each run
 /// file; the calling thread writes the slices in order, so the bytes are
 /// the same for any `threads`.  At most two slices per worker are in

@@ -25,9 +25,10 @@ core::UsageLog merge_user_logs(std::vector<core::UsageLog> per_user);
 /// Passes `inner`'s records through, checking that the stream is
 /// non-descending on the (issue_time_us, user) key — the observable half of
 /// the merge contract — in the pass that drains it, in O(1) memory
-/// (core::write_log_file makes the same check slice by slice).  Per-user sub-order on full ties is NOT checkable from a
-/// log alone (records carry no per-user issue ordinal); the runner tests
-/// pin it by comparing whole logs with merge_user_logs.
+/// (core::write_log_file makes the same check slice by slice).  Per-user
+/// sub-order on full ties is NOT checkable from a log alone (records carry
+/// no per-user issue ordinal); the runner tests pin it by comparing whole
+/// logs with merge_user_logs.
 class OrderCheck final : public core::LogReader {
  public:
   explicit OrderCheck(core::LogReader& inner) : inner_(inner) {}

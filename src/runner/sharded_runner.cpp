@@ -253,7 +253,9 @@ RunnerResult ShardedRunner::run() {
             // The user field comes from disk: index nothing with it until
             // it is known to belong to this shard (another shard's slot
             // would race with the worker that owns it).
-            if (r.user < ckpt.begin || r.user >= ckpt.end) throw stray_user_error(ckpt, run, r.user);
+            if (r.user < ckpt.begin || r.user >= ckpt.end) {
+              throw stray_user_error(ckpt, run, r.user);
+            }
             outcomes[r.user].stats.add(r);
             sketches[s].add(r.response_us);
             sessions.add(r);

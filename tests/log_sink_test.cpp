@@ -761,7 +761,8 @@ TEST(TextWriterProperty, SlicedRunsMatchTheSerialMerge) {
       runs.push_back(run);
     }
     const std::string expected = text_of(*open_spilled_log(runs));
-    for (const std::size_t slice : {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{64}}) {
+    for (const std::size_t slice :
+         {std::size_t{1}, std::size_t{3}, std::size_t{7}, std::size_t{64}}) {
       for (const std::size_t threads : {1, 3, 4}) {
         SCOPED_TRACE(testing::Message() << "slice " << slice << " threads " << threads);
         const WrittenLog written = detail::write_log_file(runs, path, threads, slice);
@@ -803,7 +804,8 @@ TEST(TextWriter, AnUnsortedRunIsReportedAndWrittenWhole) {
     SCOPED_TRACE(file);
     std::vector<SpillRun> runs = sorted.runs();
     const std::vector<OpRecord> bad = shuffled(700, 3);
-    runs.insert(runs.begin() + 1, file ? unsorted_run_file(dir + "/bad.wlr", bad) : memory_run(bad));
+    runs.insert(runs.begin() + 1,
+                file ? unsorted_run_file(dir + "/bad.wlr", bad) : memory_run(bad));
     std::uint64_t total = 0;
     for (const SpillRun& run : runs) total += run.records;
     const std::vector<std::string> expected = sorted_lines(text_of(*open_spilled_log(runs)));
@@ -851,7 +853,8 @@ TEST(TextWriter, WriteLogFileReportsRunFileErrors) {
     write_log_file(runs, path, 2);
     ADD_FAILURE() << "a foreign run was written";
   } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "RunFileReader: '" + missing.path + "' is not a wlgen run file");
+    EXPECT_EQ(std::string(e.what()),
+              "RunFileReader: '" + missing.path + "' is not a wlgen run file");
   }
   EXPECT_FALSE(std::filesystem::exists(path));
 
