@@ -176,6 +176,93 @@ TEST(SpillSink, CutsRunsOnlyAtUserBoundaries) {
   std::filesystem::remove_all(dir);
 }
 
+// Every field's exact bits, record after record (encode_record is
+// lossless), so that runs compare without the records' padding.
+std::string encoded_bytes(const std::vector<OpRecord>& records) {
+  std::string bytes(records.size() * kSpillRecordBytes, '\0');
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    encode_record(records[i], reinterpret_cast<unsigned char*>(bytes.data()) + i * kSpillRecordBytes);
+  }
+  return bytes;
+}
+
+// Seeded appends of every shape a run can hold: users ascending, some of
+// them going back in time, equal (time, user) keys told apart only by their
+// file_id, -0 next to +0, bursts longer than the buffer.  Every run — file
+// or memory — must hold exactly the stable sort of its records by (time,
+// user), and its index must be index_record over that order.
+TEST(SpillSink, RunsMatchAStableSortOnAnyInput) {
+  const auto by_key = [](const OpRecord& a, const OpRecord& b) {
+    if (a.issue_time_us != b.issue_time_us) return a.issue_time_us < b.issue_time_us;
+    return a.user < b.user;
+  };
+  const double times[] = {-0.0, 0.0, 1.0, 1.5, 2.0, 3.25, 7.0, 1e6};
+  const std::string dir = temp_dir("stable");
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<OpRecord> records;
+    const auto users = static_cast<std::uint32_t>(1 + rng() % 12);
+    for (std::uint32_t u = 0; u < users; ++u) {
+      const std::size_t count = rng() % 4 == 0 ? rng() % 90 : rng() % 12;
+      std::vector<double> issues(count);
+      for (double& t : issues) t = times[rng() % std::size(times)];
+      if (rng() % 3 != 0) std::stable_sort(issues.begin(), issues.end());
+      for (const double t : issues) {
+        OpRecord r = make_record(3 * u + static_cast<std::uint32_t>(seed % 3), t,
+                                 static_cast<double>(rng() % 1000) / 8.0, rng() % 4096);
+        r.file_id = records.size();
+        records.push_back(r);
+      }
+    }
+    const std::size_t n = records.size();
+    for (const std::size_t buffer : {std::size_t{1}, std::size_t{7}, std::size_t{32}, n, n + 1}) {
+      // The sink's cut: a new user arriving with `buffer` records buffered.
+      std::vector<std::vector<OpRecord>> expected;
+      std::vector<OpRecord> pending;
+      for (const OpRecord& r : records) {
+        if (!pending.empty() && r.user != pending.back().user &&
+            pending.size() >= std::max<std::size_t>(1, buffer)) {
+          expected.push_back(std::move(pending));
+          pending.clear();
+        }
+        pending.push_back(r);
+      }
+      if (!pending.empty()) expected.push_back(std::move(pending));
+      for (auto& run : expected) std::stable_sort(run.begin(), run.end(), by_key);
+
+      for (const bool in_memory : {false, true}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", buffer " + std::to_string(buffer) +
+                     (in_memory ? ", memory" : ", file"));
+        SpillSink sink(in_memory ? "" : dir, "t" + std::to_string(buffer), buffer);
+        for (const OpRecord& r : records) sink.append(r);
+        sink.close();
+        ASSERT_EQ(sink.runs().size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          const SpillRun& run = sink.runs()[i];
+          const std::vector<OpRecord>& want = expected[i];
+          EXPECT_EQ(run.records, want.size());
+          std::vector<RunKey> index;
+          for (std::size_t p = 0; p < want.size(); ++p) index_record(index, p, want[p]);
+          ASSERT_NE(run.index, nullptr);
+          EXPECT_EQ(*run.index, index) << "run " << i;
+          if (in_memory) {
+            ASSERT_NE(run.memory, nullptr);
+            EXPECT_TRUE(encoded_bytes(*run.memory) == encoded_bytes(want)) << "run " << i;
+            continue;
+          }
+          std::string header(kSpillHeaderBytes, '\0');
+          std::memcpy(header.data(), kSpillMagic, sizeof kSpillMagic);
+          for (int b = 0; b < 8; ++b) header[8 + b] = static_cast<char>(want.size() >> (8 * b));
+          const std::string bytes = header + encoded_bytes(want);
+          EXPECT_EQ(run.bytes, bytes.size());
+          EXPECT_TRUE(util::read_text_file(run.path) == bytes) << "run " << i;
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(MergeLogReader, HandlesZeroAndOneInput) {
   std::vector<std::unique_ptr<LogReader>> none;
   MergeLogReader empty(std::move(none));
