@@ -7,6 +7,7 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -59,8 +60,11 @@ inline double bits_double(std::uint64_t bits) {
   return v;
 }
 
+// Records a run file is encoded and written in at a time.
+constexpr std::size_t kWriteChunkRecords = 1024;
+
 std::string run_file_name(const std::string& stem, std::size_t index) {
-  char buffer[16];
+  char buffer[21];  // up to 20 digits of a 64-bit index and the '\0'
   std::snprintf(buffer, sizeof buffer, "%06zu", index);
   return stem + "_run" + buffer + ".wlr";
 }
@@ -140,22 +144,45 @@ void SpillSink::close() {
 
 void SpillSink::flush() {
   if (buffer_.empty()) return;
-  // Each user's records arrive in issue order (nondecreasing time) with
-  // users ascending, so the stable sort keeps per-user relative order —
-  // exactly merge_user_logs' key and tie rules within this run.
-  std::stable_sort(buffer_.begin(), buffer_.end(), [](const OpRecord& a, const OpRecord& b) {
+  // A record's sort key and its place in the buffer: 16 bytes to move
+  // where the record is 72.  The position as the last tie-break makes the
+  // sort stable, so within a user the append order survives (see the
+  // class comment).  Local, so that it is freed as soon as the run is cut.
+  struct Key {
+    double issue_time_us;
+    std::uint32_t user;
+    std::uint32_t position;
+  };
+  if (buffer_.size() - 1 > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::runtime_error("SpillSink: cannot sort a run of " +
+                             std::to_string(buffer_.size()) + " records (at most 2^32)");
+  }
+  std::vector<Key> keys(buffer_.size());
+  for (std::size_t i = 0; i < buffer_.size(); ++i) {
+    keys[i] = {buffer_[i].issue_time_us, buffer_[i].user, static_cast<std::uint32_t>(i)};
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
     if (a.issue_time_us != b.issue_time_us) return a.issue_time_us < b.issue_time_us;
-    return a.user < b.user;
+    if (a.user != b.user) return a.user < b.user;
+    return a.position < b.position;
   });
   records_written_ += buffer_.size();
   auto index = std::make_shared<std::vector<RunKey>>();
-  index->reserve((buffer_.size() + kRunIndexStride - 1) / kRunIndexStride);
-  for (std::size_t i = 0; i < buffer_.size(); i += kRunIndexStride) {
-    index_record(*index, i, buffer_[i]);
+  index->reserve((keys.size() + kRunIndexStride - 1) / kRunIndexStride);
+  for (std::size_t i = 0; i < keys.size(); i += kRunIndexStride) {
+    index->push_back({keys[i].issue_time_us, keys[i].user});
   }
   if (dir_.empty()) {
-    // A copy holds exactly the run; the buffer's capacity stays for reuse.
-    SpillRun run = memory_run({buffer_.begin(), buffer_.end()});
+    // The run holds exactly its records; the buffer's capacity stays for
+    // reuse.  Only the positions are kept through the copy, 4 bytes a
+    // record instead of the key's 16.
+    std::vector<std::uint32_t> order(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) order[i] = keys[i].position;
+    keys = std::vector<Key>();
+    std::vector<OpRecord> records;
+    records.reserve(order.size());
+    for (const std::uint32_t position : order) records.push_back(buffer_[position]);
+    SpillRun run = memory_run(std::move(records));
     run.index = std::move(index);
     runs_.push_back(std::move(run));
     buffer_.clear();
@@ -171,14 +198,18 @@ void SpillSink::flush() {
 
   unsigned char header[kSpillHeaderBytes];
   std::memcpy(header, kSpillMagic, sizeof kSpillMagic);
-  put_u64(header + 8, buffer_.size());
-
-  std::vector<unsigned char> encoded(buffer_.size() * kSpillRecordBytes);
-  for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    encode_record(buffer_[i], encoded.data() + i * kSpillRecordBytes);
+  put_u64(header + 8, keys.size());
+  bool ok = std::fwrite(header, 1, sizeof header, file) == sizeof header;
+  // Encoded a chunk at a time, straight from the sorted keys.
+  std::vector<unsigned char> chunk(std::min(keys.size(), kWriteChunkRecords) * kSpillRecordBytes);
+  for (std::size_t from = 0; ok && from < keys.size(); from += kWriteChunkRecords) {
+    const std::size_t count = std::min(keys.size() - from, kWriteChunkRecords);
+    for (std::size_t i = 0; i < count; ++i) {
+      encode_record(buffer_[keys[from + i].position], chunk.data() + i * kSpillRecordBytes);
+    }
+    const std::size_t size = count * kSpillRecordBytes;
+    ok = std::fwrite(chunk.data(), 1, size, file) == size;
   }
-  const bool ok = std::fwrite(header, 1, sizeof header, file) == sizeof header &&
-                  std::fwrite(encoded.data(), 1, encoded.size(), file) == encoded.size();
   const bool closed_ok = std::fclose(file) == 0;
   if (!ok || !closed_ok) {
     throw std::runtime_error("SpillSink: short write to run file '" + path + "'");
@@ -186,8 +217,8 @@ void SpillSink::flush() {
 
   SpillRun run;
   run.path = path;
-  run.records = buffer_.size();
-  run.bytes = kSpillHeaderBytes + encoded.size();
+  run.records = keys.size();
+  run.bytes = kSpillHeaderBytes + keys.size() * kSpillRecordBytes;
   run.index = std::move(index);
   bytes_written_ += run.bytes;
   runs_.push_back(std::move(run));
@@ -509,10 +540,11 @@ std::size_t pread_full(int fd, unsigned char* data, std::size_t size, std::uint6
   return done;
 }
 
-// Records [begin, end) of one run, in run order.
+// Items [begin, end) of one run, in run order: its records, or its samples.
+template <typename T>
 struct Span {
-  const OpRecord* begin;
-  const OpRecord* end;
+  const T* begin;
+  const T* end;
 };
 
 // A span's head in the merge, packed so that comparing two takes no
@@ -526,29 +558,38 @@ struct MergeKey {
 };
 constexpr std::uint64_t kSpent = std::uint64_t{1} << 31;
 
+MergeKey merge_key(const OpRecord& record, std::size_t span) {
+  return {ordered_bits(record.issue_time_us), std::uint64_t{record.user} << 32 | span};
+}
+
+// A sample's key; with the samples of run r in span r, the merge's order is
+// SliceKey's.
+MergeKey merge_key(const SliceKey& sample, std::size_t span) {
+  return {sample.time, std::uint64_t{sample.user} << 32 | span};
+}
+
 bool merge_before(const MergeKey& a, const MergeKey& b) {
   return (a.hi < b.hi) | ((a.hi == b.hi) & (a.lo < b.lo));
 }
 
 // Loser-tree merge of sorted spans in (issue time, user, span index) order,
-// calling emit(record) for every record.  The tree holds the keys
+// calling emit(item) for every item.  The tree holds the keys
 // themselves: tree[0] is the winner and tree[1, k) the losers of a
 // heap-shaped tree whose leaf i sits at node i + k.  `winners` is the
 // scratch the tree is built in.
-template <typename Emit>
-void merge_spans(std::vector<Span>& spans, std::vector<MergeKey>& tree,
+template <typename T, typename Emit>
+void merge_spans(std::vector<Span<T>>& spans, std::vector<MergeKey>& tree,
                  std::vector<MergeKey>& winners, Emit&& emit) {
   const std::size_t k = spans.size();
   if (k <= 1) {
-    for (const Span& span : spans) std::for_each(span.begin, span.end, emit);
+    for (const Span<T>& span : spans) std::for_each(span.begin, span.end, emit);
     return;
   }
   const auto head = [&spans](std::size_t i) {
     if (spans[i].begin == spans[i].end) {
       return MergeKey{~std::uint64_t{0}, ~std::uint64_t{0} << 32 | kSpent | i};
     }
-    const OpRecord& r = *spans[i].begin;
-    return MergeKey{ordered_bits(r.issue_time_us), std::uint64_t{r.user} << 32 | i};
+    return merge_key(*spans[i].begin, i);
   };
   tree.resize(k);
   winners.resize(2 * k);
@@ -604,7 +645,7 @@ struct SliceScratch {
     std::size_t count;
   };
   std::vector<Range> ranges;
-  std::vector<Span> spans;
+  std::vector<Span<OpRecord>> spans;
   std::vector<MergeKey> tree;
   std::vector<MergeKey> winners;
 };
@@ -819,17 +860,35 @@ class SlicePlan {
   }
 
   // Splitters one slice's worth of records apart in the sorted samples; each
-  // sample stands for the stride records from its own.
+  // sample stands for the stride records from its own.  A sorted run's
+  // samples already ascend, so the runs' lists are merged; when some run's
+  // do not (an unsorted run), all the samples are sorted instead.  No two
+  // samples are equal, so both visit them in the same order.
   void choose_splitters(std::size_t slice_records) {
-    std::vector<SliceKey> samples = samples_;
-    std::sort(samples.begin(), samples.end());
     std::uint64_t weight = 0;
-    for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
-      weight += inputs_[samples[i].run].stride;
-      if (weight >= slice_records) {
-        splitters_.push_back(samples[i + 1]);
-        weight = 0;
-      }
+    bool cut = false;  // the next sample is a splitter
+    const auto visit = [&](const SliceKey& sample) {
+      if (cut) splitters_.push_back(sample);
+      weight += inputs_[sample.run].stride;
+      cut = weight >= slice_records;
+      if (cut) weight = 0;
+    };
+    std::vector<Span<SliceKey>> spans;
+    bool ascending = true;
+    for (const Input& input : inputs_) {
+      const SliceKey* first = samples_.data() + input.first_sample;
+      const SliceKey* last = first + input.samples();
+      spans.push_back({first, last});
+      ascending = ascending && std::is_sorted(first, last);
+    }
+    if (ascending) {
+      std::vector<MergeKey> tree;
+      std::vector<MergeKey> winners;
+      merge_spans(spans, tree, winners, visit);
+    } else {
+      std::vector<SliceKey> samples = samples_;
+      std::sort(samples.begin(), samples.end());
+      std::for_each(samples.begin(), samples.end(), visit);
     }
   }
 

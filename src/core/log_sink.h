@@ -109,16 +109,19 @@ SpillRun memory_run(std::vector<OpRecord> records);
 /// Runs are only cut at *user boundaries*: a user's records never straddle
 /// two runs.  Producers append users in ascending index order and each
 /// user's records in issue order (per-user issue times are nondecreasing —
-/// records are emitted at op completion inside a time-monotone event loop),
-/// so a stable sort of each run by (issue_time, user) plus a k-way merge
-/// keyed the same way reproduces runner::merge_user_logs byte for byte:
-/// within-user order survives the stable sort, and a (time, user) key can
-/// never tie across runs because a user lives in exactly one run.
+/// records are emitted at op completion inside a time-monotone event loop).
+/// Each run is ordered by a sort of (issue_time, user, position) keys, the
+/// position being the record's place in the run's appends, so equal
+/// (issue_time, user) keys keep their append order: the order of a stable
+/// sort by (issue_time, user), on any input.  That plus a k-way merge keyed
+/// the same way reproduces runner::merge_user_logs byte for byte: within-user
+/// order survives the sort, and a (time, user) key can never tie across runs
+/// because a user lives in exactly one run.
 class SpillSink final : public LogSink {
  public:
   /// Creates `dir` if needed (none when empty: the runs stay in memory).
   /// Throws std::runtime_error when the directory or a run file cannot be
-  /// created.
+  /// created or written, or when one run would hold more than 2^32 records.
   SpillSink(std::string dir, std::string stem, std::size_t buffer_records = 65536);
   ~SpillSink() override;
   SpillSink(const SpillSink&) = delete;

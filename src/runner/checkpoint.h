@@ -16,9 +16,10 @@ namespace wlgen::runner {
 /// The per-user floating-point statistics are deliberately NOT stored:
 /// pre-folded shard stats would change the global per-user reduction order
 /// (FP addition is not associative) and break the bit-identical digest
-/// contract.  Resume instead re-reads the shard's sorted runs — the stable
-/// per-run sort preserves each user's original append order, so re-adding
-/// records per user reproduces the exact same fold sequence as a live run.
+/// contract.  Resume instead re-reads the shard's sorted runs — the per-run
+/// sort breaks ties by append position, so it preserves each user's
+/// original append order, and re-adding records per user reproduces the
+/// exact same fold sequence as a live run.
 /// Scalars below are integer sums / maxima, which ARE grouping-invariant.
 ///
 /// No RNG engine state is needed at a shard boundary: every user stream is

@@ -19,7 +19,7 @@ namespace wlgen::runner {
 namespace {
 
 std::string shard_stem(std::size_t shard) {
-  char buffer[24];
+  char buffer[26];  // "shard", up to 20 digits of a 64-bit index and the '\0'
   std::snprintf(buffer, sizeof buffer, "shard%06zu", shard);
   return buffer;
 }
@@ -233,11 +233,11 @@ RunnerResult ShardedRunner::run() {
       if (resumed[s].has_value()) {
         // Checkpointed shard: skip the simulation and rebuild the per-user
         // accumulators by re-reading its sorted runs, one after another.  A
-        // user's records all lie in one run, and the stable per-run sort
-        // preserved their original append order, so every per-user slot
-        // sees the exact same sequence of add() calls as a live run — which
-        // is what keeps the floating-point folds (and therefore the digest)
-        // bit-identical.  The sketch and the session count do not depend on
+        // user's records all lie in one run, and the per-run sort breaks
+        // (time, user) ties by append position, so it preserved their
+        // original append order: every per-user slot sees the exact same
+        // sequence of add() calls as a live run — which is what keeps the
+        // floating-point folds (and therefore the digest) bit-identical.  The sketch and the session count do not depend on
         // the order.  The same pass rebuilds each run's sparse index for the
         // log writer.  Shard totals that records cannot reproduce (events,
         // RNG draws, ...) come from the checkpoint's grouping-invariant
