@@ -237,11 +237,12 @@ RunnerResult ShardedRunner::run() {
         // (time, user) ties by append position, so it preserved their
         // original append order: every per-user slot sees the exact same
         // sequence of add() calls as a live run — which is what keeps the
-        // floating-point folds (and therefore the digest) bit-identical.  The sketch and the session count do not depend on
-        // the order.  The same pass rebuilds each run's sparse index for the
-        // log writer.  Shard totals that records cannot reproduce (events,
-        // RNG draws, ...) come from the checkpoint's grouping-invariant
-        // integer scalars instead.
+        // floating-point folds (and therefore the digest) bit-identical.
+        // The sketch and the session count do not depend on the order.  The
+        // same pass rebuilds each run's sparse index for the log writer.
+        // Shard totals that records cannot reproduce (events, RNG draws,
+        // ...) come from the checkpoint's grouping-invariant integer
+        // scalars instead.
         ShardCheckpoint& ckpt = *resumed[s];
         core::SessionCounter sessions;
         core::OpRecord r;

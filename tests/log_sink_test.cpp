@@ -181,7 +181,8 @@ TEST(SpillSink, CutsRunsOnlyAtUserBoundaries) {
 std::string encoded_bytes(const std::vector<OpRecord>& records) {
   std::string bytes(records.size() * kSpillRecordBytes, '\0');
   for (std::size_t i = 0; i < records.size(); ++i) {
-    encode_record(records[i], reinterpret_cast<unsigned char*>(bytes.data()) + i * kSpillRecordBytes);
+    encode_record(records[i],
+                  reinterpret_cast<unsigned char*>(bytes.data()) + i * kSpillRecordBytes);
   }
   return bytes;
 }
