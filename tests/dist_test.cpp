@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "dist/basic.h"
@@ -480,6 +482,67 @@ TEST(Fitting, RejectsEmptyData) {
   EXPECT_THROW(fit_phase_exponential({}, 2), std::invalid_argument);
   EXPECT_THROW(fit_multistage_gamma({}, 2), std::invalid_argument);
   EXPECT_THROW(kmeans_1d({}, 2), std::invalid_argument);
+}
+
+
+// The golden digests hold bits that libm computes: the samplers' log1p,
+// exp, pow and lgamma.  A libm that rounds one of these differently moves
+// dozens of goldens at once, so this canary pins the bits on the arguments
+// the samplers and the sketch use and names the cause.  The arguments pass
+// through volatile so that the compiler cannot fold the calls.
+TEST(LibmCanary, PinsTheBitsTheSamplersDependOn) {
+  enum class Fn { log, log1p, exp, expm1, pow, lgamma };
+  const struct {
+    Fn fn;
+    double a;
+    double b;
+    std::uint64_t bits;
+  } cases[] = {
+      {Fn::log, 0.3, 0, 0xbff34378fcbda721},
+      {Fn::log, 1e-12, 0, 0xc03ba18a998fffa0},
+      {Fn::log, 0.9999999999999999, 0, 0xbca0000000000000},
+      {Fn::log, 2000.0, 0, 0x401e6752f96f46de},
+      {Fn::log, 12.4, 0, 0x4004243e0c58f33c},
+      {Fn::log, 1.05, 0, 0x3fa8fb063ef2c7f0},
+      {Fn::log1p, -0.3, 0, 0xbfd6d3c324e13f4e},
+      {Fn::log1p, -0.9999999999999999, 0, 0xc0425e4f7b2737fa},
+      {Fn::log1p, -1e-17, 0, 0xbc670ef54646d497},
+      {Fn::exp, -0.05, 0, 0x3fee7078b0a726a6},
+      {Fn::exp, -7.25, 0, 0x3f47455fe323fafd},
+      {Fn::exp, -700.0, 0, 0x00d14f2b0fb9307f},
+      {Fn::exp, 3.5, 0, 0x40408ec721396bdb},
+      {Fn::expm1, -0.05, 0, 0xbfa8f874f58d95a1},
+      {Fn::expm1, -1e-10, 0, 0xbddb7cdfd9d1d693},
+      {Fn::pow, 1.05, 37.0, 0x4018535c57737747},
+      {Fn::pow, 1.05, 512.0, 0x4230713755803c35},
+      {Fn::pow, 0.25, -1.0 / 1.5, 0x400428a2f98d728b},
+      {Fn::pow, 1000.0, 2.5, 0x417e286789a07f2f},
+      {Fn::lgamma, 1.4, 0, 0xbfbe9ef3b28cb1e8},
+      {Fn::lgamma, 1.5, 0, 0xbfbeeb95b094c191},
+      {Fn::lgamma, 2.0, 0, 0x0000000000000000},
+      {Fn::lgamma, 3.0, 0, 0x3fe62e42fefa39ef},
+      {Fn::lgamma, 0.7, 0, 0x3fd0b20c891cde74},
+      {Fn::lgamma, 171.5, 0, 0x4086292532a8beaa},
+  };
+  for (const auto& c : cases) {
+    volatile double va = c.a;
+    volatile double vb = c.b;
+    const double a = va;
+    const double b = vb;
+    double value = 0.0;
+    switch (c.fn) {
+      case Fn::log: value = std::log(a); break;
+      case Fn::log1p: value = std::log1p(a); break;
+      case Fn::exp: value = std::exp(a); break;
+      case Fn::expm1: value = std::expm1(a); break;
+      case Fn::pow: value = std::pow(a, b); break;
+      case Fn::lgamma: value = std::lgamma(a); break;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(value), c.bits)
+        << "libm differs from the recording toolchain: function " << static_cast<int>(c.fn)
+        << " at (" << a << ", " << b << ") gave " << value
+        << "; the golden digests will not match on this libm";
+  }
 }
 
 }  // namespace

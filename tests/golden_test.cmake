@@ -18,8 +18,9 @@
 #                           and --shards 4 --spill (at --threads 1 and 4);
 #   run_users40_shards4.sha256
 #                           the same for a 133,528-record --shards 4 log, in
-#                           memory and with --spill, at --threads 1 and 4:
-#                           a log the writer cuts into many slices;
+#                           memory, with --spill and with --checkpoint then
+#                           --resume, at --threads 1 and 4: a log the
+#                           writer cuts into many slices;
 #   run_shards4_stdout.txt  the stdout of those --shards 4 runs and of the
 #                           same run without --log (at --threads 1 and 4),
 #                           less the `wall:` and `... written to` lines: all
@@ -194,6 +195,12 @@ foreach(threads 1 4)
   check_run_log(run_users40_shards4 ${large} --threads ${threads})
   check_run_log(run_users40_shards4 ${large} --threads ${threads}
                 --spill --spool-dir ${WORK_DIR}/spool_users40_t${threads})
+  # Checkpointed, then resumed from those checkpoints: the second run
+  # simulates nothing and writes the log from the run files it re-read.
+  check_run_log(run_users40_shards4 ${large} --threads ${threads}
+                --checkpoint --spool-dir ${WORK_DIR}/ckpt_users40_t${threads})
+  check_run_log(run_users40_shards4 ${large} --threads ${threads}
+                --resume --spool-dir ${WORK_DIR}/ckpt_users40_t${threads})
 endforeach()
 
 # One `wlgen replay` form: `golden` names the sha256 file, `log` the
