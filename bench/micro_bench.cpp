@@ -10,6 +10,7 @@
 
 #include "bench_main.h"
 #include "core/fsc.h"
+#include "core/log_sink.h"
 #include "core/presets.h"
 #include "core/usage_log.h"
 #include "dist/basic.h"
@@ -274,6 +275,40 @@ void BM_ParseRecordLine(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ParseRecordLine);
+
+// The run-record codec over the same records, one record per iteration (ns
+// per record): encode into a buffer, and decode a run of them back to back.
+void BM_EncodeRunRecord(benchmark::State& state) {
+  const std::vector<core::OpRecord>& records = codec_records();
+  unsigned char bytes[core::kMaxRunRecordBytes];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::encode_record(records[i], bytes));
+    benchmark::ClobberMemory();
+    if (++i == records.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EncodeRunRecord);
+
+void BM_DecodeRunRecord(benchmark::State& state) {
+  std::vector<unsigned char> bytes(codec_records().size() * core::kMaxRunRecordBytes);
+  std::size_t size = 0;
+  for (const core::OpRecord& r : codec_records()) size += core::encode_record(r, bytes.data() + size);
+  const unsigned char* p = bytes.data();
+  const unsigned char* const end = bytes.data() + size;
+  core::OpRecord record;
+  for (auto _ : state) {
+    if (core::decode_record(p, end, record) != core::DecodeStatus::ok) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(record);
+    if (p == end) p = bytes.data();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DecodeRunRecord);
 
 }  // namespace
 

@@ -16,6 +16,7 @@
 #include <tuple>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "util/strings.h"
@@ -38,16 +39,6 @@ inline std::uint64_t get_u64(const unsigned char* p) {
   return v;
 }
 
-inline void put_u32(unsigned char* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>(v >> (8 * i));
-}
-
-inline std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 inline std::uint64_t double_bits(double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
@@ -60,8 +51,41 @@ inline double bits_double(std::uint64_t bits) {
   return v;
 }
 
-// Records a run file is encoded and written in at a time.
-constexpr std::size_t kWriteChunkRecords = 1024;
+inline unsigned char* put_varint(unsigned char* p, std::uint64_t v) {
+  while (v >= 0x80) {
+    *p++ = static_cast<unsigned char>(v | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<unsigned char>(v);
+  return p;
+}
+
+// Reads a varint of a `Bits`-bit field from [p, end) in its one encoding:
+// at most ceil(Bits / 7) bytes, no trailing zero byte and no bits past the
+// field's width in the last byte.
+template <unsigned Bits>
+inline DecodeStatus get_varint(const unsigned char*& p, const unsigned char* end,
+                               std::uint64_t& value) {
+  constexpr unsigned kBytes = (Bits + 6) / 7;
+  std::uint64_t v = 0;
+  for (unsigned i = 0; i < kBytes; ++i) {
+    if (p == end) return DecodeStatus::truncated;
+    const std::uint64_t byte = *p++;
+    v |= (byte & 0x7f) << (7 * i);
+    if (byte < 0x80) {
+      if ((i > 0 && byte == 0) || (i == kBytes - 1 && (byte >> (Bits - 7 * i)) != 0)) {
+        return DecodeStatus::corrupt;
+      }
+      value = v;
+      return DecodeStatus::ok;
+    }
+  }
+  return DecodeStatus::corrupt;  // longer than the field
+}
+
+// Records a run file is written in at a time: a fixed chunk of this many
+// bytes, flushed when the next record might not fit.
+constexpr std::size_t kWriteChunkBytes = 64 * 1024;
 
 std::string run_file_name(const std::string& stem, std::size_t index) {
   char buffer[21];  // up to 20 digits of a 64-bit index and the '\0'
@@ -69,39 +93,220 @@ std::string run_file_name(const std::string& stem, std::size_t index) {
   return stem + "_run" + buffer + ".wlr";
 }
 
+// The bytes of a run file's header.
+void put_header(unsigned char* header, std::uint64_t records) {
+  std::memcpy(header, kSpillMagic, sizeof kSpillMagic);
+  put_u64(header + 8, records);
+}
+
 }  // namespace
 
-void encode_record(const OpRecord& r, unsigned char* out) {
+std::size_t encode_record(const OpRecord& r, unsigned char* out) {
+  const auto op = static_cast<unsigned>(r.op);
+  const auto file_type = static_cast<unsigned>(r.category.file_type);
+  const auto owner = static_cast<unsigned>(r.category.owner);
+  const auto use = static_cast<unsigned>(r.category.use);
+  if (op >= fsmodel::kFsOpTypeCount || file_type >= 2 || owner >= 3 || use >= 4) {
+    throw std::invalid_argument("encode_record: op or category out of range");
+  }
   put_u64(out + 0, double_bits(r.issue_time_us));
   put_u64(out + 8, double_bits(r.response_us));
-  put_u32(out + 16, r.user);
-  put_u32(out + 20, r.session);
-  out[24] = static_cast<unsigned char>(r.op);
-  out[25] = static_cast<unsigned char>(r.category.file_type);
-  out[26] = static_cast<unsigned char>(r.category.owner);
-  out[27] = static_cast<unsigned char>(r.category.use);
-  put_u64(out + 28, r.requested_bytes);
-  put_u64(out + 36, r.actual_bytes);
-  put_u64(out + 44, r.file_id);
-  put_u64(out + 52, r.file_size);
+  unsigned char* p = put_varint(out + 16, r.user);
+  p = put_varint(p, r.session);
+  *p++ = static_cast<unsigned char>(((op * 2 + file_type) * 3 + owner) * 4 + use);
+  p = put_varint(p, r.requested_bytes);
+  p = put_varint(p, r.actual_bytes);
+  p = put_varint(p, r.file_id);
+  p = put_varint(p, r.file_size);
+  return static_cast<std::size_t>(p - out);
 }
 
-OpRecord decode_record(const unsigned char* in) {
-  OpRecord r;
-  r.issue_time_us = bits_double(get_u64(in + 0));
-  r.response_us = bits_double(get_u64(in + 8));
-  r.user = get_u32(in + 16);
-  r.session = get_u32(in + 20);
-  r.op = static_cast<fsmodel::FsOpType>(in[24]);
-  r.category.file_type = static_cast<FileType>(in[25]);
-  r.category.owner = static_cast<FileOwner>(in[26]);
-  r.category.use = static_cast<UseMode>(in[27]);
-  r.requested_bytes = get_u64(in + 28);
-  r.actual_bytes = get_u64(in + 36);
-  r.file_id = get_u64(in + 44);
-  r.file_size = get_u64(in + 52);
-  return r;
+DecodeStatus decode_record(const unsigned char*& in, const unsigned char* end, OpRecord& out) {
+  if (end - in < 16) return DecodeStatus::truncated;
+  const unsigned char* p = in + 16;
+  std::uint64_t user = 0;
+  std::uint64_t session = 0;
+  DecodeStatus status;
+  if ((status = get_varint<32>(p, end, user)) != DecodeStatus::ok ||
+      (status = get_varint<32>(p, end, session)) != DecodeStatus::ok) {
+    return status;
+  }
+  if (p == end) return DecodeStatus::truncated;
+  unsigned code = *p++;
+  if (code >= kRunPackedCodes) return DecodeStatus::unknown_op;
+  if ((status = get_varint<64>(p, end, out.requested_bytes)) != DecodeStatus::ok ||
+      (status = get_varint<64>(p, end, out.actual_bytes)) != DecodeStatus::ok ||
+      (status = get_varint<64>(p, end, out.file_id)) != DecodeStatus::ok ||
+      (status = get_varint<64>(p, end, out.file_size)) != DecodeStatus::ok) {
+    return status;
+  }
+  out.issue_time_us = bits_double(get_u64(in));
+  out.response_us = bits_double(get_u64(in + 8));
+  out.user = static_cast<std::uint32_t>(user);
+  out.session = static_cast<std::uint32_t>(session);
+  out.category.use = static_cast<UseMode>(code % 4);
+  code /= 4;
+  out.category.owner = static_cast<FileOwner>(code % 3);
+  code /= 3;
+  out.category.file_type = static_cast<FileType>(code % 2);
+  out.op = static_cast<fsmodel::FsOpType>(code / 2);
+  in = p;
+  return DecodeStatus::ok;
 }
+
+namespace {
+
+// The error a reader throws for a record of run `path` that did not decode.
+std::runtime_error decode_error(DecodeStatus status, const std::string& path) {
+  switch (status) {
+    case DecodeStatus::truncated:
+      return std::runtime_error("RunFileReader: truncated run file '" + path + "'");
+    case DecodeStatus::unknown_op:
+      return std::runtime_error("RunFileReader: unknown op code in run file '" + path + "'");
+    default:
+      return std::runtime_error("RunFileReader: corrupt run file '" + path + "'");
+  }
+}
+
+// A double's bits, mapped so that unsigned order is numeric order with -0
+// equal to +0 (as == has them) and NaNs beyond every number: a strict total
+// order, so that merging keys read from a corrupt run stays defined.
+std::uint64_t ordered_bits(double value) {
+  const std::uint64_t bits = double_bits(value == 0.0 ? 0.0 : value);
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+// A source's head in a merge, packed so that comparing two takes no
+// branch: (ordered issue-time bits, user << 32 | source index).
+// ordered_bits agrees with MergeLogReader's comparison of issue times for
+// every value but NaN, so for NaN-free sources the order is
+// MergeLogReader's.  A spent source's key has kSpent set and sorts after
+// every record's.
+struct MergeKey {
+  std::uint64_t hi;
+  std::uint64_t lo;
+};
+constexpr std::uint64_t kSpent = std::uint64_t{1} << 31;
+
+MergeKey merge_key(double issue_time_us, std::uint32_t user, std::size_t source) {
+  return {ordered_bits(issue_time_us), std::uint64_t{user} << 32 | source};
+}
+
+MergeKey spent_key(std::size_t source) {
+  return {~std::uint64_t{0}, ~std::uint64_t{0} << 32 | kSpent | source};
+}
+
+bool merge_before(const MergeKey& a, const MergeKey& b) {
+  return (a.hi < b.hi) | ((a.hi == b.hi) & (a.lo < b.lo));
+}
+
+// Loser-tree merge of k sorted sources (k < kSpent) in (issue time, user,
+// source index) order: head(i) is source i's head key (spent_key(i) once it
+// has none left) and pop(i) takes its head and moves it on.  The tree
+// holds the keys themselves: tree[0] is the winner and tree[1, k) the
+// losers of a heap-shaped tree whose leaf i sits at node i + k.
+// `winners` is the scratch the tree is built in.
+template <typename Head, typename Pop>
+void merge_sources(std::size_t k, std::vector<MergeKey>& tree, std::vector<MergeKey>& winners,
+                   Head&& head, Pop&& pop) {
+  if (k == 0) return;
+  if (k == 1) {
+    while ((head(0).lo & kSpent) == 0) pop(0);
+    return;
+  }
+  tree.resize(k);
+  winners.resize(2 * k);
+  for (std::size_t i = 0; i < k; ++i) winners[k + i] = head(i);
+  for (std::size_t node = k - 1; node >= 1; --node) {
+    const MergeKey& a = winners[2 * node];
+    const MergeKey& b = winners[2 * node + 1];
+    const bool a_wins = merge_before(a, b);
+    tree[node] = a_wins ? b : a;
+    winners[node] = a_wins ? a : b;
+  }
+  tree[0] = winners[1];
+  for (;;) {
+    MergeKey winner = tree[0];
+    if ((winner.lo & kSpent) != 0) return;
+    const std::size_t i = winner.lo & (kSpent - 1);
+    pop(i);
+    winner = head(i);
+    for (std::size_t node = (i + k) / 2; node >= 1; node /= 2) {
+      const MergeKey loser = tree[node];
+      const bool loser_wins = merge_before(loser, winner);
+      tree[node] = loser_wins ? winner : loser;
+      winner = loser_wins ? loser : winner;
+    }
+    tree[0] = winner;
+  }
+}
+
+// The key of the trusted record at `p`, and the byte after it.
+RunKey buffered_key(const unsigned char* p, const unsigned char*& next) {
+  const unsigned char* q = p + 16;
+  std::uint32_t user = 0;
+  for (unsigned shift = 0;; shift += 7) {
+    const unsigned byte = *q++;
+    user |= static_cast<std::uint32_t>(byte & 0x7f) << shift;
+    if (byte < 0x80) break;
+  }
+  while (*q++ >= 0x80) {  // session
+  }
+  ++q;  // the packed byte
+  for (int field = 0; field < 4; ++field) {
+    while (*q++ >= 0x80) {
+    }
+  }
+  next = q;
+  return {bits_double(get_u64(p)), user};
+}
+
+// Merges the sink's segments — buffer[segments[s], segments[s + 1]), the
+// last one ending at `size` — calling write(bytes, size) for each record
+// in (issue time, user, segment) order, and returns the run's blocks.
+template <typename Write>
+std::vector<RunBlock> merge_segments(const unsigned char* buffer, std::size_t size,
+                                     const std::vector<std::size_t>& segments, std::size_t records,
+                                     Write&& write) {
+  const std::size_t k = segments.size();
+  struct Cursor {
+    const unsigned char* head;
+    const unsigned char* end;
+    const unsigned char* next;  ///< the byte after the head
+    RunKey key;                 ///< the head's key
+  };
+  std::vector<Cursor> cursors(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    Cursor& c = cursors[s];
+    c.head = buffer + segments[s];
+    c.end = buffer + (s + 1 < k ? segments[s + 1] : size);
+    c.key = buffered_key(c.head, c.next);
+  }
+  std::vector<RunBlock> index;
+  index.reserve((records + kRunIndexStride - 1) / kRunIndexStride);
+  std::uint64_t position = 0;
+  std::uint64_t offset = 0;
+  std::vector<MergeKey> tree;
+  std::vector<MergeKey> winners;
+  merge_sources(
+      k, tree, winners,
+      [&cursors](std::size_t s) {
+        const Cursor& c = cursors[s];
+        return c.head == c.end ? spent_key(s) : merge_key(c.key.issue_time_us, c.key.user, s);
+      },
+      [&](std::size_t s) {
+        Cursor& c = cursors[s];
+        const auto bytes = static_cast<std::size_t>(c.next - c.head);
+        if (position++ % kRunIndexStride == 0) index.push_back({c.key, offset});
+        write(c.head, bytes);
+        offset += bytes;
+        c.head = c.next;
+        if (c.head != c.end) c.key = buffered_key(c.head, c.next);
+      });
+  return index;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // SpillSink
@@ -119,18 +324,37 @@ SpillSink::SpillSink(std::string dir, std::string stem, std::size_t buffer_recor
                                "': " + ec.message());
     }
   }
-  buffer_.reserve(buffer_records_);
+  // Room for a run's budget of the largest records, and the one record
+  // that may follow it; pages the run never writes are never touched.
+  const std::size_t limit = std::numeric_limits<std::size_t>::max() / (2 * kMaxRunRecordBytes);
+  reserve((std::min(buffer_records_, limit) + 1) * kMaxRunRecordBytes);
 }
 
 SpillSink::~SpillSink() = default;
 
+void SpillSink::reserve(std::size_t bytes) {
+  auto grown = std::make_unique_for_overwrite<unsigned char[]>(bytes);
+  if (buffer_size_ > 0) std::memcpy(grown.get(), buffer_.get(), buffer_size_);
+  buffer_ = std::move(grown);
+  buffer_capacity_ = bytes;
+}
+
 void SpillSink::append(const OpRecord& record) {
   if (closed_) throw std::logic_error("SpillSink::append after close");
+  const bool new_user = !have_user_ || record.user != last_user_;
   // Runs are cut only when a *new* user arrives with the buffer over budget,
   // so a user's records never straddle two runs — the property that makes
-  // per-run stable sort + k-way merge reproduce merge_user_logs exactly.
-  if (have_user_ && record.user != last_user_ && buffer_.size() >= buffer_records_) flush();
-  buffer_.push_back(record);
+  // the per-run merge + k-way merge reproduce merge_user_logs exactly.
+  if (have_user_ && new_user && buffered_ >= buffer_records_) flush();
+  if (buffer_capacity_ - buffer_size_ < kMaxRunRecordBytes) reserve(2 * buffer_capacity_);
+  // A segment starts at each user's first record and wherever the user's
+  // issue time goes back (or is NaN, which orders against nothing).
+  if (buffered_ == 0 || new_user || !(last_time_ <= record.issue_time_us)) {
+    segments_.push_back(buffer_size_);
+  }
+  buffer_size_ += encode_record(record, buffer_.get() + buffer_size_);
+  ++buffered_;
+  last_time_ = record.issue_time_us;
   last_user_ = record.user;
   have_user_ = true;
 }
@@ -138,127 +362,104 @@ void SpillSink::append(const OpRecord& record) {
 void SpillSink::close() {
   if (closed_) return;
   flush();
-  buffer_ = std::vector<OpRecord>();  // a run's worth of RAM, no longer needed
+  buffer_.reset();  // a run's worth of RAM, no longer needed
+  buffer_capacity_ = 0;
+  segments_ = std::vector<std::size_t>();
   closed_ = true;
 }
 
 void SpillSink::flush() {
-  if (buffer_.empty()) return;
-  // A record's sort key and its place in the buffer: 16 bytes to move
-  // where the record is 72.  The position as the last tie-break makes the
-  // sort stable, so within a user the append order survives (see the
-  // class comment).  Local, so that it is freed as soon as the run is cut.
-  struct Key {
-    double issue_time_us;
-    std::uint32_t user;
-    std::uint32_t position;
-  };
-  if (buffer_.size() - 1 > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::runtime_error("SpillSink: cannot sort a run of " +
-                             std::to_string(buffer_.size()) + " records (at most 2^32)");
+  if (buffered_ == 0) return;
+  if (segments_.size() >= kSpent) {
+    throw std::runtime_error("SpillSink: cannot merge a run of " +
+                             std::to_string(segments_.size()) + " segments (at most 2^31 - 1)");
   }
-  std::vector<Key> keys(buffer_.size());
-  for (std::size_t i = 0; i < buffer_.size(); ++i) {
-    keys[i] = {buffer_[i].issue_time_us, buffer_[i].user, static_cast<std::uint32_t>(i)};
-  }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.issue_time_us != b.issue_time_us) return a.issue_time_us < b.issue_time_us;
-    if (a.user != b.user) return a.user < b.user;
-    return a.position < b.position;
-  });
-  records_written_ += buffer_.size();
-  auto index = std::make_shared<std::vector<RunKey>>();
-  index->reserve((keys.size() + kRunIndexStride - 1) / kRunIndexStride);
-  for (std::size_t i = 0; i < keys.size(); i += kRunIndexStride) {
-    index->push_back({keys[i].issue_time_us, keys[i].user});
-  }
-  if (dir_.empty()) {
-    // The run holds exactly its records; the buffer's capacity stays for
-    // reuse.  Only the positions are kept through the copy, 4 bytes a
-    // record instead of the key's 16.
-    std::vector<std::uint32_t> order(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) order[i] = keys[i].position;
-    keys = std::vector<Key>();
-    std::vector<OpRecord> records;
-    records.reserve(order.size());
-    for (const std::uint32_t position : order) records.push_back(buffer_[position]);
-    SpillRun run = memory_run(std::move(records));
-    run.index = std::move(index);
-    runs_.push_back(std::move(run));
-    buffer_.clear();
-    return;
-  }
-
-  const std::string path =
-      (std::filesystem::path(dir_) / run_file_name(stem_, runs_.size())).string();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw std::runtime_error("SpillSink: cannot create run file '" + path + "'");
-  }
-
-  unsigned char header[kSpillHeaderBytes];
-  std::memcpy(header, kSpillMagic, sizeof kSpillMagic);
-  put_u64(header + 8, keys.size());
-  bool ok = std::fwrite(header, 1, sizeof header, file) == sizeof header;
-  // Encoded a chunk at a time, straight from the sorted keys.
-  std::vector<unsigned char> chunk(std::min(keys.size(), kWriteChunkRecords) * kSpillRecordBytes);
-  for (std::size_t from = 0; ok && from < keys.size(); from += kWriteChunkRecords) {
-    const std::size_t count = std::min(keys.size() - from, kWriteChunkRecords);
-    for (std::size_t i = 0; i < count; ++i) {
-      encode_record(buffer_[keys[from + i].position], chunk.data() + i * kSpillRecordBytes);
-    }
-    const std::size_t size = count * kSpillRecordBytes;
-    ok = std::fwrite(chunk.data(), 1, size, file) == size;
-  }
-  const bool closed_ok = std::fclose(file) == 0;
-  if (!ok || !closed_ok) {
-    throw std::runtime_error("SpillSink: short write to run file '" + path + "'");
-  }
-
+  const std::size_t records = buffered_;
+  records_written_ += records;
   SpillRun run;
-  run.path = path;
-  run.records = keys.size();
-  run.bytes = kSpillHeaderBytes + keys.size() * kSpillRecordBytes;
-  run.index = std::move(index);
-  bytes_written_ += run.bytes;
+  run.records = records;
+  if (dir_.empty()) {
+    // The run holds exactly its records' bytes; the buffer stays for reuse.
+    auto bytes = std::make_shared<std::vector<unsigned char>>();
+    bytes->reserve(buffer_size_);
+    run.index = std::make_shared<const std::vector<RunBlock>>(
+        merge_segments(buffer_.get(), buffer_size_, segments_, records,
+                       [&bytes](const unsigned char* record, std::size_t size) {
+                         bytes->insert(bytes->end(), record, record + size);
+                       }));
+    run.memory = std::move(bytes);
+  } else {
+    run.path = (std::filesystem::path(dir_) / run_file_name(stem_, runs_.size())).string();
+    std::FILE* file = std::fopen(run.path.c_str(), "wb");
+    if (file == nullptr) {
+      throw std::runtime_error("SpillSink: cannot create run file '" + run.path + "'");
+    }
+    // Copied a chunk at a time, in merge order, straight from the buffer.
+    const auto chunk = std::make_unique_for_overwrite<unsigned char[]>(kWriteChunkBytes);
+    put_header(chunk.get(), records);
+    std::size_t used = kSpillHeaderBytes;
+    bool ok = true;
+    run.index = std::make_shared<const std::vector<RunBlock>>(
+        merge_segments(buffer_.get(), buffer_size_, segments_, records,
+                       [&](const unsigned char* record, std::size_t size) {
+                         if (used + size > kWriteChunkBytes) {
+                           ok = ok && std::fwrite(chunk.get(), 1, used, file) == used;
+                           used = 0;
+                         }
+                         std::memcpy(chunk.get() + used, record, size);
+                         used += size;
+                       }));
+    ok = ok && std::fwrite(chunk.get(), 1, used, file) == used;
+    const bool closed_ok = std::fclose(file) == 0;
+    if (!ok || !closed_ok) {
+      throw std::runtime_error("SpillSink: short write to run file '" + run.path + "'");
+    }
+    run.bytes = kSpillHeaderBytes + buffer_size_;
+    bytes_written_ += run.bytes;
+  }
   runs_.push_back(std::move(run));
-  buffer_.clear();
+  buffer_size_ = 0;
+  buffered_ = 0;
+  segments_.clear();
 }
 
 SpillRun memory_run(std::vector<OpRecord> records) {
+  // Encoded twice over: once to size the bytes exactly, once into them.
+  unsigned char scratch[kMaxRunRecordBytes];
+  std::size_t size = 0;
+  for (const OpRecord& record : records) size += encode_record(record, scratch);
+  auto bytes = std::make_shared<std::vector<unsigned char>>();
+  bytes->resize(size);
+  auto index = std::make_shared<std::vector<RunBlock>>();
+  index->reserve((records.size() + kRunIndexStride - 1) / kRunIndexStride);
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    index_record(*index, i, records[i], offset);
+    offset += encode_record(records[i], bytes->data() + offset);
+  }
   SpillRun run;
   run.records = records.size();
-  run.memory = std::make_shared<const std::vector<OpRecord>>(std::move(records));
+  run.memory = std::move(bytes);
+  run.index = std::move(index);
   return run;
 }
 
 // ---------------------------------------------------------------------------
-// Run readers
+// RunFileReader
 // ---------------------------------------------------------------------------
 
 namespace {
-
-constexpr std::size_t kReadChunkRecords = 1024;
-
-/// Cursor over a memory run; shares ownership of its records.
-class MemoryRunReader final : public LogReader {
- public:
-  explicit MemoryRunReader(std::shared_ptr<const std::vector<OpRecord>> records)
-      : records_(std::move(records)) {}
-  bool next(OpRecord& out) override {
-    if (index_ >= records_->size()) return false;
-    out = (*records_)[index_++];
-    return true;
-  }
-
- private:
-  std::shared_ptr<const std::vector<OpRecord>> records_;
-  std::size_t index_ = 0;
-};
-
+constexpr std::size_t kReadChunkBytes = 64 * 1024;
 }  // namespace
 
-RunFileReader::RunFileReader(const SpillRun& run) : path_(run.path) {
+RunFileReader::RunFileReader(const SpillRun& run) : path_(run.path), memory_(run.memory) {
+  if (memory_) {
+    pos_ = memory_->data();
+    end_ = pos_ + memory_->size();
+    at_eof_ = true;
+    remaining_ = run.records;
+    return;
+  }
   file_ = std::fopen(path_.c_str(), "rb");
   if (file_ == nullptr) {
     throw std::runtime_error("RunFileReader: cannot open run file '" + path_ + "'");
@@ -271,7 +472,8 @@ RunFileReader::RunFileReader(const SpillRun& run) : path_(run.path) {
     throw std::runtime_error("RunFileReader: '" + path_ + "' is not a wlgen run file");
   }
   remaining_ = get_u64(header + 8);
-  buffer_.resize(kReadChunkRecords * kSpillRecordBytes);
+  buffer_.resize(kReadChunkBytes);
+  pos_ = end_ = buffer_.data();
 }
 
 RunFileReader::~RunFileReader() {
@@ -280,22 +482,20 @@ RunFileReader::~RunFileReader() {
 
 bool RunFileReader::next(OpRecord& out) {
   if (remaining_ == 0) return false;
-  if (buffer_pos_ >= buffer_len_) {
-    const std::size_t want =
-        std::min<std::uint64_t>(remaining_, kReadChunkRecords) * kSpillRecordBytes;
-    buffer_len_ = std::fread(buffer_.data(), 1, want, file_);
-    buffer_pos_ = 0;
-    // `want` is exactly what the header still owes us, so any short read —
-    // even one that yields whole records — means the file was truncated.
-    if (buffer_len_ != want) {
-      throw std::runtime_error("RunFileReader: truncated run file '" + path_ + "'");
-    }
+  if (!at_eof_ && static_cast<std::size_t>(end_ - pos_) < kMaxRunRecordBytes) {
+    // Keep the unread tail and read up to a buffer's worth behind it.
+    const auto left = static_cast<std::size_t>(end_ - pos_);
+    std::memmove(buffer_.data(), pos_, left);
+    const std::size_t want = buffer_.size() - left;
+    const std::size_t got = std::fread(buffer_.data() + left, 1, want, file_);
+    at_eof_ = got < want;
+    pos_ = buffer_.data();
+    end_ = pos_ + left + got;
   }
-  out = decode_record(buffer_.data() + buffer_pos_);
-  if (static_cast<std::size_t>(out.op) >= fsmodel::kFsOpTypeCount) {  // readers index by op
-    throw std::runtime_error("RunFileReader: unknown op code in run file '" + path_ + "'");
-  }
-  buffer_pos_ += kSpillRecordBytes;
+  const unsigned char* const start = pos_;
+  const DecodeStatus status = decode_record(pos_, end_, out);
+  if (status != DecodeStatus::ok) throw decode_error(status, path_);
+  offset_ += static_cast<std::uint64_t>(pos_ - start);
   --remaining_;
   return true;
 }
@@ -363,13 +563,7 @@ bool MergeLogReader::next(OpRecord& out) {
 std::unique_ptr<LogReader> open_spilled_log(const std::vector<SpillRun>& runs) {
   std::vector<std::unique_ptr<LogReader>> readers;
   readers.reserve(runs.size());
-  for (const auto& run : runs) {
-    if (run.memory) {
-      readers.push_back(std::make_unique<MemoryRunReader>(run.memory));
-    } else {
-      readers.push_back(std::make_unique<RunFileReader>(run));
-    }
-  }
+  for (const auto& run : runs) readers.push_back(std::make_unique<RunFileReader>(run));
   return std::make_unique<MergeLogReader>(std::move(readers));
 }
 
@@ -499,14 +693,6 @@ std::uint64_t write_log_text(LogReader& reader, std::ostream& out) {
 
 namespace {
 
-// A double's bits, mapped so that unsigned order is numeric order with -0
-// equal to +0 (as == has them) and NaNs beyond every number: a strict total
-// order, so that sorting keys read from a corrupt run stays defined.
-std::uint64_t ordered_bits(double value) {
-  const std::uint64_t bits = double_bits(value == 0.0 ? 0.0 : value);
-  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
-}
-
 // A place in the merged order: (issue time, user, run, position).  For
 // sorted runs this is exactly the order MergeLogReader yields records in.
 struct SliceKey {
@@ -540,86 +726,55 @@ std::size_t pread_full(int fd, unsigned char* data, std::size_t size, std::uint6
   return done;
 }
 
-// Items [begin, end) of one run, in run order: its records, or its samples.
-template <typename T>
-struct Span {
-  const T* begin;
-  const T* end;
+// One run, opened: a memory run's bytes or a run file, and its blocks.
+struct RunInput {
+  std::shared_ptr<const std::vector<unsigned char>> memory;  ///< null for a run file
+  int fd = -1;
+  std::string path;
+  std::uint64_t records = 0;
+  std::uint64_t data_bytes = 0;  ///< the bytes after the header
+  std::shared_ptr<const std::vector<RunBlock>> index;
+  std::size_t first_sample = 0;  ///< where its samples start in the plan's samples
+
+  std::uint64_t blocks() const { return (records + kRunIndexStride - 1) / kRunIndexStride; }
+  std::uint64_t block_begin(std::uint64_t b) const { return (*index)[b].offset; }
+  // Where block b's bytes end: the next block's start, or for the last
+  // block at most its records' largest size (bytes past a run's records
+  // are never read).
+  std::uint64_t block_end(std::uint64_t b) const {
+    if (b + 1 < blocks()) return block_begin(b + 1);
+    return std::min(data_bytes, block_begin(b) + (records - b * kRunIndexStride) * kMaxRunRecordBytes);
+  }
 };
 
-// A span's head in the merge, packed so that comparing two takes no
-// branch: (ordered issue-time bits, user << 32 | span index).  ordered_bits
-// agrees with MergeLogReader's comparison of issue times for every value
-// but NaN, so for NaN-free runs the order is MergeLogReader's.  A spent
-// span's key has kSpent set and sorts after every record's.
-struct MergeKey {
-  std::uint64_t hi;
-  std::uint64_t lo;
+// Decodes a run's records in order from [p, end), the bytes at offsets
+// [offset, end_offset) of its records, checking that each block it enters
+// starts where the run's index says.  A record cut short by the end of the
+// run's bytes is a truncated run; one cut short anywhere else ran past its
+// block, which the index put in the wrong place.
+struct RunWalker {
+  const RunInput* input;
+  const unsigned char* p;
+  const unsigned char* end;
+  std::uint64_t offset;
+  std::uint64_t end_offset;
+  std::uint64_t position;  ///< the next record's place in the run
+
+  void next(OpRecord& out) {
+    if (position % kRunIndexStride == 0 &&
+        input->block_begin(position / kRunIndexStride) != offset) {
+      throw decode_error(DecodeStatus::corrupt, input->path);
+    }
+    const unsigned char* const start = p;
+    DecodeStatus status = decode_record(p, end, out);
+    if (status == DecodeStatus::truncated && end_offset != input->data_bytes) {
+      status = DecodeStatus::corrupt;
+    }
+    if (status != DecodeStatus::ok) throw decode_error(status, input->path);
+    offset += static_cast<std::uint64_t>(p - start);
+    ++position;
+  }
 };
-constexpr std::uint64_t kSpent = std::uint64_t{1} << 31;
-
-MergeKey merge_key(const OpRecord& record, std::size_t span) {
-  return {ordered_bits(record.issue_time_us), std::uint64_t{record.user} << 32 | span};
-}
-
-// A sample's key; with the samples of run r in span r, the merge's order is
-// SliceKey's.
-MergeKey merge_key(const SliceKey& sample, std::size_t span) {
-  return {sample.time, std::uint64_t{sample.user} << 32 | span};
-}
-
-bool merge_before(const MergeKey& a, const MergeKey& b) {
-  return (a.hi < b.hi) | ((a.hi == b.hi) & (a.lo < b.lo));
-}
-
-// Loser-tree merge of sorted spans in (issue time, user, span index) order,
-// calling emit(item) for every item.  The tree holds the keys
-// themselves: tree[0] is the winner and tree[1, k) the losers of a
-// heap-shaped tree whose leaf i sits at node i + k.  `winners` is the
-// scratch the tree is built in.
-template <typename T, typename Emit>
-void merge_spans(std::vector<Span<T>>& spans, std::vector<MergeKey>& tree,
-                 std::vector<MergeKey>& winners, Emit&& emit) {
-  const std::size_t k = spans.size();
-  if (k <= 1) {
-    for (const Span<T>& span : spans) std::for_each(span.begin, span.end, emit);
-    return;
-  }
-  const auto head = [&spans](std::size_t i) {
-    if (spans[i].begin == spans[i].end) {
-      return MergeKey{~std::uint64_t{0}, ~std::uint64_t{0} << 32 | kSpent | i};
-    }
-    return merge_key(*spans[i].begin, i);
-  };
-  tree.resize(k);
-  winners.resize(2 * k);
-  for (std::size_t i = 0; i < k; ++i) winners[k + i] = head(i);
-  for (std::size_t node = k - 1; node >= 1; --node) {
-    const MergeKey& a = winners[2 * node];
-    const MergeKey& b = winners[2 * node + 1];
-    const bool a_wins = merge_before(a, b);
-    tree[node] = a_wins ? b : a;
-    winners[node] = a_wins ? a : b;
-  }
-  tree[0] = winners[1];
-  for (;;) {
-    MergeKey winner = tree[0];
-    if ((winner.lo & kSpent) != 0) return;
-    const std::size_t i = winner.lo & (kSpent - 1);
-    emit(*spans[i].begin++);
-    // k interleaved streams defeat the hardware prefetcher; a span is read
-    // a few records ahead of its head instead.
-    __builtin_prefetch(spans[i].begin + 8);
-    winner = head(i);
-    for (std::size_t node = (i + k) / 2; node >= 1; node /= 2) {
-      const MergeKey loser = tree[node];
-      const bool loser_wins = merge_before(loser, winner);
-      tree[node] = loser_wins ? winner : loser;
-      winner = loser_wins ? loser : winner;
-    }
-    tree[0] = winner;
-  }
-}
 
 // One finished slice: its text and what the order check needs.
 struct Slice {
@@ -634,40 +789,41 @@ struct Slice {
   bool done = false;  ///< guarded by the pipeline's mutex
 };
 
+// One run's records in a slice: the walker at the head's successor.
+struct RunCursor {
+  RunWalker walker;
+  std::uint64_t remaining;  ///< records left, the head among them
+  OpRecord head;
+};
+
 // A worker's buffers, reused from slice to slice.
 struct SliceScratch {
-  std::vector<unsigned char> bytes;  ///< one run file's range
-  std::vector<OpRecord> decoded;     ///< every run file's records in the slice
-  /// Each run's records in the slice: at `memory`, or at `offset` in `decoded`.
-  struct Range {
-    const OpRecord* memory;
-    std::size_t offset;
-    std::size_t count;
-  };
-  std::vector<Range> ranges;
-  std::vector<Span<OpRecord>> spans;
+  std::vector<unsigned char> bytes;  ///< every run file's range in the slice
+  std::vector<RunCursor> cursors;
   std::vector<MergeKey> tree;
   std::vector<MergeKey> winners;
 };
 
 // The runs, opened, and where every slice boundary cuts each of them.
 //
-// Boundary b has a splitter key, drawn from the runs' sampled keys (every
-// stride-th record), and cuts run r at the first record whose SliceKey is
-// not below it.  The planner narrows each cut to a bracket [lo, hi] of at
-// most one stride from the samples alone; the worker of a slice reads each
-// run from its first boundary's lo to its last boundary's hi and finds the
-// exact cuts by binary search.  Two workers find the same cut from the same
-// bytes, so the slices tile every run.  For sorted runs the cuts are exact,
-// and the slices concatenate to the merged stream.  For an unsorted run the
-// cuts are not where the merge would put them, but the splitters ascend and
-// every search is monotone in the splitter (see cut()), so the cuts still
-// never go back and every record lands in exactly one slice.
+// Boundary b has a splitter key, drawn from the runs' sampled keys (the
+// first record of every block), and cuts run r at the first record whose
+// SliceKey is not below it.  The planner narrows each cut to a bracket
+// [lo, hi] of at most one block from the samples alone; the worker of a
+// slice reads each run from the block of its first boundary's lo to the
+// block of its last boundary's hi, in one pread for a run file, and finds
+// the exact cuts by decoding the one block each bracket lies in.  Two
+// workers find the same cut from the same bytes, so the slices tile every
+// run.  For sorted runs the cuts are exact, and the slices concatenate to
+// the merged stream.  For an unsorted run the cuts are not where the merge
+// would put them, but the splitters ascend and every search is monotone in
+// the splitter (see cut()), so the cuts still never go back and every
+// record lands in exactly one slice.
 class SlicePlan {
  public:
   SlicePlan(const std::vector<SpillRun>& runs, std::size_t slice_records) {
     try {
-      open(runs, slice_records);
+      open(runs);
     } catch (...) {
       close_files();
       throw;
@@ -695,47 +851,70 @@ class SlicePlan {
     const std::size_t k = inputs_.size();
     const bool first_slice = j == 0;
     const bool last_slice = j + 1 == slices();
-    scratch.decoded.clear();
-    scratch.ranges.clear();
+    const auto start_of = [&](std::size_t r) {
+      return first_slice ? Bracket{0, 0} : brackets_[(j - 1) * k + r];
+    };
+    const auto end_of = [&](std::size_t r) {
+      return last_slice ? Bracket{inputs_[r].records, inputs_[r].records} : brackets_[j * k + r];
+    };
+    // Each run's blocks from its start bracket's to its end bracket's;
+    // the run files' ranges are read back to back into one buffer.
+    const auto blocks_of = [&](std::size_t r) {
+      const std::uint64_t first = start_of(r).lo / kRunIndexStride;
+      return std::pair{first, std::max(first, (end_of(r).hi - 1) / kRunIndexStride)};
+    };
+    const auto empty = [&](std::size_t r) {
+      return start_of(r).lo >= inputs_[r].records || end_of(r).hi == 0;
+    };
+    std::size_t file_bytes = 0;
+    for (std::size_t r = 0; r < k; ++r) {
+      if (empty(r) || inputs_[r].memory) continue;
+      const auto [first, last] = blocks_of(r);
+      file_bytes += inputs_[r].block_end(last) - inputs_[r].block_begin(first);
+    }
+    if (scratch.bytes.size() < file_bytes) scratch.bytes.resize(file_bytes);
+
+    scratch.cursors.clear();
     std::size_t records = 0;
-    for (std::uint32_t r = 0; r < k; ++r) {
-      const Input& input = inputs_[r];
-      const Bracket start = first_slice ? Bracket{0, 0} : brackets_[(j - 1) * k + r];
-      const Bracket end = last_slice ? Bracket{input.records, input.records}
-                                     : brackets_[j * k + r];
+    std::size_t used = 0;
+    for (std::size_t r = 0; r < k; ++r) {
+      if (empty(r)) continue;
+      const RunInput& input = inputs_[r];
+      const auto [first, last] = blocks_of(r);
+      const std::uint64_t begin = input.block_begin(first);
+      const std::uint64_t finish = input.block_end(last);
       const unsigned char* bytes = nullptr;
-      if (!input.memory) bytes = read_range(input, start.lo, end.hi, scratch.bytes);
-      const auto key_at = [&](std::uint64_t position) {
-        if (input.memory) return key_of((*input.memory)[position], r, position);
-        const unsigned char* p = bytes + (position - start.lo) * kSpillRecordBytes;
-        return SliceKey{ordered_bits(bits_double(get_u64(p))), get_u32(p + 16), r, position};
-      };
-      const std::uint64_t from = first_slice ? 0 : cut(start, splitters_[j - 1], key_at);
-      const std::uint64_t to = last_slice ? input.records : cut(end, splitters_[j], key_at);
-      if (to <= from) continue;
-      records += to - from;
       if (input.memory) {
-        scratch.ranges.push_back({input.memory->data() + from, 0, to - from});
-        continue;
+        bytes = input.memory->data() + begin;
+      } else {
+        bytes = scratch.bytes.data() + used;
+        if (pread_full(input.fd, scratch.bytes.data() + used, finish - begin,
+                       kSpillHeaderBytes + begin) != finish - begin) {
+          throw decode_error(DecodeStatus::truncated, input.path);
+        }
+        used += finish - begin;
       }
-      const std::size_t offset = scratch.decoded.size();
-      for (std::uint64_t p = from; p < to; ++p) {
-        const OpRecord& record = scratch.decoded.emplace_back(
-            decode_record(bytes + (p - start.lo) * kSpillRecordBytes));
-        if (static_cast<std::size_t>(record.op) >= fsmodel::kFsOpTypeCount) {
-          throw std::runtime_error("RunFileReader: unknown op code in run file '" + input.path +
-                                   "'");
+      const auto walker_at = [&](std::uint64_t block) {
+        const std::uint64_t offset = input.block_begin(block);
+        return RunWalker{&input, bytes + (offset - begin), bytes + (finish - begin),
+                         offset, finish, block * kRunIndexStride};
+      };
+      RunWalker from = walker_at(first);
+      if (!first_slice) seek_cut(from, start_of(r), splitters_[j - 1], r);
+      std::uint64_t to = input.records;
+      if (!last_slice) {
+        const Bracket end = end_of(r);
+        to = end.lo;
+        if (end.lo < end.hi) {
+          RunWalker walker = walker_at(end.lo / kRunIndexStride);
+          seek_cut(walker, end, splitters_[j], r);
+          to = walker.position;
         }
       }
-      scratch.ranges.push_back({nullptr, offset, to - from});
-    }
-    // Spans in run order (the merge's tie-break); pointers into `decoded`
-    // are taken only now that it has stopped growing.
-    scratch.spans.clear();
-    for (const SliceScratch::Range& range : scratch.ranges) {
-      const OpRecord* data =
-          range.memory != nullptr ? range.memory : scratch.decoded.data() + range.offset;
-      scratch.spans.push_back({data, data + range.count});
+      if (to <= from.position) continue;
+      records += to - from.position;
+      RunCursor& cursor = scratch.cursors.emplace_back(RunCursor{from, to - from.position, {}});
+      cursor.walker.next(cursor.head);
     }
 
     if (out.capacity < records) {
@@ -745,16 +924,29 @@ class SlicePlan {
     char* text = out.text.get();
     bool ordered = true;
     RunKey last;
-    merge_spans(scratch.spans, scratch.tree, scratch.winners, [&](const OpRecord& record) {
-      const RunKey key{record.issue_time_us, record.user};
-      if (text == out.text.get()) {
-        out.first = key;
-      } else if (descends(last, key)) {
-        ordered = false;
-      }
-      last = key;
-      text = format_record_text(record, text);
-    });
+    std::vector<RunCursor>& cursors = scratch.cursors;
+    merge_sources(
+        cursors.size(), scratch.tree, scratch.winners,
+        [&cursors](std::size_t i) {
+          const RunCursor& c = cursors[i];
+          return c.remaining == 0 ? spent_key(i)
+                                  : merge_key(c.head.issue_time_us, c.head.user, i);
+        },
+        [&](std::size_t i) {
+          RunCursor& c = cursors[i];
+          const RunKey key{c.head.issue_time_us, c.head.user};
+          if (text == out.text.get()) {
+            out.first = key;
+          } else if (descends(last, key)) {
+            ordered = false;
+          }
+          last = key;
+          text = format_record_text(c.head, text);
+          // k interleaved streams defeat the hardware prefetcher; a run is
+          // read a few records ahead of its head instead.
+          __builtin_prefetch(c.walker.p + 256);
+          if (--c.remaining > 0) c.walker.next(c.head);
+        });
     out.text_size = static_cast<std::size_t>(text - out.text.get());
     out.records = records;
     out.ordered = ordered;
@@ -762,26 +954,11 @@ class SlicePlan {
   }
 
  private:
-  // One run: a memory run's records, or an open run file.
-  struct Input {
-    std::shared_ptr<const std::vector<OpRecord>> memory;  ///< null for a run file
-    int fd = -1;
-    std::string path;
-    std::uint64_t records = 0;
-    std::uint64_t stride = kRunIndexStride;  ///< positions between sampled keys
-    std::size_t first_sample = 0;            ///< where its samples start in samples_
-    std::uint64_t samples() const { return (records + stride - 1) / stride; }
-  };
-
   // A boundary's cut in one run lies in [lo, hi].
   struct Bracket {
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
   };
-
-  static SliceKey key_of(const OpRecord& record, std::uint32_t run, std::uint64_t position) {
-    return {ordered_bits(record.issue_time_us), record.user, run, position};
-  }
 
   // The first position in [b.lo, b.hi) whose key is not below `splitter`;
   // b.hi when there is none.  (Over a run's samples, the number of them
@@ -805,86 +982,137 @@ class SlicePlan {
     return first;
   }
 
-  void open(const std::vector<SpillRun>& runs, std::size_t slice_records) {
+  // Moves `walker`, at or before b.lo in the same block, to the cut of
+  // bracket `b` in run r: the first position in [b.lo, b.hi) whose key is
+  // not below `splitter`, or b.hi.  A bracket lies in one block, and the
+  // scan is monotone in the splitter as cut() is.
+  static void seek_cut(RunWalker& walker, const Bracket& b, const SliceKey& splitter,
+                       std::size_t r) {
+    OpRecord record;
+    while (walker.position < b.lo) walker.next(record);
+    while (walker.position < b.hi) {
+      RunWalker probe = walker;
+      probe.next(record);
+      const SliceKey key{ordered_bits(record.issue_time_us), record.user,
+                         static_cast<std::uint32_t>(r), walker.position};
+      if (!(key < splitter)) return;
+      walker = probe;
+    }
+  }
+
+  void open(const std::vector<SpillRun>& runs) {
     const bool sampled = runs.size() > 1;  // one run is cut by position
     inputs_.reserve(runs.size());
     for (const SpillRun& run : runs) {
       const auto r = static_cast<std::uint32_t>(inputs_.size());
-      Input& input = inputs_.emplace_back();
+      RunInput& input = inputs_.emplace_back();
+      input.path = run.path;
       if (run.memory) {
         input.memory = run.memory;
-        input.records = run.memory->size();
+        input.records = run.records;
+        input.data_bytes = run.memory->size();
       } else {
-        input.path = run.path;
         input.fd = ::open(run.path.c_str(), O_RDONLY | O_CLOEXEC);
         if (input.fd < 0) {
           throw std::runtime_error("RunFileReader: cannot open run file '" + run.path + "'");
         }
         unsigned char header[kSpillHeaderBytes];
+        struct stat st {};
         if (pread_full(input.fd, header, sizeof header, 0) != sizeof header ||
-            std::memcmp(header, kSpillMagic, sizeof kSpillMagic) != 0) {
+            std::memcmp(header, kSpillMagic, sizeof kSpillMagic) != 0 || ::fstat(input.fd, &st) != 0) {
           throw std::runtime_error("RunFileReader: '" + run.path + "' is not a wlgen run file");
         }
         input.records = get_u64(header + 8);
+        input.data_bytes = static_cast<std::uint64_t>(st.st_size) - kSpillHeaderBytes;
       }
+      if (run.index && run.index->size() == input.blocks()) {
+        input.index = run.index;
+      } else {
+        // A run without its index is scanned for its blocks.
+        auto index = std::make_shared<std::vector<RunBlock>>();
+        RunFileReader reader(run);
+        OpRecord record;
+        for (std::uint64_t p = 0;; ++p) {
+          const std::uint64_t offset = reader.offset();
+          if (!reader.next(record)) break;
+          index_record(*index, p, record, offset);
+        }
+        input.index = std::move(index);
+      }
+      check_blocks(input);
       total_ += input.records;
       if (!sampled) continue;
       input.first_sample = samples_.size();
-      if (run.index && run.index->size() == input.samples()) {
-        for (std::uint64_t i = 0; i < run.index->size(); ++i) {
-          const RunKey& key = (*run.index)[i];
-          samples_.push_back({ordered_bits(key.issue_time_us), key.user, r, i * input.stride});
-        }
-      } else if (input.memory) {
-        // Without an index a memory run is sampled at most one slice apart,
-        // so that a small slice size puts seams everywhere.
-        input.stride = std::min<std::uint64_t>(kRunIndexStride, slice_records);
-        for (std::uint64_t p = 0; p < input.records; p += input.stride) {
-          samples_.push_back(key_of((*input.memory)[p], r, p));
-        }
-      } else {
-        // A run file without an index is scanned for its samples.
-        RunFileReader reader(run);
-        OpRecord record;
-        for (std::uint64_t p = 0; reader.next(record); ++p) {
-          if (p % input.stride == 0) samples_.push_back(key_of(record, r, p));
-        }
+      for (std::uint64_t b = 0; b < input.blocks(); ++b) {
+        const RunKey& key = (*input.index)[b].first;
+        samples_.push_back({ordered_bits(key.issue_time_us), key.user, r, b * kRunIndexStride});
+      }
+    }
+  }
+
+  // Every block must start inside the run's bytes, the first at 0, and
+  // span as many bytes as its records can take, so that no range read for
+  // a slice is larger than its records can fill.
+  static void check_blocks(const RunInput& input) {
+    for (std::uint64_t b = 0; b < input.blocks(); ++b) {
+      const std::uint64_t begin = input.block_begin(b);
+      if (begin >= input.data_bytes) throw decode_error(DecodeStatus::truncated, input.path);
+      const std::uint64_t records = std::min<std::uint64_t>(kRunIndexStride,
+                                                            input.records - b * kRunIndexStride);
+      const std::uint64_t end = b + 1 < input.blocks() ? input.block_begin(b + 1) : begin;
+      const bool inner = b + 1 < input.blocks();
+      if ((b == 0 && begin != 0) ||
+          (inner && (end < begin + records * kMinRunRecordBytes ||
+                     end > begin + records * kMaxRunRecordBytes))) {
+        throw decode_error(DecodeStatus::corrupt, input.path);
       }
     }
   }
 
   void close_files() {
-    for (const Input& input : inputs_) {
+    for (const RunInput& input : inputs_) {
       if (input.fd >= 0) ::close(input.fd);
     }
   }
 
   // Splitters one slice's worth of records apart in the sorted samples; each
-  // sample stands for the stride records from its own.  A sorted run's
-  // samples already ascend, so the runs' lists are merged; when some run's
-  // do not (an unsorted run), all the samples are sorted instead.  No two
-  // samples are equal, so both visit them in the same order.
+  // sample stands for the block it starts.  A sorted run's samples already
+  // ascend, so the runs' lists are merged; when some run's do not (an
+  // unsorted run), all the samples are sorted instead.  No two samples are
+  // equal, so both visit them in the same order.
   void choose_splitters(std::size_t slice_records) {
     std::uint64_t weight = 0;
     bool cut = false;  // the next sample is a splitter
     const auto visit = [&](const SliceKey& sample) {
       if (cut) splitters_.push_back(sample);
-      weight += inputs_[sample.run].stride;
+      weight += kRunIndexStride;
       cut = weight >= slice_records;
       if (cut) weight = 0;
     };
-    std::vector<Span<SliceKey>> spans;
+    struct Span {
+      const SliceKey* begin;
+      const SliceKey* end;
+    };
+    std::vector<Span> spans;
     bool ascending = true;
-    for (const Input& input : inputs_) {
+    for (const RunInput& input : inputs_) {
       const SliceKey* first = samples_.data() + input.first_sample;
-      const SliceKey* last = first + input.samples();
+      const SliceKey* last = first + input.blocks();
       spans.push_back({first, last});
       ascending = ascending && std::is_sorted(first, last);
     }
     if (ascending) {
       std::vector<MergeKey> tree;
       std::vector<MergeKey> winners;
-      merge_spans(spans, tree, winners, visit);
+      merge_sources(
+          spans.size(), tree, winners,
+          [&spans](std::size_t i) {
+            const Span& span = spans[i];
+            return span.begin == span.end
+                       ? spent_key(i)
+                       : MergeKey{span.begin->time, std::uint64_t{span.begin->user} << 32 | i};
+          },
+          [&](std::size_t i) { visit(*spans[i].begin++); });
     } else {
       std::vector<SliceKey> samples = samples_;
       std::sort(samples.begin(), samples.end());
@@ -902,29 +1130,17 @@ class SlicePlan {
     brackets_.resize(splitters_.size() * k);
     for (std::size_t b = 0; b < splitters_.size(); ++b) {
       for (std::size_t r = 0; r < k; ++r) {
-        const Input& input = inputs_[r];
+        const RunInput& input = inputs_[r];
         const SliceKey* samples = samples_.data() + input.first_sample;
-        const std::uint64_t n = cut({0, input.samples()}, splitters_[b],
+        const std::uint64_t n = cut({0, input.blocks()}, splitters_[b],
                                     [samples](std::uint64_t i) { return samples[i]; });
-        brackets_[b * k + r] = {n == 0 ? 0 : (n - 1) * input.stride + 1,
-                                std::min(n * input.stride, input.records)};
+        brackets_[b * k + r] = {n == 0 ? 0 : (n - 1) * kRunIndexStride + 1,
+                                std::min(n * kRunIndexStride, input.records)};
       }
     }
   }
 
-  // Reads records [from, to) of a run file into `bytes`.
-  static const unsigned char* read_range(const Input& input, std::uint64_t from, std::uint64_t to,
-                                         std::vector<unsigned char>& bytes) {
-    const std::size_t size = static_cast<std::size_t>(to - from) * kSpillRecordBytes;
-    if (bytes.size() < size) bytes.resize(size);
-    if (pread_full(input.fd, bytes.data(), size, kSpillHeaderBytes + from * kSpillRecordBytes) !=
-        size) {
-      throw std::runtime_error("RunFileReader: truncated run file '" + input.path + "'");
-    }
-    return bytes.data();
-  }
-
-  std::vector<Input> inputs_;
+  std::vector<RunInput> inputs_;
   std::uint64_t total_ = 0;
   std::vector<SliceKey> samples_;    ///< every run's sampled keys, run by run
   std::vector<SliceKey> splitters_;  ///< boundary b's key

@@ -53,17 +53,44 @@ class MemorySink final : public LogSink {
 // Binary run format
 // ---------------------------------------------------------------------------
 
-/// Fixed-width little-endian record encoding.  Doubles are stored as their
-/// raw IEEE-754 bits, so a spill-and-read round trip is bit-exact — the
-/// merge contract and the %.17g digests both depend on that.
-inline constexpr std::size_t kSpillRecordBytes = 60;
+/// The run record, the one binary form of a log record: in SpillSink's
+/// buffer, in run files and in memory runs.  In order: issue_time_us and
+/// response_us as their raw little-endian IEEE-754 bits (8 bytes each, so
+/// a round trip is bit-exact: the merge contract and the %.17g digests
+/// both depend on that), user and session as LEB128 varints, one byte
+/// packing op and the three category axes as
+/// ((op * 2 + file_type) * 3 + owner) * 4 + use, below kRunPackedCodes,
+/// then requested_bytes, actual_bytes, file_id and file_size as LEB128
+/// varints.  A varint has no trailing zero byte and no bits past its
+/// field's width, so every record has exactly one encoding.  Records take
+/// kMinRunRecordBytes to kMaxRunRecordBytes; a live run averages about 27.
+inline constexpr std::size_t kMinRunRecordBytes = 16 + 2 + 1 + 4;
+inline constexpr std::size_t kMaxRunRecordBytes = 16 + 2 * 5 + 1 + 4 * 10;
+inline constexpr unsigned kRunPackedCodes = 10 * 2 * 3 * 4;
 
-/// 8-byte magic + u64 record count, then count fixed-width records.
+/// A run file: 8-byte magic + u64 record count, then the records back to
+/// back.  kSpillMagicV1 marks the retired fixed-width 60-byte format.
 inline constexpr std::size_t kSpillHeaderBytes = 16;
-inline constexpr char kSpillMagic[8] = {'W', 'L', 'G', 'R', 'U', 'N', '1', '\0'};
+inline constexpr char kSpillMagic[8] = {'W', 'L', 'G', 'R', 'U', 'N', '2', '\0'};
+inline constexpr char kSpillMagicV1[8] = {'W', 'L', 'G', 'R', 'U', 'N', '1', '\0'};
 
-void encode_record(const OpRecord& record, unsigned char* out);
-OpRecord decode_record(const unsigned char* in);
+/// Encodes `record` at `out`, which must have room for kMaxRunRecordBytes;
+/// returns the bytes written.  Throws std::invalid_argument when the op or
+/// a category axis lies outside its enum.
+std::size_t encode_record(const OpRecord& record, unsigned char* out);
+
+/// How decoding a record ended.
+enum class DecodeStatus : unsigned char {
+  ok,
+  truncated,   ///< the bytes end inside the record
+  corrupt,     ///< a varint longer than its field, or not in its one encoding
+  unknown_op,  ///< the packed byte is kRunPackedCodes or more
+};
+
+/// Decodes the record at `in`, reading no byte at or past `end`.  On ok it
+/// fills `out` and moves `in` past the record; otherwise `in` and `out`
+/// are unspecified.
+DecodeStatus decode_record(const unsigned char*& in, const unsigned char* end, OpRecord& out);
 
 /// The merge key of one record: (issue_time_us, user).
 struct RunKey {
@@ -73,55 +100,72 @@ struct RunKey {
   friend bool operator==(const RunKey&, const RunKey&) = default;
 };
 
-/// A run file's sparse index holds the key of every kRunIndexStride-th
-/// record: records 0, 32, 64, ...
+/// A run is cut into blocks of kRunIndexStride records (the last may hold
+/// fewer): records 0-31, 32-63, ...
 inline constexpr std::size_t kRunIndexStride = 32;
 
-/// Appends `record`'s key to `index` when `position`, its place in its run,
-/// is a multiple of kRunIndexStride.
-inline void index_record(std::vector<RunKey>& index, std::uint64_t position,
-                         const OpRecord& record) {
-  if (position % kRunIndexStride == 0) index.push_back({record.issue_time_us, record.user});
+/// One block of a run: its first record's key and the byte offset of that
+/// record from the start of the run's records (the header not counted).
+struct RunBlock {
+  RunKey first;
+  std::uint64_t offset = 0;
+
+  friend bool operator==(const RunBlock&, const RunBlock&) = default;
+};
+
+/// Appends the block that `record` starts to `index` when `position`, its
+/// place in its run, is a multiple of kRunIndexStride; `offset` is where
+/// its bytes start in the run's records.
+inline void index_record(std::vector<RunBlock>& index, std::uint64_t position,
+                         const OpRecord& record, std::uint64_t offset) {
+  if (position % kRunIndexStride == 0) index.push_back({{record.issue_time_us, record.user}, offset});
 }
 
 /// One sorted run: a `.wlr` file at `path`, or — with an empty path — the
-/// records held in `memory`.
+/// encoded records held in `memory`.
 struct SpillRun {
   std::string path;
   std::uint64_t records = 0;
   std::uint64_t bytes = 0;  ///< file size including the header (0 in memory)
-  std::shared_ptr<const std::vector<OpRecord>> memory;
-  /// The run's sparse index (index_record over its records), so that
-  /// write_log_file can cut a run file without reading it first; null when
-  /// unknown.  SpillSink records it for every run it cuts.
-  std::shared_ptr<const std::vector<RunKey>> index;
+  std::shared_ptr<const std::vector<unsigned char>> memory;
+  /// The run's blocks (index_record over its records), so that
+  /// write_log_file can cut a run without reading it first; null when
+  /// unknown.  SpillSink and memory_run record it for every run they make.
+  std::shared_ptr<const std::vector<RunBlock>> index;
 };
 
-/// A run held in memory over `records`, which must already be in the order
-/// the run is to be read in.
+/// A memory run over `records`, encoded, which must already be in the
+/// order the run is to be read in.
 SpillRun memory_run(std::vector<OpRecord> records);
 
-/// Run-cutting sink: buffers records and cuts them into sorted runs of
-/// ~`buffer_records` each — run files (`<stem>_run<NNNNNN>.wlr` under
-/// `dir`), or memory runs when `dir` is empty.  Only where a run lives
-/// differs: the cut, the sort and therefore the merged stream are the same.
+/// Run-cutting sink: encodes each appended record into one byte buffer and
+/// cuts the buffer into sorted runs of ~`buffer_records` records each — run
+/// files (`<stem>_run<NNNNNN>.wlr` under `dir`), or memory runs when `dir`
+/// is empty.  Only where a run lives differs: the cut, the order and
+/// therefore the merged stream are the same.
 ///
 /// Runs are only cut at *user boundaries*: a user's records never straddle
 /// two runs.  Producers append users in ascending index order and each
 /// user's records in issue order (per-user issue times are nondecreasing —
 /// records are emitted at op completion inside a time-monotone event loop).
-/// Each run is ordered by a sort of (issue_time, user, position) keys, the
-/// position being the record's place in the run's appends, so equal
-/// (issue_time, user) keys keep their append order: the order of a stable
-/// sort by (issue_time, user), on any input.  That plus a k-way merge keyed
-/// the same way reproduces runner::merge_user_logs byte for byte: within-user
-/// order survives the sort, and a (time, user) key can never tie across runs
-/// because a user lives in exactly one run.
+/// The buffer is a sequence of segments, each a maximal stretch of one
+/// user's appends whose issue times do not descend, numbered in append
+/// order.  A run is a loser-tree merge of its segments by (issue_time,
+/// user), a tie going to the lower segment: the order of a stable sort by
+/// (issue_time, user), on any input, and its records' bytes are copied in
+/// that order without being decoded.  That plus a k-way merge keyed the
+/// same way reproduces runner::merge_user_logs byte for byte: within-user
+/// order survives the merge, and a (time, user) key can never tie across
+/// runs because a user lives in exactly one run.  The buffer is reserved
+/// once, at `buffer_records` records of kMaxRunRecordBytes; it grows only
+/// when the user that crosses the budget brings more than that reservation
+/// has left.
 class SpillSink final : public LogSink {
  public:
   /// Creates `dir` if needed (none when empty: the runs stay in memory).
   /// Throws std::runtime_error when the directory or a run file cannot be
-  /// created or written, or when one run would hold more than 2^32 records.
+  /// created or written, and std::invalid_argument for a record that
+  /// encode_record refuses.
   SpillSink(std::string dir, std::string stem, std::size_t buffer_records = 65536);
   ~SpillSink() override;
   SpillSink(const SpillSink&) = delete;
@@ -137,14 +181,20 @@ class SpillSink final : public LogSink {
 
  private:
   void flush();
+  void reserve(std::size_t bytes);
 
   std::string dir_;
   std::string stem_;
   std::size_t buffer_records_;
-  std::vector<OpRecord> buffer_;
+  std::unique_ptr<unsigned char[]> buffer_;  ///< the buffered records, encoded
+  std::size_t buffer_size_ = 0;              ///< bytes used
+  std::size_t buffer_capacity_ = 0;
+  std::size_t buffered_ = 0;            ///< records in the buffer
+  std::vector<std::size_t> segments_;   ///< where each segment starts in the buffer
   std::vector<SpillRun> runs_;
   std::uint64_t records_written_ = 0;
   std::uint64_t bytes_written_ = 0;
+  double last_time_ = 0.0;
   std::uint32_t last_user_ = 0;
   bool have_user_ = false;
   bool closed_ = false;
@@ -182,8 +232,13 @@ class MemoryLogReader final : public LogReader {
   std::size_t index_ = 0;
 };
 
-/// Buffered cursor over one binary run file.  Throws std::runtime_error on
-/// open failure, bad magic, or a truncated file.
+/// Cursor over one run, decoding its records in order: a run file read a
+/// buffer at a time, or a memory run's bytes.  Throws std::runtime_error
+/// naming the file: "RunFileReader: cannot open run file '<path>'",
+/// "'<path>' is not a wlgen run file" (bad magic), "truncated run file"
+/// (the bytes end before the header's count of records), "corrupt run
+/// file" (a varint not in its one encoding) or "unknown op code in run
+/// file" (a packed byte of kRunPackedCodes or more).
 class RunFileReader final : public LogReader {
  public:
   explicit RunFileReader(const SpillRun& run);
@@ -193,13 +248,20 @@ class RunFileReader final : public LogReader {
 
   bool next(OpRecord& out) override;
 
+  /// Where the next record starts, in bytes from the start of the run's
+  /// records.
+  std::uint64_t offset() const { return offset_; }
+
  private:
   std::FILE* file_ = nullptr;
   std::string path_;
+  std::shared_ptr<const std::vector<unsigned char>> memory_;
   std::vector<unsigned char> buffer_;
-  std::size_t buffer_pos_ = 0;   ///< bytes consumed from buffer_
-  std::size_t buffer_len_ = 0;   ///< bytes valid in buffer_
-  std::uint64_t remaining_ = 0;  ///< records left in the file
+  const unsigned char* pos_ = nullptr;  ///< unread bytes [pos_, end_)
+  const unsigned char* end_ = nullptr;
+  bool at_eof_ = false;                 ///< nothing left to read into buffer_
+  std::uint64_t remaining_ = 0;         ///< records left in the run
+  std::uint64_t offset_ = 0;
 };
 
 /// Loser-tree k-way merge over sorted inputs, keyed by (issue_time, user)

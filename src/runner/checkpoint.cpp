@@ -1,6 +1,7 @@
 #include "runner/checkpoint.h"
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -126,6 +127,19 @@ std::optional<ShardCheckpoint> load_checkpoint(const std::string& path,
     std::error_code ec;
     const auto size = std::filesystem::file_size(run.path, ec);
     if (ec || size != run.bytes) return std::nullopt;
+  }
+  // A spool written before the compact run record holds fixed-width v1
+  // files, which this build cannot read: the shard re-runs instead.
+  for (const auto& run : c.runs) {
+    char magic[sizeof core::kSpillMagicV1] = {};
+    std::ifstream file(run.path, std::ios::binary);
+    file.read(magic, sizeof magic);
+    if (std::memcmp(magic, core::kSpillMagicV1, sizeof magic) == 0) {
+      std::fprintf(stderr,
+                   "resume: checkpoint '%s' holds v1 run files (%s); re-running shard %zu\n",
+                   path.c_str(), run.path.c_str(), c.shard);
+      return std::nullopt;
+    }
   }
   return c;
 }

@@ -16,10 +16,10 @@ namespace wlgen::runner {
 /// The per-user floating-point statistics are deliberately NOT stored:
 /// pre-folded shard stats would change the global per-user reduction order
 /// (FP addition is not associative) and break the bit-identical digest
-/// contract.  Resume instead re-reads the shard's sorted runs — the per-run
-/// sort breaks ties by append position, so it preserves each user's
-/// original append order, and re-adding records per user reproduces the
-/// exact same fold sequence as a live run.
+/// contract.  Resume instead re-reads the shard's sorted runs — each run's
+/// merge of its segments breaks ties by append order, so it preserves each
+/// user's original append order, and re-adding records per user
+/// reproduces the exact same fold sequence as a live run.
 /// Scalars below are integer sums / maxima, which ARE grouping-invariant.
 ///
 /// No RNG engine state is needed at a shard boundary: every user stream is
@@ -53,6 +53,8 @@ void write_checkpoint(const std::string& path, const ShardCheckpoint& checkpoint
 ///   [expect_begin, expect_end) → nullopt (the shard simply re-runs; the
 ///   fingerprint pins users+shards, so a range mismatch can only mean the
 ///   file predates this scheme);
+/// * a run file in the retired v1 format (kSpillMagicV1) → nullopt, with
+///   one line on stderr naming the checkpoint (the shard re-runs);
 /// * fingerprint mismatch → std::runtime_error (resuming under a different
 ///   configuration would silently merge incompatible results — fail loud).
 std::optional<ShardCheckpoint> load_checkpoint(const std::string& path,

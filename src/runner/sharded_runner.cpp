@@ -233,23 +233,25 @@ RunnerResult ShardedRunner::run() {
       if (resumed[s].has_value()) {
         // Checkpointed shard: skip the simulation and rebuild the per-user
         // accumulators by re-reading its sorted runs, one after another.  A
-        // user's records all lie in one run, and the per-run sort breaks
-        // (time, user) ties by append position, so it preserved their
-        // original append order: every per-user slot sees the exact same
-        // sequence of add() calls as a live run — which is what keeps the
-        // floating-point folds (and therefore the digest) bit-identical.
+        // user's records all lie in one run, and the run's merge of its
+        // segments breaks (time, user) ties by append order, so it preserved
+        // their original append order: every per-user slot sees the exact
+        // same sequence of add() calls as a live run — which is what keeps
+        // the floating-point folds (and therefore the digest) bit-identical.
         // The sketch and the session count do not depend on the order.  The
-        // same pass rebuilds each run's sparse index for the log writer.
-        // Shard totals that records cannot reproduce (events, RNG draws,
-        // ...) come from the checkpoint's grouping-invariant integer
-        // scalars instead.
+        // same pass rebuilds each run's blocks (keys and byte offsets) for
+        // the log writer.  Shard totals that records cannot reproduce
+        // (events, RNG draws, ...) come from the checkpoint's
+        // grouping-invariant integer scalars instead.
         ShardCheckpoint& ckpt = *resumed[s];
         core::SessionCounter sessions;
         core::OpRecord r;
         for (core::SpillRun& run : ckpt.runs) {
           core::RunFileReader reader(run);
-          auto index = std::make_shared<std::vector<core::RunKey>>();
-          for (std::uint64_t position = 0; reader.next(r); ++position) {
+          auto index = std::make_shared<std::vector<core::RunBlock>>();
+          for (std::uint64_t position = 0;; ++position) {
+            const std::uint64_t offset = reader.offset();
+            if (!reader.next(r)) break;
             if (cancelled.load(std::memory_order_relaxed)) return;
             // The user field comes from disk: index nothing with it until
             // it is known to belong to this shard (another shard's slot
@@ -260,7 +262,7 @@ RunnerResult ShardedRunner::run() {
             outcomes[r.user].stats.add(r);
             sketches[s].add(r.response_us);
             sessions.add(r);
-            core::index_record(*index, position, r);
+            core::index_record(*index, position, r, offset);
           }
           run.index = std::move(index);
         }

@@ -53,6 +53,35 @@ std::string temp_dir(const char* tag) {
   return dir.string();
 }
 
+// The bytes encode_record writes for `r`.
+std::string encoded(const OpRecord& r) {
+  unsigned char buffer[kMaxRunRecordBytes];
+  const std::size_t size = encode_record(r, buffer);
+  return std::string(reinterpret_cast<const char*>(buffer), size);
+}
+
+// Decodes all of `bytes` as one record.
+DecodeStatus decode_all(const std::string& bytes, OpRecord& out) {
+  const auto* in = reinterpret_cast<const unsigned char*>(bytes.data());
+  const unsigned char* const end = in + bytes.size();
+  const DecodeStatus status = decode_record(in, end, out);
+  if (status == DecodeStatus::ok) {
+    EXPECT_EQ(in, end) << "the record did not end with its bytes";
+  }
+  return status;
+}
+
+// Every field's bits, so that records compare without their padding and
+// with NaN payloads told apart.
+bool same_record(const OpRecord& a, const OpRecord& b) {
+  return std::bit_cast<std::uint64_t>(a.issue_time_us) ==
+             std::bit_cast<std::uint64_t>(b.issue_time_us) &&
+         std::bit_cast<std::uint64_t>(a.response_us) == std::bit_cast<std::uint64_t>(b.response_us) &&
+         a.user == b.user && a.session == b.session && a.op == b.op && a.category == b.category &&
+         a.requested_bytes == b.requested_bytes && a.actual_bytes == b.actual_bytes &&
+         a.file_id == b.file_id && a.file_size == b.file_size;
+}
+
 TEST(RecordCodec, RoundTripsEveryFieldBitExact) {
   OpRecord r = make_record(42, 123.456789012345678, 9.000000000000002e-3);
   r.op = fsmodel::FsOpType::creat;
@@ -62,32 +91,140 @@ TEST(RecordCodec, RoundTripsEveryFieldBitExact) {
   r.file_id = 0xFFFFFFFFFFFFFFFFull;
   r.file_size = 1;
 
-  unsigned char buffer[kSpillRecordBytes];
-  encode_record(r, buffer);
-  const OpRecord d = decode_record(buffer);
-
-  // Doubles travel as raw IEEE bits: compare representations, not values.
-  EXPECT_EQ(std::memcmp(&d.issue_time_us, &r.issue_time_us, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&d.response_us, &r.response_us, sizeof(double)), 0);
-  EXPECT_EQ(d.user, r.user);
-  EXPECT_EQ(d.session, r.session);
-  EXPECT_EQ(d.op, r.op);
-  EXPECT_EQ(d.category, r.category);
-  EXPECT_EQ(d.requested_bytes, r.requested_bytes);
-  EXPECT_EQ(d.actual_bytes, r.actual_bytes);
-  EXPECT_EQ(d.file_id, r.file_id);
-  EXPECT_EQ(d.file_size, r.file_size);
+  OpRecord d;
+  ASSERT_EQ(decode_all(encoded(r), d), DecodeStatus::ok);
+  EXPECT_TRUE(same_record(d, r));
 }
 
 TEST(RecordCodec, PreservesNonFiniteAndDenormalDoubles) {
   for (double value : {0.0, -0.0, 5e-324, std::numeric_limits<double>::infinity(),
                        std::numeric_limits<double>::quiet_NaN()}) {
-    OpRecord r = make_record(1, value, value);
-    unsigned char buffer[kSpillRecordBytes];
-    encode_record(r, buffer);
-    const OpRecord d = decode_record(buffer);
-    EXPECT_EQ(std::memcmp(&d.issue_time_us, &r.issue_time_us, sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(&d.response_us, &r.response_us, sizeof(double)), 0);
+    const OpRecord r = make_record(1, value, value);
+    OpRecord d;
+    ASSERT_EQ(decode_all(encoded(r), d), DecodeStatus::ok);
+    EXPECT_TRUE(same_record(d, r));
+  }
+}
+
+// A seeded stream of 1.2 M records whose fields reach every varint length,
+// both u32 and u64 maxima, raw double bit patterns (NaN payloads,
+// subnormals, infinities, signed zeros) and every op x category code,
+// encoded back to back: each must decode to its own bits and re-encode to
+// its own bytes.
+TEST(RecordCodec, SeededRoundTripIsBitExact) {
+  std::mt19937_64 rng(33);
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::bit_cast<double>(std::uint64_t{0x7ff0000000000001}),
+                             std::bit_cast<double>(std::uint64_t{0xfff8dead0000beef}),
+                             std::numeric_limits<double>::max()};
+  const auto any_double = [&]() -> double {
+    switch (rng() % 3) {
+      case 0: return specials[rng() % std::size(specials)];
+      case 1: return std::bit_cast<double>(rng());
+      default: return static_cast<double>(rng() % 100000000) / 16.0;
+    }
+  };
+  const auto any_u64 = [&]() -> std::uint64_t {
+    switch (rng() % 4) {
+      case 0: return std::numeric_limits<std::uint64_t>::max();
+      case 1: return 0;
+      default: return rng() >> (rng() % 64);
+    }
+  };
+  const auto any_u32 = [&]() -> std::uint32_t {
+    return rng() % 5 == 0 ? std::numeric_limits<std::uint32_t>::max()
+                          : static_cast<std::uint32_t>(rng() >> (32 + rng() % 32));
+  };
+  constexpr std::size_t kRecords = 1200000;
+  std::vector<OpRecord> records(kRecords);
+  std::vector<unsigned char> bytes(kRecords * kMaxRunRecordBytes);
+  std::size_t size = 0;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    OpRecord& r = records[i];
+    r.issue_time_us = any_double();
+    r.response_us = any_double();
+    r.user = any_u32();
+    r.session = any_u32();
+    const unsigned code = static_cast<unsigned>(i % kRunPackedCodes);  // every code, in turn
+    r.op = static_cast<fsmodel::FsOpType>(code / 24);
+    r.category = {static_cast<FileType>(code / 12 % 2), static_cast<FileOwner>(code / 4 % 3),
+                  static_cast<UseMode>(code % 4)};
+    r.requested_bytes = any_u64();
+    r.actual_bytes = any_u64();
+    r.file_id = any_u64();
+    r.file_size = any_u64();
+    const std::size_t n = encode_record(r, bytes.data() + size);
+    ASSERT_GE(n, kMinRunRecordBytes);
+    ASSERT_LE(n, kMaxRunRecordBytes);
+    size += n;
+  }
+  const unsigned char* in = bytes.data();
+  const unsigned char* const end = bytes.data() + size;
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    const unsigned char* const start = in;
+    OpRecord d;
+    ASSERT_EQ(decode_record(in, end, d), DecodeStatus::ok) << "record " << i;
+    if (!same_record(d, records[i]) ||
+        encoded(d) != std::string(reinterpret_cast<const char*>(start), in - start)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(in, end);
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(RecordCodec, RefusesWhatItCannotEncode) {
+  OpRecord r = make_record(1, 2.0, 3.0);
+  r.op = static_cast<fsmodel::FsOpType>(fsmodel::kFsOpTypeCount);
+  unsigned char buffer[kMaxRunRecordBytes];
+  EXPECT_THROW(encode_record(r, buffer), std::invalid_argument);
+  r = make_record(1, 2.0, 3.0);
+  r.category.owner = static_cast<FileOwner>(3);
+  EXPECT_THROW(encode_record(r, buffer), std::invalid_argument);
+}
+
+// Hostile bytes end in a status, never in a read past `end`: every cut of a
+// record is truncated, and a varint that is too long, carries bits past
+// its field or ends in a zero byte is corrupt.
+TEST(RecordCodec, RejectsHostileBytes) {
+  OpRecord r = make_record(300, 1.5, 2.5, 1ull << 40);
+  r.session = 70000;
+  const std::string good = encoded(r);
+  OpRecord d;
+  for (std::size_t cut = 0; cut < good.size(); ++cut) {
+    EXPECT_EQ(decode_all(good.substr(0, cut), d), DecodeStatus::truncated) << cut;
+  }
+  const std::string doubles = good.substr(0, 16);
+  const auto tail = [](std::size_t fields) {  // one-byte varints and a valid packed byte
+    return std::string(fields, '\x01');
+  };
+  // user: 6 bytes (more than a u32 takes), bits past 32, a trailing zero.
+  EXPECT_EQ(decode_all(doubles + "\x80\x80\x80\x80\x80\x01" + tail(6), d), DecodeStatus::corrupt);
+  EXPECT_EQ(decode_all(doubles + "\xff\xff\xff\xff\x1f" + tail(6), d), DecodeStatus::corrupt);
+  EXPECT_EQ(decode_all(doubles + std::string("\x81\x00", 2) + tail(6), d), DecodeStatus::corrupt);
+  EXPECT_EQ(decode_all(doubles + "\xff\xff\xff\xff\x0f" + tail(6), d), DecodeStatus::ok);
+  EXPECT_EQ(d.user, std::numeric_limits<std::uint32_t>::max());
+  // file_size: 11 bytes, and 10 bytes with bits past 64.
+  const std::string head = doubles + tail(3);
+  EXPECT_EQ(decode_all(head + tail(3) + std::string(10, '\x80') + "\x01", d),
+            DecodeStatus::corrupt);
+  EXPECT_EQ(decode_all(head + tail(3) + std::string(9, '\xff') + "\x02", d),
+            DecodeStatus::corrupt);
+  EXPECT_EQ(decode_all(head + tail(3) + std::string(9, '\xff') + "\x01", d), DecodeStatus::ok);
+  EXPECT_EQ(d.file_size, std::numeric_limits<std::uint64_t>::max());
+  // The packed byte: 239 is the last code, 240 and up name no op.
+  std::string packed = doubles + tail(2) + "\xef" + tail(4);
+  EXPECT_EQ(decode_all(packed, d), DecodeStatus::ok);
+  EXPECT_EQ(d.op, static_cast<fsmodel::FsOpType>(fsmodel::kFsOpTypeCount - 1));
+  for (const int code : {240, 241, 255}) {
+    packed[18] = static_cast<char>(code);
+    EXPECT_EQ(decode_all(packed, d), DecodeStatus::unknown_op) << code;
   }
 }
 
@@ -104,8 +241,9 @@ TEST(SpillSink, SingleRunRoundTrip) {
   sink.close();
   ASSERT_EQ(sink.runs().size(), 1u);
   EXPECT_EQ(sink.records_written(), records.size());
-  EXPECT_EQ(sink.runs()[0].bytes,
-            kSpillHeaderBytes + records.size() * kSpillRecordBytes);
+  std::size_t bytes = kSpillHeaderBytes;
+  for (const OpRecord& r : records) bytes += encoded(r).size();
+  EXPECT_EQ(sink.runs()[0].bytes, bytes);
 
   auto reader = open_spilled_log(sink.runs());
   const UsageLog log = materialize(*reader);
@@ -176,22 +314,41 @@ TEST(SpillSink, CutsRunsOnlyAtUserBoundaries) {
   std::filesystem::remove_all(dir);
 }
 
-// Every field's exact bits, record after record (encode_record is
-// lossless), so that runs compare without the records' padding.
+// The records' encodings back to back: a run's bytes after its header.
 std::string encoded_bytes(const std::vector<OpRecord>& records) {
-  std::string bytes(records.size() * kSpillRecordBytes, '\0');
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    encode_record(records[i],
-                  reinterpret_cast<unsigned char*>(bytes.data()) + i * kSpillRecordBytes);
-  }
+  std::string bytes;
+  for (const OpRecord& r : records) bytes += encoded(r);
   return bytes;
+}
+
+// A run file's header for `records` records.
+std::string run_header(std::size_t records) {
+  std::string header(kSpillHeaderBytes, '\0');
+  std::memcpy(header.data(), kSpillMagic, sizeof kSpillMagic);
+  for (int b = 0; b < 8; ++b) header[8 + b] = static_cast<char>(records >> (8 * b));
+  return header;
+}
+
+// A run's blocks as a scan finds them: every kRunIndexStride-th record's
+// key and where its bytes start.
+std::vector<RunBlock> rescanned_index(const SpillRun& run) {
+  std::vector<RunBlock> index;
+  RunFileReader reader(run);
+  OpRecord r;
+  for (std::uint64_t p = 0;; ++p) {
+    const std::uint64_t offset = reader.offset();
+    if (!reader.next(r)) break;
+    index_record(index, p, r, offset);
+  }
+  return index;
 }
 
 // Seeded appends of every shape a run can hold: users ascending, some of
 // them going back in time, equal (time, user) keys told apart only by their
 // file_id, -0 next to +0, bursts longer than the buffer.  Every run — file
-// or memory — must hold exactly the stable sort of its records by (time,
-// user), and its index must be index_record over that order.
+// or memory — must decode to exactly the stable sort of its records by
+// (time, user), hold exactly those records' encodings, and carry an index
+// whose keys and block offsets a re-scan of the run finds.
 TEST(SpillSink, RunsMatchAStableSortOnAnyInput) {
   const auto by_key = [](const OpRecord& a, const OpRecord& b) {
     if (a.issue_time_us != b.issue_time_us) return a.issue_time_us < b.issue_time_us;
@@ -242,19 +399,22 @@ TEST(SpillSink, RunsMatchAStableSortOnAnyInput) {
           const SpillRun& run = sink.runs()[i];
           const std::vector<OpRecord>& want = expected[i];
           EXPECT_EQ(run.records, want.size());
-          std::vector<RunKey> index;
-          for (std::size_t p = 0; p < want.size(); ++p) index_record(index, p, want[p]);
+          const UsageLog got = materialize(*open_spilled_log({run}));
+          ASSERT_EQ(got.size(), want.size()) << "run " << i;
+          for (std::size_t p = 0; p < want.size(); ++p) {
+            EXPECT_TRUE(same_record(got.records()[p], want[p])) << "run " << i << " record " << p;
+          }
           ASSERT_NE(run.index, nullptr);
-          EXPECT_EQ(*run.index, index) << "run " << i;
+          EXPECT_EQ(*run.index, rescanned_index(run)) << "run " << i;
+          EXPECT_EQ(run.index->size(), (want.size() + kRunIndexStride - 1) / kRunIndexStride);
           if (in_memory) {
             ASSERT_NE(run.memory, nullptr);
-            EXPECT_TRUE(encoded_bytes(*run.memory) == encoded_bytes(want)) << "run " << i;
+            EXPECT_TRUE(std::string(run.memory->begin(), run.memory->end()) ==
+                        encoded_bytes(want))
+                << "run " << i;
             continue;
           }
-          std::string header(kSpillHeaderBytes, '\0');
-          std::memcpy(header.data(), kSpillMagic, sizeof kSpillMagic);
-          for (int b = 0; b < 8; ++b) header[8 + b] = static_cast<char>(want.size() >> (8 * b));
-          const std::string bytes = header + encoded_bytes(want);
+          const std::string bytes = run_header(want.size()) + encoded_bytes(want);
           EXPECT_EQ(run.bytes, bytes.size());
           EXPECT_TRUE(util::read_text_file(run.path) == bytes) << "run " << i;
         }
@@ -398,8 +558,11 @@ TEST(RunFileReader, RejectsAnUnknownOpCode) {
   {
     std::FILE* f = std::fopen(run.path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
-    std::fseek(f, 16 + kSpillRecordBytes + 24, SEEK_SET);  // second record's op byte
-    std::fputc(static_cast<int>(fsmodel::kFsOpTypeCount), f);
+    // The second record's packed byte, after its doubles and its one-byte
+    // user and session.
+    std::fseek(f, static_cast<long>(kSpillHeaderBytes + encoded(make_record(0, 0, 1.0)).size() + 18),
+               SEEK_SET);
+    std::fputc(static_cast<int>(kRunPackedCodes), f);
     std::fclose(f);
   }
   RunFileReader reader(run);
@@ -750,9 +913,9 @@ TEST(TextWriter, WriteLogFileRemovesThePartialLogWhenARunIsTruncated) {
   sink.close();
   ASSERT_GE(sink.runs().size(), 2u);
   // Cut the last run mid-stream: its index still holds every record, so
-  // the writer fails only once slices are being written.
+  // its blocks past the cut run past the file's end.
   const SpillRun& last = sink.runs().back();
-  std::filesystem::resize_file(last.path, kSpillHeaderBytes + (last.records / 2) * kSpillRecordBytes + 7);
+  std::filesystem::resize_file(last.path, last.bytes / 2 + 7);
 
   const std::string path = dir + "/usage.log";
   for (const std::size_t threads : {1, 4}) {
@@ -799,20 +962,16 @@ TEST(TextWriter, WriteLogFileThrowsOnUnwritablePath) {
   }
 }
 
+// A run file holding `bytes` after a header for `records` records.
+SpillRun raw_run_file(const std::string& path, std::size_t records, const std::string& bytes) {
+  util::write_text_file(path, run_header(records) + bytes);
+  return {path, records, kSpillHeaderBytes + bytes.size(), nullptr, nullptr};
+}
+
 // A run file holding `records` in the order given, written without
-// SpillSink's sort.
+// SpillSink's merge.
 SpillRun unsorted_run_file(const std::string& path, const std::vector<OpRecord>& records) {
-  std::vector<unsigned char> bytes(kSpillHeaderBytes + records.size() * kSpillRecordBytes);
-  std::memcpy(bytes.data(), kSpillMagic, sizeof kSpillMagic);
-  for (int i = 0; i < 8; ++i) bytes[8 + i] = static_cast<unsigned char>(records.size() >> (8 * i));
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    encode_record(records[i], bytes.data() + kSpillHeaderBytes + i * kSpillRecordBytes);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  EXPECT_NE(f, nullptr);
-  EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-  return {path, records.size(), bytes.size(), nullptr, nullptr};
+  return raw_run_file(path, records.size(), encoded_bytes(records));
 }
 
 // Seeded runs of every kind, cut into slices of a few records so that seams
@@ -836,16 +995,15 @@ TEST(TextWriterProperty, SlicedRunsMatchTheSerialMerge) {
         record.file_id = rng();
         records.push_back(record);
       }
-      // Four kinds: a SpillSink memory run (indexed), a bare memory run,
-      // an indexed run file and one the writer must scan for its samples.
+      // Four kinds: a memory run and a run file, each with its index or
+      // without it (the writer must scan it for its blocks).
       const std::size_t kind = rng() % 4;
-      const std::string stem = std::string("t") + std::to_string(trial) + "_" + std::to_string(r);
+      const std::string stem = "t" + std::to_string(trial * 100 + r);
       SpillSink sink(kind < 2 ? "" : dir + "/spool", stem, size + 1);
       for (const OpRecord& record : records) sink.append(record);
       sink.close();
       SpillRun run = size == 0 ? memory_run({}) : sink.runs().front();
-      if (kind == 1 && size > 0) run = memory_run(std::vector<OpRecord>(*run.memory));
-      if (kind == 3) run.index = nullptr;
+      if (kind % 2 == 1) run.index = nullptr;
       runs.push_back(run);
     }
     const std::string expected = text_of(*open_spilled_log(runs));
@@ -946,9 +1104,9 @@ TEST(TextWriter, WriteLogFileReportsRunFileErrors) {
   }
   EXPECT_FALSE(std::filesystem::exists(path));
 
-  OpRecord bad_op = make_record(2, 4.0, 5.0);
-  bad_op.op = static_cast<fsmodel::FsOpType>(200);
-  const std::vector<SpillRun> bad = {runs[0], unsorted_run_file(dir + "/bad_op.wlr", {bad_op})};
+  std::string bad_op = encoded(make_record(2, 4.0, 5.0));
+  bad_op[18] = static_cast<char>(250);  // the packed byte
+  const std::vector<SpillRun> bad = {runs[0], raw_run_file(dir + "/bad_op.wlr", 1, bad_op)};
   try {
     write_log_file(bad, path, 2);
     ADD_FAILURE() << "an unknown op code was written";
@@ -1230,13 +1388,6 @@ ParseOutcome parse_outcome(Parse parse, const std::string& line) {
   } catch (const std::invalid_argument& e) {
     return {std::nullopt, e.what()};
   }
-}
-
-bool same_record(const OpRecord& a, const OpRecord& b) {
-  return same_bits(a.issue_time_us, b.issue_time_us) && same_bits(a.response_us, b.response_us) &&
-         a.user == b.user && a.session == b.session && a.op == b.op &&
-         a.requested_bytes == b.requested_bytes && a.actual_bytes == b.actual_bytes &&
-         a.file_id == b.file_id && a.file_size == b.file_size && a.category == b.category;
 }
 
 TEST(TextCodecProperty, OnePassParserMatchesGeneralPathOnMutatedLines) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -563,6 +565,82 @@ TEST(ShardedRunnerSpill, CheckpointFingerprintLineIsPinned) {
   }
   EXPECT_EQ(line,
             "fingerprint v1 seed=2024 users=4 shards=2 sessions=3 draw_batch=1 windows=1 tag=");
+  std::filesystem::remove_all(spool);
+}
+
+// The bytes of `r` in the retired v1 run format: 60 bytes, fixed width.
+std::string v1_record(const core::OpRecord& r) {
+  std::string out(60, '\0');
+  const auto put = [&out](std::size_t at, std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) out[at + i] = static_cast<char>(value >> (8 * i));
+  };
+  put(0, std::bit_cast<std::uint64_t>(r.issue_time_us), 8);
+  put(8, std::bit_cast<std::uint64_t>(r.response_us), 8);
+  put(16, r.user, 4);
+  put(20, r.session, 4);
+  out[24] = static_cast<char>(r.op);
+  out[25] = static_cast<char>(r.category.file_type);
+  out[26] = static_cast<char>(r.category.owner);
+  out[27] = static_cast<char>(r.category.use);
+  put(28, r.requested_bytes, 8);
+  put(36, r.actual_bytes, 8);
+  put(44, r.file_id, 8);
+  put(52, r.file_size, 8);
+  return out;
+}
+
+// A spool written before the compact run record holds v1 run files
+// (WLGRUN1, 60-byte records), which this build cannot read.  Resume must
+// re-run such a shard, saying so on one stderr line, and write the log the
+// live run wrote.
+TEST(ShardedRunnerSpill, ResumeReRunsAShardWhoseRunFilesAreV1) {
+  const std::string spool = fresh_spool("v1_runs");
+  RunnerConfig config = spill_config(6, 3, 2, spool);
+  config.spill.checkpoint = true;
+  const RunnerResult live = ShardedRunner(config).run();
+  const std::string expected = merged_log(live).serialize();
+
+  // Shard 1's run files and checkpoint as a v1 build wrote them: the same
+  // records, in the same order, under the old magic and record width.
+  const std::string ckpt_path = checkpoint_path(spool, 1);
+  std::istringstream in(util::read_text_file(ckpt_path));
+  std::string text;
+  std::size_t rewritten = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("run ", 0) == 0) {
+      std::istringstream fields(line.substr(4));
+      std::uint64_t records = 0;
+      std::uint64_t bytes = 0;
+      std::string path;
+      fields >> records >> bytes >> path;
+      std::string v1 = "WLGRUN1";
+      v1.push_back('\0');
+      for (int b = 0; b < 8; ++b) v1.push_back(static_cast<char>(records >> (8 * b)));
+      core::RunFileReader reader(core::SpillRun{path, records, bytes, nullptr, nullptr});
+      core::OpRecord r;
+      while (reader.next(r)) v1 += v1_record(r);
+      util::write_text_file(path, v1);
+      line = "run " + std::to_string(records) + " " + std::to_string(v1.size()) + " " + path;
+      ++rewritten;
+    }
+    text += line + "\n";
+  }
+  ASSERT_GT(rewritten, 0u);
+  util::write_text_file(ckpt_path, text);
+
+  config.spill.resume = true;
+  testing::internal::CaptureStderr();
+  const RunnerResult resumed = ShardedRunner(config).run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(resumed.shards_resumed, 2u);
+  EXPECT_EQ(resumed.checkpoints_written, 1u);
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find("'" + ckpt_path + "' holds v1 run files"), std::string::npos) << err;
+  EXPECT_EQ(merged_log(resumed).serialize(), expected);
+  const std::string log_path = spool + "/usage.log";
+  EXPECT_TRUE(core::write_log_file(resumed.log_runs, log_path, 4).ordered);
+  EXPECT_EQ(util::read_text_file(log_path), expected);
+  expect_stats_identical(resumed.stats, live.stats);
   std::filesystem::remove_all(spool);
 }
 
