@@ -64,7 +64,7 @@ inline unsigned char* put_varint(unsigned char* p, std::uint64_t v) {
 // at most ceil(Bits / 7) bytes, no trailing zero byte and no bits past the
 // field's width in the last byte.
 template <unsigned Bits>
-inline DecodeStatus get_varint(const unsigned char*& p, const unsigned char* end,
+[[gnu::always_inline]] inline DecodeStatus get_varint(const unsigned char*& p, const unsigned char* end,
                                std::uint64_t& value) {
   constexpr unsigned kBytes = (Bits + 6) / 7;
   std::uint64_t v = 0;
@@ -121,7 +121,11 @@ std::size_t encode_record(const OpRecord& r, unsigned char* out) {
   return static_cast<std::size_t>(p - out);
 }
 
-DecodeStatus decode_record(const unsigned char*& in, const unsigned char* end, OpRecord& out) {
+namespace {
+
+// decode_record's body, inlined into the loops that decode a run.
+[[gnu::always_inline]] inline DecodeStatus decode_fields(const unsigned char*& in,
+                                                         const unsigned char* end, OpRecord& out) {
   if (end - in < 16) return DecodeStatus::truncated;
   const unsigned char* p = in + 16;
   std::uint64_t user = 0;
@@ -152,6 +156,12 @@ DecodeStatus decode_record(const unsigned char*& in, const unsigned char* end, O
   out.op = static_cast<fsmodel::FsOpType>(code / 2);
   in = p;
   return DecodeStatus::ok;
+}
+
+}  // namespace
+
+DecodeStatus decode_record(const unsigned char*& in, const unsigned char* end, OpRecord& out) {
+  return decode_fields(in, end, out);
 }
 
 namespace {
@@ -493,7 +503,7 @@ bool RunFileReader::next(OpRecord& out) {
     end_ = pos_ + left + got;
   }
   const unsigned char* const start = pos_;
-  const DecodeStatus status = decode_record(pos_, end_, out);
+  const DecodeStatus status = decode_fields(pos_, end_, out);
   if (status != DecodeStatus::ok) throw decode_error(status, path_);
   offset_ += static_cast<std::uint64_t>(pos_ - start);
   --remaining_;
@@ -766,7 +776,7 @@ struct RunWalker {
       throw decode_error(DecodeStatus::corrupt, input->path);
     }
     const unsigned char* const start = p;
-    DecodeStatus status = decode_record(p, end, out);
+    DecodeStatus status = decode_fields(p, end, out);
     if (status == DecodeStatus::truncated && end_offset != input->data_bytes) {
       status = DecodeStatus::corrupt;
     }

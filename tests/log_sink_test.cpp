@@ -981,6 +981,7 @@ SpillRun unsorted_run_file(const std::string& path, const std::vector<OpRecord>&
 TEST(TextWriterProperty, SlicedRunsMatchTheSerialMerge) {
   const std::string dir = temp_dir("writer_property");
   const std::string path = dir + "/usage.log";
+  const std::string spool = dir + "/spool";
   std::mt19937_64 rng(1991);
   for (int trial = 0; trial < 60; ++trial) {
     SCOPED_TRACE(trial);
@@ -998,8 +999,8 @@ TEST(TextWriterProperty, SlicedRunsMatchTheSerialMerge) {
       // Four kinds: a memory run and a run file, each with its index or
       // without it (the writer must scan it for its blocks).
       const std::size_t kind = rng() % 4;
-      const std::string stem = "t" + std::to_string(trial * 100 + r);
-      SpillSink sink(kind < 2 ? "" : dir + "/spool", stem, size + 1);
+      const std::string stem = std::to_string(trial * 100 + r);
+      SpillSink sink(kind < 2 ? std::string() : spool, stem, size + 1);
       for (const OpRecord& record : records) sink.append(record);
       sink.close();
       SpillRun run = size == 0 ? memory_run({}) : sink.runs().front();
@@ -1016,7 +1017,7 @@ TEST(TextWriterProperty, SlicedRunsMatchTheSerialMerge) {
         EXPECT_EQ(first_difference(util::read_text_file(path), expected), "");
       }
     }
-    std::filesystem::remove_all(dir + "/spool");
+    std::filesystem::remove_all(spool);
   }
   std::filesystem::remove_all(dir);
 }
