@@ -93,12 +93,6 @@ std::string run_file_name(const std::string& stem, std::size_t index) {
   return stem + "_run" + buffer + ".wlr";
 }
 
-// The bytes of a run file's header.
-void put_header(unsigned char* header, std::uint64_t records) {
-  std::memcpy(header, kSpillMagic, sizeof kSpillMagic);
-  put_u64(header + 8, records);
-}
-
 }  // namespace
 
 std::size_t encode_record(const OpRecord& r, unsigned char* out) {
@@ -406,7 +400,8 @@ void SpillSink::flush() {
     }
     // Copied a chunk at a time, in merge order, straight from the buffer.
     const auto chunk = std::make_unique_for_overwrite<unsigned char[]>(kWriteChunkBytes);
-    put_header(chunk.get(), records);
+    std::memcpy(chunk.get(), kSpillMagic, sizeof kSpillMagic);
+    put_u64(chunk.get() + 8, records);
     std::size_t used = kSpillHeaderBytes;
     bool ok = true;
     run.index = std::make_shared<const std::vector<RunBlock>>(
@@ -748,19 +743,19 @@ struct RunInput {
 
   std::uint64_t blocks() const { return (records + kRunIndexStride - 1) / kRunIndexStride; }
   std::uint64_t block_begin(std::uint64_t b) const { return (*index)[b].offset; }
-  // Where block b's bytes end: the next block's start, or for the last
-  // block at most its records' largest size (bytes past a run's records
-  // are never read).
+  // Where block b's bytes end: the next block's start, or the end of the
+  // run's bytes.
   std::uint64_t block_end(std::uint64_t b) const {
-    if (b + 1 < blocks()) return block_begin(b + 1);
-    return std::min(data_bytes, block_begin(b) + (records - b * kRunIndexStride) * kMaxRunRecordBytes);
+    return b + 1 < blocks() ? block_begin(b + 1) : data_bytes;
   }
 };
 
 // Decodes a run's records in order from [p, end), the bytes at offsets
-// [offset, end_offset) of its records, checking that each block it enters
-// starts where the run's index says.  A record cut short by the end of the
-// run's bytes is a truncated run; one cut short anywhere else ran past its
+// [offset, end_offset) of its records, checking that each block it
+// finishes ends where the run's index starts the next one (the last where
+// the run's bytes end), so that an index that lies is caught by whichever
+// walker finishes the block.  A record cut short by the end of the run's
+// bytes is a truncated run; one cut short anywhere else ran past its
 // block, which the index put in the wrong place.
 struct RunWalker {
   const RunInput* input;
@@ -771,10 +766,6 @@ struct RunWalker {
   std::uint64_t position;  ///< the next record's place in the run
 
   void next(OpRecord& out) {
-    if (position % kRunIndexStride == 0 &&
-        input->block_begin(position / kRunIndexStride) != offset) {
-      throw decode_error(DecodeStatus::corrupt, input->path);
-    }
     const unsigned char* const start = p;
     DecodeStatus status = decode_fields(p, end, out);
     if (status == DecodeStatus::truncated && end_offset != input->data_bytes) {
@@ -783,6 +774,11 @@ struct RunWalker {
     if (status != DecodeStatus::ok) throw decode_error(status, input->path);
     offset += static_cast<std::uint64_t>(p - start);
     ++position;
+    if (position == input->records ? offset != input->data_bytes
+                                   : position % kRunIndexStride == 0 &&
+                                         offset != input->block_begin(position / kRunIndexStride)) {
+      throw decode_error(DecodeStatus::corrupt, input->path);
+    }
   }
 };
 
@@ -1061,19 +1057,22 @@ class SlicePlan {
   }
 
   // Every block must start inside the run's bytes, the first at 0, and
-  // span as many bytes as its records can take, so that no range read for
-  // a slice is larger than its records can fill.
+  // lie as far from the next start (the last from the end of the bytes) as
+  // its records can take, so that no range read for a slice is larger than
+  // its records can fill.
   static void check_blocks(const RunInput& input) {
     for (std::uint64_t b = 0; b < input.blocks(); ++b) {
+      if (input.block_begin(b) >= input.data_bytes) {
+        throw decode_error(DecodeStatus::truncated, input.path);
+      }
+    }
+    for (std::uint64_t b = 0; b < input.blocks(); ++b) {
       const std::uint64_t begin = input.block_begin(b);
-      if (begin >= input.data_bytes) throw decode_error(DecodeStatus::truncated, input.path);
-      const std::uint64_t records = std::min<std::uint64_t>(kRunIndexStride,
-                                                            input.records - b * kRunIndexStride);
-      const std::uint64_t end = b + 1 < input.blocks() ? input.block_begin(b + 1) : begin;
-      const bool inner = b + 1 < input.blocks();
-      if ((b == 0 && begin != 0) ||
-          (inner && (end < begin + records * kMinRunRecordBytes ||
-                     end > begin + records * kMaxRunRecordBytes))) {
+      const std::uint64_t records =
+          std::min<std::uint64_t>(kRunIndexStride, input.records - b * kRunIndexStride);
+      const std::uint64_t end = input.block_end(b);
+      if ((b == 0 && begin != 0) || end > begin + records * kMaxRunRecordBytes ||
+          (b + 1 < input.blocks() && end < begin + records * kMinRunRecordBytes)) {
         throw decode_error(DecodeStatus::corrupt, input.path);
       }
     }

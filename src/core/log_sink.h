@@ -315,20 +315,21 @@ inline constexpr std::size_t kLogSliceRecords = 4096;
 /// write_log_text's format — to the file `path`, merged and formatted on up
 /// to `threads` threads (capped at the core count).  The merged (issue_time,
 /// user, run, position) order is cut into contiguous key-range slices of
-/// about kLogSliceRecords records, with splitters taken from the runs' keys
-/// (every kRunIndexStride-th record: SpillRun::index, or a scan of a run
-/// that has none).  Each slice is merged and formatted into its
-/// own buffer by one worker, which reads one contiguous range of each run
-/// file; the calling thread writes the slices in order, so the bytes are
+/// about kLogSliceRecords records, with splitters taken from the runs'
+/// blocks (SpillRun::index, or a scan of a run that has none).  Each slice
+/// is merged and formatted into its own buffer by one worker, which
+/// decodes one contiguous range of each run, in memory or read with one
+/// pread; the calling thread writes the slices in order, so the bytes are
 /// the same for any `threads`.  At most two slices per worker are in
 /// flight.  One run is cut by position and passes through in its own order.
 /// Cuts never go back, so every record of an unsorted run is written
 /// exactly once (and `ordered` is false).  Creates parent directories;
 /// throws std::runtime_error when the file cannot be opened, written or
-/// closed, and RunFileReader's errors for a run file that cannot be opened,
-/// is not a run file, is truncated or holds an unknown op code; on any
-/// failure removes the partial file (when it is a regular file) before
-/// rethrowing.
+/// closed, and RunFileReader's errors for a run that cannot be opened, is
+/// not a run file, is truncated, is corrupt (a varint out of its one
+/// encoding, or a block that does not end where the index starts the next)
+/// or holds an unknown op code; on any failure removes the partial file
+/// (when it is a regular file) before rethrowing.
 WrittenLog write_log_file(const std::vector<SpillRun>& runs, const std::string& path,
                           std::size_t threads);
 

@@ -1119,6 +1119,103 @@ TEST(TextWriter, WriteLogFileReportsRunFileErrors) {
   std::filesystem::remove_all(dir);
 }
 
+// Hostile run bytes and indexes fail with RunFileReader's error texts, from
+// the reader and from the log writer alike, and leave no log behind.
+TEST(RunFileReader, RejectsHostileRunsWithItsErrorTexts) {
+  const std::string dir = temp_dir("hostile");
+  const std::string path = dir + "/usage.log";
+  const std::string good = encoded(make_record(1, 2.0, 3.0));
+  const auto expect_error = [&](const std::vector<SpillRun>& runs, const std::string& what) {
+    SCOPED_TRACE(what);
+    try {
+      for (const SpillRun& run : runs) {
+        RunFileReader reader(run);
+        OpRecord r;
+        while (reader.next(r)) {
+        }
+      }
+      ADD_FAILURE() << "the reader accepted the run";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), what);
+    }
+    for (const std::size_t threads : {1, 4}) {
+      try {
+        detail::write_log_file(runs, path, threads, 3);
+        ADD_FAILURE() << "the writer accepted the run";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), what);
+      }
+      EXPECT_FALSE(std::filesystem::exists(path));
+    }
+  };
+  const std::vector<OpRecord> one = {make_record(0, 1.0, 1.0)};
+  const SpillRun other = memory_run(one);
+  const std::string bad = dir + "/bad.wlr";
+  // A varint cut short by the end of the file.
+  expect_error({other, raw_run_file(bad, 2, good + good.substr(0, 17))},
+               "RunFileReader: truncated run file '" + bad + "'");
+  // An 11-byte u64 varint in file_size.
+  expect_error({other, raw_run_file(bad, 1, good.substr(0, good.size() - 1) +
+                                               std::string(10, '\x80') + '\x01')},
+               "RunFileReader: corrupt run file '" + bad + "'");
+  // A packed byte of kRunPackedCodes.
+  std::string packed = good;
+  packed[18] = static_cast<char>(kRunPackedCodes);
+  expect_error({other, raw_run_file(bad, 1, packed)},
+               "RunFileReader: unknown op code in run file '" + bad + "'");
+
+  // A sink's run of five blocks, then its index made to lie.
+  SpillSink sink(dir + "/spool", "t", 1000);
+  const UsageLog log = spill_ordered_log(5 * kRunIndexStride);
+  for (const OpRecord& r : log.records()) sink.append(r);
+  sink.close();
+  ASSERT_EQ(sink.runs().size(), 1u);
+  const SpillRun run = sink.runs().front();
+  ASSERT_EQ(run.index->size(), 5u);
+  const auto with_block = [&run](std::size_t b, std::uint64_t offset) {
+    SpillRun lying = run;
+    auto index = std::make_shared<std::vector<RunBlock>>(*run.index);
+    (*index)[b].offset = offset;
+    lying.index = std::move(index);
+    return lying;
+  };
+  const std::string truncated = "RunFileReader: truncated run file '" + run.path + "'";
+  const std::string corrupt = "RunFileReader: corrupt run file '" + run.path + "'";
+  for (const std::size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    // A block that starts past the file's end.
+    const std::vector<SpillRun> past_end = {other, with_block(4, run.bytes)};
+    try {
+      detail::write_log_file(past_end, path, threads, 3);
+      ADD_FAILURE() << "the writer accepted a block past the file's end";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), truncated);
+    }
+    // A block too close to the one before to hold its 32 records.
+    try {
+      const std::vector<SpillRun> too_close = {other, with_block(3, (*run.index)[2].offset + 1)};
+      detail::write_log_file(too_close, path, threads, 3);
+      ADD_FAILURE() << "the writer accepted a block too small for its records";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), corrupt);
+    }
+    // A block that starts one byte into a record: what its bytes decode to
+    // from there is arbitrary, so the error may be any of the reader's.
+    try {
+      const std::vector<SpillRun> inside = {other, with_block(2, (*run.index)[2].offset + 1)};
+      detail::write_log_file(inside, path, threads, 3);
+      ADD_FAILURE() << "the writer accepted a block that starts inside a record";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_TRUE(what == corrupt || what == truncated ||
+                  what == "RunFileReader: unknown op code in run file '" + run.path + "'")
+          << what;
+    }
+    EXPECT_FALSE(std::filesystem::exists(path));
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // A record line whose field `index` is `field` and every other field valid.
 std::string line_with(std::size_t index, const std::string& field) {
   std::vector<std::string> fields = {"1.5", "2.5", "3", "4", "read", "5",
