@@ -83,6 +83,14 @@ template <unsigned Bits>
   return DecodeStatus::corrupt;  // longer than the field
 }
 
+// Moves `p` past a varint in [p, end), checking only that it ends there.
+inline DecodeStatus skip_varint(const unsigned char*& p, const unsigned char* end) {
+  for (;;) {
+    if (p == end) return DecodeStatus::truncated;
+    if (*p++ < 0x80) return DecodeStatus::ok;
+  }
+}
+
 // Records a run file is written in at a time: a fixed chunk of this many
 // bytes, flushed when the next record might not fit.
 constexpr std::size_t kWriteChunkBytes = 64 * 1024;
@@ -159,6 +167,31 @@ DecodeStatus decode_record(const unsigned char*& in, const unsigned char* end, O
 }
 
 namespace {
+
+// Reads the key of the record at `in` and moves `in` past the record,
+// reading no byte at or past `end`.  Only the user is decoded; each field
+// after it is skipped to its last byte, with no check of its one
+// encoding.  Wherever decode_fields succeeds this reads the same key and
+// ends at the same byte; where it fails this may succeed, so a record
+// skipped here must also be decoded somewhere to be checked.
+[[gnu::always_inline]] inline DecodeStatus read_key(const unsigned char*& in,
+                                                    const unsigned char* end, RunKey& key) {
+  if (end - in < 16) return DecodeStatus::truncated;
+  const unsigned char* p = in + 16;
+  std::uint64_t user = 0;
+  if (const DecodeStatus status = get_varint<32>(p, end, user); status != DecodeStatus::ok) {
+    return status;
+  }
+  // The session, the packed byte (any value), then the four u64 fields.
+  if (const DecodeStatus status = skip_varint(p, end); status != DecodeStatus::ok) return status;
+  if (p++ == end) return DecodeStatus::truncated;
+  for (int field = 0; field < 4; ++field) {
+    if (const DecodeStatus status = skip_varint(p, end); status != DecodeStatus::ok) return status;
+  }
+  key = {bits_double(get_u64(in)), static_cast<std::uint32_t>(user)};
+  in = p;
+  return DecodeStatus::ok;
+}
 
 // The error a reader throws for a record of run `path` that did not decode.
 std::runtime_error decode_error(DecodeStatus status, const std::string& path) {
@@ -245,26 +278,6 @@ void merge_sources(std::size_t k, std::vector<MergeKey>& tree, std::vector<Merge
   }
 }
 
-// The key of the trusted record at `p`, and the byte after it.
-RunKey buffered_key(const unsigned char* p, const unsigned char*& next) {
-  const unsigned char* q = p + 16;
-  std::uint32_t user = 0;
-  for (unsigned shift = 0;; shift += 7) {
-    const unsigned byte = *q++;
-    user |= static_cast<std::uint32_t>(byte & 0x7f) << shift;
-    if (byte < 0x80) break;
-  }
-  while (*q++ >= 0x80) {  // session
-  }
-  ++q;  // the packed byte
-  for (int field = 0; field < 4; ++field) {
-    while (*q++ >= 0x80) {
-    }
-  }
-  next = q;
-  return {bits_double(get_u64(p)), user};
-}
-
 // Merges the sink's segments — buffer[segments[s], segments[s + 1]), the
 // last one ending at `size` — calling write(bytes, size) for each record
 // in (issue time, user, segment) order, and returns the run's blocks.
@@ -282,9 +295,9 @@ std::vector<RunBlock> merge_segments(const unsigned char* buffer, std::size_t si
   std::vector<Cursor> cursors(k);
   for (std::size_t s = 0; s < k; ++s) {
     Cursor& c = cursors[s];
-    c.head = buffer + segments[s];
+    c.head = c.next = buffer + segments[s];
     c.end = buffer + (s + 1 < k ? segments[s + 1] : size);
-    c.key = buffered_key(c.head, c.next);
+    if (c.head != c.end) read_key(c.next, c.end, c.key);  // the sink's own bytes: always ok
   }
   std::vector<RunBlock> index;
   index.reserve((records + kRunIndexStride - 1) / kRunIndexStride);
@@ -305,7 +318,7 @@ std::vector<RunBlock> merge_segments(const unsigned char* buffer, std::size_t si
         write(c.head, bytes);
         offset += bytes;
         c.head = c.next;
-        if (c.head != c.end) c.key = buffered_key(c.head, c.next);
+        if (c.head != c.end) read_key(c.next, c.end, c.key);
       });
   return index;
 }
@@ -351,12 +364,14 @@ void SpillSink::append(const OpRecord& record) {
   // the per-run merge + k-way merge reproduce merge_user_logs exactly.
   if (have_user_ && new_user && buffered_ >= buffer_records_) flush();
   if (buffer_capacity_ - buffer_size_ < kMaxRunRecordBytes) reserve(2 * buffer_capacity_);
+  // Encoded first, so that a refused record leaves the sink as it was.
+  const std::size_t at = buffer_size_;
+  buffer_size_ += encode_record(record, buffer_.get() + at);
   // A segment starts at each user's first record and wherever the user's
   // issue time goes back (or is NaN, which orders against nothing).
   if (buffered_ == 0 || new_user || !(last_time_ <= record.issue_time_us)) {
-    segments_.push_back(buffer_size_);
+    segments_.push_back(at);
   }
-  buffer_size_ += encode_record(record, buffer_.get() + buffer_size_);
   ++buffered_;
   last_time_ = record.issue_time_us;
   last_user_ = record.user;
@@ -391,6 +406,7 @@ void SpillSink::flush() {
                        [&bytes](const unsigned char* record, std::size_t size) {
                          bytes->insert(bytes->end(), record, record + size);
                        }));
+    run.encoded = *bytes;
     run.memory = std::move(bytes);
   } else {
     run.path = (std::filesystem::path(dir_) / run_file_name(stem_, runs_.size())).string();
@@ -429,22 +445,25 @@ void SpillSink::flush() {
 }
 
 SpillRun memory_run(std::vector<OpRecord> records) {
-  // Encoded twice over: once to size the bytes exactly, once into them.
-  unsigned char scratch[kMaxRunRecordBytes];
-  std::size_t size = 0;
-  for (const OpRecord& record : records) size += encode_record(record, scratch);
-  auto bytes = std::make_shared<std::vector<unsigned char>>();
-  bytes->resize(size);
+  // Record i's bytes start at or before i * kMaxRunRecordBytes and end at
+  // or before (i + 1) * kMaxRunRecordBytes, short of where record i + 1
+  // starts, so they overwrite only records already encoded and record i
+  // itself, which is copied out first.
+  static_assert(kMaxRunRecordBytes <= sizeof(OpRecord));
+  auto storage = std::make_shared<std::vector<OpRecord>>(std::move(records));
+  auto* const bytes = reinterpret_cast<unsigned char*>(storage->data());
   auto index = std::make_shared<std::vector<RunBlock>>();
-  index->reserve((records.size() + kRunIndexStride - 1) / kRunIndexStride);
+  index->reserve((storage->size() + kRunIndexStride - 1) / kRunIndexStride);
   std::size_t offset = 0;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    index_record(*index, i, records[i], offset);
-    offset += encode_record(records[i], bytes->data() + offset);
+  for (std::size_t i = 0; i < storage->size(); ++i) {
+    const OpRecord record = (*storage)[i];
+    index_record(*index, i, record, offset);
+    offset += encode_record(record, bytes + offset);
   }
   SpillRun run;
-  run.records = records.size();
-  run.memory = std::move(bytes);
+  run.records = storage->size();
+  run.encoded = {bytes, offset};
+  run.memory = std::move(storage);
   run.index = std::move(index);
   return run;
 }
@@ -459,8 +478,8 @@ constexpr std::size_t kReadChunkBytes = 64 * 1024;
 
 RunFileReader::RunFileReader(const SpillRun& run) : path_(run.path), memory_(run.memory) {
   if (memory_) {
-    pos_ = memory_->data();
-    end_ = pos_ + memory_->size();
+    pos_ = run.encoded.data();
+    end_ = pos_ + run.encoded.size();
     at_eof_ = true;
     remaining_ = run.records;
     return;
@@ -733,7 +752,8 @@ std::size_t pread_full(int fd, unsigned char* data, std::size_t size, std::uint6
 
 // One run, opened: a memory run's bytes or a run file, and its blocks.
 struct RunInput {
-  std::shared_ptr<const std::vector<unsigned char>> memory;  ///< null for a run file
+  std::shared_ptr<const void> memory;  ///< null for a run file
+  const unsigned char* encoded = nullptr;  ///< a memory run's bytes
   int fd = -1;
   std::string path;
   std::uint64_t records = 0;
@@ -767,7 +787,19 @@ struct RunWalker {
 
   void next(OpRecord& out) {
     const unsigned char* const start = p;
-    DecodeStatus status = decode_fields(p, end, out);
+    step(decode_fields(p, end, out), start);
+  }
+
+  // Moves past the next record, reading only its key (read_key).
+  RunKey skip() {
+    const unsigned char* const start = p;
+    RunKey key;
+    step(read_key(p, end, key), start);
+    return key;
+  }
+
+ private:
+  void step(DecodeStatus status, const unsigned char* start) {
     if (status == DecodeStatus::truncated && end_offset != input->data_bytes) {
       status = DecodeStatus::corrupt;
     }
@@ -891,7 +923,7 @@ class SlicePlan {
       const std::uint64_t finish = input.block_end(last);
       const unsigned char* bytes = nullptr;
       if (input.memory) {
-        bytes = input.memory->data() + begin;
+        bytes = input.encoded + begin;
       } else {
         bytes = scratch.bytes.data() + used;
         if (pread_full(input.fd, scratch.bytes.data() + used, finish - begin,
@@ -991,14 +1023,15 @@ class SlicePlan {
   // Moves `walker`, at or before b.lo in the same block, to the cut of
   // bracket `b` in run r: the first position in [b.lo, b.hi) whose key is
   // not below `splitter`, or b.hi.  A bracket lies in one block, and the
-  // scan is monotone in the splitter as cut() is.
+  // scan is monotone in the splitter as cut() is.  It reads keys only:
+  // every record it passes is decoded by the merge of one slice or the
+  // other, which checks it.
   static void seek_cut(RunWalker& walker, const Bracket& b, const SliceKey& splitter,
                        std::size_t r) {
-    OpRecord record;
-    while (walker.position < b.lo) walker.next(record);
+    while (walker.position < b.lo) walker.skip();
     while (walker.position < b.hi) {
       RunWalker probe = walker;
-      probe.next(record);
+      const RunKey record = probe.skip();
       const SliceKey key{ordered_bits(record.issue_time_us), record.user,
                          static_cast<std::uint32_t>(r), walker.position};
       if (!(key < splitter)) return;
@@ -1015,8 +1048,9 @@ class SlicePlan {
       input.path = run.path;
       if (run.memory) {
         input.memory = run.memory;
+        input.encoded = run.encoded.data();
         input.records = run.records;
-        input.data_bytes = run.memory->size();
+        input.data_bytes = run.encoded.size();
       } else {
         input.fd = ::open(run.path.c_str(), O_RDONLY | O_CLOEXEC);
         if (input.fd < 0) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -66,7 +67,8 @@ class MemorySink final : public LogSink {
 /// kMinRunRecordBytes to kMaxRunRecordBytes; a live run averages about 27.
 inline constexpr std::size_t kMinRunRecordBytes = 16 + 2 + 1 + 4;
 inline constexpr std::size_t kMaxRunRecordBytes = 16 + 2 * 5 + 1 + 4 * 10;
-inline constexpr unsigned kRunPackedCodes = 10 * 2 * 3 * 4;
+inline constexpr unsigned kRunPackedCodes = fsmodel::kFsOpTypeCount * 2 * 3 * 4;
+static_assert(kRunPackedCodes <= 256, "op and category must pack into one byte");
 
 /// A run file: 8-byte magic + u64 record count, then the records back to
 /// back.  kSpillMagicV1 marks the retired fixed-width 60-byte format.
@@ -122,20 +124,23 @@ inline void index_record(std::vector<RunBlock>& index, std::uint64_t position,
 }
 
 /// One sorted run: a `.wlr` file at `path`, or — with an empty path — the
-/// encoded records held in `memory`.
+/// encoded records `encoded`, held alive by `memory`.
 struct SpillRun {
   std::string path;
   std::uint64_t records = 0;
   std::uint64_t bytes = 0;  ///< file size including the header (0 in memory)
-  std::shared_ptr<const std::vector<unsigned char>> memory;
+  std::shared_ptr<const void> memory;  ///< owns `encoded`; null for a run file
+  std::span<const unsigned char> encoded;
   /// The run's blocks (index_record over its records), so that
   /// write_log_file can cut a run without reading it first; null when
   /// unknown.  SpillSink and memory_run record it for every run they make.
   std::shared_ptr<const std::vector<RunBlock>> index;
 };
 
-/// A memory run over `records`, encoded, which must already be in the
-/// order the run is to be read in.
+/// A memory run over `records`, which must already be in the order the run
+/// is to be read in.  The records are encoded in place, in their own
+/// storage (a run record is never larger than an OpRecord), so the run
+/// costs no memory beyond what it wraps.
 SpillRun memory_run(std::vector<OpRecord> records);
 
 /// Run-cutting sink: encodes each appended record into one byte buffer and
@@ -255,7 +260,7 @@ class RunFileReader final : public LogReader {
  private:
   std::FILE* file_ = nullptr;
   std::string path_;
-  std::shared_ptr<const std::vector<unsigned char>> memory_;
+  std::shared_ptr<const void> memory_;
   std::vector<unsigned char> buffer_;
   const unsigned char* pos_ = nullptr;  ///< unread bytes [pos_, end_)
   const unsigned char* end_ = nullptr;

@@ -228,6 +228,31 @@ TEST(RecordCodec, RejectsHostileBytes) {
   }
 }
 
+// A record that encode_record refuses throws from append and leaves the
+// sink as it was, with no empty segment for close() to merge.
+TEST(SpillSink, ARefusedRecordLeavesTheSinkAsItWas) {
+  OpRecord bad = make_record(2, 5.0, 1.0);
+  bad.op = static_cast<fsmodel::FsOpType>(fsmodel::kFsOpTypeCount);
+  SpillSink empty("", "s", 4);
+  EXPECT_THROW(empty.append(bad), std::invalid_argument);
+  empty.close();
+  EXPECT_EQ(empty.records_written(), 0u);
+  EXPECT_TRUE(empty.runs().empty());
+
+  SpillSink sink("", "s", 4);
+  sink.append(make_record(1, 1.0, 1.0));
+  EXPECT_THROW(sink.append(bad), std::invalid_argument);  // would start a segment
+  sink.append(make_record(1, 0.5, 2.0));                  // a descent starts one
+  EXPECT_THROW(sink.append(bad), std::invalid_argument);  // the last, refused
+  sink.close();
+  ASSERT_EQ(sink.runs().size(), 1u);
+  EXPECT_EQ(sink.records_written(), 2u);
+  const UsageLog log = materialize(*open_spilled_log(sink.runs()));
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.records()[0].response_us, 2.0);
+  EXPECT_EQ(log.records()[1].response_us, 1.0);
+}
+
 TEST(SpillSink, SingleRunRoundTrip) {
   const std::string dir = temp_dir("single");
   SpillSink sink(dir, "shard000000", 1024);
@@ -409,7 +434,7 @@ TEST(SpillSink, RunsMatchAStableSortOnAnyInput) {
           EXPECT_EQ(run.index->size(), (want.size() + kRunIndexStride - 1) / kRunIndexStride);
           if (in_memory) {
             ASSERT_NE(run.memory, nullptr);
-            EXPECT_TRUE(std::string(run.memory->begin(), run.memory->end()) ==
+            EXPECT_TRUE(std::string(run.encoded.begin(), run.encoded.end()) ==
                         encoded_bytes(want))
                 << "run " << i;
             continue;
@@ -965,7 +990,11 @@ TEST(TextWriter, WriteLogFileThrowsOnUnwritablePath) {
 // A run file holding `bytes` after a header for `records` records.
 SpillRun raw_run_file(const std::string& path, std::size_t records, const std::string& bytes) {
   util::write_text_file(path, run_header(records) + bytes);
-  return {path, records, kSpillHeaderBytes + bytes.size(), nullptr, nullptr};
+  SpillRun run;
+  run.path = path;
+  run.records = records;
+  run.bytes = kSpillHeaderBytes + bytes.size();
+  return run;
 }
 
 // A run file holding `records` in the order given, written without
@@ -1087,7 +1116,9 @@ TEST(TextWriter, AnUnsortedRunIsReportedAndWrittenWhole) {
 TEST(TextWriter, WriteLogFileReportsRunFileErrors) {
   const std::string dir = temp_dir("writer_run_errors");
   const std::string path = dir + "/usage.log";
-  const SpillRun missing{dir + "/missing.wlr", 1, 76, nullptr, nullptr};
+  SpillRun missing;
+  missing.path = dir + "/missing.wlr";
+  missing.records = 1;
   const std::vector<SpillRun> runs = {memory_run({make_record(1, 2.0, 3.0)}), missing};
   try {
     write_log_file(runs, path, 2);

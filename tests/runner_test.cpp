@@ -589,6 +589,13 @@ std::string v1_record(const core::OpRecord& r) {
   return out;
 }
 
+// The run file at `path`, to be read through its own header.
+core::SpillRun run_file(const std::string& path) {
+  core::SpillRun run;
+  run.path = path;
+  return run;
+}
+
 // A spool written before the compact run record holds v1 run files
 // (WLGRUN1, 60-byte records), which this build cannot read.  Resume must
 // re-run such a shard, saying so on one stderr line, and write the log the
@@ -616,7 +623,7 @@ TEST(ShardedRunnerSpill, ResumeReRunsAShardWhoseRunFilesAreV1) {
       std::string v1 = "WLGRUN1";
       v1.push_back('\0');
       for (int b = 0; b < 8; ++b) v1.push_back(static_cast<char>(records >> (8 * b)));
-      core::RunFileReader reader(core::SpillRun{path, records, bytes, nullptr, nullptr});
+      core::RunFileReader reader(run_file(path));
       core::OpRecord r;
       while (reader.next(r)) v1 += v1_record(r);
       util::write_text_file(path, v1);
@@ -661,7 +668,7 @@ TEST(ShardedRunnerSpill, ResumeRejectsARecordOfAnotherShardsUser) {
   ASSERT_TRUE(std::filesystem::exists(victim));
   std::vector<core::OpRecord> records;
   {
-    core::RunFileReader reader(core::SpillRun{victim, 0, 0, nullptr, nullptr});
+    core::RunFileReader reader(run_file(victim));
     core::OpRecord r;
     while (reader.next(r)) records.push_back(r);
   }
