@@ -273,24 +273,31 @@ TEST(FileSystem, CapacityEnforced) {
 }
 
 TEST(FileSystem, MaxOpenFilesEnforced) {
-  SimulatedFileSystem::Options options;
-  options.max_open_files = 2;
-  SimulatedFileSystem fsys(options);
-  const auto a = fsys.creat("/a");
-  const auto b = fsys.creat("/b");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(fsys.creat("/c").status(), FsStatus::too_many_open_files);
-  fsys.close(a.value());
-  EXPECT_TRUE(fsys.creat("/c").ok());
+  // At most 4096 descriptors are open at once.
+  SimulatedFileSystem fsys;
+  std::vector<Fd> fds;
+  for (int i = 0; i < 4096; ++i) {
+    const auto fd = fsys.creat("/f" + std::to_string(i));
+    ASSERT_TRUE(fd.ok()) << i;
+    fds.push_back(fd.value());
+  }
+  EXPECT_EQ(fsys.creat("/over").status(), FsStatus::too_many_open_files);
+  EXPECT_EQ(fsys.open("/f0", kRead).status(), FsStatus::too_many_open_files);
+  fsys.close(fds.front());
+  EXPECT_TRUE(fsys.creat("/over").ok());
 }
 
 TEST(FileSystem, NameLengthEnforced) {
-  SimulatedFileSystem::Options options;
-  options.max_name_length = 5;
-  SimulatedFileSystem fsys(options);
-  EXPECT_EQ(fsys.creat("/toolongname").status(), FsStatus::name_too_long);
-  EXPECT_TRUE(fsys.creat("/ok").ok());
+  // A path component holds at most 255 bytes, on every path call.
+  SimulatedFileSystem fsys;
+  const std::string longest(255, 'n');
+  const std::string too_long(256, 'n');
+  EXPECT_EQ(fsys.creat("/" + too_long).status(), FsStatus::name_too_long);
+  EXPECT_EQ(fsys.mkdir("/" + too_long), FsStatus::name_too_long);
+  EXPECT_EQ(fsys.stat("/" + too_long + "/x").status(), FsStatus::name_too_long);
+  EXPECT_EQ(fsys.mkdir("/" + longest), FsStatus::ok);
+  EXPECT_TRUE(fsys.creat("/" + longest + "/" + longest).ok());
+  EXPECT_EQ(fsys.unlink("/" + longest + "/" + too_long), FsStatus::name_too_long);
 }
 
 TEST(FileSystem, StoreDataRoundTripsBytes) {
@@ -407,11 +414,13 @@ struct Digest {
   void add_time(double t) { add(static_cast<std::uint64_t>(t * 1000.0)); }
 };
 
+/// The names a random path is made of; the last one comes from the caller
+/// and is meant to exceed the name limit.
+constexpr const char* kNames[] = {"a", "b", "c", "dd"};
+
 /// A random path over a small namespace, spelled with the lexical detours
-/// PathWalker folds away: "//", "." and "<name>/..".  "longname7" exceeds
-/// the sequence's 8-byte name limit.
-std::string random_path(util::RngStream& rng) {
-  static const char* const kNames[] = {"a", "b", "c", "dd", "longname7"};
+/// PathWalker folds away: "//", "." and "<name>/..".
+std::string random_path(util::RngStream& rng, const std::string& long_name) {
   const auto pick = [&rng](std::int64_t n) { return rng.uniform_int(0, n - 1); };
   std::string path;
   const std::int64_t depth = rng.uniform_int(1, 3);
@@ -421,7 +430,8 @@ std::string random_path(util::RngStream& rng) {
     if (detour == 0) path += "./";
     if (detour == 1) path += std::string(kNames[pick(4)]) + "/../";
     if (detour == 2) path += "../";
-    path += kNames[pick(5)];
+    const std::int64_t name = pick(5);
+    path += name == 4 ? long_name : kNames[name];
   }
   if (pick(12) == 0) path += "/.";
   if (pick(12) == 0) path += "/";
@@ -432,6 +442,7 @@ std::string random_path(util::RngStream& rng) {
 /// status, fd, inode id, size and directory size, then the final tree's
 /// stat of every entry, timestamps included.
 std::uint64_t random_sequence_digest(bool store_data) {
+  const std::string long_name = "longname7";  // over the 8-byte limit below
   SimulatedFileSystem::Options options;
   options.store_data = store_data;
   options.capacity_bytes = 30000;
@@ -469,8 +480,8 @@ std::uint64_t random_sequence_digest(bool store_data) {
       case 0:
       case 1: {
         const unsigned flags = static_cast<unsigned>(rng.uniform_int(0, 31));
-        const Result<Fd> fd = op == 0 ? fsys.creat(random_path(rng))
-                                      : fsys.open(random_path(rng), flags);
+        const Result<Fd> fd = op == 0 ? fsys.creat(random_path(rng, long_name))
+                                      : fsys.open(random_path(rng, long_name), flags);
         digest.add(fd.status());
         if (fd.ok()) {
           digest.add(static_cast<std::uint64_t>(fd.value()));
@@ -512,40 +523,40 @@ std::uint64_t random_sequence_digest(bool store_data) {
         add_count(fsys.tell(some_fd()));
         break;
       }
-      case 6: digest.add(fsys.unlink(random_path(rng))); break;
+      case 6: digest.add(fsys.unlink(random_path(rng, long_name))); break;
       case 7: {
-        const std::string from = random_path(rng);
-        digest.add(fsys.link(from, random_path(rng)));
+        const std::string from = random_path(rng, long_name);
+        digest.add(fsys.link(from, random_path(rng, long_name)));
         break;
       }
       case 8:
-        digest.add(rng.uniform_int(0, 3) == 0 ? fsys.mkdir_recursive(random_path(rng))
-                                              : fsys.mkdir(random_path(rng)));
+        digest.add(rng.uniform_int(0, 3) == 0 ? fsys.mkdir_recursive(random_path(rng, long_name))
+                                              : fsys.mkdir(random_path(rng, long_name)));
         break;
-      case 9: digest.add(fsys.rmdir(random_path(rng))); break;
+      case 9: digest.add(fsys.rmdir(random_path(rng, long_name))); break;
       case 10: {
-        const std::string from = random_path(rng);
-        digest.add(fsys.rename(from, random_path(rng)));
+        const std::string from = random_path(rng, long_name);
+        digest.add(fsys.rename(from, random_path(rng, long_name)));
         break;
       }
       case 11: {
-        const std::string path = random_path(rng);
+        const std::string path = random_path(rng, long_name);
         digest.add(fsys.truncate(path, static_cast<std::uint64_t>(rng.uniform_int(0, 6000))));
         break;
       }
       case 12:
-        add_stat(fsys.stat(random_path(rng)));
+        add_stat(fsys.stat(random_path(rng, long_name)));
         add_stat(fsys.fstat(some_fd()));
         break;
       case 13: {
-        const auto names = fsys.readdir(random_path(rng));
+        const auto names = fsys.readdir(random_path(rng, long_name));
         digest.add(names.status());
         if (names.ok()) {
           for (const auto& name : names.value()) digest.add(name);
         }
         break;
       }
-      default: digest.add(fsys.exists(random_path(rng)) ? 1U : 0U); break;
+      default: digest.add(fsys.exists(random_path(rng, long_name)) ? 1U : 0U); break;
     }
     add_stat(fsys.stat("/"));
     digest.add(fsys.open_descriptor_count());
@@ -591,6 +602,127 @@ TEST(FileSystem, RandomOpSequenceDigestIsPinned) {
   // call surface hands out moves them.
   EXPECT_EQ(random_sequence_digest(false), 17688434362516181140ULL);
   EXPECT_EQ(random_sequence_digest(true), 18239602498015353814ULL);
+}
+
+/// Runs a seeded mix of the calls the workload pipeline makes (open, creat,
+/// close, read, write, lseek, tell, unlink, mkdir, mkdir_recursive, stat,
+/// fstat, exists, and copy_from between the file system and a snapshot), on
+/// the default limits, and digests each status, fd, inode id and size; then
+/// the stat of every path the namespace can spell, timestamps included.
+std::uint64_t pipeline_call_sequence_digest() {
+  const std::string long_name(256, 'n');  // one byte over the name limit
+  SimulatedFileSystem fsys;
+  SimulatedFileSystem snapshot;
+  double now = 0.0;
+  fsys.set_clock([&now] { return now; });
+  util::RngStream rng(20261020, "fs/pipeline-ops");
+  Digest digest;
+  std::vector<Fd> fds;
+  const auto some_fd = [&]() -> Fd {
+    if (fds.empty() || rng.uniform_int(0, 9) == 0) return 1000000;  // never handed out
+    return fds[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(fds.size()) - 1))];
+  };
+  const auto add_stat = [&digest](const Result<FileStat>& st) {
+    digest.add(st.status());
+    if (!st.ok()) return;
+    const FileStat& s = st.value();
+    digest.add(s.inode);
+    digest.add(static_cast<std::uint64_t>(s.kind));
+    digest.add(s.size);
+    digest.add(s.link_count);
+  };
+  const auto add_count = [&digest](const Result<std::uint64_t>& r) {
+    digest.add(r.status());
+    if (r.ok()) digest.add(r.value());
+  };
+
+  for (int step = 0; step < 4000; ++step) {
+    now += 1.0;
+    const std::int64_t op = rng.uniform_int(0, 10);
+    digest.add(static_cast<std::uint64_t>(op));
+    switch (op) {
+      case 0:
+      case 1: {
+        const unsigned flags = static_cast<unsigned>(rng.uniform_int(0, 31));
+        const Result<Fd> fd = op == 0 ? fsys.creat(random_path(rng, long_name))
+                                      : fsys.open(random_path(rng, long_name), flags);
+        digest.add(fd.status());
+        if (fd.ok()) {
+          digest.add(static_cast<std::uint64_t>(fd.value()));
+          fds.push_back(fd.value());
+        }
+        break;
+      }
+      case 2: digest.add(fsys.close(some_fd())); break;
+      case 3: add_count(fsys.read(some_fd(), static_cast<std::uint64_t>(rng.uniform_int(0, 3000)))); break;
+      case 4: add_count(fsys.write(some_fd(), static_cast<std::uint64_t>(rng.uniform_int(0, 8000)))); break;
+      case 5: {
+        const Seek whence = static_cast<Seek>(rng.uniform_int(0, 2));
+        add_count(fsys.lseek(some_fd(), rng.uniform_int(-2000, 4000), whence));
+        add_count(fsys.tell(some_fd()));
+        break;
+      }
+      case 6: digest.add(fsys.unlink(random_path(rng, long_name))); break;
+      case 7:
+        digest.add(rng.uniform_int(0, 3) == 0 ? fsys.mkdir_recursive(random_path(rng, long_name))
+                                              : fsys.mkdir(random_path(rng, long_name)));
+        break;
+      case 8:
+        add_stat(fsys.stat(random_path(rng, long_name)));
+        add_stat(fsys.fstat(some_fd()));
+        break;
+      case 9:
+        // Save a snapshot, or roll back to the last one (descriptors too).
+        if (rng.uniform_int(0, 2) == 0) {
+          fsys.copy_from(snapshot);
+        } else {
+          snapshot.copy_from(fsys);
+        }
+        break;
+      default: digest.add(fsys.exists(random_path(rng, long_name)) ? 1U : 0U); break;
+    }
+    add_stat(fsys.stat("/"));
+    digest.add(fsys.open_descriptor_count());
+    digest.add(fsys.bytes_in_use());
+  }
+
+  // Every path of up to three short names; no call can make a deeper one.
+  const std::function<void(const std::string&, int)> walk = [&](const std::string& dir, int depth) {
+    for (const char* name : kNames) {
+      const std::string path = dir + "/" + name;
+      digest.add(path);
+      const auto st = fsys.stat(path);
+      add_stat(st);
+      if (!st.ok()) continue;
+      digest.add(st.value().bytes_read);
+      digest.add(st.value().bytes_written);
+      digest.add(st.value().read_ops);
+      digest.add(st.value().write_ops);
+      digest.add_time(st.value().created_at);
+      digest.add_time(st.value().modified_at);
+      digest.add_time(st.value().accessed_at);
+      if (depth < 3) walk(path, depth + 1);
+    }
+  };
+  walk("", 1);
+  digest.add(fsys.inode_count());
+  digest.add(fsys.regular_file_count());
+  digest.add(fsys.directory_count());
+  // The next inode id and fd.
+  for (const Fd fd : fds) fsys.close(fd);
+  const auto probe = fsys.creat("/probe");
+  digest.add(probe.status());
+  if (probe.ok()) {
+    digest.add(static_cast<std::uint64_t>(probe.value()));
+    add_stat(fsys.fstat(probe.value()));
+  }
+  return digest.value;
+}
+
+TEST(FileSystem, PipelineCallSequenceDigestIsPinned) {
+  // Pinned value: any change to an id, fd, size, status or timestamp the
+  // calls the pipeline makes hand out moves it.
+  EXPECT_EQ(pipeline_call_sequence_digest(), 15088279068657676324ULL);
 }
 
 TEST(ResultType, ValueAccessContracts) {
