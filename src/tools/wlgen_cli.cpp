@@ -29,6 +29,7 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,15 @@ int cmd_gds(const Args& args) {
   if (args.positional.empty()) return usage();
   core::DistributionSpecifier gds;
   gds.load_spec_text(util::read_text_file(args.positional[0]));
+  // Every flag is checked before anything is printed, so a bad one leaves
+  // stdout empty.
+  for (const char* flag : {"plot", "cdf"}) {
+    if (args.flags.count(flag)) gds.get(args.get(flag, ""));
+  }
+  const std::size_t points = args.count("points", 64);
+  if (points < 2) {
+    throw std::invalid_argument("flag --points expects at least 2, got " + std::to_string(points));
+  }
 
   util::TextTable table({"name", "mean", "stddev", "spec"});
   for (const auto& name : gds.names()) {
@@ -94,7 +104,6 @@ int cmd_gds(const Args& args) {
     std::cout << "\n" << gds.render_ascii(args.get("plot", ""));
   }
   if (args.flags.count("cdf")) {
-    const std::size_t points = args.count("points", 64);
     std::cout << "\n# CDF table for " << args.get("cdf", "") << "\n"
               << gds.cdf_table(args.get("cdf", ""), points).serialize();
   }

@@ -44,7 +44,9 @@
 #                           log whose fields take every non-canonical form
 #                           the reader accepts;
 #   gds_all_families.txt    `wlgen gds` stdout over all_families.gds, a spec
-#                           with one distribution of every family;
+#                           with one distribution of every family (and, with
+#                           no golden file, that a bad --points, --plot or
+#                           --cdf fails with nothing on stdout);
 #   experiments/<id>.json   every experiment's JSON at --scale 0.25, at
 #                           --threads 1 and 4.
 #
@@ -253,6 +255,19 @@ check(${GOLDEN_DIR}/replay_noncanonical.txt "${report}")
 set(CHECK_LABEL "gds all_families.gds")
 wlgen_stdout(report gds ${GOLDEN_DIR}/all_families.gds)
 check(${GOLDEN_DIR}/gds_all_families.txt "${report}")
+
+# ... and checks its flags before it prints: a bad one exits non-zero with
+# stdout empty.
+foreach(flags IN ITEMS "--cdf;mix;--points;1" "--plot;nosuch" "--cdf;nosuch")
+  execute_process(COMMAND ${WLGEN_CLI} gds ${GOLDEN_DIR}/all_families.gds ${flags}
+                  WORKING_DIRECTORY ${WORK_DIR} RESULT_VARIABLE status OUTPUT_VARIABLE text
+                  ERROR_QUIET)
+  if(status EQUAL 0 OR NOT text STREQUAL "")
+    string(REPLACE ";" " " shown "${flags}")
+    string(APPEND failures "  gds all_families.gds ${shown}: exited ${status}, "
+                           "stdout '${text}' (want a non-zero exit and no stdout)\n")
+  endif()
+endforeach()
 
 # Experiment JSON, byte for byte.  The golden set must match the produced
 # set exactly, so a dropped or a new experiment fails too.
