@@ -40,6 +40,9 @@ std::vector<std::size_t> parse_user_sweep(const std::string& spec) {
   const std::size_t lo = part(0);
   const std::size_t hi = parts.size() >= 2 ? part(1) : lo;
   const std::size_t step = parts.size() == 3 ? part(2) : 1;
+  if (parts.size() == 1 && lo == 0) {
+    throw std::invalid_argument("user count expects at least 1 user, got '" + spec + "'");
+  }
   if (lo == 0 || hi < lo || step == 0) {
     throw std::invalid_argument("user sweep needs 1 <= A <= B and STEP >= 1, got '" + spec +
                                 "'");

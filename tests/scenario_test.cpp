@@ -129,6 +129,10 @@ INSTANTIATE_TEST_SUITE_P(
                     "not a recognised key"},
         FailureCase{"[scenario]\nmode = sharded\n[workload]\nusers = 1:6:1\n",
                     "require scenario.mode = contended"},
+        FailureCase{"[scenario]\nmode = sharded\n[workload]\nusers = 0\n",
+                    "key 'workload.users' is invalid: user count expects at least 1 user, got '0'"},
+        FailureCase{"[scenario]\nmode = contended\n[workload]\nusers = 0:3\n",
+                    "user sweep needs 1 <= A <= B and STEP >= 1, got '0:3'"},
         FailureCase{"[scenario]\nmode = sharded\n[contended]\nreplications = 2\n",
                     "only meaningful when scenario.mode = contended"},
         FailureCase{"[scenario]\nmode = contended\n[workload]\nheavy_fraction = 1.5\n",
@@ -785,7 +789,8 @@ TEST(RunFlags, ConflictsAndBadValuesNameTheFlag) {
       {{"--model", "afs"}, "--model afs"},
       {{"--pattern", "backwards"}, "--pattern"},
       {{"--sessions", "0"}, "--sessions"},
-      {{"--users", "0"}, "--users"},
+      {{"--users", "0"},
+       "--users 0: key 'workload.users' is invalid: user count expects at least 1 user"},
       {{"--users", "1:4"}, "--users"},
       {{"--shards", "0"}, "--shards"},
       {{"--markov", "1"}, "--markov"},
