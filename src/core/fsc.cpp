@@ -116,9 +116,8 @@ void create_files(fs::SimulatedFileSystem& fsys, CreatedFileSystem& out,
 
 }  // namespace
 
-SystemTree::SystemTree(const FscConfig& config, std::vector<FileCategoryProfile> profiles,
-                       fs::SimulatedFileSystem::Options options)
-    : config_(config), profiles_(std::move(profiles)), fsys_(options) {
+SystemTree::SystemTree(const FscConfig& config, std::vector<FileCategoryProfile> profiles)
+    : config_(config), profiles_(std::move(profiles)) {
   // The shared system tree draws from its own stream ("fsc/system") and
   // every user tree from another ("fsc/user/<k>"), so building users
   // [first_user, first_user + num_users) on a copy of this tree yields
@@ -161,14 +160,14 @@ SystemTree::SystemTree(const FscConfig& config, std::vector<FileCategoryProfile>
                CreatedFile::kSystemOwner, system_rng);
 }
 
-bool SystemTree::matches(const FscConfig& config, const std::vector<FileCategoryProfile>& profiles,
-                         const fs::SimulatedFileSystem::Options& options) const {
+bool SystemTree::matches(const FscConfig& config,
+                         const std::vector<FileCategoryProfile>& profiles) const {
   const auto same = [](const FileCategoryProfile& a, const FileCategoryProfile& b) {
     return a.category == b.category && a.size_dist == b.size_dist &&
            a.fraction_of_files == b.fraction_of_files;
   };
   return config.seed == config_.seed && config.system_files == config_.system_files &&
-         config.system_subdirs == config_.system_subdirs && options == fsys_.options() &&
+         config.system_subdirs == config_.system_subdirs &&
          std::equal(profiles.begin(), profiles.end(), profiles_.begin(), profiles_.end(), same);
 }
 
@@ -180,11 +179,11 @@ FileSystemCreator::FileSystemCreator(fs::SimulatedFileSystem& fsys,
 }
 
 CreatedFileSystem FileSystemCreator::create() {
-  return create(SystemTree(config_, profiles_, fsys_.options()));
+  return create(SystemTree(config_, profiles_));
 }
 
 CreatedFileSystem FileSystemCreator::create(const SystemTree& tree) {
-  if (!tree.matches(config_, profiles_, fsys_.options())) {
+  if (!tree.matches(config_, profiles_)) {
     throw std::invalid_argument(
         "FileSystemCreator: the system tree was built for another seed or layout");
   }

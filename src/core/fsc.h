@@ -86,22 +86,19 @@ struct FscConfig {
 /// The shared part of an FSC layout: the /system tree (its NOTES and OTHER
 /// files, from the "fsc/system" stream) and the empty /users directory,
 /// with the system files' manifest entries.  It depends only on the seed,
-/// system_files, system_subdirs, the profiles and the file-system options,
-/// so every universe of a run copies one tree instead of rebuilding it (see
+/// system_files, system_subdirs and the profiles, so every universe of a run copies one tree instead of rebuilding it (see
 /// DESIGN.md "Logical file system and the FSC layout").  Built on a fresh
 /// file system with no clock: its timestamps read 0, the time an FSC
 /// layout is built at.
 class SystemTree {
  public:
   /// Builds the tree.  Throws like FileSystemCreator::create.
-  SystemTree(const FscConfig& config, std::vector<FileCategoryProfile> profiles,
-             fs::SimulatedFileSystem::Options options = {});
+  SystemTree(const FscConfig& config, std::vector<FileCategoryProfile> profiles);
 
-  /// True when this is the tree `config` and `profiles` lay out on a file
-  /// system with `options`: the same seed, system_files, system_subdirs and
-  /// options, and the same profiles (distributions compared by identity).
-  bool matches(const FscConfig& config, const std::vector<FileCategoryProfile>& profiles,
-               const fs::SimulatedFileSystem::Options& options) const;
+  /// True when this is the tree `config` and `profiles` lay out: the same
+  /// seed, system_files and system_subdirs, and the same profiles
+  /// (distributions compared by identity).
+  bool matches(const FscConfig& config, const std::vector<FileCategoryProfile>& profiles) const;
 
  private:
   friend class FileSystemCreator;
@@ -125,15 +122,14 @@ class FileSystemCreator {
 
   /// Builds the layout's SystemTree, then lays out from it; returns the
   /// manifest.  Throws std::runtime_error if the substrate rejects an
-  /// operation (which would mean the configuration is impossible, e.g.
-  /// capacity exceeded).
+  /// operation, which no valid configuration causes.
   CreatedFileSystem create();
 
   /// Replaces the file system's contents with a copy of `tree` (its clock
   /// stays), then builds the users [first_user, first_user + num_users);
   /// returns the manifest.
   /// Throws std::invalid_argument unless `tree` matches this creator's
-  /// config, profiles and file-system options, and like create() otherwise.
+  /// config and profiles, and like create() otherwise.
   CreatedFileSystem create(const SystemTree& tree);
 
   const FscConfig& config() const { return config_; }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "dist/basic.h"
-#include "dist/fitting.h"
 #include "dist/multistage_gamma.h"
 #include "dist/phase_exponential.h"
 #include "dist/tabulated.h"
@@ -266,24 +265,6 @@ void DistributionSpecifier::load_spec_text(const std::string& text) {
     if (name.empty()) throw std::invalid_argument("spec line missing name: " + line);
     set(name, DistRef(parse_distribution(line.substr(eq + 1))));
   }
-}
-
-DistRef DistributionSpecifier::fit(const std::string& name, const std::vector<double>& data,
-                                   Family family, std::size_t components) {
-  DistRef fitted;
-  switch (family) {
-    case Family::exponential:
-      fitted = make_dist<dist::ExponentialDistribution>(dist::fit_exponential(data));
-      break;
-    case Family::phase_exponential:
-      fitted = make_dist<dist::PhaseTypeExponential>(dist::fit_phase_exponential(data, components));
-      break;
-    case Family::multistage_gamma:
-      fitted = make_dist<dist::MultiStageGamma>(dist::fit_multistage_gamma(data, components));
-      break;
-  }
-  set(name, fitted);
-  return fitted;
 }
 
 DistRef DistributionSpecifier::get(const std::string& name) const {

@@ -33,25 +33,16 @@ dist::DistributionPtr parse_distribution(const std::string& text);
 std::string serialize_distribution(const dist::Distribution& d);
 
 /// The GDS replacement: a named collection of distributions with load/store,
-/// empirical fitting, terminal rendering and CDF-table emission — everything
-/// the paper's interactive X11 tool does, scriptable.
+/// terminal rendering and CDF-table emission — the paper's interactive X11
+/// tool, scriptable.
 class DistributionSpecifier {
  public:
-  /// Families supported by fit().
-  enum class Family { exponential, phase_exponential, multistage_gamma };
-
   /// Registers (or replaces) a named distribution.
   void set(const std::string& name, DistRef distribution);
 
   /// Parses "name = spec" lines ('#' comments, blank lines allowed) and
   /// registers every entry.  Throws std::invalid_argument on parse errors.
   void load_spec_text(const std::string& text);
-
-  /// Fits `family` to raw observations and registers the result under
-  /// `name`; returns the fitted distribution.  `components` is the number of
-  /// phases/stages for the mixture families.
-  DistRef fit(const std::string& name, const std::vector<double>& data, Family family,
-              std::size_t components = 2);
 
   /// Looks up a distribution; throws std::out_of_range when missing.
   DistRef get(const std::string& name) const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 #include "dist/format.h"
@@ -200,71 +198,5 @@ std::string TabulatedCdf::describe() const {
 }
 
 DistributionPtr TabulatedCdf::clone() const { return std::make_unique<TabulatedCdf>(*this); }
-
-// ---------------------------------------------------------------------------
-// EmpiricalDistribution
-// ---------------------------------------------------------------------------
-
-EmpiricalDistribution::EmpiricalDistribution(std::vector<double> data)
-    : sorted_(std::move(data)) {
-  if (sorted_.empty()) {
-    throw std::invalid_argument("EmpiricalDistribution: data must be non-empty");
-  }
-  for (double v : sorted_) {
-    if (!std::isfinite(v)) {
-      throw std::invalid_argument("EmpiricalDistribution: data must be finite");
-    }
-  }
-  std::sort(sorted_.begin(), sorted_.end());
-  const double n = static_cast<double>(sorted_.size());
-  mean_ = std::accumulate(sorted_.begin(), sorted_.end(), 0.0) / n;
-  double ss = 0.0;
-  for (double v : sorted_) ss += (v - mean_) * (v - mean_);
-  variance_ = ss / n;
-  fd_window_ = (sorted_.back() - sorted_.front()) / 200.0;
-}
-
-double EmpiricalDistribution::sample(util::RngStream& rng) const {
-  return quantile(rng.uniform01());
-}
-
-double EmpiricalDistribution::pdf(double x) const {
-  if (fd_window_ <= 0.0) return 0.0;  // degenerate (single point / all equal)
-  const double lo = std::max(x - fd_window_, sorted_.front());
-  const double hi = std::min(x + fd_window_, sorted_.back());
-  if (hi <= lo) return 0.0;
-  return (cdf(hi) - cdf(lo)) / (hi - lo);
-}
-
-double EmpiricalDistribution::cdf(double x) const {
-  if (x < sorted_.front()) return 0.0;
-  if (x >= sorted_.back()) return 1.0;
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - sorted_.begin());
-  const std::size_t lo = hi - 1;
-  const double pos =
-      static_cast<double>(lo) + (x - sorted_[lo]) / (sorted_[hi] - sorted_[lo]);
-  return pos / static_cast<double>(sorted_.size() - 1);
-}
-
-double EmpiricalDistribution::quantile(double p) const {
-  if (!(p >= 0.0 && p <= 1.0)) {
-    throw std::invalid_argument("EmpiricalDistribution::quantile: p outside [0, 1]");
-  }
-  if (sorted_.size() == 1) return sorted_.front();
-  const double pos = p * static_cast<double>(sorted_.size() - 1);
-  std::size_t i = static_cast<std::size_t>(pos);
-  if (i >= sorted_.size() - 1) i = sorted_.size() - 2;
-  const double frac = pos - static_cast<double>(i);
-  return sorted_[i] + frac * (sorted_[i + 1] - sorted_[i]);
-}
-
-std::string EmpiricalDistribution::describe() const {
-  return "empirical(n=" + std::to_string(sorted_.size()) + ", mean=" + detail::format_value(mean_) + ")";
-}
-
-DistributionPtr EmpiricalDistribution::clone() const {
-  return std::make_unique<EmpiricalDistribution>(*this);
-}
 
 }  // namespace wlgen::dist

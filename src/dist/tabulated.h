@@ -73,33 +73,4 @@ class TabulatedCdf : public Distribution {
   double variance_ = 0.0;
 };
 
-/// Distribution of a measured sample — what the paper fits its families to.
-/// Quantiles linearly interpolate the order statistics; the CDF is the exact
-/// inverse of that interpolation and the PDF is a boundary-clipped
-/// finite-difference estimate of the CDF.  Moments are the data moments.
-class EmpiricalDistribution : public Distribution {
- public:
-  /// Throws std::invalid_argument when data is empty or non-finite.
-  explicit EmpiricalDistribution(std::vector<double> data);
-
-  std::size_t count() const { return sorted_.size(); }
-
-  double sample(util::RngStream& rng) const override;
-  double pdf(double x) const override;
-  double cdf(double x) const override;
-  double quantile(double p) const override;
-  double mean() const override { return mean_; }
-  double variance() const override { return variance_; }
-  double lower_bound() const override { return sorted_.front(); }
-  double upper_bound() const override { return sorted_.back(); }
-  std::string describe() const override;
-  DistributionPtr clone() const override;
-
- private:
-  std::vector<double> sorted_;
-  double mean_ = 0.0;
-  double variance_ = 0.0;
-  double fd_window_ = 0.0;  ///< half-width of the pdf finite-difference step
-};
-
 }  // namespace wlgen::dist

@@ -71,15 +71,6 @@ bool SimulatedFileSystem::EntryTable::erase(InodeId parent, std::string_view nam
   return true;
 }
 
-std::vector<std::string> SimulatedFileSystem::EntryTable::names(InodeId parent) const {
-  std::vector<std::string> out;
-  for (const Slot& slot : slots_) {
-    if (slot.parent == parent) out.emplace_back(name_of(slot));
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 void SimulatedFileSystem::EntryTable::grow() {
   std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
   old.swap(slots_);
@@ -107,9 +98,7 @@ void SimulatedFileSystem::EntryTable::compact_names() {
 
 // --- SimulatedFileSystem ------------------------------------------------------
 
-SimulatedFileSystem::SimulatedFileSystem() : SimulatedFileSystem(Options{}) {}
-
-SimulatedFileSystem::SimulatedFileSystem(Options options) : options_(options) {
+SimulatedFileSystem::SimulatedFileSystem() {
   record_of_.push_back(0);          // id 0: never an inode
   make_inode(FileKind::directory);  // the root, id 1
 }
@@ -117,11 +106,9 @@ SimulatedFileSystem::SimulatedFileSystem(Options options) : options_(options) {
 void SimulatedFileSystem::set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
 
 void SimulatedFileSystem::copy_from(const SimulatedFileSystem& source) {
-  options_ = source.options_;
   record_of_ = source.record_of_;
   inodes_ = source.inodes_;
   free_records_ = source.free_records_;
-  data_ = source.data_;
   entries_ = source.entries_;
   open_files_ = source.open_files_;
   first_fd_ = source.first_fd_;
@@ -139,7 +126,6 @@ InodeId SimulatedFileSystem::make_inode(FileKind kind) {
       throw std::length_error("SimulatedFileSystem: too many live inodes");
     }
     inodes_.emplace_back();
-    if (options_.store_data) data_.emplace_back();
   } else {
     record = free_records_.back();
     free_records_.pop_back();
@@ -158,7 +144,6 @@ InodeId SimulatedFileSystem::make_inode(FileKind kind) {
 void SimulatedFileSystem::add_child(InodeId dir, std::string_view name, InodeId id) {
   entries_.insert(dir, name, id);
   Inode& node = inode_ref(dir);
-  ++node.entries;
   node.size += 16 + name.size();  // UFS-style directory entry record
   node.modified_at = now();
 }
@@ -166,7 +151,6 @@ void SimulatedFileSystem::add_child(InodeId dir, std::string_view name, InodeId 
 void SimulatedFileSystem::remove_child(InodeId dir, std::string_view name) {
   if (!entries_.erase(dir, name)) return;
   Inode& node = inode_ref(dir);
-  --node.entries;
   const std::uint64_t entry = 16 + name.size();
   node.size -= std::min<std::uint64_t>(node.size, entry);
   node.modified_at = now();
@@ -192,7 +176,7 @@ Result<InodeId> SimulatedFileSystem::resolve(std::string_view path) const {
   PathWalker walk(path);
   InodeId current = 1;
   for (std::string_view piece; walk.next(piece);) {
-    if (piece.size() > options_.max_name_length) return FsStatus::name_too_long;
+    if (piece.size() > kMaxNameLength) return FsStatus::name_too_long;
     if (inode_ref(current).kind != FileKind::directory) return FsStatus::not_a_directory;
     current = entries_.find(current, piece);
     if (current == 0) return FsStatus::not_found;
@@ -220,7 +204,7 @@ Result<InodeId> SimulatedFileSystem::resolve_parent(std::string_view path,
     if (current == 0) walk_error = FsStatus::not_found;
   }
   leaf = piece;
-  if (leaf.size() > options_.max_name_length) return FsStatus::name_too_long;
+  if (leaf.size() > kMaxNameLength) return FsStatus::name_too_long;
   if (walk_error != FsStatus::ok) return walk_error;
   if (inode_ref(current).kind != FileKind::directory) return FsStatus::not_a_directory;
   return current;
@@ -235,14 +219,7 @@ void SimulatedFileSystem::maybe_collect(InodeId id) {
     record_of_[id] = 0;
     free_records_.push_back(static_cast<std::uint32_t>(record));
     --live_inodes_;
-    if (options_.store_data) std::vector<std::uint8_t>().swap(data_[record]);
   }
-}
-
-FsStatus SimulatedFileSystem::grow_check(std::uint64_t extra) const {
-  if (options_.capacity_bytes == 0) return FsStatus::ok;
-  if (bytes_in_use_ + extra > options_.capacity_bytes) return FsStatus::no_space;
-  return FsStatus::ok;
 }
 
 Result<SimulatedFileSystem::OpenFile*> SimulatedFileSystem::descriptor(Fd fd) {
@@ -265,7 +242,7 @@ Result<const SimulatedFileSystem::OpenFile*> SimulatedFileSystem::descriptor(Fd 
 
 Result<Fd> SimulatedFileSystem::open(const std::string& path, unsigned flags) {
   if ((flags & (kRead | kWrite)) == 0) return FsStatus::invalid_argument;
-  if (open_count_ >= options_.max_open_files) return FsStatus::too_many_open_files;
+  if (open_count_ >= kMaxOpenFiles) return FsStatus::too_many_open_files;
 
   InodeId target = 0;
   const Result<InodeId> found = resolve(path);
@@ -288,7 +265,6 @@ Result<Fd> SimulatedFileSystem::open(const std::string& path, unsigned flags) {
   if ((flags & kTruncate) != 0 && node.kind == FileKind::regular) {
     bytes_in_use_ -= std::min<std::uint64_t>(bytes_in_use_, node.size);
     node.size = 0;
-    if (options_.store_data) data_[record_index(target)].clear();
     node.modified_at = now();
   }
   ++node.open_count;
@@ -342,19 +318,6 @@ Result<std::uint64_t> SimulatedFileSystem::read(Fd fd, std::uint64_t count) {
   return got;
 }
 
-Result<std::vector<std::uint8_t>> SimulatedFileSystem::read_bytes(Fd fd, std::uint64_t count) {
-  if (!options_.store_data) return FsStatus::invalid_argument;
-  const auto d = descriptor(fd);
-  if (!d.ok()) return d.status();
-  const InodeId inode = d.value()->inode;
-  if (inode_ref(inode).kind == FileKind::directory) return FsStatus::is_a_directory;
-  const std::uint64_t start = d.value()->offset;
-  const Result<std::uint64_t> got = read(fd, count);
-  if (!got.ok()) return got.status();
-  const auto first = data_[record_index(inode)].begin() + static_cast<std::ptrdiff_t>(start);
-  return std::vector<std::uint8_t>(first, first + static_cast<std::ptrdiff_t>(got.value()));
-}
-
 Result<std::uint64_t> SimulatedFileSystem::write(Fd fd, std::uint64_t count) {
   const auto d = descriptor(fd);
   if (!d.ok()) return d.status();
@@ -365,47 +328,8 @@ Result<std::uint64_t> SimulatedFileSystem::write(Fd fd, std::uint64_t count) {
   if ((of.flags & kAppend) != 0) of.offset = node.size;
   const std::uint64_t end = of.offset + count;
   if (end > node.size) {
-    const FsStatus space = grow_check(end - node.size);
-    if (space != FsStatus::ok) return space;
     bytes_in_use_ += end - node.size;
     node.size = end;
-    if (options_.store_data) data_[record_index(of.inode)].resize(static_cast<std::size_t>(end), 0);
-  }
-  if (options_.store_data) {
-    std::vector<std::uint8_t>& data = data_[record_index(of.inode)];
-    for (std::uint64_t i = 0; i < count; ++i) {
-      data[static_cast<std::size_t>(of.offset + i)] =
-          static_cast<std::uint8_t>((of.offset + i) & 0xff);
-    }
-  }
-  of.offset += count;
-  ++node.write_ops;
-  node.bytes_written += count;
-  node.modified_at = now();
-  return count;
-}
-
-Result<std::uint64_t> SimulatedFileSystem::write_bytes(Fd fd,
-                                                       const std::vector<std::uint8_t>& data) {
-  const auto d = descriptor(fd);
-  if (!d.ok()) return d.status();
-  OpenFile& of = *d.value();
-  if ((of.flags & kWrite) == 0) return FsStatus::not_permitted;
-  Inode& node = inode_ref(of.inode);
-  if (node.kind == FileKind::directory) return FsStatus::is_a_directory;
-  if ((of.flags & kAppend) != 0) of.offset = node.size;
-  const std::uint64_t count = data.size();
-  const std::uint64_t end = of.offset + count;
-  if (end > node.size) {
-    const FsStatus space = grow_check(end - node.size);
-    if (space != FsStatus::ok) return space;
-    bytes_in_use_ += end - node.size;
-    node.size = end;
-    if (options_.store_data) data_[record_index(of.inode)].resize(static_cast<std::size_t>(end), 0);
-  }
-  if (options_.store_data) {
-    std::copy(data.begin(), data.end(),
-              data_[record_index(of.inode)].begin() + static_cast<std::ptrdiff_t>(of.offset));
   }
   of.offset += count;
   ++node.write_ops;
@@ -446,20 +370,6 @@ FsStatus SimulatedFileSystem::unlink(const std::string& path) {
   return FsStatus::ok;
 }
 
-FsStatus SimulatedFileSystem::link(const std::string& existing, const std::string& link_path) {
-  const Result<InodeId> found = resolve(existing);
-  if (!found.ok()) return found.status();
-  const InodeId id = found.value();
-  if (inode_ref(id).kind == FileKind::directory) return FsStatus::is_a_directory;  // as POSIX EPERM-ish
-  std::string_view leaf;
-  const Result<InodeId> parent = resolve_parent(link_path, leaf);
-  if (!parent.ok()) return parent.status();
-  if (entries_.find(parent.value(), leaf) != 0) return FsStatus::already_exists;
-  add_child(parent.value(), leaf, id);
-  ++inode_ref(id).link_count;
-  return FsStatus::ok;
-}
-
 FsStatus SimulatedFileSystem::mkdir(const std::string& path) {
   std::string_view leaf;
   const Result<InodeId> parent = resolve_parent(path, leaf);
@@ -481,61 +391,6 @@ FsStatus SimulatedFileSystem::mkdir_recursive(const std::string& path) {
     if (st == FsStatus::ok || st == FsStatus::already_exists) continue;
     return st;
   }
-  return FsStatus::ok;
-}
-
-FsStatus SimulatedFileSystem::rmdir(const std::string& path) {
-  std::string_view leaf;
-  const Result<InodeId> parent = resolve_parent(path, leaf);
-  if (!parent.ok()) return parent.status();
-  const InodeId id = entries_.find(parent.value(), leaf);
-  if (id == 0) return FsStatus::not_found;
-  const Inode& node = inode_ref(id);
-  if (node.kind != FileKind::directory) return FsStatus::not_a_directory;
-  if (node.entries != 0) return FsStatus::directory_not_empty;
-  remove_child(parent.value(), leaf);
-  --inode_ref(id).link_count;
-  maybe_collect(id);
-  return FsStatus::ok;
-}
-
-FsStatus SimulatedFileSystem::rename(const std::string& from, const std::string& to) {
-  std::string_view from_leaf;
-  const Result<InodeId> from_parent = resolve_parent(from, from_leaf);
-  if (!from_parent.ok()) return from_parent.status();
-  const InodeId moving = entries_.find(from_parent.value(), from_leaf);
-  if (moving == 0) return FsStatus::not_found;
-  const bool moving_dir = inode_ref(moving).kind == FileKind::directory;
-
-  // A directory must not be moved into its own subtree: `to`'s components
-  // must not start with all of `from`'s.
-  if (moving_dir) {
-    PathWalker from_walk(from);
-    PathWalker to_walk(to);
-    bool inside = true;
-    for (std::string_view a, b; inside && from_walk.next(a);) inside = to_walk.next(b) && a == b;
-    if (inside) return FsStatus::invalid_argument;
-  }
-
-  std::string_view to_leaf;
-  const Result<InodeId> to_parent = resolve_parent(to, to_leaf);
-  if (!to_parent.ok()) return to_parent.status();
-  const InodeId replaced = entries_.find(to_parent.value(), to_leaf);
-  if (replaced != 0) {
-    if (replaced == moving) return FsStatus::ok;  // rename onto itself
-    const Inode& target = inode_ref(replaced);
-    if (target.kind == FileKind::directory) {
-      if (target.entries != 0) return FsStatus::directory_not_empty;
-      if (!moving_dir) return FsStatus::is_a_directory;
-    } else if (moving_dir) {
-      return FsStatus::not_a_directory;
-    }
-    remove_child(to_parent.value(), to_leaf);
-    --inode_ref(replaced).link_count;
-    maybe_collect(replaced);
-  }
-  remove_child(from_parent.value(), from_leaf);
-  add_child(to_parent.value(), to_leaf, moving);
   return FsStatus::ok;
 }
 
@@ -566,31 +421,6 @@ Result<FileStat> SimulatedFileSystem::fstat(Fd fd) const {
   const auto d = descriptor(fd);
   if (!d.ok()) return d.status();
   return stat_of(d.value()->inode);
-}
-
-FsStatus SimulatedFileSystem::truncate(const std::string& path, std::uint64_t size) {
-  const Result<InodeId> found = resolve(path);
-  if (!found.ok()) return found.status();
-  Inode& node = inode_ref(found.value());
-  if (node.kind == FileKind::directory) return FsStatus::is_a_directory;
-  if (size > node.size) {
-    const FsStatus space = grow_check(size - node.size);
-    if (space != FsStatus::ok) return space;
-    bytes_in_use_ += size - node.size;
-  } else {
-    bytes_in_use_ -= node.size - size;
-  }
-  node.size = size;
-  if (options_.store_data) data_[record_index(found.value())].resize(static_cast<std::size_t>(size), 0);
-  node.modified_at = now();
-  return FsStatus::ok;
-}
-
-Result<std::vector<std::string>> SimulatedFileSystem::readdir(const std::string& path) const {
-  const Result<InodeId> found = resolve(path);
-  if (!found.ok()) return found.status();
-  if (inode_ref(found.value()).kind != FileKind::directory) return FsStatus::not_a_directory;
-  return entries_.names(found.value());
 }
 
 bool SimulatedFileSystem::exists(const std::string& path) const { return resolve(path).ok(); }

@@ -70,22 +70,12 @@ enum class Seek { set, cur, end };
 /// happens*, the models answer *how long it takes*.
 class SimulatedFileSystem {
  public:
-  struct Options {
-    /// When true, file contents are stored and verified (tests); when false
-    /// only sizes are tracked, keeping big experiments cheap.
-    bool store_data = false;
-    /// Total byte capacity (0 = unlimited).
-    std::uint64_t capacity_bytes = 0;
-    /// Max simultaneously open descriptors.
-    std::size_t max_open_files = 4096;
-    /// Max length of a single path component.
-    std::size_t max_name_length = 255;
-
-    bool operator==(const Options&) const = default;
-  };
+  /// Max simultaneously open descriptors.
+  static constexpr std::size_t kMaxOpenFiles = 4096;
+  /// Max length of a single path component.
+  static constexpr std::size_t kMaxNameLength = 255;
 
   SimulatedFileSystem();
-  explicit SimulatedFileSystem(Options options);
 
   /// Supplies a simulated-clock source for inode timestamps (defaults to 0).
   void set_clock(std::function<double()> clock);
@@ -93,7 +83,7 @@ class SimulatedFileSystem {
   // --- system-call surface -------------------------------------------------
 
   /// Opens a file.  kCreate creates missing regular files; opening a
-  /// directory is allowed read-only (for readdir-style traversal).
+  /// directory is allowed read-only.
   Result<Fd> open(const std::string& path, unsigned flags);
 
   /// creat(2): open with kWrite|kCreate|kTruncate.
@@ -106,15 +96,9 @@ class SimulatedFileSystem {
   /// actually read (truncated at EOF) and advances the offset.
   Result<std::uint64_t> read(Fd fd, std::uint64_t count);
 
-  /// Reads and returns stored bytes (requires store_data).
-  Result<std::vector<std::uint8_t>> read_bytes(Fd fd, std::uint64_t count);
-
   /// Writes `count` synthetic bytes at the offset, growing the file as
   /// needed; returns bytes written and advances the offset.
   Result<std::uint64_t> write(Fd fd, std::uint64_t count);
-
-  /// Writes real bytes (stored when store_data is on).
-  Result<std::uint64_t> write_bytes(Fd fd, const std::vector<std::uint8_t>& data);
 
   /// Repositions the descriptor offset; returns the new offset.
   Result<std::uint64_t> lseek(Fd fd, std::int64_t offset, Seek whence);
@@ -122,21 +106,11 @@ class SimulatedFileSystem {
   /// Removes a directory entry; the inode survives while still open.
   FsStatus unlink(const std::string& path);
 
-  /// link(2): creates a second directory entry for an existing regular file.
-  FsStatus link(const std::string& existing, const std::string& link_path);
-
   /// Creates a directory (parents must exist).
   FsStatus mkdir(const std::string& path);
 
   /// Creates all missing ancestors then the directory itself.
   FsStatus mkdir_recursive(const std::string& path);
-
-  /// Removes an empty directory.
-  FsStatus rmdir(const std::string& path);
-
-  /// Renames/moves a file or directory.  Refuses to move a directory into
-  /// its own subtree.
-  FsStatus rename(const std::string& from, const std::string& to);
 
   /// Metadata by path.
   Result<FileStat> stat(const std::string& path) const;
@@ -144,20 +118,14 @@ class SimulatedFileSystem {
   /// Metadata by descriptor.
   Result<FileStat> fstat(Fd fd) const;
 
-  /// Truncates (or zero-extends) a file to `size`.
-  FsStatus truncate(const std::string& path, std::uint64_t size);
-
-  /// Names in a directory, sorted.
-  Result<std::vector<std::string>> readdir(const std::string& path) const;
-
   /// True when the path resolves.
   bool exists(const std::string& path) const;
 
   /// Current descriptor offset (for tests).
   Result<std::uint64_t> tell(Fd fd) const;
 
-  /// Replaces this file system's inodes, entries, descriptors and options
-  /// with `source`'s, keeping this one's clock: a snapshot copies in a few
+  /// Replaces this file system's inodes, entries and descriptors with
+  /// `source`'s, keeping this one's clock: a snapshot copies in a few
   /// flat-table copies (the FSC copies its shared /system tree this way).
   void copy_from(const SimulatedFileSystem& source);
 
@@ -168,7 +136,6 @@ class SimulatedFileSystem {
   std::size_t directory_count() const;
   std::size_t open_descriptor_count() const { return open_count_; }
   std::size_t inode_count() const { return live_inodes_; }
-  const Options& options() const { return options_; }
 
  private:
   /// One inode record.  Records are reused once collected; ids are not.
@@ -183,7 +150,6 @@ class SimulatedFileSystem {
     double accessed_at = 0.0;
     std::uint32_t link_count = 0;
     std::uint32_t open_count = 0;
-    std::uint32_t entries = 0;  ///< a directory's children
     FileKind kind = FileKind::regular;
     bool live = false;
   };
@@ -207,8 +173,6 @@ class SimulatedFileSystem {
     void insert(InodeId parent, std::string_view name, InodeId child);
     /// Removes an entry; returns false when it was absent.
     bool erase(InodeId parent, std::string_view name);
-    /// The names in `parent`, sorted.
-    std::vector<std::string> names(InodeId parent) const;
 
    private:
     struct Slot {
@@ -249,19 +213,16 @@ class SimulatedFileSystem {
   /// The directory holding the path's last component, which `leaf` views.
   Result<InodeId> resolve_parent(std::string_view path, std::string_view& leaf) const;
   void maybe_collect(InodeId id);
-  FsStatus grow_check(std::uint64_t extra) const;
   Result<OpenFile*> descriptor(Fd fd);
   Result<const OpenFile*> descriptor(Fd fd) const;
 
-  Options options_;
   std::function<double()> clock_;
   // Inode ids are handed out in order and never reused: record_of_[id] is
   // 1 + the index of the inode's record in inodes_, or 0 (a 4-byte
   // tombstone) for id 0 and for a collected inode.  The root is id 1.
   std::vector<std::uint32_t> record_of_;
   std::vector<Inode> inodes_;
-  std::vector<std::uint32_t> free_records_;      // indices of collected records
-  std::vector<std::vector<std::uint8_t>> data_;  // parallel to inodes_; only with store_data
+  std::vector<std::uint32_t> free_records_;  // indices of collected records
   EntryTable entries_;
   // Fds are handed out in order from 3 (mimicking stdin/stdout/stderr being
   // taken): open_files_[fd - first_fd_].  The closed descriptors before

@@ -16,17 +16,4 @@ std::vector<UserRange> partition_users(std::size_t num_users, std::size_t shards
   return out;
 }
 
-std::size_t shard_of_user(std::size_t user, std::size_t num_users, std::size_t shards) {
-  if (shards == 0) throw std::invalid_argument("shard_of_user: need >= 1 shard");
-  if (user >= num_users) throw std::out_of_range("shard_of_user: user out of range");
-  // shard s owns user u iff floor(s*N/K) <= u < floor((s+1)*N/K); a local
-  // scan from the direct estimate is simplest and exact.  (user < num_users
-  // holds here, so num_users >= 1.)
-  std::size_t s = shards * user / num_users;
-  if (s >= shards) s = shards - 1;
-  while (s > 0 && user < s * num_users / shards) --s;
-  while (s + 1 < shards && user >= (s + 1) * num_users / shards) ++s;
-  return s;
-}
-
 }  // namespace wlgen::runner

@@ -30,7 +30,4 @@ struct UserRange {
 /// shard indices remain stable.
 std::vector<UserRange> partition_users(std::size_t num_users, std::size_t shards);
 
-/// Inverse of the rule: which shard owns `user` under (num_users, shards).
-std::size_t shard_of_user(std::size_t user, std::size_t num_users, std::size_t shards);
-
 }  // namespace wlgen::runner

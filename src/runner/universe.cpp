@@ -23,7 +23,7 @@ void WorkloadConfig::resolve() {
   }
   core::FscConfig layout = fsc;
   layout.seed = seed;
-  if (!system_tree || !system_tree->matches(layout, profiles, {})) {
+  if (!system_tree || !system_tree->matches(layout, profiles)) {
     system_tree = std::make_shared<const core::SystemTree>(layout, profiles);
   }
 }
@@ -47,8 +47,8 @@ UniverseRun run_universe(sim::Simulation& sim, const WorkloadConfig& config,
   fsc_config.seed = usim.seed;
   std::optional<core::SystemTree> own_tree;
   const core::SystemTree* tree = config.system_tree.get();
-  if (tree == nullptr || !tree->matches(fsc_config, config.profiles, fsys.options())) {
-    tree = &own_tree.emplace(fsc_config, config.profiles, fsys.options());
+  if (tree == nullptr || !tree->matches(fsc_config, config.profiles)) {
+    tree = &own_tree.emplace(fsc_config, config.profiles);
   }
   core::FileSystemCreator fsc(fsys, config.profiles, fsc_config);
   const core::CreatedFileSystem manifest = fsc.create(*tree);

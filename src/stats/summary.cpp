@@ -65,12 +65,6 @@ std::string RunningSummary::mean_std_string(int precision) const {
   return buf;
 }
 
-RunningSummary summarize(const std::vector<double>& data) {
-  RunningSummary s;
-  for (double v : data) s.add(v);
-  return s;
-}
-
 namespace {
 
 /// Two-sided Student-t critical values t_{df, 1-alpha/2} for df 1..30, then
@@ -129,17 +123,6 @@ MeanCi mean_confidence_interval(const std::vector<double>& data, double confiden
   out.half_width = t_critical(confidence, out.n - 1) *
                    std::sqrt(sample_var / static_cast<double>(out.n));
   return out;
-}
-
-double percentile(std::vector<double> data, double p) {
-  if (data.empty()) throw std::invalid_argument("percentile: empty data");
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p outside [0,100]");
-  std::sort(data.begin(), data.end());
-  const double pos = p / 100.0 * static_cast<double>(data.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  if (lo + 1 >= data.size()) return data.back();
-  const double t = pos - static_cast<double>(lo);
-  return data[lo] + t * (data[lo + 1] - data[lo]);
 }
 
 }  // namespace wlgen::stats

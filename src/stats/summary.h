@@ -38,9 +38,6 @@ class RunningSummary {
   double max_ = 0.0;
 };
 
-/// Convenience: summary of a whole vector.
-RunningSummary summarize(const std::vector<double>& data);
-
 /// A cross-replication point estimate: sample mean of n independent
 /// replication results with a symmetric two-sided confidence half-width.
 /// This is what the contended runner reports per sweep point (the response
@@ -62,9 +59,5 @@ struct MeanCi {
 /// RunningSummary::variance which is the population form.  Throws
 /// std::invalid_argument on empty data or an unsupported confidence level.
 MeanCi mean_confidence_interval(const std::vector<double>& data, double confidence = 0.95);
-
-/// p-th percentile (p in [0,100]) by order-statistic interpolation.
-/// Throws on empty data.
-double percentile(std::vector<double> data, double p);
 
 }  // namespace wlgen::stats

@@ -75,26 +75,4 @@ std::string ascii_function(const std::function<double(double)>& f, double lo, do
   return ascii_curve(xs, ys, options);
 }
 
-std::string ascii_histogram(const std::vector<double>& edges, const std::vector<double>& counts,
-                            const PlotOptions& options) {
-  if (edges.size() != counts.size() + 1 || counts.empty()) {
-    throw std::invalid_argument("ascii_histogram: edges must have counts.size()+1 entries");
-  }
-  const int w = std::max(8, options.width);
-  double max_count = 0.0;
-  for (double c : counts) max_count = std::max(max_count, c);
-  if (max_count <= 0.0) max_count = 1.0;
-
-  std::ostringstream out;
-  if (!options.title.empty()) out << options.title << "\n";
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const int bar = static_cast<int>(std::lround(counts[i] / max_count * w));
-    char label[64];
-    std::snprintf(label, sizeof label, "[%10.4g, %10.4g)", edges[i], edges[i + 1]);
-    out << label << " |" << std::string(static_cast<std::size_t>(std::max(0, bar)), '#');
-    out << " " << format_number(counts[i]) << "\n";
-  }
-  return out.str();
-}
-
 }  // namespace wlgen::util

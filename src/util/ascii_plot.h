@@ -28,9 +28,4 @@ std::string ascii_curve(const std::vector<double>& xs, const std::vector<double>
 std::string ascii_function(const std::function<double(double)>& f, double lo, double hi,
                            std::size_t samples, const PlotOptions& options = {});
 
-/// Renders bin counts as a horizontal bar histogram, one bin per line.
-/// `edges` has bins+1 entries.
-std::string ascii_histogram(const std::vector<double>& edges, const std::vector<double>& counts,
-                            const PlotOptions& options = {});
-
 }  // namespace wlgen::util

@@ -21,29 +21,6 @@ double simpson(const std::function<double(double)>& f, double a, double b, std::
   return sum * h / 3.0;
 }
 
-double simpson_tabulated(const std::vector<double>& values, double dx) {
-  if (values.size() < 2) return 0.0;
-  if (dx <= 0.0) throw std::invalid_argument("simpson_tabulated: dx must be > 0");
-  const std::size_t n = values.size();
-  // Composite Simpson needs an odd number of points; if even, integrate the
-  // last interval with the trapezoid rule.
-  std::size_t simpson_points = (n % 2 == 1) ? n : n - 1;
-  double sum = 0.0;
-  if (simpson_points >= 3) {
-    sum += values.front() + values[simpson_points - 1];
-    for (std::size_t i = 1; i + 1 < simpson_points; ++i) {
-      sum += values[i] * (i % 2 == 0 ? 2.0 : 4.0);
-    }
-    sum *= dx / 3.0;
-  } else {
-    simpson_points = 1;
-  }
-  if (simpson_points < n) {
-    sum += 0.5 * dx * (values[n - 2] + values[n - 1]);
-  }
-  return sum;
-}
-
 double log_gamma(double x) {
   if (x <= 0.0) throw std::invalid_argument("log_gamma: x must be > 0");
   return std::lgamma(x);
@@ -97,47 +74,6 @@ double regularized_gamma_p(double a, double x) {
   if (x == 0.0) return 0.0;
   if (x < a + 1.0) return gamma_p_series(a, x);
   return 1.0 - gamma_q_contfrac(a, x);
-}
-
-double interp_linear(const std::vector<double>& xs, const std::vector<double>& ys, double x) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("interp_linear: need matching tables of size >= 2");
-  }
-  if (x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const std::size_t hi = static_cast<std::size_t>(it - xs.begin());
-  const std::size_t lo = hi - 1;
-  const double span = xs[hi] - xs[lo];
-  if (span <= 0.0) return ys[lo];
-  const double t = (x - xs[lo]) / span;
-  return ys[lo] + t * (ys[hi] - ys[lo]);
-}
-
-double interp_inverse(const std::vector<double>& xs, const std::vector<double>& ys, double y) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("interp_inverse: need matching tables of size >= 2");
-  }
-  if (y <= ys.front()) return xs.front();
-  if (y >= ys.back()) return xs.back();
-  // ys is non-decreasing; find the first index with ys[i] >= y.
-  const auto it = std::lower_bound(ys.begin(), ys.end(), y);
-  std::size_t hi = static_cast<std::size_t>(it - ys.begin());
-  if (hi == 0) return xs.front();
-  const std::size_t lo = hi - 1;
-  const double span = ys[hi] - ys[lo];
-  if (span <= 0.0) return xs[hi];
-  const double t = (y - ys[lo]) / span;
-  return xs[lo] + t * (xs[hi] - xs[lo]);
-}
-
-std::vector<double> linspace(double a, double b, std::size_t n) {
-  if (n < 2) throw std::invalid_argument("linspace: n must be >= 2");
-  std::vector<double> out(n);
-  const double step = (b - a) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i) out[i] = a + step * static_cast<double>(i);
-  out.back() = b;
-  return out;
 }
 
 bool approx_equal(double a, double b, double tol) {

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 namespace wlgen::util {
 
@@ -13,11 +12,6 @@ namespace wlgen::util {
 /// into CDF tables (paper section 4.1.1).
 double simpson(const std::function<double(double)>& f, double a, double b, std::size_t n);
 
-/// Integrates a tabulated function given at equally spaced points using the
-/// composite Simpson rule (odd point counts) with a trapezoid correction for
-/// the final interval when the point count is even.
-double simpson_tabulated(const std::vector<double>& values, double dx);
-
 /// Regularised lower incomplete gamma function P(a, x) = gamma(a, x) / Gamma(a).
 /// Uses the series expansion for x < a + 1 and the continued fraction
 /// otherwise; accurate to ~1e-12 for a in (0, 1e6).
@@ -25,17 +19,6 @@ double regularized_gamma_p(double a, double x);
 
 /// log Gamma(x) for x > 0 (Lanczos approximation).
 double log_gamma(double x);
-
-/// Linear interpolation of y(x) on the tabulated grid xs -> ys.
-/// xs must be strictly increasing; values outside the grid are clamped.
-double interp_linear(const std::vector<double>& xs, const std::vector<double>& ys, double x);
-
-/// Inverse interpolation: given a non-decreasing table ys over grid xs,
-/// returns the x with y(x) ~= y (clamped to the table range).
-double interp_inverse(const std::vector<double>& xs, const std::vector<double>& ys, double y);
-
-/// Returns n equally spaced points covering [a, b] inclusive (n >= 2).
-std::vector<double> linspace(double a, double b, std::size_t n);
 
 /// True when |a - b| <= tol * max(1, |a|, |b|).
 bool approx_equal(double a, double b, double tol = 1e-9);

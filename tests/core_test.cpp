@@ -18,7 +18,6 @@
 #include "core/usage_log.h"
 #include "core/workload.h"
 #include "dist/basic.h"
-#include "stats/tests.h"
 
 namespace wlgen::core {
 namespace {
@@ -206,37 +205,6 @@ TEST(Spec, SpecifierEmitsCdfTables) {
   const auto table = gds.cdf_table("x", 128);
   EXPECT_EQ(table.size(), 128u);
   EXPECT_NEAR(table.quantile(0.5), 100.0 * std::log(2.0), 3.0);
-}
-
-TEST(Spec, SpecifierFitsFamilies) {
-  util::RngStream rng(11, "fit");
-  std::vector<double> data;
-  for (int i = 0; i < 3000; ++i) data.push_back(rng.exponential(50.0));
-  DistributionSpecifier gds;
-  const auto fitted =
-      gds.fit("fitted", data, DistributionSpecifier::Family::exponential);
-  EXPECT_NEAR(fitted->mean(), 50.0, 4.0);
-  EXPECT_TRUE(gds.contains("fitted"));
-  EXPECT_NO_THROW(gds.fit("p", data, DistributionSpecifier::Family::phase_exponential, 2));
-  EXPECT_NO_THROW(gds.fit("g", data, DistributionSpecifier::Family::multistage_gamma, 2));
-}
-
-TEST(Spec, MixtureFamiliesFitABimodalSampleBetterThanOneExponential) {
-  // The GDS's reason to carry the paper's mixture families: small config
-  // files plus occasional big documents, the bimodal shape real file-size
-  // traces show.  One exponential cannot express the two modes.
-  util::RngStream rng(2026, "fit-example");
-  std::vector<double> sizes;
-  for (int i = 0; i < 3000; ++i) sizes.push_back(rng.exponential(900.0));
-  for (int i = 0; i < 1200; ++i) sizes.push_back(15000.0 + rng.gamma(2.0, 6000.0));
-
-  DistributionSpecifier gds;
-  const auto ks_p = [&](DistributionSpecifier::Family family) {
-    return stats::ks_test(sizes, *gds.fit("fit", sizes, family, 2)).p_value;
-  };
-  const double exp_p = ks_p(DistributionSpecifier::Family::exponential);
-  EXPECT_LT(exp_p, ks_p(DistributionSpecifier::Family::phase_exponential));
-  EXPECT_LT(exp_p, ks_p(DistributionSpecifier::Family::multistage_gamma));
 }
 
 TEST(Spec, SpecifierSerializeReloads) {

@@ -1,6 +1,6 @@
 // Unit and property tests for src/dist: every distribution family must have
 // a consistent pdf/cdf/mean/variance/quantile/sample contract; CDF tables
-// and fitting are validated against known inputs.
+// are validated against known inputs.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "dist/basic.h"
 #include "dist/cdf_table.h"
-#include "dist/fitting.h"
 #include "dist/multistage_gamma.h"
 #include "dist/phase_exponential.h"
 #include "dist/tabulated.h"
@@ -37,7 +36,7 @@ struct Zoo {
 std::vector<std::string> zoo_names() {
   return {"exponential", "shifted_exponential", "uniform",      "phase_exp_1",
           "phase_exp_3",  "gamma_1",             "gamma_3",      "tab_pdf",
-          "tab_cdf",      "empirical"};
+          "tab_cdf"};
 }
 
 DistributionPtr make_zoo(const std::string& name) {
@@ -63,12 +62,6 @@ DistributionPtr make_zoo(const std::string& name) {
   if (name == "tab_cdf") {
     return std::make_unique<TabulatedCdf>(std::vector<double>{0, 5, 15, 40},
                                           std::vector<double>{0.0, 0.3, 0.8, 1.0});
-  }
-  if (name == "empirical") {
-    std::vector<double> data;
-    util::RngStream rng(3, "zoo");
-    for (int i = 0; i < 500; ++i) data.push_back(rng.exponential(20.0));
-    return std::make_unique<EmpiricalDistribution>(std::move(data));
   }
   throw std::logic_error("unknown zoo member " + name);
 }
@@ -108,10 +101,7 @@ TEST_P(DistributionContract, PdfIntegratesToOne) {
   if (!std::isfinite(hi)) hi = d->quantile(1.0 - 1e-7);
   const double mass =
       util::simpson([&](double x) { return d->pdf(x); }, lo, hi, 20000);
-  // The empirical pdf is a boundary-clipped finite-difference estimate; give
-  // it a looser budget than the closed-form families.
-  const double tolerance = GetParam() == "empirical" ? 0.05 : 0.02;
-  EXPECT_NEAR(mass, 1.0, tolerance) << d->describe();
+  EXPECT_NEAR(mass, 1.0, 0.02) << d->describe();
 }
 
 TEST_P(DistributionContract, QuantileInvertsCdf) {
@@ -277,16 +267,6 @@ TEST(TabulatedCdf, RescalesToUnitRange) {
   EXPECT_NEAR(d.cdf(1.0), 0.5, 1e-12);
 }
 
-TEST(Empirical, MatchesDataMoments) {
-  std::vector<double> data = {1.0, 2.0, 3.0, 4.0};
-  EmpiricalDistribution d(data);
-  EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(d.variance(), 1.25);
-  EXPECT_DOUBLE_EQ(d.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(d.quantile(1.0), 4.0);
-  EXPECT_DOUBLE_EQ(d.quantile(0.5), 2.5);
-}
-
 TEST(CdfTableClass, RoundTripsSerialization) {
   ExponentialDistribution d(100.0);
   const CdfTable table = build_cdf_table(d, 64);
@@ -394,96 +374,6 @@ TEST(CdfTableClass, RejectsDegenerateTables) {
   EXPECT_THROW(CdfTable({1.0, 0.0}, {0.0, 1.0}), std::invalid_argument);
   EXPECT_THROW(build_cdf_table(ExponentialDistribution(10.0), 1), std::invalid_argument);
 }
-
-// ---------------------------------------------------------------------------
-// Fitting.
-// ---------------------------------------------------------------------------
-
-TEST(Kmeans, SeparatesWellSeparatedClusters) {
-  std::vector<double> data;
-  for (int i = 0; i < 50; ++i) data.push_back(1.0 + 0.01 * i);
-  for (int i = 0; i < 50; ++i) data.push_back(100.0 + 0.01 * i);
-  const Clustering c = kmeans_1d(data, 2);
-  ASSERT_EQ(c.centroids.size(), 2u);
-  EXPECT_NEAR(c.centroids[0], 1.25, 0.3);
-  EXPECT_NEAR(c.centroids[1], 100.25, 0.3);
-  EXPECT_EQ(c.groups[0].size(), 50u);
-  EXPECT_EQ(c.groups[1].size(), 50u);
-}
-
-TEST(Kmeans, ClampsK) {
-  const Clustering c = kmeans_1d({1.0, 2.0}, 10);
-  EXPECT_LE(c.centroids.size(), 2u);
-}
-
-TEST(Fitting, ExponentialMomentMatch) {
-  auto rng = test_rng();
-  std::vector<double> data;
-  for (int i = 0; i < 20000; ++i) data.push_back(rng.exponential(42.0));
-  const auto fit = fit_exponential(data);
-  EXPECT_NEAR(fit.mean(), 42.0, 2.0);
-}
-
-TEST(Fitting, PhaseExponentialRecoversTwoSeparatedPhases) {
-  auto rng = test_rng();
-  std::vector<double> data;
-  for (int i = 0; i < 4000; ++i) data.push_back(rng.exponential(5.0));
-  for (int i = 0; i < 4000; ++i) data.push_back(200.0 + rng.exponential(10.0));
-  const auto fit = fit_phase_exponential(data, 2);
-  ASSERT_EQ(fit.phases().size(), 2u);
-  EXPECT_NEAR(fit.phases()[0].weight, 0.5, 0.05);
-  EXPECT_NEAR(fit.mean(), (5.0 + 210.0) / 2.0, 6.0);
-}
-
-TEST(Fitting, MultistageGammaMatchesMoments) {
-  auto rng = test_rng();
-  std::vector<double> data;
-  for (int i = 0; i < 8000; ++i) data.push_back(rng.gamma(3.0, 7.0));
-  const auto fit = fit_multistage_gamma(data, 1);
-  EXPECT_NEAR(fit.mean(), 21.0, 1.5);
-  EXPECT_NEAR(fit.stddev(), std::sqrt(3.0) * 7.0, 2.0);
-}
-
-TEST(Fitting, BestFitPrefersMixtureForBimodalData) {
-  auto rng = test_rng();
-  std::vector<double> data;
-  for (int i = 0; i < 2000; ++i) data.push_back(rng.exponential(5.0));
-  for (int i = 0; i < 2000; ++i) data.push_back(300.0 + rng.exponential(20.0));
-  const BestFit best = fit_best(data, 2);
-  ASSERT_TRUE(best.distribution != nullptr);
-  EXPECT_NE(best.family, "exponential") << best.family;
-  EXPECT_LT(best.ks_statistic, 0.05);
-  // And the winner must beat a single exponential decisively.
-  const auto single = fit_exponential(data);
-  double single_d = 0.0;
-  {
-    std::vector<double> sorted = data;
-    std::sort(sorted.begin(), sorted.end());
-    const double n = static_cast<double>(sorted.size());
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      single_d = std::max(single_d,
-                          std::fabs(single.cdf(sorted[i]) - static_cast<double>(i + 1) / n));
-    }
-  }
-  EXPECT_LT(best.ks_statistic, single_d / 3.0);
-}
-
-TEST(Fitting, BestFitHandlesUnimodalData) {
-  auto rng = test_rng();
-  std::vector<double> data;
-  for (int i = 0; i < 3000; ++i) data.push_back(rng.exponential(40.0));
-  const BestFit best = fit_best(data, 2);
-  EXPECT_LT(best.ks_statistic, 0.03);
-  EXPECT_NEAR(best.distribution->mean(), 40.0, 4.0);
-}
-
-TEST(Fitting, RejectsEmptyData) {
-  EXPECT_THROW(fit_exponential({}), std::invalid_argument);
-  EXPECT_THROW(fit_phase_exponential({}, 2), std::invalid_argument);
-  EXPECT_THROW(fit_multistage_gamma({}, 2), std::invalid_argument);
-  EXPECT_THROW(kmeans_1d({}, 2), std::invalid_argument);
-}
-
 
 // The golden digests hold bits that libm computes: the samplers' log1p,
 // exp, pow and lgamma.  A libm that rounds one of these differently moves

@@ -54,18 +54,6 @@ TEST(Partition, CoversDisjointAndBalanced) {
   }
 }
 
-TEST(Partition, ShardOfUserInvertsTheRule) {
-  for (std::size_t users : {1u, 9u, 64u}) {
-    for (std::size_t shards : {1u, 4u, 7u}) {
-      const auto ranges = partition_users(users, shards);
-      for (std::size_t u = 0; u < users; ++u) {
-        const std::size_t s = shard_of_user(u, users, shards);
-        EXPECT_TRUE(ranges[s].contains(u)) << "user " << u << " shard " << s;
-      }
-    }
-  }
-}
-
 TEST(Partition, MoreShardsThanUsersYieldsEmptyShards) {
   // Note the empty shards are interleaved by the floor rule, not trailing.
   const auto ranges = partition_users(2, 5);

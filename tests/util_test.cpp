@@ -166,23 +166,6 @@ TEST(Numeric, SimpsonEmptyInterval) {
   EXPECT_DOUBLE_EQ(simpson([](double) { return 1.0; }, 2.0, 2.0, 10), 0.0);
 }
 
-TEST(Numeric, SimpsonTabulatedMatchesFunctional) {
-  std::vector<double> values;
-  const std::size_t n = 101;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = static_cast<double>(i) / 100.0;
-    values.push_back(std::exp(-x));
-  }
-  const double got = simpson_tabulated(values, 0.01);
-  EXPECT_NEAR(got, 1.0 - std::exp(-1.0), 1e-8);
-}
-
-TEST(Numeric, SimpsonTabulatedEvenPointCount) {
-  // 4 points: Simpson over 3 + trapezoid correction for the tail interval.
-  std::vector<double> values = {0.0, 1.0, 2.0, 3.0};
-  EXPECT_NEAR(simpson_tabulated(values, 1.0), 4.5, 1e-12);
-}
-
 TEST(Numeric, RegularizedGammaPKnownValues) {
   // P(1, x) = 1 - e^-x.
   EXPECT_NEAR(regularized_gamma_p(1.0, 1.0), 1.0 - std::exp(-1.0), 1e-12);
@@ -201,45 +184,13 @@ TEST(Numeric, RegularizedGammaPMonotone) {
   EXPECT_NEAR(prev, 1.0, 1e-6);
 }
 
-TEST(Numeric, InterpLinearInterpolatesAndClamps) {
-  std::vector<double> xs = {0.0, 1.0, 2.0};
-  std::vector<double> ys = {0.0, 10.0, 40.0};
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, 0.5), 5.0);
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, 1.5), 25.0);
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, -1.0), 0.0);
-  EXPECT_DOUBLE_EQ(interp_linear(xs, ys, 9.0), 40.0);
-}
-
-TEST(Numeric, InterpInverseRoundTrips) {
-  std::vector<double> xs = {0.0, 1.0, 2.0, 3.0};
-  std::vector<double> ys = {0.0, 0.2, 0.7, 1.0};
-  for (double y : {0.0, 0.1, 0.2, 0.5, 0.9, 1.0}) {
-    const double x = interp_inverse(xs, ys, y);
-    EXPECT_NEAR(interp_linear(xs, ys, x), y, 1e-12);
-  }
-}
-
-TEST(Numeric, LinspaceEndpoints) {
-  const auto v = linspace(1.0, 3.0, 5);
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_DOUBLE_EQ(v.front(), 1.0);
-  EXPECT_DOUBLE_EQ(v.back(), 3.0);
-  EXPECT_DOUBLE_EQ(v[2], 2.0);
-}
-
 TEST(AsciiPlot, CurveContainsMarks) {
   const auto plot = ascii_curve({0, 1, 2}, {0, 1, 0});
   EXPECT_NE(plot.find('*'), std::string::npos);
 }
 
-TEST(AsciiPlot, HistogramBarsScale) {
-  const auto plot = ascii_histogram({0, 1, 2}, {1, 10});
-  EXPECT_NE(plot.find('#'), std::string::npos);
-}
-
 TEST(AsciiPlot, RejectsMismatchedInput) {
   EXPECT_THROW(ascii_curve({0, 1}, {0}), std::invalid_argument);
-  EXPECT_THROW(ascii_histogram({0, 1}, {1, 2}), std::invalid_argument);
 }
 
 TEST(Svg, PlotProducesDocument) {
