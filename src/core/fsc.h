@@ -86,10 +86,10 @@ struct FscConfig {
 /// The shared part of an FSC layout: the /system tree (its NOTES and OTHER
 /// files, from the "fsc/system" stream) and the empty /users directory,
 /// with the system files' manifest entries.  It depends only on the seed,
-/// system_files, system_subdirs and the profiles, so every universe of a run copies one tree instead of rebuilding it (see
-/// DESIGN.md "Logical file system and the FSC layout").  Built on a fresh
-/// file system with no clock: its timestamps read 0, the time an FSC
-/// layout is built at.
+/// system_files, system_subdirs and the profiles, so every universe of a
+/// run copies one tree instead of rebuilding it (see DESIGN.md "Logical
+/// file system and the FSC layout").  Built on a fresh file system with no
+/// clock: its timestamps read 0, the time an FSC layout is built at.
 class SystemTree {
  public:
   /// Builds the tree.  Throws like FileSystemCreator::create.

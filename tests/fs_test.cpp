@@ -290,12 +290,12 @@ struct Digest {
   void add_time(double t) { add(static_cast<std::uint64_t>(t * 1000.0)); }
 };
 
-/// The names a random path is made of; the last one comes from the caller
-/// and is meant to exceed the name limit.
+/// The short names a random path is made of.
 constexpr const char* kNames[] = {"a", "b", "c", "dd"};
 
-/// A random path over a small namespace, spelled with the lexical detours
-/// PathWalker folds away: "//", "." and "<name>/..".
+/// A random path over kNames and `long_name` (meant to exceed the name
+/// limit), spelled with the lexical detours PathWalker folds away: "//",
+/// "." and "<name>/..".
 std::string random_path(util::RngStream& rng, const std::string& long_name) {
   const auto pick = [&rng](std::int64_t n) { return rng.uniform_int(0, n - 1); };
   std::string path;
