@@ -115,7 +115,6 @@ void SimulatedFileSystem::copy_from(const SimulatedFileSystem& source) {
   open_front_ = source.open_front_;
   open_count_ = source.open_count_;
   live_inodes_ = source.live_inodes_;
-  bytes_in_use_ = source.bytes_in_use_;
 }
 
 InodeId SimulatedFileSystem::make_inode(FileKind kind) {
@@ -214,7 +213,6 @@ void SimulatedFileSystem::maybe_collect(InodeId id) {
   const std::size_t record = record_index(id);
   Inode& node = inodes_[record];
   if (node.link_count == 0 && node.open_count == 0) {
-    bytes_in_use_ -= std::min<std::uint64_t>(bytes_in_use_, node.size);
     node.live = false;
     record_of_[id] = 0;
     free_records_.push_back(static_cast<std::uint32_t>(record));
@@ -263,7 +261,6 @@ Result<Fd> SimulatedFileSystem::open(const std::string& path, unsigned flags) {
 
   Inode& node = inode_ref(target);
   if ((flags & kTruncate) != 0 && node.kind == FileKind::regular) {
-    bytes_in_use_ -= std::min<std::uint64_t>(bytes_in_use_, node.size);
     node.size = 0;
     node.modified_at = now();
   }
@@ -327,10 +324,7 @@ Result<std::uint64_t> SimulatedFileSystem::write(Fd fd, std::uint64_t count) {
   if (node.kind == FileKind::directory) return FsStatus::is_a_directory;
   if ((of.flags & kAppend) != 0) of.offset = node.size;
   const std::uint64_t end = of.offset + count;
-  if (end > node.size) {
-    bytes_in_use_ += end - node.size;
-    node.size = end;
-  }
+  node.size = std::max(node.size, end);
   of.offset += count;
   ++node.write_ops;
   node.bytes_written += count;

