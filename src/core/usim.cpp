@@ -403,7 +403,7 @@ void UserSimulator::issue_next_op(UserState& user, SessionSlot& slot) {
     item.bytes_written += actual;
     item.bytes_done += actual;
     item.file_size = std::max(item.file_size, fsys_.fstat(item.fd).value().size);
-    if (!wrote.ok()) item.write_target = item.bytes_written;  // no space: stop growing
+    if (!wrote.ok()) item.write_target = item.bytes_written;  // a failed write stops the file growing
     issue(user, slot, item, fsmodel::FsOpType::write, size, actual, offset);
     return;
   }

@@ -6,21 +6,33 @@
 # never ran.  A report, not a gate: a function that never runs is library
 # surface only the tests reach, or an error path no front end exercises.
 #
-# Usage: tools/coverage.sh [BUILD_DIR]   (default: ${TMPDIR:-/tmp}/wlgen-coverage)
+# Usage: tools/coverage.sh [BUILD_DIR]
 #
-# Needs gcc's gcov and python3.  The build directory is wiped first.
+# Needs gcc's gcov and python3.  Without BUILD_DIR the build goes into a new
+# `mktemp -d` directory under ${TMPDIR:-/tmp}.  A BUILD_DIR is wiped first,
+# and only if it is missing, empty or holds the .wlgen-coverage marker an
+# earlier run of this script left there.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
-BUILD="${1:-${TMPDIR:-/tmp}/wlgen-coverage}"
-JOBS="${JOBS:-4}"
-
-rm -rf "$BUILD"
-mkdir -p "$BUILD"
+MARKER=.wlgen-coverage
+if [ $# -gt 0 ]; then
+  BUILD="$1"
+  if [ -e "$BUILD" ] && [ -n "$(ls -A "$BUILD")" ] && [ ! -e "$BUILD/$MARKER" ]; then
+    echo "coverage: $BUILD is not empty and was not made by this script; not wiping it" >&2
+    exit 2
+  fi
+  rm -rf "$BUILD"
+  mkdir -p "$BUILD"
+else
+  BUILD="$(mktemp -d "${TMPDIR:-/tmp}/wlgen-coverage.XXXXXX")"
+fi
 BUILD="$(cd "$BUILD" && pwd)"
+touch "$BUILD/$MARKER"
+echo "coverage: building in $BUILD" >&2
 cmake -S "$ROOT" -B "$BUILD" -DCMAKE_BUILD_TYPE=Debug -DCMAKE_CXX_FLAGS="--coverage -O0" \
       -DWLGEN_BUILD_TESTS=OFF -DWLGEN_BUILD_BENCHES=OFF > "$BUILD/configure.log"
-cmake --build "$BUILD" -j "$JOBS" --target wlgen_cli > "$BUILD/build.log"
+cmake --build "$BUILD" -j "$(nproc)" --target wlgen_cli > "$BUILD/build.log"
 
 CLI="$BUILD/wlgen_cli"
 WORK="$BUILD/drive"
