@@ -342,19 +342,14 @@ SpillSink::SpillSink(std::string dir, std::string stem, std::size_t buffer_recor
     }
   }
   // Room for a run's budget of the largest records, and the one record
-  // that may follow it; pages the run never writes are never touched.
+  // that may follow it.  Its own pages, not a malloc block: pages the runs
+  // never write are never resident, and freeing it cannot move glibc's
+  // mmap threshold, whatever size it has.
   const std::size_t limit = std::numeric_limits<std::size_t>::max() / (2 * kMaxRunRecordBytes);
-  reserve((std::min(buffer_records_, limit) + 1) * kMaxRunRecordBytes);
+  buffer_ = util::PageBuffer((std::min(buffer_records_, limit) + 1) * kMaxRunRecordBytes);
 }
 
 SpillSink::~SpillSink() = default;
-
-void SpillSink::reserve(std::size_t bytes) {
-  auto grown = std::make_unique_for_overwrite<unsigned char[]>(bytes);
-  if (buffer_size_ > 0) std::memcpy(grown.get(), buffer_.get(), buffer_size_);
-  buffer_ = std::move(grown);
-  buffer_capacity_ = bytes;
-}
 
 void SpillSink::append(const OpRecord& record) {
   if (closed_) throw std::logic_error("SpillSink::append after close");
@@ -363,10 +358,12 @@ void SpillSink::append(const OpRecord& record) {
   // so a user's records never straddle two runs — the property that makes
   // the per-run merge + k-way merge reproduce merge_user_logs exactly.
   if (have_user_ && new_user && buffered_ >= buffer_records_) flush();
-  if (buffer_capacity_ - buffer_size_ < kMaxRunRecordBytes) reserve(2 * buffer_capacity_);
+  if (buffer_.size() - buffer_size_ < kMaxRunRecordBytes) {
+    buffer_.grow(2 * buffer_.size(), buffer_size_);
+  }
   // Encoded first, so that a refused record leaves the sink as it was.
   const std::size_t at = buffer_size_;
-  buffer_size_ += encode_record(record, buffer_.get() + at);
+  buffer_size_ += encode_record(record, buffer_.data() + at);
   // A segment starts at each user's first record and wherever the user's
   // issue time goes back (or is NaN, which orders against nothing).
   if (buffered_ == 0 || new_user || !(last_time_ <= record.issue_time_us)) {
@@ -381,8 +378,7 @@ void SpillSink::append(const OpRecord& record) {
 void SpillSink::close() {
   if (closed_) return;
   flush();
-  buffer_.reset();  // a run's worth of RAM, no longer needed
-  buffer_capacity_ = 0;
+  buffer_ = util::PageBuffer();  // a run's worth of RAM, no longer needed
   segments_ = std::vector<std::size_t>();
   closed_ = true;
 }
@@ -402,7 +398,7 @@ void SpillSink::flush() {
     auto bytes = std::make_shared<std::vector<unsigned char>>();
     bytes->reserve(buffer_size_);
     run.index = std::make_shared<const std::vector<RunBlock>>(
-        merge_segments(buffer_.get(), buffer_size_, segments_, records,
+        merge_segments(buffer_.data(), buffer_size_, segments_, records,
                        [&bytes](const unsigned char* record, std::size_t size) {
                          bytes->insert(bytes->end(), record, record + size);
                        }));
@@ -421,7 +417,7 @@ void SpillSink::flush() {
     std::size_t used = kSpillHeaderBytes;
     bool ok = true;
     run.index = std::make_shared<const std::vector<RunBlock>>(
-        merge_segments(buffer_.get(), buffer_size_, segments_, records,
+        merge_segments(buffer_.data(), buffer_size_, segments_, records,
                        [&](const unsigned char* record, std::size_t size) {
                          if (used + size > kWriteChunkBytes) {
                            ok = ok && std::fwrite(chunk.get(), 1, used, file) == used;
@@ -816,7 +812,7 @@ struct RunWalker {
 
 // One finished slice: its text and what the order check needs.
 struct Slice {
-  std::unique_ptr<char[]> text;
+  util::PageBuffer text;     ///< own pages: regrowth never moves malloc's threshold
   std::size_t capacity = 0;  ///< records the text has room for
   std::size_t text_size = 0;
   std::uint64_t records = 0;
@@ -956,10 +952,11 @@ class SlicePlan {
     }
 
     if (out.capacity < records) {
-      out.text = std::make_unique_for_overwrite<char[]>(records * kMaxRecordTextBytes);
+      out.text = util::PageBuffer(records * kMaxRecordTextBytes);
       out.capacity = records;
     }
-    char* text = out.text.get();
+    char* const begin = reinterpret_cast<char*>(out.text.data());
+    char* text = begin;
     bool ordered = true;
     RunKey last;
     std::vector<RunCursor>& cursors = scratch.cursors;
@@ -973,7 +970,7 @@ class SlicePlan {
         [&](std::size_t i) {
           RunCursor& c = cursors[i];
           const RunKey key{c.head.issue_time_us, c.head.user};
-          if (text == out.text.get()) {
+          if (text == begin) {
             out.first = key;
           } else if (descends(last, key)) {
             ordered = false;
@@ -985,7 +982,7 @@ class SlicePlan {
           __builtin_prefetch(c.walker.p + 256);
           if (--c.remaining > 0) c.walker.next(c.head);
         });
-    out.text_size = static_cast<std::size_t>(text - out.text.get());
+    out.text_size = static_cast<std::size_t>(text - begin);
     out.records = records;
     out.ordered = ordered;
     out.last = last;
@@ -1281,7 +1278,7 @@ WrittenLog write_slices(const SlicePlan& plan, std::size_t threads, Write&& writ
   std::optional<RunKey> last;  // the last record written
   const auto emit = [&](const Slice& slice) {
     if (slice.records == 0) return;  // a slice of unsorted runs can be empty
-    write(slice.text.get(), slice.text_size);
+    write(reinterpret_cast<const char*>(slice.text.data()), slice.text_size);
     if (!slice.ordered || (last && descends(*last, slice.first))) result.ordered = false;
     last = slice.last;
     result.records += slice.records;

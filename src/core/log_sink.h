@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/usage_log.h"
+#include "util/page_buffer.h"
 
 namespace wlgen::core {
 
@@ -164,7 +165,8 @@ SpillRun memory_run(std::vector<OpRecord> records);
 /// runs because a user lives in exactly one run.  The buffer is reserved
 /// once, at `buffer_records` records of kMaxRunRecordBytes; it grows only
 /// when the user that crosses the budget brings more than that reservation
-/// has left.
+/// has left.  Its pages come from the OS (util::PageBuffer), so only the
+/// pages written are resident, and close() returns them all.
 class SpillSink final : public LogSink {
  public:
   /// Creates `dir` if needed (none when empty: the runs stay in memory).
@@ -186,14 +188,12 @@ class SpillSink final : public LogSink {
 
  private:
   void flush();
-  void reserve(std::size_t bytes);
 
   std::string dir_;
   std::string stem_;
   std::size_t buffer_records_;
-  std::unique_ptr<unsigned char[]> buffer_;  ///< the buffered records, encoded
-  std::size_t buffer_size_ = 0;              ///< bytes used
-  std::size_t buffer_capacity_ = 0;
+  util::PageBuffer buffer_;   ///< the buffered records, encoded
+  std::size_t buffer_size_ = 0;  ///< bytes used
   std::size_t buffered_ = 0;            ///< records in the buffer
   std::vector<std::size_t> segments_;   ///< where each segment starts in the buffer
   std::vector<SpillRun> runs_;

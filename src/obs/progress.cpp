@@ -88,9 +88,11 @@ void ProgressReporter::emit(bool final_line) {
   line += final_line ? " done: " : ": ";
   line += std::to_string(units);
   if (options_.total_units > 0) {
-    line += "/" + std::to_string(options_.total_units);
+    line += '/';
+    line += std::to_string(options_.total_units);
   }
-  line += " " + options_.unit;
+  line += ' ';
+  line += options_.unit;
   if (options_.total_units > 0 && units <= options_.total_units) {
     char buffer[16];
     std::snprintf(buffer, sizeof(buffer), " (%.0f%%)",

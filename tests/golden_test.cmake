@@ -292,8 +292,8 @@ foreach(threads 1 4)
     endif()
   endforeach()
   if(NOT RECORD AND NOT jsons STREQUAL golden_jsons)
-    set(failures "${failures}  ${GOLDEN_DIR}/experiments: produced {${jsons}} at "
-                 "--threads ${threads}, pinned {${golden_jsons}}\n")
+    string(APPEND failures "  ${GOLDEN_DIR}/experiments: produced {${jsons}} at "
+                           "--threads ${threads}, pinned {${golden_jsons}}\n")
   endif()
 endforeach()
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "core/log_sink.h"
 #include "core/presets.h"
@@ -417,11 +418,18 @@ TEST(Progress, AdvanceAndStopAreSafe) {
   options.unit = "units";
   options.total_units = 4;
   options.interval_ms = 5;
+  testing::internal::CaptureStderr();
   ProgressReporter progress(options);
   for (int i = 0; i < 4; ++i) progress.advance(1, 100, 50.0);
   progress.note_sim_time(123.0);
   progress.stop();
   progress.stop();  // idempotent
+  const std::string text = testing::internal::GetCapturedStderr();
+  // One final line, naming the run, its progress against the total and
+  // the unit.
+  const std::string done = "[wlgen] obs-test done: 4/4 units (100%) | ";
+  EXPECT_NE(text.find(done), std::string::npos) << text;
+  EXPECT_EQ(text.find(done), text.rfind(done)) << text;
 }
 
 }  // namespace

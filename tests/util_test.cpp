@@ -1,10 +1,15 @@
 // Unit tests for src/util: RNG streams, numeric routines, plotting, tables,
-// string helpers.
+// string helpers, page buffers.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -17,6 +22,7 @@
 #include "util/config.h"
 #include "util/json.h"
 #include "util/numeric.h"
+#include "util/page_buffer.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/svg.h"
@@ -252,6 +258,113 @@ TEST(TextFile, ReadRejectsADirectoryButReadsPipesAndSpecialFiles) {
   ASSERT_EQ(std::filesystem::file_size("/proc/self/status", ec), 0u);
   EXPECT_NE(read_text_file("/proc/self/status").find("Name:"), std::string::npos);
   std::filesystem::remove_all(dir);
+}
+
+// The pages of [data, data + size) that are resident now, or -1 when some
+// of them are not mapped at all (mincore's ENOMEM).
+long resident_pages(const unsigned char* data, std::size_t size) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const std::uintptr_t begin = reinterpret_cast<std::uintptr_t>(data) & ~(page - 1);
+  const std::uintptr_t end = reinterpret_cast<std::uintptr_t>(data) + size;
+  unsigned char pages[256];
+  const std::size_t count = (end - begin + page - 1) / page;
+  if (count > sizeof pages) ADD_FAILURE() << "resident_pages: " << count << " pages";
+  if (::mincore(reinterpret_cast<void*>(begin), end - begin, pages) != 0) {
+    EXPECT_EQ(errno, ENOMEM);
+    return -1;
+  }
+  long resident = 0;
+  for (std::size_t i = 0; i < count; ++i) resident += pages[i] & 1;
+  return resident;
+}
+
+std::size_t page_bytes() { return static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)); }
+
+TEST(PageBuffer, FreshBufferHasItsSizeAndTakesWritesEndToEnd) {
+  EXPECT_EQ(PageBuffer().size(), 0u);
+  EXPECT_EQ(PageBuffer(0).data(), nullptr);
+
+  const std::size_t size = 3 * page_bytes() + 5;
+  PageBuffer buffer(size);
+  ASSERT_EQ(buffer.size(), size);
+  ASSERT_NE(buffer.data(), nullptr);
+  // No page is resident before it is written.
+  if (kPageBufferMapsPages) {
+    EXPECT_EQ(resident_pages(buffer.data(), size), 0);
+  }
+  for (std::size_t i = 0; i < size; ++i) {
+    ASSERT_EQ(buffer.data()[i], 0) << i;
+    buffer.data()[i] = static_cast<unsigned char>(i * 7);
+  }
+  for (std::size_t i = 0; i < size; ++i) {
+    ASSERT_EQ(buffer.data()[i], static_cast<unsigned char>(i * 7)) << i;
+  }
+  if (kPageBufferMapsPages) {
+    EXPECT_EQ(resident_pages(buffer.data(), size), 4);
+  }
+}
+
+TEST(PageBuffer, GrowKeepsTheWrittenPrefixAndCopiesNothingPastIt) {
+  PageBuffer buffer(1000);
+  for (std::size_t i = 0; i < 1000; ++i) buffer.data()[i] = static_cast<unsigned char>(i + 1);
+  buffer.grow(64 * page_bytes(), 600);
+  ASSERT_EQ(buffer.size(), 64 * page_bytes());
+  for (std::size_t i = 0; i < 600; ++i) {
+    ASSERT_EQ(buffer.data()[i], static_cast<unsigned char>(i + 1)) << i;
+  }
+  // Only the kept prefix was copied: its one page is the only one resident.
+  if (kPageBufferMapsPages) {
+    EXPECT_EQ(resident_pages(buffer.data(), buffer.size()), 1);
+  }
+  EXPECT_EQ(buffer.data()[600], 0);
+
+  // A keep past the old size copies the old size; shrinking keeps what fits.
+  buffer.grow(2 * page_bytes(), 1 << 30);
+  EXPECT_EQ(buffer.data()[599], static_cast<unsigned char>(600));
+  buffer.grow(10, 1 << 30);
+  ASSERT_EQ(buffer.size(), 10u);
+  EXPECT_EQ(buffer.data()[9], 10);
+  buffer.grow(0, 0);
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_EQ(buffer.data(), nullptr);
+}
+
+TEST(PageBuffer, MoveLeavesTheSourceEmpty) {
+  PageBuffer source(100);
+  source.data()[99] = 42;
+  unsigned char* const data = source.data();
+
+  PageBuffer moved(std::move(source));
+  EXPECT_EQ(source.size(), 0u);  // NOLINT(bugprone-use-after-move): the moved-from state
+  EXPECT_EQ(source.data(), nullptr);
+  EXPECT_EQ(moved.data(), data);
+  EXPECT_EQ(moved.size(), 100u);
+
+  PageBuffer assigned(5000);
+  assigned = std::move(moved);
+  EXPECT_EQ(moved.size(), 0u);  // NOLINT(bugprone-use-after-move): the moved-from state
+  EXPECT_EQ(moved.data(), nullptr);
+  ASSERT_EQ(assigned.data(), data);
+  EXPECT_EQ(assigned.data()[99], 42);
+}
+
+TEST(PageBuffer, DestructionReturnsThePages) {
+  if (!kPageBufferMapsPages) GTEST_SKIP() << "a new[] array under AddressSanitizer";
+  const std::size_t size = 8 * page_bytes();
+  const unsigned char* data = nullptr;
+  {
+    PageBuffer buffer(size);
+    std::memset(buffer.data(), 1, size);
+    data = buffer.data();
+    ASSERT_EQ(resident_pages(data, size), 8);
+  }
+  EXPECT_EQ(resident_pages(data, size), -1);
+
+  // So does moving another buffer over it.
+  PageBuffer buffer(size);
+  data = buffer.data();
+  buffer = PageBuffer(page_bytes());
+  EXPECT_EQ(resident_pages(data, size), -1);
 }
 
 TEST(Table, RendersAlignedRows) {
