@@ -342,9 +342,7 @@ SpillSink::SpillSink(std::string dir, std::string stem, std::size_t buffer_recor
     }
   }
   // Room for a run's budget of the largest records, and the one record
-  // that may follow it.  Its own pages, not a malloc block: pages the runs
-  // never write are never resident, and freeing it cannot move glibc's
-  // mmap threshold, whatever size it has.
+  // that may follow it; only the pages the runs write become resident.
   const std::size_t limit = std::numeric_limits<std::size_t>::max() / (2 * kMaxRunRecordBytes);
   buffer_ = util::PageBuffer((std::min(buffer_records_, limit) + 1) * kMaxRunRecordBytes);
 }
@@ -812,8 +810,7 @@ struct RunWalker {
 
 // One finished slice: its text and what the order check needs.
 struct Slice {
-  util::PageBuffer text;     ///< own pages: regrowth never moves malloc's threshold
-  std::size_t capacity = 0;  ///< records the text has room for
+  util::PageBuffer text;  ///< own pages: regrowth never moves malloc's threshold
   std::size_t text_size = 0;
   std::uint64_t records = 0;
   bool ordered = true;  ///< no descent inside the slice
@@ -951,9 +948,8 @@ class SlicePlan {
       cursor.walker.next(cursor.head);
     }
 
-    if (out.capacity < records) {
+    if (out.text.size() < records * kMaxRecordTextBytes) {
       out.text = util::PageBuffer(records * kMaxRecordTextBytes);
-      out.capacity = records;
     }
     char* const begin = reinterpret_cast<char*>(out.text.data());
     char* text = begin;

@@ -192,8 +192,8 @@ class SpillSink final : public LogSink {
   std::string dir_;
   std::string stem_;
   std::size_t buffer_records_;
-  util::PageBuffer buffer_;   ///< the buffered records, encoded
-  std::size_t buffer_size_ = 0;  ///< bytes used
+  util::PageBuffer buffer_;             ///< the buffered records, encoded
+  std::size_t buffer_size_ = 0;         ///< bytes used
   std::size_t buffered_ = 0;            ///< records in the buffer
   std::vector<std::size_t> segments_;   ///< where each segment starts in the buffer
   std::vector<SpillRun> runs_;
